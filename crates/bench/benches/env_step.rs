@@ -34,11 +34,11 @@
 //! steps/sec version of this comparison as `results/BENCH_env_step.json`.
 
 use autockt_bench::{ac_kernel_cases, AcKernelCase};
-use autockt_circuits::{CornerStrategy, NegGmOta, OpAmp2, SharedMemo, SimMode, SizingProblem, Tia};
+use autockt_circuits::{NegGmOta, OpAmp2, SharedMemo, SimMode, SizingProblem, Tia};
 use autockt_core::{EnvConfig, SizingEnv, TargetMode};
 use autockt_rl::env::Env;
 use autockt_sim::complex::Complex;
-use autockt_sim::linalg::{ComplexLuBatch, ComplexLuSoa, LuFactors};
+use autockt_sim::linalg::{ComplexLuSoa, LuFactors};
 use autockt_sim::pex::PexConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -148,11 +148,10 @@ fn benches(c: &mut Criterion) {
             false,
         );
     }
-    // PexWorstCase stepping: the historical serial names keep measuring
-    // the scalar per-corner loop; `_batched` variants run the lockstep
-    // corner engine (plus dense-mesh variants at the dims where the
-    // batched path pays — see the `corner_batch` section of
-    // `bench_env_step`).
+    // PexWorstCase stepping: cold and warm at the stock extraction, and
+    // warm at dense-mesh extractions where the warm corner kernels
+    // switch to base-plus-Woodbury correction (the TIA's dense step is
+    // noise- and settle-bound).
     let dense_neggm = || {
         let base = NegGmOta::default();
         let pex = PexConfig {
@@ -161,32 +160,6 @@ fn benches(c: &mut Criterion) {
         };
         base.with_pex_config(pex)
     };
-    for (name, problem) in [
-        (
-            "env_step_neggm_pex_worstcase",
-            NegGmOta::default().with_corner_strategy(CornerStrategy::Serial),
-        ),
-        ("env_step_neggm_pex_worstcase_batched", NegGmOta::default()),
-        (
-            "env_step_warm_neggm_pex_dense_serial",
-            dense_neggm().with_corner_strategy(CornerStrategy::Serial),
-        ),
-        ("env_step_warm_neggm_pex_dense_batched", dense_neggm()),
-    ] {
-        let warm = name.contains("warm");
-        bench_env(
-            c,
-            name,
-            Arc::new(problem),
-            SimMode::PexWorstCase,
-            warm,
-            false,
-            false,
-        );
-    }
-    // TIA `PexWorstCase` at dense mesh dims: the noise-bound step the
-    // corner-corrected noise analysis moves (serial = scalar per-corner
-    // noise, batched = corrected noise + corrected sweep when warm).
     let dense_tia = || {
         let base = Tia::default();
         let pex = PexConfig {
@@ -195,41 +168,27 @@ fn benches(c: &mut Criterion) {
         };
         base.with_pex_config(pex)
     };
-    for (name, problem) in [
+    let worst_case: [(&str, Arc<dyn SizingProblem>, bool); 4] = [
         (
-            "env_step_warm_tia_pex_dense_serial",
-            dense_tia().with_corner_strategy(CornerStrategy::Serial),
+            "env_step_neggm_pex_worstcase",
+            Arc::new(NegGmOta::default()),
+            false,
         ),
-        ("env_step_warm_tia_pex_dense_batched", dense_tia()),
-    ] {
-        bench_env(
-            c,
-            name,
-            Arc::new(problem),
-            SimMode::PexWorstCase,
+        (
+            "env_step_warm_neggm_pex_worstcase",
+            Arc::new(NegGmOta::default()),
             true,
-            false,
-            false,
-        );
+        ),
+        (
+            "env_step_warm_neggm_pex_dense",
+            Arc::new(dense_neggm()),
+            true,
+        ),
+        ("env_step_warm_tia_pex_dense", Arc::new(dense_tia()), true),
+    ];
+    for (name, problem, warm) in worst_case {
+        bench_env(c, name, problem, SimMode::PexWorstCase, warm, false, false);
     }
-    bench_env(
-        c,
-        "env_step_warm_neggm_pex_worstcase",
-        Arc::new(NegGmOta::default().with_corner_strategy(CornerStrategy::Serial)),
-        SimMode::PexWorstCase,
-        true,
-        false,
-        false,
-    );
-    bench_env(
-        c,
-        "env_step_warm_neggm_pex_worstcase_batched",
-        Arc::new(NegGmOta::default()),
-        SimMode::PexWorstCase,
-        true,
-        false,
-        false,
-    );
 }
 
 /// One AC frequency point, stamped + refactored + solved with reused
@@ -276,48 +235,19 @@ fn bench_ac_kernels(c: &mut Criterion) {
                 black_box(xs.last().copied())
             });
         });
-        // Corner-lockstep batch kernel: six copies of the same system
-        // factored and solved in one pass (compare against 6x the soa
-        // number — the cold batched corner path's per-point cost).
-        let bt = 6usize;
-        let mut batch = ComplexLuBatch::empty();
-        let mut rhs_re = vec![0.0; n * bt];
-        let mut rhs_im = vec![0.0; n * bt];
-        for (i, v) in rhs.iter().enumerate() {
-            for b in 0..bt {
-                rhs_re[i * bt + b] = v.re;
-                rhs_im[i * bt + b] = v.im;
-            }
-        }
-        let (mut xr, mut xi) = (Vec::new(), Vec::new());
-        let (mut ar, mut ai) = (Vec::new(), Vec::new());
-        c.bench_function(&format!("ac_lu_batch6_{name}_dim{n}"), |b| {
-            b.iter(|| {
-                batch.refactor_with(n, bt, 1e-300, |re, im| {
-                    for &(r, col, gg, cc) in &pattern {
-                        for bb in 0..bt {
-                            re[(r * n + col) * bt + bb] = gg;
-                            im[(r * n + col) * bt + bb] = w * cc;
-                        }
-                    }
-                });
-                batch.solve_batch_into(&rhs_re, &rhs_im, &mut xr, &mut xi, &mut ar, &mut ai);
-                black_box(xr.last().copied())
-            });
-        });
     }
 }
 
 /// One full TIA corner-set noise analysis (6 corners x the noise grid)
-/// through the three pipelines — serial per corner, lockstep batch (the
-/// cold bitwise backbone), and base-plus-Woodbury corrected (the warm
-/// fast path, per-source base solves shared across corners) — over the
+/// through the two pipelines — serial per corner (the cold path) and
+/// base-plus-Woodbury corrected (the warm fast path, per-source base
+/// solves shared across corners) — over the
 /// same [`autockt_bench::NoiseCornerCase`] workloads as `bench_env_step`'s
 /// noise-corner section.
 fn bench_noise_corners(c: &mut Criterion) {
     use autockt_sim::ac::{AcBatchWorkspace, AcSolver, AcWorkspace};
     use autockt_sim::dc::OpPoint;
-    use autockt_sim::noise::{noise_analysis_batch, noise_analysis_corners, noise_analysis_ws};
+    use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws};
     for depth in [0usize, 4] {
         let case = autockt_bench::tia_noise_corner_case(depth).expect("TIA corner workload builds");
         let solvers: Vec<AcSolver<'_>> = case
@@ -341,19 +271,6 @@ fn bench_noise_corners(c: &mut Criterion) {
         c.bench_function(&format!("noise_corners_corrected_tia_mesh{depth}"), |b| {
             b.iter(|| {
                 let r = noise_analysis_corners(
-                    &solvers,
-                    &op_refs,
-                    &outs,
-                    &case.freqs,
-                    &case.temps,
-                    &mut ws,
-                );
-                black_box(r.len())
-            });
-        });
-        c.bench_function(&format!("noise_corners_batch_tia_mesh{depth}"), |b| {
-            b.iter(|| {
-                let r = noise_analysis_batch(
                     &solvers,
                     &op_refs,
                     &outs,

@@ -36,30 +36,19 @@
 //! - **soa-lu** — one AC frequency point of the real MNA system,
 //!   refactored + solved with reused buffers through the interleaved
 //!   `Complex` LU versus the vectorized split re/im (SoA) kernel.
-//! - **corner-batch** — `PexWorstCase` environment stepping with the
-//!   PVT corner set evaluated serially (scalar kernels, the
-//!   pre-batching behaviour) versus in lockstep through the batched DC
-//!   Newton + AC sweep kernels, at the stock parasitic extraction and
-//!   at dense RC-mesh extractions (`PexConfig::mesh_depth`) where the
-//!   MNA dims reach the 30+ range the batch axis is built for. The TIA
-//!   rows are the noise-bound trajectory the corner-corrected noise
-//!   analysis moves.
 //! - **noise-corner** — one full TIA noise analysis of the PVT corner
 //!   set (6 corners x the noise grid), run serial per corner
-//!   (`noise_analysis_ws`), lockstep (`noise_analysis_batch`, the cold
-//!   bitwise backbone), and corner-corrected
+//!   (`noise_analysis_ws`, the cold path) and corner-corrected
 //!   (`noise_analysis_corners`, base factor + Woodbury with shared
 //!   per-source base solves — the warm fast path), at stock and dense
 //!   mesh dims.
 //! - **settle-corner** — one full TIA corner-set settling integration
 //!   (2048 trapezoidal steps per corner on a shared time window), run
-//!   serial per corner (`step_response`, the pre-batching behaviour),
+//!   serial per corner (`step_response`, the cold path) and
 //!   corner-batched (`step_response_corners`: a precomputed affine
 //!   propagator per corner at dense dims, one base companion factor +
-//!   per-corner Woodbury corrections at sparse dims), and symbolic-shared
-//!   (`step_response_corners_shared`: one sparse symbolic analysis +
-//!   AMD ordering, `refactor` per corner), at the stock/dense mesh
-//!   dims and at the sparse-backend mesh dims.
+//!   per-corner Woodbury corrections at sparse dims), at the stock/dense
+//!   mesh dims and at the sparse-backend mesh dims.
 //! - **sparse-solver** — the dense SoA refactor+solve path versus the
 //!   CSC sparse-LU refactor path (symbolic analysis reused, values
 //!   rewritten per point) on the TIA's extracted mesh systems from the
@@ -75,17 +64,15 @@
 //!   strongly connected block.
 //! - **machine-saturation** — the tile scheduler's forced-lane rows:
 //!   dense-mesh TIA `PexWorstCase` stepping at `Parallelism::Off` vs
-//!   `Threads(n)` (steps/sec vs total threads), threaded-scalar corner
-//!   evaluation vs the batched-lockstep engine (does threading the
-//!   scalar kernels beat SIMD over the corner axis?), and threaded BTF
-//!   block factoring on the dim-116+ extracted meshes. The host's
+//!   `Threads(n)` (steps/sec vs total threads), and threaded BTF block
+//!   factoring on the dim-116+ extracted meshes. The host's
 //!   `available_parallelism` and the scheduler's configured budget are
 //!   recorded in the header; on a saturated or single-core host these
 //!   rows are *losses*, and they are recorded exactly as measured —
 //!   the point of the section is the honest crossover, not a best case.
 //!
 //! Prints a comparison table and writes `results/BENCH_env_step.json`
-//! (schema `autockt/bench_env_step/v8`) so CI can archive the trajectory.
+//! (schema `autockt/bench_env_step/v9`) so CI can archive the trajectory.
 //!
 //! Run: `cargo run --release -p autockt_bench --bin bench_env_step`
 //! (`--steps N`, `--episode H`, `--seed S` to override).
@@ -94,7 +81,7 @@ use autockt_bench::{
     ac_kernel_cases, arg_value, dense_kernel_case, results_dir, tia_mesh_kernel_case,
     tia_noise_corner_case, tia_settle_corner_case, AcKernelCase, NoiseCornerCase, SettleCornerCase,
 };
-use autockt_circuits::{CornerStrategy, NegGmOta, OpAmp2, SharedMemo, SimMode, SizingProblem, Tia};
+use autockt_circuits::{NegGmOta, OpAmp2, SharedMemo, SimMode, SizingProblem, Tia};
 use autockt_core::{EnvConfig, SizingEnv, TargetMode};
 use autockt_rl::env::Env;
 use autockt_sim::ac::{AcBatchWorkspace, AcSolver, AcWorkspace};
@@ -103,9 +90,9 @@ use autockt_sim::dc::OpPoint;
 use autockt_sim::linalg::sparse::{CscMatrix, SparseLu, TripletList};
 use autockt_sim::linalg::structure::BtfLu;
 use autockt_sim::linalg::{ComplexLuSoa, LuFactors};
-use autockt_sim::noise::{noise_analysis_batch, noise_analysis_corners, noise_analysis_ws};
+use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws};
 use autockt_sim::pex::PexConfig;
-use autockt_sim::tran::{step_response_corners, step_response_corners_shared};
+use autockt_sim::tran::step_response_corners;
 use autockt_sim::{Parallelism, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -247,12 +234,10 @@ fn run_multi(
 struct NoiseCornerStats {
     serial_us: f64,
     corrected_us: f64,
-    batch_us: f64,
 }
 
-/// One full corner-set noise analysis per iteration through the three
-/// paths — serial per corner, lockstep batch, and base-plus-Woodbury
-/// corrected — over the shared [`NoiseCornerCase`] workload (the
+/// One full corner-set noise analysis per iteration through the two
+/// paths — serial per corner and base-plus-Woodbury corrected — over the shared [`NoiseCornerCase`] workload (the
 /// criterion `noise_corners_*` benches drive the identical cases).
 fn time_noise_corner_paths(case: &NoiseCornerCase, iters: u32) -> NoiseCornerStats {
     let solvers: Vec<AcSolver<'_>> = case
@@ -283,31 +268,21 @@ fn time_noise_corner_paths(case: &NoiseCornerCase, iters: u32) -> NoiseCornerSta
     }
     let corrected_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
 
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let r = noise_analysis_batch(&solvers, &op_refs, &outs, &case.freqs, &case.temps, &mut ws);
-        black_box(r.len());
-    }
-    let batch_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
     NoiseCornerStats {
         serial_us,
         corrected_us,
-        batch_us,
     }
 }
 
 struct SettleCornerStats {
     serial_us: f64,
     corrected_us: f64,
-    shared_us: f64,
 }
 
 /// One full corner-set settling integration per iteration through the
-/// three paths — serial per corner (`step_response`), corner-batched
+/// two paths — serial per corner (`step_response`) and corner-batched
 /// (`step_response_corners`: propagator at dense dims, Woodbury at
-/// sparse dims), and symbolic-shared sparse
-/// (`step_response_corners_shared`) — over the shared
+/// sparse dims) — over the shared
 /// [`SettleCornerCase`] workload (the criterion `settle_corners_*`
 /// benches drive the identical cases).
 fn time_settle_corner_paths(case: &SettleCornerCase, iters: u32) -> SettleCornerStats {
@@ -336,17 +311,9 @@ fn time_settle_corner_paths(case: &SettleCornerCase, iters: u32) -> SettleCorner
     }
     let corrected_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
 
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let r = step_response_corners_shared(&refs, &outs, case.t_stop, case.steps);
-        black_box(r.len());
-    }
-    let shared_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
     SettleCornerStats {
         serial_us,
         corrected_us,
-        shared_us,
     }
 }
 
@@ -796,110 +763,12 @@ fn main() {
         }
     }
 
-    // Corner-batch: PexWorstCase stepping, serial corner loop vs the
-    // lockstep-batched engine, at stock extraction and at dense RC-mesh
-    // extraction dims. Warm-started, memo off (explore walk): every step
-    // is a fresh 6-corner solve, so this isolates solver throughput.
-    println!(
-        "\n{:<8} {:>5} {:>4} {:>14} {:>14} {:>8}",
-        "problem", "mesh", "dim", "serial st/s", "batched st/s", "batch x"
-    );
-    let corner_steps = (steps / 8).max(24);
-    let mut corner_rows = Vec::new();
-    for (name, depth) in [
-        ("tia", 0usize),
-        ("tia", 4),
-        ("opamp2", 0),
-        ("opamp2", 1),
-        ("neggm", 0),
-        ("neggm", 1),
-    ] {
-        let pex = PexConfig {
-            mesh_depth: depth,
-            ..match name {
-                "tia" => Tia::default().pex_config().clone(),
-                "opamp2" => OpAmp2::default().pex_config().clone(),
-                _ => NegGmOta::default().pex_config().clone(),
-            }
-        };
-        let build = |strategy: CornerStrategy| -> Arc<dyn SizingProblem> {
-            match name {
-                "tia" => Arc::new(
-                    Tia::default()
-                        .with_pex_config(pex.clone())
-                        .with_corner_strategy(strategy),
-                ),
-                "opamp2" => Arc::new(
-                    OpAmp2::default()
-                        .with_pex_config(pex.clone())
-                        .with_corner_strategy(strategy),
-                ),
-                _ => Arc::new(
-                    NegGmOta::default()
-                        .with_pex_config(pex.clone())
-                        .with_corner_strategy(strategy),
-                ),
-            }
-        };
-        let serial_p = build(CornerStrategy::Serial);
-        let batched_p = build(CornerStrategy::Batched);
-        let dim = autockt_bench::extracted_center_dim(serial_p.name(), &pex)
-            .expect("known benchmark topology");
-        let serial = run_walk(
-            &serial_p,
-            SimMode::PexWorstCase,
-            Walk::Explore,
-            true,
-            false,
-            corner_steps,
-            episode,
-            seed,
-        );
-        let batched = run_walk(
-            &batched_p,
-            SimMode::PexWorstCase,
-            Walk::Explore,
-            true,
-            false,
-            corner_steps,
-            episode,
-            seed,
-        );
-        let speedup = batched.steps_per_sec / serial.steps_per_sec;
-        println!(
-            "{:<8} {:>5} {:>4} {:>14.1} {:>14.1} {:>7.2}x",
-            name, depth, dim, serial.steps_per_sec, batched.steps_per_sec, speedup
-        );
-        corner_rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"problem\": \"{}\",\n",
-                "      \"mesh_depth\": {},\n",
-                "      \"mna_dim\": {},\n",
-                "      \"corners\": {},\n",
-                "      \"steps\": {},\n",
-                "      \"serial_steps_per_sec\": {:.2},\n",
-                "      \"batched_steps_per_sec\": {:.2},\n",
-                "      \"batched_speedup\": {:.3}\n",
-                "    }}"
-            ),
-            name,
-            depth,
-            dim,
-            autockt_circuits::CornerPlan::pvt_worst_case().len(),
-            corner_steps,
-            serial.steps_per_sec,
-            batched.steps_per_sec,
-            speedup
-        ));
-    }
-
     // Noise-corner paths: one full TIA corner-set noise analysis through
-    // the serial, corrected (Woodbury), and lockstep-batch pipelines, at
-    // stock and dense mesh dims.
+    // the serial and corrected (Woodbury) pipelines, at stock and dense
+    // mesh dims.
     println!(
-        "\n{:<8} {:>5} {:>4} {:>12} {:>13} {:>11} {:>8} {:>8}",
-        "problem", "mesh", "dim", "serial us", "corrected us", "batch us", "corr x", "batch x"
+        "\n{:<8} {:>5} {:>4} {:>12} {:>13} {:>8}",
+        "problem", "mesh", "dim", "serial us", "corrected us", "corr x"
     );
     let mut noise_rows = Vec::new();
     for depth in [0usize, 4] {
@@ -907,10 +776,9 @@ fn main() {
         let iters = if depth == 0 { 400 } else { 60 };
         let st = time_noise_corner_paths(&case, iters);
         let corr_x = st.serial_us / st.corrected_us;
-        let batch_x = st.serial_us / st.batch_us;
         println!(
-            "{:<8} {:>5} {:>4} {:>12.1} {:>13.1} {:>11.1} {:>7.2}x {:>7.2}x",
-            "tia", depth, case.dim, st.serial_us, st.corrected_us, st.batch_us, corr_x, batch_x
+            "{:<8} {:>5} {:>4} {:>12.1} {:>13.1} {:>7.2}x",
+            "tia", depth, case.dim, st.serial_us, st.corrected_us, corr_x
         );
         noise_rows.push(format!(
             concat!(
@@ -922,9 +790,7 @@ fn main() {
                 "      \"noise_points\": {},\n",
                 "      \"serial_us_per_eval\": {:.2},\n",
                 "      \"corrected_us_per_eval\": {:.2},\n",
-                "      \"batch_us_per_eval\": {:.2},\n",
-                "      \"corrected_speedup\": {:.3},\n",
-                "      \"batch_speedup\": {:.3}\n",
+                "      \"corrected_speedup\": {:.3}\n",
                 "    }}"
             ),
             depth,
@@ -933,31 +799,26 @@ fn main() {
             case.freqs.len(),
             st.serial_us,
             st.corrected_us,
-            st.batch_us,
-            corr_x,
-            batch_x
+            corr_x
         ));
     }
 
     // Settle-corner paths: one full TIA corner-set settling integration
-    // through the serial, corner-batched, and symbolic-shared sparse
-    // pipelines, at the dense dims (mesh 0/4) and sparse dims (mesh
-    // 8/16). The corrected column is the warm engine fast path; the
-    // shared column is the cold sparse path (one symbolic analysis + AMD
-    // ordering, refactor per corner).
+    // through the serial and corner-batched pipelines, at the dense dims
+    // (mesh 0/4) and sparse dims (mesh 8/16). The serial column is the
+    // cold engine path; the corrected column is the warm fast path.
     println!(
-        "\n{:<8} {:>5} {:>4} {:>12} {:>13} {:>11} {:>8} {:>8}",
-        "problem", "mesh", "dim", "serial us", "corrected us", "shared us", "corr x", "shrd x"
+        "\n{:<8} {:>5} {:>4} {:>12} {:>13} {:>8}",
+        "problem", "mesh", "dim", "serial us", "corrected us", "corr x"
     );
     let mut settle_rows = Vec::new();
     for (depth, iters) in [(0usize, 40u32), (4, 20), (8, 10), (16, 6)] {
         let case = tia_settle_corner_case(depth).expect("TIA settle corner workload builds");
         let st = time_settle_corner_paths(&case, iters);
         let corr_x = st.serial_us / st.corrected_us;
-        let shared_x = st.serial_us / st.shared_us;
         println!(
-            "{:<8} {:>5} {:>4} {:>12.1} {:>13.1} {:>11.1} {:>7.2}x {:>7.2}x",
-            "tia", depth, case.dim, st.serial_us, st.corrected_us, st.shared_us, corr_x, shared_x
+            "{:<8} {:>5} {:>4} {:>12.1} {:>13.1} {:>7.2}x",
+            "tia", depth, case.dim, st.serial_us, st.corrected_us, corr_x
         );
         settle_rows.push(format!(
             concat!(
@@ -969,9 +830,7 @@ fn main() {
                 "      \"settle_steps\": {},\n",
                 "      \"serial_us_per_set\": {:.2},\n",
                 "      \"corrected_us_per_set\": {:.2},\n",
-                "      \"shared_us_per_set\": {:.2},\n",
-                "      \"corrected_speedup\": {:.3},\n",
-                "      \"shared_speedup\": {:.3}\n",
+                "      \"corrected_speedup\": {:.3}\n",
                 "    }}"
             ),
             depth,
@@ -980,9 +839,7 @@ fn main() {
             case.steps,
             st.serial_us,
             st.corrected_us,
-            st.shared_us,
-            corr_x,
-            shared_x
+            corr_x
         ));
     }
 
@@ -1260,80 +1117,6 @@ fn main() {
         }
     }
 
-    // Threaded-scalar vs batched-lockstep crossover: the corner set
-    // evaluated by scalar kernels with four forced lanes versus the
-    // serial lockstep (SIMD-over-corners) engine. Lockstep usually wins
-    // on throughput-per-thread; these rows locate where (if anywhere)
-    // thread-level parallelism overtakes the vectorized batch.
-    println!(
-        "\n{:<8} {:>5} {:>4} {:>8} {:>16} {:>15} {:>11}",
-        "problem", "mesh", "dim", "threads", "thr-scalar st/s", "lockstep st/s", "lockstep x"
-    );
-    let mut sat_cross_rows = Vec::new();
-    for depth in [0usize, 4] {
-        let pex = PexConfig {
-            mesh_depth: depth,
-            ..Tia::default().pex_config().clone()
-        };
-        let dim =
-            autockt_bench::extracted_center_dim("tia", &pex).expect("known benchmark topology");
-        let threads = 4usize;
-        let threaded_scalar: Arc<dyn SizingProblem> = Arc::new(
-            Tia::default()
-                .with_pex_config(pex.clone())
-                .with_corner_strategy(CornerStrategy::Serial)
-                .with_solver_config(
-                    SolverConfig::default().with_parallelism(Parallelism::Threads(threads)),
-                ),
-        );
-        let lockstep: Arc<dyn SizingProblem> = Arc::new(
-            Tia::default()
-                .with_pex_config(pex)
-                .with_corner_strategy(CornerStrategy::Batched)
-                .with_solver_config(SolverConfig::default().with_parallelism(Parallelism::Off)),
-        );
-        let ts = run_walk(
-            &threaded_scalar,
-            SimMode::PexWorstCase,
-            Walk::Explore,
-            true,
-            false,
-            sat_steps,
-            episode,
-            seed,
-        );
-        let ls = run_walk(
-            &lockstep,
-            SimMode::PexWorstCase,
-            Walk::Explore,
-            true,
-            false,
-            sat_steps,
-            episode,
-            seed,
-        );
-        let lockstep_x = ls.steps_per_sec / ts.steps_per_sec;
-        println!(
-            "{:<8} {:>5} {:>4} {:>8} {:>16.2} {:>15.2} {:>10.2}x",
-            "tia", depth, dim, threads, ts.steps_per_sec, ls.steps_per_sec, lockstep_x
-        );
-        sat_cross_rows.push(format!(
-            concat!(
-                "      {{\n",
-                "        \"problem\": \"tia\",\n",
-                "        \"mesh_depth\": {},\n",
-                "        \"mna_dim\": {},\n",
-                "        \"threads\": {},\n",
-                "        \"steps\": {},\n",
-                "        \"threaded_scalar_steps_per_sec\": {:.3},\n",
-                "        \"batched_lockstep_steps_per_sec\": {:.3},\n",
-                "        \"lockstep_over_threaded\": {:.3}\n",
-                "      }}"
-            ),
-            depth, dim, threads, sat_steps, ts.steps_per_sec, ls.steps_per_sec, lockstep_x
-        ));
-    }
-
     // Threaded BTF block factoring on the extracted meshes past dim 116:
     // forced lanes over the Dulmage–Mendelsohn blocks vs the serial
     // block walk, bitwise-asserted before timing.
@@ -1379,7 +1162,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"autockt/bench_env_step/v8\",\n",
+            "  \"schema\": \"autockt/bench_env_step/v9\",\n",
             "  \"command\": \"cargo run --release -p autockt_bench --bin bench_env_step ",
             "-- --steps {} --episode {} --seed {}\",\n",
             "  \"steps_per_config\": {},\n",
@@ -1389,7 +1172,6 @@ fn main() {
             "  \"thread_budget\": {},\n",
             "  \"results\": [\n{}\n  ],\n",
             "  \"shared_memo\": [\n{}\n  ],\n",
-            "  \"corner_batch\": [\n{}\n  ],\n",
             "  \"noise_corner\": [\n{}\n  ],\n",
             "  \"settle_corner\": [\n{}\n  ],\n",
             "  \"soa_lu\": [\n{}\n  ],\n",
@@ -1401,7 +1183,6 @@ fn main() {
             "  \"btf\": [\n{}\n  ],\n",
             "  \"machine_saturation\": {{\n",
             "    \"env_step\": [\n{}\n    ],\n",
-            "    \"scalar_vs_lockstep\": [\n{}\n    ],\n",
             "    \"btf_blocks\": [\n{}\n    ]\n",
             "  }}\n",
             "}}\n"
@@ -1416,7 +1197,6 @@ fn main() {
         budget,
         rows.join(",\n"),
         memo_rows.join(",\n"),
-        corner_rows.join(",\n"),
         noise_rows.join(",\n"),
         settle_rows.join(",\n"),
         kernel_rows.join(",\n"),
@@ -1425,7 +1205,6 @@ fn main() {
         sparse_env_rows.join(",\n"),
         btf_rows.join(",\n"),
         sat_env_rows.join(",\n"),
-        sat_cross_rows.join(",\n"),
         sat_btf_rows.join(",\n")
     );
     let path = results_dir().join("BENCH_env_step.json");

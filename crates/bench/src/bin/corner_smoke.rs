@@ -1,23 +1,24 @@
-//! CI smoke for the corner-batched evaluation engine: on a fixed set of
-//! seed designs, the batched and serial `PexWorstCase` paths must produce
-//! **bitwise-identical** spec vectors with warm-start off (the lockstep
-//! kernels perform the scalar kernels' arithmetic in the scalar kernels'
-//! order), and warm-started batched evaluation — which routes the sweep
-//! *and the TIA's noise analysis* through the corner-correction
-//! (Woodbury) fast paths at dense dims — must agree with warm serial
-//! within solver tolerance. The TIA's noise spec is additionally diffed
-//! on its own, so a noise-path divergence is reported as such instead of
-//! hiding inside the full-vector comparison.
+//! CI smoke for the corner evaluation engine: on a fixed set of seed
+//! designs, a warm-started `PexWorstCase` session walk — which routes the
+//! sweep, the TIA's noise analysis and its settling records through the
+//! corner kernels (shared base factor plus Woodbury correction at dense
+//! dims) — must agree with cold per-corner evaluation within solver
+//! tolerance, for all three topologies at stock and dense-mesh
+//! extraction. The TIA's noise and settling specs are additionally
+//! printed on their own, so a divergence in either pipeline is visible as
+//! such instead of hiding inside the full-vector comparison. Further
+//! gates hold the dense-vs-sparse backends, BTF-vs-plain sparse
+//! factorization, and threaded-vs-serial tile schedules to each other.
 //!
 //! Exits nonzero on any divergence, failing the workflow.
 //!
 //! Run: `cargo run --release -p autockt_bench --bin corner_smoke`
 
 use autockt_circuits::tia::spec_index;
-use autockt_circuits::{CornerStrategy, NegGmOta, OpAmp2, SimMode, SizingProblem, Tia};
+use autockt_circuits::{NegGmOta, OpAmp2, SimMode, SizingProblem, Tia};
 use autockt_sim::dc::WarmState;
 use autockt_sim::pex::PexConfig;
-use autockt_sim::{Parallelism, SolverConfig};
+use autockt_sim::{Parallelism, SimError, SolverConfig};
 
 /// Same tolerance as the warm-equivalence property suites.
 const REL_TOL: f64 = 5e-3;
@@ -35,45 +36,48 @@ fn seed_designs(problem: &dyn SizingProblem) -> Vec<Vec<usize>> {
     vec![at(0.0), at(0.25), at(0.5), at(0.75), at(1.0)]
 }
 
-fn check(
+/// Whether two spec vectors (or two failures) agree within [`REL_TOL`].
+fn specs_close(a: &Result<Vec<f64>, SimError>, b: &Result<Vec<f64>, SimError>) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| (x - y).abs() <= REL_TOL * (1.0 + x.abs().max(y.abs())))
+        }
+        (Err(_), Err(_)) => true,
+        _ => false,
+    }
+}
+
+/// Warm-vs-cold gate: walks the seed designs through one warm state and
+/// compares every warm `PexWorstCase` evaluation with the cold one.
+/// `shown` names specs printed on their own line per design (the TIA's
+/// noise and settling specs).
+fn check_warm_vs_cold(
     name: &str,
     depth: usize,
-    serial: &dyn SizingProblem,
-    batched: &dyn SizingProblem,
+    problem: &dyn SizingProblem,
+    shown: &[(&str, usize)],
 ) -> usize {
     let mut failures = 0;
-    let mut warm_s = WarmState::new();
-    let mut warm_b = WarmState::new();
-    for idx in seed_designs(serial) {
-        // Cold: bitwise.
-        let s = serial.simulate(&idx, SimMode::PexWorstCase);
-        let b = batched.simulate(&idx, SimMode::PexWorstCase);
-        let cold_ok = match (&s, &b) {
-            (Ok(s), Ok(b)) => s == b,
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
-        // Warm: solver tolerance.
-        let ws = serial.simulate_warm(&idx, SimMode::PexWorstCase, &mut warm_s);
-        let wb = batched.simulate_warm(&idx, SimMode::PexWorstCase, &mut warm_b);
-        let warm_ok = match (&ws, &wb) {
-            (Ok(a), Ok(c)) => {
-                a.len() == c.len()
-                    && a.iter()
-                        .zip(c)
-                        .all(|(x, y)| (x - y).abs() <= REL_TOL * (1.0 + x.abs().max(y.abs())))
-            }
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
-        let verdict = if cold_ok && warm_ok { "ok" } else { "DIVERGED" };
-        println!("{name:<8} mesh={depth} idx={idx:?}: cold={cold_ok} warm={warm_ok} [{verdict}]");
-        if !cold_ok {
-            eprintln!("  cold serial: {s:?}\n  cold batched: {b:?}");
-            failures += 1;
+    let mut warm = WarmState::new();
+    for idx in seed_designs(problem) {
+        let c = problem.simulate(&idx, SimMode::PexWorstCase);
+        let w = problem.simulate_warm(&idx, SimMode::PexWorstCase, &mut warm);
+        let ok = specs_close(&w, &c);
+        let verdict = if ok { "ok" } else { "DIVERGED" };
+        println!("{name:<8} mesh={depth} idx={idx:?}: warm-vs-cold={ok} [{verdict}]");
+        for &(label, i) in shown {
+            let spec = |r: &Result<Vec<f64>, SimError>| r.as_ref().ok().map(|v| v[i]);
+            println!(
+                "  {name}-{label} mesh={depth}: cold {:?} vs warm {:?}",
+                spec(&c),
+                spec(&w)
+            );
         }
-        if !warm_ok {
-            eprintln!("  warm serial: {ws:?}\n  warm batched: {wb:?}");
+        if !ok {
+            eprintln!("  cold: {c:?}\n  warm: {w:?}");
             failures += 1;
         }
     }
@@ -95,16 +99,7 @@ fn check_sparse_backend(
     for idx in seed_designs(dense) {
         let d = dense.simulate(&idx, SimMode::PexWorstCase);
         let s = sparse.simulate(&idx, SimMode::PexWorstCase);
-        let ok = match (&d, &s) {
-            (Ok(a), Ok(b)) => {
-                a.len() == b.len()
-                    && a.iter()
-                        .zip(b)
-                        .all(|(x, y)| (x - y).abs() <= REL_TOL * (1.0 + x.abs().max(y.abs())))
-            }
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
+        let ok = specs_close(&d, &s);
         let verdict = if ok { "ok" } else { "DIVERGED" };
         println!("{name:<8} mesh={depth} idx={idx:?}: dense-vs-sparse={ok} [{verdict}]");
         if !ok {
@@ -131,16 +126,7 @@ fn check_btf_mode(
     for idx in seed_designs(plain) {
         let p = plain.simulate(&idx, SimMode::PexWorstCase);
         let b = btf.simulate(&idx, SimMode::PexWorstCase);
-        let ok = match (&p, &b) {
-            (Ok(a), Ok(c)) => {
-                a.len() == c.len()
-                    && a.iter()
-                        .zip(c)
-                        .all(|(x, y)| (x - y).abs() <= REL_TOL * (1.0 + x.abs().max(y.abs())))
-            }
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
+        let ok = specs_close(&p, &b);
         let verdict = if ok { "ok" } else { "DIVERGED" };
         println!("{name:<8} mesh={depth} idx={idx:?}: btf-vs-plain={ok} [{verdict}]");
         if !ok {
@@ -184,163 +170,32 @@ fn check_threaded(
     failures
 }
 
-/// Dedicated TIA noise-spec diff: serial vs batched (cold bitwise, warm
-/// within tolerance), printing the noise values themselves so the
-/// corner-corrected noise pipeline's agreement is visible in CI logs.
-fn check_tia_noise(depth: usize) -> usize {
-    let pex = PexConfig {
-        mesh_depth: depth,
-        ..Tia::default().pex_config().clone()
-    };
-    let serial = Tia::default()
-        .with_pex_config(pex.clone())
-        .with_corner_strategy(CornerStrategy::Serial);
-    let batched = Tia::default()
-        .with_pex_config(pex)
-        .with_corner_strategy(CornerStrategy::Batched);
-    let mut failures = 0;
-    let mut warm_s = WarmState::new();
-    let mut warm_b = WarmState::new();
-    for idx in seed_designs(&serial) {
-        let s = serial.simulate(&idx, SimMode::PexWorstCase);
-        let b = batched.simulate(&idx, SimMode::PexWorstCase);
-        let ws = serial.simulate_warm(&idx, SimMode::PexWorstCase, &mut warm_s);
-        let wb = batched.simulate_warm(&idx, SimMode::PexWorstCase, &mut warm_b);
-        let noise = |r: &Result<Vec<f64>, autockt_sim::SimError>| {
-            r.as_ref().ok().map(|v| v[spec_index::NOISE])
-        };
-        let (ns, nb, nws, nwb) = (noise(&s), noise(&b), noise(&ws), noise(&wb));
-        let cold_ok = ns == nb;
-        let warm_ok = match (nws, nwb) {
-            (Some(a), Some(c)) => (a - c).abs() <= REL_TOL * (1.0 + a.abs().max(c.abs())),
-            (None, None) => true,
-            _ => false,
-        };
-        let verdict = if cold_ok && warm_ok { "ok" } else { "DIVERGED" };
-        println!(
-            "tia-noise mesh={depth} idx={idx:?}: cold {:?} vs {:?}, warm {:?} vs {:?} [{verdict}]",
-            ns, nb, nws, nwb
-        );
-        if !cold_ok {
-            failures += 1;
-        }
-        if !warm_ok {
-            failures += 1;
-        }
-    }
-    failures
-}
-
-/// Dedicated TIA settling-spec diff: serial vs batched (cold bitwise,
-/// warm within tolerance — the warm batched path routes the 2048-step
-/// corner-set integration through the Woodbury-corrected companion
-/// kernel), plus forced-dense vs the default Auto backend (cold, within
-/// tolerance) so a settle-path backend divergence is reported as such
-/// instead of hiding inside the full-vector comparison. Three seed
-/// designs keep the 2048-step sweeps cheap enough for CI.
-fn check_tia_settle(depth: usize) -> usize {
-    let pex = PexConfig {
-        mesh_depth: depth,
-        ..Tia::default().pex_config().clone()
-    };
-    let serial = Tia::default()
-        .with_pex_config(pex.clone())
-        .with_corner_strategy(CornerStrategy::Serial);
-    let batched = Tia::default()
-        .with_pex_config(pex.clone())
-        .with_corner_strategy(CornerStrategy::Batched);
-    let dense = Tia::default()
-        .with_pex_config(pex)
-        .with_solver_config(SolverConfig::dense());
-    let mut failures = 0;
-    let mut warm_s = WarmState::new();
-    let mut warm_b = WarmState::new();
-    let seeds: Vec<Vec<usize>> = seed_designs(&serial).into_iter().step_by(2).collect();
-    for idx in seeds {
-        let s = serial.simulate(&idx, SimMode::PexWorstCase);
-        let b = batched.simulate(&idx, SimMode::PexWorstCase);
-        let d = dense.simulate(&idx, SimMode::PexWorstCase);
-        let ws = serial.simulate_warm(&idx, SimMode::PexWorstCase, &mut warm_s);
-        let wb = batched.simulate_warm(&idx, SimMode::PexWorstCase, &mut warm_b);
-        let settle = |r: &Result<Vec<f64>, autockt_sim::SimError>| {
-            r.as_ref().ok().map(|v| v[spec_index::SETTLING])
-        };
-        let close = |p: (Option<f64>, Option<f64>)| match p {
-            (Some(a), Some(c)) => (a - c).abs() <= REL_TOL * (1.0 + a.abs().max(c.abs())),
-            (None, None) => true,
-            _ => false,
-        };
-        let (ss, sb, sd, sws, swb) = (settle(&s), settle(&b), settle(&d), settle(&ws), settle(&wb));
-        let cold_ok = ss == sb;
-        let auto_ok = close((sb, sd));
-        let warm_ok = close((sws, swb));
-        let verdict = if cold_ok && warm_ok && auto_ok {
-            "ok"
-        } else {
-            "DIVERGED"
-        };
-        println!(
-            "tia-settle mesh={depth} idx={idx:?}: cold {ss:?} vs {sb:?}, dense-vs-auto {sd:?}, \
-             warm {sws:?} vs {swb:?} [{verdict}]"
-        );
-        failures += usize::from(!cold_ok) + usize::from(!auto_ok) + usize::from(!warm_ok);
-    }
-    failures
-}
-
 fn main() {
     let mut failures = 0;
-    for depth in [0usize, 2] {
+    // Warm-vs-cold gate at stock extraction and at a dense mesh, where
+    // the warm corner kernels switch to base-plus-Woodbury correction.
+    for depth in [0usize, 4] {
         let mesh = |base: &PexConfig| PexConfig {
             mesh_depth: depth,
             ..base.clone()
         };
         let tia = Tia::default();
-        let tia_pex = mesh(tia.pex_config());
-        failures += check(
+        let tia = Tia::default().with_pex_config(mesh(tia.pex_config()));
+        failures += check_warm_vs_cold(
             "tia",
             depth,
-            &Tia::default()
-                .with_pex_config(tia_pex.clone())
-                .with_corner_strategy(CornerStrategy::Serial),
-            &Tia::default()
-                .with_pex_config(tia_pex)
-                .with_corner_strategy(CornerStrategy::Batched),
+            &tia,
+            &[
+                ("noise", spec_index::NOISE),
+                ("settling", spec_index::SETTLING),
+            ],
         );
         let op = OpAmp2::default();
-        let op_pex = mesh(op.pex_config());
-        failures += check(
-            "opamp2",
-            depth,
-            &OpAmp2::default()
-                .with_pex_config(op_pex.clone())
-                .with_corner_strategy(CornerStrategy::Serial),
-            &OpAmp2::default()
-                .with_pex_config(op_pex)
-                .with_corner_strategy(CornerStrategy::Batched),
-        );
+        let op = OpAmp2::default().with_pex_config(mesh(op.pex_config()));
+        failures += check_warm_vs_cold("opamp2", depth, &op, &[]);
         let ng = NegGmOta::default();
-        let ng_pex = mesh(ng.pex_config());
-        failures += check(
-            "neggm",
-            depth,
-            &NegGmOta::default()
-                .with_pex_config(ng_pex.clone())
-                .with_corner_strategy(CornerStrategy::Serial),
-            &NegGmOta::default()
-                .with_pex_config(ng_pex)
-                .with_corner_strategy(CornerStrategy::Batched),
-        );
-    }
-    // The TIA's noise spec on its own — the corner-corrected noise
-    // pipeline's serial-vs-batched agreement, stock and dense mesh.
-    for depth in [0usize, 2] {
-        failures += check_tia_noise(depth);
-    }
-    // The TIA's settling spec on its own — the corner-corrected settle
-    // integration's serial-vs-batched agreement, stock and dense mesh.
-    for depth in [0usize, 4] {
-        failures += check_tia_settle(depth);
+        let ng = NegGmOta::default().with_pex_config(mesh(ng.pex_config()));
+        failures += check_warm_vs_cold("neggm", depth, &ng, &[]);
     }
     // Dense-vs-sparse backend gate at a mesh depth with real fill-in.
     {
@@ -480,5 +335,5 @@ fn main() {
         eprintln!("corner_smoke: {failures} divergence(s)");
         std::process::exit(1);
     }
-    println!("corner_smoke: all seed designs agree (cold bitwise, warm within tolerance)");
+    println!("corner_smoke: all seed designs agree (warm within tolerance, threads bitwise)");
 }

@@ -35,8 +35,8 @@ pub mod tia;
 pub use neggm::NegGmOta;
 pub use opamp2::OpAmp2;
 pub use problem::{
-    CornerCase, CornerEvaluator, CornerPlan, CornerStrategy, EvalSession, ParamSpec, SharedMemo,
-    SimMode, SizingProblem, SpecDef, SpecKind,
+    CornerCase, CornerEvaluator, CornerPlan, EvalSession, ParamSpec, SharedMemo, SimMode,
+    SizingProblem, SpecDef, SpecKind,
 };
 pub use tia::Tia;
 
@@ -45,8 +45,7 @@ pub mod prelude {
     pub use crate::neggm::NegGmOta;
     pub use crate::opamp2::OpAmp2;
     pub use crate::problem::{
-        CornerStrategy, EvalSession, ParamSpec, SharedMemo, SimMode, SizingProblem, SpecDef,
-        SpecKind,
+        EvalSession, ParamSpec, SharedMemo, SimMode, SizingProblem, SpecDef, SpecKind,
     };
     pub use crate::tia::Tia;
 }

@@ -16,8 +16,7 @@
 //! explains this aids transfer).
 
 use crate::problem::{
-    CornerCase, CornerEvaluator, CornerPlan, CornerStrategy, ParamSpec, SimMode, SizingProblem,
-    SpecDef, SpecKind,
+    CornerCase, CornerEvaluator, CornerPlan, ParamSpec, SimMode, SizingProblem, SpecDef, SpecKind,
 };
 use autockt_sim::ac::{ac_sweep_cfg, log_freqs, AcResponse, AcWorkspace};
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
@@ -53,7 +52,6 @@ pub struct NegGmOta {
     /// Miller compensation capacitance (F), fixed.
     pub c_comp: f64,
     pex: PexConfig,
-    corner_strategy: CornerStrategy,
     solver: SolverConfig,
 }
 
@@ -123,7 +121,6 @@ impl NegGmOta {
                 junction_scale: 1.8,
                 ..PexConfig::default()
             },
-            corner_strategy: CornerStrategy::default(),
             solver: SolverConfig::default(),
         }
     }
@@ -139,13 +136,6 @@ impl NegGmOta {
     /// The linear-solver backend config every evaluation dispatches on.
     pub fn solver_config(&self) -> SolverConfig {
         self.solver
-    }
-
-    /// Selects how `PexWorstCase` iterates the PVT corner set (see
-    /// [`CornerStrategy`]; batched lockstep by default).
-    pub fn with_corner_strategy(mut self, strategy: CornerStrategy) -> Self {
-        self.corner_strategy = strategy;
-        self
     }
 
     /// Replaces the parasitic-extraction configuration — e.g. to deepen
@@ -287,7 +277,6 @@ impl NegGmOta {
                     CornerPlan::pvt_worst_case(),
                     self.dc_opts(),
                     NegGmOta::ac_freqs(),
-                    self.corner_strategy,
                 );
                 engine.evaluate(
                     &self.specs,

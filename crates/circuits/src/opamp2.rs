@@ -12,8 +12,7 @@
 //! constraints) and bias current (minimized, the power proxy).
 
 use crate::problem::{
-    CornerCase, CornerEvaluator, CornerPlan, CornerStrategy, ParamSpec, SimMode, SizingProblem,
-    SpecDef, SpecKind,
+    CornerCase, CornerEvaluator, CornerPlan, ParamSpec, SimMode, SizingProblem, SpecDef, SpecKind,
 };
 use autockt_sim::ac::{ac_sweep_cfg, log_freqs, AcResponse, AcWorkspace};
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
@@ -49,7 +48,6 @@ pub struct OpAmp2 {
     /// Output load capacitance (F).
     pub c_load: f64,
     pex: PexConfig,
-    corner_strategy: CornerStrategy,
     solver: SolverConfig,
 }
 
@@ -114,7 +112,6 @@ impl OpAmp2 {
             iref: 20e-6,
             c_load: 1e-12,
             pex: PexConfig::default(),
-            corner_strategy: CornerStrategy::default(),
             solver: SolverConfig::default(),
         }
     }
@@ -130,13 +127,6 @@ impl OpAmp2 {
     /// The linear-solver backend config every evaluation dispatches on.
     pub fn solver_config(&self) -> SolverConfig {
         self.solver
-    }
-
-    /// Selects how `PexWorstCase` iterates the PVT corner set (see
-    /// [`CornerStrategy`]; batched lockstep by default).
-    pub fn with_corner_strategy(mut self, strategy: CornerStrategy) -> Self {
-        self.corner_strategy = strategy;
-        self
     }
 
     /// Replaces the parasitic-extraction configuration — e.g. to deepen
@@ -266,7 +256,6 @@ impl OpAmp2 {
                     CornerPlan::pvt_worst_case(),
                     self.dc_opts(),
                     OpAmp2::ac_freqs(),
-                    self.corner_strategy,
                 );
                 engine.evaluate(
                     &self.specs,

@@ -7,16 +7,12 @@
 //! sampling ranges, and a black-box `parameters -> measured specs`
 //! evaluation (schematic or post-layout).
 
-use autockt_sim::ac::{
-    ac_sweep_batch_solvers, ac_sweep_corners, AcBatchWorkspace, AcResponse, AcSolver, AcWorkspace,
-};
-use autockt_sim::dc::{dc_operating_point_batch, DcBatchWorkspace, DcOptions, OpPoint, WarmState};
+use autockt_sim::ac::{ac_sweep_corners, AcResponse, AcSolver, AcWorkspace};
+use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
 use autockt_sim::device::Pvt;
 use autockt_sim::netlist::{Circuit, Node};
-use autockt_sim::noise::{
-    noise_analysis_batch, noise_analysis_cfg, noise_analysis_corners, NoiseResult,
-};
-use autockt_sim::tran::{step_response_corners, step_response_corners_shared};
+use autockt_sim::noise::{noise_analysis_cfg, noise_analysis_corners, NoiseResult};
+use autockt_sim::tran::step_response_corners;
 use autockt_sim::{Parallelism, SimError, SolverConfig};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -104,22 +100,6 @@ pub enum SimMode {
     PexWorstCase,
 }
 
-/// How a worst-case evaluation iterates its corner set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CornerStrategy {
-    /// One corner at a time through the scalar kernels — the reference
-    /// path (and the pre-batching behaviour), kept for benchmarking and
-    /// equivalence testing.
-    Serial,
-    /// All corners solved in lockstep through the batched DC Newton and
-    /// AC sweep kernels (`dc_operating_point_batch` / `ac_sweep_batch`),
-    /// with per-corner convergence masks and scalar fallback for
-    /// stubborn corners. With warm-start off this is bitwise-identical
-    /// to [`CornerStrategy::Serial`] (property-tested per topology).
-    #[default]
-    Batched,
-}
-
 /// Configuration of the engine-run settling stage
 /// ([`CornerEvaluator::with_settling`]): how many trapezoidal steps each
 /// record integrates and how the shared time window scales with the
@@ -131,8 +111,8 @@ pub struct SettleSpec {
     /// Time window as a multiple of the slowest valid corner's cutoff
     /// period: `t_stop = window / min corner cutoff`. Sharing one window
     /// (and therefore one step size `h`) across the corner set is what
-    /// lets the batched strategy integrate every corner through one
-    /// kernel (the dense propagator / sparse Woodbury dispatch of
+    /// lets warm evaluations integrate every corner through one kernel
+    /// (the dense propagator / sparse Woodbury dispatch of
     /// [`autockt_sim::tran::step_response_corners`]).
     pub window: f64,
 }
@@ -141,19 +121,6 @@ pub struct SettleSpec {
 /// `(t, y)` step-response samples, or the solver error that corner's
 /// integration hit.
 pub type SettleRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
-
-/// How a settle stage integrates its corner records.
-enum SettleDispatch {
-    /// Scalar per-corner kernel — the serial reference.
-    Scalar,
-    /// Scalar arithmetic with the sparse symbolic analysis shared across
-    /// the corner set (cold batched: bitwise-equal to `Scalar`).
-    Shared,
-    /// Corner-batched sweep — dense propagator or sparse
-    /// base-plus-Woodbury by regime (warm batched: within solver
-    /// tolerance).
-    Corrected,
-}
 
 /// The corner list of a worst-case evaluation: which PVT points every
 /// design is checked at.
@@ -209,31 +176,28 @@ pub struct CornerCase {
 }
 
 /// The shared corner-iteration engine behind `SimMode::PexWorstCase`:
-/// owns the corner set, the per-corner warm-start slots, and the choice
-/// between serial and lockstep-batched dispatch, so a topology
+/// owns the corner set and the per-corner warm-start slots, so a topology
 /// contributes only its circuit-builder closure and its per-corner spec
 /// measurement (the worst-case fold runs on the topology's spec
 /// definitions). The per-corner loops that used to be triplicated across
 /// `tia.rs`/`opamp2.rs`/`neggm.rs` live here and nowhere else.
 ///
-/// Batched dispatch cuts through all three stages of a corner
-/// evaluation: the B corners' DC operating points solve as one lockstep
-/// Newton (`dc_operating_point_batch`, one batched LU per iteration
-/// instead of B scalar ones), the AC sweep factors all B systems per
-/// frequency through the corner-axis SoA kernel (`ac_sweep_batch`), and
-/// only the cheap spec post-processing stays per corner. Results are
-/// identical per corner; one stubborn or defective corner falls back to
-/// the scalar path alone. When several corners fail, the reported
-/// `SimError` is the lowest-slot failure of the stage that surfaced it,
-/// which can differ from the serial path's (which stops at the first
-/// failing corner's first failing stage) — the Ok/Err outcome per corner
-/// never does.
+/// An evaluation runs stage-major: every corner is built, then every
+/// corner's operating point is solved, then the AC sweeps, the optional
+/// noise and settling stages, and finally the per-corner measurements.
+/// The only choice a stage makes is warm or cold. Warm evaluations run
+/// the corner kernels ([`ac_sweep_corners`], [`noise_analysis_corners`],
+/// [`step_response_corners`]), which share one base factorization across
+/// the corner set at dense-mesh dims and fall back to the scalar kernel
+/// per corner where that cannot pay. Cold evaluations run the scalar
+/// kernels per corner — the reference path. When several corners fail,
+/// the reported `SimError` is the lowest-slot failure of the first stage
+/// that surfaced one.
 #[derive(Debug, Clone)]
 pub struct CornerEvaluator {
     plan: CornerPlan,
     dc_opts: DcOptions,
     freqs: Vec<f64>,
-    strategy: CornerStrategy,
     noise_freqs: Option<Vec<f64>>,
     settle: Option<SettleSpec>,
 }
@@ -241,17 +205,11 @@ pub struct CornerEvaluator {
 impl CornerEvaluator {
     /// Creates an engine over `plan`, solving operating points with
     /// `dc_opts` and sweeping `freqs` at every corner.
-    pub fn new(
-        plan: CornerPlan,
-        dc_opts: DcOptions,
-        freqs: Vec<f64>,
-        strategy: CornerStrategy,
-    ) -> Self {
+    pub fn new(plan: CornerPlan, dc_opts: DcOptions, freqs: Vec<f64>) -> Self {
         CornerEvaluator {
             plan,
             dc_opts,
             freqs,
-            strategy,
             noise_freqs: None,
             settle: None,
         }
@@ -278,9 +236,8 @@ impl CornerEvaluator {
     /// ([`autockt_sim::Parallelism`]) on the engine's solver config: the
     /// AC sweeps, noise analyses, and sparse BTF factorizations the
     /// engine runs tile their independent work across threads per this
-    /// knob (threaded results are bitwise-identical to serial, so the
-    /// engine's dispatch contracts are unaffected). Keeps every other
-    /// config field as previously set.
+    /// knob (threaded results are bitwise-identical to serial). Keeps
+    /// every other config field as previously set.
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.dc_opts.solver = self.dc_opts.solver.with_parallelism(par);
         self
@@ -289,12 +246,12 @@ impl CornerEvaluator {
     /// Enables a per-corner noise analysis over `freqs`, measured at each
     /// corner's output node and temperature, and hands the result to the
     /// measure closure. Running noise *inside* the engine (instead of in
-    /// the closure) is what lets the batched strategy corner-correct it:
-    /// serial corners run the scalar [`noise_analysis_ws`], cold batched
-    /// runs the lockstep [`noise_analysis_batch`] (bitwise-identical per
-    /// corner), and warm batched runs the Woodbury-corrected
-    /// [`noise_analysis_corners`] with the per-source base solves shared
-    /// across the corner set.
+    /// the closure) is what lets warm evaluations share work across the
+    /// corner set: cold corners run the scalar [`noise_analysis_cfg`],
+    /// and warm evaluations run [`noise_analysis_corners`], which shares
+    /// the per-source base solves across the corner set at dense-mesh
+    /// dims (Woodbury-corrected) and runs the scalar kernel per corner at
+    /// stock dims.
     pub fn with_noise(mut self, freqs: Vec<f64>) -> Self {
         self.noise_freqs = Some(freqs);
         self
@@ -308,14 +265,12 @@ impl CornerEvaluator {
     /// `None` (topologies map that to the spec's fail value, matching
     /// their pre-engine local measurement).
     ///
-    /// Running settling *inside* the engine is what lets the batched
-    /// strategy corner-batch it: serial corners integrate through the
-    /// scalar [`AcSolver::step_response`], cold batched shares the sparse
-    /// symbolic analysis across the set (`step_response_corners_shared`,
-    /// bitwise-identical per corner), and warm batched runs
-    /// `step_response_corners` — each corner's constant companion folded
-    /// into a precomputed affine propagator at dense dims, base-factor +
-    /// Woodbury sibling correction at sparse dims.
+    /// Cold corners integrate through the scalar
+    /// [`AcSolver::step_response`]; warm evaluations run
+    /// [`step_response_corners`] — each corner's constant companion
+    /// folded into a precomputed affine propagator at dense dims,
+    /// base-factor + Woodbury sibling correction at sparse dims, and the
+    /// scalar kernel per corner at stock dims.
     pub fn with_settling(mut self, spec: SettleSpec) -> Self {
         self.settle = Some(spec);
         self
@@ -328,15 +283,16 @@ impl CornerEvaluator {
 
     /// Runs the settling stage over the solved corner set: picks the
     /// shared time window from the slowest valid corner cutoff, then
-    /// integrates every valid corner through the dispatch's kernel.
-    /// Returns `None` when no settle stage is configured; per-corner
-    /// `None` marks an invalid cutoff (no settling record).
+    /// integrates every valid corner (through the corner kernel when
+    /// `warm`, the scalar kernel otherwise). Returns `None` when no
+    /// settle stage is configured; per-corner `None` marks an invalid
+    /// cutoff (no settling record).
     fn settle_stage(
         &self,
         solvers: &[AcSolver<'_>],
         outs: &[Node],
         resps: &[AcResponse],
-        dispatch: SettleDispatch,
+        warm: bool,
     ) -> Option<Vec<Option<SettleRecord>>> {
         let spec = self.settle?;
         let mut slots: Vec<Option<SettleRecord>> = (0..solvers.len()).map(|_| None).collect();
@@ -354,25 +310,18 @@ impl CornerEvaluator {
             return Some(slots);
         }
         let t_stop = spec.window / min_cutoff;
-        match dispatch {
-            SettleDispatch::Scalar => {
-                for &i in &live {
-                    slots[i] = Some(solvers[i].step_response(outs[i], t_stop, spec.steps));
-                }
-            }
-            SettleDispatch::Shared | SettleDispatch::Corrected => {
-                let ls: Vec<&AcSolver<'_>> = live.iter().map(|&i| &solvers[i]).collect();
-                let lo: Vec<Node> = live.iter().map(|&i| outs[i]).collect();
-                let recs = match dispatch {
-                    SettleDispatch::Shared => {
-                        step_response_corners_shared(&ls, &lo, t_stop, spec.steps)
-                    }
-                    _ => step_response_corners(&ls, &lo, t_stop, spec.steps),
-                };
-                for (&i, r) in live.iter().zip(recs) {
-                    slots[i] = Some(r);
-                }
-            }
+        let ls: Vec<&AcSolver<'_>> = live.iter().map(|&i| &solvers[i]).collect();
+        let lo: Vec<Node> = live.iter().map(|&i| outs[i]).collect();
+        let recs = if warm {
+            step_response_corners(&ls, &lo, t_stop, spec.steps)
+        } else {
+            ls.iter()
+                .zip(&lo)
+                .map(|(s, &o)| s.step_response(o, t_stop, spec.steps))
+                .collect()
+        };
+        for (&i, r) in live.iter().zip(recs) {
+            slots[i] = Some(r);
         }
         Some(slots)
     }
@@ -394,15 +343,16 @@ impl CornerEvaluator {
     ///
     /// # Errors
     ///
-    /// Returns the first corner failure (unsolvable operating point,
-    /// singular sweep, or measurement error) — same contract as
+    /// [`SimError::InvalidOptions`] on an empty corner plan; otherwise
+    /// the first corner failure (unsolvable operating point, singular
+    /// sweep, or measurement error) — same contract as
     /// `SizingProblem::simulate`.
     pub fn evaluate<B, M>(
         &self,
         specs: &[SpecDef],
-        build: B,
-        measure: M,
-        state: Option<&mut WarmState>,
+        mut build: B,
+        mut measure: M,
+        mut state: Option<&mut WarmState>,
     ) -> Result<Vec<f64>, SimError>
     where
         B: FnMut(usize, &Pvt) -> CornerCase,
@@ -417,280 +367,11 @@ impl CornerEvaluator {
             Option<&SettleRecord>,
         ) -> Result<Vec<f64>, SimError>,
     {
-        let rows = match self.strategy {
-            CornerStrategy::Serial => self.rows_serial(build, measure, state)?,
-            CornerStrategy::Batched => self.rows_batched(build, measure, state)?,
-        };
-        Ok(worst_case(specs, &rows))
-    }
-
-    /// The reference path: corner after corner through the scalar
-    /// kernels, exactly the loop the topologies used to carry.
-    fn rows_serial<B, M>(
-        &self,
-        mut build: B,
-        mut measure: M,
-        mut state: Option<&mut WarmState>,
-    ) -> Result<Vec<Vec<f64>>, SimError>
-    where
-        B: FnMut(usize, &Pvt) -> CornerCase,
-        M: FnMut(
-            usize,
-            &CornerCase,
-            &OpPoint,
-            &AcSolver<'_>,
-            &AcResponse,
-            Option<&mut AcWorkspace>,
-            Option<&Result<NoiseResult, SimError>>,
-            Option<&SettleRecord>,
-        ) -> Result<Vec<f64>, SimError>,
-    {
-        if self.settle.is_some() {
-            // The shared settling window needs every corner's cutoff
-            // before any record integrates, so a settle-enabled serial
-            // evaluation runs stage-major instead of corner-major.
-            return self.rows_serial_phased(build, measure, state);
-        }
-        let mut rows = Vec::with_capacity(self.plan.len());
-        for (slot, pvt) in self.plan.corners.iter().enumerate() {
-            let case = build(slot, pvt);
-            let op = match state.as_deref_mut() {
-                Some(st) => st.solve(slot, &case.ckt, &self.dc_opts)?,
-                None => autockt_sim::dc::dc_operating_point(&case.ckt, &self.dc_opts)?,
-            };
-            let solver = AcSolver::new(&case.ckt, &op).with_config(self.dc_opts.solver);
-            let resp = match state.as_deref_mut() {
-                Some(st) => {
-                    let h =
-                        solver.solve_sources_batch_ws(&self.freqs, case.out, st.ac_workspace())?;
-                    AcResponse {
-                        freqs: self.freqs.clone(),
-                        h,
-                    }
-                }
-                None if self.dc_opts.solver.use_sparse(solver.dim()) => {
-                    // The generic dense kernel below is the equivalence
-                    // baseline and never dispatches sparse; a forced (or
-                    // auto-selected) sparse corner goes through the
-                    // workspace path, whose factorization honors the
-                    // backend config.
-                    let h = solver.solve_sources_batch_ws(
-                        &self.freqs,
-                        case.out,
-                        &mut AcWorkspace::default(),
-                    )?;
-                    AcResponse {
-                        freqs: self.freqs.clone(),
-                        h,
-                    }
-                }
-                None => {
-                    let mut h = Vec::with_capacity(self.freqs.len());
-                    for &f in &self.freqs {
-                        let x = solver.solve_sources(f)?;
-                        h.push(solver.voltage(&x, case.out));
-                    }
-                    AcResponse {
-                        freqs: self.freqs.clone(),
-                        h,
-                    }
-                }
-            };
-            // The scalar reference noise path: one analysis per corner
-            // through the same SoA kernel the warm serial path uses.
-            let noise = self
-                .noise_freqs
-                .as_ref()
-                .map(|nf| match state.as_deref_mut() {
-                    Some(st) => noise_analysis_cfg(
-                        &case.ckt,
-                        &op,
-                        case.out,
-                        nf,
-                        case.temp_k,
-                        self.dc_opts.solver,
-                        st.ac_workspace(),
-                    ),
-                    None => noise_analysis_cfg(
-                        &case.ckt,
-                        &op,
-                        case.out,
-                        nf,
-                        case.temp_k,
-                        self.dc_opts.solver,
-                        &mut AcWorkspace::default(),
-                    ),
-                });
-            rows.push(measure(
-                slot,
-                &case,
-                &op,
-                &solver,
-                &resp,
-                state.as_deref_mut().map(WarmState::ac_workspace),
-                noise.as_ref(),
-                None,
-            )?);
-        }
-        Ok(rows)
-    }
-
-    /// One corner's scalar AC sweep and optional noise analysis — exactly
-    /// the interleaved serial loop's kernels, factored out so the phased
-    /// (settle-enabled) serial path produces bitwise-identical responses.
-    #[allow(clippy::type_complexity)]
-    fn serial_sweep(
-        &self,
-        case: &CornerCase,
-        op: &OpPoint,
-        state: &mut Option<&mut WarmState>,
-    ) -> Result<(AcResponse, Option<Result<NoiseResult, SimError>>), SimError> {
-        let solver = AcSolver::new(&case.ckt, op).with_config(self.dc_opts.solver);
-        let resp = match state.as_deref_mut() {
-            Some(st) => {
-                let h = solver.solve_sources_batch_ws(&self.freqs, case.out, st.ac_workspace())?;
-                AcResponse {
-                    freqs: self.freqs.clone(),
-                    h,
-                }
-            }
-            None if self.dc_opts.solver.use_sparse(solver.dim()) => {
-                let h = solver.solve_sources_batch_ws(
-                    &self.freqs,
-                    case.out,
-                    &mut AcWorkspace::default(),
-                )?;
-                AcResponse {
-                    freqs: self.freqs.clone(),
-                    h,
-                }
-            }
-            None => {
-                let mut h = Vec::with_capacity(self.freqs.len());
-                for &f in &self.freqs {
-                    let x = solver.solve_sources(f)?;
-                    h.push(solver.voltage(&x, case.out));
-                }
-                AcResponse {
-                    freqs: self.freqs.clone(),
-                    h,
-                }
-            }
-        };
-        let noise = self
-            .noise_freqs
-            .as_ref()
-            .map(|nf| match state.as_deref_mut() {
-                Some(st) => noise_analysis_cfg(
-                    &case.ckt,
-                    op,
-                    case.out,
-                    nf,
-                    case.temp_k,
-                    self.dc_opts.solver,
-                    st.ac_workspace(),
-                ),
-                None => noise_analysis_cfg(
-                    &case.ckt,
-                    op,
-                    case.out,
-                    nf,
-                    case.temp_k,
-                    self.dc_opts.solver,
-                    &mut AcWorkspace::default(),
-                ),
+        if self.plan.is_empty() {
+            return Err(SimError::InvalidOptions {
+                what: "empty corner plan",
             });
-        Ok((resp, noise))
-    }
-
-    /// The serial path when a settle stage is configured: corner-by-corner
-    /// build/DC/AC/noise in slot order through the same scalar kernels as
-    /// the interleaved loop, then the scalar settle stage over the shared
-    /// window, then the measurements.
-    fn rows_serial_phased<B, M>(
-        &self,
-        mut build: B,
-        mut measure: M,
-        mut state: Option<&mut WarmState>,
-    ) -> Result<Vec<Vec<f64>>, SimError>
-    where
-        B: FnMut(usize, &Pvt) -> CornerCase,
-        M: FnMut(
-            usize,
-            &CornerCase,
-            &OpPoint,
-            &AcSolver<'_>,
-            &AcResponse,
-            Option<&mut AcWorkspace>,
-            Option<&Result<NoiseResult, SimError>>,
-            Option<&SettleRecord>,
-        ) -> Result<Vec<f64>, SimError>,
-    {
-        let mut cases = Vec::with_capacity(self.plan.len());
-        let mut ops = Vec::with_capacity(self.plan.len());
-        let mut resps = Vec::with_capacity(self.plan.len());
-        let mut noises = Vec::with_capacity(self.plan.len());
-        for (slot, pvt) in self.plan.corners.iter().enumerate() {
-            let case = build(slot, pvt);
-            let op = match state.as_deref_mut() {
-                Some(st) => st.solve(slot, &case.ckt, &self.dc_opts)?,
-                None => autockt_sim::dc::dc_operating_point(&case.ckt, &self.dc_opts)?,
-            };
-            let (resp, noise) = self.serial_sweep(&case, &op, &mut state)?;
-            cases.push(case);
-            ops.push(op);
-            resps.push(resp);
-            noises.push(noise);
         }
-        let solvers: Vec<AcSolver<'_>> = cases
-            .iter()
-            .zip(&ops)
-            .map(|(c, op)| AcSolver::new(&c.ckt, op).with_config(self.dc_opts.solver))
-            .collect();
-        let outs: Vec<Node> = cases.iter().map(|c| c.out).collect();
-        let settles = self.settle_stage(&solvers, &outs, &resps, SettleDispatch::Scalar);
-        let mut rows = Vec::with_capacity(cases.len());
-        for (slot, ((case, op), (solver, resp))) in cases
-            .iter()
-            .zip(&ops)
-            .zip(solvers.iter().zip(&resps))
-            .enumerate()
-        {
-            rows.push(measure(
-                slot,
-                case,
-                op,
-                solver,
-                resp,
-                state.as_deref_mut().map(WarmState::ac_workspace),
-                noises[slot].as_ref(),
-                settles.as_ref().and_then(|v| v[slot].as_ref()),
-            )?);
-        }
-        Ok(rows)
-    }
-
-    /// The lockstep path: one batched DC Newton across all corners, one
-    /// corner-batched AC sweep, then the per-corner measurements.
-    fn rows_batched<B, M>(
-        &self,
-        mut build: B,
-        mut measure: M,
-        mut state: Option<&mut WarmState>,
-    ) -> Result<Vec<Vec<f64>>, SimError>
-    where
-        B: FnMut(usize, &Pvt) -> CornerCase,
-        M: FnMut(
-            usize,
-            &CornerCase,
-            &OpPoint,
-            &AcSolver<'_>,
-            &AcResponse,
-            Option<&mut AcWorkspace>,
-            Option<&Result<NoiseResult, SimError>>,
-            Option<&SettleRecord>,
-        ) -> Result<Vec<f64>, SimError>,
-    {
         let cases: Vec<CornerCase> = self
             .plan
             .corners
@@ -698,75 +379,76 @@ impl CornerEvaluator {
             .enumerate()
             .map(|(slot, pvt)| build(slot, pvt))
             .collect();
-        let ckts: Vec<&Circuit> = cases.iter().map(|c| &c.ckt).collect();
-        let op_results = match state.as_deref_mut() {
-            Some(st) => st.solve_batch(0, &ckts, &self.dc_opts),
-            None => {
-                let warm = vec![None; ckts.len()];
-                dc_operating_point_batch(&ckts, &self.dc_opts, &warm, &mut DcBatchWorkspace::new())
-            }
-        };
-        let mut ops = Vec::with_capacity(op_results.len());
-        for r in op_results {
-            ops.push(r?);
-        }
+        // Every corner solves before any failure surfaces, so each warm
+        // slot is refreshed (or cleared) whatever its siblings did.
+        let op_results: Vec<Result<OpPoint, SimError>> = cases
+            .iter()
+            .enumerate()
+            .map(|(slot, c)| match state.as_deref_mut() {
+                Some(st) => st.solve(slot, &c.ckt, &self.dc_opts),
+                None => dc_operating_point(&c.ckt, &self.dc_opts),
+            })
+            .collect();
+        let ops = op_results.into_iter().collect::<Result<Vec<_>, _>>()?;
         let solvers: Vec<AcSolver<'_>> = cases
             .iter()
             .zip(&ops)
             .map(|(c, op)| AcSolver::new(&c.ckt, op).with_config(self.dc_opts.solver))
             .collect();
         let outs: Vec<Node> = cases.iter().map(|c| c.out).collect();
-        // Warm sessions take the corner-correction sweep (one base
-        // factorization per frequency + per-corner low-rank corrections
-        // — exact to roundoff, inside the warm path's solver-tolerance
-        // contract). The cold path stays on the lockstep batch, whose
-        // per-corner arithmetic is bitwise-identical to the serial
-        // reference.
-        let mut cold_ws = AcBatchWorkspace::new();
-        let resp_results = match state.as_deref_mut() {
-            Some(st) => ac_sweep_corners(&solvers, &self.freqs, &outs, st.ac_batch_workspace()),
-            None => ac_sweep_batch_solvers(&solvers, &self.freqs, &outs, &mut cold_ws),
+        // One workspace serves every cold corner's sweep and noise
+        // analysis; each call re-prepares it for its own corner.
+        let mut cold_ws = AcWorkspace::new();
+        let resps: Vec<AcResponse> = match state.as_deref_mut() {
+            Some(st) => ac_sweep_corners(&solvers, &self.freqs, &outs, st.ac_batch_workspace())
+                .into_iter()
+                .collect::<Result<_, _>>()?,
+            None => solvers
+                .iter()
+                .zip(&outs)
+                .map(|(s, &o)| {
+                    Ok(AcResponse {
+                        freqs: self.freqs.clone(),
+                        h: s.solve_sources_batch_ws(&self.freqs, o, &mut cold_ws)?,
+                    })
+                })
+                .collect::<Result<_, SimError>>()?,
         };
-        let mut resps = Vec::with_capacity(resp_results.len());
-        for r in resp_results {
-            resps.push(r?);
-        }
-        // Noise rides the same dispatch: lockstep (bitwise) when cold,
-        // corner-corrected (Woodbury, shared per-source base solves)
-        // when warm. Per-corner failures stay in the row — the measure
-        // closure decides whether a noise failure is fatal.
-        let noise_results: Option<Vec<Result<NoiseResult, SimError>>> =
-            self.noise_freqs.as_ref().map(|nf| {
-                let ops_refs: Vec<&OpPoint> = ops.iter().collect();
-                let temps: Vec<f64> = cases.iter().map(|c| c.temp_k).collect();
-                match state.as_deref_mut() {
-                    Some(st) => noise_analysis_corners(
-                        &solvers,
-                        &ops_refs,
-                        &outs,
-                        nf,
-                        &temps,
-                        st.ac_batch_workspace(),
-                    ),
-                    None => {
-                        noise_analysis_batch(&solvers, &ops_refs, &outs, nf, &temps, &mut cold_ws)
+        // Per-corner noise failures stay in the row: the measure closure
+        // decides whether one is fatal.
+        let noises: Option<Vec<Result<NoiseResult, SimError>>> =
+            self.noise_freqs
+                .as_ref()
+                .map(|nf| match state.as_deref_mut() {
+                    Some(st) => {
+                        let op_refs: Vec<&OpPoint> = ops.iter().collect();
+                        let temps: Vec<f64> = cases.iter().map(|c| c.temp_k).collect();
+                        noise_analysis_corners(
+                            &solvers,
+                            &op_refs,
+                            &outs,
+                            nf,
+                            &temps,
+                            st.ac_batch_workspace(),
+                        )
                     }
-                }
-            });
-        // Settling rides the dispatch too: cold shares the sparse
-        // symbolic analysis across the set (bitwise-identical to the
-        // phased serial reference), warm runs the corner-batched kernel
-        // (dense propagator / sparse Woodbury by regime).
-        let settles = self.settle_stage(
-            &solvers,
-            &outs,
-            &resps,
-            if state.is_some() {
-                SettleDispatch::Corrected
-            } else {
-                SettleDispatch::Shared
-            },
-        );
+                    None => cases
+                        .iter()
+                        .zip(&ops)
+                        .map(|(c, op)| {
+                            noise_analysis_cfg(
+                                &c.ckt,
+                                op,
+                                c.out,
+                                nf,
+                                c.temp_k,
+                                self.dc_opts.solver,
+                                &mut cold_ws,
+                            )
+                        })
+                        .collect(),
+                });
+        let settles = self.settle_stage(&solvers, &outs, &resps, state.is_some());
         let mut rows = Vec::with_capacity(cases.len());
         for (slot, ((case, op), (solver, resp))) in cases
             .iter()
@@ -781,11 +463,11 @@ impl CornerEvaluator {
                 solver,
                 resp,
                 state.as_deref_mut().map(WarmState::ac_workspace),
-                noise_results.as_ref().map(|v| &v[slot]),
+                noises.as_ref().map(|v| &v[slot]),
                 settles.as_ref().and_then(|v| v[slot].as_ref()),
             )?);
         }
-        Ok(rows)
+        Ok(worst_case(specs, &rows))
     }
 }
 
@@ -1754,12 +1436,11 @@ mod tests {
 
     /// A little two-spec engine over hand-built RC "corners" — the
     /// engine is topology-agnostic, so the tests drive it directly.
-    fn rc_engine(strategy: CornerStrategy) -> (CornerEvaluator, Vec<SpecDef>) {
+    fn rc_engine(plan: CornerPlan) -> (CornerEvaluator, Vec<SpecDef>) {
         let engine = CornerEvaluator::new(
-            CornerPlan::pvt_worst_case(),
+            plan,
             autockt_sim::dc::DcOptions::default(),
             autockt_sim::ac::log_freqs(1e3, 1e8, 4),
-            strategy,
         );
         let specs = vec![
             SpecDef {
@@ -1808,11 +1489,10 @@ mod tests {
     use autockt_sim::netlist::GND;
 
     fn run_rc_engine(
-        strategy: CornerStrategy,
         defective: Option<usize>,
         warm: Option<&mut WarmState>,
     ) -> Result<Vec<f64>, SimError> {
-        let (engine, specs) = rc_engine(strategy);
+        let (engine, specs) = rc_engine(CornerPlan::pvt_worst_case());
         engine.evaluate(
             &specs,
             |slot, _pvt| rc_case(slot, defective),
@@ -1823,14 +1503,15 @@ mod tests {
         )
     }
 
-    /// Engine-level noise wiring: with `with_noise`, both strategies hand
-    /// the measure closure a per-corner noise result, and the batched
-    /// (lockstep) results are bitwise-identical to the serial reference.
+    /// Engine-level noise wiring: with `with_noise`, cold and warm runs
+    /// both hand the measure closure a per-corner noise result, and they
+    /// agree within solver tolerance (linear circuits at a stock dim: the
+    /// corner kernel runs the scalar arithmetic, so this is tight).
     #[test]
-    fn corner_engine_noise_batched_matches_serial_bitwise() {
+    fn corner_engine_noise_warm_matches_cold() {
         let nfreqs = autockt_sim::ac::log_freqs(1e3, 1e8, 4);
-        let run = |strategy: CornerStrategy, warm: Option<&mut WarmState>| {
-            let (engine, specs) = rc_engine(strategy);
+        let run = |warm: Option<&mut WarmState>| {
+            let (engine, specs) = rc_engine(CornerPlan::pvt_worst_case());
             let engine = engine.with_noise(nfreqs.clone());
             engine.evaluate(
                 &specs,
@@ -1845,30 +1526,25 @@ mod tests {
                 warm,
             )
         };
-        let serial = run(CornerStrategy::Serial, None).unwrap();
-        let batched = run(CornerStrategy::Batched, None).unwrap();
-        assert_eq!(serial, batched);
-        assert!(serial[1] > 0.0, "noisy resistors must produce output noise");
-        // Warm runs agree within solver tolerance (linear circuits: the
-        // corrected path is exact, so this is tight).
-        let mut ws = WarmState::new();
-        let mut wb = WarmState::new();
-        let s = run(CornerStrategy::Serial, Some(&mut ws)).unwrap();
-        let b = run(CornerStrategy::Batched, Some(&mut wb)).unwrap();
-        for (x, y) in s.iter().zip(&b) {
-            assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
+        let cold = run(None).unwrap();
+        assert!(cold[1] > 0.0, "noisy resistors must produce output noise");
+        let mut state = WarmState::new();
+        for _ in 0..2 {
+            let warm = run(Some(&mut state)).unwrap();
+            for (x, y) in cold.iter().zip(&warm) {
+                assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
+            }
         }
     }
 
-    /// Engine-level settle wiring: with `with_settling`, both strategies
-    /// hand the measure closure a per-corner `(t, y)` settling record
-    /// over one shared time window, and the cold batched records
-    /// (symbolic-sharing path) are bitwise-identical to the phased
-    /// serial reference.
+    /// Engine-level settle wiring: with `with_settling`, cold and warm
+    /// runs both hand the measure closure a per-corner `(t, y)` settling
+    /// record over one shared time window, and they agree within solver
+    /// tolerance.
     #[test]
-    fn corner_engine_settle_batched_matches_serial_bitwise() {
-        let run = |strategy: CornerStrategy, warm: Option<&mut WarmState>| {
-            let (engine, specs) = rc_engine(strategy);
+    fn corner_engine_settle_warm_matches_cold() {
+        let run = |warm: Option<&mut WarmState>| {
+            let (engine, specs) = rc_engine(CornerPlan::pvt_worst_case());
             let engine = engine.with_settling(SettleSpec {
                 steps: 256,
                 window: 8.0,
@@ -1888,54 +1564,65 @@ mod tests {
                 warm,
             )
         };
-        let serial = run(CornerStrategy::Serial, None).unwrap();
-        let batched = run(CornerStrategy::Batched, None).unwrap();
-        assert_eq!(serial, batched, "cold settle stage must be bitwise");
+        let cold = run(None).unwrap();
         // The RC corners settle toward the driven DC level, so the record
         // end is a real voltage, not a zero placeholder.
-        assert!(serial[1].abs() > 0.0);
-        // Warm runs agree within solver tolerance (linear circuits: the
-        // corrected path is exact to roundoff).
-        let mut ws = WarmState::new();
-        let mut wb = WarmState::new();
-        let s = run(CornerStrategy::Serial, Some(&mut ws)).unwrap();
-        let b = run(CornerStrategy::Batched, Some(&mut wb)).unwrap();
-        for (x, y) in s.iter().zip(&b) {
+        assert!(cold[1].abs() > 0.0);
+        let mut state = WarmState::new();
+        let warm = run(Some(&mut state)).unwrap();
+        for (x, y) in cold.iter().zip(&warm) {
             assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
         }
     }
 
     #[test]
-    fn corner_engine_batched_matches_serial_bitwise() {
-        let serial = run_rc_engine(CornerStrategy::Serial, None, None).unwrap();
-        let batched = run_rc_engine(CornerStrategy::Batched, None, None).unwrap();
-        assert_eq!(serial, batched);
-        // Warm-stated runs agree too (same slots, same kernels).
-        let mut ws = WarmState::new();
-        let mut wb = WarmState::new();
+    fn corner_engine_warm_matches_cold() {
+        let cold = run_rc_engine(None, None).unwrap();
+        // Warm-stated runs reuse the same slots; on a linear circuit the
+        // warm fixed point is the cold one, bit for bit.
+        let mut state = WarmState::new();
         for _ in 0..2 {
-            let s = run_rc_engine(CornerStrategy::Serial, None, Some(&mut ws)).unwrap();
-            let b = run_rc_engine(CornerStrategy::Batched, None, Some(&mut wb)).unwrap();
-            assert_eq!(s, b);
-            assert_eq!(s, serial, "linear circuit: warm fixed point identical");
+            let warm = run_rc_engine(None, Some(&mut state)).unwrap();
+            assert_eq!(warm, cold, "linear circuit: warm fixed point identical");
         }
     }
 
     #[test]
     fn corner_engine_defective_corner_fails_without_stalling_siblings() {
-        // A deliberately unsolvable corner: both strategies report the
-        // failure (the batched path exercises the per-corner mask and
-        // scalar fallback), and the defect in one corner does not change
-        // what a defect-free evaluation of the *other* corners produces.
-        let serial = run_rc_engine(CornerStrategy::Serial, Some(1), None);
-        let batched = run_rc_engine(CornerStrategy::Batched, Some(1), None);
-        assert!(matches!(serial, Err(SimError::SingularMatrix { .. })));
-        assert!(matches!(batched, Err(SimError::SingularMatrix { .. })));
-        // Same with the defective corner last (error discovered after
-        // every sibling already solved in lockstep).
+        // A deliberately unsolvable corner: cold and warm runs both
+        // report the failure, wherever the defect sits in the plan.
         let last = CornerPlan::pvt_worst_case().len() - 1;
-        let batched_last = run_rc_engine(CornerStrategy::Batched, Some(last), None);
-        assert!(batched_last.is_err());
+        for slot in [1, last] {
+            let cold = run_rc_engine(Some(slot), None);
+            assert!(matches!(cold, Err(SimError::SingularMatrix { .. })));
+            let mut state = WarmState::new();
+            let warm = run_rc_engine(Some(slot), Some(&mut state));
+            assert!(matches!(warm, Err(SimError::SingularMatrix { .. })));
+            // Every sibling still solved, so its warm slot is armed.
+            assert!(state.is_warm());
+        }
+    }
+
+    #[test]
+    fn corner_engine_empty_plan_is_invalid_options() {
+        let (engine, specs) = rc_engine(CornerPlan::from_corners(Vec::new()));
+        let mut built = 0;
+        let res = engine.evaluate(
+            &specs,
+            |slot, _pvt| {
+                built += 1;
+                rc_case(slot, None)
+            },
+            |_slot, _case, _op, _solver, _resp, _ws, _noise, _settle| Ok(vec![0.0, 0.0]),
+            None,
+        );
+        assert_eq!(
+            res,
+            Err(SimError::InvalidOptions {
+                what: "empty corner plan"
+            })
+        );
+        assert_eq!(built, 0, "no stage runs on an empty plan");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! output noise.
 
 use crate::problem::{
-    CornerCase, CornerEvaluator, CornerPlan, CornerStrategy, ParamSpec, SettleRecord, SettleSpec,
-    SimMode, SizingProblem, SpecDef, SpecKind,
+    CornerCase, CornerEvaluator, CornerPlan, ParamSpec, SettleRecord, SettleSpec, SimMode,
+    SizingProblem, SpecDef, SpecKind,
 };
 use autockt_sim::ac::{ac_sweep_cfg, log_freqs, AcResponse, AcSolver, AcWorkspace};
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
@@ -47,7 +47,6 @@ pub struct Tia {
     pub c_load: f64,
     pex: PexConfig,
     transient_settling: bool,
-    corner_strategy: CornerStrategy,
     solver: SolverConfig,
 }
 
@@ -104,7 +103,6 @@ impl Tia {
             c_load: 25e-15,
             pex: PexConfig::default(),
             transient_settling: false,
-            corner_strategy: CornerStrategy::default(),
             solver: SolverConfig::default(),
         }
     }
@@ -123,16 +121,6 @@ impl Tia {
     /// The linear-solver backend config every evaluation dispatches on.
     pub fn solver_config(&self) -> SolverConfig {
         self.solver
-    }
-
-    /// Selects how `PexWorstCase` iterates the PVT corner set: batched
-    /// lockstep (the default) or one corner at a time through the scalar
-    /// kernels. With warm-start off the two produce bitwise-identical
-    /// specs (property-tested); serial exists as the reference and
-    /// benchmark baseline.
-    pub fn with_corner_strategy(mut self, strategy: CornerStrategy) -> Self {
-        self.corner_strategy = strategy;
-        self
     }
 
     /// Replaces the parasitic-extraction configuration — e.g. to deepen
@@ -310,10 +298,8 @@ impl Tia {
             }
             SimMode::PexWorstCase => {
                 // Noise and settling run inside the engine (`with_noise`
-                // / `with_settling`) so the batched strategy can factor
-                // them with the corner set: lockstep / symbolic-sharing
-                // (bitwise) cold, corner-batched (propagator/Woodbury
-                // by regime) warm —
+                // / `with_settling`) so warm evaluations can factor them
+                // with the corner set (propagator/Woodbury by regime) —
                 // the TIA's worst-case step is noise- and settle-bound,
                 // so this is where its dense-dim speedup comes from.
                 // Settling integrates one shared window scaled to the
@@ -323,7 +309,6 @@ impl Tia {
                     CornerPlan::pvt_worst_case(),
                     self.dc_opts(),
                     Tia::ac_freqs(),
-                    self.corner_strategy,
                 )
                 .with_noise(Tia::noise_freqs())
                 .with_settling(SettleSpec {

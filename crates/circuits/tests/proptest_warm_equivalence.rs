@@ -4,9 +4,15 @@
 //! moves each parameter at most one grid notch per step, exactly like the
 //! RL environment, so the warm state threads realistic previous-step
 //! operating points into every solve.
+//!
+//! The `PexWorstCase` walks also pin the corner engine's two paths to
+//! each other: warm evaluations run the corner kernels (shared base
+//! factorization plus Woodbury correction at dense-mesh dims), cold ones
+//! the scalar per-corner reference.
 
 use autockt_circuits::prelude::*;
 use autockt_sim::dc::WarmState;
+use autockt_sim::pex::PexConfig;
 use proptest::prelude::*;
 
 /// Relative spec tolerance: warm and cold Newton both stop at an update
@@ -23,9 +29,14 @@ fn specs_close(w: &[f64], c: &[f64]) -> bool {
 }
 
 /// Walks the grid from a fractional starting point, evaluating every
-/// visited point both warm (session-threaded) and cold (stateless), and
-/// reports the first divergence.
-fn check_walk(problem: &dyn SizingProblem, fracs: &[f64], moves: &[usize]) -> Result<(), String> {
+/// visited point at fidelity `mode` both warm (session-threaded) and cold
+/// (stateless), and reports the first divergence.
+fn check_walk(
+    problem: &dyn SizingProblem,
+    mode: SimMode,
+    fracs: &[f64],
+    moves: &[usize],
+) -> Result<(), String> {
     let cards = problem.cardinalities();
     let mut idx: Vec<usize> = cards
         .iter()
@@ -38,8 +49,8 @@ fn check_walk(problem: &dyn SizingProblem, fracs: &[f64], moves: &[usize]) -> Re
             let delta = *m as i64 - 1;
             *i = (*i as i64 + delta).clamp(0, *k as i64 - 1) as usize;
         }
-        let warm = problem.simulate_warm(&idx, SimMode::Schematic, &mut state);
-        let cold = problem.simulate(&idx, SimMode::Schematic);
+        let warm = problem.simulate_warm(&idx, mode, &mut state);
+        let cold = problem.simulate(&idx, mode);
         match (warm, cold) {
             (Ok(w), Ok(c)) => {
                 if !specs_close(&w, &c) {
@@ -65,7 +76,7 @@ proptest! {
         fracs in prop::collection::vec(0.0..1.0f64, 6),
         moves in prop::collection::vec(0usize..3, 24),
     ) {
-        let r = check_walk(&Tia::default(), &fracs, &moves);
+        let r = check_walk(&Tia::default(), SimMode::Schematic, &fracs, &moves);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 
@@ -74,7 +85,7 @@ proptest! {
         fracs in prop::collection::vec(0.0..1.0f64, 7),
         moves in prop::collection::vec(0usize..3, 28),
     ) {
-        let r = check_walk(&OpAmp2::default(), &fracs, &moves);
+        let r = check_walk(&OpAmp2::default(), SimMode::Schematic, &fracs, &moves);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 
@@ -83,7 +94,53 @@ proptest! {
         fracs in prop::collection::vec(0.0..1.0f64, 6),
         moves in prop::collection::vec(0usize..3, 24),
     ) {
-        let r = check_walk(&NegGmOta::default(), &fracs, &moves);
+        let r = check_walk(&NegGmOta::default(), SimMode::Schematic, &fracs, &moves);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
+
+    #[test]
+    fn tia_pex_worst_case_warm_matches_cold(
+        fracs in prop::collection::vec(0.0..1.0f64, 6),
+        moves in prop::collection::vec(0usize..3, 12),
+    ) {
+        let r = check_walk(&Tia::default(), SimMode::PexWorstCase, &fracs, &moves);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
+
+    #[test]
+    fn opamp2_pex_worst_case_warm_matches_cold(
+        fracs in prop::collection::vec(0.0..1.0f64, 7),
+        moves in prop::collection::vec(0usize..3, 14),
+    ) {
+        let r = check_walk(&OpAmp2::default(), SimMode::PexWorstCase, &fracs, &moves);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
+
+    #[test]
+    fn neggm_pex_worst_case_warm_matches_cold(
+        fracs in prop::collection::vec(0.0..1.0f64, 6),
+        moves in prop::collection::vec(0usize..3, 12),
+    ) {
+        let r = check_walk(&NegGmOta::default(), SimMode::PexWorstCase, &fracs, &moves);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
+
+    #[test]
+    fn meshed_tia_pex_worst_case_warm_matches_cold(
+        fracs in prop::collection::vec(0.0..1.0f64, 6),
+        depth in 2usize..5,
+        moves in prop::collection::vec(0usize..3, 6),
+    ) {
+        // Dense-mesh warm walks route the sweep, the noise analysis and
+        // the settling records through the base-plus-Woodbury corrected
+        // paths (`ac_sweep_corners` / `noise_analysis_corners` /
+        // `step_response_corners`); the cold side is the scalar
+        // per-corner reference.
+        let tia = Tia::default().with_pex_config(PexConfig {
+            mesh_depth: depth,
+            ..PexConfig::default()
+        });
+        let r = check_walk(&tia, SimMode::PexWorstCase, &fracs, &moves);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 

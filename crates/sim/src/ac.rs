@@ -15,7 +15,7 @@ use crate::linalg::correction::{
 };
 use crate::linalg::sparse::{CscMatrix, SolverConfig, TripletList};
 use crate::linalg::structure::SparseSolver;
-use crate::linalg::{ComplexLuBatch, ComplexLuSoa, LinearSolver, LuFactors, Matrix};
+use crate::linalg::{ComplexLuSoa, LinearSolver, LuFactors, Matrix};
 use crate::netlist::{Circuit, Element, Node};
 use crate::par::{run_chunks, would_parallelize, Parallelism, WorkspacePool};
 
@@ -96,23 +96,13 @@ impl AcWorkspace {
     }
 }
 
-/// Reusable buffers for corner-batched AC sweeps ([`ac_sweep_batch`] and
-/// [`ac_sweep_corners`]) and the corner-batched noise analyses
-/// ([`crate::noise::noise_analysis_batch`] /
-/// [`crate::noise::noise_analysis_corners`]): the lockstep complex batch
-/// LU, one sparse stamp pattern per corner, batch-layout
-/// right-hand-side/solution buffers, and the base-factor/correction
-/// scratch of the corner-correction paths.
+/// Reusable buffers for the corner sweeps ([`ac_sweep_corners`] and
+/// [`crate::noise::noise_analysis_corners`]): one sparse stamp pattern
+/// per corner, the base-factor/correction scratch of the Woodbury paths,
+/// and a scalar workspace for the per-corner fallbacks.
 #[derive(Debug, Clone, Default)]
 pub struct AcBatchWorkspace {
-    pub(crate) lu: ComplexLuBatch,
     pub(crate) patterns: Vec<Vec<(usize, usize, f64, f64)>>,
-    pub(crate) rhs_re: Vec<f64>,
-    pub(crate) rhs_im: Vec<f64>,
-    pub(crate) x_re: Vec<f64>,
-    pub(crate) x_im: Vec<f64>,
-    pub(crate) acc_re: Vec<f64>,
-    pub(crate) acc_im: Vec<f64>,
     pub(crate) base: ComplexLuSoa,
     pub(crate) spare: ComplexLuSoa,
     pub(crate) small: LuFactors<Complex>,
@@ -123,8 +113,8 @@ pub struct AcBatchWorkspace {
     /// Flattened per-source base solutions (`ys[s*n..(s+1)*n]`) shared by
     /// every corner of a frequency point in the corrected noise analysis.
     pub(crate) ys: Vec<Complex>,
-    /// Scalar-path workspace for the per-corner fallbacks of the noise
-    /// analyses (mismatched structures, stock dims).
+    /// Scalar-path workspace for the per-corner fallbacks (mismatched
+    /// structures, stock dims, sparse-routed sweeps).
     pub(crate) scalar: AcWorkspace,
 }
 
@@ -359,7 +349,7 @@ impl<'a> AcSolver<'a> {
 
     /// Collects the sparse `(row, col, g, c)` stamp pattern into a
     /// caller-provided buffer (cleared first) — the per-corner analogue
-    /// of [`AcSolver::prepare_workspace`] used by [`ac_sweep_batch`].
+    /// of [`AcSolver::prepare_workspace`] used by the corner sweeps.
     pub fn collect_pattern(&self, pattern: &mut Vec<(usize, usize, f64, f64)>) {
         pattern.clear();
         for r in 0..self.dim {
@@ -606,24 +596,6 @@ impl<'a> AcSolver<'a> {
         t_stop: f64,
         steps: usize,
     ) -> Result<(Vec<f64>, Vec<f64>), SimError> {
-        self.step_response_via(out, t_stop, steps, &mut SparseSolver::empty(self.cfg.btf))
-    }
-
-    /// [`AcSolver::step_response`] against a caller-held sparse solver:
-    /// the corner-batched settling path passes one solver across a whole
-    /// corner set, so the symbolic analysis + AMD ordering are computed
-    /// once (corners share their stamp pattern) and every sibling runs a
-    /// values-only refactor. Same-pattern refactors are bitwise-equal to
-    /// fresh factorizations (property-tested), and the scalar
-    /// [`AcSolver::step_response`] is literally this function with a
-    /// fresh solver — so sharing cannot perturb results.
-    pub(crate) fn step_response_via(
-        &self,
-        out: Node,
-        t_stop: f64,
-        steps: usize,
-        shared: &mut SparseSolver<f64>,
-    ) -> Result<(Vec<f64>, Vec<f64>), SimError> {
         let h = t_stop / steps as f64;
         let n = self.dim;
         // A = G + 2C/h (factored once); per step:
@@ -646,6 +618,7 @@ impl<'a> AcSolver<'a> {
         // config's limit — the 2048 back-substitutions are cheaper dense
         // then, at the cost of one throwaway sparse factorization.
         let mut use_sparse = false;
+        let mut slu = SparseSolver::empty(self.cfg.btf);
         if self.cfg.use_sparse(n) {
             let mut trip = TripletList::new(n);
             for r in 0..n {
@@ -659,14 +632,13 @@ impl<'a> AcSolver<'a> {
             }
             let mut csc = CscMatrix::empty();
             trip.compress_into(&mut csc);
-            shared.ensure_mode(self.cfg.btf);
-            shared.set_parallelism(self.cfg.par);
-            shared.refactor(&csc, 1e-300)?;
-            use_sparse = !self.cfg.dense_by_fill(n, shared.factor_nnz());
+            slu.set_parallelism(self.cfg.par);
+            slu.refactor(&csc, 1e-300)?;
+            use_sparse = !self.cfg.dense_by_fill(n, slu.factor_nnz());
         }
         let dense_lu;
         let lu: &dyn LinearSolver<f64> = if use_sparse {
-            &*shared
+            &slu
         } else {
             let mut a = Matrix::<f64>::zeros(n, n);
             for r in 0..n {
@@ -807,147 +779,6 @@ pub fn ac_sweep_cfg(
     })
 }
 
-/// Corner-batched AC sweep: runs [`ac_sweep`] over a batch of
-/// *same-structure* circuits (the PVT corner set of a worst-case
-/// evaluation, each linearized at its own operating point) in lockstep.
-/// At every frequency the B complex systems `G_b + j w C_b` are stamped
-/// into one [`ComplexLuBatch`] and eliminated together — SIMD over the
-/// corner axis — then back-substituted against each corner's own source
-/// vector.
-///
-/// Per corner the result is bitwise-equal to
-/// [`ac_sweep`]`(ckts[b], ops[b], ..)` (and therefore to
-/// [`ac_sweep_ws`]). Failures are per corner: a corner whose system goes
-/// singular reports the error of its *first* failing frequency, exactly
-/// like the scalar sweep, and is masked off without disturbing its
-/// siblings. Mismatched dimensions and single-corner batches run the
-/// scalar path.
-pub fn ac_sweep_batch(
-    ckts: &[&Circuit],
-    ops: &[&OpPoint],
-    freqs: &[f64],
-    out: Node,
-    ws: &mut AcBatchWorkspace,
-) -> Vec<Result<AcResponse, SimError>> {
-    assert_eq!(ckts.len(), ops.len(), "one operating point per circuit");
-    let solvers: Vec<AcSolver<'_>> = ckts
-        .iter()
-        .zip(ops)
-        .map(|(c, op)| AcSolver::new(c, op))
-        .collect();
-    let outs = vec![out; ckts.len()];
-    ac_sweep_batch_solvers(&solvers, freqs, &outs, ws)
-}
-
-/// [`ac_sweep_batch`] over caller-built solvers with a per-corner output
-/// node — the entry point of the corner evaluation engine, which needs
-/// the linearizations again for the per-corner measurements (settling,
-/// noise) and so builds them once.
-pub fn ac_sweep_batch_solvers(
-    solvers: &[AcSolver<'_>],
-    freqs: &[f64],
-    outs: &[Node],
-    ws: &mut AcBatchWorkspace,
-) -> Vec<Result<AcResponse, SimError>> {
-    assert_eq!(solvers.len(), outs.len(), "one output node per corner");
-    let bt = solvers.len();
-    if bt == 0 {
-        return Vec::new();
-    }
-    let par = grid_parallelism(solvers);
-    if would_parallelize(par, bt * freqs.len()) {
-        return threaded_grid_sweeps(solvers, freqs, outs, par);
-    }
-    let dim = solvers[0].dim();
-    if solvers.iter().any(|s| s.config().use_sparse(s.dim())) {
-        // Sparse-routed dims: the lockstep batch kernel is dense-only, so
-        // each corner sweeps through its own sparse factor/solve path —
-        // which preserves the per-corner equivalence contract trivially
-        // (every corner runs exactly the scalar arithmetic).
-        return sparse_scalar_sweeps(solvers, freqs, outs, ws);
-    }
-    if bt == 1 || solvers.iter().any(|s| s.dim() != dim) {
-        return scalar_sweeps(solvers, freqs, outs);
-    }
-    ws.patterns.resize(bt, Vec::new());
-    for (pat, s) in ws.patterns.iter_mut().zip(solvers) {
-        s.collect_pattern(pat);
-    }
-    ws.rhs_re.clear();
-    ws.rhs_re.resize(dim * bt, 0.0);
-    ws.rhs_im.clear();
-    ws.rhs_im.resize(dim * bt, 0.0);
-    for (b, s) in solvers.iter().enumerate() {
-        for (i, v) in s.source_rhs().iter().enumerate() {
-            ws.rhs_re[i * bt + b] = v.re;
-            ws.rhs_im[i * bt + b] = v.im;
-        }
-    }
-    let oi: Vec<Option<usize>> = solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| s.mna_index(o))
-        .collect();
-    let mut h: Vec<Vec<Complex>> = vec![Vec::with_capacity(freqs.len()); bt];
-    let mut errs: Vec<Option<SimError>> = vec![None; bt];
-    for &fq in freqs {
-        let w = 2.0 * std::f64::consts::PI * fq;
-        let AcBatchWorkspace {
-            lu,
-            patterns,
-            rhs_re,
-            rhs_im,
-            x_re,
-            x_im,
-            acc_re,
-            acc_im,
-            ..
-        } = ws;
-        lu.refactor_with(dim, bt, 1e-300, |re, im| {
-            for (b, pat) in patterns.iter().enumerate() {
-                if errs[b].is_some() {
-                    // Dead corner: identity keeps the lockstep
-                    // elimination trivially nonsingular.
-                    for i in 0..dim {
-                        re[(i * dim + i) * bt + b] = 1.0;
-                    }
-                    continue;
-                }
-                for &(r, c, gg, cc) in pat {
-                    re[(r * dim + c) * bt + b] = gg;
-                    im[(r * dim + c) * bt + b] = w * cc;
-                }
-            }
-        });
-        for (b, e) in errs.iter_mut().enumerate() {
-            if e.is_none() {
-                if let Some(column) = lu.singular(b) {
-                    *e = Some(SimError::SingularMatrix { column });
-                }
-            }
-        }
-        lu.solve_batch_into(rhs_re, rhs_im, x_re, x_im, acc_re, acc_im);
-        for (b, hb) in h.iter_mut().enumerate() {
-            if errs[b].is_none() {
-                hb.push(match oi[b] {
-                    None => Complex::ZERO,
-                    Some(i) => Complex::new(ws.x_re[i * bt + b], ws.x_im[i * bt + b]),
-                });
-            }
-        }
-    }
-    errs.iter_mut()
-        .zip(h)
-        .map(|(e, hb)| match e.take() {
-            Some(e) => Err(e),
-            None => Ok(AcResponse {
-                freqs: freqs.to_vec(),
-                h: hb,
-            }),
-        })
-        .collect()
-}
-
 /// Process-wide pool of per-lane sweep workspaces: threaded sweeps check
 /// lanes' workspaces out of one shared pool, so repeated sweeps reuse the
 /// same factorization buffers across calls — the threaded analogue of the
@@ -964,8 +795,7 @@ pub(crate) fn ac_batch_ws_pool() -> &'static WorkspacePool<AcBatchWorkspace> {
     &POOL
 }
 
-/// The (corner × frequency)-grid policy of the cold batch sweep: same
-/// dim gate as [`AcSolver::sweep_parallelism`], applied across the corner
+/// The frequency-tile policy of the corner sweeps: same dim gate as [`AcSolver::sweep_parallelism`], applied across the corner
 /// set (corner sets share one topology-chosen config, so corner 0's knob
 /// speaks for all).
 pub(crate) fn grid_parallelism(solvers: &[AcSolver<'_>]) -> Parallelism {
@@ -973,62 +803,6 @@ pub(crate) fn grid_parallelism(solvers: &[AcSolver<'_>]) -> Parallelism {
         Parallelism::Auto if solvers.iter().all(|s| s.dim() <= STOCK_DIM_MAX) => Parallelism::Off,
         p => p,
     }
-}
-
-/// Threaded cold corner sweep: the (corner × frequency) grid is
-/// flattened into tiles (`tile = corner * nf + freq`), each factoring and
-/// solving into its own slot through a per-lane pooled workspace; a lane
-/// crossing a corner boundary re-prepares its workspace for the new
-/// corner. Per corner the arithmetic is exactly the scalar per-point
-/// path, which the lockstep batch kernel is bitwise-equal to (tested), so
-/// this dispatch preserves [`ac_sweep_batch_solvers`]'s cold bitwise
-/// contract. Per-corner first-failing-frequency errors are recovered by
-/// the in-order assembly scan.
-fn threaded_grid_sweeps(
-    solvers: &[AcSolver<'_>],
-    freqs: &[f64],
-    outs: &[Node],
-    par: Parallelism,
-) -> Vec<Result<AcResponse, SimError>> {
-    let bt = solvers.len();
-    let nf = freqs.len();
-    let mut slots: Vec<Result<Complex, SimError>> =
-        (0..bt * nf).map(|_| Ok(Complex::ZERO)).collect();
-    run_chunks(
-        par,
-        &mut slots,
-        ac_ws_pool(),
-        AcWorkspace::new,
-        |off, chunk, ws| {
-            let mut cur = usize::MAX;
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let t = off + k;
-                let (b, i) = (t / nf, t % nf);
-                if b != cur {
-                    solvers[b].prepare_lane(freqs[0], ws);
-                    cur = b;
-                }
-                *slot = solvers[b].point_ws(freqs[i], outs[b], ws);
-            }
-        },
-    );
-    (0..bt)
-        .map(|b| {
-            let mut h = Vec::with_capacity(nf);
-            for slot in &slots[b * nf..(b + 1) * nf] {
-                match slot {
-                    Ok(v) => h.push(*v),
-                    // The corner's first failing frequency, like the
-                    // serial per-corner abort; later values discarded.
-                    Err(e) => return Err(e.clone()),
-                }
-            }
-            Ok(AcResponse {
-                freqs: freqs.to_vec(),
-                h,
-            })
-        })
-        .collect()
 }
 
 /// Scalar reference sweep per corner (mismatched structures and
@@ -1058,8 +832,8 @@ fn scalar_sweeps(
 
 /// Per-corner sweep through the batch workspace's scalar buffers with
 /// each solver's own backend dispatch — the corner-path route for
-/// sparse-routed dimensions, where neither the lockstep batch kernel nor
-/// the dense Woodbury correction applies. Identical per corner to
+/// sparse-routed dimensions, where the dense Woodbury correction does not
+/// apply. Identical per corner to
 /// [`AcSolver::solve_sources_batch_ws`] on a fresh workspace.
 fn sparse_scalar_sweeps(
     solvers: &[AcSolver<'_>],
@@ -1072,8 +846,8 @@ fn sparse_scalar_sweeps(
     // solver — so `SparseSolver::refactor`'s same-pattern check reuses the
     // symbolic analysis + AMD ordering across the whole corner set, and
     // only corner 0 pays the full analysis. Same-pattern refactors are
-    // bitwise-equal to fresh factorizations (property-tested), which is
-    // what keeps this path on the cold bitwise contract.
+    // bitwise-equal to fresh factorizations (property-tested), so the
+    // sharing cannot perturb results.
     solvers
         .iter()
         .zip(outs)
@@ -1088,7 +862,7 @@ fn sparse_scalar_sweeps(
 }
 
 /// Corner-correction AC sweep for sparse-routed dimensions — the warm
-/// batched corner engine's fast path above the crossover. The base
+/// corner engine's fast path above the crossover. The base
 /// corner's system is factored **sparsely** once per frequency (symbolic
 /// analysis + AMD ordering shared across the sweep via the workspace's
 /// refactor fast path) and every sibling is recovered through the same
@@ -1315,15 +1089,13 @@ fn scalar_sweeps_ws(
 
 /// Dimension boundary between "stock" and "dense" extraction regimes for
 /// the corner paths. At or below it the Woodbury correction cannot pay
-/// (the difference support spans most of the system) and the lockstep
-/// batch kernels still fit their per-corner working set in cache; above
-/// it the correction wins and the batch-innermost layout starts to
-/// thrash (measured ~0.65x on the dense noise batch), so cold dense
-/// noise runs the scalar kernel per corner instead — bitwise-identical
-/// either way.
+/// (the difference support spans most of the system), so the corner
+/// sweeps, noise analyses and settling records run the scalar kernel per
+/// corner — bitwise-equal to the cold per-corner path; above it the
+/// correction wins.
 pub(crate) const STOCK_DIM_MAX: usize = 16;
 
-/// Corner-correction AC sweep: the fast path of the *warm* batched corner
+/// Corner-correction AC sweep: the fast path of the *warm* corner
 /// engine. The B corner systems of a worst-case evaluation differ only in
 /// their device stamps — the parasitic mesh, passives, sources, and gmin
 /// regularization are identical across PVT corners — so instead of B full
@@ -1338,15 +1110,16 @@ pub(crate) const STOCK_DIM_MAX: usize = 16;
 /// the per-corner work collapses to an `|R| x |R|` solve plus one dot
 /// product (only the output node's voltage is needed). Per frequency that
 /// is ~`1 + |R|/n` factorization-equivalents instead of `B`, which is
-/// where the batched engine's dense-mesh speedup comes from.
+/// where the warm engine's dense-mesh speedup comes from.
 ///
 /// The correction is algebraically exact; in floating point it agrees
 /// with the direct per-corner factorization to roundoff amplified by the
 /// base system's conditioning — far inside the warm evaluation path's
-/// solver-tolerance contract, which is why the *cold* (bitwise) path uses
-/// [`ac_sweep_batch_solvers`] instead. Falls back to the lockstep batch
-/// when the difference support is too wide to pay (`3|R| >= n`), to the
-/// scalar sweep on structural mismatch, and to direct per-corner
+/// solver-tolerance contract, which is why *cold* evaluations sweep each
+/// corner through [`AcSolver::solve_sources_batch_ws`] instead. Falls
+/// back to the scalar per-corner sweep at stock dims, when the difference
+/// support is too wide to pay (`3|R| >= n`), and on structural mismatch,
+/// and to direct per-corner
 /// factorization at any frequency where the base factor or a correction
 /// system is singular.
 pub fn ac_sweep_corners(
@@ -1375,7 +1148,7 @@ pub fn ac_sweep_corners(
         // At stock extraction dims the difference support spans most of
         // the system (every node touches a device), so the correction
         // cannot pay — skip its setup and sweep each corner through the
-        // scalar kernel (bitwise-equal, and free of lockstep overhead).
+        // scalar kernel (bitwise-equal to the cold per-corner sweep).
         return scalar_sweeps_ws(solvers, freqs, outs, ws);
     }
     let rhs0 = solvers[0].source_rhs();
@@ -1725,8 +1498,9 @@ mod tests {
 
     #[test]
     fn batched_sweep_matches_scalar_bitwise() {
-        // Three same-structure RC variants (the corner-set shape): the
-        // lockstep sweep must reproduce each scalar sweep bit for bit.
+        // Three same-structure RC variants (the corner-set shape) at a
+        // stock dim: the corner sweep runs each corner through the scalar
+        // kernel and must reproduce each scalar sweep bit for bit.
         let build = |r: f64, c: f64| {
             let mut ckt = Circuit::new();
             let i = ckt.node("in");
@@ -1745,18 +1519,21 @@ mod tests {
             .iter()
             .map(|(ckt, _)| dc_operating_point(ckt, &DcOptions::default()).unwrap())
             .collect();
-        let ckts: Vec<&Circuit> = variants.iter().map(|(c, _)| c).collect();
-        let oprefs: Vec<&OpPoint> = ops.iter().collect();
-        let out = variants[0].1;
+        let solvers: Vec<AcSolver<'_>> = variants
+            .iter()
+            .zip(&ops)
+            .map(|((ckt, _), op)| AcSolver::new(ckt, op))
+            .collect();
+        let outs = vec![variants[0].1; variants.len()];
         let freqs = log_freqs(1e3, 1e8, 5);
         let mut ws = AcBatchWorkspace::new();
-        let batch = ac_sweep_batch(&ckts, &oprefs, &freqs, out, &mut ws);
-        for ((ckt, _), (op, res)) in variants.iter().zip(ops.iter().zip(&batch)) {
-            let scalar = ac_sweep(ckt, op, &freqs, out).unwrap();
+        let batch = ac_sweep_corners(&solvers, &freqs, &outs, &mut ws);
+        for ((ckt, out), (op, res)) in variants.iter().zip(ops.iter().zip(&batch)) {
+            let scalar = ac_sweep(ckt, op, &freqs, *out).unwrap();
             assert_eq!(res.as_ref().unwrap(), &scalar);
         }
-        // Workspace reuse across a second batch stays bitwise too.
-        let again = ac_sweep_batch(&ckts, &oprefs, &freqs, out, &mut ws);
+        // Workspace reuse across a second sweep stays bitwise too.
+        let again = ac_sweep_corners(&solvers, &freqs, &outs, &mut ws);
         assert_eq!(batch, again);
     }
 
@@ -1883,8 +1660,8 @@ mod tests {
 
     #[test]
     fn sparse_routed_corner_sweep_matches_dense_corner_sweep() {
-        // Forced-sparse corner solvers must route around the lockstep and
-        // Woodbury machinery and still agree with the dense batch result.
+        // Forced-sparse corner solvers must route around the dense
+        // Woodbury machinery and still agree with the dense result.
         let build = |r: f64, c: f64| {
             let mut ckt = Circuit::new();
             let i = ckt.node("in");
@@ -1918,8 +1695,8 @@ mod tests {
             })
             .collect();
         let mut ws = AcBatchWorkspace::new();
-        let dense = ac_sweep_batch_solvers(&dense_solvers, &freqs, &outs, &mut ws);
-        let sparse = ac_sweep_batch_solvers(&sparse_solvers, &freqs, &outs, &mut ws);
+        let dense = ac_sweep_corners(&dense_solvers, &freqs, &outs, &mut ws);
+        let sparse = ac_sweep_corners(&sparse_solvers, &freqs, &outs, &mut ws);
         for (d, s) in dense.iter().zip(&sparse) {
             let (d, s) = (d.as_ref().unwrap(), s.as_ref().unwrap());
             for (a, b) in s.h.iter().zip(&d.h) {

@@ -8,7 +8,7 @@ use crate::device::{MosPolarity, MosRegion};
 use crate::error::SimError;
 use crate::linalg::sparse::{CscMatrix, SolverConfig, StampSink, TripletList};
 use crate::linalg::structure::SparseSolver;
-use crate::linalg::{LuFactors, Matrix, RealLuBatch};
+use crate::linalg::{LuFactors, Matrix};
 use crate::netlist::{Circuit, Element, Mosfet, Node};
 
 /// Reusable buffers for repeated DC solves of same-dimension circuits:
@@ -55,42 +55,6 @@ impl Default for DcWorkspace {
     }
 }
 
-/// Reusable buffers for corner-batched DC solves
-/// ([`dc_operating_point_batch`]): the lockstep batch LU, the per-corner
-/// assembly scratch, batch-layout right-hand-side/update buffers, and a
-/// scalar workspace for the per-corner homotopy fallback.
-#[derive(Debug, Clone)]
-pub struct DcBatchWorkspace {
-    lu: RealLuBatch,
-    j: Matrix<f64>,
-    f: Vec<f64>,
-    rhs: Vec<f64>,
-    dx: Vec<f64>,
-    acc: Vec<f64>,
-    scalar: DcWorkspace,
-}
-
-impl DcBatchWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        DcBatchWorkspace {
-            lu: RealLuBatch::empty(),
-            j: Matrix::zeros(0, 0),
-            f: Vec::new(),
-            rhs: Vec::new(),
-            dx: Vec::new(),
-            acc: Vec::new(),
-            scalar: DcWorkspace::new(),
-        }
-    }
-}
-
-impl Default for DcBatchWorkspace {
-    fn default() -> Self {
-        DcBatchWorkspace::new()
-    }
-}
-
 /// Warm-start state threaded through consecutive DC solves by an
 /// evaluation session: the previous MNA solution per *slot* (one slot per
 /// circuit variant — e.g. one per PVT corner — since their solution
@@ -105,7 +69,6 @@ pub struct WarmState {
     slots: Vec<Option<Vec<f64>>>,
     ws: DcWorkspace,
     ac: crate::ac::AcWorkspace,
-    batch: DcBatchWorkspace,
     ac_batch: crate::ac::AcBatchWorkspace,
 }
 
@@ -136,36 +99,6 @@ impl WarmState {
         let res = dc_operating_point_warm(ckt, opts, warm.as_deref(), &mut self.ws);
         if let Ok(op) = &res {
             self.slots[slot] = Some(op.mna_vector());
-        }
-        res
-    }
-
-    /// Batched analogue of [`WarmState::solve`]: solves the operating
-    /// points of `ckts` in lockstep through [`dc_operating_point_batch`],
-    /// one slot per circuit starting at `base_slot`. Each corner's Newton
-    /// is seeded from its own slot; solutions are stored back on success
-    /// and failed corners' slots are cleared, exactly like the scalar
-    /// path, so per-corner results match [`WarmState::solve`] bitwise.
-    pub fn solve_batch(
-        &mut self,
-        base_slot: usize,
-        ckts: &[&Circuit],
-        opts: &DcOptions,
-    ) -> Vec<Result<OpPoint, SimError>> {
-        let end = base_slot + ckts.len();
-        if self.slots.len() < end {
-            self.slots.resize(end, None);
-        }
-        let taken: Vec<Option<Vec<f64>>> = self.slots[base_slot..end]
-            .iter_mut()
-            .map(Option::take)
-            .collect();
-        let warm: Vec<Option<&[f64]>> = taken.iter().map(|o| o.as_deref()).collect();
-        let res = dc_operating_point_batch(ckts, opts, &warm, &mut self.batch);
-        for (slot, r) in self.slots[base_slot..end].iter_mut().zip(&res) {
-            if let Ok(op) = r {
-                *slot = Some(op.mna_vector());
-            }
         }
         res
     }
@@ -210,8 +143,11 @@ impl WarmState {
         &mut self.ac
     }
 
-    /// The session's reusable corner-batched AC buffers, for routing
-    /// worst-case sweeps through [`crate::ac::ac_sweep_batch`].
+    /// The session's reusable corner-sweep buffers, for the warm
+    /// worst-case stages: [`crate::ac::ac_sweep_corners`] and
+    /// [`crate::noise::noise_analysis_corners`] keep their base factor,
+    /// correction basis and scalar-fallback workspace here between
+    /// evaluations.
     pub fn ac_batch_workspace(&mut self) -> &mut crate::ac::AcBatchWorkspace {
         &mut self.ac_batch
     }
@@ -677,8 +613,7 @@ pub fn dc_operating_point_warm(
     Ok(finish_op(ckt, &x, total_iters, warm_started))
 }
 
-/// Builds the [`OpPoint`] from a converged MNA solution vector — shared
-/// result extraction of the scalar and batched solve paths.
+/// Builds the [`OpPoint`] from a converged MNA solution vector.
 fn finish_op(ckt: &Circuit, x: &[f64], iterations: usize, warm_started: bool) -> OpPoint {
     let nv = ckt.num_nodes() - 1;
     let volt = |n: Node| -> f64 {
@@ -719,219 +654,6 @@ fn finish_op(ckt: &Circuit, x: &[f64], iterations: usize, warm_started: bool) ->
         iterations,
         warm_started,
     }
-}
-
-/// Runs damped Newton on the masked subset of a batch of same-dimension
-/// circuits in lockstep: every iteration assembles each live corner's
-/// Jacobian, factors all of them as one [`RealLuBatch`] elimination
-/// (SIMD over the corner axis), solves, and applies per-corner damped
-/// updates. Corners converge independently — a converged corner's lanes
-/// are frozen (its slot in the batch is stamped with the identity) while
-/// its siblings keep iterating. Returns `Some(iterations)` per corner
-/// that converged in this phase; `None` covers both corners outside the
-/// mask and corners that failed (singular Jacobian, non-finite update,
-/// or `max_iter`).
-///
-/// Per corner this performs exactly the arithmetic of the scalar
-/// `newton_solve`, in the same order, so a corner that converges here
-/// produces a bitwise-identical solution vector.
-fn newton_batch(
-    asms: &[Assembler<'_>],
-    xs: &mut [Vec<f64>],
-    mask: &[bool],
-    gmin: f64,
-    opts: &DcOptions,
-    ws: &mut DcBatchWorkspace,
-) -> Vec<Option<usize>> {
-    let bt = asms.len();
-    let dim = asms[0].dim;
-    let mut active = mask.to_vec();
-    let mut out: Vec<Option<usize>> = vec![None; bt];
-    let DcBatchWorkspace {
-        lu,
-        j,
-        f,
-        rhs,
-        dx,
-        acc,
-        ..
-    } = ws;
-    if j.rows() != dim || j.cols() != dim {
-        *j = Matrix::zeros(dim, dim);
-    }
-    f.resize(dim, 0.0);
-    rhs.clear();
-    rhs.resize(dim * bt, 0.0);
-    for it in 0..opts.max_iter {
-        if !active.iter().any(|a| *a) {
-            break;
-        }
-        rhs.iter_mut().for_each(|v| *v = 0.0);
-        lu.refactor_with(dim, bt, 1e-30, |data| {
-            for (b, asm) in asms.iter().enumerate() {
-                if !active[b] {
-                    // Frozen lane: identity keeps the batch elimination
-                    // trivially nonsingular without touching the corner.
-                    for i in 0..dim {
-                        data[(i * dim + i) * bt + b] = 1.0;
-                    }
-                    continue;
-                }
-                asm.assemble(&xs[b], gmin, j, f);
-                for r in 0..dim {
-                    for c in 0..dim {
-                        data[(r * dim + c) * bt + b] = j[(r, c)];
-                    }
-                }
-                for (i, v) in f.iter().enumerate() {
-                    rhs[i * bt + b] = -v;
-                }
-            }
-        });
-        for (b, a) in active.iter_mut().enumerate() {
-            if *a && lu.singular(b).is_some() {
-                *a = false;
-            }
-        }
-        lu.solve_batch_into(rhs, dx, acc);
-        for b in 0..bt {
-            if !active[b] {
-                continue;
-            }
-            let nv = asms[b].nnodes - 1;
-            let x = &mut xs[b];
-            let mut maxd = 0.0f64;
-            for i in 0..dim {
-                let d = dx[i * bt + b];
-                let step = if i < nv {
-                    d.clamp(-opts.dv_max, opts.dv_max)
-                } else {
-                    d
-                };
-                x[i] += step;
-                maxd = maxd.max(d.abs());
-            }
-            if !x.iter().all(|v| v.is_finite()) {
-                active[b] = false;
-                continue;
-            }
-            if maxd < opts.tol {
-                out[b] = Some(it + 1);
-                active[b] = false;
-            }
-        }
-    }
-    out
-}
-
-/// Solves the DC operating points of a batch of *same-structure* circuits
-/// in lockstep — the corner axis of worst-case-PVT evaluation. Per corner
-/// the result is bitwise-identical to
-/// [`dc_operating_point_warm`]`(ckts[b], opts, warm[b], ..)`: corners
-/// with a usable warm guess first iterate together from their seeds, any
-/// that miss join a lockstep cold phase, and a corner that the direct
-/// cold Newton cannot crack falls back to the scalar gmin homotopy on its
-/// own — one stubborn corner never stalls or perturbs its siblings, and
-/// per-corner failures are reported per corner instead of aborting the
-/// batch.
-///
-/// Circuits of mismatched MNA dimension (which the corner engine never
-/// produces), single-element batches, and dimensions routed to the sparse
-/// backend (whose factorization cost no longer rewards dense lockstep
-/// lanes) simply run the scalar path — which preserves the per-corner
-/// bitwise contract trivially.
-pub fn dc_operating_point_batch(
-    ckts: &[&Circuit],
-    opts: &DcOptions,
-    warm: &[Option<&[f64]>],
-    ws: &mut DcBatchWorkspace,
-) -> Vec<Result<OpPoint, SimError>> {
-    assert_eq!(ckts.len(), warm.len(), "one warm guess per circuit");
-    let bt = ckts.len();
-    if bt == 0 {
-        return Vec::new();
-    }
-    let dim = ckts[0].mna_dim();
-    if bt == 1 || opts.solver.use_sparse(dim) || ckts.iter().any(|c| c.mna_dim() != dim) {
-        return ckts
-            .iter()
-            .zip(warm)
-            .map(|(c, w)| dc_operating_point_warm(c, opts, *w, &mut ws.scalar))
-            .collect();
-    }
-    let asms: Vec<Assembler<'_>> = ckts.iter().map(|c| Assembler::new(c)).collect();
-    let mut xs: Vec<Vec<f64>> = vec![vec![0.0; dim]; bt];
-    let mut iters = vec![0usize; bt];
-    let mut warm_started = vec![false; bt];
-    let mut done = vec![false; bt];
-
-    // Warm phase: corners whose guess has the right shape iterate from it.
-    let warm_mask: Vec<bool> = warm
-        .iter()
-        .map(|w| matches!(w, Some(w) if w.len() == dim && w.iter().all(|v| v.is_finite())))
-        .collect();
-    if warm_mask.iter().any(|m| *m) {
-        for ((x, w), &masked) in xs.iter_mut().zip(warm).zip(&warm_mask) {
-            if let (true, Some(w)) = (masked, w) {
-                x.copy_from_slice(w);
-            }
-        }
-        for (b, it) in newton_batch(&asms, &mut xs, &warm_mask, opts.gmin, opts, ws)
-            .into_iter()
-            .enumerate()
-        {
-            if let Some(it) = it {
-                iters[b] += it;
-                warm_started[b] = true;
-                done[b] = true;
-            }
-        }
-    }
-
-    // Cold phase: everything not yet converged restarts from `initial_v`.
-    let cold_mask: Vec<bool> = done.iter().map(|d| !d).collect();
-    if cold_mask.iter().any(|m| *m) {
-        for b in 0..bt {
-            if cold_mask[b] {
-                let nv = asms[b].nnodes - 1;
-                xs[b].iter_mut().for_each(|v| *v = 0.0);
-                xs[b][..nv].iter_mut().for_each(|v| *v = opts.initial_v);
-            }
-        }
-        for (b, it) in newton_batch(&asms, &mut xs, &cold_mask, opts.gmin, opts, ws)
-            .into_iter()
-            .enumerate()
-        {
-            if let Some(it) = it {
-                iters[b] += it;
-                done[b] = true;
-            }
-        }
-    }
-
-    // Homotopy fallback: stubborn corners leave the lockstep and retry
-    // scalar, exactly like the tail of `dc_operating_point_warm`.
-    (0..bt)
-        .map(|b| {
-            if done[b] {
-                return Ok(finish_op(ckts[b], &xs[b], iters[b], warm_started[b]));
-            }
-            let nv = asms[b].nnodes - 1;
-            let x = &mut xs[b];
-            x.iter_mut().for_each(|v| *v = 0.0);
-            x[..nv].iter_mut().for_each(|v| *v = opts.initial_v);
-            let mut g = 1e-3;
-            loop {
-                let it = newton_solve(&asms[b], x, g, opts, &mut ws.scalar)?;
-                iters[b] += it;
-                if g <= opts.gmin * 1.0001 {
-                    break;
-                }
-                g = (g * 0.1).max(opts.gmin);
-            }
-            Ok(finish_op(ckts[b], x, iters[b], false))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1205,111 +927,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_cold_matches_scalar_bitwise() {
-        // Three same-structure circuits (same MNA dim, different values):
-        // the lockstep cold solve must reproduce the scalar solutions
-        // bit for bit.
-        let ckts: Vec<(Circuit, Node)> = [8.0e3, 10.0e3, 13.0e3]
-            .iter()
-            .map(|r| nmos_diode_circuit(*r))
-            .collect();
-        let refs: Vec<&Circuit> = ckts.iter().map(|(c, _)| c).collect();
-        let mut ws = DcBatchWorkspace::new();
-        let warm = vec![None; refs.len()];
-        let batch = dc_operating_point_batch(&refs, &DcOptions::default(), &warm, &mut ws);
-        for ((ckt, _), res) in ckts.iter().zip(&batch) {
-            let scalar = dc_operating_point(ckt, &DcOptions::default()).unwrap();
-            let got = res.as_ref().unwrap();
-            assert!(!got.warm_started());
-            assert_eq!(got.mna_vector(), scalar.mna_vector());
-            assert_eq!(got.iterations(), scalar.iterations());
-        }
-    }
-
-    #[test]
-    fn batch_singular_sibling_is_masked_not_contagious() {
-        // The middle system is inconsistent (two conflicting voltage
-        // sources in parallel — singular at every gmin stage); its error
-        // must be reported for it alone, with the siblings' solutions
-        // still bitwise-equal to their scalar solves.
-        let (good_a, _) = nmos_diode_circuit(10.0e3);
-        let (good_b, _) = nmos_diode_circuit(12.0e3);
-        // One node + two conflicting sources has dim 3, matching the
-        // diode circuits (2 nodes + 1 source).
-        let mut bad = Circuit::new();
-        let a = bad.node("a");
-        bad.vsource(a, GND, 1.0, 0.0);
-        bad.vsource(a, GND, 2.0, 0.0);
-        assert_eq!(bad.mna_dim(), good_a.mna_dim());
-        let refs: Vec<&Circuit> = vec![&good_a, &bad, &good_b];
-        let mut ws = DcBatchWorkspace::new();
-        let warm = vec![None; 3];
-        let res = dc_operating_point_batch(&refs, &DcOptions::default(), &warm, &mut ws);
-        let scalar_bad = dc_operating_point(&bad, &DcOptions::default());
-        assert!(matches!(res[1], Err(SimError::SingularMatrix { .. })));
-        assert_eq!(
-            res[1].as_ref().err().unwrap(),
-            scalar_bad.as_ref().err().unwrap(),
-            "masked corner reports the scalar path's error"
-        );
-        for (ckt, r) in [(&good_a, &res[0]), (&good_b, &res[2])] {
-            let scalar = dc_operating_point(ckt, &DcOptions::default()).unwrap();
-            assert_eq!(r.as_ref().unwrap().mna_vector(), scalar.mna_vector());
-        }
-    }
-
-    #[test]
-    fn batch_poisoned_warm_guess_falls_back_to_cold() {
+    fn poisoned_warm_guess_falls_back_to_cold() {
         // A finite but absurd warm guess cannot converge within the
-        // damped iteration budget; that corner must fall back to the
-        // cold start without stalling the sibling that converges warm.
+        // damped iteration budget; the solve must fall back to the cold
+        // start and land on the cold solution exactly.
         let (a, _) = nmos_diode_circuit(10.0e3);
-        let (b, _) = nmos_diode_circuit(11.0e3);
-        let cold_a = dc_operating_point(&a, &DcOptions::default()).unwrap();
-        let cold_b = dc_operating_point(&b, &DcOptions::default()).unwrap();
-        let good_warm = cold_b.mna_vector();
-        let poisoned = vec![1.0e3; cold_a.mna_vector().len()];
-        let refs: Vec<&Circuit> = vec![&a, &b];
-        let mut ws = DcBatchWorkspace::new();
-        let warm: Vec<Option<&[f64]>> = vec![Some(&poisoned), Some(&good_warm)];
-        let res = dc_operating_point_batch(&refs, &DcOptions::default(), &warm, &mut ws);
-        let ra = res[0].as_ref().unwrap();
-        let rb = res[1].as_ref().unwrap();
-        assert!(!ra.warm_started(), "poisoned guess must not 'converge'");
-        assert!(rb.warm_started());
-        assert_eq!(ra.mna_vector(), cold_a.mna_vector());
-        // The scalar warm path does the same dance; bitwise agreement.
-        let mut sws = DcWorkspace::new();
-        let scalar_a =
-            dc_operating_point_warm(&a, &DcOptions::default(), Some(&poisoned), &mut sws).unwrap();
-        let scalar_b =
-            dc_operating_point_warm(&b, &DcOptions::default(), Some(&good_warm), &mut sws).unwrap();
-        assert_eq!(ra.mna_vector(), scalar_a.mna_vector());
-        assert_eq!(rb.mna_vector(), scalar_b.mna_vector());
-    }
-
-    #[test]
-    fn warm_state_solve_batch_matches_serial_slots() {
-        let ckts: Vec<(Circuit, Node)> = [8.0e3, 10.0e3, 13.0e3]
-            .iter()
-            .map(|r| nmos_diode_circuit(*r))
-            .collect();
-        let refs: Vec<&Circuit> = ckts.iter().map(|(c, _)| c).collect();
-        let opts = DcOptions::default();
-        let mut serial = WarmState::new();
-        let mut batched = WarmState::new();
-        // Two passes: the second is warm in every slot on both paths.
-        for pass in 0..2 {
-            let batch = batched.solve_batch(0, &refs, &opts);
-            for (slot, ckt) in refs.iter().enumerate() {
-                let s = serial.solve(slot, ckt, &opts).unwrap();
-                let b = batch[slot].as_ref().unwrap();
-                assert_eq!(s.mna_vector(), b.mna_vector(), "pass {pass} slot {slot}");
-                assert_eq!(s.warm_started(), b.warm_started());
-                assert_eq!(s.warm_started(), pass > 0);
-            }
-        }
-        assert!(batched.is_warm());
+        let cold = dc_operating_point(&a, &DcOptions::default()).unwrap();
+        let poisoned = vec![1.0e3; cold.mna_vector().len()];
+        let mut ws = DcWorkspace::new();
+        let op =
+            dc_operating_point_warm(&a, &DcOptions::default(), Some(&poisoned), &mut ws).unwrap();
+        assert!(!op.warm_started(), "poisoned guess must not 'converge'");
+        assert_eq!(op.mna_vector(), cold.mna_vector());
     }
 
     #[test]
@@ -1322,16 +951,6 @@ mod tests {
         };
         let sparse = dc_operating_point(&ckt, &opts).unwrap();
         assert!((sparse.voltage(g) - dense.voltage(g)).abs() < 1e-9);
-        // Batched entry under a sparse config routes through the scalar
-        // path, so batch and scalar stay bitwise-equal.
-        let (b, _) = nmos_diode_circuit(12.0e3);
-        let refs: Vec<&Circuit> = vec![&ckt, &b];
-        let mut ws = DcBatchWorkspace::new();
-        let batch = dc_operating_point_batch(&refs, &opts, &[None, None], &mut ws);
-        for (c, r) in refs.iter().zip(&batch) {
-            let scalar = dc_operating_point(c, &opts).unwrap();
-            assert_eq!(r.as_ref().unwrap().mna_vector(), scalar.mna_vector());
-        }
     }
 
     #[test]

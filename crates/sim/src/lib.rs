@@ -78,9 +78,7 @@ pub mod prelude {
     pub use crate::linalg::sparse::{SolverBackend, SolverConfig};
     pub use crate::measure::{db20, integrate_trapezoid, settling_time};
     pub use crate::netlist::{Circuit, Element, Mosfet, Node, Step, GND};
-    pub use crate::noise::{
-        noise_analysis, noise_analysis_batch, noise_analysis_corners, NoiseResult,
-    };
+    pub use crate::noise::{noise_analysis, noise_analysis_corners, NoiseResult};
     pub use crate::par::Parallelism;
     pub use crate::pex::{extract, PexConfig};
     pub use crate::tran::{transient, transient_warm, TranOptions, TranResult};

@@ -605,487 +605,6 @@ impl ComplexLuSoa {
     }
 }
 
-/// LU factorization of a *batch* of real square systems in lockstep, with
-/// the batch as the innermost storage axis: entry `(r, c)` of system `b`
-/// lives at `data[(r*n + c)*B + b]`.
-///
-/// This is the corner axis of the worst-case-PVT evaluation engine: the
-/// B same-structure MNA systems of a corner set are eliminated together,
-/// so every rank-1 update touches B contiguous lanes that the compiler
-/// turns into packed SIMD — vector width comes from the batch, not the
-/// matrix dimension, which is what makes batching pay even at small dims.
-///
-/// Each system keeps its *own* pivot order and its own singularity
-/// status: the per-system arithmetic (pivot selection by `|.|` with a
-/// strict `>` comparison, multiply-then-subtract updates in ascending
-/// column order) is identical to [`LuFactors<f64>`], so the factors and
-/// solutions of every nonsingular system are bitwise-equal to the scalar
-/// kernel's (property-tested in `tests/proptest_linalg.rs`). A singular
-/// system is masked off at the failing column — its multipliers become
-/// zero so its lanes stop changing — without disturbing its siblings.
-#[derive(Debug, Clone, Default)]
-pub struct RealLuBatch {
-    n: usize,
-    batch: usize,
-    data: Vec<f64>,
-    /// Per-system permutations, batch-innermost: `perm[k*B + b]`.
-    perm: Vec<usize>,
-    /// Per-system singularity: `Some(column)` where elimination failed.
-    sing: Vec<Option<usize>>,
-    /// Multiplier scratch, one lane per system.
-    m: Vec<f64>,
-}
-
-impl RealLuBatch {
-    /// Creates an empty factorization whose buffers
-    /// [`RealLuBatch::refactor_with`] fills.
-    pub fn empty() -> Self {
-        RealLuBatch::default()
-    }
-
-    /// Dimension of each factored system (0 before the first refactor).
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of systems in the batch.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// `Some(column)` if system `b` turned out singular during the last
-    /// refactor; its solution lanes are garbage and must not be read.
-    pub fn singular(&self, b: usize) -> Option<usize> {
-        self.sing[b]
-    }
-
-    /// Re-factors `batch` systems of dimension `n` assembled in place by
-    /// `fill` (invoked on a zeroed `[(r*n + c)*batch + b]` buffer),
-    /// reusing this object's allocations. Unlike the scalar kernels this
-    /// never returns an error: singularity is tracked *per system* (query
-    /// [`RealLuBatch::singular`]) so one defective corner cannot abort its
-    /// siblings' factorization.
-    pub fn refactor_with(
-        &mut self,
-        n: usize,
-        batch: usize,
-        pivot_floor: f64,
-        fill: impl FnOnce(&mut [f64]),
-    ) {
-        self.n = n;
-        self.batch = batch;
-        self.data.clear();
-        self.data.resize(n * n * batch, 0.0);
-        self.m.clear();
-        self.m.resize(batch, 0.0);
-        fill(&mut self.data);
-        self.eliminate(pivot_floor);
-    }
-
-    fn eliminate(&mut self, pivot_floor: f64) {
-        // Dispatch to a lane-count-specialized elimination: with `B`
-        // known at compile time the `B`-wide inner loops fully unroll
-        // and vectorize (the whole point of the lockstep layout), where
-        // a runtime trip count of ~6 leaves the vectorizer with more
-        // prologue than body. `0` is the dynamic fallback; the
-        // arithmetic is identical either way.
-        match self.batch {
-            1 => self.eliminate_impl::<1>(pivot_floor),
-            2 => self.eliminate_impl::<2>(pivot_floor),
-            3 => self.eliminate_impl::<3>(pivot_floor),
-            4 => self.eliminate_impl::<4>(pivot_floor),
-            5 => self.eliminate_impl::<5>(pivot_floor),
-            6 => self.eliminate_impl::<6>(pivot_floor),
-            7 => self.eliminate_impl::<7>(pivot_floor),
-            8 => self.eliminate_impl::<8>(pivot_floor),
-            _ => self.eliminate_impl::<0>(pivot_floor),
-        }
-    }
-
-    fn eliminate_impl<const B: usize>(&mut self, pivot_floor: f64) {
-        let n = self.n;
-        let bt = if B == 0 { self.batch } else { B };
-        let data = &mut self.data;
-        self.perm.clear();
-        for k in 0..n {
-            self.perm.extend((0..bt).map(|_| k));
-        }
-        self.sing.clear();
-        self.sing.resize(bt, None);
-        for k in 0..n {
-            // Per-system partial pivoting: same strict `>` comparison as
-            // the scalar kernel, so ties resolve to the same row.
-            for b in 0..bt {
-                if self.sing[b].is_some() {
-                    continue;
-                }
-                let mut p = k;
-                let mut best = data[(k * n + k) * bt + b].abs();
-                for i in (k + 1)..n {
-                    let v = data[(i * n + k) * bt + b].abs();
-                    if v > best {
-                        best = v;
-                        p = i;
-                    }
-                }
-                if best <= pivot_floor || !best.is_finite() {
-                    self.sing[b] = Some(k);
-                    continue;
-                }
-                if p != k {
-                    for c in 0..n {
-                        data.swap((k * n + c) * bt + b, (p * n + c) * bt + b);
-                    }
-                    self.perm.swap(k * bt + b, p * bt + b);
-                }
-            }
-            // Rank-1 updates, batch lanes innermost. Per system this is
-            // the scalar kernel's multiply-then-subtract in the same
-            // (row, column) order; across systems the `bt`-wide inner
-            // loops run over contiguous lanes and autovectorize.
-            let (top, bottom) = data.split_at_mut((k + 1) * n * bt);
-            let row_k = &top[k * n * bt..];
-            for row_i in bottom.chunks_exact_mut(n * bt) {
-                for (b, m) in self.m.iter_mut().enumerate() {
-                    *m = if self.sing[b].is_some() {
-                        0.0
-                    } else {
-                        let v = row_i[k * bt + b] / row_k[k * bt + b];
-                        row_i[k * bt + b] = v;
-                        v
-                    };
-                }
-                let ms = &self.m[..bt];
-                let xs = &mut row_i[(k + 1) * bt..n * bt];
-                let ys = &row_k[(k + 1) * bt..n * bt];
-                for (xc, yc) in xs.chunks_exact_mut(bt).zip(ys.chunks_exact(bt)) {
-                    for ((x, &y), &m) in xc.iter_mut().zip(yc).zip(ms) {
-                        let v = m * y;
-                        *x -= v;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Solves every system of the batch at once: `rhs` and the solution
-    /// `x` use the batch-innermost layout `[i*B + b]`. Nonsingular
-    /// systems' solutions are bitwise-equal to [`LuFactors::solve_into`]
-    /// on the same system; singular systems' lanes are garbage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs.len() != dim * batch`.
-    pub fn solve_batch_into(&self, rhs: &[f64], x: &mut Vec<f64>, acc: &mut Vec<f64>) {
-        // Lane-count-specialized like `eliminate`: the corner-batched
-        // settling sweep calls this once per time step against one
-        // factorization, so the `B`-wide substitution loops — not the
-        // elimination — are the hot path there, and they only vectorize
-        // when the trip count is a compile-time constant.
-        match self.batch {
-            1 => self.solve_impl::<1>(rhs, x, acc),
-            2 => self.solve_impl::<2>(rhs, x, acc),
-            3 => self.solve_impl::<3>(rhs, x, acc),
-            4 => self.solve_impl::<4>(rhs, x, acc),
-            5 => self.solve_impl::<5>(rhs, x, acc),
-            6 => self.solve_impl::<6>(rhs, x, acc),
-            7 => self.solve_impl::<7>(rhs, x, acc),
-            8 => self.solve_impl::<8>(rhs, x, acc),
-            _ => self.solve_impl::<0>(rhs, x, acc),
-        }
-    }
-
-    fn solve_impl<const B: usize>(&self, rhs: &[f64], x: &mut Vec<f64>, acc: &mut Vec<f64>) {
-        let n = self.n;
-        let bt = if B == 0 { self.batch } else { B };
-        assert_eq!(rhs.len(), n * bt, "dimension mismatch");
-        x.clear();
-        for i in 0..n {
-            for b in 0..bt {
-                x.push(rhs[self.perm[i * bt + b] * bt + b]);
-            }
-        }
-        acc.clear();
-        acc.resize(bt, 0.0);
-        let data = &self.data;
-        // Forward substitution (unit diagonal), per-system j ascending.
-        for i in 1..n {
-            acc.copy_from_slice(&x[i * bt..(i + 1) * bt]);
-            for j in 0..i {
-                let row = &data[(i * n + j) * bt..(i * n + j + 1) * bt];
-                let xj = &x[j * bt..(j + 1) * bt];
-                for ((a, &l), &v) in acc.iter_mut().zip(row).zip(xj) {
-                    *a -= l * v;
-                }
-            }
-            x[i * bt..(i + 1) * bt].copy_from_slice(acc);
-        }
-        // Back substitution.
-        for i in (0..n).rev() {
-            acc.copy_from_slice(&x[i * bt..(i + 1) * bt]);
-            for j in (i + 1)..n {
-                let row = &data[(i * n + j) * bt..(i * n + j + 1) * bt];
-                let xj = &x[j * bt..(j + 1) * bt];
-                for ((a, &l), &v) in acc.iter_mut().zip(row).zip(xj) {
-                    *a -= l * v;
-                }
-            }
-            let diag = &data[(i * n + i) * bt..(i * n + i + 1) * bt];
-            for ((xv, &a), &d) in x[i * bt..(i + 1) * bt].iter_mut().zip(acc.iter()).zip(diag) {
-                *xv = a / d;
-            }
-        }
-    }
-}
-
-/// The complex analogue of [`RealLuBatch`]: a batch of complex square
-/// systems in split re/im storage *and* batch-innermost layout — entry
-/// `(r, c)` of system `b` lives at `re[(r*n + c)*B + b]` /
-/// `im[(r*n + c)*B + b]`.
-///
-/// This is the corner axis of the batched AC sweep: at each frequency the
-/// B corner systems `G_b + j w C_b` are eliminated in lockstep, with the
-/// rank-1 update's four multiplies and two subtractions running over B
-/// contiguous lanes. Per system, the arithmetic (pivot selection by
-/// [`Complex::norm_parts`], multiplier via [`Complex`] division, update
-/// formula and order) is identical to [`ComplexLuSoa`] — and therefore to
-/// `LuFactors<Complex>` — so per-system results are bitwise-equal
-/// (property-tested in `tests/proptest_linalg.rs`).
-#[derive(Debug, Clone, Default)]
-pub struct ComplexLuBatch {
-    n: usize,
-    batch: usize,
-    re: Vec<f64>,
-    im: Vec<f64>,
-    perm: Vec<usize>,
-    sing: Vec<Option<usize>>,
-    m_re: Vec<f64>,
-    m_im: Vec<f64>,
-}
-
-impl ComplexLuBatch {
-    /// Creates an empty factorization whose buffers
-    /// [`ComplexLuBatch::refactor_with`] fills.
-    pub fn empty() -> Self {
-        ComplexLuBatch::default()
-    }
-
-    /// Dimension of each factored system (0 before the first refactor).
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of systems in the batch.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// `Some(column)` if system `b` turned out singular during the last
-    /// refactor; its solution lanes are garbage and must not be read.
-    pub fn singular(&self, b: usize) -> Option<usize> {
-        self.sing[b]
-    }
-
-    /// Re-factors `batch` complex systems of dimension `n` assembled in
-    /// place by `fill` (invoked on zeroed re/im buffers in the
-    /// `[(r*n + c)*batch + b]` layout), reusing this object's
-    /// allocations. Singularity is tracked per system
-    /// ([`ComplexLuBatch::singular`]); one defective corner never aborts
-    /// its siblings.
-    pub fn refactor_with(
-        &mut self,
-        n: usize,
-        batch: usize,
-        pivot_floor: f64,
-        fill: impl FnOnce(&mut [f64], &mut [f64]),
-    ) {
-        self.n = n;
-        self.batch = batch;
-        self.re.clear();
-        self.re.resize(n * n * batch, 0.0);
-        self.im.clear();
-        self.im.resize(n * n * batch, 0.0);
-        self.m_re.clear();
-        self.m_re.resize(batch, 0.0);
-        self.m_im.clear();
-        self.m_im.resize(batch, 0.0);
-        fill(&mut self.re, &mut self.im);
-        self.eliminate(pivot_floor);
-    }
-
-    fn eliminate(&mut self, pivot_floor: f64) {
-        // Lane-count-specialized dispatch, like [`RealLuBatch`]: a
-        // compile-time `B` unrolls and vectorizes the lane loops.
-        match self.batch {
-            1 => self.eliminate_impl::<1>(pivot_floor),
-            2 => self.eliminate_impl::<2>(pivot_floor),
-            3 => self.eliminate_impl::<3>(pivot_floor),
-            4 => self.eliminate_impl::<4>(pivot_floor),
-            5 => self.eliminate_impl::<5>(pivot_floor),
-            6 => self.eliminate_impl::<6>(pivot_floor),
-            7 => self.eliminate_impl::<7>(pivot_floor),
-            8 => self.eliminate_impl::<8>(pivot_floor),
-            _ => self.eliminate_impl::<0>(pivot_floor),
-        }
-    }
-
-    fn eliminate_impl<const B: usize>(&mut self, pivot_floor: f64) {
-        let n = self.n;
-        let bt = if B == 0 { self.batch } else { B };
-        let (re, im) = (&mut self.re, &mut self.im);
-        self.perm.clear();
-        for k in 0..n {
-            self.perm.extend((0..bt).map(|_| k));
-        }
-        self.sing.clear();
-        self.sing.resize(bt, None);
-        for k in 0..n {
-            for b in 0..bt {
-                if self.sing[b].is_some() {
-                    continue;
-                }
-                let mut p = k;
-                let mut best =
-                    Complex::norm_parts(re[(k * n + k) * bt + b], im[(k * n + k) * bt + b]);
-                for i in (k + 1)..n {
-                    let v = Complex::norm_parts(re[(i * n + k) * bt + b], im[(i * n + k) * bt + b]);
-                    if v > best {
-                        best = v;
-                        p = i;
-                    }
-                }
-                if best <= pivot_floor || !best.is_finite() {
-                    self.sing[b] = Some(k);
-                    continue;
-                }
-                if p != k {
-                    for c in 0..n {
-                        re.swap((k * n + c) * bt + b, (p * n + c) * bt + b);
-                        im.swap((k * n + c) * bt + b, (p * n + c) * bt + b);
-                    }
-                    self.perm.swap(k * bt + b, p * bt + b);
-                }
-            }
-            let (top_re, bot_re) = re.split_at_mut((k + 1) * n * bt);
-            let (top_im, bot_im) = im.split_at_mut((k + 1) * n * bt);
-            let row_k_re = &top_re[k * n * bt..];
-            let row_k_im = &top_im[k * n * bt..];
-            for (row_re, row_im) in bot_re
-                .chunks_exact_mut(n * bt)
-                .zip(bot_im.chunks_exact_mut(n * bt))
-            {
-                for b in 0..bt {
-                    if self.sing[b].is_some() {
-                        self.m_re[b] = 0.0;
-                        self.m_im[b] = 0.0;
-                        continue;
-                    }
-                    // Same multiplier computation as ComplexLuSoa: a
-                    // Complex division against the pivot.
-                    let m = Complex::new(row_re[k * bt + b], row_im[k * bt + b])
-                        / Complex::new(row_k_re[k * bt + b], row_k_im[k * bt + b]);
-                    row_re[k * bt + b] = m.re;
-                    row_im[k * bt + b] = m.im;
-                    self.m_re[b] = m.re;
-                    self.m_im[b] = m.im;
-                }
-                // Rank-1 update over batch lanes: per system the same
-                // four multiplies and two subtractions, in the same
-                // order, as the SoA kernel's `x -= m * y`.
-                let (ms_re, ms_im) = (&self.m_re[..bt], &self.m_im[..bt]);
-                let xr = row_re[(k + 1) * bt..n * bt].chunks_exact_mut(bt);
-                let xi = row_im[(k + 1) * bt..n * bt].chunks_exact_mut(bt);
-                let yr = row_k_re[(k + 1) * bt..n * bt].chunks_exact(bt);
-                let yi = row_k_im[(k + 1) * bt..n * bt].chunks_exact(bt);
-                for (((xrc, xic), yrc), yic) in xr.zip(xi).zip(yr).zip(yi) {
-                    for b in 0..bt {
-                        let (mr, mi) = (ms_re[b], ms_im[b]);
-                        xrc[b] -= mr * yrc[b] - mi * yic[b];
-                        xic[b] -= mr * yic[b] + mi * yrc[b];
-                    }
-                }
-            }
-        }
-    }
-
-    /// Solves every system of the batch at once, split re/im and
-    /// batch-innermost: `rhs_re[i*B + b]` etc. Nonsingular systems'
-    /// solutions are bitwise-equal to [`ComplexLuSoa::solve_into`] on the
-    /// same system; singular systems' lanes are garbage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rhs buffers are not `dim * batch` long.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_batch_into(
-        &self,
-        rhs_re: &[f64],
-        rhs_im: &[f64],
-        x_re: &mut Vec<f64>,
-        x_im: &mut Vec<f64>,
-        acc_re: &mut Vec<f64>,
-        acc_im: &mut Vec<f64>,
-    ) {
-        let (n, bt) = (self.n, self.batch);
-        assert_eq!(rhs_re.len(), n * bt, "dimension mismatch");
-        assert_eq!(rhs_im.len(), n * bt, "dimension mismatch");
-        x_re.clear();
-        x_im.clear();
-        for i in 0..n {
-            for b in 0..bt {
-                let p = self.perm[i * bt + b];
-                x_re.push(rhs_re[p * bt + b]);
-                x_im.push(rhs_im[p * bt + b]);
-            }
-        }
-        acc_re.clear();
-        acc_re.resize(bt, 0.0);
-        acc_im.clear();
-        acc_im.resize(bt, 0.0);
-        // Forward substitution (unit diagonal), per-system j ascending;
-        // per system the same `acc -= l * xj` complex expansion as the
-        // SoA kernel.
-        for i in 1..n {
-            acc_re.copy_from_slice(&x_re[i * bt..(i + 1) * bt]);
-            acc_im.copy_from_slice(&x_im[i * bt..(i + 1) * bt]);
-            for j in 0..i {
-                let lr = &self.re[(i * n + j) * bt..(i * n + j + 1) * bt];
-                let li = &self.im[(i * n + j) * bt..(i * n + j + 1) * bt];
-                let xr = &x_re[j * bt..(j + 1) * bt];
-                let xi = &x_im[j * bt..(j + 1) * bt];
-                for b in 0..bt {
-                    acc_re[b] -= lr[b] * xr[b] - li[b] * xi[b];
-                    acc_im[b] -= lr[b] * xi[b] + li[b] * xr[b];
-                }
-            }
-            x_re[i * bt..(i + 1) * bt].copy_from_slice(acc_re);
-            x_im[i * bt..(i + 1) * bt].copy_from_slice(acc_im);
-        }
-        // Back substitution, with the final division through the same
-        // `Complex` reciprocal path as the scalar kernels.
-        for i in (0..n).rev() {
-            acc_re.copy_from_slice(&x_re[i * bt..(i + 1) * bt]);
-            acc_im.copy_from_slice(&x_im[i * bt..(i + 1) * bt]);
-            for j in (i + 1)..n {
-                let lr = &self.re[(i * n + j) * bt..(i * n + j + 1) * bt];
-                let li = &self.im[(i * n + j) * bt..(i * n + j + 1) * bt];
-                let xr = &x_re[j * bt..(j + 1) * bt];
-                let xi = &x_im[j * bt..(j + 1) * bt];
-                for b in 0..bt {
-                    acc_re[b] -= lr[b] * xr[b] - li[b] * xi[b];
-                    acc_im[b] -= lr[b] * xi[b] + li[b] * xr[b];
-                }
-            }
-            for b in 0..bt {
-                let q = Complex::new(acc_re[b], acc_im[b])
-                    / Complex::new(self.re[(i * n + i) * bt + b], self.im[(i * n + i) * bt + b]);
-                x_re[i * bt + b] = q.re;
-                x_im[i * bt + b] = q.im;
-            }
-        }
-    }
-}
-
 /// A factored linear system that can back-substitute right-hand sides.
 ///
 /// This is the seam between the analyses and the factorization backends:

@@ -8,19 +8,16 @@
 //! it to the input.
 //!
 //! Worst-case PVT evaluations run the analysis over a *corner set* of
-//! same-structure circuits. Two batched entry points serve that shape:
-//!
-//! - [`noise_analysis_batch`] eliminates all corner systems in lockstep
-//!   through [`crate::linalg::ComplexLuBatch`]; per corner its arithmetic
-//!   is bitwise-identical to [`noise_analysis_ws`], making it the cold
-//!   (exact) backbone of the corner engine.
-//! - [`noise_analysis_corners`] factors the **base corner once per
-//!   frequency** and recovers every sibling through the same Woodbury
-//!   correction as [`crate::ac::ac_sweep_corners`] — and, because the
-//!   corners share their injection nodes and source vector, the
-//!   per-source unit-injection base solves are computed once and shared
-//!   by the whole corner set. Exact to roundoff (the warm path's
-//!   solver-tolerance contract), and the dense-dim fast path.
+//! same-structure circuits. Cold evaluations call [`noise_analysis_cfg`]
+//! once per corner; warm ones call [`noise_analysis_corners`], which
+//! factors the **base corner once per frequency** and recovers every
+//! sibling through the same Woodbury correction as
+//! [`crate::ac::ac_sweep_corners`] — and, because the corners share their
+//! injection nodes and source vector, the per-source unit-injection base
+//! solves are computed once and shared by the whole corner set. Exact to
+//! roundoff (the warm path's solver-tolerance contract), and the
+//! dense-dim fast path; at stock dims it runs the scalar kernel per
+//! corner.
 
 use crate::ac::{
     ac_batch_ws_pool, ac_ws_pool, grid_parallelism, AcBatchWorkspace, AcSolver, AcWorkspace,
@@ -383,12 +380,12 @@ fn noise_points_par(
     Ok((out_psd, gain))
 }
 
-/// Per-corner scalar reference path of the batched analyses: each corner
-/// runs the exact [`noise_analysis_ws`] pipeline (same kernel, same
-/// order) through the batch workspace's scalar buffers. This is the
-/// fallback for structural mismatches, single-corner batches, and stock
-/// dims where neither lockstep nor correction pays — bitwise-equal to
-/// calling [`noise_analysis_ws`] per corner.
+/// Per-corner scalar reference path of [`noise_analysis_corners`]: each
+/// corner runs the exact [`noise_analysis_ws`] pipeline (same kernel, same
+/// order) through the corner workspace's scalar buffers. This is the
+/// fallback for structural mismatches, single-corner sets, and stock
+/// dims where the correction cannot pay — bitwise-equal to calling
+/// [`noise_analysis_ws`] per corner.
 fn scalar_noise_ws(
     solvers: &[AcSolver<'_>],
     ops: &[&OpPoint],
@@ -421,8 +418,8 @@ fn scalar_noise_ws(
 }
 
 /// Collects each corner's noise sources, or `None` when any corner fails
-/// or the corner lists disagree in length (the lockstep and corrected
-/// paths need one source index space across the batch) — callers then
+/// or the corner lists disagree in length (the corrected path needs one
+/// source index space across the corner set) — callers then
 /// route through the scalar path, which reports per-corner failures
 /// individually.
 fn collect_corner_sources(
@@ -439,269 +436,6 @@ fn collect_corner_sources(
         return None;
     }
     Some(all)
-}
-
-/// Corner-batched noise analysis in **lockstep**: at every frequency the
-/// B corner systems are stamped into one
-/// [`crate::linalg::ComplexLuBatch`] and eliminated together, then
-/// back-substituted against each corner's source vector and against every
-/// noise source's unit injection. Per corner the arithmetic (pivot
-/// selection, update order, PSD accumulation order) is identical to
-/// [`noise_analysis_ws`], so per-corner results are **bitwise-equal** to
-/// the serial path — this is the cold backbone of the corner evaluation
-/// engine, mirroring [`crate::ac::ac_sweep_batch_solvers`]'s contract.
-///
-/// Failures are per corner: a corner whose system goes singular reports
-/// the error of its first failing frequency, exactly like the scalar
-/// path, and is masked off without disturbing its siblings. Mismatched
-/// dimensions, differing source counts, single-corner batches, and dense
-/// systems (where the batch-innermost layout stops paying) run the
-/// scalar path per corner — also bitwise-equal, so the dispatch is pure
-/// performance policy. A degenerate frequency grid returns
-/// [`SimError::InvalidOptions`] for every corner.
-///
-/// # Panics
-///
-/// Panics unless `solvers`, `ops`, `outs`, and `temps` have equal length.
-pub fn noise_analysis_batch(
-    solvers: &[AcSolver<'_>],
-    ops: &[&OpPoint],
-    outs: &[Node],
-    freqs: &[f64],
-    temps: &[f64],
-    ws: &mut AcBatchWorkspace,
-) -> Vec<Result<NoiseResult, SimError>> {
-    assert_eq!(solvers.len(), ops.len(), "one operating point per corner");
-    assert_eq!(solvers.len(), outs.len(), "one output node per corner");
-    assert_eq!(solvers.len(), temps.len(), "one temperature per corner");
-    let bt = solvers.len();
-    if bt == 0 {
-        return Vec::new();
-    }
-    if let Err(e) = validate_freqs(freqs) {
-        return (0..bt).map(|_| Err(e.clone())).collect();
-    }
-    let par = grid_parallelism(solvers);
-    if would_parallelize(par, bt * freqs.len()) {
-        // Threaded cold grid: per-corner scalar points across the
-        // (corner × frequency) tiles. Per corner that is exactly the
-        // scalar reference arithmetic, which both cold routes below are
-        // bitwise-equal to — so the dispatch stays pure performance
-        // policy.
-        return threaded_grid_noise(solvers, ops, outs, freqs, temps, par);
-    }
-    let dim = solvers[0].dim();
-    if bt == 1
-        || solvers.iter().any(|s| s.dim() != dim)
-        || dim > STOCK_DIM_MAX
-        || solvers.iter().any(|s| s.config().use_sparse(s.dim()))
-    {
-        // Lockstep pays while each corner's factors fit in cache (stock
-        // dims, ~1.1x); at dense dims the batch-innermost layout thrashes
-        // (measured ~0.65x), so the cold path runs the scalar kernel per
-        // corner there. Both are bitwise-equal to the serial reference,
-        // so the dispatch is pure performance policy. Sparse-routed dims
-        // take the same scalar route: the lockstep kernel is dense-only,
-        // and the scalar path dispatches each corner's factorizations
-        // through its own backend.
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    }
-    let Some(sources) = collect_corner_sources(solvers, ops, temps) else {
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    };
-    let n_src = sources[0].len();
-
-    ws.patterns.resize(bt, Vec::new());
-    for (pat, s) in ws.patterns.iter_mut().zip(solvers) {
-        s.collect_pattern(pat);
-    }
-    // Gain right-hand sides, stamped once (frequency-independent).
-    ws.rhs_re.clear();
-    ws.rhs_re.resize(dim * bt, 0.0);
-    ws.rhs_im.clear();
-    ws.rhs_im.resize(dim * bt, 0.0);
-    for (b, s) in solvers.iter().enumerate() {
-        for (i, v) in s.source_rhs().iter().enumerate() {
-            ws.rhs_re[i * bt + b] = v.re;
-            ws.rhs_im[i * bt + b] = v.im;
-        }
-    }
-    let oi: Vec<Option<usize>> = solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| s.mna_index(o))
-        .collect();
-    // Per-source unit-injection right-hand sides, stamped once — they
-    // depend only on the source's terminal nodes, never the frequency
-    // (each corner resolves through its own circuit; structure is shared
-    // across a corner set). The imaginary part is identically zero.
-    let mut inj_re: Vec<Vec<f64>> = vec![vec![0.0; dim * bt]; n_src];
-    for (b, (s, srcs)) in solvers.iter().zip(&sources).enumerate() {
-        for (src, inj) in srcs.iter().zip(inj_re.iter_mut()) {
-            if let Some(ip) = s.circuit().mna_index(src.p) {
-                inj[ip * bt + b] -= 1.0;
-            }
-            if let Some(in_) = s.circuit().mna_index(src.n) {
-                inj[in_ * bt + b] += 1.0;
-            }
-        }
-    }
-    let inj_im = vec![0.0; dim * bt];
-
-    let mut out_psd: Vec<Vec<f64>> = vec![Vec::with_capacity(freqs.len()); bt];
-    let mut gain: Vec<Vec<f64>> = vec![Vec::with_capacity(freqs.len()); bt];
-    let mut errs: Vec<Option<SimError>> = vec![None; bt];
-    let mut psd = vec![0.0; bt];
-    for &fq in freqs {
-        let w = 2.0 * std::f64::consts::PI * fq;
-        let AcBatchWorkspace {
-            lu,
-            patterns,
-            rhs_re,
-            rhs_im,
-            x_re,
-            x_im,
-            acc_re,
-            acc_im,
-            ..
-        } = ws;
-        lu.refactor_with(dim, bt, 1e-300, |re, im| {
-            for (b, pat) in patterns.iter().enumerate() {
-                if errs[b].is_some() {
-                    // Dead corner: identity keeps the lockstep
-                    // elimination trivially nonsingular.
-                    for i in 0..dim {
-                        re[(i * dim + i) * bt + b] = 1.0;
-                    }
-                    continue;
-                }
-                for &(r, c, gg, cc) in pat {
-                    re[(r * dim + c) * bt + b] = gg;
-                    im[(r * dim + c) * bt + b] = w * cc;
-                }
-            }
-        });
-        for (b, e) in errs.iter_mut().enumerate() {
-            if e.is_none() {
-                if let Some(column) = lu.singular(b) {
-                    *e = Some(SimError::SingularMatrix { column });
-                }
-            }
-        }
-        // Signal gains, all corners at once.
-        lu.solve_batch_into(rhs_re, rhs_im, x_re, x_im, acc_re, acc_im);
-        for (b, gb) in gain.iter_mut().enumerate() {
-            if errs[b].is_none() {
-                gb.push(match oi[b] {
-                    None => 0.0,
-                    Some(i) => Complex::new(x_re[i * bt + b], x_im[i * bt + b]).norm(),
-                });
-            }
-        }
-        // Per noise source: one lockstep solve of the unit injections.
-        // Dead corners' lanes solve against the precomputed stamps too,
-        // but lanes are independent and dead lanes are never read.
-        psd.fill(0.0);
-        for s in 0..n_src {
-            let AcBatchWorkspace {
-                lu,
-                x_re,
-                x_im,
-                acc_re,
-                acc_im,
-                ..
-            } = ws;
-            lu.solve_batch_into(&inj_re[s], &inj_im, x_re, x_im, acc_re, acc_im);
-            for (b, p) in psd.iter_mut().enumerate() {
-                if errs[b].is_none() {
-                    let h2 = match oi[b] {
-                        None => 0.0,
-                        Some(i) => Complex::new(x_re[i * bt + b], x_im[i * bt + b]).norm_sqr(),
-                    };
-                    *p += h2 * sources[b][s].psd_at(fq);
-                }
-            }
-        }
-        for (b, ob) in out_psd.iter_mut().enumerate() {
-            if errs[b].is_none() {
-                ob.push(psd[b]);
-            }
-        }
-    }
-    errs.iter_mut()
-        .zip(out_psd.into_iter().zip(gain))
-        .map(|(e, (ob, gb))| match e.take() {
-            Some(e) => Err(e),
-            None => finalize(freqs, ob, gb),
-        })
-        .collect()
-}
-
-/// Threaded cold corner analysis: the (corner × frequency) grid is
-/// flattened into tiles (`tile = corner * nf + freq`), each running the
-/// full scalar point into its own slot through a per-lane pooled
-/// workspace; a lane crossing a corner boundary re-prepares its workspace
-/// for the new corner. Per-corner source collection stays serial up
-/// front — a corner whose collection fails is skipped by every lane and
-/// reports its collection error, exactly like the scalar route. The
-/// in-order per-corner assembly recovers the serial
-/// first-failing-frequency abort.
-fn threaded_grid_noise(
-    solvers: &[AcSolver<'_>],
-    ops: &[&OpPoint],
-    outs: &[Node],
-    freqs: &[f64],
-    temps: &[f64],
-    par: Parallelism,
-) -> Vec<Result<NoiseResult, SimError>> {
-    let bt = solvers.len();
-    let nf = freqs.len();
-    let sources: Vec<Result<Vec<NoiseSource>, SimError>> = solvers
-        .iter()
-        .zip(ops)
-        .zip(temps)
-        .map(|((s, op), &t)| collect_sources(s.circuit(), op, t))
-        .collect();
-    let mut slots: Vec<Result<(f64, f64), SimError>> =
-        (0..bt * nf).map(|_| Ok((0.0, 0.0))).collect();
-    run_chunks(
-        par,
-        &mut slots,
-        ac_ws_pool(),
-        AcWorkspace::new,
-        |off, chunk, ws| {
-            let mut cur = usize::MAX;
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let t = off + k;
-                let (b, i) = (t / nf, t % nf);
-                let Ok(srcs) = &sources[b] else { continue };
-                if b != cur {
-                    solvers[b].prepare_lane(freqs[0], ws);
-                    cur = b;
-                }
-                *slot = noise_point_ws(&solvers[b], srcs, outs[b], freqs[i], ws);
-            }
-        },
-    );
-    sources
-        .into_iter()
-        .enumerate()
-        .map(|(b, srcs)| {
-            srcs?;
-            let mut out_psd = Vec::with_capacity(nf);
-            let mut gain = Vec::with_capacity(nf);
-            for slot in &slots[b * nf..(b + 1) * nf] {
-                match slot {
-                    Ok((g, p)) => {
-                        gain.push(*g);
-                        out_psd.push(*p);
-                    }
-                    Err(e) => return Err(e.clone()),
-                }
-            }
-            finalize(freqs, out_psd, gain)
-        })
-        .collect()
 }
 
 /// Factors corner `b`'s full system at one frequency into the spare
@@ -748,8 +482,8 @@ fn direct_noise_point(
     Ok((g, psd))
 }
 
-/// Corner-**corrected** noise analysis: the fast path of the warm batched
-/// corner engine. PVT corner systems differ only in their device stamps —
+/// Corner-**corrected** noise analysis: the fast path of the warm corner
+/// engine. PVT corner systems differ only in their device stamps —
 /// the parasitic mesh, passives, sources, and regularization are shared —
 /// so per frequency this factors the base corner once, computes the
 /// Woodbury correction basis `W = A0^{-1} P_R` over the difference
@@ -764,8 +498,8 @@ fn direct_noise_point(
 ///
 /// The correction is algebraically exact; in floating point it agrees
 /// with the direct per-corner analysis to roundoff — inside the warm
-/// evaluation path's solver-tolerance contract. The *cold* (bitwise)
-/// path is [`noise_analysis_batch`]. Falls back to the scalar per-corner
+/// evaluation path's solver-tolerance contract; cold evaluations run
+/// [`noise_analysis_cfg`] per corner instead. Falls back to the scalar per-corner
 /// path at stock dims (`n <= 16`), on structural mismatch (dims, source
 /// lists, injection nodes, source vectors), or when the difference
 /// support is too wide to pay; falls back to direct per-corner

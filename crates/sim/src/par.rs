@@ -2,7 +2,7 @@
 //! process-wide thread budget.
 //!
 //! Every parallel walk in the evaluation stack — AC frequency points,
-//! noise points, (corner × frequency) grids, BTF diagonal blocks — runs
+//! noise points, corner-sweep frequency rows, BTF diagonal blocks — runs
 //! through this one substrate: the work is split into contiguous chunks
 //! of *tiles*, each tile owns a preallocated result slot, and each lane
 //! (thread) factors and solves through its own workspace checked out of a

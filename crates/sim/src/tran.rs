@@ -497,8 +497,8 @@ pub type StepRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
 ///   (bitwise); corrected siblings are exact to roundoff.
 ///
 /// Both regimes live under the warm path's solver-tolerance contract —
-/// the cold settling path is [`step_response_corners_shared`], which is
-/// bitwise. Falls back per corner to the scalar kernel on structural
+/// cold evaluations integrate each corner through the scalar
+/// [`AcSolver::step_response`] instead. Falls back per corner to the scalar kernel on structural
 /// mismatch, a singular lane/base, or (sparse regime) unprofitable
 /// support (`3|R| >= n`); stock dims (`n <= 16`) always take the scalar
 /// path.
@@ -794,37 +794,6 @@ fn corners_woodbury(
         }
     }
     out
-}
-
-/// Cold corner-batched step response: every corner runs the exact scalar
-/// [`AcSolver::step_response`] arithmetic (bitwise-equal results), but
-/// sparse-routed dims share one [`SparseSolver`] across the corner set —
-/// corners share their companion stamp *pattern*, so the symbolic
-/// analysis + AMD ordering (and BTF decomposition) are computed once and
-/// every sibling pays only a values refactor. Same-pattern refactors are
-/// bitwise-equal to fresh factorizations, so this sharing is invisible
-/// in the results — which is what keeps this path on the cold bitwise
-/// contract while still removing the per-corner analysis cost.
-///
-/// # Panics
-///
-/// Panics if `solvers` and `outs` have different lengths.
-pub fn step_response_corners_shared(
-    solvers: &[&AcSolver<'_>],
-    outs: &[Node],
-    t_stop: f64,
-    steps: usize,
-) -> Vec<StepRecord> {
-    assert_eq!(solvers.len(), outs.len(), "one output node per corner");
-    if solvers.is_empty() {
-        return Vec::new();
-    }
-    let mut shared = SparseSolver::empty(solvers[0].config().btf);
-    solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| s.step_response_via(o, t_stop, steps, &mut shared))
-        .collect()
 }
 
 #[cfg(test)]

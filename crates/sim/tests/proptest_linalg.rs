@@ -2,7 +2,7 @@
 //! invert `mul_vec` for any well-conditioned system, real or complex.
 
 use autockt_sim::complex::Complex;
-use autockt_sim::linalg::{solve, ComplexLuBatch, ComplexLuSoa, LuFactors, Matrix, RealLuBatch};
+use autockt_sim::linalg::{solve, ComplexLuSoa, LuFactors, Matrix};
 use proptest::prelude::*;
 
 /// Builds a diagonally dominant matrix from arbitrary entries — guaranteed
@@ -102,153 +102,6 @@ proptest! {
             }
             (Err(ea), Err(es)) => prop_assert_eq!(ea, es),
             (a, s) => prop_assert!(false, "kernels disagree on solvability: {a:?} vs {s:?}"),
-        }
-    }
-
-    /// Each system of a real lockstep batch performs the same operations
-    /// in the same order as the scalar `LuFactors<f64>` kernel, so its
-    /// factors and solutions are *bitwise* equal — including batches that
-    /// mix solvable and singular systems (a singular sibling must be
-    /// masked off without perturbing anyone else's lanes).
-    #[test]
-    fn real_lu_batch_matches_scalar_kernel_bitwise(
-        n in 1usize..7,
-        batch in 1usize..6,
-        entries in prop::collection::vec(-50.0..50.0f64, 6 * 49),
-        rhs in prop::collection::vec(-10.0..10.0f64, 6 * 7),
-        degenerate in prop::collection::vec(0usize..5, 6),
-    ) {
-        // Per-system dense matrices; some systems are deliberately made
-        // rank-deficient by duplicating a row.
-        let mats: Vec<Matrix<f64>> = (0..batch)
-            .map(|b| {
-                let mut m = Matrix::zeros(n, n);
-                for r in 0..n {
-                    for c in 0..n {
-                        m[(r, c)] = entries[(b * n + r) * n + c];
-                    }
-                }
-                if degenerate[b] == 0 && n > 1 {
-                    for c in 0..n {
-                        let v = m[(0, c)];
-                        m[(1, c)] = v;
-                    }
-                }
-                m
-            })
-            .collect();
-        let mut lu = RealLuBatch::empty();
-        lu.refactor_with(n, batch, 1e-300, |data| {
-            for (b, m) in mats.iter().enumerate() {
-                for r in 0..n {
-                    for c in 0..n {
-                        data[(r * n + c) * batch + b] = m[(r, c)];
-                    }
-                }
-            }
-        });
-        let mut brhs = vec![0.0; n * batch];
-        for i in 0..n {
-            for b in 0..batch {
-                brhs[i * batch + b] = rhs[b * n + i];
-            }
-        }
-        let (mut x, mut acc) = (Vec::new(), Vec::new());
-        lu.solve_batch_into(&brhs, &mut x, &mut acc);
-        for (b, m) in mats.iter().enumerate() {
-            let scalar = LuFactors::factor(m.clone(), 1e-300);
-            match (scalar, lu.singular(b)) {
-                (Ok(f), None) => {
-                    let xs = f.solve(&rhs[b * n..(b + 1) * n]);
-                    let xb: Vec<f64> = (0..n).map(|i| x[i * batch + b]).collect();
-                    prop_assert_eq!(xs, xb, "system {} diverged", b);
-                }
-                (Err(autockt_sim::SimError::SingularMatrix { column }), Some(col)) => {
-                    prop_assert_eq!(column, col, "system {} failing column", b);
-                }
-                (s, bs) => prop_assert!(
-                    false,
-                    "system {} disagrees on solvability: {:?} vs {:?}",
-                    b, s, bs
-                ),
-            }
-        }
-    }
-
-    /// The complex lockstep batch against the SoA kernel (itself bitwise
-    /// against the generic kernel): per-system bitwise equality, mixed
-    /// solvable/singular batches included.
-    #[test]
-    fn complex_lu_batch_matches_soa_kernel_bitwise(
-        n in 1usize..6,
-        batch in 1usize..6,
-        re in prop::collection::vec(-50.0..50.0f64, 6 * 36),
-        im in prop::collection::vec(-50.0..50.0f64, 6 * 36),
-        bre in prop::collection::vec(-10.0..10.0f64, 6 * 6),
-        bim in prop::collection::vec(-10.0..10.0f64, 6 * 6),
-        degenerate in prop::collection::vec(0usize..5, 6),
-    ) {
-        let mats: Vec<Matrix<Complex>> = (0..batch)
-            .map(|b| {
-                let mut m = Matrix::zeros(n, n);
-                for r in 0..n {
-                    for c in 0..n {
-                        let i = (b * n + r) * n + c;
-                        m[(r, c)] = Complex::new(re[i], im[i]);
-                    }
-                }
-                if degenerate[b] == 0 && n > 1 {
-                    for c in 0..n {
-                        let v = m[(0, c)];
-                        m[(1, c)] = v;
-                    }
-                }
-                m
-            })
-            .collect();
-        let mut lu = ComplexLuBatch::empty();
-        lu.refactor_with(n, batch, 1e-300, |dre, dim| {
-            for (b, m) in mats.iter().enumerate() {
-                for r in 0..n {
-                    for c in 0..n {
-                        dre[(r * n + c) * batch + b] = m[(r, c)].re;
-                        dim[(r * n + c) * batch + b] = m[(r, c)].im;
-                    }
-                }
-            }
-        });
-        let mut rhs_re = vec![0.0; n * batch];
-        let mut rhs_im = vec![0.0; n * batch];
-        for i in 0..n {
-            for b in 0..batch {
-                rhs_re[i * batch + b] = bre[b * n + i];
-                rhs_im[i * batch + b] = bim[b * n + i];
-            }
-        }
-        let (mut xr, mut xi) = (Vec::new(), Vec::new());
-        let (mut ar, mut ai) = (Vec::new(), Vec::new());
-        lu.solve_batch_into(&rhs_re, &rhs_im, &mut xr, &mut xi, &mut ar, &mut ai);
-        for (b, m) in mats.iter().enumerate() {
-            let rhs: Vec<Complex> = (0..n)
-                .map(|i| Complex::new(bre[b * n + i], bim[b * n + i]))
-                .collect();
-            match (ComplexLuSoa::factor(m, 1e-300), lu.singular(b)) {
-                (Ok(f), None) => {
-                    let xs = f.solve(&rhs);
-                    let xb: Vec<Complex> = (0..n)
-                        .map(|i| Complex::new(xr[i * batch + b], xi[i * batch + b]))
-                        .collect();
-                    prop_assert_eq!(xs, xb, "system {} diverged", b);
-                }
-                (Err(autockt_sim::SimError::SingularMatrix { column }), Some(col)) => {
-                    prop_assert_eq!(column, col, "system {} failing column", b);
-                }
-                (s, bs) => prop_assert!(
-                    false,
-                    "system {} disagrees on solvability: {:?} vs {:?}",
-                    b, s, bs
-                ),
-            }
         }
     }
 

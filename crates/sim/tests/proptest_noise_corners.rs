@@ -1,20 +1,17 @@
-//! Property: the corner-batched noise analyses are equivalent to the
+//! Property: the corner-batched noise analysis is equivalent to the
 //! scalar per-corner reference.
 //!
-//! [`noise_analysis_batch`] performs the scalar kernels' arithmetic in
-//! the scalar kernels' order per corner, so it must agree **bitwise**
-//! with [`noise_analysis_ws`] corner for corner — no tolerance to hide
-//! behind. [`noise_analysis_corners`] recovers each sibling through the
+//! [`noise_analysis_corners`] recovers each sibling through the
 //! base-plus-Woodbury correction, which is algebraically exact, so it
-//! must agree to roundoff (far inside the warm path's solver-tolerance
-//! contract); at stock dims (`n <= 16`) it falls back to the scalar
-//! path and the comparison tightens back to bitwise.
+//! must agree with [`noise_analysis_ws`] to roundoff (far inside the warm
+//! path's solver-tolerance contract); at stock dims (`n <= 16`) it falls
+//! back to the scalar path and the comparison tightens to bitwise.
 
 use autockt_sim::ac::{log_freqs, AcBatchWorkspace, AcSolver, AcWorkspace};
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::netlist::{Circuit, Mosfet, Node, GND};
-use autockt_sim::noise::{noise_analysis_batch, noise_analysis_corners, noise_analysis_ws};
+use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws};
 use autockt_sim::SimError;
 use proptest::prelude::*;
 
@@ -54,7 +51,7 @@ fn amp_with_mesh(w: f64, depth: usize) -> (Circuit, Node) {
 }
 
 /// Builds the corner set, solves every operating point cold, and returns
-/// everything the batched entry points need.
+/// everything the corner entry point needs.
 #[allow(clippy::type_complexity)]
 fn corner_set(widths: &[f64], depth: usize) -> (Vec<(Circuit, Node)>, Vec<OpPoint>, Vec<f64>) {
     let variants: Vec<(Circuit, Node)> = widths.iter().map(|&w| amp_with_mesh(w, depth)).collect();
@@ -73,7 +70,7 @@ fn rel_close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
 }
 
-/// Runs the scalar reference per corner, then checks both batched paths.
+/// Runs the scalar reference per corner, then checks the corner analysis.
 fn check_equivalence(widths: &[f64], depth: usize, bitwise_corners: bool) -> Result<(), String> {
     let (variants, ops, temps) = corner_set(widths, depth);
     let solvers: Vec<AcSolver<'_>> = variants
@@ -93,23 +90,6 @@ fn check_equivalence(widths: &[f64], depth: usize, bitwise_corners: bool) -> Res
         .collect();
 
     let mut ws = AcBatchWorkspace::new();
-    let batch = noise_analysis_batch(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
-    for (b, (bb, ss)) in batch.iter().zip(&scalar).enumerate() {
-        match (bb, ss) {
-            (Ok(bb), Ok(ss)) => {
-                if bb != ss {
-                    return Err(format!("batch diverged bitwise at corner {b}"));
-                }
-            }
-            (Err(_), Err(_)) => {}
-            _ => {
-                return Err(format!(
-                    "batch outcome diverged at corner {b}: {bb:?} vs {ss:?}"
-                ))
-            }
-        }
-    }
-
     let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
     for (b, (cc, ss)) in corr.iter().zip(&scalar).enumerate() {
         match (cc, ss) {
@@ -156,9 +136,9 @@ fn check_equivalence(widths: &[f64], depth: usize, bitwise_corners: bool) -> Res
 }
 
 proptest! {
-    /// Dense mesh (dim > 16): lockstep bitwise, corrected to roundoff.
+    /// Dense mesh (dim > 16): corrected to roundoff.
     #[test]
-    fn noise_batch_bitwise_and_corrected_close_dense(
+    fn noise_corrected_close_dense(
         base_w in 0.8e-6..4.0e-6f64,
         deltas in prop::collection::vec(-0.3..0.3f64, 5),
         depth in 18usize..30,
@@ -170,8 +150,8 @@ proptest! {
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 
-    /// Stock dims (dim <= 16): both batched paths reduce to the scalar
-    /// arithmetic, so even the corrected path is bitwise.
+    /// Stock dims (dim <= 16): the corner analysis reduces to the scalar
+    /// arithmetic, so it is bitwise.
     #[test]
     fn noise_batch_bitwise_at_stock_dims(
         base_w in 0.8e-6..4.0e-6f64,
@@ -198,7 +178,7 @@ fn single_corner_and_empty_batches() {
     let outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
     let freqs = log_freqs(1e4, 1e10, 4);
     let mut ws = AcBatchWorkspace::new();
-    // Single corner: both entry points run the scalar path, bitwise.
+    // Single corner: the corner entry point runs the scalar path, bitwise.
     let scalar = noise_analysis_ws(
         &variants[0].0,
         &ops[0],
@@ -208,13 +188,10 @@ fn single_corner_and_empty_batches() {
         &mut AcWorkspace::new(),
     )
     .unwrap();
-    let batch = noise_analysis_batch(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
-    assert_eq!(batch.len(), 1);
-    assert_eq!(batch[0].as_ref().unwrap(), &scalar);
     let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
+    assert_eq!(corr.len(), 1);
     assert_eq!(corr[0].as_ref().unwrap(), &scalar);
     // Empty batch: empty result, no panic.
-    assert!(noise_analysis_batch(&[], &[], &[], &freqs, &[], &mut ws).is_empty());
     assert!(noise_analysis_corners(&[], &[], &[], &freqs, &[], &mut ws).is_empty());
 }
 
@@ -230,12 +207,8 @@ fn degenerate_grid_reports_invalid_options_per_corner() {
     let outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
     let mut ws = AcBatchWorkspace::new();
     for bad in [vec![], vec![1e6, 1e3], vec![-1.0, 1e3]] {
-        let batch = noise_analysis_batch(&solvers, &op_refs, &outs, &bad, &temps, &mut ws);
-        assert_eq!(batch.len(), 2);
-        for r in &batch {
-            assert!(matches!(r, Err(SimError::InvalidOptions { .. })), "{r:?}");
-        }
         let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &bad, &temps, &mut ws);
+        assert_eq!(corr.len(), 2);
         for r in &corr {
             assert!(matches!(r, Err(SimError::InvalidOptions { .. })), "{r:?}");
         }
@@ -263,11 +236,5 @@ fn workspace_reuse_is_stable() {
     assert_eq!(
         a.iter().map(|r| r.as_ref().unwrap()).collect::<Vec<_>>(),
         b.iter().map(|r| r.as_ref().unwrap()).collect::<Vec<_>>()
-    );
-    let c = noise_analysis_batch(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
-    let d = noise_analysis_batch(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
-    assert_eq!(
-        c.iter().map(|r| r.as_ref().unwrap()).collect::<Vec<_>>(),
-        d.iter().map(|r| r.as_ref().unwrap()).collect::<Vec<_>>()
     );
 }

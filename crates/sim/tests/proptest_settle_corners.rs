@@ -14,16 +14,13 @@
 //! scalar arithmetic in the scalar order and must agree **bitwise**. At
 //! stock dims (`n <= 16`), on corner sets whose dims differ, and on
 //! singular/unprofitable bases the kernel falls back to the scalar path
-//! per corner, so every lane tightens back to bitwise. [`step_response_corners_shared`] shares one symbolic
-//! analysis + AMD ordering across the corner set and refactors per
-//! sibling — same-pattern refactor is bitwise-stable, so every corner
-//! must match the scalar path bitwise.
+//! per corner, so every lane tightens back to bitwise.
 
 use autockt_sim::ac::AcSolver;
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::netlist::{Circuit, Mosfet, Node, GND};
-use autockt_sim::tran::{step_response_corners, step_response_corners_shared};
+use autockt_sim::tran::step_response_corners;
 use autockt_sim::SolverConfig;
 use proptest::prelude::*;
 
@@ -214,39 +211,6 @@ proptest! {
         let r = check_corrected(&widths, depth, cfg, Bitwise::BaseLanes);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
-
-    /// Symbolic-shared sparse path: one analysis + AMD ordering,
-    /// `refactor` per corner — every corner bitwise against a fresh
-    /// per-corner factorization (the scalar path), BTF on and off.
-    #[test]
-    fn settle_shared_refactor_is_bitwise(
-        base_w in 0.8e-6..4.0e-6f64,
-        deltas in prop::collection::vec(-0.3..0.3f64, 4),
-        depth in 18usize..26,
-        btf in 0usize..2,
-    ) {
-        let widths: Vec<f64> = std::iter::once(base_w)
-            .chain(deltas.iter().map(|d| base_w * (1.0 + d)))
-            .collect();
-        let cfg = SolverConfig::sparse().with_btf(btf == 1);
-        let (variants, ops) = corner_set(&widths, depth);
-        let solvers: Vec<AcSolver<'_>> = variants
-            .iter()
-            .zip(&ops)
-            .map(|((ckt, _), op)| AcSolver::new(ckt, op).with_config(cfg))
-            .collect();
-        let refs: Vec<&AcSolver<'_>> = solvers.iter().collect();
-        let outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
-        let scalar: Vec<_> = refs
-            .iter()
-            .zip(&outs)
-            .map(|(s, &o)| s.step_response(o, T_STOP, STEPS))
-            .collect();
-        let shared = step_response_corners_shared(&refs, &outs, T_STOP, STEPS);
-        for (b, (sh, sc)) in shared.iter().zip(&scalar).enumerate() {
-            prop_assert_eq!(sh, sc, "shared-symbolic corner {} diverged", b);
-        }
-    }
 }
 
 /// Corners whose MNA dims differ (structural mismatch) must fall back
@@ -289,8 +253,5 @@ fn single_corner_and_empty_batches() {
     let corr = step_response_corners(&refs, &outs, T_STOP, STEPS);
     assert_eq!(corr.len(), 1);
     assert_eq!(&corr[0], &scalar);
-    let shared = step_response_corners_shared(&refs, &outs, T_STOP, STEPS);
-    assert_eq!(&shared[0], &scalar);
     assert!(step_response_corners(&[], &[], T_STOP, STEPS).is_empty());
-    assert!(step_response_corners_shared(&[], &[], T_STOP, STEPS).is_empty());
 }
