@@ -11,7 +11,7 @@
 use crate::ga::{GaConfig, GaOutcome};
 use autockt_circuits::{EvalSession, SimMode, SizingProblem};
 use autockt_core::{is_success, reward};
-use autockt_rl::mlp::{Activation, Mlp};
+use autockt_rl::mlp::{Activation, Mlp, Tape, TILE};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -67,6 +67,8 @@ pub fn ga_ml_solve(
         Activation::Linear,
         &mut rng,
     );
+    let mut tape = Tape::new(&model);
+    let mut dout = Vec::with_capacity(TILE);
 
     // Evaluate through the shared session pipeline: duplicate genomes are
     // served from the memo cache and count neither as sims nor as fresh
@@ -139,9 +141,13 @@ pub fn ga_ml_solve(
         if dataset.len() >= cfg.warmup {
             for _ in 0..cfg.train_epochs {
                 model.zero_grad();
-                for (x, y) in &dataset {
-                    let (out, cache_fw) = model.forward_cache(x);
-                    model.backward(&cache_fw, &[out[0] - y]);
+                // Full batch, walked in order a tile at a time.
+                for tile in dataset.chunks(TILE) {
+                    tape.load(tile.iter().map(|(x, _)| x.as_slice()));
+                    let out = model.forward_tile(&mut tape);
+                    dout.clear();
+                    dout.extend(out.iter().zip(tile).map(|(o, (_, y))| o - y));
+                    model.backward_tile(&mut tape, &dout);
                 }
                 model.scale_grad(1.0 / dataset.len() as f64);
                 model.adam_step(cfg.lr);

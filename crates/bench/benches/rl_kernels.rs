@@ -2,7 +2,7 @@
 //! passes of the paper's 3x50 network and a full PPO update on a synthetic
 //! batch.
 
-use autockt_rl::mlp::{Activation, Mlp};
+use autockt_rl::mlp::{Activation, Mlp, Tape, TILE};
 use autockt_rl::policy::PolicyNet;
 use autockt_rl::ppo::{Ppo, PpoConfig};
 use autockt_rl::rollout::{compute_gae, Batch, Transition};
@@ -23,11 +23,22 @@ fn bench_mlp(c: &mut Criterion) {
     c.bench_function("mlp_forward_3x50", |b| {
         b.iter(|| net.forward(black_box(&x)))
     });
+    // One 256-sample minibatch, a tile at a time; the loss gradient is
+    // the output itself.
     let mut net2 = net.clone();
-    c.bench_function("mlp_forward_backward_3x50", |b| {
+    let mut tape = Tape::new(&net2);
+    let mut dout = Vec::with_capacity(21 * TILE);
+    let rows: Vec<Vec<f64>> = (0..256)
+        .map(|s| (0..13).map(|i| ((s * 13 + i) as f64 * 0.1).sin()).collect())
+        .collect();
+    c.bench_function("mlp_forward_backward_3x50_batch256", |b| {
         b.iter(|| {
-            let (y, cache) = net2.forward_cache(black_box(&x));
-            net2.backward(&cache, &y);
+            for tile in black_box(&rows).chunks(TILE) {
+                tape.load(tile.iter().map(Vec::as_slice));
+                dout.clear();
+                dout.extend_from_slice(net2.forward_tile(&mut tape));
+                net2.backward_tile(&mut tape, &dout);
+            }
         })
     });
 }

@@ -1,9 +1,29 @@
 //! Multi-layer perceptron with manual backpropagation and Adam.
 //!
 //! The paper's agent is a 3-layer, 50-neuron network trained with PPO; at
-//! that scale a straightforward `Vec<f64>`-based implementation with
-//! per-sample backward passes is faster than pulling in a tensor library,
-//! and keeps the whole learning stack dependency-free and deterministic.
+//! that scale plain `Vec<f64>` loops beat pulling in a tensor library, and
+//! keep the whole learning stack dependency-free and deterministic.
+//!
+//! ## Batched passes
+//!
+//! Training runs forward and backward over a tile of up to [`TILE`]
+//! samples at a time ([`Mlp::forward_tile`], [`Mlp::backward_tile`], with
+//! buffers in a reused [`Tape`]); inference ([`Mlp::forward`]) is the same
+//! forward kernel at batch 1. Each layer is three GEMM-shaped loops,
+//! register-blocked 4 x 4, each block a sweep of rank-1 updates:
+//!
+//! - forward: `out[s][o] = b[o] + sum_i x[s][i] * W[o][i]`;
+//! - weight gradient: `gW[o][i] += sum_s dy[s][o] * x[s][i]`;
+//! - input gradient: `dx[s][i] = sum_o dy[s][o] * W[o][i]`.
+//!
+//! Each output element is one running sum, started from the same value
+//! and taken in ascending index order with a separate multiply and add
+//! (the build targets baseline x86-64, which has no FMA). That is the
+//! order of accumulating the samples one at a time, so a tile's
+//! gradients are bitwise those of the per-sample loop, whatever the tile
+//! size or blocking. Activations are stored feature-major and gradients
+//! sample-major, which puts a contiguous operand along the vectorized
+//! dimension of every loop.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -59,6 +79,147 @@ struct Linear {
     vb: Vec<f64>,
 }
 
+/// A GEMM-shaped loop split into register blocks: `block::<R, C>(r0, c0)`
+/// computes the `R x C` block of outputs at row `r0`, column `c0`.
+trait Blocks {
+    fn block<const R: usize, const C: usize>(&mut self, r0: usize, c0: usize);
+}
+
+/// Walks a `rows x cols` output in 4 x 4 register blocks, one row or
+/// column wide at the edges. Narrow edges keep four independent sums in
+/// flight, which is what batch-1 inference runs on.
+fn for_blocks(k: &mut impl Blocks, rows: usize, cols: usize) {
+    fn row_of<const R: usize>(k: &mut impl Blocks, r0: usize, cols: usize) {
+        let mut c0 = 0;
+        while c0 + 4 <= cols {
+            k.block::<R, 4>(r0, c0);
+            c0 += 4;
+        }
+        for c in c0..cols {
+            k.block::<R, 1>(r0, c);
+        }
+    }
+    let mut r0 = 0;
+    while r0 + 4 <= rows {
+        row_of::<4>(k, r0, cols);
+        r0 += 4;
+    }
+    for r in r0..rows {
+        row_of::<1>(k, r, cols);
+    }
+}
+
+/// The register block every kernel runs: `acc[r][c] += u[r][t] * v[t *
+/// stride + c]` for `t` in ascending order over the length of the `u`
+/// rows.
+#[inline(always)]
+fn rank1_sweep<const R: usize, const C: usize>(
+    acc: &mut [[f64; C]; R],
+    u: [&[f64]; R],
+    v: &[f64],
+    stride: usize,
+) {
+    let n = u[0].len();
+    let u = u.map(|row| &row[..n]);
+    for t in 0..n {
+        let vt = &v[t * stride..t * stride + C];
+        for (a, ur) in acc.iter_mut().zip(&u) {
+            let ur = ur[t];
+            // The full-width block written out, so that unoptimized test
+            // builds do not pay a loop step per multiply-add.
+            if C == 4 {
+                a[0] += ur * vt[0];
+                a[1] += ur * vt[1];
+                a[2] += ur * vt[2];
+                a[3] += ur * vt[3];
+            } else {
+                for c in 0..C {
+                    a[c] += ur * vt[c];
+                }
+            }
+        }
+    }
+}
+
+/// Forward blocks: rows are outputs `o`, columns samples `s`.
+struct Forward<'a> {
+    layer: &'a Linear,
+    x: &'a [f64],
+    len: usize,
+    act: Activation,
+    out: &'a mut [f64],
+}
+
+impl Blocks for Forward<'_> {
+    fn block<const R: usize, const C: usize>(&mut self, o0: usize, s0: usize) {
+        let (n_in, len) = (self.layer.n_in, self.len);
+        let mut acc = [[0.0; C]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            *row = [self.layer.b[o0 + r]; C];
+        }
+        let w = std::array::from_fn(|r| &self.layer.w[(o0 + r) * n_in..(o0 + r + 1) * n_in]);
+        rank1_sweep(&mut acc, w, &self.x[s0..], len);
+        for (r, row) in acc.iter().enumerate() {
+            for (c, &a) in row.iter().enumerate() {
+                self.out[(o0 + r) * len + s0 + c] = self.act.apply(a);
+            }
+        }
+    }
+}
+
+/// Weight-gradient blocks: rows are inputs `i`, columns outputs `o`.
+struct WeightGrad<'a> {
+    layer: &'a mut Linear,
+    x: &'a [f64],
+    dy: &'a [f64],
+    len: usize,
+}
+
+impl Blocks for WeightGrad<'_> {
+    fn block<const R: usize, const C: usize>(&mut self, i0: usize, o0: usize) {
+        let (n_in, n_out, len) = (self.layer.n_in, self.layer.n_out, self.len);
+        let gw = &mut self.layer.gw;
+        let mut acc = [[0.0; C]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (c, a) in row.iter_mut().enumerate() {
+                *a = gw[(o0 + c) * n_in + i0 + r];
+            }
+        }
+        let x = std::array::from_fn(|r| &self.x[(i0 + r) * len..(i0 + r + 1) * len]);
+        rank1_sweep(&mut acc, x, &self.dy[o0..], n_out);
+        for (r, row) in acc.iter().enumerate() {
+            for (c, &a) in row.iter().enumerate() {
+                gw[(o0 + c) * n_in + i0 + r] = a;
+            }
+        }
+    }
+}
+
+/// Input-gradient blocks: rows are samples `s`, columns inputs `i`.
+struct InputGrad<'a> {
+    layer: &'a Linear,
+    dy: &'a [f64],
+    y: &'a [f64],
+    len: usize,
+    act: Activation,
+    dx: &'a mut [f64],
+}
+
+impl Blocks for InputGrad<'_> {
+    fn block<const R: usize, const C: usize>(&mut self, s0: usize, i0: usize) {
+        let (n_in, n_out, len) = (self.layer.n_in, self.layer.n_out, self.len);
+        let mut acc = [[0.0; C]; R];
+        let dy = std::array::from_fn(|r| &self.dy[(s0 + r) * n_out..(s0 + r + 1) * n_out]);
+        rank1_sweep(&mut acc, dy, &self.layer.w[i0..], n_in);
+        for (r, row) in acc.iter().enumerate() {
+            for (c, &a) in row.iter().enumerate() {
+                let (s, i) = (s0 + r, i0 + c);
+                self.dx[s * n_in + i] = a * self.act.deriv_from_output(self.y[i * len + s]);
+            }
+        }
+    }
+}
+
 impl Linear {
     fn new(n_in: usize, n_out: usize, rng: &mut StdRng) -> Self {
         // Xavier/Glorot uniform initialization.
@@ -80,34 +241,56 @@ impl Linear {
         }
     }
 
-    fn forward(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        for o in 0..self.n_out {
-            let row = &self.w[o * self.n_in..(o + 1) * self.n_in];
-            let mut acc = self.b[o];
-            for (wi, xi) in row.iter().zip(x) {
-                acc += wi * xi;
-            }
-            out.push(acc);
-        }
+    /// `out[o][s] = act(b[o] + sum_i W[o][i] * x[i][s])` for `len`
+    /// samples; `x` is `[n_in x len]` and `out` `[n_out x len]`, both
+    /// feature-major.
+    fn forward(&self, x: &[f64], len: usize, act: Activation, out: &mut [f64]) {
+        let mut k = Forward {
+            layer: self,
+            x,
+            len,
+            act,
+            out,
+        };
+        for_blocks(&mut k, self.n_out, len);
     }
 
-    /// Accumulates gradients given upstream gradient `dy` (w.r.t. this
-    /// layer's pre-activation output) and this layer's input `x`; writes the
-    /// gradient w.r.t. `x` into `dx`.
-    fn backward(&mut self, x: &[f64], dy: &[f64], dx: &mut Vec<f64>) {
-        assert_eq!(dy.len(), self.n_out, "upstream gradient width mismatch");
-        dx.clear();
-        dx.resize(self.n_in, 0.0);
-        for (o, &g) in dy.iter().enumerate() {
-            self.gb[o] += g;
-            let row = &self.w[o * self.n_in..(o + 1) * self.n_in];
-            let grow = &mut self.gw[o * self.n_in..(o + 1) * self.n_in];
-            for i in 0..self.n_in {
-                grow[i] += g * x[i];
-                dx[i] += g * row[i];
+    /// Accumulates the parameter gradients of `len` samples in sample
+    /// order: `gW[o][i] += sum_s dy[s][o] * x[i][s]`, `gb[o] += sum_s
+    /// dy[s][o]`. `x` is this layer's input, feature-major `[n_in x len]`;
+    /// `dy` the gradient w.r.t. its pre-activation output, sample-major
+    /// `[len x n_out]`.
+    fn accumulate_grad(&mut self, x: &[f64], dy: &[f64], len: usize) {
+        let (n_in, n_out) = (self.n_in, self.n_out);
+        for (o, gb) in self.gb.iter_mut().enumerate() {
+            for s in 0..len {
+                *gb += dy[s * n_out + o];
             }
         }
+        let mut k = WeightGrad {
+            layer: self,
+            x,
+            dy,
+            len,
+        };
+        for_blocks(&mut k, n_in, n_out);
+    }
+
+    /// Back-propagates `dy` (sample-major `[len x n_out]`) through this
+    /// layer and the activation `act` of its input `y` (the previous
+    /// layer's output, feature-major `[n_in x len]`): writes
+    /// `dx[s][i] = (sum_o dy[s][o] * W[o][i]) * act'(y[i][s])`,
+    /// sample-major `[len x n_in]`.
+    fn input_grad(&self, dy: &[f64], y: &[f64], len: usize, act: Activation, dx: &mut [f64]) {
+        let mut k = InputGrad {
+            layer: self,
+            dy,
+            y,
+            len,
+            act,
+            dx,
+        };
+        for_blocks(&mut k, len, self.n_in);
     }
 
     fn zero_grad(&mut self) {
@@ -144,11 +327,79 @@ impl Linear {
     }
 }
 
-/// Forward-pass cache needed by [`Mlp::backward`].
+/// Samples per tile of the batched passes. A tile of the paper's 3 x 50
+/// policy keeps every layer's activations and gradients in about 150 KB,
+/// inside L2.
+pub const TILE: usize = 64;
+
+/// Buffers of the batched passes over one tile of up to [`TILE`]
+/// samples, for one network's layer widths: each layer's activations,
+/// kept by [`Mlp::forward_tile`] for [`Mlp::backward_tile`], and the
+/// gradient rows the backward pass walks down the layers.
+///
+/// Activations are feature-major, `[width x len]`: unit `i` of sample
+/// `s` sits at `i * len + s`. Gradients are sample-major `[len x width]`.
 #[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// Post-activation values per layer, `acts[0]` is the input.
+pub struct Tape {
+    len: usize,
+    /// `acts[0]` is the input, `acts[l + 1]` the output of layer `l`.
     acts: Vec<Vec<f64>>,
+    dy: Vec<f64>,
+    dx: Vec<f64>,
+}
+
+impl Tape {
+    /// Allocates a tape for `net`'s layer widths.
+    pub fn new(net: &Mlp) -> Self {
+        let widths: Vec<usize> = std::iter::once(net.n_in())
+            .chain(net.layers.iter().map(|l| l.n_out))
+            .collect();
+        let widest = widths.iter().copied().max().unwrap_or(0);
+        Tape {
+            len: 0,
+            acts: widths.iter().map(|w| vec![0.0; w * TILE]).collect(),
+            dy: vec![0.0; widest * TILE],
+            dx: vec![0.0; widest * TILE],
+        }
+    }
+
+    /// Loads a tile's inputs, one row per sample, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than [`TILE`] rows, or a row whose width is not the
+    /// network's input width.
+    pub fn load<'a>(&mut self, rows: impl ExactSizeIterator<Item = &'a [f64]>) {
+        let len = rows.len();
+        assert!(len <= TILE, "a tile holds at most {TILE} samples");
+        let input = &mut self.acts[0];
+        let n_in = input.len() / TILE;
+        for (s, row) in rows.enumerate() {
+            assert_eq!(row.len(), n_in, "input width mismatch");
+            for (i, &v) in row.iter().enumerate() {
+                input[i * len + s] = v;
+            }
+        }
+        self.len = len;
+    }
+}
+
+/// Read-only view of one dense layer's parameters and accumulated
+/// gradients.
+#[derive(Debug, Clone, Copy)]
+pub struct LayerView<'a> {
+    /// Input width.
+    pub n_in: usize,
+    /// Output width.
+    pub n_out: usize,
+    /// Weights, row-major `[n_out x n_in]`.
+    pub w: &'a [f64],
+    /// Biases.
+    pub b: &'a [f64],
+    /// Accumulated weight gradient, laid out like `w`.
+    pub gw: &'a [f64],
+    /// Accumulated bias gradient.
+    pub gb: &'a [f64],
 }
 
 /// A fully-connected feed-forward network.
@@ -210,78 +461,87 @@ impl Mlp {
         self.layers.last().map_or(0, |l| l.n_out)
     }
 
-    /// Plain forward pass.
+    /// Forward pass of one sample: the batched forward at batch 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.n_in()`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.n_in(), "input width mismatch");
         let mut cur = x.to_vec();
-        let mut buf = Vec::new();
+        let mut next = Vec::new();
         let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
-            layer.forward(&cur, &mut buf);
-            let act = if li == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            cur.clear();
-            cur.extend(buf.iter().map(|&v| act.apply(v)));
+            next.clear();
+            next.resize(layer.n_out, 0.0);
+            layer.forward(&cur, 1, self.act(li == last), &mut next);
+            std::mem::swap(&mut cur, &mut next);
         }
         cur
     }
 
-    /// Forward pass that records activations for a later
-    /// [`Mlp::backward`].
-    pub fn forward_cache(&self, x: &[f64]) -> (Vec<f64>, ForwardCache) {
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(x.to_vec());
-        let mut buf = Vec::new();
-        let last = self.layers.len() - 1;
-        for (li, layer) in self.layers.iter().enumerate() {
-            // lint:allow(panic) — `acts` is seeded with the input vector
-            // before the loop and pushed to every iteration.
-            layer.forward(acts.last().expect("nonempty"), &mut buf);
-            let act = if li == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            acts.push(buf.iter().map(|&v| act.apply(v)).collect());
+    fn act(&self, output_layer: bool) -> Activation {
+        if output_layer {
+            self.out_act
+        } else {
+            self.hidden_act
         }
-        (
-            // lint:allow(panic) — `acts` holds the seed input plus one
-            // activation per layer; never empty here.
-            acts.last().expect("nonempty").clone(),
-            ForwardCache { acts },
-        )
     }
 
-    /// Accumulates parameter gradients for one sample given the gradient of
-    /// the loss w.r.t. the network *output* (post-activation).
+    /// Batched forward pass over the tile loaded in `tape`, keeping every
+    /// layer's activations there for [`Mlp::backward_tile`]. Returns the
+    /// network output, feature-major `[n_out x len]`.
+    pub fn forward_tile<'t>(&self, tape: &'t mut Tape) -> &'t [f64] {
+        let len = tape.len;
+        let last = self.layers.len() - 1;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = tape.acts.split_at_mut(li + 1);
+            layer.forward(&done[li], len, self.act(li == last), &mut rest[0]);
+        }
+        &tape.acts[last + 1][..self.n_out() * len]
+    }
+
+    /// Batched backward pass: accumulates the parameter gradients of the
+    /// tile that [`Mlp::forward_tile`] last ran on `tape`, given the loss
+    /// gradient w.r.t. the network output, feature-major `[n_out x len]`.
+    /// Every gradient element is summed in sample order, so the result is
+    /// bitwise that of accumulating the samples one at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `dout.len() != self.n_out()` or the cache shape mismatches.
-    pub fn backward(&mut self, cache: &ForwardCache, dout: &[f64]) {
-        assert_eq!(dout.len(), self.n_out(), "bad output gradient size");
+    /// Panics if `dout` does not hold `n_out` values for each sample of
+    /// the tile.
+    pub fn backward_tile(&mut self, tape: &mut Tape, dout: &[f64]) {
+        let (len, n_out) = (tape.len, self.n_out());
+        assert_eq!(dout.len(), n_out * len, "bad output gradient size");
         let last = self.layers.len() - 1;
-        // Gradient w.r.t. pre-activation of the current layer.
-        let mut dy: Vec<f64> = dout
-            .iter()
-            .zip(&cache.acts[last + 1])
-            .map(|(g, y)| g * self.out_act.deriv_from_output(*y))
-            .collect();
-        let mut dx = Vec::new();
-        for li in (0..self.layers.len()).rev() {
-            let x = &cache.acts[li];
-            self.layers[li].backward(x, &dy, &mut dx);
-            if li > 0 {
-                let act = self.hidden_act;
-                dy = dx
-                    .iter()
-                    .zip(&cache.acts[li])
-                    .map(|(g, y)| g * act.deriv_from_output(*y))
-                    .collect();
+        let y = &tape.acts[last + 1];
+        for s in 0..len {
+            for o in 0..n_out {
+                tape.dy[s * n_out + o] =
+                    dout[o * len + s] * self.out_act.deriv_from_output(y[o * len + s]);
             }
         }
+        let hidden = self.hidden_act;
+        for (li, layer) in self.layers.iter_mut().enumerate().rev() {
+            layer.accumulate_grad(&tape.acts[li], &tape.dy, len);
+            if li > 0 {
+                layer.input_grad(&tape.dy, &tape.acts[li], len, hidden, &mut tape.dx);
+                std::mem::swap(&mut tape.dy, &mut tape.dx);
+            }
+        }
+    }
+
+    /// The layers, input first.
+    pub fn layers(&self) -> impl Iterator<Item = LayerView<'_>> {
+        self.layers.iter().map(|l| LayerView {
+            n_in: l.n_in,
+            n_out: l.n_out,
+            w: &l.w,
+            b: &l.b,
+            gw: &l.gw,
+            gb: &l.gb,
+        })
     }
 
     /// Clears accumulated gradients.
@@ -326,10 +586,18 @@ impl Mlp {
 
 /// Numerically stable softmax over a slice.
 pub fn softmax(z: &[f64]) -> Vec<f64> {
+    let mut p = Vec::with_capacity(z.len());
+    softmax_into(z, &mut p);
+    p
+}
+
+/// [`softmax`] into a reused buffer.
+pub(crate) fn softmax_into(z: &[f64], p: &mut Vec<f64>) {
     let m = z.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = z.iter().map(|v| (v - m).exp()).collect();
-    let s: f64 = exps.iter().sum();
-    exps.iter().map(|e| e / s).collect()
+    p.clear();
+    p.extend(z.iter().map(|v| (v - m).exp()));
+    let s: f64 = p.iter().sum();
+    p.iter_mut().for_each(|e| *e /= s);
 }
 
 /// Log-sum-exp of a slice, numerically stable.
@@ -345,6 +613,16 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    /// Runs one sample through the batched passes; `dout` maps the output
+    /// to the loss gradient. Returns the output.
+    fn backprop_one(net: &mut Mlp, x: &[f64], dout: impl FnOnce(&[f64]) -> Vec<f64>) -> Vec<f64> {
+        let mut tape = Tape::new(net);
+        tape.load(std::iter::once(x));
+        let y = net.forward_tile(&mut tape).to_vec();
+        net.backward_tile(&mut tape, &dout(&y));
+        y
     }
 
     #[test]
@@ -367,10 +645,8 @@ mod tests {
         // a weight checked through the full backprop chain.
         let mut net = Mlp::new(&[2, 5, 3], Activation::Tanh, Activation::Linear, &mut rng());
         let x = [0.3, -0.7];
-        let (y, cache) = net.forward_cache(&x);
-        let dout: Vec<f64> = y.clone();
         net.zero_grad();
-        net.backward(&cache, &dout);
+        backprop_one(&mut net, &x, <[f64]>::to_vec);
         // Check a handful of weights in each layer.
         let h = 1e-6;
         for li in 0..net.layers.len() {
@@ -415,13 +691,15 @@ mod tests {
             })
             .collect();
         let before = loss_of(&net, &data);
+        let mut tape = Tape::new(&net);
         for _ in 0..300 {
             net.zero_grad();
-            for (x, t) in &data {
-                let (y, cache) = net.forward_cache(x);
-                let dout = vec![y[0] - t[0], y[1] - t[1]];
-                net.backward(&cache, &dout);
-            }
+            tape.load(data.iter().map(|(x, _)| x.as_slice()));
+            let y = net.forward_tile(&mut tape);
+            // Feature-major: output o of sample s sits at o * len + s.
+            let n = data.len();
+            let dout: Vec<f64> = (0..2 * n).map(|k| y[k] - data[k % n].1[k / n]).collect();
+            net.backward_tile(&mut tape, &dout);
             net.scale_grad(1.0 / data.len() as f64);
             net.adam_step(3e-3);
         }
@@ -451,9 +729,8 @@ mod tests {
     #[test]
     fn relu_activation_forward_backward() {
         let mut net = Mlp::new(&[1, 4, 1], Activation::Relu, Activation::Linear, &mut rng());
-        let (y, cache) = net.forward_cache(&[0.5]);
         net.zero_grad();
-        net.backward(&cache, &[1.0]);
+        let y = backprop_one(&mut net, &[0.5], |_| vec![1.0]);
         assert!(y[0].is_finite());
         assert!(net.grad_norm().is_finite());
     }
@@ -464,8 +741,7 @@ mod tests {
         let b = a.clone();
         let x = [0.2, 0.4];
         let before = b.forward(&x)[0];
-        let (y, cache) = a.forward_cache(&x);
-        a.backward(&cache, &[y[0] + 1.0]);
+        backprop_one(&mut a, &x, |y| vec![y[0] + 1.0]);
         a.adam_step(0.1);
         assert!(
             (b.forward(&x)[0] - before).abs() < 1e-15,

@@ -4,10 +4,34 @@
 //! output layer emits one logit group per action factor (one factor per
 //! circuit parameter, each a 3-way decrement/keep/increment categorical).
 //! The value function is a separate network of the same shape.
+//!
+//! Both networks' training losses, the PPO-clip objective with its
+//! entropy bonus ([`PolicyNet::ppo_grad`]) and the value regression
+//! ([`ValueNet::mse_grad`]), run over a minibatch one [`TILE`] of samples
+//! at a time through the batched passes of [`crate::mlp`].
 
-use crate::mlp::{log_sum_exp, softmax, Activation, Mlp};
+use crate::mlp::{log_sum_exp, softmax, softmax_into, Activation, Mlp, Tape, TILE};
+use crate::rollout::Transition;
 use rand::rngs::StdRng;
 use rand::Rng;
+
+/// Buffers the batched gradients reuse from tile to tile: the network's
+/// [`Tape`] and the loss gradient w.r.t. its output.
+#[derive(Debug, Clone)]
+pub struct GradBuffers {
+    tape: Tape,
+    dout: Vec<f64>,
+}
+
+impl GradBuffers {
+    /// Allocates buffers for `net`'s layer widths.
+    pub fn new(net: &Mlp) -> Self {
+        GradBuffers {
+            tape: Tape::new(net),
+            dout: Vec::with_capacity(net.n_out() * TILE),
+        }
+    }
+}
 
 /// A stochastic policy over a factorized discrete action space.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,49 +143,81 @@ impl PolicyNet {
         (logp, ent)
     }
 
-    /// One PPO-clip gradient accumulation step for a single sample.
-    ///
-    /// Accumulates `d(-L_clip - ent_coef * H)/d(theta)` into the network's
-    /// gradient buffers. Returns `(logp_new, entropy)` for diagnostics.
-    pub fn accumulate_ppo_grad(
+    /// Accumulates the PPO-clip gradient `d(-L_clip - ent_coef * H)/d(theta)`
+    /// of the transitions `transitions[i]`, `i` in `idx`, into the
+    /// network's gradient buffers, a tile at a time in `idx` order. Calls
+    /// `seen(t, logp_new, entropy)` for each sample, in the same order.
+    pub fn ppo_grad(
         &mut self,
-        obs: &[f64],
-        actions: &[usize],
-        logp_old: f64,
-        advantage: f64,
+        bufs: &mut GradBuffers,
+        transitions: &[Transition],
+        idx: &[usize],
         clip: f64,
         ent_coef: f64,
+        mut seen: impl FnMut(&Transition, f64, f64),
+    ) {
+        let n_logits = self.net.n_out();
+        let (mut z, mut dz, mut p) = (Vec::new(), vec![0.0; n_logits], Vec::new());
+        for tile in idx.chunks(TILE) {
+            let len = tile.len();
+            bufs.tape
+                .load(tile.iter().map(|&i| transitions[i].obs.as_slice()));
+            let logits = self.net.forward_tile(&mut bufs.tape);
+            bufs.dout.resize(n_logits * len, 0.0);
+            for (s, &i) in tile.iter().enumerate() {
+                let t = &transitions[i];
+                z.clear();
+                z.extend((0..n_logits).map(|k| logits[k * len + s]));
+                dz.fill(0.0);
+                let (logp_new, entropy) = self.ppo_head(&z, t, clip, ent_coef, &mut p, &mut dz);
+                for (k, &g) in dz.iter().enumerate() {
+                    bufs.dout[k * len + s] = g;
+                }
+                seen(t, logp_new, entropy);
+            }
+            self.net.backward_tile(&mut bufs.tape, &bufs.dout);
+        }
+    }
+
+    /// The PPO-clip head of one sample with logits `z`: adds
+    /// `d(-L_clip - ent_coef * H)/dz` to `dz` and returns
+    /// `(logp_new, entropy)`. `p` is a reused work buffer.
+    fn ppo_head(
+        &self,
+        z: &[f64],
+        t: &Transition,
+        clip: f64,
+        ent_coef: f64,
+        p: &mut Vec<f64>,
+        dz: &mut [f64],
     ) -> (f64, f64) {
-        let (out, cache) = self.net.forward_cache(obs);
-        let mut dlogits = vec![0.0; out.len()];
         let mut logp_new = 0.0;
         let mut entropy = 0.0;
 
         // First pass: compute logp_new to decide clipping.
         let mut off = 0;
-        for (&d, &a) in self.action_dims.iter().zip(actions) {
-            let z = &out[off..off + d];
-            logp_new += z[a] - log_sum_exp(z);
+        for (&d, &a) in self.action_dims.iter().zip(&t.actions) {
+            let zf = &z[off..off + d];
+            logp_new += zf[a] - log_sum_exp(zf);
             off += d;
         }
-        let ratio = (logp_new - logp_old).exp();
+        let ratio = (logp_new - t.logp).exp();
         // Clipped-surrogate gradient gate: gradient flows through the ratio
         // only when the unclipped term is the active minimum.
-        let unclipped_active = if advantage >= 0.0 {
+        let unclipped_active = if t.advantage >= 0.0 {
             ratio < 1.0 + clip
         } else {
             ratio > 1.0 - clip
         };
         let dlogp = if unclipped_active {
-            -advantage * ratio // d(-ratio*A)/dlogp_new
+            -t.advantage * ratio // d(-ratio*A)/dlogp_new
         } else {
             0.0
         };
 
         let mut off = 0;
-        for (&d, &a) in self.action_dims.iter().zip(actions) {
-            let z = &out[off..off + d];
-            let p = softmax(z);
+        for (&d, &a) in self.action_dims.iter().zip(&t.actions) {
+            softmax_into(&z[off..off + d], p);
             let h: f64 = -p
                 .iter()
                 .map(|&pi| if pi > 0.0 { pi * pi.ln() } else { 0.0 })
@@ -172,11 +228,10 @@ impl PolicyNet {
                 let dlp = (if j == a { 1.0 } else { 0.0 }) - p[j];
                 // dH/dz_j = -p_j (ln p_j + H)
                 let dh = -p[j] * (p[j].max(1e-12).ln() + h);
-                dlogits[off + j] += dlogp * dlp - ent_coef * dh;
+                dz[off + j] += dlogp * dlp - ent_coef * dh;
             }
             off += d;
         }
-        self.net.backward(&cache, &dlogits);
         (logp_new, entropy)
     }
 
@@ -214,13 +269,33 @@ impl ValueNet {
         self.net.forward(obs)[0]
     }
 
-    /// Accumulates the gradient of `0.5 * (v(obs) - target)^2`.
-    /// Returns the current prediction.
-    pub fn accumulate_mse_grad(&mut self, obs: &[f64], target: f64, coef: f64) -> f64 {
-        let (out, cache) = self.net.forward_cache(obs);
-        let v = out[0];
-        self.net.backward(&cache, &[coef * (v - target)]);
-        v
+    /// Accumulates the gradient of `coef * 0.5 * (v(obs) - ret)^2` of the
+    /// transitions `transitions[i]`, `i` in `idx`, into the network's
+    /// gradient buffers, a tile at a time in `idx` order.
+    pub fn mse_grad(
+        &mut self,
+        bufs: &mut GradBuffers,
+        transitions: &[Transition],
+        idx: &[usize],
+        coef: f64,
+    ) {
+        for tile in idx.chunks(TILE) {
+            bufs.tape
+                .load(tile.iter().map(|&i| transitions[i].obs.as_slice()));
+            let v = self.net.forward_tile(&mut bufs.tape);
+            bufs.dout.clear();
+            bufs.dout.extend(
+                tile.iter()
+                    .zip(v)
+                    .map(|(&i, &v)| coef * (v - transitions[i].ret)),
+            );
+            self.net.backward_tile(&mut bufs.tape, &bufs.dout);
+        }
+    }
+
+    /// Read-only access to the underlying network.
+    pub fn net(&self) -> &Mlp {
+        &self.net
     }
 
     /// Access to the underlying network for optimizer bookkeeping.
@@ -236,6 +311,18 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(1)
+    }
+
+    fn sample(obs: &[f64], actions: &[usize], logp: f64, advantage: f64, ret: f64) -> Transition {
+        Transition {
+            obs: obs.to_vec(),
+            actions: actions.to_vec(),
+            logp,
+            reward: 0.0,
+            value: 0.0,
+            advantage,
+            ret,
+        }
     }
 
     #[test]
@@ -299,10 +386,12 @@ mod tests {
         let mut p = PolicyNet::new(2, &[3], &[8], &mut r);
         let obs = [0.2, 0.8];
         let (logp_before, _) = p.logp_entropy(&obs, &[2]);
+        let mut bufs = GradBuffers::new(p.net());
         for _ in 0..50 {
             let (logp_old, _) = p.logp_entropy(&obs, &[2]);
             p.net_mut().zero_grad();
-            p.accumulate_ppo_grad(&obs, &[2], logp_old, 1.0, 0.2, 0.0);
+            let t = sample(&obs, &[2], logp_old, 1.0, 0.0);
+            p.ppo_grad(&mut bufs, &[t], &[0], 0.2, 0.0, |_, _, _| {});
             p.net_mut().adam_step(1e-2);
         }
         let (logp_after, _) = p.logp_entropy(&obs, &[2]);
@@ -323,7 +412,15 @@ mod tests {
         // Pretend old policy had much lower prob: ratio >> 1 + clip.
         let logp_old = logp_now - 2.0;
         p.net_mut().zero_grad();
-        p.accumulate_ppo_grad(&obs, &[1], logp_old, 1.0, 0.2, 0.0);
+        let t = sample(&obs, &[1], logp_old, 1.0, 0.0);
+        p.ppo_grad(
+            &mut GradBuffers::new(p.net()),
+            &[t],
+            &[0],
+            0.2,
+            0.0,
+            |_, _, _| {},
+        );
         assert!(p.net().grad_norm() < 1e-12, "clipped sample must not move");
     }
 
@@ -332,9 +429,11 @@ mod tests {
         let mut r = rng();
         let mut v = ValueNet::new(3, &[16], &mut r);
         let obs = [0.4, -0.2, 0.9];
+        let t = [sample(&obs, &[], 0.0, 0.0, 3.5)];
+        let mut bufs = GradBuffers::new(v.net());
         for _ in 0..500 {
             v.net_mut().zero_grad();
-            v.accumulate_mse_grad(&obs, 3.5, 1.0);
+            v.mse_grad(&mut bufs, &t, &[0], 1.0);
             v.net_mut().adam_step(3e-3);
         }
         assert!((v.value(&obs) - 3.5).abs() < 0.05);

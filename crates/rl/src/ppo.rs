@@ -4,10 +4,17 @@
 //! is implemented directly on top of [`crate::mlp`]: advantage
 //! normalization, minibatched epochs over the collected batch, entropy
 //! bonus, value-function regression and global gradient-norm clipping.
+//!
+//! The policy and value networks share nothing but each epoch's shuffle:
+//! separate losses, gradient clipping and Adam state. So each epoch steps
+//! the policy on the calling thread and the value network on a second
+//! lane when the thread budget grants one; the result is bitwise the same
+//! either way.
 
 use crate::env::Env;
-use crate::policy::{PolicyNet, ValueNet};
-use crate::rollout::{collect_parallel, Batch};
+use crate::mlp::Mlp;
+use crate::policy::{GradBuffers, PolicyNet, ValueNet};
+use crate::rollout::{collect_parallel, run_beside, Batch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -88,11 +95,20 @@ pub struct Ppo {
     rng: StdRng,
     total_env_steps: usize,
     iter: usize,
+    /// The update's reusable buffers (policy, value). The first update
+    /// allocates them, on the calling thread, so the value lane never
+    /// allocates.
+    bufs: Option<(GradBuffers, GradBuffers)>,
 }
 
 impl Ppo {
     /// Creates an agent for the given observation/action space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.minibatch` is 0.
     pub fn new(obs_dim: usize, action_dims: &[usize], cfg: PpoConfig, seed: u64) -> Self {
+        assert!(cfg.minibatch > 0, "need a minibatch of at least one sample");
         let mut rng = StdRng::seed_from_u64(seed);
         let policy = PolicyNet::new(obs_dim, action_dims, &cfg.hidden, &mut rng);
         let value = ValueNet::new(obs_dim, &cfg.hidden, &mut rng);
@@ -103,6 +119,7 @@ impl Ppo {
             rng,
             total_env_steps: 0,
             iter: 0,
+            bufs: None,
         }
     }
 
@@ -171,46 +188,51 @@ impl Ppo {
             t.advantage = (t.advantage - mean) / std;
         }
 
+        let (policy, value, cfg) = (&mut self.policy, &mut self.value, &self.cfg);
+        let (pbufs, vbufs) = self.bufs.get_or_insert_with(|| {
+            (
+                GradBuffers::new(policy.net()),
+                GradBuffers::new(value.net()),
+            )
+        });
+        let transitions = &batch.transitions;
         let mut indices: Vec<usize> = (0..n).collect();
         let mut ent_sum = 0.0;
         let mut ent_count = 0usize;
         let mut kl_sum = 0.0;
-        for epoch in 0..self.cfg.epochs {
+        for epoch in 0..cfg.epochs {
             indices.shuffle(&mut self.rng);
-            for chunk in indices.chunks(self.cfg.minibatch) {
-                self.policy.net_mut().zero_grad();
-                self.value.net_mut().zero_grad();
-                for &i in chunk {
-                    let t = &batch.transitions[i];
-                    let (logp_new, ent) = self.policy.accumulate_ppo_grad(
-                        &t.obs,
-                        &t.actions,
-                        t.logp,
-                        t.advantage,
-                        self.cfg.clip,
-                        self.cfg.ent_coef,
-                    );
-                    self.value
-                        .accumulate_mse_grad(&t.obs, t.ret, self.cfg.vf_coef);
-                    if epoch == self.cfg.epochs - 1 {
-                        ent_sum += ent;
-                        kl_sum += t.logp - logp_new;
-                        ent_count += 1;
+            let last = epoch == cfg.epochs - 1;
+            let minibatches = || indices.chunks(cfg.minibatch);
+            run_beside(
+                || {
+                    for chunk in minibatches() {
+                        policy.net_mut().zero_grad();
+                        policy.ppo_grad(
+                            pbufs,
+                            transitions,
+                            chunk,
+                            cfg.clip,
+                            cfg.ent_coef,
+                            |t, logp_new, ent| {
+                                if last {
+                                    ent_sum += ent;
+                                    kl_sum += t.logp - logp_new;
+                                    ent_count += 1;
+                                }
+                            },
+                        );
+                        descend(policy.net_mut(), chunk.len(), cfg);
                     }
-                }
-                let scale = 1.0 / chunk.len() as f64;
-                self.policy.net_mut().scale_grad(scale);
-                self.value.net_mut().scale_grad(scale);
-                // Global gradient clipping per network.
-                for net in [self.policy.net_mut(), self.value.net_mut()] {
-                    let gn = net.grad_norm();
-                    if gn > self.cfg.max_grad_norm {
-                        net.scale_grad(self.cfg.max_grad_norm / gn);
+                },
+                || {
+                    for chunk in minibatches() {
+                        value.net_mut().zero_grad();
+                        value.mse_grad(vbufs, transitions, chunk, cfg.vf_coef);
+                        descend(value.net_mut(), chunk.len(), cfg);
                     }
-                }
-                self.policy.net_mut().adam_step(self.cfg.lr);
-                self.value.net_mut().adam_step(self.cfg.lr);
-            }
+                },
+            );
         }
         if ent_count == 0 {
             (0.0, 0.0)
@@ -218,6 +240,17 @@ impl Ppo {
             (ent_sum / ent_count as f64, kl_sum / ent_count as f64)
         }
     }
+}
+
+/// One optimizer step on a minibatch of `len` samples' accumulated
+/// gradient: average, clip to the global norm bound, Adam.
+fn descend(net: &mut Mlp, len: usize, cfg: &PpoConfig) {
+    net.scale_grad(1.0 / len as f64);
+    let gn = net.grad_norm();
+    if gn > cfg.max_grad_norm {
+        net.scale_grad(cfg.max_grad_norm / gn);
+    }
+    net.adam_step(cfg.lr);
 }
 
 #[cfg(test)]
@@ -273,5 +306,15 @@ mod tests {
         let mut empty = Batch::default();
         let (e, k) = agent.update(&mut empty);
         assert_eq!((e, k), (0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "need a minibatch of at least one sample")]
+    fn zero_minibatch_is_rejected_at_construction() {
+        let cfg = PpoConfig {
+            minibatch: 0,
+            ..PpoConfig::default()
+        };
+        Ppo::new(3, &[3], cfg, 3);
     }
 }

@@ -55,6 +55,33 @@ pub fn register_thread_accountant(acc: ThreadAccountant) {
     let _ = ACCOUNTANT.set(acc);
 }
 
+/// Runs `main` on the calling thread and `side` beside it on one extra
+/// scoped lane when the thread budget grants one; otherwise runs `main`
+/// and then `side` on the calling thread. The lane is reserved through
+/// the registered [`ThreadAccountant`]; with none registered, it runs iff
+/// the host has at least two cores. A panic on the lane is re-raised
+/// here once both are done.
+pub(crate) fn run_beside(main: impl FnOnce(), side: impl FnOnce() + Send) {
+    let granted = match ACCOUNTANT.get() {
+        Some(a) => (a.reserve)(1),
+        None => usize::from(
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) >= 2,
+        ),
+    };
+    if granted == 0 {
+        main();
+        side();
+        return;
+    }
+    std::thread::scope(|scope| {
+        scope.spawn(side);
+        main();
+    });
+    if let Some(a) = ACCOUNTANT.get() {
+        (a.release)(granted);
+    }
+}
+
 /// One stored transition.
 #[derive(Debug, Clone)]
 pub struct Transition {
