@@ -25,20 +25,12 @@
 //! workload (a shard lock + probe per step instead of a plain `HashMap`
 //! probe).
 //!
-//! `ac_lu_generic_*` / `ac_lu_soa_*` time one AC frequency-point
-//! refactor + solve of the real MNA system through the two complex LU
-//! layouts — interleaved `Complex` storage vs the vectorized split re/im
-//! (SoA) kernel — both with fully reused buffers.
-//!
 //! `cargo run --release -p autockt_bench --bin bench_env_step` emits the
 //! steps/sec version of this comparison as `results/BENCH_env_step.json`.
 
-use autockt_bench::{ac_kernel_cases, AcKernelCase};
 use autockt_circuits::{NegGmOta, OpAmp2, SharedMemo, SimMode, SizingProblem, Tia};
 use autockt_core::{EnvConfig, SizingEnv, TargetMode};
 use autockt_rl::env::Env;
-use autockt_sim::complex::Complex;
-use autockt_sim::linalg::{ComplexLuSoa, LuFactors};
 use autockt_sim::pex::PexConfig;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -191,53 +183,6 @@ fn benches(c: &mut Criterion) {
     }
 }
 
-/// One AC frequency point, stamped + refactored + solved with reused
-/// buffers through both complex LU layouts over the identical MNA system
-/// — the same [`AcKernelCase`] workloads as `bench_env_step`'s soa-lu
-/// section, so the two harnesses cannot drift apart.
-fn bench_ac_kernels(c: &mut Criterion) {
-    for case in ac_kernel_cases().expect("center-design kernel workloads build") {
-        let AcKernelCase {
-            name,
-            n,
-            w,
-            pattern,
-            rhs,
-        } = case;
-        // Generic interleaved-Complex kernel (the pre-SoA per-point path).
-        let mut lu = LuFactors::<Complex>::empty();
-        let mut x = Vec::new();
-        c.bench_function(&format!("ac_lu_generic_{name}_dim{n}"), |b| {
-            b.iter(|| {
-                lu.refactor_with(n, 1e-300, |m| {
-                    for &(r, col, gg, cc) in &pattern {
-                        m[(r, col)] = Complex::new(gg, w * cc);
-                    }
-                })
-                .expect("nonsingular");
-                lu.solve_into(&rhs, &mut x);
-                black_box(x.last().copied())
-            });
-        });
-        // Split re/im SoA kernel (the live AC-sweep path).
-        let mut soa = ComplexLuSoa::empty();
-        let mut xs = Vec::new();
-        c.bench_function(&format!("ac_lu_soa_{name}_dim{n}"), |b| {
-            b.iter(|| {
-                soa.refactor_with(n, 1e-300, |re, im| {
-                    for &(r, col, gg, cc) in &pattern {
-                        re[r * n + col] = gg;
-                        im[r * n + col] = w * cc;
-                    }
-                })
-                .expect("nonsingular");
-                soa.solve_into(&rhs, &mut xs);
-                black_box(xs.last().copied())
-            });
-        });
-    }
-}
-
 /// One full TIA corner-set noise analysis (6 corners x the noise grid)
 /// through the two pipelines — serial per corner (the cold path) and
 /// base-plus-Woodbury corrected (the warm fast path, per-source base
@@ -325,7 +270,6 @@ fn bench_settle_corners(c: &mut Criterion) {
 criterion_group!(
     bench_group,
     benches,
-    bench_ac_kernels,
     bench_noise_corners,
     bench_settle_corners
 );

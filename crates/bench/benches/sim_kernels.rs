@@ -2,13 +2,13 @@
 //! per-environment-step cost that dominates training wall clock (the
 //! paper's 25 ms/schematic-sim and 91 s/PEX-sim discussion in Sec. III-D).
 
-use autockt_bench::tia_mesh_kernel_case;
+use autockt_bench::{ac_kernel_cases, tia_mesh_kernel_case, AcKernelCase};
 use autockt_circuits::{NegGmOta, OpAmp2, SimMode, SizingProblem, Tia};
 use autockt_sim::ac::{ac_sweep, log_freqs};
 use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions};
 use autockt_sim::linalg::sparse::{CscMatrix, SparseLu, TripletList};
-use autockt_sim::linalg::{solve, ComplexLuSoa, Matrix};
+use autockt_sim::linalg::{solve, LuFactors, Matrix};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -91,31 +91,42 @@ fn bench_full_spec_eval(c: &mut Criterion) {
     });
 }
 
-/// Dense SoA refactor+solve vs the CSC sparse-LU refactor path, one AC
-/// point per iteration on the TIA's extracted mesh systems — the same
-/// per-point kernels `ac_sweep` dispatches between on either side of the
-/// `SolverConfig` crossover (the `bench_env_step` sparse-solver section
-/// drives the identical cases).
+/// One AC point per iteration through the dense kernel: stamp the
+/// pattern into the reused factor buffer, refactor, solve — the per-point
+/// work of the AC sweep below the sparse crossover.
+fn bench_dense_point(c: &mut Criterion, label: &str, case: &AcKernelCase) {
+    let (n, w) = (case.n, case.w);
+    let mut lu = LuFactors::<Complex>::empty();
+    let mut x = Vec::new();
+    c.bench_function(&format!("ac_point_dense_{label}_dim{n}"), |bench| {
+        bench.iter(|| {
+            lu.refactor_with(n, 1e-300, |m| {
+                for &(r, cc, gg, cap) in &case.pattern {
+                    m[(r, cc)] = Complex::new(gg, w * cap);
+                }
+            })
+            .expect("nonsingular");
+            lu.solve_into(&case.rhs, &mut x);
+            black_box(x.last());
+        })
+    });
+}
+
+/// The dense per-point kernel on the center designs' real systems (TIA
+/// dim 4, op-amp dim 11 — the AC sweep's hot loop in every schematic
+/// benchmark workload), then dense vs the CSC sparse-LU refactor path on
+/// the TIA's extracted mesh systems — the same per-point kernels
+/// `ac_sweep` dispatches between on either side of the `SolverConfig`
+/// crossover (the `bench_env_step` sparse-solver section drives the
+/// identical cases).
 fn bench_sparse_lu(c: &mut Criterion) {
+    for case in ac_kernel_cases().expect("center-design kernel workloads build") {
+        bench_dense_point(c, &case.name, &case);
+    }
     for depth in [4usize, 16] {
         let case = tia_mesh_kernel_case(depth).expect("TIA mesh workload builds");
         let (n, w) = (case.n, case.w);
-
-        let mut soa = ComplexLuSoa::empty();
-        let mut xd = Vec::new();
-        c.bench_function(&format!("ac_point_dense_soa_mesh{depth}_dim{n}"), |bench| {
-            bench.iter(|| {
-                soa.refactor_with(n, 1e-300, |re, im| {
-                    for &(r, cc, gg, cap) in &case.pattern {
-                        re[r * n + cc] = gg;
-                        im[r * n + cc] = w * cap;
-                    }
-                })
-                .expect("nonsingular");
-                soa.solve_into(&case.rhs, &mut xd);
-                black_box(xd.last());
-            })
-        });
+        bench_dense_point(c, &format!("mesh{depth}"), &case);
 
         let mut trip: TripletList<Complex> = TripletList::new(n);
         for &(r, cc, gg, cap) in &case.pattern {

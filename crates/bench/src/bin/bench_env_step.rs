@@ -33,9 +33,6 @@
 //!   the memo's contended-lock count (probes/inserts that found their
 //!   shard held), the contention signal the ROADMAP flagged as
 //!   unmeasured past 8 workers.
-//! - **soa-lu** — one AC frequency point of the real MNA system,
-//!   refactored + solved with reused buffers through the interleaved
-//!   `Complex` LU versus the vectorized split re/im (SoA) kernel.
 //! - **noise-corner** — one full TIA noise analysis of the PVT corner
 //!   set (6 corners x the noise grid), run serial per corner
 //!   (`noise_analysis_ws`, the cold path) and corner-corrected
@@ -49,7 +46,7 @@
 //!   propagator per corner at dense dims, one base companion factor +
 //!   per-corner Woodbury corrections at sparse dims), at the stock/dense
 //!   mesh dims and at the sparse-backend mesh dims.
-//! - **sparse-solver** — the dense SoA refactor+solve path versus the
+//! - **sparse-solver** — the dense refactor+solve path versus the
 //!   CSC sparse-LU refactor path (symbolic analysis reused, values
 //!   rewritten per point) on the TIA's extracted mesh systems from the
 //!   lumped dim up past 190, locating the backend crossover dim that
@@ -72,14 +69,14 @@
 //!   the point of the section is the honest crossover, not a best case.
 //!
 //! Prints a comparison table and writes `results/BENCH_env_step.json`
-//! (schema `autockt/bench_env_step/v9`) so CI can archive the trajectory.
+//! (schema `autockt/bench_env_step/v10`) so CI can archive the trajectory.
 //!
 //! Run: `cargo run --release -p autockt_bench --bin bench_env_step`
 //! (`--steps N`, `--episode H`, `--seed S` to override).
 
 use autockt_bench::{
-    ac_kernel_cases, arg_value, dense_kernel_case, results_dir, tia_mesh_kernel_case,
-    tia_noise_corner_case, tia_settle_corner_case, AcKernelCase, NoiseCornerCase, SettleCornerCase,
+    arg_value, results_dir, tia_mesh_kernel_case, tia_noise_corner_case, tia_settle_corner_case,
+    AcKernelCase, NoiseCornerCase, SettleCornerCase,
 };
 use autockt_circuits::{NegGmOta, OpAmp2, SharedMemo, SimMode, SizingProblem, Tia};
 use autockt_core::{EnvConfig, SizingEnv, TargetMode};
@@ -89,7 +86,7 @@ use autockt_sim::complex::Complex;
 use autockt_sim::dc::OpPoint;
 use autockt_sim::linalg::sparse::{CscMatrix, SparseLu, TripletList};
 use autockt_sim::linalg::structure::BtfLu;
-use autockt_sim::linalg::{ComplexLuSoa, LuFactors};
+use autockt_sim::linalg::LuFactors;
 use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws};
 use autockt_sim::pex::PexConfig;
 use autockt_sim::tran::step_response_corners;
@@ -317,66 +314,6 @@ fn time_settle_corner_paths(case: &SettleCornerCase, iters: u32) -> SettleCorner
     }
 }
 
-struct KernelStats {
-    dim: usize,
-    generic_ns: f64,
-    soa_ns: f64,
-}
-
-/// Stamp + refactor + one solve per iteration through both complex LU
-/// layouts, buffers fully reused, over a shared [`AcKernelCase`] workload
-/// (the criterion `ac_lu_*` benches drive the identical cases).
-fn time_lu_kernels(case: &AcKernelCase, iters: u32) -> KernelStats {
-    let AcKernelCase {
-        n, w, pattern, rhs, ..
-    } = case;
-    let (n, w) = (*n, *w);
-    let mut lu = LuFactors::<Complex>::empty();
-    let mut x = Vec::new();
-    let stamp = |lu: &mut LuFactors<Complex>| {
-        lu.refactor_with(n, 1e-300, |m| {
-            for &(r, c, gg, cc) in pattern {
-                m[(r, c)] = Complex::new(gg, w * cc);
-            }
-        })
-        .expect("nonsingular")
-    };
-    stamp(&mut lu); // warm the buffers
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        stamp(black_box(&mut lu));
-        lu.solve_into(rhs, &mut x);
-        black_box(x.last());
-    }
-    let generic_ns = t0.elapsed().as_secs_f64() * 1e9 / iters as f64;
-
-    let mut soa = ComplexLuSoa::empty();
-    let mut xs = Vec::new();
-    let stamp_soa = |soa: &mut ComplexLuSoa| {
-        soa.refactor_with(n, 1e-300, |re, im| {
-            for &(r, c, gg, cc) in pattern {
-                re[r * n + c] = gg;
-                im[r * n + c] = w * cc;
-            }
-        })
-        .expect("nonsingular")
-    };
-    stamp_soa(&mut soa);
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        stamp_soa(black_box(&mut soa));
-        soa.solve_into(rhs, &mut xs);
-        black_box(xs.last());
-    }
-    let soa_ns = t0.elapsed().as_secs_f64() * 1e9 / iters as f64;
-
-    KernelStats {
-        dim: n,
-        generic_ns,
-        soa_ns,
-    }
-}
-
 struct SparseKernelStats {
     dim: usize,
     nnz: usize,
@@ -385,7 +322,7 @@ struct SparseKernelStats {
 }
 
 /// One AC frequency point per iteration through the production dense path
-/// (SoA refactor + solve, buffers reused) versus the production sparse
+/// (stamp + refactor + solve, buffers reused) versus the production sparse
 /// path (CSC value rewrite + `SparseLu::refactor` reusing the symbolic
 /// analysis + solve) — the same per-point work `ac_sweep` does on either
 /// side of the backend crossover. The CSC base values encode `(g, c)` as
@@ -397,22 +334,21 @@ fn time_sparse_kernels(case: &AcKernelCase, iters: u32) -> SparseKernelStats {
     } = case;
     let (n, w) = (*n, *w);
 
-    let mut soa = ComplexLuSoa::empty();
+    let mut lu = LuFactors::<Complex>::empty();
     let mut xd = Vec::new();
-    let stamp_soa = |soa: &mut ComplexLuSoa| {
-        soa.refactor_with(n, 1e-300, |re, im| {
+    let stamp = |lu: &mut LuFactors<Complex>| {
+        lu.refactor_with(n, 1e-300, |m| {
             for &(r, c, gg, cc) in pattern {
-                re[r * n + c] = gg;
-                im[r * n + c] = w * cc;
+                m[(r, c)] = Complex::new(gg, w * cc);
             }
         })
         .expect("nonsingular")
     };
-    stamp_soa(&mut soa);
+    stamp(&mut lu);
     let t0 = Instant::now();
     for _ in 0..iters {
-        stamp_soa(black_box(&mut soa));
-        soa.solve_into(rhs, &mut xd);
+        stamp(black_box(&mut lu));
+        lu.solve_into(rhs, &mut xd);
         black_box(xd.last());
     }
     let dense_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
@@ -843,43 +779,7 @@ fn main() {
         ));
     }
 
-    // SoA complex-LU kernel vs the generic interleaved layout, per AC
-    // frequency point on the real center-design MNA systems.
-    println!(
-        "\n{:<8} {:>4} {:>16} {:>14} {:>8}",
-        "problem", "dim", "generic ns/pt", "soa ns/pt", "soa x"
-    );
-    let mut kernel_rows = Vec::new();
-    let mut kernels: Vec<(String, KernelStats)> = ac_kernel_cases()
-        .expect("center-design kernel workloads build")
-        .iter()
-        .map(|case| (case.name.clone(), time_lu_kernels(case, 200_000)))
-        .collect();
-    // A denser system than today's MNA dims: where the vectorized rank-1
-    // update has rows long enough to amortize.
-    let dense = dense_kernel_case(32);
-    kernels.push((dense.name.clone(), time_lu_kernels(&dense, 20_000)));
-    for (name, k) in &kernels {
-        let speedup = k.generic_ns / k.soa_ns;
-        println!(
-            "{:<8} {:>4} {:>16.1} {:>14.1} {:>7.2}x",
-            name, k.dim, k.generic_ns, k.soa_ns, speedup
-        );
-        kernel_rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"problem\": \"{}\",\n",
-                "      \"dim\": {},\n",
-                "      \"generic_ns_per_point\": {:.1},\n",
-                "      \"soa_ns_per_point\": {:.1},\n",
-                "      \"soa_speedup\": {:.3}\n",
-                "    }}"
-            ),
-            name, k.dim, k.generic_ns, k.soa_ns, speedup
-        ));
-    }
-
-    // Sparse-solver kernels: the dense SoA path vs the CSC refactor path,
+    // Sparse-solver kernels: the dense path vs the CSC refactor path,
     // per AC point, on the TIA's extracted mesh systems from the lumped
     // dim (where dense wins outright) up past dim 190 (where the dense
     // O(n^3) refactorization stops being viable). The crossover dim these
@@ -1162,7 +1062,7 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"autockt/bench_env_step/v9\",\n",
+            "  \"schema\": \"autockt/bench_env_step/v10\",\n",
             "  \"command\": \"cargo run --release -p autockt_bench --bin bench_env_step ",
             "-- --steps {} --episode {} --seed {}\",\n",
             "  \"steps_per_config\": {},\n",
@@ -1174,7 +1074,6 @@ fn main() {
             "  \"shared_memo\": [\n{}\n  ],\n",
             "  \"noise_corner\": [\n{}\n  ],\n",
             "  \"settle_corner\": [\n{}\n  ],\n",
-            "  \"soa_lu\": [\n{}\n  ],\n",
             "  \"sparse_solver\": {{\n",
             "    \"crossover_dim\": {},\n",
             "    \"kernels\": [\n{}\n    ],\n",
@@ -1199,7 +1098,6 @@ fn main() {
         memo_rows.join(",\n"),
         noise_rows.join(",\n"),
         settle_rows.join(",\n"),
-        kernel_rows.join(",\n"),
         SolverConfig::default().crossover,
         sparse_kernel_rows.join(",\n"),
         sparse_env_rows.join(",\n"),

@@ -23,9 +23,9 @@ use std::path::{Path, PathBuf};
 
 /// One AC-kernel workload: the MNA dimension, angular frequency, sparse
 /// `(row, col, g, c)` stamp pattern, and source right-hand side of a
-/// linearized system — shared by the criterion `ac_lu_*` benches and the
-/// `bench_env_step` soa-lu section so both measure the *same* stamp +
-/// refactor + solve kernel and cannot drift apart.
+/// linearized system — shared by the criterion `ac_point_*` benches and
+/// the `bench_env_step` sparse-solver section so both measure the *same*
+/// stamp + refactor + solve kernel and cannot drift apart.
 pub struct AcKernelCase {
     /// Label for bench names and JSON rows.
     pub name: String,
@@ -119,36 +119,6 @@ pub fn tia_mesh_kernel_case(mesh_depth: usize) -> Result<AcKernelCase, SimError>
         },
     );
     ac_kernel_case(&format!("tia_mesh{mesh_depth}"), &ex, 0.5)
-}
-
-/// A synthetic dense diagonally-dominant complex system of dimension `n`,
-/// showing how the LU layouts scale past today's MNA dims (the SoA
-/// kernel's vectorized rank-1 update needs longer rows to amortize).
-pub fn dense_kernel_case(n: usize) -> AcKernelCase {
-    let w = 2.0 * std::f64::consts::PI * 1e9;
-    let mut pattern = Vec::new();
-    for r in 0..n {
-        let mut rowsum = 0.0;
-        for c in 0..n {
-            if r != c {
-                let gg = (((r * 31 + c * 17) % 13) as f64 - 6.0) / 7.0;
-                let cc = ((((r * 7 + c * 29) % 11) as f64) - 5.0) * 1e-12;
-                rowsum += Complex::new(gg, w * cc).norm();
-                pattern.push((r, c, gg, cc));
-            }
-        }
-        pattern.push((r, r, rowsum + 1.0, 1e-12));
-    }
-    let rhs: Vec<Complex> = (0..n)
-        .map(|i| Complex::new(1.0 + i as f64, 0.5 - i as f64 / n as f64))
-        .collect();
-    AcKernelCase {
-        name: format!("dense{n}"),
-        n,
-        w,
-        pattern,
-        rhs,
-    }
 }
 
 /// One corner-batched noise workload: the TIA center design extracted at

@@ -49,3 +49,44 @@ pub mod prelude {
     };
     pub use crate::tia::Tia;
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use autockt_sim::device::Technology;
+    use autockt_sim::pex::{extract, PexConfig};
+    use autockt_sim::SolverConfig;
+
+    fn center(p: &dyn SizingProblem) -> Vec<usize> {
+        p.cardinalities().iter().map(|k| k / 2).collect()
+    }
+
+    /// The MNA dims the benchmark workloads factor: the op-amp's schematic
+    /// system (training and GA), and the TIA's extracted system at the
+    /// stock extraction and at mesh depth 8 (the two deployment
+    /// workloads). All of them sit below the sparse crossover, so the
+    /// dense LU serves every one.
+    #[test]
+    fn benchmark_systems_are_dense_dims() {
+        let tech = Technology::ptm45();
+        let opamp = OpAmp2::default();
+        let (ckt, _, _) = opamp.build(&center(&opamp), &tech);
+        assert_eq!(ckt.mna_dim(), 11);
+        let tia = Tia::default();
+        let (ckt, _) = tia.build(&center(&tia), &tech);
+        for (mesh_depth, dim) in [(0, 4), (8, 60)] {
+            let pex = PexConfig {
+                mesh_depth,
+                ..tia.pex_config().clone()
+            };
+            assert_eq!(
+                extract(&ckt, &pex).mna_dim(),
+                dim,
+                "mesh depth {mesh_depth}"
+            );
+        }
+        let cfg = SolverConfig::default();
+        assert!(!cfg.use_sparse(60));
+        assert!(cfg.use_sparse(cfg.crossover));
+    }
+}

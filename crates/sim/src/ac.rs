@@ -15,12 +15,12 @@ use crate::linalg::correction::{
 };
 use crate::linalg::sparse::{CscMatrix, SolverConfig, TripletList};
 use crate::linalg::structure::SparseSolver;
-use crate::linalg::{ComplexLuSoa, LinearSolver, LuFactors, Matrix};
+use crate::linalg::{LinearSolver, LuFactors, Matrix};
 use crate::netlist::{Circuit, Element, Node};
 use crate::par::{run_chunks, would_parallelize, Parallelism, WorkspacePool};
 
 /// The per-frequency complex factorization of an [`AcWorkspace`]: the
-/// dense structure-of-arrays kernel below the sparse crossover, the CSC
+/// dense structure-aware [`LuFactors`] below the sparse crossover, the CSC
 /// sparse LU above it (or when forced by [`SolverConfig`]). Carrying the
 /// backend inside the workspace keeps every downstream back-substitution
 /// site — the sweep loops here and the per-source solves in
@@ -32,8 +32,8 @@ use crate::par::{run_chunks, would_parallelize, Parallelism, WorkspacePool};
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub(crate) enum ComplexLu {
-    /// Dense split re/im kernel (bitwise-equal to `LuFactors<Complex>`).
-    Dense(ComplexLuSoa),
+    /// Dense LU, stamped in place per frequency point.
+    Dense(LuFactors<Complex>),
     /// Sparse factorization (plain or BTF per the solver's
     /// [`SolverConfig`]) over the CSC image of the stamp pattern.
     Sparse(SparseSolver<Complex>),
@@ -41,7 +41,7 @@ pub(crate) enum ComplexLu {
 
 impl Default for ComplexLu {
     fn default() -> Self {
-        ComplexLu::Dense(ComplexLuSoa::empty())
+        ComplexLu::Dense(LuFactors::empty())
     }
 }
 
@@ -62,10 +62,8 @@ impl ComplexLu {
 /// whole sweep (and consecutive sweeps of a warm evaluation session)
 /// performs no per-point allocation.
 ///
-/// The factorization buffer is the structure-of-arrays
-/// [`ComplexLuSoa`] kernel — split re/im storage that the compiler
-/// autovectorizes — producing results bitwise-equal to the generic
-/// `LuFactors<Complex>` path of [`AcSolver::factor_at`].
+/// The dense factorization is the same [`LuFactors`] kernel as
+/// [`AcSolver::factor_at`], so both produce bitwise-equal results.
 #[derive(Debug, Clone, Default)]
 pub struct AcWorkspace {
     pub(crate) lu: ComplexLu,
@@ -103,8 +101,8 @@ impl AcWorkspace {
 #[derive(Debug, Clone, Default)]
 pub struct AcBatchWorkspace {
     pub(crate) patterns: Vec<Vec<(usize, usize, f64, f64)>>,
-    pub(crate) base: ComplexLuSoa,
-    pub(crate) spare: ComplexLuSoa,
+    pub(crate) base: LuFactors<Complex>,
+    pub(crate) spare: LuFactors<Complex>,
     pub(crate) small: LuFactors<Complex>,
     pub(crate) y0: Vec<Complex>,
     pub(crate) unit: Vec<Complex>,
@@ -343,7 +341,7 @@ impl<'a> AcSolver<'a> {
                 slu.set_parallelism(self.cfg.par);
             }
         } else if !matches!(ws.lu, ComplexLu::Dense(_)) {
-            ws.lu = ComplexLu::Dense(ComplexLuSoa::empty());
+            ws.lu = ComplexLu::Dense(LuFactors::empty());
         }
     }
 
@@ -368,8 +366,8 @@ impl<'a> AcSolver<'a> {
     /// Factors `G + j*2*pi*f*C` into the workspace buffers with zero
     /// per-point allocation. On the dense backend (the default below the
     /// sparse crossover) the result is identical (bitwise) to
-    /// [`AcSolver::factor_at`], through the vectorized split re/im
-    /// kernel; on the sparse backend the CSC values are rewritten in
+    /// [`AcSolver::factor_at`], through the same kernel stamped in place;
+    /// on the sparse backend the CSC values are rewritten in
     /// place and refactored reusing the symbolic analysis (the pattern
     /// never changes across a sweep). [`AcSolver::prepare_workspace`]
     /// must have been called for this solver first.
@@ -390,12 +388,7 @@ impl<'a> AcSolver<'a> {
             ..
         } = ws;
         match lu {
-            ComplexLu::Dense(lu) => lu.refactor_with(n, 1e-300, |re, im| {
-                for &(r, c, gg, cc) in pattern.iter() {
-                    re[r * n + c] = gg;
-                    im[r * n + c] = w * cc;
-                }
-            }),
+            ComplexLu::Dense(lu) => factor_pattern(lu, n, pattern, w),
             ComplexLu::Sparse(slu) => {
                 for (v, base) in csc.values_mut().iter_mut().zip(gc.iter()) {
                     *v = Complex::new(base.re, w * base.im);
@@ -417,13 +410,8 @@ impl<'a> AcSolver<'a> {
                         // the route is a deterministic function of the
                         // sweep inputs — threaded lanes replicate it by
                         // probing the sweep's first frequency.
-                        let mut dense = ComplexLuSoa::empty();
-                        dense.refactor_with(n, 1e-300, |re, im| {
-                            for &(r, c, gg, cc) in pattern.iter() {
-                                re[r * n + c] = gg;
-                                im[r * n + c] = w * cc;
-                            }
-                        })?;
+                        let mut dense = LuFactors::empty();
+                        factor_pattern(&mut dense, n, pattern, w)?;
                         *lu = ComplexLu::Dense(dense);
                     }
                 }
@@ -450,8 +438,8 @@ impl<'a> AcSolver<'a> {
     }
 
     /// Batched multi-frequency solve: refactors and solves the
-    /// source-driven system at *every* frequency in `freqs` through the
-    /// SoA kernel in one pass, recording the transfer to `out`. The sparse
+    /// source-driven system at *every* frequency in `freqs` in one pass,
+    /// recording the transfer to `out`. The sparse
     /// pattern is prepared once and the factor/solution buffers are reused
     /// across all points, so the whole batch allocates only the output
     /// vector. Point-for-point results equal [`AcSolver::solve_sources`].
@@ -735,11 +723,10 @@ pub fn ac_sweep(
 }
 
 /// [`ac_sweep`] with reusable workspace buffers: the whole sweep is one
-/// batched pass through the vectorized SoA kernel — the complex system is
-/// stamped and factored in place per point, so the sweep allocates nothing
-/// per frequency. Produces results identical to [`ac_sweep`] (same
-/// assembly, same elimination order); the warm evaluation sessions route
-/// their sweeps through this entry point.
+/// batched pass — the complex system is stamped and factored in place per
+/// point, so the sweep allocates nothing per frequency. Produces results
+/// identical to [`ac_sweep`] (same assembly, same elimination order); the
+/// warm evaluation sessions route their sweeps through this entry point.
 ///
 /// # Errors
 ///
@@ -1050,10 +1037,10 @@ fn direct_sparse_corner_point(
 }
 
 /// Allocation-free scalar sweep per corner through the batch workspace's
-/// SoA buffers — what [`ac_sweep_corners`] falls back to when the
-/// correction cannot pay. Bitwise-equal to [`scalar_sweeps`] (the SoA and
-/// generic kernels agree exactly) but matches the warm serial path's
-/// per-point cost instead of allocating per frequency.
+/// factor buffer — what [`ac_sweep_corners`] falls back to when the
+/// correction cannot pay. Bitwise-equal to [`scalar_sweeps`] (the same
+/// kernel) but matches the warm serial path's per-point cost instead of
+/// allocating per frequency.
 fn scalar_sweeps_ws(
     solvers: &[AcSolver<'_>],
     freqs: &[f64],
@@ -1069,13 +1056,7 @@ fn scalar_sweeps_ws(
             let mut h = Vec::with_capacity(freqs.len());
             for &f in freqs {
                 let w = 2.0 * std::f64::consts::PI * f;
-                let AcBatchWorkspace { base, patterns, .. } = &mut *ws;
-                base.refactor_with(n, 1e-300, |re, im| {
-                    for &(r, c, gg, cc) in &patterns[0] {
-                        re[r * n + c] = gg;
-                        im[r * n + c] = w * cc;
-                    }
-                })?;
+                factor_pattern(&mut ws.base, n, &ws.patterns[0], w)?;
                 ws.base.solve_into(s.source_rhs(), &mut ws.xcol);
                 h.push(s.voltage(&ws.xcol, o));
             }
@@ -1287,15 +1268,7 @@ fn dense_corner_row(
     row: &mut [Result<Complex, SimError>],
 ) {
     let w_ang = 2.0 * std::f64::consts::PI * fq;
-    let base_ok = ws
-        .base
-        .refactor_with(n, 1e-300, |re, im| {
-            for &(r, c, g, cc) in &patterns[0] {
-                re[r * n + c] = g;
-                im[r * n + c] = w_ang * cc;
-            }
-        })
-        .is_ok();
+    let base_ok = factor_pattern(&mut ws.base, n, &patterns[0], w_ang).is_ok();
     if !base_ok {
         // Base corner singular at this point: factor every corner
         // directly instead.
@@ -1380,7 +1353,7 @@ fn dense_corner_row(
 /// buffer and solves the shared source vector — the per-point fallback of
 /// [`ac_sweep_corners`].
 fn direct_corner_point(
-    spare: &mut ComplexLuSoa,
+    spare: &mut LuFactors<Complex>,
     xcol: &mut Vec<Complex>,
     pat: &[(usize, usize, f64, f64)],
     n: usize,
@@ -1388,14 +1361,25 @@ fn direct_corner_point(
     rhs: &[Complex],
     oi: Option<usize>,
 ) -> Result<Complex, SimError> {
-    spare.refactor_with(n, 1e-300, |re, im| {
-        for &(r, c, g, cc) in pat {
-            re[r * n + c] = g;
-            im[r * n + c] = w_ang * cc;
-        }
-    })?;
+    factor_pattern(spare, n, pat, w_ang)?;
     spare.solve_into(rhs, xcol);
     Ok(oi.map_or(Complex::ZERO, |i| xcol[i]))
+}
+
+/// Factors `G + j*w*C`, stamped from a sparse `(row, col, g, c)` pattern
+/// into a zeroed `n x n` matrix, into `lu` — the per-frequency-point
+/// factorization of every dense AC and noise path.
+pub(crate) fn factor_pattern(
+    lu: &mut LuFactors<Complex>,
+    n: usize,
+    pattern: &[(usize, usize, f64, f64)],
+    w: f64,
+) -> Result<(), SimError> {
+    lu.refactor_with(n, 1e-300, |m| {
+        for &(r, c, g, cc) in pattern {
+            m[(r, c)] = Complex::new(g, w * cc);
+        }
+    })
 }
 
 /// Builds a logarithmically spaced frequency grid from `fstart` to `fstop`

@@ -60,15 +60,6 @@ impl Complex {
         self.re.hypot(self.im)
     }
 
-    /// Magnitude of a complex value given as separate components — the
-    /// structure-of-arrays layout used by the vectorized AC kernel, which
-    /// stores re/im in parallel `f64` arrays instead of `Complex` structs.
-    /// Identical to `Complex::new(re, im).norm()`.
-    #[inline]
-    pub fn norm_parts(re: f64, im: f64) -> f64 {
-        re.hypot(im)
-    }
-
     /// Squared magnitude.
     #[inline]
     pub fn norm_sqr(self) -> f64 {
@@ -86,10 +77,38 @@ impl Complex {
     /// Division by a zero magnitude yields infinities, mirroring `f64`
     /// semantics rather than panicking; MNA solves guard against singular
     /// systems separately.
+    ///
+    /// When `norm_sqr` is a normal number this is `conj(z) / |z|²`
+    /// directly. Below `|z| ≈ 1e-154` the square underflows and above
+    /// `|z| ≈ 1e154` it overflows, so there `z` is first scaled by a power
+    /// of two (exact) into range and the result scaled back.
     #[inline]
     pub fn recip(self) -> Self {
         let d = self.norm_sqr();
-        Complex::new(self.re / d, -self.im / d)
+        if d.is_normal() {
+            return Complex::new(self.re / d, -self.im / d);
+        }
+        self.recip_scaled(d)
+    }
+
+    #[cold]
+    fn recip_scaled(self, d: f64) -> Self {
+        let s = self.re.abs().max(self.im.abs());
+        if s.is_finite() && s > 0.0 {
+            // 2^±600 brings any finite nonzero magnitude well inside the
+            // range where the square is normal.
+            let k = if s < 1.0 {
+                2f64.powi(600)
+            } else {
+                2f64.powi(-600)
+            };
+            let w = self.scale(k);
+            let dw = w.norm_sqr();
+            Complex::new(w.re / dw * k, -w.im / dw * k)
+        } else {
+            // Zero, infinite or NaN: plain IEEE division.
+            Complex::new(self.re / d, -self.im / d)
+        }
     }
 
     /// Returns `true` if both components are finite.
@@ -239,6 +258,47 @@ mod tests {
         let q = a / b;
         let back = q * b;
         assert!(close(back.re, a.re) && close(back.im, a.im));
+    }
+
+    #[test]
+    fn recip_is_accurate_at_extreme_magnitudes() {
+        for mag in [1e-170, 1e-160, 1e160] {
+            for z in [
+                Complex::new(mag, mag),
+                Complex::new(-mag, 0.5 * mag),
+                Complex::new(0.0, mag),
+            ] {
+                let one = z * z.recip();
+                assert!(close(one.re, 1.0) && close(one.im, 0.0), "{z}: {one}");
+                let q = z / z;
+                assert!(close(q.re, 1.0) && close(q.im, 0.0), "{z}: {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn recip_of_zero_stays_nan() {
+        let r = Complex::ZERO.recip();
+        assert!(r.re.is_nan() && r.im.is_nan());
+    }
+
+    #[test]
+    fn recip_in_range_is_the_plain_formula() {
+        // Scaling applies only where the squared norm is not normal, so
+        // ordinary magnitudes keep their bits.
+        for z in [
+            Complex::new(3.0, -4.0),
+            Complex::new(1e-150, 2e-150),
+            Complex::new(1e150, -1e150),
+        ] {
+            let d = z.norm_sqr();
+            let plain = Complex::new(z.re / d, -z.im / d);
+            let r = z.recip();
+            assert_eq!(
+                (r.re.to_bits(), r.im.to_bits()),
+                (plain.re.to_bits(), plain.im.to_bits())
+            );
+        }
     }
 
     #[test]

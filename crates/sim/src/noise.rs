@@ -20,8 +20,8 @@
 //! corner.
 
 use crate::ac::{
-    ac_batch_ws_pool, ac_ws_pool, grid_parallelism, AcBatchWorkspace, AcSolver, AcWorkspace,
-    STOCK_DIM_MAX,
+    ac_batch_ws_pool, ac_ws_pool, factor_pattern, grid_parallelism, AcBatchWorkspace, AcSolver,
+    AcWorkspace, STOCK_DIM_MAX,
 };
 use crate::complex::Complex;
 use crate::dc::OpPoint;
@@ -31,7 +31,7 @@ use crate::linalg::correction::{
     corrected_entry, factor_correction, solve_correction_basis, CornerDiff,
 };
 use crate::linalg::sparse::SolverConfig;
-use crate::linalg::ComplexLuSoa;
+use crate::linalg::LuFactors;
 use crate::measure::integrate_trapezoid;
 use crate::netlist::{Circuit, Element, Node};
 use crate::par::{run_chunks, would_parallelize, Parallelism};
@@ -288,10 +288,9 @@ pub fn noise_analysis(
 
 /// [`noise_analysis`] with reusable workspace buffers — no per-frequency
 /// or per-source allocation; results are identical. Each frequency point
-/// is factored once through the vectorized SoA complex kernel
-/// ([`crate::linalg::ComplexLuSoa`]) and back-substituted per noise
-/// source. Warm evaluation sessions route their noise analyses through
-/// this entry point.
+/// is factored once (the dense [`LuFactors`] below the sparse crossover)
+/// and back-substituted per noise source. Warm evaluation sessions route
+/// their noise analyses through this entry point.
 ///
 /// # Errors
 ///
@@ -445,7 +444,7 @@ fn collect_corner_sources(
 /// arithmetic exactly at that point.
 #[allow(clippy::too_many_arguments)]
 fn direct_noise_point(
-    spare: &mut ComplexLuSoa,
+    spare: &mut LuFactors<Complex>,
     unit: &mut Vec<Complex>,
     xcol: &mut Vec<Complex>,
     pat: &[(usize, usize, f64, f64)],
@@ -457,12 +456,7 @@ fn direct_noise_point(
     inj: &[(Option<usize>, Option<usize>)],
     fq: f64,
 ) -> Result<(f64, f64), SimError> {
-    spare.refactor_with(n, 1e-300, |re, im| {
-        for &(r, c, g, cc) in pat {
-            re[r * n + c] = g;
-            im[r * n + c] = w_ang * cc;
-        }
-    })?;
+    factor_pattern(spare, n, pat, w_ang)?;
     spare.solve_into(rhs0, xcol);
     let g = o.map_or(0.0, |i| xcol[i].norm());
     let mut psd = 0.0;
@@ -686,15 +680,7 @@ fn corrected_noise_row(
     row: &mut [Result<(f64, f64), SimError>],
 ) {
     let w_ang = 2.0 * std::f64::consts::PI * fq;
-    let base_ok = ws
-        .base
-        .refactor_with(n, 1e-300, |re, im| {
-            for &(r, c, g, cc) in &patterns[0] {
-                re[r * n + c] = g;
-                im[r * n + c] = w_ang * cc;
-            }
-        })
-        .is_ok();
+    let base_ok = factor_pattern(&mut ws.base, n, &patterns[0], w_ang).is_ok();
     if !base_ok {
         // Base corner singular at this point: run every corner through
         // the direct scalar point instead.

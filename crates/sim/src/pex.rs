@@ -39,8 +39,8 @@ pub struct PexConfig {
     /// internal nodes in series, each carrying `1/depth` of the
     /// capacitance behind [`PexConfig::mesh_res`] ohms of metal — which
     /// grows the MNA dimension by `depth` per annotated terminal. Benches
-    /// use it to reach the 32+ dims where the SoA/corner-batched kernels
-    /// have vector headroom, and — now that the solvers dispatch to the
+    /// use it to reach the 32+ dims where the corner-batched kernels pay,
+    /// and — now that the solvers dispatch to the
     /// CSC sparse backend past the crossover dimension — the
     /// hundreds-of-nodes extraction sizes where dense `O(n^3)`
     /// factorization stops being viable (a TIA at depth 16 is an MNA dim

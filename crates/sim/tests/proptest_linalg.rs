@@ -2,7 +2,7 @@
 //! invert `mul_vec` for any well-conditioned system, real or complex.
 
 use autockt_sim::complex::Complex;
-use autockt_sim::linalg::{solve, ComplexLuSoa, LuFactors, Matrix};
+use autockt_sim::linalg::{solve, Matrix};
 use proptest::prelude::*;
 
 /// Builds a diagonally dominant matrix from arbitrary entries — guaranteed
@@ -64,44 +64,6 @@ proptest! {
         let got = solve(a, &b).expect("dominant complex matrix");
         for (g, t) in got.iter().zip(&xt) {
             prop_assert!((*g - *t).norm() < 1e-7 * (1.0 + t.norm()));
-        }
-    }
-
-    /// The structure-of-arrays complex LU performs the same operations in
-    /// the same order as the generic `LuFactors<Complex>` kernel, so its
-    /// factors and solutions are *bitwise* equal — not merely within
-    /// tolerance — for any solvable system, including ill-scaled ones
-    /// (no diagonal-dominance conditioning here: whenever the generic
-    /// kernel factors, the SoA kernel must agree exactly).
-    #[test]
-    fn soa_complex_lu_matches_generic_kernel_bitwise(
-        n in 1usize..8,
-        re in prop::collection::vec(-50.0..50.0f64, 64),
-        im in prop::collection::vec(-50.0..50.0f64, 64),
-        bre in prop::collection::vec(-10.0..10.0f64, 8),
-        bim in prop::collection::vec(-10.0..10.0f64, 8),
-    ) {
-        let mut a = Matrix::<Complex>::zeros(n, n);
-        for r in 0..n {
-            for c in 0..n {
-                a[(r, c)] = Complex::new(re[r * n + c], im[r * n + c]);
-            }
-        }
-        let b: Vec<Complex> = bre[..n]
-            .iter()
-            .zip(&bim[..n])
-            .map(|(&br, &bi)| Complex::new(br, bi))
-            .collect();
-        let aos = LuFactors::factor(a.clone(), 1e-300);
-        let soa = ComplexLuSoa::factor(&a, 1e-300);
-        match (aos, soa) {
-            (Ok(aos), Ok(soa)) => {
-                let xa = aos.solve(&b);
-                let xs = soa.solve(&b);
-                prop_assert_eq!(xa, xs);
-            }
-            (Err(ea), Err(es)) => prop_assert_eq!(ea, es),
-            (a, s) => prop_assert!(false, "kernels disagree on solvability: {a:?} vs {s:?}"),
         }
     }
 
