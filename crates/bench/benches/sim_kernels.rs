@@ -4,11 +4,12 @@
 
 use autockt_bench::{ac_kernel_cases, tia_mesh_kernel_case, AcKernelCase};
 use autockt_circuits::{NegGmOta, OpAmp2, SimMode, SizingProblem, Tia};
-use autockt_sim::ac::{ac_sweep, log_freqs};
+use autockt_sim::ac::{ac_sweep, log_freqs, AcSolver};
 use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions};
 use autockt_sim::linalg::sparse::{CscMatrix, SparseLu, TripletList};
 use autockt_sim::linalg::{solve, LuFactors, Matrix};
+use autockt_sim::pex::extract;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -64,6 +65,35 @@ fn bench_ac(c: &mut Criterion) {
     });
 }
 
+/// The stock-dim settling record: the TIA center design at stock
+/// extraction (dim 4, the `deploy_tia_pexwc` system), 2048 trapezoidal
+/// steps over 8 cutoff periods — one corner's settle stage.
+fn bench_settle(c: &mut Criterion) {
+    let tia = Tia::default();
+    let idx = center(&tia);
+    let (ckt, out) = tia.build(&idx, &autockt_sim::device::Technology::ptm45());
+    let ex = extract(&ckt, tia.pex_config());
+    let opts = DcOptions {
+        initial_v: 0.5,
+        ..DcOptions::default()
+    };
+    let op = dc_operating_point(&ex, &opts).expect("converges");
+    let cutoff = ac_sweep(&ex, &op, &log_freqs(1e3, 1e11, 10), out)
+        .and_then(|r| r.f_3db())
+        .expect("has a cutoff");
+    let solver = AcSolver::new(&ex, &op);
+    c.bench_function(
+        &format!("settle_step_response_tia_dim{}", solver.dim()),
+        |bench| {
+            bench.iter(|| {
+                solver
+                    .step_response(out, 8.0 / cutoff, black_box(2048))
+                    .expect("integrates")
+            })
+        },
+    );
+}
+
 fn bench_full_spec_eval(c: &mut Criterion) {
     let tia = Tia::default();
     let idx_t = center(&tia);
@@ -91,9 +121,10 @@ fn bench_full_spec_eval(c: &mut Criterion) {
     });
 }
 
-/// One AC point per iteration through the dense kernel: stamp the
-/// pattern into the reused factor buffer, refactor, solve — the per-point
-/// work of the AC sweep below the sparse crossover.
+/// One AC point per iteration through the dense LU: stamp the pattern
+/// into the reused factor buffer, refactor, solve — the per-point work of
+/// the Woodbury corner rows and of the LU oracle (dense sweeps run on the
+/// pencil reduction instead; see `ac_sweep_opamp2_80pts`).
 fn bench_dense_point(c: &mut Criterion, label: &str, case: &AcKernelCase) {
     let (n, w) = (case.n, case.w);
     let mut lu = LuFactors::<Complex>::empty();
@@ -112,13 +143,10 @@ fn bench_dense_point(c: &mut Criterion, label: &str, case: &AcKernelCase) {
     });
 }
 
-/// The dense per-point kernel on the center designs' real systems (TIA
-/// dim 4, op-amp dim 11 — the AC sweep's hot loop in every schematic
-/// benchmark workload), then dense vs the CSC sparse-LU refactor path on
-/// the TIA's extracted mesh systems — the same per-point kernels
-/// `ac_sweep` dispatches between on either side of the `SolverConfig`
-/// crossover (the `bench_env_step` sparse-solver section drives the
-/// identical cases).
+/// The dense per-point LU on the center designs' real systems (TIA dim 4,
+/// op-amp dim 11), then dense vs the CSC sparse-LU refactor path on the
+/// TIA's extracted mesh systems (the `bench_env_step` sparse-solver
+/// section drives the identical cases).
 fn bench_sparse_lu(c: &mut Criterion) {
     for case in ac_kernel_cases().expect("center-design kernel workloads build") {
         bench_dense_point(c, &case.name, &case);
@@ -158,6 +186,7 @@ criterion_group!(
     bench_lu,
     bench_dc,
     bench_ac,
+    bench_settle,
     bench_full_spec_eval,
     bench_sparse_lu
 );

@@ -111,8 +111,8 @@ pub struct SettleSpec {
     /// Time window as a multiple of the slowest valid corner's cutoff
     /// period: `t_stop = window / min corner cutoff`. Sharing one window
     /// (and therefore one step size `h`) across the corner set is what
-    /// lets warm evaluations integrate every corner through one kernel
-    /// (the dense propagator / sparse Woodbury dispatch of
+    /// lets warm evaluations integrate a sparse-routed corner set
+    /// through one base factorization (the Woodbury path of
     /// [`autockt_sim::tran::step_response_corners`]).
     pub window: f64,
 }
@@ -265,12 +265,11 @@ impl CornerEvaluator {
     /// `None` (topologies map that to the spec's fail value, matching
     /// their pre-engine local measurement).
     ///
-    /// Cold corners integrate through the scalar
-    /// [`AcSolver::step_response`]; warm evaluations run
-    /// [`step_response_corners`] — each corner's constant companion
-    /// folded into a precomputed affine propagator at dense dims,
-    /// base-factor + Woodbury sibling correction at sparse dims, and the
-    /// scalar kernel per corner at stock dims.
+    /// Cold corners integrate through [`AcSolver::step_response`], whose
+    /// dense propagator makes every step one matrix-vector product; warm
+    /// evaluations run [`step_response_corners`], which is the same
+    /// per-corner propagator at dense dims and a base-factor + Woodbury
+    /// sibling correction at sparse dims.
     pub fn with_settling(mut self, spec: SettleSpec) -> Self {
         self.settle = Some(spec);
         self

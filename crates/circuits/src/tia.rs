@@ -298,8 +298,8 @@ impl Tia {
             }
             SimMode::PexWorstCase => {
                 // Noise and settling run inside the engine (`with_noise`
-                // / `with_settling`) so warm evaluations can factor them
-                // with the corner set (propagator/Woodbury by regime) —
+                // / `with_settling`) so warm evaluations can share work
+                // across the corner set at dense-mesh dims (Woodbury) —
                 // the TIA's worst-case step is noise- and settle-bound,
                 // so this is where its dense-dim speedup comes from.
                 // Settling integrates one shared window scaled to the

@@ -13,7 +13,10 @@
 //!
 //! On a mismatch the test writes the full actual output next to the test
 //! binary's scratch directory (`CARGO_TARGET_TMPDIR`) and reports the
-//! first differing line.
+//! first differing line plus, per case label (topology, mode, mesh), the
+//! largest relative deviation of any spec from its golden value — the
+//! number a change that moves results reports. The comparison itself
+//! stays exact.
 
 use autockt_circuits::prelude::*;
 use autockt_sim::dc::WarmState;
@@ -144,6 +147,72 @@ fn actual_lines() -> Vec<String> {
     lines
 }
 
+/// Splits a rendered line into its case label (everything before the
+/// ` cold `/` warm ` marker) and its spec values (`None` for an error
+/// line).
+fn parse_line(line: &str) -> Option<(&str, Option<Vec<f64>>)> {
+    let (head, body) = line.split_once(": ")?;
+    let label = head
+        .find(" cold ")
+        .or_else(|| head.find(" warm "))
+        .map_or(head, |i| &head[..i]);
+    let specs = body
+        .split(' ')
+        .map(|t| u64::from_str_radix(t, 16).ok().map(f64::from_bits))
+        .collect();
+    Some((label, specs))
+}
+
+/// Per case label, the largest relative deviation `|a - g| / |g|` of any
+/// actual spec from its golden value, and how many lines differ. A line
+/// whose shape changed (an error on one side, a different spec count, a
+/// different label or index) counts as an infinite deviation.
+fn deviation_report(golden: &[&str], actual: &[String]) -> String {
+    let mut rows: Vec<(String, f64, usize)> = Vec::new();
+    for i in 0..golden.len().max(actual.len()) {
+        let g = golden.get(i).copied();
+        let a = actual.get(i).map(String::as_str);
+        let label = g.or(a).and_then(parse_line).map_or("?", |(l, _)| l);
+        let dev = match (g, a) {
+            (Some(g), Some(a)) if g == a => 0.0,
+            (Some(g), Some(a)) => match (parse_line(g), parse_line(a)) {
+                (Some((gl, Some(gs))), Some((al, Some(as_))))
+                    if gl == al
+                        && gs.len() == as_.len()
+                        && g.split(':').next() == a.split(':').next() =>
+                {
+                    gs.iter()
+                        .zip(&as_)
+                        .map(|(g, a)| {
+                            if g.to_bits() == a.to_bits() {
+                                0.0
+                            } else {
+                                (a - g).abs() / g.abs()
+                            }
+                        })
+                        .fold(0.0, f64::max)
+                }
+                _ => f64::INFINITY,
+            },
+            _ => f64::INFINITY,
+        };
+        let differs = usize::from(g != a);
+        match rows.iter_mut().find(|(l, _, _)| l == label) {
+            Some(row) => {
+                row.1 = row.1.max(dev);
+                row.2 += differs;
+            }
+            None => rows.push((label.to_string(), dev, differs)),
+        }
+    }
+    rows.iter()
+        .map(|(l, dev, k)| {
+            format!("  {l}: max relative spec deviation {dev:.3e} ({k} lines differ)")
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
 #[test]
 fn spec_bits_match_golden() {
     let actual = actual_lines();
@@ -158,10 +227,11 @@ fn spec_bits_match_golden() {
         std::fs::write(&path, text).expect("write actual spec bits");
         panic!(
             "spec bits differ from tests/golden_specs.txt at line {}:\n  golden: {:?}\n  actual: {:?}\n\
-             full actual output: {}",
+             per case label:\n{}\nfull actual output: {}",
             i + 1,
             golden.get(i),
             actual.get(i),
+            deviation_report(&golden, &actual),
             path.display()
         );
     }

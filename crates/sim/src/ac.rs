@@ -1,11 +1,16 @@
 //! Small-signal AC analysis.
 //!
-//! The circuit is linearized at a DC operating point ([`crate::dc`]); the
-//! complex system `(G + j w C) x = b` is then factored and solved per
-//! frequency point. The real `G` and `C` matrices are assembled once per
-//! linearization and reused across the sweep, and the per-frequency LU
-//! factorization is exposed so the noise analysis can reuse it for many
-//! right-hand sides.
+//! The circuit is linearized at a DC operating point ([`crate::dc`]) into
+//! real `G` and `C` matrices, assembled once per linearization. On the
+//! dense backend the pencil `(G, C)` is then reduced once to
+//! Hessenberg–triangular form ([`crate::linalg::pencil`]), and every
+//! frequency point of a sweep is one O(n²) transposed Hessenberg solve
+//! from the output row plus a dot product with the projected source
+//! vector. On the sparse backend `(G + jωC) x = b` is still factored and
+//! solved per point. [`AcSolver::factor_at`] / [`AcSolver::solve_sources`]
+//! keep the plain per-point dense LU: the oracle the reduced sweeps are
+//! tested against, and the per-point fallback of the Woodbury corner
+//! sweeps.
 
 use crate::complex::Complex;
 use crate::dc::OpPoint;
@@ -13,20 +18,19 @@ use crate::error::SimError;
 use crate::linalg::correction::{
     corrected_entry, factor_correction, solve_correction_basis, CornerDiff,
 };
+use crate::linalg::pencil::{dot, HessenbergLu, Pencil};
 use crate::linalg::sparse::{CscMatrix, SolverConfig, TripletList};
 use crate::linalg::structure::SparseSolver;
 use crate::linalg::{LinearSolver, LuFactors, Matrix};
 use crate::netlist::{Circuit, Element, Node};
 use crate::par::{run_chunks, would_parallelize, Parallelism, WorkspacePool};
 
-/// The per-frequency complex factorization of an [`AcWorkspace`]: the
-/// dense structure-aware [`LuFactors`] below the sparse crossover, the CSC
-/// sparse LU above it (or when forced by [`SolverConfig`]). Carrying the
-/// backend inside the workspace keeps every downstream back-substitution
-/// site — the sweep loops here and the per-source solves in
-/// [`crate::noise`] — backend-agnostic: they just call
-/// [`ComplexLu::solve_into`] against whatever [`AcSolver::factor_at_ws`]
-/// produced.
+/// The per-frequency complex factorization of a sparse-routed
+/// [`AcWorkspace`]: the CSC sparse LU, or the dense [`LuFactors`] once a
+/// sweep's measured fill has flipped it (see [`AcSolver::factor_at_ws`]).
+/// Carrying the backend inside the workspace keeps the sparse route's
+/// back-substitution sites — the sweep loop here and the per-source
+/// solves in [`crate::noise`] — backend-agnostic.
 // One long-lived instance per workspace, so the dense/sparse size skew
 // is irrelevant — boxing would only add an indirection to the hot solve.
 #[allow(clippy::large_enum_variant)]
@@ -56,16 +60,32 @@ impl ComplexLu {
     }
 }
 
-/// Reusable buffers for repeated AC factor/solve calls: the complex system
-/// matrix lives inside the LU factors and is stamped in place per
-/// frequency from a sparse pattern collected once per linearization, so a
+/// What a dense-route sweep shares across its points, computed once per
+/// [`AcSolver::prepare_workspace`]: the reduced pencil, the projected
+/// source vector `Qᵀb`, the output row of `Z`, and (noise analyses) the
+/// projected noise injections. Read-only during the sweep, so threaded
+/// lanes solve against the caller's copy.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Reduced {
+    pub(crate) pencil: Pencil,
+    /// `Qᵀ b` for the solver's AC source vector.
+    pub(crate) qb: Vec<Complex>,
+    /// `Zᵀ e_out`, or zeros when the output is ground.
+    pub(crate) zo: Vec<f64>,
+    /// `Qᵀ u_s` of each noise injection `u_s`, `n` entries per source.
+    pub(crate) proj: Vec<f64>,
+}
+
+/// Reusable buffers for repeated sweeps: on the dense backend the
+/// per-operating-point reduction and the per-point Hessenberg scratch, on
+/// the sparse backend the complex system stamped in place per frequency
+/// from a sparse pattern collected once per linearization. Either way a
 /// whole sweep (and consecutive sweeps of a warm evaluation session)
 /// performs no per-point allocation.
-///
-/// The dense factorization is the same [`LuFactors`] kernel as
-/// [`AcSolver::factor_at`], so both produce bitwise-equal results.
 #[derive(Debug, Clone, Default)]
 pub struct AcWorkspace {
+    pub(crate) red: Reduced,
+    pub(crate) hess: HessenbergLu,
     pub(crate) lu: ComplexLu,
     pub(crate) pattern: Vec<(usize, usize, f64, f64)>,
     /// CSC image of the stamp pattern (sparse backend only): built once
@@ -315,33 +335,50 @@ impl<'a> AcSolver<'a> {
         Ok(self.factor_at(f)?.solve(&self.rhs))
     }
 
-    /// Collects this linearization's sparse `(row, col, g, c)` stamp
-    /// pattern into `ws`; call once before any `_ws` solve. When the
-    /// solver's [`SolverConfig`] routes this dimension to the sparse
-    /// backend, the pattern is additionally compressed into a CSC matrix
-    /// whose values are rewritten (not rebuilt) per frequency point.
+    /// Whether this solver's sweeps factor per point on the sparse
+    /// backend; otherwise they run on the pencil reduction.
+    pub(crate) fn sparse(&self) -> bool {
+        self.cfg.use_sparse(self.dim)
+    }
+
+    /// Prepares `ws` for this linearization; call once before any sweep
+    /// point. On the dense backend this reduces the pencil and projects
+    /// the source vector (O(n³), once). On the sparse backend it collects
+    /// the `(row, col, g, c)` stamp pattern and compresses it into a CSC
+    /// matrix whose values are rewritten (not rebuilt) per frequency.
     pub fn prepare_workspace(&self, ws: &mut AcWorkspace) {
+        if !self.sparse() {
+            ws.red.pencil.reduce(&self.g, &self.c);
+            ws.red.pencil.project(&self.rhs, &mut ws.red.qb);
+            return;
+        }
         self.collect_pattern(&mut ws.pattern);
         ws.fill_checked = false;
-        if self.cfg.use_sparse(self.dim) {
-            ws.trip.clear(self.dim);
-            for &(r, c, gg, cc) in &ws.pattern {
-                // Encode (g, c) as one complex entry; the per-frequency
-                // rewrite scales the imaginary part by w.
-                ws.trip.push(r, c, Complex::new(gg, cc));
-            }
-            ws.trip.compress_into(&mut ws.csc);
-            ws.gc.clear();
-            ws.gc.extend_from_slice(ws.csc.values());
-            match &mut ws.lu {
-                ComplexLu::Sparse(slu) => slu.ensure_mode(self.cfg.btf),
-                lu => *lu = ComplexLu::Sparse(SparseSolver::empty(self.cfg.btf)),
-            }
-            if let ComplexLu::Sparse(slu) = &mut ws.lu {
-                slu.set_parallelism(self.cfg.par);
-            }
-        } else if !matches!(ws.lu, ComplexLu::Dense(_)) {
-            ws.lu = ComplexLu::Dense(LuFactors::empty());
+        ws.trip.clear(self.dim);
+        for &(r, c, gg, cc) in &ws.pattern {
+            // Encode (g, c) as one complex entry; the per-frequency
+            // rewrite scales the imaginary part by w.
+            ws.trip.push(r, c, Complex::new(gg, cc));
+        }
+        ws.trip.compress_into(&mut ws.csc);
+        ws.gc.clear();
+        ws.gc.extend_from_slice(ws.csc.values());
+        match &mut ws.lu {
+            ComplexLu::Sparse(slu) => slu.ensure_mode(self.cfg.btf),
+            lu => *lu = ComplexLu::Sparse(SparseSolver::empty(self.cfg.btf)),
+        }
+        if let ComplexLu::Sparse(slu) = &mut ws.lu {
+            slu.set_parallelism(self.cfg.par);
+        }
+    }
+
+    /// Loads the output row `Zᵀ e_out` of a prepared dense-route workspace
+    /// (zeros for a ground output, whose voltage is identically zero).
+    pub(crate) fn prepare_output(&self, out: Node, red: &mut Reduced) {
+        red.zo.clear();
+        match self.mna_index(out) {
+            Some(i) if !self.sparse() => red.zo.extend_from_slice(red.pencil.z_row(i)),
+            _ => red.zo.resize(self.dim, 0.0),
         }
     }
 
@@ -363,20 +400,18 @@ impl<'a> AcSolver<'a> {
         }
     }
 
-    /// Factors `G + j*2*pi*f*C` into the workspace buffers with zero
-    /// per-point allocation. On the dense backend (the default below the
-    /// sparse crossover) the result is identical (bitwise) to
-    /// [`AcSolver::factor_at`], through the same kernel stamped in place;
-    /// on the sparse backend the CSC values are rewritten in
-    /// place and refactored reusing the symbolic analysis (the pattern
-    /// never changes across a sweep). [`AcSolver::prepare_workspace`]
-    /// must have been called for this solver first.
+    /// Factors `G + j*2*pi*f*C` into a sparse-routed workspace with zero
+    /// per-point allocation: the CSC values are rewritten in place and
+    /// refactored reusing the symbolic analysis (the pattern never changes
+    /// across a sweep). [`AcSolver::prepare_workspace`] must have been
+    /// called for this solver first.
     ///
     /// # Errors
     ///
-    /// [`SimError::SingularMatrix`] for a singular small-signal system on
-    /// the dense backend, [`SimError::SingularSparse`] on the sparse one.
-    pub fn factor_at_ws(&self, f: f64, ws: &mut AcWorkspace) -> Result<(), SimError> {
+    /// [`SimError::SingularSparse`] for a singular system, or
+    /// [`SimError::SingularMatrix`] once the workspace has flipped to the
+    /// dense kernel.
+    pub(crate) fn factor_at_ws(&self, f: f64, ws: &mut AcWorkspace) -> Result<(), SimError> {
         let w = 2.0 * std::f64::consts::PI * f;
         let n = self.dim;
         let AcWorkspace {
@@ -420,72 +455,107 @@ impl<'a> AcSolver<'a> {
         }
     }
 
-    /// Like [`AcSolver::solve_sources`], reusing workspace buffers; the
-    /// solution lives in the workspace and is returned as a slice.
+    /// Batched multi-frequency solve: the source-driven transfer to `out`
+    /// at every frequency in `freqs`. On the dense backend the pencil is
+    /// reduced once and each point is one transposed Hessenberg solve; on
+    /// the sparse backend each point refactors in place. Either way the
+    /// batch allocates only the output vector.
     ///
     /// # Errors
     ///
-    /// Propagates singular-matrix failures from the factorization.
-    pub fn solve_sources_ws<'w>(
-        &self,
-        f: f64,
-        ws: &'w mut AcWorkspace,
-    ) -> Result<&'w [Complex], SimError> {
-        self.factor_at_ws(f, ws)?;
-        let AcWorkspace { lu, x, .. } = ws;
-        lu.solve_into(&self.rhs, x);
-        Ok(x)
-    }
-
-    /// Batched multi-frequency solve: refactors and solves the
-    /// source-driven system at *every* frequency in `freqs` in one pass,
-    /// recording the transfer to `out`. The sparse
-    /// pattern is prepared once and the factor/solution buffers are reused
-    /// across all points, so the whole batch allocates only the output
-    /// vector. Point-for-point results equal [`AcSolver::solve_sources`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates singular-matrix failures at any frequency point.
+    /// [`SimError::InvalidOptions`] for an empty, non-positive,
+    /// non-finite or non-increasing grid; otherwise propagates
+    /// singular-matrix failures at any frequency point.
     pub fn solve_sources_batch_ws(
         &self,
         freqs: &[f64],
         out: Node,
         ws: &mut AcWorkspace,
     ) -> Result<Vec<Complex>, SimError> {
-        let par = self.sweep_parallelism();
-        if would_parallelize(par, freqs.len()) {
-            return self.solve_sources_batch_par(par, freqs, out);
-        }
+        validate_freqs(freqs)?;
         self.prepare_workspace(ws);
-        let mut h = Vec::with_capacity(freqs.len());
-        for &f in freqs {
-            self.factor_at_ws(f, ws)?;
-            let AcWorkspace { lu, x, .. } = &mut *ws;
+        self.prepare_output(out, &mut ws.red);
+        self.sweep(freqs, ws, |f, red, lane| self.point(f, out, red, lane))
+    }
+
+    /// One sweep point through a prepared workspace: the transfer to
+    /// `out`, read off the shared reduction `red` with the per-point
+    /// scratch in `lane` (dense backend), or factored and solved in `lane`
+    /// (sparse backend).
+    fn point(
+        &self,
+        f: f64,
+        out: Node,
+        red: &Reduced,
+        lane: &mut AcWorkspace,
+    ) -> Result<Complex, SimError> {
+        if self.sparse() {
+            self.factor_at_ws(f, lane)?;
+            let AcWorkspace { lu, x, .. } = lane;
             lu.solve_into(&self.rhs, x);
-            h.push(self.voltage(x, out));
+            return Ok(self.voltage(x, out));
         }
-        Ok(h)
+        let w = 2.0 * std::f64::consts::PI * f;
+        let v = red.pencil.solve_transposed(w, &red.zo, &mut lane.hess)?;
+        Ok(dot(v, &red.qb))
     }
 
-    /// One sweep point through a prepared workspace: factor, solve the
-    /// source vector, read the output voltage — the tile body of the
-    /// threaded sweep, arithmetically identical to one iteration of the
-    /// serial loop in [`AcSolver::solve_sources_batch_ws`].
-    fn point_ws(&self, f: f64, out: Node, ws: &mut AcWorkspace) -> Result<Complex, SimError> {
-        self.factor_at_ws(f, ws)?;
-        let AcWorkspace { lu, x, .. } = ws;
-        lu.solve_into(&self.rhs, x);
-        Ok(self.voltage(x, out))
+    /// Runs `point` at every frequency of a prepared workspace, in order,
+    /// stopping at the first failing point. Under the solver's frequency
+    /// tiling each lane solves its chunk through a pooled workspace
+    /// against the caller's read-only reduction (sparse lanes replicate
+    /// the route decision first, see [`AcSolver::prepare_lane`]). Points
+    /// are history-free, so the threaded result is bitwise the serial one,
+    /// and the in-order scan recovers the serial first-failure contract.
+    pub(crate) fn sweep<T, P>(
+        &self,
+        freqs: &[f64],
+        ws: &mut AcWorkspace,
+        point: P,
+    ) -> Result<Vec<T>, SimError>
+    where
+        T: Default + Send,
+        P: Fn(f64, &Reduced, &mut AcWorkspace) -> Result<T, SimError> + Sync,
+    {
+        let red = std::mem::take(&mut ws.red);
+        let par = self.sweep_parallelism();
+        let out = if would_parallelize(par, freqs.len()) {
+            let mut slots: Vec<Result<T, SimError>> =
+                freqs.iter().map(|_| Ok(T::default())).collect();
+            run_chunks(
+                par,
+                &mut slots,
+                ac_ws_pool(),
+                AcWorkspace::new,
+                |off, chunk, lane| {
+                    if self.sparse() {
+                        self.prepare_lane(freqs[0], lane);
+                    }
+                    for (k, slot) in chunk.iter_mut().enumerate() {
+                        *slot = point(freqs[off + k], &red, lane);
+                        if slot.is_err() {
+                            // The serial sweep aborts here; every later
+                            // value is discarded by the in-order scan.
+                            break;
+                        }
+                    }
+                },
+            );
+            slots.into_iter().collect()
+        } else {
+            freqs.iter().map(|&f| point(f, &red, ws)).collect()
+        };
+        ws.red = red;
+        out
     }
 
-    /// Per-lane prologue of every threaded sweep: prepare a pooled
-    /// workspace for this solver, keep block-level parallelism out of the
-    /// lane (the sweep already owns the lanes), and replicate the sweep's
-    /// dense-by-fill route decision by probing the first frequency — so a
-    /// lane whose chunk starts mid-sweep factors through the same kernel
-    /// the serial walk would use there. A singular probe is ignored: the
-    /// lane owning that tile reports it in order.
+    /// Per-lane prologue of a threaded sparse-route sweep: prepare a
+    /// pooled workspace for this solver, keep block-level parallelism out
+    /// of the lane (the sweep already owns the lanes), and replicate the
+    /// sweep's dense-by-fill route decision by probing the first
+    /// frequency — so a lane whose chunk starts mid-sweep factors through
+    /// the same kernel the serial walk would use there. A singular probe
+    /// is ignored: the lane owning that tile reports it in order.
     pub(crate) fn prepare_lane(&self, first_freq: f64, ws: &mut AcWorkspace) {
         self.prepare_workspace(ws);
         if let ComplexLu::Sparse(slu) = &mut ws.lu {
@@ -495,7 +565,7 @@ impl<'a> AcSolver<'a> {
     }
 
     /// The frequency-tile policy of this solver's sweeps: at stock
-    /// extraction dims a factorization is far cheaper than a lane spawn,
+    /// extraction dims a sweep point is far cheaper than a lane spawn,
     /// so [`Parallelism::Auto`] resolves to serial there; forced modes
     /// pass through.
     pub(crate) fn sweep_parallelism(&self) -> Parallelism {
@@ -503,40 +573,6 @@ impl<'a> AcSolver<'a> {
             Parallelism::Auto if self.dim <= STOCK_DIM_MAX => Parallelism::Off,
             p => p,
         }
-    }
-
-    /// Threaded frequency sweep: every frequency point factors and solves
-    /// into its own result slot through a per-lane pooled workspace.
-    /// Bitwise-equal to the serial loop (history-free factorizations; the
-    /// route decision is replicated per lane), with the serial error
-    /// contract recovered by the in-order scan: the sweep's first failing
-    /// frequency is always computed by the lane that owns it.
-    fn solve_sources_batch_par(
-        &self,
-        par: Parallelism,
-        freqs: &[f64],
-        out: Node,
-    ) -> Result<Vec<Complex>, SimError> {
-        let mut slots: Vec<Result<Complex, SimError>> =
-            freqs.iter().map(|_| Ok(Complex::ZERO)).collect();
-        run_chunks(
-            par,
-            &mut slots,
-            ac_ws_pool(),
-            AcWorkspace::new,
-            |off, chunk, ws| {
-                self.prepare_lane(freqs[0], ws);
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    *slot = self.point_ws(freqs[off + k], out, ws);
-                    if slot.is_err() {
-                        // The serial sweep aborts here; every later value is
-                        // discarded by the in-order scan below.
-                        break;
-                    }
-                }
-            },
-        );
-        slots.into_iter().collect()
     }
 
     /// Extracts the voltage of `node` from an MNA solution vector.
@@ -552,29 +588,30 @@ impl<'a> AcSolver<'a> {
         self.ckt.mna_index(node)
     }
 
-    /// The `(G, C)` small-signal stamp matrices of this linearization —
-    /// the corner-batched settling integration in [`crate::tran`]
-    /// assembles per-corner trapezoidal companions straight from them.
-    pub(crate) fn stamps(&self) -> (&Matrix<f64>, &Matrix<f64>) {
-        (&self.g, &self.c)
-    }
-
     /// Small-signal step response at `out`: integrates
     /// `C x' + G x = b u(t)` (with `b` the AC-source right-hand side and
-    /// zero initial state) by the trapezoidal rule. The companion matrix
-    /// `A = G + 2C/h` is constant over the record, so it is factored
-    /// **once** — on whichever backend the solver's [`SolverConfig`]
-    /// selects for this dimension — and every step costs one sparse
-    /// companion product plus one back-substitution. The companion
-    /// right-hand-side stamps `2C/h - G` are likewise collected once as a
-    /// nonzero list: on an extracted mesh the MNA matrices are mostly
-    /// zeros, so the old dense `O(n^2)`-per-step accumulation was the
-    /// settling path's real bound, not the factorization.
+    /// zero initial state) by the trapezoidal rule over `steps` steps of
+    /// `h = t_stop / steps`.
+    ///
+    /// The circuit is linear and time-invariant, so the companion
+    /// `A = G + 2C/h` is constant over the record and each step
+    /// `A x1 = 2b + (2C/h - G) x0` is the fixed affine map
+    /// `x1 = M x0 + k` with `M = A⁻¹(2C/h - G)` and `k = A⁻¹ 2b`. On the
+    /// dense backend `A` is factored once, `M` and `k` cost `n + 1`
+    /// back-substitutions, and every step is one `n²` matrix-vector
+    /// product with no substitution chain. `M` commits its solve
+    /// roundoff once, so the record matches per-step solves to roundoff,
+    /// not bitwise. On the sparse backend (unless the measured fill flips
+    /// it dense) every step is one companion product plus one sparse
+    /// back-substitution.
     ///
     /// Returns `(t, y)` with `y` the small-signal deviation of `out`.
     ///
     /// # Errors
     ///
+    /// [`SimError::InvalidOptions`] for a degenerate time grid (zero
+    /// steps, or a non-finite or non-positive `t_stop`), checked like
+    /// [`crate::tran::TranOptions::validate`];
     /// [`SimError::SingularMatrix`] (dense backend) or
     /// [`SimError::SingularSparse`] (sparse backend) if `2C/h + G` is
     /// singular.
@@ -584,79 +621,92 @@ impl<'a> AcSolver<'a> {
         t_stop: f64,
         steps: usize,
     ) -> Result<(Vec<f64>, Vec<f64>), SimError> {
+        crate::tran::TranOptions::new(t_stop, steps).validate()?;
         let h = t_stop / steps as f64;
         let n = self.dim;
-        // A = G + 2C/h (factored once); per step:
-        // A x1 = 2 b + (2C/h - G) x0  =>  rhs = 2 b + (2C/h) x0 - G x0.
-        // The companion stamps (r, c, 2C/h - G) are collected row-major so
-        // the per-step accumulation visits each row's nonzeros in the same
-        // order the dense loop did.
-        let mut comp: Vec<(usize, usize, f64)> = Vec::new();
-        for r in 0..n {
-            for c in 0..n {
-                let v = 2.0 * self.c[(r, c)] / h - self.g[(r, c)];
-                // lint:allow(float-eq) — exact-zero sparsity guard.
-                if v != 0.0 {
-                    comp.push((r, c, v));
-                }
-            }
-        }
-        // Sparse-route the companion when configured, but drop back to
-        // the dense kernel if the measured factor fill crosses the
-        // config's limit — the 2048 back-substitutions are cheaper dense
-        // then, at the cost of one throwaway sparse factorization.
-        let mut use_sparse = false;
-        let mut slu = SparseSolver::empty(self.cfg.btf);
-        if self.cfg.use_sparse(n) {
-            let mut trip = TripletList::new(n);
-            for r in 0..n {
-                for c in 0..n {
-                    let v = self.g[(r, c)] + 2.0 * self.c[(r, c)] / h;
-                    // lint:allow(float-eq) — exact-zero sparsity guard.
-                    if v != 0.0 {
-                        trip.push(r, c, v);
-                    }
-                }
-            }
-            let mut csc = CscMatrix::empty();
-            trip.compress_into(&mut csc);
-            slu.set_parallelism(self.cfg.par);
-            slu.refactor(&csc, 1e-300)?;
-            use_sparse = !self.cfg.dense_by_fill(n, slu.factor_nnz());
-        }
-        let dense_lu;
-        let lu: &dyn LinearSolver<f64> = if use_sparse {
-            &slu
-        } else {
-            let mut a = Matrix::<f64>::zeros(n, n);
-            for r in 0..n {
-                for c in 0..n {
-                    a[(r, c)] = self.g[(r, c)] + 2.0 * self.c[(r, c)] / h;
-                }
-            }
-            dense_lu = crate::linalg::LuFactors::factor(a, 1e-300)?;
-            &dense_lu
-        };
         let b: Vec<f64> = self.rhs.iter().map(|c| c.re).collect();
-        let mut x = vec![0.0; n];
         let oi = self.ckt.mna_index(out);
         let mut t_out = Vec::with_capacity(steps + 1);
         let mut y_out = Vec::with_capacity(steps + 1);
         t_out.push(0.0);
         y_out.push(0.0);
-        let mut rhs = vec![0.0; n];
+        let mut x = vec![0.0; n];
+        if self.sparse() {
+            let mut trip = TripletList::new(n);
+            // Companion right-hand-side stamps (r, c, 2C/h - G), row-major.
+            let mut comp: Vec<(usize, usize, f64)> = Vec::new();
+            for r in 0..n {
+                for c in 0..n {
+                    let (gg, cc) = (self.g[(r, c)], self.c[(r, c)]);
+                    let a = gg + 2.0 * cc / h;
+                    let v = 2.0 * cc / h - gg;
+                    // lint:allow(float-eq) — exact-zero sparsity guards.
+                    if a != 0.0 {
+                        trip.push(r, c, a);
+                    }
+                    // lint:allow(float-eq) — exact-zero sparsity guard.
+                    if v != 0.0 {
+                        comp.push((r, c, v));
+                    }
+                }
+            }
+            let mut csc = CscMatrix::empty();
+            trip.compress_into(&mut csc);
+            let mut slu = SparseSolver::empty(self.cfg.btf);
+            slu.set_parallelism(self.cfg.par);
+            slu.refactor(&csc, 1e-300)?;
+            // Drop to the dense propagator if the measured factor fill
+            // crosses the config's limit.
+            if !self.cfg.dense_by_fill(n, slu.factor_nnz()) {
+                let mut rhs = vec![0.0; n];
+                for s in 1..=steps {
+                    for (rv, bv) in rhs.iter_mut().zip(&b) {
+                        *rv = 2.0 * bv;
+                    }
+                    for &(r, c, v) in &comp {
+                        rhs[r] += v * x[c];
+                    }
+                    slu.solve_into(&rhs, &mut x);
+                    t_out.push(s as f64 * h);
+                    y_out.push(oi.map_or(0.0, |i| x[i]));
+                }
+                return Ok((t_out, y_out));
+            }
+        }
+        let mut a = Matrix::<f64>::zeros(n, n);
+        for r in 0..n {
+            for c in 0..n {
+                a[(r, c)] = self.g[(r, c)] + 2.0 * self.c[(r, c)] / h;
+            }
+        }
+        let lu = LuFactors::factor(a, 1e-300)?;
+        // M column by column — `A⁻¹ (2C/h - G) e_j` — stored column-major
+        // so each step accumulates contiguous columns.
+        let mut mcols = vec![0.0; n * n];
+        let mut col = vec![0.0; n];
+        let mut xcol = Vec::new();
+        for j in 0..n {
+            for (i, ci) in col.iter_mut().enumerate() {
+                *ci = 2.0 * self.c[(i, j)] / h - self.g[(i, j)];
+            }
+            lu.solve_into(&col, &mut xcol);
+            mcols[j * n..(j + 1) * n].copy_from_slice(&xcol);
+        }
+        let b2: Vec<f64> = b.iter().map(|bv| 2.0 * bv).collect();
+        let mut k = Vec::new();
+        lu.solve_into(&b2, &mut k);
+        let mut xn = vec![0.0; n];
         for s in 1..=steps {
-            // rhs = 2 b + (2C/h) x - G x, touching only the stored
-            // companion nonzeros.
-            for (r, rv) in rhs.iter_mut().enumerate() {
-                *rv = 2.0 * b[r];
+            // x1 = M x0 + k, axpy over M's columns: the inner loop
+            // carries no dependency between iterations.
+            xn.copy_from_slice(&k);
+            for (j, &xj) in x.iter().enumerate() {
+                let mcol = &mcols[j * n..(j + 1) * n];
+                for (xi, &mij) in xn.iter_mut().zip(mcol) {
+                    *xi += mij * xj;
+                }
             }
-            for &(r, c, v) in &comp {
-                rhs[r] += v * x[c];
-            }
-            // `rhs` is fully formed, so `x` can be overwritten in place —
-            // one allocation for the whole record instead of one per step.
-            lu.solve_into(&rhs, &mut x);
+            std::mem::swap(&mut x, &mut xn);
             t_out.push(s as f64 * h);
             y_out.push(oi.map_or(0.0, |i| x[i]));
         }
@@ -674,11 +724,13 @@ pub struct AcResponse {
 }
 
 /// Runs an AC sweep and records the transfer to `out` (driven by the
-/// netlist's AC sources).
+/// netlist's AC sources): [`ac_sweep_ws`] on a fresh workspace.
 ///
 /// # Errors
 ///
-/// Propagates solver failures at any frequency point.
+/// [`SimError::InvalidOptions`] for an empty, non-positive, non-finite or
+/// non-increasing frequency grid; otherwise propagates solver failures at
+/// any frequency point.
 ///
 /// # Examples
 ///
@@ -710,27 +762,16 @@ pub fn ac_sweep(
     freqs: &[f64],
     out: Node,
 ) -> Result<AcResponse, SimError> {
-    let solver = AcSolver::new(ckt, op);
-    let mut h = Vec::with_capacity(freqs.len());
-    for &f in freqs {
-        let x = solver.solve_sources(f)?;
-        h.push(solver.voltage(&x, out));
-    }
-    Ok(AcResponse {
-        freqs: freqs.to_vec(),
-        h,
-    })
+    ac_sweep_ws(ckt, op, freqs, out, &mut AcWorkspace::new())
 }
 
-/// [`ac_sweep`] with reusable workspace buffers: the whole sweep is one
-/// batched pass — the complex system is stamped and factored in place per
-/// point, so the sweep allocates nothing per frequency. Produces results
-/// identical to [`ac_sweep`] (same assembly, same elimination order); the
+/// [`ac_sweep`] with reusable workspace buffers: one reduction of the
+/// pencil, then an allocation-free O(n²) solve per frequency point. The
 /// warm evaluation sessions route their sweeps through this entry point.
 ///
 /// # Errors
 ///
-/// Propagates solver failures at any frequency point.
+/// Same contract as [`ac_sweep`].
 pub fn ac_sweep_ws(
     ckt: &Circuit,
     op: &OpPoint,
@@ -742,14 +783,14 @@ pub fn ac_sweep_ws(
 }
 
 /// [`ac_sweep_ws`] with an explicit linear-solver backend policy: the
-/// per-point factorization runs dense or sparse per `cfg` (identical
-/// results within solver tolerance; the dense route is bitwise-equal to
-/// [`ac_sweep`]). This is how the sizing topologies thread their
-/// [`SolverConfig`] into the serial evaluation path.
+/// reduced dense sweep or the per-point sparse factorization per `cfg`
+/// (identical results within solver tolerance). This is how the sizing
+/// topologies thread their [`SolverConfig`] into the serial evaluation
+/// path.
 ///
 /// # Errors
 ///
-/// Propagates solver failures at any frequency point.
+/// Same contract as [`ac_sweep`].
 pub fn ac_sweep_cfg(
     ckt: &Circuit,
     op: &OpPoint,
@@ -764,6 +805,30 @@ pub fn ac_sweep_cfg(
         freqs: freqs.to_vec(),
         h,
     })
+}
+
+/// Validates a sweep frequency grid the way `TranOptions::validate`
+/// guards time grids: an empty, non-positive, non-finite or
+/// non-increasing grid would silently produce an empty response, a
+/// singular point, or a response that `f_3db`/`ugbw` interpolation and
+/// the noise integrals misread, so it is rejected up front.
+pub(crate) fn validate_freqs(freqs: &[f64]) -> Result<(), SimError> {
+    if freqs.is_empty() {
+        return Err(SimError::InvalidOptions {
+            what: "frequency grid is empty",
+        });
+    }
+    if freqs.iter().any(|f| !f.is_finite() || *f <= 0.0) {
+        return Err(SimError::InvalidOptions {
+            what: "frequencies must be finite and positive",
+        });
+    }
+    if freqs.windows(2).any(|w| w[1] <= w[0]) {
+        return Err(SimError::InvalidOptions {
+            what: "frequency grid must be strictly increasing",
+        });
+    }
+    Ok(())
 }
 
 /// Process-wide pool of per-lane sweep workspaces: threaded sweeps check
@@ -792,49 +857,26 @@ pub(crate) fn grid_parallelism(solvers: &[AcSolver<'_>]) -> Parallelism {
     }
 }
 
-/// Scalar reference sweep per corner (mismatched structures and
-/// single-corner batches): same per-point factor/solve as [`ac_sweep`],
-/// reusing the caller's solvers.
-fn scalar_sweeps(
-    solvers: &[AcSolver<'_>],
-    freqs: &[f64],
-    outs: &[Node],
-) -> Vec<Result<AcResponse, SimError>> {
-    solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| {
-            let mut h = Vec::with_capacity(freqs.len());
-            for &f in freqs {
-                let x = s.solve_sources(f)?;
-                h.push(s.voltage(&x, o));
-            }
-            Ok(AcResponse {
-                freqs: freqs.to_vec(),
-                h,
-            })
-        })
-        .collect()
-}
-
 /// Per-corner sweep through the batch workspace's scalar buffers with
-/// each solver's own backend dispatch — the corner-path route for
-/// sparse-routed dimensions, where the dense Woodbury correction does not
-/// apply. Identical per corner to
-/// [`AcSolver::solve_sources_batch_ws`] on a fresh workspace.
-fn sparse_scalar_sweeps(
+/// each solver's own backend — the corner paths' route wherever the
+/// Woodbury correction does not apply (stock dims, single corners,
+/// mismatched structures, unprofitable support). Identical per corner to
+/// [`AcSolver::solve_sources_batch_ws`] on a fresh workspace, hence to
+/// [`ac_sweep`].
+fn scalar_sweeps(
     solvers: &[AcSolver<'_>],
     freqs: &[f64],
     outs: &[Node],
     ws: &mut AcBatchWorkspace,
 ) -> Vec<Result<AcResponse, SimError>> {
-    // Corner sets share their stamp *pattern* (same netlist structure),
-    // and every corner here sweeps through the one `ws.scalar` sparse
-    // solver — so `SparseSolver::refactor`'s same-pattern check reuses the
-    // symbolic analysis + AMD ordering across the whole corner set, and
-    // only corner 0 pays the full analysis. Same-pattern refactors are
-    // bitwise-equal to fresh factorizations (property-tested), so the
-    // sharing cannot perturb results.
+    // On the sparse backend, corner sets share their stamp *pattern*
+    // (same netlist structure), and every corner here sweeps through the
+    // one `ws.scalar` sparse solver — so `SparseSolver::refactor`'s
+    // same-pattern check reuses the symbolic analysis + AMD ordering
+    // across the whole corner set, and only corner 0 pays the full
+    // analysis. Same-pattern refactors are bitwise-equal to fresh
+    // factorizations (property-tested), so the sharing cannot perturb
+    // results.
     solvers
         .iter()
         .zip(outs)
@@ -856,7 +898,7 @@ fn sparse_scalar_sweeps(
 /// Woodbury correction as the dense [`ac_sweep_corners`] — the
 /// correction basis and small systems are dense but only `|R| x n`, so
 /// the sparse factor's fill advantage is kept where it matters. Falls
-/// back to [`sparse_scalar_sweeps`] on structural mismatch, unprofitable
+/// back to [`scalar_sweeps`] on structural mismatch, unprofitable
 /// support, or mismatched sources, and to a direct per-corner sparse
 /// solve at any frequency where the base factor or a correction system
 /// is singular.
@@ -869,11 +911,11 @@ fn sparse_corner_sweeps(
     let bt = solvers.len();
     let n = solvers[0].dim();
     if bt == 1 || solvers.iter().any(|s| s.dim() != n) {
-        return sparse_scalar_sweeps(solvers, freqs, outs, ws);
+        return scalar_sweeps(solvers, freqs, outs, ws);
     }
     let rhs0 = solvers[0].source_rhs();
     if solvers.iter().any(|s| s.source_rhs() != rhs0) {
-        return sparse_scalar_sweeps(solvers, freqs, outs, ws);
+        return scalar_sweeps(solvers, freqs, outs, ws);
     }
     ws.patterns.resize(bt, Vec::new());
     for (pat, s) in ws.patterns.iter_mut().zip(solvers) {
@@ -881,7 +923,7 @@ fn sparse_corner_sweeps(
     }
     let cd = CornerDiff::from_patterns(&ws.patterns, n);
     if !cd.profitable(n) {
-        return sparse_scalar_sweeps(solvers, freqs, outs, ws);
+        return scalar_sweeps(solvers, freqs, outs, ws);
     }
     let rn = cd.support();
 
@@ -1036,44 +1078,12 @@ fn direct_sparse_corner_point(
     Ok(oi.map_or(Complex::ZERO, |i| x[i]))
 }
 
-/// Allocation-free scalar sweep per corner through the batch workspace's
-/// factor buffer — what [`ac_sweep_corners`] falls back to when the
-/// correction cannot pay. Bitwise-equal to [`scalar_sweeps`] (the same
-/// kernel) but matches the warm serial path's per-point cost instead of
-/// allocating per frequency.
-fn scalar_sweeps_ws(
-    solvers: &[AcSolver<'_>],
-    freqs: &[f64],
-    outs: &[Node],
-    ws: &mut AcBatchWorkspace,
-) -> Vec<Result<AcResponse, SimError>> {
-    solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| {
-            let n = s.dim();
-            s.collect_pattern(&mut ws.patterns[0]);
-            let mut h = Vec::with_capacity(freqs.len());
-            for &f in freqs {
-                let w = 2.0 * std::f64::consts::PI * f;
-                factor_pattern(&mut ws.base, n, &ws.patterns[0], w)?;
-                ws.base.solve_into(s.source_rhs(), &mut ws.xcol);
-                h.push(s.voltage(&ws.xcol, o));
-            }
-            Ok(AcResponse {
-                freqs: freqs.to_vec(),
-                h,
-            })
-        })
-        .collect()
-}
-
 /// Dimension boundary between "stock" and "dense" extraction regimes for
 /// the corner paths. At or below it the Woodbury correction cannot pay
 /// (the difference support spans most of the system), so the corner
-/// sweeps, noise analyses and settling records run the scalar kernel per
-/// corner — bitwise-equal to the cold per-corner path; above it the
-/// correction wins.
+/// sweeps and noise analyses run the reduced scalar path per corner —
+/// bitwise-equal to the cold per-corner path; above it the correction
+/// wins.
 pub(crate) const STOCK_DIM_MAX: usize = 16;
 
 /// Corner-correction AC sweep: the fast path of the *warm* corner
@@ -1098,11 +1108,12 @@ pub(crate) const STOCK_DIM_MAX: usize = 16;
 /// base system's conditioning — far inside the warm evaluation path's
 /// solver-tolerance contract, which is why *cold* evaluations sweep each
 /// corner through [`AcSolver::solve_sources_batch_ws`] instead. Falls
-/// back to the scalar per-corner sweep at stock dims, when the difference
-/// support is too wide to pay (`3|R| >= n`), and on structural mismatch,
-/// and to direct per-corner
-/// factorization at any frequency where the base factor or a correction
-/// system is singular.
+/// back to that reduced per-corner sweep at stock dims, when the
+/// difference support is too wide to pay (`3|R| >= n`), and on
+/// structural mismatch, and to a direct per-corner LU at any frequency
+/// where the base factor or a correction system is singular. A
+/// degenerate frequency grid reports [`SimError::InvalidOptions`] for
+/// every corner.
 pub fn ac_sweep_corners(
     solvers: &[AcSolver<'_>],
     freqs: &[f64],
@@ -1111,6 +1122,9 @@ pub fn ac_sweep_corners(
 ) -> Vec<Result<AcResponse, SimError>> {
     assert_eq!(solvers.len(), outs.len(), "one output node per corner");
     let bt = solvers.len();
+    if let Err(e) = validate_freqs(freqs) {
+        return (0..bt).map(|_| Err(e.clone())).collect();
+    }
     if bt == 0 {
         return Vec::new();
     }
@@ -1121,23 +1135,19 @@ pub fn ac_sweep_corners(
         // sweep), dense low-rank correction per sibling.
         return sparse_corner_sweeps(solvers, freqs, outs, ws);
     }
-    if bt == 1 || solvers.iter().any(|s| s.dim() != n) {
-        return scalar_sweeps(solvers, freqs, outs);
-    }
-    ws.patterns.resize(bt.max(1), Vec::new());
-    if n <= STOCK_DIM_MAX {
+    if bt == 1 || n <= STOCK_DIM_MAX || solvers.iter().any(|s| s.dim() != n) {
         // At stock extraction dims the difference support spans most of
         // the system (every node touches a device), so the correction
         // cannot pay — skip its setup and sweep each corner through the
         // scalar kernel (bitwise-equal to the cold per-corner sweep).
-        return scalar_sweeps_ws(solvers, freqs, outs, ws);
+        return scalar_sweeps(solvers, freqs, outs, ws);
     }
     let rhs0 = solvers[0].source_rhs();
     if solvers.iter().any(|s| s.source_rhs() != rhs0) {
         // One shared base solve needs one shared source vector; corner
         // sets always satisfy this (same netlist structure), so this is
         // a safety valve, not a hot path.
-        return scalar_sweeps_ws(solvers, freqs, outs, ws);
+        return scalar_sweeps(solvers, freqs, outs, ws);
     }
 
     // Dense base images of G and C, plus per-corner stamp differences.
@@ -1148,7 +1158,7 @@ pub fn ac_sweep_corners(
     let cd = CornerDiff::from_patterns(&ws.patterns, n);
     if !cd.profitable(n) {
         // Correction support too wide relative to the system to pay.
-        return scalar_sweeps_ws(solvers, freqs, outs, ws);
+        return scalar_sweeps(solvers, freqs, outs, ws);
     }
     let rn = cd.support();
 

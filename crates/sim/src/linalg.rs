@@ -8,16 +8,22 @@
 //! fill-reducing sparse factorization; that backend lives in [`sparse`],
 //! and [`sparse::SolverConfig`] picks between the two by dimension.
 //!
-//! [`LuFactors`] is the one dense kernel. It is generic over the matrix
+//! [`LuFactors`] is the one dense LU. It is generic over the matrix
 //! scalar, so the same code serves real (DC, transient, Woodbury
-//! corrections) and complex (AC, noise) analyses. MNA matrices are mostly
-//! zeros even when they are small — the op-amp's 11 x 11 AC system has 40
-//! stamped entries out of 121 — so the factorization tracks which entries
-//! can be nonzero (one bitset per row, fill included) and spends its
-//! arithmetic only on those, while staying bit-identical to a plain dense
-//! elimination (see [`LuFactors`] for the argument).
+//! corrections) and complex (the per-point AC oracle, Woodbury corner
+//! rows) systems. MNA matrices are mostly zeros even when they are small
+//! — the op-amp's 11 x 11 AC system has 40 stamped entries out of 121 —
+//! so the factorization tracks which entries can be nonzero (one bitset
+//! per row, fill included) and spends its arithmetic only on those, while
+//! staying bit-identical to a plain dense elimination (see [`LuFactors`]
+//! for the argument).
+//!
+//! Dense AC and noise sweeps do not factor per point: [`pencil`] reduces
+//! `(G, C)` to Hessenberg–triangular form once per operating point, after
+//! which each frequency point is an O(n²) Hessenberg solve.
 
 pub(crate) mod correction;
+pub mod pencil;
 pub mod sparse;
 pub mod structure;
 

@@ -1,27 +1,34 @@
 //! Small-signal noise analysis.
 //!
 //! Every thermal resistor and MOSFET contributes a current-noise power
-//! spectral density between its terminals. For each frequency the complex
-//! MNA system is factored once and solved per noise source (unit current
-//! injection), giving the squared transfer to the output; the weighted sum
-//! is the output noise PSD, and dividing by the squared signal gain refers
-//! it to the input.
+//! spectral density between its terminals; the weighted sum of the
+//! squared transfers from each unit injection to the output is the output
+//! noise PSD, and dividing by the squared signal gain refers it to the
+//! input.
+//!
+//! On the dense backend the pencil is reduced once per operating point
+//! ([`crate::linalg::pencil`]) and each injection is projected by `Qᵀ`
+//! once. Every frequency point is then one transposed Hessenberg solve
+//! from the output row, whose solution gives the signal gain and every
+//! source's transfer as one dot product each. On the sparse backend each
+//! point is factored once and back-substituted per source. The per-point
+//! dense LU ([`AcSolver::factor_at`]) stays as the oracle these paths are
+//! tested against.
 //!
 //! Worst-case PVT evaluations run the analysis over a *corner set* of
 //! same-structure circuits. Cold evaluations call [`noise_analysis_cfg`]
-//! once per corner; warm ones call [`noise_analysis_corners`], which
-//! factors the **base corner once per frequency** and recovers every
-//! sibling through the same Woodbury correction as
+//! once per corner; warm ones call [`noise_analysis_corners`], which at
+//! dense-mesh dims factors the **base corner once per frequency** and
+//! recovers every sibling through the same Woodbury correction as
 //! [`crate::ac::ac_sweep_corners`] — and, because the corners share their
 //! injection nodes and source vector, the per-source unit-injection base
 //! solves are computed once and shared by the whole corner set. Exact to
-//! roundoff (the warm path's solver-tolerance contract), and the
-//! dense-dim fast path; at stock dims it runs the scalar kernel per
-//! corner.
+//! roundoff (the warm path's solver-tolerance contract); at stock dims it
+//! runs the reduced scalar path per corner.
 
 use crate::ac::{
-    ac_batch_ws_pool, ac_ws_pool, factor_pattern, grid_parallelism, AcBatchWorkspace, AcSolver,
-    AcWorkspace, STOCK_DIM_MAX,
+    ac_batch_ws_pool, factor_pattern, grid_parallelism, validate_freqs, AcBatchWorkspace, AcSolver,
+    AcWorkspace, Reduced, STOCK_DIM_MAX,
 };
 use crate::complex::Complex;
 use crate::dc::OpPoint;
@@ -30,11 +37,12 @@ use crate::error::SimError;
 use crate::linalg::correction::{
     corrected_entry, factor_correction, solve_correction_basis, CornerDiff,
 };
+use crate::linalg::pencil::{dot, dot_re};
 use crate::linalg::sparse::SolverConfig;
 use crate::linalg::LuFactors;
 use crate::measure::integrate_trapezoid;
 use crate::netlist::{Circuit, Element, Node};
-use crate::par::{run_chunks, would_parallelize, Parallelism};
+use crate::par::{run_chunks, would_parallelize};
 
 /// Result of a noise analysis over a frequency grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,30 +87,6 @@ impl NoiseSource {
     fn psd_at(&self, f: f64) -> f64 {
         self.white + self.flicker_pref / f.max(1e-3)
     }
-}
-
-/// Validates a noise frequency grid the way `TranOptions::validate`
-/// guards time grids: empty, non-positive/non-finite, or non-increasing
-/// grids would silently produce a zero or garbage integral (and feed the
-/// flicker term's 1 mHz clamp out-of-band values), so they are rejected
-/// up front.
-fn validate_freqs(freqs: &[f64]) -> Result<(), SimError> {
-    if freqs.is_empty() {
-        return Err(SimError::InvalidOptions {
-            what: "noise frequency grid is empty",
-        });
-    }
-    if freqs.iter().any(|f| !f.is_finite() || *f <= 0.0) {
-        return Err(SimError::InvalidOptions {
-            what: "noise frequencies must be finite and positive",
-        });
-    }
-    if freqs.windows(2).any(|w| w[1] <= w[0]) {
-        return Err(SimError::InvalidOptions {
-            what: "noise frequency grid must be strictly increasing",
-        });
-    }
-    Ok(())
 }
 
 /// Enumerates the circuit's noise sources at `temp_k`, pairing each MOS
@@ -156,57 +140,82 @@ fn collect_sources(ckt: &Circuit, op: &OpPoint, temp_k: f64) -> Result<Vec<Noise
     Ok(sources)
 }
 
-/// The per-frequency factor + per-source solve loop of the scalar
-/// analysis, appending one output-PSD and gain sample per grid point.
-/// [`AcSolver::prepare_workspace`] must have been called for this solver.
-fn noise_points_ws(
+/// The scalar analysis' sweep: prepares `ws` for this solver (the
+/// reduction, output row and projected injections on the dense backend)
+/// and samples `(gain, psd)` at every grid point, in order, stopping at
+/// the first failing point.
+fn noise_points(
     solver: &AcSolver<'_>,
     sources: &[NoiseSource],
     out: Node,
     freqs: &[f64],
     ws: &mut AcWorkspace,
-    out_psd: &mut Vec<f64>,
-    gain: &mut Vec<f64>,
-) -> Result<(), SimError> {
-    for &f in freqs {
-        let (g, psd) = noise_point_ws(solver, sources, out, f, ws)?;
-        gain.push(g);
-        out_psd.push(psd);
+) -> Result<(Vec<f64>, Vec<f64>), SimError> {
+    solver.prepare_workspace(ws);
+    solver.prepare_output(out, &mut ws.red);
+    if !solver.sparse() {
+        let Reduced { pencil, proj, .. } = &mut ws.red;
+        proj.clear();
+        for s in sources {
+            // Qᵀ u for the unit AC current u from p to n inside the source.
+            let start = proj.len();
+            proj.resize(start + solver.dim(), 0.0);
+            let u = &mut proj[start..];
+            if let Some(ip) = solver.mna_index(s.p) {
+                u.iter_mut()
+                    .zip(pencil.q_row(ip))
+                    .for_each(|(a, q)| *a -= q);
+            }
+            if let Some(in_) = solver.mna_index(s.n) {
+                u.iter_mut()
+                    .zip(pencil.q_row(in_))
+                    .for_each(|(a, q)| *a += q);
+            }
+        }
     }
-    Ok(())
+    let pts = solver.sweep(freqs, ws, |f, red, lane| {
+        noise_point(solver, sources, out, f, red, lane)
+    })?;
+    Ok(pts.into_iter().unzip())
 }
 
-/// One grid point of the scalar analysis: factor, gain solve, per-source
-/// unit-injection solves with the PSD accumulated in source order —
-/// the tile body shared by the serial loop and the threaded lanes (the
-/// per-source loop stays serial inside a tile, which is what keeps the
-/// accumulation order, and hence the sum, bitwise-stable under any
-/// schedule). Returns `(gain, psd)`.
-fn noise_point_ws(
+/// One grid point of the scalar analysis, returning `(gain, psd)` with
+/// the PSD accumulated in source order (serial inside a point, which
+/// keeps the sum bitwise-stable under any tiling). Dense backend: one
+/// transposed solve against the shared reduction, then a dot product
+/// for the gain and one per source. Sparse backend: factor, gain solve,
+/// and one unit-injection solve per source.
+fn noise_point(
     solver: &AcSolver<'_>,
     sources: &[NoiseSource],
     out: Node,
     f: f64,
-    ws: &mut AcWorkspace,
+    red: &Reduced,
+    lane: &mut AcWorkspace,
 ) -> Result<(f64, f64), SimError> {
-    let ckt = solver.circuit();
     let dim = solver.dim();
-    solver.factor_at_ws(f, ws)?;
-    let AcWorkspace { lu, x, rhs, .. } = &mut *ws;
-    // Signal gain.
+    let mut psd = 0.0;
+    if !solver.sparse() {
+        let w = 2.0 * std::f64::consts::PI * f;
+        let v = red.pencil.solve_transposed(w, &red.zo, &mut lane.hess)?;
+        for (s, u) in sources.iter().zip(red.proj.chunks_exact(dim.max(1))) {
+            psd += dot_re(v, u).norm_sqr() * s.psd_at(f);
+        }
+        return Ok((dot(v, &red.qb).norm(), psd));
+    }
+    solver.factor_at_ws(f, lane)?;
+    let AcWorkspace { lu, x, rhs, .. } = lane;
     lu.solve_into(solver.source_rhs(), x);
     let g = solver.voltage(x, out).norm();
-    // Sum over noise sources.
-    let mut psd = 0.0;
     rhs.clear();
     rhs.resize(dim, Complex::ZERO);
     for s in sources {
         rhs.iter_mut().for_each(|v| *v = Complex::ZERO);
         // Unit AC current from p to n inside the source.
-        if let Some(ip) = ckt.mna_index(s.p) {
+        if let Some(ip) = solver.mna_index(s.p) {
             rhs[ip] -= Complex::ONE;
         }
-        if let Some(in_) = ckt.mna_index(s.n) {
+        if let Some(in_) = solver.mna_index(s.n) {
             rhs[in_] += Complex::ONE;
         }
         lu.solve_into(rhs, x);
@@ -287,10 +296,11 @@ pub fn noise_analysis(
 }
 
 /// [`noise_analysis`] with reusable workspace buffers — no per-frequency
-/// or per-source allocation; results are identical. Each frequency point
-/// is factored once (the dense [`LuFactors`] below the sparse crossover)
-/// and back-substituted per noise source. Warm evaluation sessions route
-/// their noise analyses through this entry point.
+/// or per-source allocation; results are identical. Below the sparse
+/// crossover the pencil is reduced once and each frequency point is one
+/// transposed Hessenberg solve plus a dot product per noise source. Warm
+/// evaluation sessions route their noise analyses through this entry
+/// point.
 ///
 /// # Errors
 ///
@@ -307,10 +317,10 @@ pub fn noise_analysis_ws(
 }
 
 /// [`noise_analysis_ws`] with an explicit linear-solver backend policy:
-/// the per-frequency factorization and every per-source back-substitution
-/// run dense or sparse per `cfg` (identical results within solver
-/// tolerance). This is how the sizing topologies thread their
-/// [`SolverConfig`] into the serial noise path.
+/// the reduced dense sweep or the per-point sparse factorization per
+/// `cfg` (identical results within solver tolerance). This is how the
+/// sizing topologies thread their [`SolverConfig`] into the serial noise
+/// path.
 ///
 /// # Errors
 ///
@@ -327,56 +337,8 @@ pub fn noise_analysis_cfg(
     validate_freqs(freqs)?;
     let sources = collect_sources(ckt, op, temp_k)?;
     let solver = AcSolver::new(ckt, op).with_config(cfg);
-    let par = solver.sweep_parallelism();
-    if would_parallelize(par, freqs.len()) {
-        let (out_psd, gain) = noise_points_par(&solver, &sources, out, freqs, par)?;
-        return finalize(freqs, out_psd, gain);
-    }
-    solver.prepare_workspace(ws);
-    let mut out_psd = Vec::with_capacity(freqs.len());
-    let mut gain = Vec::with_capacity(freqs.len());
-    noise_points_ws(&solver, &sources, out, freqs, ws, &mut out_psd, &mut gain)?;
+    let (gain, out_psd) = noise_points(&solver, &sources, out, freqs, ws)?;
     finalize(freqs, out_psd, gain)
-}
-
-/// Threaded scalar noise sweep: every frequency factors and solves into
-/// its own slot through a per-lane pooled workspace, exactly the
-/// per-point arithmetic of [`noise_points_ws`] (each point's per-source
-/// accumulation stays serial inside its tile), so the result is
-/// bitwise-equal to the serial walk under any schedule. The in-order
-/// drain recovers the serial path's first-failing-frequency abort.
-fn noise_points_par(
-    solver: &AcSolver<'_>,
-    sources: &[NoiseSource],
-    out: Node,
-    freqs: &[f64],
-    par: Parallelism,
-) -> Result<(Vec<f64>, Vec<f64>), SimError> {
-    let mut slots: Vec<Result<(f64, f64), SimError>> =
-        freqs.iter().map(|_| Ok((0.0, 0.0))).collect();
-    run_chunks(
-        par,
-        &mut slots,
-        ac_ws_pool(),
-        AcWorkspace::new,
-        |off, chunk, ws| {
-            solver.prepare_lane(freqs[0], ws);
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                *slot = noise_point_ws(solver, sources, out, freqs[off + k], ws);
-                if slot.is_err() {
-                    break;
-                }
-            }
-        },
-    );
-    let mut out_psd = Vec::with_capacity(freqs.len());
-    let mut gain = Vec::with_capacity(freqs.len());
-    for s in slots {
-        let (g, p) = s?;
-        gain.push(g);
-        out_psd.push(p);
-    }
-    Ok((out_psd, gain))
 }
 
 /// Per-corner scalar reference path of [`noise_analysis_corners`]: each
@@ -399,18 +361,7 @@ fn scalar_noise_ws(
         .zip(outs.iter().zip(temps))
         .map(|((solver, op), (&out, &temp_k))| {
             let sources = collect_sources(solver.circuit(), op, temp_k)?;
-            solver.prepare_workspace(&mut ws.scalar);
-            let mut out_psd = Vec::with_capacity(freqs.len());
-            let mut gain = Vec::with_capacity(freqs.len());
-            noise_points_ws(
-                solver,
-                &sources,
-                out,
-                freqs,
-                &mut ws.scalar,
-                &mut out_psd,
-                &mut gain,
-            )?;
+            let (gain, out_psd) = noise_points(solver, &sources, out, freqs, &mut ws.scalar)?;
             finalize(freqs, out_psd, gain)
         })
         .collect()

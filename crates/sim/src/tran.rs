@@ -4,8 +4,16 @@
 //! Capacitors are replaced by their integration companion models; MOSFETs
 //! are re-linearized each Newton iteration; step sources follow their
 //! [`crate::netlist::Step`] waveforms.
+//!
+//! The settling measurements integrate the *linearized* circuit instead:
+//! [`AcSolver::step_response`] folds the constant trapezoidal companion
+//! into a propagator `x1 = M x0 + k`, so on the dense backend every time
+//! step is one `n²` matrix-vector product. [`step_response_corners`] runs
+//! it per corner, except on sparse-routed corner sets, where the base
+//! corner's companion is factored once and siblings are Woodbury-corrected
+//! per step.
 
-use crate::ac::{AcSolver, STOCK_DIM_MAX};
+use crate::ac::AcSolver;
 use crate::dc::{dc_operating_point, eval_mos_oriented, DcOptions, OpPoint, WarmState};
 use crate::error::SimError;
 use crate::linalg::correction::{
@@ -471,37 +479,26 @@ pub fn transient_from_op(
 /// response, or the solver error that corner failed with.
 pub type StepRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
 
-/// Corner-batched small-signal step response — the warm fast path of the
+/// Corner-batched small-signal step response — the warm path of the
 /// settling measurement across a PVT corner set sharing one time window.
 ///
 /// The trapezoidal companion `A_b = G_b + 2C_b/h` is constant over the
-/// whole record, so the scalar kernel already factors it once per corner
-/// and amortizes that cost over the 2048 back-substitutions — the
-/// batched win has to come from the *per-step solves*, and the kernel
-/// picks its mechanism by backend regime:
+/// whole record. At dense dims each corner runs
+/// [`AcSolver::step_response`], whose propagator already makes every
+/// step one `n²` matrix-vector product. At sparse-routed dims the
+/// per-step sparse back-substitution is already cheap, so the kernel
+/// instead factors the **base corner's companion once**, builds the
+/// [`CornerDiff`] low-rank structure over the per-corner stamp deltas,
+/// and recovers every sibling's state per step through the Woodbury
+/// identity (`x_b = y_b - W S_b^{-1} N_b y_b`); each corner's
+/// `|R| x |R|` correction system is factored once per corner set. Corner
+/// 0 and empty-diff siblings take their lane of the fused solve directly
+/// (bitwise); corrected siblings are exact to roundoff, within the warm
+/// path's solver-tolerance contract.
 ///
-/// - **Dense dims** (crossover- or fill-limit-routed): each corner's
-///   constant companion is folded into a precomputed affine propagator
-///   `x1 = M x0 + k` (`M = A^{-1}(2C/h - G)`, `k = A^{-1} 2b`), so the
-///   per-step cost drops from a back-substitution pair to one `n^2`
-///   chain-free matrix-vector product — see [`corners_propagator`].
-///   Lanes agree with the scalar kernel to solver tolerance.
-/// - **Sparse dims**: the per-step sparse back-substitution is already
-///   cheap, so the kernel instead factors the **base corner's companion
-///   once**, builds the [`CornerDiff`] low-rank structure over the
-///   per-corner stamp deltas, and recovers every sibling's state per
-///   step through the Woodbury identity
-///   (`x_b = y_b - W S_b^{-1} N_b y_b`); each corner's `|R| x |R|`
-///   correction system is factored once per corner set. Corner 0 and
-///   empty-diff siblings take their lane of the fused solve directly
-///   (bitwise); corrected siblings are exact to roundoff.
-///
-/// Both regimes live under the warm path's solver-tolerance contract —
-/// cold evaluations integrate each corner through the scalar
-/// [`AcSolver::step_response`] instead. Falls back per corner to the scalar kernel on structural
-/// mismatch, a singular lane/base, or (sparse regime) unprofitable
-/// support (`3|R| >= n`); stock dims (`n <= 16`) always take the scalar
-/// path.
+/// Falls back per corner to [`AcSolver::step_response`] on structural
+/// mismatch, a singular lane or base, a fill blow-up, or unprofitable
+/// support (`3|R| >= n`).
 ///
 /// Returns one `(t, y)` record per corner, ordered like `solvers`.
 ///
@@ -527,130 +524,42 @@ pub fn step_response_corners(
             .map(|(s, &o)| s.step_response(o, t_stop, steps))
             .collect()
     };
-    if bt == 1 || n <= STOCK_DIM_MAX || solvers.iter().any(|s| s.dim() != n) {
+    let cfg = solvers[0].config();
+    if bt == 1 || !cfg.use_sparse(n) || solvers.iter().any(|s| s.dim() != n) {
         return scalar_all();
     }
-    let h = t_stop / steps as f64;
-    let cfg = solvers[0].config();
-    if cfg.use_sparse(n) {
-        let mut patterns: Vec<Vec<(usize, usize, f64, f64)>> = vec![Vec::new(); bt];
-        for (pat, s) in patterns.iter_mut().zip(solvers) {
-            s.collect_pattern(pat);
-        }
-        let cd = CornerDiff::from_patterns(&patterns, n);
-        if !cd.profitable(n) {
-            return scalar_all();
-        }
-        // Base companion A0 = G0 + 2*C0/h on the *plain* sparse kernel
-        // (the correction basis needs one whole-matrix solve per support
-        // row, which the BTF block solve provides no advantage for).
-        let mut trip = TripletList::new(n);
-        for &(r, c, gg, cc) in &patterns[0] {
-            let v = gg + 2.0 * cc / h;
-            // lint:allow(float-eq) — exact-zero sparsity guard.
-            if v != 0.0 {
-                trip.push(r, c, v);
-            }
-        }
-        let mut csc = CscMatrix::empty();
-        trip.compress_into(&mut csc);
-        let mut slu = SparseLu::empty();
-        if slu.refactor(&csc, 1e-300).is_err() {
-            // Base corner singular: let every corner report through its
-            // own scalar solve.
-            return scalar_all();
-        }
-        if !cfg.dense_by_fill(n, slu.factor_nnz()) {
-            return corners_woodbury(solvers, outs, t_stop, steps, h, &slu, &patterns, &cd);
-        }
-        // Fill blow-up: the scalar kernel drops to its dense LU here,
-        // which is the propagator kernel's regime.
+    if let Err(e) = TranOptions::new(t_stop, steps).validate() {
+        return (0..bt).map(|_| Err(e.clone())).collect();
     }
-    corners_propagator(solvers, outs, t_stop, steps, h)
-}
-
-/// Dense-regime settling kernel: the per-step implicit solve is replaced
-/// by a per-corner precomputed **propagator**. The trapezoidal companion
-/// is constant over the record, so the step update
-/// `A x1 = 2b + (2C/h - G) x0` is the affine fixed map `x1 = M x0 + k`
-/// with `M = A^{-1} (2C/h - G)` and `k = A^{-1} (2b)` — each corner pays
-/// `n + 1` extra back-substitutions once, and every step collapses to
-/// one `n^2` matrix-vector product, half the flops of a back-substitution
-/// pair. The matvec runs column-major (axpy accumulation), so the inner
-/// loop is `n` independent multiply-adds with none of the substitution
-/// dependency chain, and each corner's propagator stays L1-resident for
-/// its whole sweep. Algebraically the map is the scalar kernel's exact
-/// update; in floating point the precomputed `M` commits its solve
-/// roundoff once, so lanes agree with [`AcSolver::step_response`] to
-/// solver tolerance — the warm path's contract — not bitwise. A singular
-/// companion drops that corner to the scalar path so it reports the
-/// scalar error.
-fn corners_propagator(
-    solvers: &[&AcSolver<'_>],
-    outs: &[Node],
-    t_stop: f64,
-    steps: usize,
-    h: f64,
-) -> Vec<StepRecord> {
-    let n = solvers[0].dim();
-    solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| {
-            let (g, c) = s.stamps();
-            let mut a = Matrix::<f64>::zeros(n, n);
-            for r in 0..n {
-                for col in 0..n {
-                    a[(r, col)] = g[(r, col)] + 2.0 * c[(r, col)] / h;
-                }
-            }
-            let lu = match LuFactors::factor(a, 1e-300) {
-                Ok(lu) => lu,
-                // Singular companion: the scalar kernel reports it.
-                Err(_) => return s.step_response(o, t_stop, steps),
-            };
-            // M column by column — `A^{-1} (2C/h - G) e_j` — stored
-            // column-major so the per-step accumulation walks contiguous
-            // columns.
-            let mut mcols = vec![0.0; n * n];
-            let mut bcol = vec![0.0; n];
-            let mut xcol = Vec::new();
-            for j in 0..n {
-                for (i, bi) in bcol.iter_mut().enumerate() {
-                    *bi = 2.0 * c[(i, j)] / h - g[(i, j)];
-                }
-                lu.solve_into(&bcol, &mut xcol);
-                mcols[j * n..(j + 1) * n].copy_from_slice(&xcol);
-            }
-            let b2: Vec<f64> = s.source_rhs().iter().map(|cb| 2.0 * cb.re).collect();
-            let mut k = Vec::new();
-            lu.solve_into(&b2, &mut k);
-
-            let oi = s.mna_index(o);
-            let mut x = vec![0.0; n];
-            let mut xn = vec![0.0; n];
-            let mut t_out = Vec::with_capacity(steps + 1);
-            let mut y_out = Vec::with_capacity(steps + 1);
-            t_out.push(0.0);
-            y_out.push(0.0);
-            for sidx in 1..=steps {
-                // x1 = M x0 + k, axpy over M's columns: the inner loop
-                // carries no dependency between iterations, so it
-                // pipelines where the back-substitution chain stalls.
-                xn.copy_from_slice(&k);
-                for (j, &xj) in x.iter().enumerate() {
-                    let mcol = &mcols[j * n..(j + 1) * n];
-                    for (xi, &mij) in xn.iter_mut().zip(mcol) {
-                        *xi += mij * xj;
-                    }
-                }
-                std::mem::swap(&mut x, &mut xn);
-                t_out.push(sidx as f64 * h);
-                y_out.push(oi.map_or(0.0, |i| x[i]));
-            }
-            Ok((t_out, y_out))
-        })
-        .collect()
+    let h = t_stop / steps as f64;
+    let mut patterns: Vec<Vec<(usize, usize, f64, f64)>> = vec![Vec::new(); bt];
+    for (pat, s) in patterns.iter_mut().zip(solvers) {
+        s.collect_pattern(pat);
+    }
+    let cd = CornerDiff::from_patterns(&patterns, n);
+    if !cd.profitable(n) {
+        return scalar_all();
+    }
+    // Base companion A0 = G0 + 2*C0/h on the *plain* sparse kernel (the
+    // correction basis needs one whole-matrix solve per support row,
+    // which the BTF block solve provides no advantage for).
+    let mut trip = TripletList::new(n);
+    for &(r, c, gg, cc) in &patterns[0] {
+        let v = gg + 2.0 * cc / h;
+        // lint:allow(float-eq) — exact-zero sparsity guard.
+        if v != 0.0 {
+            trip.push(r, c, v);
+        }
+    }
+    let mut csc = CscMatrix::empty();
+    trip.compress_into(&mut csc);
+    let mut slu = SparseLu::empty();
+    // A singular base lets every corner report through its own scalar
+    // solve; a fill blow-up sends every corner to the dense propagator.
+    if slu.refactor(&csc, 1e-300).is_err() || cfg.dense_by_fill(n, slu.factor_nnz()) {
+        return scalar_all();
+    }
+    corners_woodbury(solvers, outs, t_stop, steps, h, &slu, &patterns, &cd)
 }
 
 /// Sparse-regime settling kernel: Woodbury-corrects every sibling's

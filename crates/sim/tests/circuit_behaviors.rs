@@ -2,6 +2,7 @@
 //! with hand-computable answers, exercised through the public API exactly
 //! the way the circuit generators use it.
 
+use autockt_sim::device::BOLTZMANN;
 use autockt_sim::prelude::*;
 
 #[test]
@@ -204,4 +205,124 @@ fn pvt_corners_order_device_current() {
     let i_hot = hot.nmos.eval(0.9, 0.9, 2e-6, 90e-9, 1.0).id;
     let i_cold = nom.nmos.eval(0.9, 0.9, 2e-6, 90e-9, 1.0).id;
     assert!(i_hot < i_cold, "hot {i_hot} vs cold {i_cold}");
+}
+
+/// The conductance every node carries to ground in the small-signal
+/// system (the same gmin regularization as the DC solve). The closed
+/// forms below include it: it shifts the RC answers by `R·GMIN` = 1e-9
+/// relative, far above the tolerances checked.
+const GMIN: f64 = 1e-12;
+
+/// An RC low-pass driven by a 1 V AC / step source.
+fn rc(r: f64, c: f64) -> (Circuit, Node, OpPoint) {
+    let mut ckt = Circuit::new();
+    let i = ckt.node("in");
+    let o = ckt.node("out");
+    ckt.vsource(i, GND, 0.0, 1.0);
+    ckt.resistor(i, o, r);
+    ckt.capacitor(o, GND, c);
+    let op = dc_operating_point(&ckt, &DcOptions::default()).expect("op");
+    (ckt, o, op)
+}
+
+#[test]
+fn rc_response_matches_closed_form_to_1e12() {
+    // H(jw) = 1 / (1 + R·GMIN + jwRC). The complex relative error bounds
+    // the magnitude's relative error and the phase error in radians.
+    let (r, c) = (1.0e3, 1e-9);
+    let (ckt, o, op) = rc(r, c);
+    let freqs = log_freqs(1e3, 1e8, 10);
+    let resp = ac_sweep(&ckt, &op, &freqs, o).expect("sweep");
+    for (&f, &h) in freqs.iter().zip(&resp.h) {
+        let w = 2.0 * std::f64::consts::PI * f;
+        let exact = Complex::new(1.0 + r * GMIN, w * r * c).recip();
+        let e = (h - exact).norm() / exact.norm();
+        assert!(e <= 1e-12, "at {f:.3e} Hz: {h} vs {exact} ({e:.1e})");
+        assert!((h.norm() - exact.norm()).abs() <= 1e-12 * exact.norm());
+        assert!((h.arg() - exact.arg()).abs() <= 1e-12);
+    }
+}
+
+#[test]
+fn rc_step_response_within_trapezoidal_error_bound() {
+    // y(t) = y_inf (1 - e^{-t/tau}) with y_inf = 1/(1 + R·GMIN) and
+    // tau = RC/(1 + R·GMIN). The trapezoidal rule advances the homogeneous
+    // part by R(z) = (1 + z/2)/(1 - z/2), z = -h/tau, instead of e^z, and
+    // |R(z) - e^z| <= 1.01 |z|^3 / 12 for |z| <= 0.01. After k steps the
+    // error is at most k times that: the O(h^2) global bound
+    // (t/tau)(h/tau)^2/12.
+    let (r, c) = (1.0e3, 1e-9);
+    let (ckt, o, op) = rc(r, c);
+    let (t_stop, steps) = (10e-6, 2000);
+    let (t, y) = autockt_sim::ac::AcSolver::new(&ckt, &op)
+        .step_response(o, t_stop, steps)
+        .expect("step");
+    let y_inf = 1.0 / (1.0 + r * GMIN);
+    let tau = r * c / (1.0 + r * GMIN);
+    let z = t_stop / steps as f64 / tau;
+    assert!(z <= 0.01);
+    let mut worst = 0.0f64;
+    for (k, (&tk, &yk)) in t.iter().zip(&y).enumerate() {
+        let exact = y_inf * (1.0 - (-tk / tau).exp());
+        let bound = 1.01 * k as f64 * z.powi(3) / 12.0 * y_inf + 1e-14;
+        assert!(
+            (yk - exact).abs() <= bound,
+            "step {k}: {yk} vs {exact}, bound {bound:e}"
+        );
+        worst = worst.max((yk - exact).abs());
+    }
+    // The bound is not vacuous: the integrator's error is of its order.
+    let final_bound = 1.01 * steps as f64 * z.powi(3) / 12.0;
+    assert!(worst > 0.01 * final_bound, "{worst:e} vs {final_bound:e}");
+}
+
+#[test]
+fn rc_integrated_output_noise_is_kt_over_c() {
+    // The resistor's 4kTR noise reaches the output as
+    // S(f) = K / (1 + (f/fp)^2), K = 4kTR/(1 + R·GMIN)^2,
+    // fp = (1 + R·GMIN)/(2 pi R C), whose integral over all f is
+    // kT/C / (1 + R·GMIN). The analysis integrates S with the trapezoid
+    // rule over a finite log grid, so the test checks the two gaps
+    // separately:
+    // - band truncation, exact: the integral over [f_lo, f_hi] is
+    //   K fp (atan(f_hi/fp) - atan(f_lo/fp));
+    // - the trapezoid error on each segment [a, b], at most
+    //   (b - a)^3 / 12 max|S''|, with S'' = K/fp^2 g(f/fp),
+    //   g(x) = (6x^2 - 2)/(1 + x^2)^3; |g| peaks at x = 0 (2) and x = 1
+    //   (0.5) and is monotone between, so its segment maximum is at an
+    //   endpoint or at x = 1.
+    // At 40 points per decade over fp·1e-4 .. fp·1e4 the trapezoid bound
+    // is 6.1e-4 of kT/C and the truncated tails 1.3e-4.
+    let (r, c, temp) = (1.0e3, 1e-12, 300.0);
+    let (ckt, o, op) = rc(r, c);
+    let kt_c = BOLTZMANN * temp / c;
+    let k = 4.0 * BOLTZMANN * temp * r / (1.0 + r * GMIN).powi(2);
+    let fp = (1.0 + r * GMIN) / (2.0 * std::f64::consts::PI * r * c);
+    let freqs = log_freqs(fp * 1e-4, fp * 1e4, 40);
+    let nr = noise_analysis(&ckt, &op, o, &freqs, temp).expect("noise");
+    let (f_lo, f_hi) = (freqs[0], freqs[freqs.len() - 1]);
+    let band = k * fp * ((f_hi / fp).atan() - (f_lo / fp).atan());
+    let g = |x: f64| (6.0 * x * x - 2.0) / (1.0 + x * x).powi(3);
+    let trap_bound: f64 = freqs
+        .windows(2)
+        .map(|s| {
+            let (xa, xb) = (s[0] / fp, s[1] / fp);
+            let mut m = g(xa).abs().max(g(xb).abs());
+            if xa <= 1.0 && 1.0 <= xb {
+                m = m.max(0.5);
+            }
+            (s[1] - s[0]).powi(3) / 12.0 * k / (fp * fp) * m
+        })
+        .sum();
+    let total = nr.out_vrms * nr.out_vrms;
+    assert!(
+        (total - band).abs() <= trap_bound + 1e-12 * band,
+        "trapezoid: {total:e} vs band {band:e}, bound {trap_bound:e}"
+    );
+    let tails = kt_c / (1.0 + r * GMIN) - band;
+    assert!(trap_bound < 7e-4 * kt_c && tails < 1.5e-4 * kt_c);
+    assert!(
+        (total - kt_c).abs() <= tails + trap_bound + 2.0 * r * GMIN * kt_c,
+        "{total:e} vs kT/C {kt_c:e}"
+    );
 }

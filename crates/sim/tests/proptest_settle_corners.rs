@@ -1,20 +1,18 @@
 //! Property: the corner-batched settling integrations are equivalent to
 //! the scalar per-corner reference.
 //!
-//! [`step_response_corners`] is two kernels behind one dispatch. At
-//! dense-routed dims each corner's constant companion is folded into a
-//! precomputed affine propagator `x1 = M x0 + k` — algebraically the
-//! scalar update, but with the solve roundoff committed into `M` once —
-//! so every corner must agree with the scalar
-//! [`AcSolver::step_response`] to roundoff. At sparse-routed dims it
-//! factors only the base corner's companion and recovers each sibling
-//! through the low-rank Woodbury correction, which is algebraically
-//! exact — siblings must agree to roundoff, while the base corner and
-//! any corner whose device stamps match the base (empty diff) run the
-//! scalar arithmetic in the scalar order and must agree **bitwise**. At
-//! stock dims (`n <= 16`), on corner sets whose dims differ, and on
-//! singular/unprofitable bases the kernel falls back to the scalar path
-//! per corner, so every lane tightens back to bitwise.
+//! At dense-routed dims [`step_response_corners`] runs the scalar
+//! [`AcSolver::step_response`] per corner (whose propagator already makes
+//! each step one matrix-vector product), so every lane is **bitwise** the
+//! scalar record — at stock dims and at dense-mesh dims alike. At
+//! sparse-routed dims it factors only the base corner's companion and
+//! recovers each sibling through the low-rank Woodbury correction, which
+//! is algebraically exact — siblings must agree to roundoff, while the
+//! base corner and any corner whose device stamps match the base (empty
+//! diff) run the scalar arithmetic in the scalar order and must agree
+//! bitwise. On corner sets whose dims differ, and on singular or
+//! unprofitable bases, the kernel falls back to the scalar path per
+//! corner, so every lane tightens back to bitwise.
 
 use autockt_sim::ac::AcSolver;
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
@@ -84,12 +82,10 @@ fn rel_close(a: f64, b: f64, tol: f64) -> bool {
 /// bitwise (the rest must match to roundoff).
 #[derive(Clone, Copy, PartialEq)]
 enum Bitwise {
-    /// Scalar fallback regimes: every lane.
+    /// Dense dims and scalar fallback regimes: every lane.
     All,
     /// Sparse Woodbury regime: the base corner and empty-diff siblings.
     BaseLanes,
-    /// Dense propagator regime: no lane — `M` commits solve roundoff.
-    None,
 }
 
 /// Runs the scalar reference per corner, then checks the corrected
@@ -134,7 +130,6 @@ fn check_corrected(
                 let bitwise = match mode {
                     Bitwise::All => true,
                     Bitwise::BaseLanes => b == 0 || widths[b] == widths[0],
-                    Bitwise::None => false,
                 };
                 if bitwise {
                     if cy != sy {
@@ -162,10 +157,10 @@ fn check_corrected(
 }
 
 proptest! {
-    /// Dense dims (16 < dim < crossover): the propagator kernel — every
-    /// corner agrees with the scalar path to roundoff, duplicates and
-    /// spread-out siblings alike. A duplicate corner rides along to
-    /// cover the equal-stamps lane too.
+    /// Dense dims (16 < dim < crossover): every corner runs the scalar
+    /// propagator, so every lane is bitwise — duplicates and spread-out
+    /// siblings alike. A duplicate corner rides along to cover the
+    /// equal-stamps lane too.
     #[test]
     fn settle_propagator_dense_is_close(
         base_w in 0.8e-6..4.0e-6f64,
@@ -176,12 +171,12 @@ proptest! {
             .chain(std::iter::once(base_w)) // duplicate corner: equal stamps
             .chain(deltas.iter().map(|d| base_w * (1.0 + d)))
             .collect();
-        let r = check_corrected(&widths, depth, SolverConfig::default(), Bitwise::None);
+        let r = check_corrected(&widths, depth, SolverConfig::default(), Bitwise::All);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 
-    /// Stock dims (dim <= 16): the kernel falls back to the scalar path
-    /// per corner, so every lane is bitwise.
+    /// Stock dims (dim <= 16): the scalar path per corner, so every lane
+    /// is bitwise.
     #[test]
     fn settle_corrected_bitwise_at_stock_dims(
         base_w in 0.8e-6..4.0e-6f64,
