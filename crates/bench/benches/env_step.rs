@@ -230,15 +230,12 @@ fn bench_noise_corners(c: &mut Criterion) {
 }
 
 /// One full TIA corner-set settling integration (6 corners x 2048
-/// trapezoidal steps on a shared window) through the serial per-corner
-/// `step_response` loop and the corner-batched
-/// `step_response_corners` kernel (propagator at dense dims, Woodbury
-/// at sparse dims) — over the same
+/// trapezoidal steps on a shared window) through the per-corner
+/// `step_response` propagator — over the same
 /// [`autockt_bench::SettleCornerCase`] workloads as `bench_env_step`'s
 /// settle-corner section.
 fn bench_settle_corners(c: &mut Criterion) {
     use autockt_sim::ac::AcSolver;
-    use autockt_sim::tran::step_response_corners;
     for depth in [0usize, 4] {
         let case = autockt_bench::tia_settle_corner_case(depth)
             .expect("TIA settle corner workload builds");
@@ -248,20 +245,12 @@ fn bench_settle_corners(c: &mut Criterion) {
             .zip(&case.ops)
             .map(|(ckt, op)| AcSolver::new(ckt, op))
             .collect();
-        let refs: Vec<&AcSolver<'_>> = solvers.iter().collect();
-        let outs = vec![case.out; solvers.len()];
         c.bench_function(&format!("settle_corners_serial_tia_mesh{depth}"), |b| {
             b.iter(|| {
                 for s in &solvers {
                     let r = s.step_response(case.out, case.t_stop, case.steps);
                     black_box(r.expect("corner settles").1.last().copied());
                 }
-            });
-        });
-        c.bench_function(&format!("settle_corners_corrected_tia_mesh{depth}"), |b| {
-            b.iter(|| {
-                let r = step_response_corners(&refs, &outs, case.t_stop, case.steps);
-                black_box(r.len())
             });
         });
     }

@@ -7,7 +7,6 @@ use autockt_circuits::{NegGmOta, OpAmp2, SimMode, SizingProblem, Tia};
 use autockt_sim::ac::{ac_sweep, log_freqs, AcSolver};
 use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions};
-use autockt_sim::linalg::sparse::{CscMatrix, SparseLu, TripletList};
 use autockt_sim::linalg::{solve, LuFactors, Matrix};
 use autockt_sim::pex::extract;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -144,40 +143,14 @@ fn bench_dense_point(c: &mut Criterion, label: &str, case: &AcKernelCase) {
 }
 
 /// The dense per-point LU on the center designs' real systems (TIA dim 4,
-/// op-amp dim 11), then dense vs the CSC sparse-LU refactor path on the
-/// TIA's extracted mesh systems (the `bench_env_step` sparse-solver
-/// section drives the identical cases).
-fn bench_sparse_lu(c: &mut Criterion) {
+/// op-amp dim 11) and on the TIA's extracted mesh systems.
+fn bench_dense_points(c: &mut Criterion) {
     for case in ac_kernel_cases().expect("center-design kernel workloads build") {
         bench_dense_point(c, &case.name, &case);
     }
     for depth in [4usize, 16] {
         let case = tia_mesh_kernel_case(depth).expect("TIA mesh workload builds");
-        let (n, w) = (case.n, case.w);
         bench_dense_point(c, &format!("mesh{depth}"), &case);
-
-        let mut trip: TripletList<Complex> = TripletList::new(n);
-        for &(r, cc, gg, cap) in &case.pattern {
-            trip.push(r, cc, Complex::new(gg, cap));
-        }
-        let mut csc = CscMatrix::empty();
-        trip.compress_into(&mut csc);
-        let base: Vec<Complex> = csc.values().to_vec();
-        for (v, b) in csc.values_mut().iter_mut().zip(&base) {
-            *v = Complex::new(b.re, w * b.im);
-        }
-        let mut slu = SparseLu::factor(&csc, 1e-300).expect("nonsingular");
-        let mut xs = Vec::new();
-        c.bench_function(&format!("ac_point_sparse_lu_mesh{depth}_dim{n}"), |bench| {
-            bench.iter(|| {
-                for (v, b) in csc.values_mut().iter_mut().zip(&base) {
-                    *v = Complex::new(b.re, w * b.im);
-                }
-                slu.refactor(&csc, 1e-300).expect("nonsingular");
-                slu.solve_into(&case.rhs, &mut xs);
-                black_box(xs.last());
-            })
-        });
     }
 }
 
@@ -188,6 +161,6 @@ criterion_group!(
     bench_ac,
     bench_settle,
     bench_full_spec_eval,
-    bench_sparse_lu
+    bench_dense_points
 );
 criterion_main!(benches);

@@ -41,56 +41,28 @@
 //!   mesh dims.
 //! - **settle-corner** — one full TIA corner-set settling integration
 //!   (2048 trapezoidal steps per corner on a shared time window), run
-//!   serial per corner (`step_response`, the cold path) and
-//!   corner-batched (`step_response_corners`: a precomputed affine
-//!   propagator per corner at dense dims, one base companion factor +
-//!   per-corner Woodbury corrections at sparse dims), at the stock/dense
-//!   mesh dims and at the sparse-backend mesh dims.
-//! - **sparse-solver** — the dense refactor+solve path versus the
-//!   CSC sparse-LU refactor path (symbolic analysis reused, values
-//!   rewritten per point) on the TIA's extracted mesh systems from the
-//!   lumped dim up past 190, locating the backend crossover dim that
-//!   `SolverConfig`'s Auto dispatch encodes; plus full `PexWorstCase`
-//!   environment stepping at deep meshes, forced-dense vs Auto.
-//! - **btf** — the plain whole-matrix sparse LU versus the
-//!   block-triangular-form (`BtfLu`) mode on the same TIA mesh systems:
-//!   per-AC-point refactor+solve time and factor fill
-//!   (`factor_nnz`) for both, plus the Dulmage–Mendelsohn block count,
-//!   quantifying what the BTF decomposition buys (or costs) on MNA
-//!   patterns whose feedback loops merge most of the matrix into one
-//!   strongly connected block.
-//! - **machine-saturation** — the tile scheduler's forced-lane rows:
-//!   dense-mesh TIA `PexWorstCase` stepping at `Parallelism::Off` vs
-//!   `Threads(n)` (steps/sec vs total threads), and threaded BTF block
-//!   factoring on the dim-116+ extracted meshes. The host's
-//!   `available_parallelism` and the scheduler's configured budget are
-//!   recorded in the header; on a saturated or single-core host these
-//!   rows are *losses*, and they are recorded exactly as measured —
-//!   the point of the section is the honest crossover, not a best case.
+//!   serial per corner (`step_response`) and through
+//!   `step_response_corners`, at mesh depths 0, 4, 8 and 16. Both columns
+//!   run the same per-corner propagator; the corner column pins that the
+//!   corner entry point adds nothing.
 //!
 //! Prints a comparison table and writes `results/BENCH_env_step.json`
-//! (schema `autockt/bench_env_step/v10`) so CI can archive the trajectory.
+//! (schema `autockt/bench_env_step/v11`) so CI can archive the trajectory.
 //!
 //! Run: `cargo run --release -p autockt_bench --bin bench_env_step`
 //! (`--steps N`, `--episode H`, `--seed S` to override).
 
 use autockt_bench::{
-    arg_value, results_dir, tia_mesh_kernel_case, tia_noise_corner_case, tia_settle_corner_case,
-    AcKernelCase, NoiseCornerCase, SettleCornerCase,
+    arg_value, results_dir, tia_noise_corner_case, tia_settle_corner_case, NoiseCornerCase,
+    SettleCornerCase,
 };
 use autockt_circuits::{NegGmOta, OpAmp2, SharedMemo, SimMode, SizingProblem, Tia};
 use autockt_core::{EnvConfig, SizingEnv, TargetMode};
 use autockt_rl::env::Env;
 use autockt_sim::ac::{AcBatchWorkspace, AcSolver, AcWorkspace};
-use autockt_sim::complex::Complex;
 use autockt_sim::dc::OpPoint;
-use autockt_sim::linalg::sparse::{CscMatrix, SparseLu, TripletList};
-use autockt_sim::linalg::structure::BtfLu;
-use autockt_sim::linalg::LuFactors;
 use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws};
-use autockt_sim::pex::PexConfig;
 use autockt_sim::tran::step_response_corners;
-use autockt_sim::{Parallelism, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -273,13 +245,13 @@ fn time_noise_corner_paths(case: &NoiseCornerCase, iters: u32) -> NoiseCornerSta
 
 struct SettleCornerStats {
     serial_us: f64,
-    corrected_us: f64,
+    corners_us: f64,
 }
 
 /// One full corner-set settling integration per iteration through the
-/// two paths — serial per corner (`step_response`) and corner-batched
-/// (`step_response_corners`: propagator at dense dims, Woodbury at
-/// sparse dims) — over the shared
+/// two entry points — serial per corner (`step_response`) and
+/// `step_response_corners` (the same propagator per corner) — over the
+/// shared
 /// [`SettleCornerCase`] workload (the criterion `settle_corners_*`
 /// benches drive the identical cases).
 fn time_settle_corner_paths(case: &SettleCornerCase, iters: u32) -> SettleCornerStats {
@@ -306,242 +278,11 @@ fn time_settle_corner_paths(case: &SettleCornerCase, iters: u32) -> SettleCorner
         let r = step_response_corners(&refs, &outs, case.t_stop, case.steps);
         black_box(r.len());
     }
-    let corrected_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
+    let corners_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
 
     SettleCornerStats {
         serial_us,
-        corrected_us,
-    }
-}
-
-struct SparseKernelStats {
-    dim: usize,
-    nnz: usize,
-    dense_us: f64,
-    sparse_us: f64,
-}
-
-/// One AC frequency point per iteration through the production dense path
-/// (stamp + refactor + solve, buffers reused) versus the production sparse
-/// path (CSC value rewrite + `SparseLu::refactor` reusing the symbolic
-/// analysis + solve) — the same per-point work `ac_sweep` does on either
-/// side of the backend crossover. The CSC base values encode `(g, c)` as
-/// `Complex::new(g, c)` and are rescaled to `g + j*w*c` each iteration,
-/// exactly like `AcSolver::factor_at_ws`.
-fn time_sparse_kernels(case: &AcKernelCase, iters: u32) -> SparseKernelStats {
-    let AcKernelCase {
-        n, w, pattern, rhs, ..
-    } = case;
-    let (n, w) = (*n, *w);
-
-    let mut lu = LuFactors::<Complex>::empty();
-    let mut xd = Vec::new();
-    let stamp = |lu: &mut LuFactors<Complex>| {
-        lu.refactor_with(n, 1e-300, |m| {
-            for &(r, c, gg, cc) in pattern {
-                m[(r, c)] = Complex::new(gg, w * cc);
-            }
-        })
-        .expect("nonsingular")
-    };
-    stamp(&mut lu);
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        stamp(black_box(&mut lu));
-        lu.solve_into(rhs, &mut xd);
-        black_box(xd.last());
-    }
-    let dense_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    let mut trip: TripletList<Complex> = TripletList::new(n);
-    for &(r, c, gg, cc) in pattern {
-        trip.push(r, c, Complex::new(gg, cc));
-    }
-    let mut csc = CscMatrix::empty();
-    trip.compress_into(&mut csc);
-    let base: Vec<Complex> = csc.values().to_vec();
-    let rescale = |csc: &mut CscMatrix<Complex>| {
-        for (v, b) in csc.values_mut().iter_mut().zip(&base) {
-            *v = Complex::new(b.re, w * b.im);
-        }
-    };
-    rescale(&mut csc);
-    let mut slu = SparseLu::factor(&csc, 1e-300).expect("nonsingular");
-    let mut xs = Vec::new();
-    slu.solve_into(rhs, &mut xs);
-    // Sanity gate: both backends must agree before we time them.
-    for (d, s) in xd.iter().zip(&xs) {
-        let diff = (*d - *s).norm();
-        assert!(
-            diff <= 1e-6 * (1.0 + d.norm()),
-            "dense/sparse kernels diverge at dim {n}: {diff}"
-        );
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        rescale(black_box(&mut csc));
-        slu.refactor(&csc, 1e-300).expect("nonsingular");
-        slu.solve_into(rhs, &mut xs);
-        black_box(xs.last());
-    }
-    let sparse_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    SparseKernelStats {
-        dim: n,
-        nnz: csc.nnz(),
-        dense_us,
-        sparse_us,
-    }
-}
-
-struct BtfKernelStats {
-    dim: usize,
-    nnz: usize,
-    nblocks: usize,
-    plain_us: f64,
-    btf_us: f64,
-    plain_fill: usize,
-    btf_fill: usize,
-}
-
-/// One AC frequency point per iteration through the plain whole-matrix
-/// `SparseLu` versus the BTF `BtfLu` mode, both on the warm path (value
-/// rewrite + refactor reusing the symbolic analysis + solve). Fill is the
-/// structural nonzero count of the computed factors — for BTF the block
-/// factors plus the raw off-diagonal entries.
-fn time_btf_kernels(case: &AcKernelCase, iters: u32) -> BtfKernelStats {
-    let AcKernelCase {
-        n, w, pattern, rhs, ..
-    } = case;
-    let (n, w) = (*n, *w);
-    let mut trip: TripletList<Complex> = TripletList::new(n);
-    for &(r, c, gg, cc) in pattern {
-        trip.push(r, c, Complex::new(gg, cc));
-    }
-    let mut csc = CscMatrix::empty();
-    trip.compress_into(&mut csc);
-    let base: Vec<Complex> = csc.values().to_vec();
-    let rescale = |csc: &mut CscMatrix<Complex>| {
-        for (v, b) in csc.values_mut().iter_mut().zip(&base) {
-            *v = Complex::new(b.re, w * b.im);
-        }
-    };
-    rescale(&mut csc);
-
-    let mut plain = SparseLu::factor(&csc, 1e-300).expect("nonsingular");
-    let mut xp = Vec::new();
-    plain.solve_into(rhs, &mut xp);
-    let mut btf = BtfLu::empty();
-    btf.refactor(&csc, 1e-300).expect("nonsingular");
-    let mut xb = Vec::new();
-    btf.solve_into(rhs, &mut xb);
-    // Sanity gate: both modes must agree before we time them.
-    for (p, b) in xp.iter().zip(&xb) {
-        let diff = (*p - *b).norm();
-        assert!(
-            diff <= 1e-6 * (1.0 + p.norm()),
-            "plain/btf sparse modes diverge at dim {n}: {diff}"
-        );
-    }
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        rescale(black_box(&mut csc));
-        plain.refactor(&csc, 1e-300).expect("nonsingular");
-        plain.solve_into(rhs, &mut xp);
-        black_box(xp.last());
-    }
-    let plain_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        rescale(black_box(&mut csc));
-        btf.refactor(&csc, 1e-300).expect("nonsingular");
-        btf.solve_into(rhs, &mut xb);
-        black_box(xb.last());
-    }
-    let btf_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    BtfKernelStats {
-        dim: n,
-        nnz: csc.nnz(),
-        nblocks: btf.nblocks(),
-        plain_us,
-        btf_us,
-        plain_fill: plain.factor_nnz(),
-        btf_fill: btf.factor_nnz(),
-    }
-}
-
-struct BtfThreadStats {
-    dim: usize,
-    nblocks: usize,
-    serial_us: f64,
-    threaded_us: f64,
-}
-
-/// One AC frequency point per iteration through `BtfLu` with the tile
-/// scheduler off versus forced to `threads` lanes over the BTF blocks
-/// (value rewrite + refactor + solve both ways). The two modes are
-/// bitwise-identical by contract — asserted before timing — so these
-/// rows measure pure scheduling overhead vs block-level concurrency.
-fn time_btf_threads(case: &AcKernelCase, iters: u32, threads: usize) -> BtfThreadStats {
-    let AcKernelCase {
-        n, w, pattern, rhs, ..
-    } = case;
-    let (n, w) = (*n, *w);
-    let mut trip: TripletList<Complex> = TripletList::new(n);
-    for &(r, c, gg, cc) in pattern {
-        trip.push(r, c, Complex::new(gg, cc));
-    }
-    let mut csc = CscMatrix::empty();
-    trip.compress_into(&mut csc);
-    let base: Vec<Complex> = csc.values().to_vec();
-    let rescale = |csc: &mut CscMatrix<Complex>| {
-        for (v, b) in csc.values_mut().iter_mut().zip(&base) {
-            *v = Complex::new(b.re, w * b.im);
-        }
-    };
-    rescale(&mut csc);
-
-    let mut serial = BtfLu::empty();
-    serial.set_parallelism(Parallelism::Off);
-    serial.refactor(&csc, 1e-300).expect("nonsingular");
-    let mut xs = Vec::new();
-    serial.solve_into(rhs, &mut xs);
-    let mut btf = BtfLu::empty();
-    btf.set_parallelism(Parallelism::Threads(threads));
-    btf.refactor(&csc, 1e-300).expect("nonsingular");
-    let mut xt = Vec::new();
-    btf.solve_into(rhs, &mut xt);
-    assert_eq!(
-        xs, xt,
-        "threaded BTF diverged from serial at dim {n} with {threads} lanes"
-    );
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        rescale(black_box(&mut csc));
-        serial.refactor(&csc, 1e-300).expect("nonsingular");
-        serial.solve_into(rhs, &mut xs);
-        black_box(xs.last());
-    }
-    let serial_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        rescale(black_box(&mut csc));
-        btf.refactor(&csc, 1e-300).expect("nonsingular");
-        btf.solve_into(rhs, &mut xt);
-        black_box(xt.last());
-    }
-    let threaded_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
-
-    BtfThreadStats {
-        dim: n,
-        nblocks: btf.nblocks(),
-        serial_us,
-        threaded_us,
+        corners_us,
     }
 }
 
@@ -558,7 +299,7 @@ fn main() {
 
     let available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let budget = autockt_sim::par::thread_budget();
-    println!("host: available_parallelism={available}, tile-scheduler thread budget={budget}");
+    println!("host: available_parallelism={available}, thread budget={budget}");
 
     let topologies: Vec<(&str, Arc<dyn SizingProblem>)> = vec![
         ("tia", Arc::new(Tia::default())),
@@ -740,21 +481,20 @@ fn main() {
     }
 
     // Settle-corner paths: one full TIA corner-set settling integration
-    // through the serial and corner-batched pipelines, at the dense dims
-    // (mesh 0/4) and sparse dims (mesh 8/16). The serial column is the
-    // cold engine path; the corrected column is the warm fast path.
+    // through the serial loop and the corner entry point, at mesh depths
+    // 0, 4, 8 and 16.
     println!(
         "\n{:<8} {:>5} {:>4} {:>12} {:>13} {:>8}",
-        "problem", "mesh", "dim", "serial us", "corrected us", "corr x"
+        "problem", "mesh", "dim", "serial us", "corners us", "corners x"
     );
     let mut settle_rows = Vec::new();
     for (depth, iters) in [(0usize, 40u32), (4, 20), (8, 10), (16, 6)] {
         let case = tia_settle_corner_case(depth).expect("TIA settle corner workload builds");
         let st = time_settle_corner_paths(&case, iters);
-        let corr_x = st.serial_us / st.corrected_us;
+        let corners_x = st.serial_us / st.corners_us;
         println!(
             "{:<8} {:>5} {:>4} {:>12.1} {:>13.1} {:>7.2}x",
-            "tia", depth, case.dim, st.serial_us, st.corrected_us, corr_x
+            "tia", depth, case.dim, st.serial_us, st.corners_us, corners_x
         );
         settle_rows.push(format!(
             concat!(
@@ -765,8 +505,8 @@ fn main() {
                 "      \"corners\": {},\n",
                 "      \"settle_steps\": {},\n",
                 "      \"serial_us_per_set\": {:.2},\n",
-                "      \"corrected_us_per_set\": {:.2},\n",
-                "      \"corrected_speedup\": {:.3}\n",
+                "      \"corners_us_per_set\": {:.2},\n",
+                "      \"corners_speedup\": {:.3}\n",
                 "    }}"
             ),
             depth,
@@ -774,295 +514,15 @@ fn main() {
             case.ckts.len(),
             case.steps,
             st.serial_us,
-            st.corrected_us,
-            corr_x
+            st.corners_us,
+            corners_x
         ));
-    }
-
-    // Sparse-solver kernels: the dense path vs the CSC refactor path,
-    // per AC point, on the TIA's extracted mesh systems from the lumped
-    // dim (where dense wins outright) up past dim 190 (where the dense
-    // O(n^3) refactorization stops being viable). The crossover dim these
-    // rows locate is what `SolverConfig`'s Auto backend encodes.
-    println!(
-        "\n{:<10} {:>4} {:>6} {:>13} {:>13} {:>9}",
-        "system", "dim", "nnz", "dense us/pt", "sparse us/pt", "sparse x"
-    );
-    let mut sparse_kernel_rows = Vec::new();
-    for (depth, iters) in [
-        (0usize, 50_000u32),
-        (4, 8_000),
-        (8, 2_000),
-        (16, 400),
-        (24, 150),
-    ] {
-        let case = tia_mesh_kernel_case(depth).expect("TIA mesh workload builds");
-        let st = time_sparse_kernels(&case, iters);
-        let speedup = st.dense_us / st.sparse_us;
-        println!(
-            "{:<10} {:>4} {:>6} {:>13.2} {:>13.2} {:>8.2}x",
-            case.name, st.dim, st.nnz, st.dense_us, st.sparse_us, speedup
-        );
-        sparse_kernel_rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"system\": \"{}\",\n",
-                "      \"mesh_depth\": {},\n",
-                "      \"dim\": {},\n",
-                "      \"nnz\": {},\n",
-                "      \"dense_us_per_point\": {:.3},\n",
-                "      \"sparse_us_per_point\": {:.3},\n",
-                "      \"sparse_speedup\": {:.3}\n",
-                "    }}"
-            ),
-            case.name, depth, st.dim, st.nnz, st.dense_us, st.sparse_us, speedup
-        ));
-    }
-
-    // BTF-vs-plain sparse modes: per-AC-point refactor+solve and factor
-    // fill on the same TIA mesh systems, plus the block count the
-    // Dulmage–Mendelsohn decomposition finds. MNA patterns with global
-    // feedback (the TIA's gm stamps) tend to merge into few blocks, so
-    // these rows keep the decomposition's real payoff honest.
-    println!(
-        "\n{:<10} {:>4} {:>6} {:>7} {:>13} {:>11} {:>10} {:>9} {:>7}",
-        "system",
-        "dim",
-        "nnz",
-        "blocks",
-        "plain us/pt",
-        "btf us/pt",
-        "plain nnz",
-        "btf nnz",
-        "btf x"
-    );
-    let mut btf_rows = Vec::new();
-    for (depth, iters) in [
-        (0usize, 50_000u32),
-        (4, 8_000),
-        (8, 2_000),
-        (16, 400),
-        (24, 150),
-    ] {
-        let case = tia_mesh_kernel_case(depth).expect("TIA mesh workload builds");
-        let st = time_btf_kernels(&case, iters);
-        let speedup = st.plain_us / st.btf_us;
-        println!(
-            "{:<10} {:>4} {:>6} {:>7} {:>13.2} {:>11.2} {:>10} {:>9} {:>6.2}x",
-            case.name,
-            st.dim,
-            st.nnz,
-            st.nblocks,
-            st.plain_us,
-            st.btf_us,
-            st.plain_fill,
-            st.btf_fill,
-            speedup
-        );
-        btf_rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"system\": \"{}\",\n",
-                "      \"mesh_depth\": {},\n",
-                "      \"dim\": {},\n",
-                "      \"nnz\": {},\n",
-                "      \"nblocks\": {},\n",
-                "      \"plain_us_per_point\": {:.3},\n",
-                "      \"btf_us_per_point\": {:.3},\n",
-                "      \"plain_factor_nnz\": {},\n",
-                "      \"btf_factor_nnz\": {},\n",
-                "      \"btf_speedup\": {:.3}\n",
-                "    }}"
-            ),
-            case.name,
-            depth,
-            st.dim,
-            st.nnz,
-            st.nblocks,
-            st.plain_us,
-            st.btf_us,
-            st.plain_fill,
-            st.btf_fill,
-            speedup
-        ));
-    }
-
-    // Sparse worst-case stepping: full TIA PexWorstCase environment steps
-    // at deep-mesh extractions, forced through the dense backend vs the
-    // default Auto config (which crosses to sparse past the crossover
-    // dim). Warm-started, memo off — every step is a fresh 6-corner eval.
-    println!(
-        "\n{:<8} {:>5} {:>4} {:>13} {:>13} {:>9}",
-        "problem", "mesh", "dim", "dense st/s", "auto st/s", "sparse x"
-    );
-    let wc_steps = (steps / 40).max(8);
-    let mut sparse_env_rows = Vec::new();
-    for depth in [8usize, 16] {
-        let pex = PexConfig {
-            mesh_depth: depth,
-            ..Tia::default().pex_config().clone()
-        };
-        let dim =
-            autockt_bench::extracted_center_dim("tia", &pex).expect("known benchmark topology");
-        let dense_p: Arc<dyn SizingProblem> = Arc::new(
-            Tia::default()
-                .with_pex_config(pex.clone())
-                .with_solver_config(SolverConfig::dense()),
-        );
-        let auto_p: Arc<dyn SizingProblem> = Arc::new(Tia::default().with_pex_config(pex));
-        let dense = run_walk(
-            &dense_p,
-            SimMode::PexWorstCase,
-            Walk::Explore,
-            true,
-            false,
-            wc_steps,
-            episode,
-            seed,
-        );
-        let auto = run_walk(
-            &auto_p,
-            SimMode::PexWorstCase,
-            Walk::Explore,
-            true,
-            false,
-            wc_steps,
-            episode,
-            seed,
-        );
-        let speedup = auto.steps_per_sec / dense.steps_per_sec;
-        println!(
-            "{:<8} {:>5} {:>4} {:>13.2} {:>13.2} {:>8.2}x",
-            "tia", depth, dim, dense.steps_per_sec, auto.steps_per_sec, speedup
-        );
-        sparse_env_rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"problem\": \"tia\",\n",
-                "      \"mesh_depth\": {},\n",
-                "      \"mna_dim\": {},\n",
-                "      \"steps\": {},\n",
-                "      \"dense_steps_per_sec\": {:.3},\n",
-                "      \"auto_steps_per_sec\": {:.3},\n",
-                "      \"sparse_speedup\": {:.3}\n",
-                "    }}"
-            ),
-            depth, dim, wc_steps, dense.steps_per_sec, auto.steps_per_sec, speedup
-        ));
-    }
-
-    // Machine saturation: the tile scheduler's forced-lane rows. Dense-
-    // mesh TIA PexWorstCase stepping at Off vs Threads(n): steps/sec vs
-    // total threads. On a host with headroom the Threads rows win; on a
-    // saturated or single-core host they are scheduling-overhead losses
-    // — either way the measured number is recorded.
-    println!(
-        "\n{:<8} {:>5} {:>4} {:>8} {:>14} {:>10}",
-        "problem", "mesh", "dim", "threads", "st/s", "vs serial"
-    );
-    let sat_steps = (steps / 40).max(8);
-    let mut sat_env_rows = Vec::new();
-    {
-        let depth = 4usize;
-        let pex = PexConfig {
-            mesh_depth: depth,
-            ..Tia::default().pex_config().clone()
-        };
-        let dim =
-            autockt_bench::extracted_center_dim("tia", &pex).expect("known benchmark topology");
-        let mut serial_sps = 0.0f64;
-        for threads in [1usize, 2, 4] {
-            let par = if threads == 1 {
-                Parallelism::Off
-            } else {
-                Parallelism::Threads(threads)
-            };
-            let p: Arc<dyn SizingProblem> = Arc::new(
-                Tia::default()
-                    .with_pex_config(pex.clone())
-                    .with_solver_config(SolverConfig::default().with_parallelism(par)),
-            );
-            let st = run_walk(
-                &p,
-                SimMode::PexWorstCase,
-                Walk::Explore,
-                true,
-                false,
-                sat_steps,
-                episode,
-                seed,
-            );
-            if threads == 1 {
-                serial_sps = st.steps_per_sec;
-            }
-            let speedup = st.steps_per_sec / serial_sps;
-            println!(
-                "{:<8} {:>5} {:>4} {:>8} {:>14.2} {:>9.2}x",
-                "tia", depth, dim, threads, st.steps_per_sec, speedup
-            );
-            sat_env_rows.push(format!(
-                concat!(
-                    "      {{\n",
-                    "        \"problem\": \"tia\",\n",
-                    "        \"mesh_depth\": {},\n",
-                    "        \"mna_dim\": {},\n",
-                    "        \"threads_total\": {},\n",
-                    "        \"steps\": {},\n",
-                    "        \"steps_per_sec\": {:.3},\n",
-                    "        \"speedup_vs_serial\": {:.3}\n",
-                    "      }}"
-                ),
-                depth, dim, threads, sat_steps, st.steps_per_sec, speedup
-            ));
-        }
-    }
-
-    // Threaded BTF block factoring on the extracted meshes past dim 116:
-    // forced lanes over the Dulmage–Mendelsohn blocks vs the serial
-    // block walk, bitwise-asserted before timing.
-    println!(
-        "\n{:<10} {:>4} {:>7} {:>8} {:>13} {:>13} {:>9}",
-        "system", "dim", "blocks", "threads", "serial us/pt", "thread us/pt", "thread x"
-    );
-    let mut sat_btf_rows = Vec::new();
-    for (depth, iters) in [(8usize, 2_000u32), (16, 400)] {
-        let case = tia_mesh_kernel_case(depth).expect("TIA mesh workload builds");
-        for threads in [2usize, 4] {
-            let st = time_btf_threads(&case, iters, threads);
-            let speedup = st.serial_us / st.threaded_us;
-            println!(
-                "{:<10} {:>4} {:>7} {:>8} {:>13.2} {:>13.2} {:>8.2}x",
-                case.name, st.dim, st.nblocks, threads, st.serial_us, st.threaded_us, speedup
-            );
-            sat_btf_rows.push(format!(
-                concat!(
-                    "      {{\n",
-                    "        \"system\": \"{}\",\n",
-                    "        \"mesh_depth\": {},\n",
-                    "        \"dim\": {},\n",
-                    "        \"nblocks\": {},\n",
-                    "        \"threads\": {},\n",
-                    "        \"serial_us_per_point\": {:.3},\n",
-                    "        \"threaded_us_per_point\": {:.3},\n",
-                    "        \"threaded_speedup\": {:.3}\n",
-                    "      }}"
-                ),
-                case.name,
-                depth,
-                st.dim,
-                st.nblocks,
-                threads,
-                st.serial_us,
-                st.threaded_us,
-                speedup
-            ));
-        }
     }
 
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"autockt/bench_env_step/v10\",\n",
+            "  \"schema\": \"autockt/bench_env_step/v11\",\n",
             "  \"command\": \"cargo run --release -p autockt_bench --bin bench_env_step ",
             "-- --steps {} --episode {} --seed {}\",\n",
             "  \"steps_per_config\": {},\n",
@@ -1073,17 +533,7 @@ fn main() {
             "  \"results\": [\n{}\n  ],\n",
             "  \"shared_memo\": [\n{}\n  ],\n",
             "  \"noise_corner\": [\n{}\n  ],\n",
-            "  \"settle_corner\": [\n{}\n  ],\n",
-            "  \"sparse_solver\": {{\n",
-            "    \"crossover_dim\": {},\n",
-            "    \"kernels\": [\n{}\n    ],\n",
-            "    \"pex_worst_case\": [\n{}\n    ]\n",
-            "  }},\n",
-            "  \"btf\": [\n{}\n  ],\n",
-            "  \"machine_saturation\": {{\n",
-            "    \"env_step\": [\n{}\n    ],\n",
-            "    \"btf_blocks\": [\n{}\n    ]\n",
-            "  }}\n",
+            "  \"settle_corner\": [\n{}\n  ]\n",
             "}}\n"
         ),
         steps,
@@ -1098,12 +548,6 @@ fn main() {
         memo_rows.join(",\n"),
         noise_rows.join(",\n"),
         settle_rows.join(",\n"),
-        SolverConfig::default().crossover,
-        sparse_kernel_rows.join(",\n"),
-        sparse_env_rows.join(",\n"),
-        btf_rows.join(",\n"),
-        sat_env_rows.join(",\n"),
-        sat_btf_rows.join(",\n")
     );
     let path = results_dir().join("BENCH_env_step.json");
     let mut f = std::fs::File::create(&path).expect("create bench json");

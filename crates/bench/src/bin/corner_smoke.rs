@@ -6,9 +6,7 @@
 //! tolerance, for all three topologies at stock and dense-mesh
 //! extraction. The TIA's noise and settling specs are additionally
 //! printed on their own, so a divergence in either pipeline is visible as
-//! such instead of hiding inside the full-vector comparison. Further
-//! gates hold the dense-vs-sparse backends, BTF-vs-plain sparse
-//! factorization, and threaded-vs-serial tile schedules to each other.
+//! such instead of hiding inside the full-vector comparison.
 //!
 //! Exits nonzero on any divergence, failing the workflow.
 //!
@@ -18,7 +16,7 @@ use autockt_circuits::tia::spec_index;
 use autockt_circuits::{NegGmOta, OpAmp2, SimMode, SizingProblem, Tia};
 use autockt_sim::dc::WarmState;
 use autockt_sim::pex::PexConfig;
-use autockt_sim::{Parallelism, SimError, SolverConfig};
+use autockt_sim::SimError;
 
 /// Same tolerance as the warm-equivalence property suites.
 const REL_TOL: f64 = 5e-3;
@@ -84,92 +82,6 @@ fn check_warm_vs_cold(
     failures
 }
 
-/// Backend gate: on every seed design, a cold `PexWorstCase` evaluation
-/// forced through the CSC sparse backend must agree with the forced-dense
-/// reference within the same solver tolerance the warm paths are held to.
-/// Run at a mesh depth dense enough that the sparse factorization does
-/// real elimination work (not just a trivial near-diagonal system).
-fn check_sparse_backend(
-    name: &str,
-    depth: usize,
-    dense: &dyn SizingProblem,
-    sparse: &dyn SizingProblem,
-) -> usize {
-    let mut failures = 0;
-    for idx in seed_designs(dense) {
-        let d = dense.simulate(&idx, SimMode::PexWorstCase);
-        let s = sparse.simulate(&idx, SimMode::PexWorstCase);
-        let ok = specs_close(&d, &s);
-        let verdict = if ok { "ok" } else { "DIVERGED" };
-        println!("{name:<8} mesh={depth} idx={idx:?}: dense-vs-sparse={ok} [{verdict}]");
-        if !ok {
-            eprintln!("  dense: {d:?}\n  sparse: {s:?}");
-            failures += 1;
-        }
-    }
-    failures
-}
-
-/// BTF gate: on every seed design, a cold `PexWorstCase` evaluation
-/// forced through the sparse backend with block-triangular-form
-/// factorization on must agree with the same backend with BTF off,
-/// within solver tolerance. Run at depth 0 (small, often irreducible
-/// systems — the degenerate single-block path) and at a mesh depth where
-/// the Dulmage–Mendelsohn decomposition has real blocks to find.
-fn check_btf_mode(
-    name: &str,
-    depth: usize,
-    plain: &dyn SizingProblem,
-    btf: &dyn SizingProblem,
-) -> usize {
-    let mut failures = 0;
-    for idx in seed_designs(plain) {
-        let p = plain.simulate(&idx, SimMode::PexWorstCase);
-        let b = btf.simulate(&idx, SimMode::PexWorstCase);
-        let ok = specs_close(&p, &b);
-        let verdict = if ok { "ok" } else { "DIVERGED" };
-        println!("{name:<8} mesh={depth} idx={idx:?}: btf-vs-plain={ok} [{verdict}]");
-        if !ok {
-            eprintln!("  plain: {p:?}\n  btf: {b:?}");
-            failures += 1;
-        }
-    }
-    failures
-}
-
-/// Thread gate: on three seed designs per topology, a cold
-/// `PexWorstCase` evaluation with the tile scheduler forced to four
-/// lanes must be **bitwise-identical** to the `Parallelism::Off`
-/// reference — the threaded frequency sweeps, noise analyses, and BTF
-/// block factoring reorder no arithmetic under any schedule. Run at
-/// depth 0 (small systems: forced lanes on tiny tile counts, ragged
-/// tails) and at the fill-heavy extracted mesh.
-fn check_threaded(
-    name: &str,
-    depth: usize,
-    serial: &dyn SizingProblem,
-    threaded: &dyn SizingProblem,
-) -> usize {
-    let mut failures = 0;
-    let seeds: Vec<Vec<usize>> = seed_designs(serial).into_iter().step_by(2).collect();
-    for idx in seeds {
-        let s = serial.simulate(&idx, SimMode::PexWorstCase);
-        let t = threaded.simulate(&idx, SimMode::PexWorstCase);
-        let ok = match (&s, &t) {
-            (Ok(a), Ok(b)) => a == b,
-            (Err(_), Err(_)) => true,
-            _ => false,
-        };
-        let verdict = if ok { "ok" } else { "DIVERGED" };
-        println!("{name:<8} mesh={depth} idx={idx:?}: threaded-vs-serial={ok} [{verdict}]");
-        if !ok {
-            eprintln!("  serial: {s:?}\n  threaded: {t:?}");
-            failures += 1;
-        }
-    }
-    failures
-}
-
 fn main() {
     let mut failures = 0;
     // Warm-vs-cold gate at stock extraction and at a dense mesh, where
@@ -197,143 +109,9 @@ fn main() {
         let ng = NegGmOta::default().with_pex_config(mesh(ng.pex_config()));
         failures += check_warm_vs_cold("neggm", depth, &ng, &[]);
     }
-    // Dense-vs-sparse backend gate at a mesh depth with real fill-in.
-    {
-        let depth = 4usize;
-        let mesh = |base: &PexConfig| PexConfig {
-            mesh_depth: depth,
-            ..base.clone()
-        };
-        let tia = Tia::default();
-        let tia_pex = mesh(tia.pex_config());
-        failures += check_sparse_backend(
-            "tia",
-            depth,
-            &Tia::default()
-                .with_pex_config(tia_pex.clone())
-                .with_solver_config(SolverConfig::dense()),
-            &Tia::default()
-                .with_pex_config(tia_pex)
-                .with_solver_config(SolverConfig::sparse()),
-        );
-        let op = OpAmp2::default();
-        let op_pex = mesh(op.pex_config());
-        failures += check_sparse_backend(
-            "opamp2",
-            depth,
-            &OpAmp2::default()
-                .with_pex_config(op_pex.clone())
-                .with_solver_config(SolverConfig::dense()),
-            &OpAmp2::default()
-                .with_pex_config(op_pex)
-                .with_solver_config(SolverConfig::sparse()),
-        );
-        let ng = NegGmOta::default();
-        let ng_pex = mesh(ng.pex_config());
-        failures += check_sparse_backend(
-            "neggm",
-            depth,
-            &NegGmOta::default()
-                .with_pex_config(ng_pex.clone())
-                .with_solver_config(SolverConfig::dense()),
-            &NegGmOta::default()
-                .with_pex_config(ng_pex)
-                .with_solver_config(SolverConfig::sparse()),
-        );
-    }
-    // BTF-vs-plain sparse gate: both depth 0 (degenerate single-block
-    // territory) and the fill-heavy extracted mesh.
-    for depth in [0usize, 4] {
-        let mesh = |base: &PexConfig| PexConfig {
-            mesh_depth: depth,
-            ..base.clone()
-        };
-        let tia = Tia::default();
-        let tia_pex = mesh(tia.pex_config());
-        failures += check_btf_mode(
-            "tia",
-            depth,
-            &Tia::default()
-                .with_pex_config(tia_pex.clone())
-                .with_solver_config(SolverConfig::sparse().with_btf(false)),
-            &Tia::default()
-                .with_pex_config(tia_pex)
-                .with_solver_config(SolverConfig::sparse().with_btf(true)),
-        );
-        let op = OpAmp2::default();
-        let op_pex = mesh(op.pex_config());
-        failures += check_btf_mode(
-            "opamp2",
-            depth,
-            &OpAmp2::default()
-                .with_pex_config(op_pex.clone())
-                .with_solver_config(SolverConfig::sparse().with_btf(false)),
-            &OpAmp2::default()
-                .with_pex_config(op_pex)
-                .with_solver_config(SolverConfig::sparse().with_btf(true)),
-        );
-        let ng = NegGmOta::default();
-        let ng_pex = mesh(ng.pex_config());
-        failures += check_btf_mode(
-            "neggm",
-            depth,
-            &NegGmOta::default()
-                .with_pex_config(ng_pex.clone())
-                .with_solver_config(SolverConfig::sparse().with_btf(false)),
-            &NegGmOta::default()
-                .with_pex_config(ng_pex)
-                .with_solver_config(SolverConfig::sparse().with_btf(true)),
-        );
-    }
-    // Threaded-vs-serial gate: forced four-lane tile schedules must be
-    // bitwise-identical to the serial walks, stock and dense mesh.
-    for depth in [0usize, 4] {
-        let mesh = |base: &PexConfig| PexConfig {
-            mesh_depth: depth,
-            ..base.clone()
-        };
-        let serial_cfg = SolverConfig::default().with_parallelism(Parallelism::Off);
-        let threaded_cfg = SolverConfig::default().with_parallelism(Parallelism::Threads(4));
-        let tia = Tia::default();
-        let tia_pex = mesh(tia.pex_config());
-        failures += check_threaded(
-            "tia",
-            depth,
-            &Tia::default()
-                .with_pex_config(tia_pex.clone())
-                .with_solver_config(serial_cfg),
-            &Tia::default()
-                .with_pex_config(tia_pex)
-                .with_solver_config(threaded_cfg),
-        );
-        let op = OpAmp2::default();
-        let op_pex = mesh(op.pex_config());
-        failures += check_threaded(
-            "opamp2",
-            depth,
-            &OpAmp2::default()
-                .with_pex_config(op_pex.clone())
-                .with_solver_config(serial_cfg),
-            &OpAmp2::default()
-                .with_pex_config(op_pex)
-                .with_solver_config(threaded_cfg),
-        );
-        let ng = NegGmOta::default();
-        let ng_pex = mesh(ng.pex_config());
-        failures += check_threaded(
-            "neggm",
-            depth,
-            &NegGmOta::default()
-                .with_pex_config(ng_pex.clone())
-                .with_solver_config(serial_cfg),
-            &NegGmOta::default()
-                .with_pex_config(ng_pex)
-                .with_solver_config(threaded_cfg),
-        );
-    }
     if failures > 0 {
         eprintln!("corner_smoke: {failures} divergence(s)");
         std::process::exit(1);
     }
-    println!("corner_smoke: all seed designs agree (warm within tolerance, threads bitwise)");
+    println!("corner_smoke: all seed designs agree (warm within tolerance)");
 }

@@ -9,23 +9,22 @@
 
 pub mod exp;
 
-use autockt_circuits::{NegGmOta, OpAmp2, SizingProblem, Tia};
-use autockt_sim::ac::{ac_sweep_cfg, AcSolver, AcWorkspace};
+use autockt_circuits::{OpAmp2, SizingProblem, Tia};
+use autockt_sim::ac::{ac_sweep, AcSolver};
 use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::device::{Pvt, Technology};
 use autockt_sim::netlist::{Circuit, Node};
 use autockt_sim::pex::{extract, PexConfig};
-use autockt_sim::{SimError, SolverConfig};
+use autockt_sim::SimError;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// One AC-kernel workload: the MNA dimension, angular frequency, sparse
+/// One AC-kernel workload: the MNA dimension, angular frequency,
 /// `(row, col, g, c)` stamp pattern, and source right-hand side of a
-/// linearized system — shared by the criterion `ac_point_*` benches and
-/// the `bench_env_step` sparse-solver section so both measure the *same*
-/// stamp + refactor + solve kernel and cannot drift apart.
+/// linearized system — the input of the criterion `ac_point_dense_*`
+/// benches (stamp + refactor + solve through the dense LU).
 pub struct AcKernelCase {
     /// Label for bench names and JSON rows.
     pub name: String,
@@ -33,7 +32,7 @@ pub struct AcKernelCase {
     pub n: usize,
     /// Angular frequency `2*pi*f` of the stamped point.
     pub w: f64,
-    /// Sparse `(row, col, g, c)` stamp pattern; the system entry is
+    /// `(row, col, g, c)` stamp pattern; the system entry is
     /// `g + j*w*c`.
     pub pattern: Vec<(usize, usize, f64, f64)>,
     /// Source-driven right-hand side.
@@ -74,9 +73,9 @@ fn ac_kernel_case(name: &str, ckt: &Circuit, initial_v: f64) -> Result<AcKernelC
     let n = solver.dim();
     let freq = 1e9;
     let w = 2.0 * std::f64::consts::PI * freq;
-    // Recover the sparse stamp pattern from the dense system matrix so
-    // the bench loops re-assemble per point exactly like the AC sweep's
-    // hot path does (entry = g + j*w*c, so c = im / w).
+    // Recover the stamp pattern from the dense system matrix so the bench
+    // loops re-assemble per point exactly like the Woodbury corner rows do
+    // (entry = g + j*w*c, so c = im / w).
     let y = solver.system_matrix(freq);
     let mut pattern = Vec::new();
     for r in 0..n {
@@ -97,11 +96,9 @@ fn ac_kernel_case(name: &str, ckt: &Circuit, initial_v: f64) -> Result<AcKernelC
 }
 
 /// The TIA center design extracted at `mesh_depth`, as an AC-kernel
-/// workload: the real PEX-mesh MNA system (dim ≈ 6 + 8·depth) whose
-/// stamp pattern the dense-vs-sparse factorization benches compare on.
-/// Depth 0 is the lumped extraction (dim 6); depth 16 is ~134; depth 24
-/// pushes past 190, the regime where dense O(n³) refactorization stops
-/// being viable.
+/// workload: the real PEX-mesh MNA system (dim 4 + 7·depth: 4 at the
+/// lumped extraction, 32 at depth 4, 116 at depth 16) the dense per-point
+/// bench rows factor.
 ///
 /// # Errors
 ///
@@ -231,14 +228,7 @@ pub fn tia_settle_corner_case(mesh_depth: usize) -> Result<SettleCornerCase, Sim
     let freqs = autockt_sim::ac::log_freqs(1e5, 1e12, 10);
     let mut min_cutoff = f64::INFINITY;
     for (ckt, op) in nc.ckts.iter().zip(&nc.ops) {
-        let resp = ac_sweep_cfg(
-            ckt,
-            op,
-            &freqs,
-            nc.out,
-            SolverConfig::default(),
-            &mut AcWorkspace::default(),
-        )?;
+        let resp = ac_sweep(ckt, op, &freqs, nc.out)?;
         if let Ok(c) = resp.f_3db() {
             if c > 0.0 {
                 min_cutoff = min_cutoff.min(c);
@@ -259,40 +249,6 @@ pub fn tia_settle_corner_case(mesh_depth: usize) -> Result<SettleCornerCase, Sim
         t_stop: 8.0 / min_cutoff,
         steps: 2048,
     })
-}
-
-/// MNA dimension of a topology's center design after parasitic
-/// extraction with `pex` — the effective per-corner system size of a
-/// `PexWorstCase` evaluation (corner variants share structure, so one
-/// build suffices). `name` is the topology's [`SizingProblem::name`]
-/// (`"tia"`, `"opamp2"`, `"neggm_ota"`).
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidOptions`] on an unknown topology name.
-pub fn extracted_center_dim(name: &str, pex: &PexConfig) -> Result<usize, SimError> {
-    let center =
-        |p: &dyn SizingProblem| -> Vec<usize> { p.cardinalities().iter().map(|k| k / 2).collect() };
-    let ckt = match name {
-        "tia" => {
-            let t = Tia::default();
-            t.build(&center(&t), &Technology::ptm45()).0
-        }
-        "opamp2" => {
-            let p = OpAmp2::default();
-            p.build(&center(&p), &Technology::ptm45()).0
-        }
-        "neggm" | "neggm_ota" => {
-            let p = NegGmOta::default();
-            p.build(&center(&p), &Technology::finfet16()).0
-        }
-        _ => {
-            return Err(SimError::InvalidOptions {
-                what: "unknown benchmark topology",
-            })
-        }
-    };
-    Ok(extract(&ckt, pex).mna_dim())
 }
 
 /// Returns the `results/` directory at the workspace root, creating it if

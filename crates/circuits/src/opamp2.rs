@@ -14,12 +14,12 @@
 use crate::problem::{
     CornerCase, CornerEvaluator, CornerPlan, ParamSpec, SimMode, SizingProblem, SpecDef, SpecKind,
 };
-use autockt_sim::ac::{ac_sweep_cfg, log_freqs, AcResponse, AcWorkspace};
+use autockt_sim::ac::{ac_sweep_ws, log_freqs, AcResponse, AcWorkspace};
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::netlist::{Circuit, Mosfet, Node, GND};
 use autockt_sim::pex::{extract, PexConfig};
-use autockt_sim::{SimError, SolverConfig};
+use autockt_sim::SimError;
 
 /// Index constants into the op-amp spec vector.
 pub mod spec_index {
@@ -48,7 +48,6 @@ pub struct OpAmp2 {
     /// Output load capacitance (F).
     pub c_load: f64,
     pex: PexConfig,
-    solver: SolverConfig,
 }
 
 impl Default for OpAmp2 {
@@ -112,21 +111,7 @@ impl OpAmp2 {
             iref: 20e-6,
             c_load: 1e-12,
             pex: PexConfig::default(),
-            solver: SolverConfig::default(),
         }
-    }
-
-    /// Overrides the linear-solver backend config for every solve this
-    /// problem runs; the default dispatches dense or sparse automatically
-    /// by MNA dimension (see [`SolverConfig`]).
-    pub fn with_solver_config(mut self, cfg: SolverConfig) -> Self {
-        self.solver = cfg;
-        self
-    }
-
-    /// The linear-solver backend config every evaluation dispatches on.
-    pub fn solver_config(&self) -> SolverConfig {
-        self.solver
     }
 
     /// Replaces the parasitic-extraction configuration — e.g. to deepen
@@ -207,7 +192,6 @@ impl OpAmp2 {
     fn dc_opts(&self) -> DcOptions {
         DcOptions {
             initial_v: self.vdd / 2.0,
-            solver: self.solver,
             ..DcOptions::default()
         }
     }
@@ -288,15 +272,8 @@ impl OpAmp2 {
     ) -> Result<Vec<f64>, SimError> {
         let freqs = OpAmp2::ac_freqs();
         let resp = match ac_ws {
-            Some(ws) => ac_sweep_cfg(ckt, op, &freqs, out, self.solver, ws)?,
-            None => ac_sweep_cfg(
-                ckt,
-                op,
-                &freqs,
-                out,
-                self.solver,
-                &mut AcWorkspace::default(),
-            )?,
+            Some(ws) => ac_sweep_ws(ckt, op, &freqs, out, ws)?,
+            None => ac_sweep_ws(ckt, op, &freqs, out, &mut AcWorkspace::default())?,
         };
         self.corner_specs(op, vdd_src, &resp)
     }
@@ -345,31 +322,6 @@ impl SizingProblem for OpAmp2 {
         state: &mut WarmState,
     ) -> Result<Vec<f64>, SimError> {
         self.simulate_inner(idx, mode, Some(state))
-    }
-
-    fn solver_config(&self) -> SolverConfig {
-        self.solver
-    }
-
-    fn simulate_cfg(
-        &self,
-        idx: &[usize],
-        mode: SimMode,
-        cfg: SolverConfig,
-    ) -> Result<Vec<f64>, SimError> {
-        self.clone().with_solver_config(cfg).simulate(idx, mode)
-    }
-
-    fn simulate_warm_cfg(
-        &self,
-        idx: &[usize],
-        mode: SimMode,
-        cfg: SolverConfig,
-        state: &mut WarmState,
-    ) -> Result<Vec<f64>, SimError> {
-        self.clone()
-            .with_solver_config(cfg)
-            .simulate_warm(idx, mode, state)
     }
 }
 

@@ -11,9 +11,9 @@ use autockt_sim::ac::{ac_sweep_corners, AcResponse, AcSolver, AcWorkspace};
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
 use autockt_sim::device::Pvt;
 use autockt_sim::netlist::{Circuit, Node};
-use autockt_sim::noise::{noise_analysis_cfg, noise_analysis_corners, NoiseResult};
+use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws, NoiseResult};
 use autockt_sim::tran::step_response_corners;
-use autockt_sim::{Parallelism, SimError, SolverConfig};
+use autockt_sim::{SimError, SolverConfig};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,11 +109,8 @@ pub struct SettleSpec {
     /// Trapezoidal integration steps per record (the TIA uses 2048).
     pub steps: usize,
     /// Time window as a multiple of the slowest valid corner's cutoff
-    /// period: `t_stop = window / min corner cutoff`. Sharing one window
-    /// (and therefore one step size `h`) across the corner set is what
-    /// lets warm evaluations integrate a sparse-routed corner set
-    /// through one base factorization (the Woodbury path of
-    /// [`autockt_sim::tran::step_response_corners`]).
+    /// period: `t_stop = window / min corner cutoff`, shared by the whole
+    /// corner set.
     pub window: f64,
 }
 
@@ -187,9 +184,9 @@ pub struct CornerCase {
 /// noise and settling stages, and finally the per-corner measurements.
 /// The only choice a stage makes is warm or cold. Warm evaluations run
 /// the corner kernels ([`ac_sweep_corners`], [`noise_analysis_corners`],
-/// [`step_response_corners`]), which share one base factorization across
-/// the corner set at dense-mesh dims and fall back to the scalar kernel
-/// per corner where that cannot pay. Cold evaluations run the scalar
+/// [`step_response_corners`]); the AC and noise kernels share one base
+/// factorization across the corner set at dense-mesh dims and fall back
+/// to the scalar kernel per corner where that cannot pay. Cold evaluations run the scalar
 /// kernels per corner — the reference path. When several corners fail,
 /// the reported `SimError` is the lowest-slot failure of the first stage
 /// that surfaced one.
@@ -215,39 +212,11 @@ impl CornerEvaluator {
         }
     }
 
-    /// Overrides the linear-solver backend selection for every solve the
-    /// engine runs: the DC Newton iterations (via `DcOptions::solver`),
-    /// the per-corner AC sweeps, and the noise analyses all dispatch
-    /// dense or sparse from this one config. The default
-    /// ([`SolverConfig::default`]) picks automatically by MNA dimension,
-    /// so deep-mesh PEX corners factor through the CSC backend while
-    /// schematic-sized systems stay on the dense kernels.
-    pub fn with_solver_config(mut self, cfg: SolverConfig) -> Self {
-        self.dc_opts.solver = cfg;
-        self
-    }
-
-    /// The linear-solver config every corner solve dispatches on.
-    pub fn solver_config(&self) -> SolverConfig {
-        self.dc_opts.solver
-    }
-
-    /// Sets the parallel-execution policy
-    /// ([`autockt_sim::Parallelism`]) on the engine's solver config: the
-    /// AC sweeps, noise analyses, and sparse BTF factorizations the
-    /// engine runs tile their independent work across threads per this
-    /// knob (threaded results are bitwise-identical to serial). Keeps
-    /// every other config field as previously set.
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        self.dc_opts.solver = self.dc_opts.solver.with_parallelism(par);
-        self
-    }
-
     /// Enables a per-corner noise analysis over `freqs`, measured at each
     /// corner's output node and temperature, and hands the result to the
     /// measure closure. Running noise *inside* the engine (instead of in
     /// the closure) is what lets warm evaluations share work across the
-    /// corner set: cold corners run the scalar [`noise_analysis_cfg`],
+    /// corner set: cold corners run the scalar [`noise_analysis_ws`],
     /// and warm evaluations run [`noise_analysis_corners`], which shares
     /// the per-source base solves across the corner set at dense-mesh
     /// dims (Woodbury-corrected) and runs the scalar kernel per corner at
@@ -265,11 +234,9 @@ impl CornerEvaluator {
     /// `None` (topologies map that to the spec's fail value, matching
     /// their pre-engine local measurement).
     ///
-    /// Cold corners integrate through [`AcSolver::step_response`], whose
-    /// dense propagator makes every step one matrix-vector product; warm
-    /// evaluations run [`step_response_corners`], which is the same
-    /// per-corner propagator at dense dims and a base-factor + Woodbury
-    /// sibling correction at sparse dims.
+    /// Every corner integrates through [`AcSolver::step_response`] (via
+    /// [`step_response_corners`]), whose propagator makes every step one
+    /// matrix-vector product.
     pub fn with_settling(mut self, spec: SettleSpec) -> Self {
         self.settle = Some(spec);
         self
@@ -282,8 +249,7 @@ impl CornerEvaluator {
 
     /// Runs the settling stage over the solved corner set: picks the
     /// shared time window from the slowest valid corner cutoff, then
-    /// integrates every valid corner (through the corner kernel when
-    /// `warm`, the scalar kernel otherwise). Returns `None` when no
+    /// integrates every valid corner. Returns `None` when no
     /// settle stage is configured; per-corner `None` marks an invalid
     /// cutoff (no settling record).
     fn settle_stage(
@@ -291,7 +257,6 @@ impl CornerEvaluator {
         solvers: &[AcSolver<'_>],
         outs: &[Node],
         resps: &[AcResponse],
-        warm: bool,
     ) -> Option<Vec<Option<SettleRecord>>> {
         let spec = self.settle?;
         let mut slots: Vec<Option<SettleRecord>> = (0..solvers.len()).map(|_| None).collect();
@@ -311,14 +276,7 @@ impl CornerEvaluator {
         let t_stop = spec.window / min_cutoff;
         let ls: Vec<&AcSolver<'_>> = live.iter().map(|&i| &solvers[i]).collect();
         let lo: Vec<Node> = live.iter().map(|&i| outs[i]).collect();
-        let recs = if warm {
-            step_response_corners(&ls, &lo, t_stop, spec.steps)
-        } else {
-            ls.iter()
-                .zip(&lo)
-                .map(|(s, &o)| s.step_response(o, t_stop, spec.steps))
-                .collect()
-        };
+        let recs = step_response_corners(&ls, &lo, t_stop, spec.steps);
         for (&i, r) in live.iter().zip(recs) {
             slots[i] = Some(r);
         }
@@ -392,7 +350,7 @@ impl CornerEvaluator {
         let solvers: Vec<AcSolver<'_>> = cases
             .iter()
             .zip(&ops)
-            .map(|(c, op)| AcSolver::new(&c.ckt, op).with_config(self.dc_opts.solver))
+            .map(|(c, op)| AcSolver::new(&c.ckt, op))
             .collect();
         let outs: Vec<Node> = cases.iter().map(|c| c.out).collect();
         // One workspace serves every cold corner's sweep and noise
@@ -435,19 +393,11 @@ impl CornerEvaluator {
                         .iter()
                         .zip(&ops)
                         .map(|(c, op)| {
-                            noise_analysis_cfg(
-                                &c.ckt,
-                                op,
-                                c.out,
-                                nf,
-                                c.temp_k,
-                                self.dc_opts.solver,
-                                &mut cold_ws,
-                            )
+                            noise_analysis_ws(&c.ckt, op, c.out, nf, c.temp_k, &mut cold_ws)
                         })
                         .collect(),
                 });
-        let settles = self.settle_stage(&solvers, &outs, &resps, state.is_some());
+        let settles = self.settle_stage(&solvers, &outs, &resps);
         let mut rows = Vec::with_capacity(cases.len());
         for (slot, ((case, op), (solver, resp))) in cases
             .iter()
@@ -540,22 +490,17 @@ pub trait SizingProblem: Send + Sync {
         self.simulate(idx, mode)
     }
 
-    /// The linear-solver backend config this problem's own evaluations
-    /// dispatch on when the caller supplies no override. The default
-    /// returns [`SolverConfig::default`]; topologies that own a config
-    /// override this so sessions can layer single knobs (e.g.
-    /// [`EvalSession::with_parallelism`]) on top of the problem's config
-    /// instead of silently replacing it.
+    /// The solver configuration of this problem's evaluations. The
+    /// simulator has no solver settings left, so [`SolverConfig`] is
+    /// field-less; this method and the two `*_cfg` methods below are kept
+    /// only so that external implementors and wrappers of this trait keep
+    /// compiling. Nothing in this workspace calls them.
     fn solver_config(&self) -> SolverConfig {
-        SolverConfig::default()
+        SolverConfig
     }
 
-    /// Like [`SizingProblem::simulate`], but overriding the linear-solver
-    /// backend config (dense | sparse | auto-by-dimension) for every solve
-    /// of the evaluation. The default implementation ignores `cfg`;
-    /// topologies that own a [`SolverConfig`] override this so sessions
-    /// (and the corner-smoke dense-vs-sparse gate) can force a backend
-    /// without rebuilding the problem.
+    /// [`SizingProblem::simulate`] under a solver configuration, which is
+    /// ignored (see [`SizingProblem::solver_config`]).
     ///
     /// # Errors
     ///
@@ -570,9 +515,8 @@ pub trait SizingProblem: Send + Sync {
         self.simulate(idx, mode)
     }
 
-    /// Warm-started variant of [`SizingProblem::simulate_cfg`]; the
-    /// default ignores `cfg` and falls back to
-    /// [`SizingProblem::simulate_warm`].
+    /// [`SizingProblem::simulate_warm`] under a solver configuration,
+    /// which is ignored (see [`SizingProblem::solver_config`]).
     ///
     /// # Errors
     ///
@@ -988,7 +932,6 @@ impl<'p> ProblemRef<'p> {
 pub struct EvalSession<'p> {
     problem: ProblemRef<'p>,
     mode: SimMode,
-    solver: Option<SolverConfig>,
     warm_start: bool,
     memoize: bool,
     memo_capacity: usize,
@@ -1022,7 +965,6 @@ impl<'p> EvalSession<'p> {
         EvalSession {
             problem,
             mode,
-            solver: None,
             warm_start: true,
             memoize: true,
             memo_capacity: EvalSession::DEFAULT_MEMO_CAPACITY,
@@ -1051,33 +993,6 @@ impl<'p> EvalSession<'p> {
     /// exactly [`SizingProblem::simulate`].
     pub fn with_warm_start(mut self, on: bool) -> Self {
         self.warm_start = on;
-        self
-    }
-
-    /// Overrides the linear-solver backend config for every evaluation in
-    /// this session, routed through [`SizingProblem::simulate_cfg`] /
-    /// [`SizingProblem::simulate_warm_cfg`]. Without this (or on problems
-    /// that keep the defaulted trait hooks) the problem's own config
-    /// applies — [`SolverConfig::default`] selects dense or sparse
-    /// automatically by MNA dimension. Memoized entries are keyed by grid
-    /// point only, so pick the config before evaluating, not per point.
-    pub fn with_solver_config(mut self, cfg: SolverConfig) -> Self {
-        self.solver = Some(cfg);
-        self
-    }
-
-    /// Sets the parallel-execution policy
-    /// ([`autockt_sim::Parallelism`]) for every evaluation in this
-    /// session, layered on top of the config the session would otherwise
-    /// use (an explicit [`EvalSession::with_solver_config`] override if
-    /// set, else the problem's own [`SizingProblem::solver_config`]).
-    /// Threaded evaluations are bitwise-identical to serial ones, so
-    /// memo entries stay valid across the knob.
-    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
-        let base = self
-            .solver
-            .unwrap_or_else(|| self.problem.get().solver_config());
-        self.solver = Some(base.with_parallelism(par));
         self
     }
 
@@ -1162,18 +1077,12 @@ impl<'p> EvalSession<'p> {
             }
         }
         self.solves += 1;
-        let res = match (self.warm_start, self.solver) {
-            (true, Some(cfg)) => {
-                self.problem
-                    .get()
-                    .simulate_warm_cfg(idx, self.mode, cfg, &mut self.warm)
-            }
-            (true, None) => self
-                .problem
+        let res = if self.warm_start {
+            self.problem
                 .get()
-                .simulate_warm(idx, self.mode, &mut self.warm),
-            (false, Some(cfg)) => self.problem.get().simulate_cfg(idx, self.mode, cfg),
-            (false, None) => self.problem.get().simulate(idx, self.mode),
+                .simulate_warm(idx, self.mode, &mut self.warm)
+        } else {
+            self.problem.get().simulate(idx, self.mode)
         };
         if self.memoize {
             let warm = if self.warm_start {
@@ -1467,8 +1376,9 @@ mod tests {
         let i = ckt.node("in");
         let o = ckt.node("out");
         if defective == Some(slot) {
-            // Inconsistent netlist: conflicting parallel sources make
-            // every gmin stage singular, so this corner cannot solve.
+            // Inconsistent netlist: two sources in parallel leave a
+            // branch-current column unmatched, so this corner is
+            // structurally singular and cannot solve.
             ckt.vsource(i, GND, 1.0, 0.0);
             ckt.vsource(i, GND, 2.0, 0.0);
             ckt.resistor(i, o, 1.0e3);
@@ -1593,10 +1503,16 @@ mod tests {
         let last = CornerPlan::pvt_worst_case().len() - 1;
         for slot in [1, last] {
             let cold = run_rc_engine(Some(slot), None);
-            assert!(matches!(cold, Err(SimError::SingularMatrix { .. })));
+            assert!(
+                matches!(cold, Err(SimError::StructurallySingular { .. })),
+                "{cold:?}"
+            );
             let mut state = WarmState::new();
             let warm = run_rc_engine(Some(slot), Some(&mut state));
-            assert!(matches!(warm, Err(SimError::SingularMatrix { .. })));
+            assert!(
+                matches!(warm, Err(SimError::StructurallySingular { .. })),
+                "{warm:?}"
+            );
             // Every sibling still solved, so its warm slot is armed.
             assert!(state.is_warm());
         }

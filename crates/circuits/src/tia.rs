@@ -13,15 +13,15 @@ use crate::problem::{
     CornerCase, CornerEvaluator, CornerPlan, ParamSpec, SettleRecord, SettleSpec, SimMode,
     SizingProblem, SpecDef, SpecKind,
 };
-use autockt_sim::ac::{ac_sweep_cfg, log_freqs, AcResponse, AcSolver, AcWorkspace};
+use autockt_sim::ac::{ac_sweep_ws, log_freqs, AcResponse, AcSolver, AcWorkspace};
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::measure::settling_time;
 use autockt_sim::netlist::{Circuit, Mosfet, Node, Step, GND};
-use autockt_sim::noise::{noise_analysis_cfg, NoiseResult};
+use autockt_sim::noise::{noise_analysis_ws, NoiseResult};
 use autockt_sim::pex::{extract, PexConfig};
 use autockt_sim::tran::{transient, transient_warm, TranOptions};
-use autockt_sim::{SimError, SolverConfig};
+use autockt_sim::SimError;
 
 /// Index constants into the TIA spec vector.
 pub mod spec_index {
@@ -47,7 +47,6 @@ pub struct Tia {
     pub c_load: f64,
     pex: PexConfig,
     transient_settling: bool,
-    solver: SolverConfig,
 }
 
 impl Default for Tia {
@@ -103,24 +102,7 @@ impl Tia {
             c_load: 25e-15,
             pex: PexConfig::default(),
             transient_settling: false,
-            solver: SolverConfig::default(),
         }
-    }
-
-    /// Overrides the linear-solver backend config for every solve this
-    /// problem runs (DC Newton, AC sweeps, noise, step response,
-    /// transient). The default picks dense or sparse automatically by MNA
-    /// dimension — schematic-sized TIAs stay dense, deep-mesh PEX
-    /// extractions (see [`PexConfig::mesh_depth`]) cross into the CSC
-    /// sparse backend.
-    pub fn with_solver_config(mut self, cfg: SolverConfig) -> Self {
-        self.solver = cfg;
-        self
-    }
-
-    /// The linear-solver backend config every evaluation dispatches on.
-    pub fn solver_config(&self) -> SolverConfig {
-        self.solver
     }
 
     /// Replaces the parasitic-extraction configuration — e.g. to deepen
@@ -238,7 +220,6 @@ impl Tia {
     fn dc_opts(&self) -> DcOptions {
         DcOptions {
             initial_v: self.tech.vdd / 2.0,
-            solver: self.solver,
             ..DcOptions::default()
         }
     }
@@ -394,15 +375,8 @@ impl Tia {
     ) -> Result<Vec<f64>, SimError> {
         let freqs = Tia::ac_freqs();
         let resp = match ac_ws.as_deref_mut() {
-            Some(ws) => ac_sweep_cfg(ckt, op, &freqs, out, self.solver, ws)?,
-            None => ac_sweep_cfg(
-                ckt,
-                op,
-                &freqs,
-                out,
-                self.solver,
-                &mut AcWorkspace::default(),
-            )?,
+            Some(ws) => ac_sweep_ws(ckt, op, &freqs, out, ws)?,
+            None => ac_sweep_ws(ckt, op, &freqs, out, &mut AcWorkspace::default())?,
         };
         self.corner_specs(ckt, out, temp_k, op, None, &resp, ac_ws, None, None)
     }
@@ -447,7 +421,7 @@ impl Tia {
                 let solver = match solver {
                     Some(s) => s,
                     None => {
-                        own = AcSolver::new(ckt, op).with_config(self.solver);
+                        own = AcSolver::new(ckt, op);
                         &own
                     }
                 };
@@ -468,14 +442,13 @@ impl Tia {
             None => {
                 let nfreqs = Tia::noise_freqs();
                 match ac_ws {
-                    Some(ws) => noise_analysis_cfg(ckt, op, out, &nfreqs, temp_k, self.solver, ws),
-                    None => noise_analysis_cfg(
+                    Some(ws) => noise_analysis_ws(ckt, op, out, &nfreqs, temp_k, ws),
+                    None => noise_analysis_ws(
                         ckt,
                         op,
                         out,
                         &nfreqs,
                         temp_k,
-                        self.solver,
                         &mut AcWorkspace::default(),
                     ),
                 }
@@ -512,31 +485,6 @@ impl SizingProblem for Tia {
         state: &mut WarmState,
     ) -> Result<Vec<f64>, SimError> {
         self.simulate_inner(idx, mode, Some(state))
-    }
-
-    fn solver_config(&self) -> SolverConfig {
-        self.solver
-    }
-
-    fn simulate_cfg(
-        &self,
-        idx: &[usize],
-        mode: SimMode,
-        cfg: SolverConfig,
-    ) -> Result<Vec<f64>, SimError> {
-        self.clone().with_solver_config(cfg).simulate(idx, mode)
-    }
-
-    fn simulate_warm_cfg(
-        &self,
-        idx: &[usize],
-        mode: SimMode,
-        cfg: SolverConfig,
-        state: &mut WarmState,
-    ) -> Result<Vec<f64>, SimError> {
-        self.clone()
-            .with_solver_config(cfg)
-            .simulate_warm(idx, mode, state)
     }
 }
 
@@ -607,29 +555,6 @@ mod tests {
         // The flag leaves the other specs untouched.
         assert_eq!(s_cold[spec_index::CUTOFF], s_lin[spec_index::CUTOFF]);
         assert_eq!(s_cold[spec_index::NOISE], s_lin[spec_index::NOISE]);
-    }
-
-    #[test]
-    fn forced_sparse_backend_matches_dense_specs() {
-        let tia = Tia::default();
-        let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
-        let dense = tia.simulate(&idx, SimMode::Schematic).unwrap();
-        // Forcing the CSC backend well below the auto crossover must land
-        // on the same specs to solver tolerance.
-        let sparse = tia
-            .simulate_cfg(&idx, SimMode::Schematic, SolverConfig::sparse())
-            .unwrap();
-        for (d, s) in dense.iter().zip(&sparse) {
-            assert!((d - s).abs() <= 5e-3 * (1.0 + d.abs()), "{d} vs {s}");
-        }
-        // The session-level override routes through the same hook.
-        let mut sess = crate::problem::EvalSession::borrowed(&tia, SimMode::Schematic)
-            .with_solver_config(SolverConfig::sparse());
-        let via_session = sess.evaluate(&idx).unwrap();
-        assert_eq!(sess.solve_count(), 1);
-        for (v, d) in via_session.iter().zip(&dense) {
-            assert!((v - d).abs() <= 5e-3 * (1.0 + d.abs()), "{v} vs {d}");
-        }
     }
 
     #[test]

@@ -15,13 +15,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Wires the rollout collector's thread accounting to the simulation
-/// substrate's process-wide thread budget (`autockt_sim::par`): rollout
-/// workers charge their head count before spawning, so the simulation
-/// kernels they drive see the reduced headroom and keep their own tiling
-/// within the budget — the outer parallel level wins, and nested
-/// parallelism degrades to serial. Idempotent; called by [`train`], and
-/// callable directly by deployments that run the collector themselves.
+/// Wires the rollout collector's thread accounting to the process-wide
+/// thread budget (`autockt_sim::par`): rollout workers and the PPO
+/// update's second lane charge their head count before spawning, so
+/// together they never exceed the budget — whoever reserves first wins,
+/// and a later request degrades to serial. Idempotent; called by
+/// [`train`], and callable directly by deployments that run the collector
+/// themselves.
 pub fn wire_thread_budget() {
     register_thread_accountant(ThreadAccountant {
         reserve: autockt_sim::par::reserve_threads,

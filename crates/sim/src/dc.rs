@@ -3,12 +3,16 @@
 //!
 //! The unknown vector is `[v(1), ..., v(N-1), i(V1), ..., i(Vk)]` — node
 //! voltages excluding ground followed by voltage-source branch currents.
+//!
+//! Every Newton iteration assembles the Jacobian densely and factors it
+//! with [`LuFactors`]. When the cold solve hits a singular Jacobian, the
+//! structural check of [`crate::linalg::structure`] runs on that Jacobian
+//! before the homotopy: a topology no gmin value can repair is reported
+//! as [`SimError::StructurallySingular`] at once.
 
 use crate::device::{MosPolarity, MosRegion};
 use crate::error::SimError;
-use crate::linalg::sparse::{CscMatrix, SolverConfig, StampSink, TripletList};
-use crate::linalg::structure::SparseSolver;
-use crate::linalg::{LuFactors, Matrix};
+use crate::linalg::{structure, LuFactors, Matrix};
 use crate::netlist::{Circuit, Element, Mosfet, Node};
 
 /// Reusable buffers for repeated DC solves of same-dimension circuits:
@@ -23,14 +27,6 @@ pub struct DcWorkspace {
     rhs: Vec<f64>,
     dx: Vec<f64>,
     lu: LuFactors<f64>,
-    /// Sparse-backend buffers: triplet assembly, compressed matrix, and
-    /// the sparse factorization (plain or BTF per the solve's
-    /// [`SolverConfig`]) whose symbolic analysis — ordering, structural
-    /// preflight, block decomposition — persists across Newton
-    /// iterations (the stamp pattern is constant per circuit).
-    trip: TripletList<f64>,
-    csc: CscMatrix<f64>,
-    slu: SparseSolver<f64>,
 }
 
 impl DcWorkspace {
@@ -42,9 +38,6 @@ impl DcWorkspace {
             rhs: Vec::new(),
             dx: Vec::new(),
             lu: LuFactors::empty(),
-            trip: TripletList::new(0),
-            csc: CscMatrix::empty(),
-            slu: SparseSolver::default(),
         }
     }
 }
@@ -138,7 +131,7 @@ impl WarmState {
     }
 
     /// The session's reusable AC-analysis buffers, for routing sweeps and
-    /// noise analyses through the allocation-free `_ws` entry points.
+    /// noise analyses through the allocation-free workspace entry points.
     pub fn ac_workspace(&mut self) -> &mut crate::ac::AcWorkspace {
         &mut self.ac
     }
@@ -167,9 +160,6 @@ pub struct DcOptions {
     /// Minimum conductance from every node to ground (aids convergence and
     /// regularizes capacitor-only nodes).
     pub gmin: f64,
-    /// Linear-solver backend selection (automatic by dimension unless
-    /// forced; see [`SolverConfig`]).
-    pub solver: SolverConfig,
 }
 
 impl Default for DcOptions {
@@ -180,7 +170,6 @@ impl Default for DcOptions {
             tol: 1e-9,
             dv_max: 0.3,
             gmin: 1e-12,
-            solver: SolverConfig::default(),
         }
     }
 }
@@ -314,11 +303,14 @@ impl<'a> Assembler<'a> {
         self.nnodes - 1 + k
     }
 
-    /// Assembles the Newton Jacobian into `j` — a dense matrix or a
-    /// triplet list, one stamping code path for both backends — and the
-    /// residual `f` at the point `x`.
-    fn assemble<S: StampSink>(&self, x: &[f64], gmin: f64, j: &mut S, f: &mut [f64]) {
-        j.reset(self.dim);
+    /// Assembles the Newton Jacobian into `j` (resized to the system
+    /// dimension and zeroed) and the residual `f` at the point `x`.
+    fn assemble(&self, x: &[f64], gmin: f64, j: &mut Matrix<f64>, f: &mut [f64]) {
+        if j.rows() != self.dim || j.cols() != self.dim {
+            *j = Matrix::zeros(self.dim, self.dim);
+        } else {
+            j.fill_zero();
+        }
         f.iter_mut().for_each(|v| *v = 0.0);
         let volt = |n: Node| -> f64 {
             match self.ckt.mna_index(n) {
@@ -326,14 +318,12 @@ impl<'a> Assembler<'a> {
                 Some(i) => x[i],
             }
         };
-        // gmin from every node to ground. Skipped entirely when disabled:
-        // an explicit zero would still be a *structural* nonzero to the
-        // sparse pattern, hiding a floating node from the structural
-        // preflight that `gmin: 0.0` exists to exercise.
+        // gmin from every node to ground. Skipped entirely when disabled,
+        // so a floating node keeps its empty Jacobian column.
         // lint:allow(float-eq) — exact-zero means "disabled" by contract.
         if gmin != 0.0 {
             for i in 0..(self.nnodes - 1) {
-                j.add(i, i, gmin);
+                j[(i, i)] += gmin;
                 f[i] += gmin * x[i];
             }
         }
@@ -351,13 +341,13 @@ impl<'a> Assembler<'a> {
                     let ibr = x[row];
                     if let Some(ip) = self.idx(*p) {
                         f[ip] += ibr;
-                        j.add(ip, row, 1.0);
-                        j.add(row, ip, 1.0);
+                        j[(ip, row)] += 1.0;
+                        j[(row, ip)] += 1.0;
                     }
                     if let Some(in_) = self.idx(*n) {
                         f[in_] -= ibr;
-                        j.add(in_, row, -1.0);
-                        j.add(row, in_, -1.0);
+                        j[(in_, row)] += -1.0;
+                        j[(row, in_)] += -1.0;
                     }
                     f[row] += volt(*p) - volt(*n) - dc;
                     vk += 1;
@@ -375,19 +365,19 @@ impl<'a> Assembler<'a> {
                     if let Some(iop) = self.idx(*op) {
                         f[iop] += i;
                         if let Some(icp) = self.idx(*cp) {
-                            j.add(iop, icp, *gm);
+                            j[(iop, icp)] += *gm;
                         }
                         if let Some(icn) = self.idx(*cn) {
-                            j.add(iop, icn, -*gm);
+                            j[(iop, icn)] += -*gm;
                         }
                     }
                     if let Some(ion) = self.idx(*on) {
                         f[ion] -= i;
                         if let Some(icp) = self.idx(*cp) {
-                            j.add(ion, icp, -*gm);
+                            j[(ion, icp)] += -*gm;
                         }
                         if let Some(icn) = self.idx(*cn) {
-                            j.add(ion, icn, *gm);
+                            j[(ion, icn)] += *gm;
                         }
                     }
                 }
@@ -399,22 +389,22 @@ impl<'a> Assembler<'a> {
                     if let Some(id_) = self.idx(a_d) {
                         f[id_] += i_ad;
                         if let Some(ig) = self.idx(m.g) {
-                            j.add(id_, ig, gm);
+                            j[(id_, ig)] += gm;
                         }
-                        j.add(id_, id_, gds);
+                        j[(id_, id_)] += gds;
                         if let Some(is_) = self.idx(a_s) {
-                            j.add(id_, is_, -(gm + gds));
+                            j[(id_, is_)] += -(gm + gds);
                         }
                     }
                     if let Some(is_) = self.idx(a_s) {
                         f[is_] -= i_ad;
                         if let Some(ig) = self.idx(m.g) {
-                            j.add(is_, ig, -gm);
+                            j[(is_, ig)] += -gm;
                         }
                         if let Some(id_) = self.idx(a_d) {
-                            j.add(is_, id_, -gds);
+                            j[(is_, id_)] += -gds;
                         }
-                        j.add(is_, is_, gm + gds);
+                        j[(is_, is_)] += gm + gds;
                     }
                 }
             }
@@ -422,19 +412,19 @@ impl<'a> Assembler<'a> {
     }
 
     /// Stamps a two-terminal conductance `g` carrying current `i` (p -> n).
-    fn stamp_pair<S: StampSink>(&self, j: &mut S, f: &mut [f64], p: Node, n: Node, g: f64, i: f64) {
+    fn stamp_pair(&self, j: &mut Matrix<f64>, f: &mut [f64], p: Node, n: Node, g: f64, i: f64) {
         if let Some(ip) = self.idx(p) {
             f[ip] += i;
-            j.add(ip, ip, g);
+            j[(ip, ip)] += g;
             if let Some(in_) = self.idx(n) {
-                j.add(ip, in_, -g);
+                j[(ip, in_)] += -g;
             }
         }
         if let Some(in_) = self.idx(n) {
             f[in_] -= i;
-            j.add(in_, in_, g);
+            j[(in_, in_)] += g;
             if let Some(ip) = self.idx(p) {
-                j.add(in_, ip, -g);
+                j[(in_, ip)] += -g;
             }
         }
     }
@@ -449,35 +439,15 @@ fn newton_solve(
 ) -> Result<usize, SimError> {
     let dim = asm.dim;
     let nv = asm.nnodes - 1;
-    let sparse = opts.solver.use_sparse(dim);
-    if sparse {
-        ws.slu.ensure_mode(opts.solver.btf);
-        ws.slu.set_parallelism(opts.solver.par);
-    } else if ws.j.rows() != dim || ws.j.cols() != dim {
-        ws.j = Matrix::zeros(dim, dim);
-    }
     ws.f.resize(dim, 0.0);
     ws.rhs.resize(dim, 0.0);
     for it in 0..opts.max_iter {
-        if sparse {
-            // Same stamps, landing in a triplet list; the compressed
-            // pattern is identical every iteration, so the sparse
-            // refactor reuses its symbolic analysis throughout.
-            asm.assemble(x, gmin, &mut ws.trip, &mut ws.f);
-        } else {
-            asm.assemble(x, gmin, &mut ws.j, &mut ws.f);
-        }
+        asm.assemble(x, gmin, &mut ws.j, &mut ws.f);
         for (r, v) in ws.rhs.iter_mut().zip(&ws.f) {
             *r = -v;
         }
-        if sparse {
-            ws.trip.compress_into(&mut ws.csc);
-            ws.slu.refactor(&ws.csc, 1e-30)?;
-            ws.slu.solve_into(&ws.rhs, &mut ws.dx);
-        } else {
-            ws.lu.refactor(&ws.j, 1e-30)?;
-            ws.lu.solve_into(&ws.rhs, &mut ws.dx);
-        }
+        ws.lu.refactor(&ws.j, 1e-30)?;
+        ws.lu.solve_into(&ws.rhs, &mut ws.dx);
         let mut maxd = 0.0f64;
         for (i, d) in ws.dx.iter().enumerate() {
             let step = if i < nv {
@@ -513,9 +483,11 @@ fn newton_solve(
 ///
 /// # Errors
 ///
-/// [`SimError::DcNoConvergence`] if the homotopy also fails, or
-/// [`SimError::SingularMatrix`] (respectively [`SimError::SingularSparse`]
-/// under the sparse backend) for structurally defective netlists.
+/// [`SimError::StructurallySingular`] when the cold Newton iteration
+/// meets a Jacobian whose sparsity pattern has no full matching (a
+/// floating node with `gmin` disabled, a dangling net), checked before
+/// the homotopy; otherwise [`SimError::DcNoConvergence`] or
+/// [`SimError::SingularMatrix`] if the homotopy also fails.
 ///
 /// # Examples
 ///
@@ -588,12 +560,14 @@ pub fn dc_operating_point_warm(
         let direct = newton_solve(&asm, &mut x, opts.gmin, opts, ws);
         match direct {
             Ok(it) => total_iters += it,
-            // Structural singularity is a property of the topology alone:
-            // no gmin value can repair an unmatched column, and with
-            // `opts.gmin == 0` the stepping loop below would never
-            // terminate. Report it immediately.
-            Err(e @ SimError::StructurallySingular { .. }) => return Err(e),
-            Err(_) => {
+            Err(e) => {
+                if matches!(e, SimError::SingularMatrix { .. }) {
+                    // A singular Jacobian whose pattern cannot be matched
+                    // is a property of the topology alone: no gmin value
+                    // can repair an unmatched column, so report it before
+                    // walking the homotopy.
+                    structure::check_dense(&ws.j)?;
+                }
                 // gmin stepping homotopy.
                 x.iter_mut().for_each(|v| *v = 0.0);
                 x[..nv].iter_mut().for_each(|v| *v = opts.initial_v);
@@ -939,18 +913,6 @@ mod tests {
             dc_operating_point_warm(&a, &DcOptions::default(), Some(&poisoned), &mut ws).unwrap();
         assert!(!op.warm_started(), "poisoned guess must not 'converge'");
         assert_eq!(op.mna_vector(), cold.mna_vector());
-    }
-
-    #[test]
-    fn forced_sparse_backend_matches_dense_within_tolerance() {
-        let (ckt, g) = nmos_diode_circuit(10.0e3);
-        let dense = dc_operating_point(&ckt, &DcOptions::default()).unwrap();
-        let opts = DcOptions {
-            solver: SolverConfig::sparse(),
-            ..DcOptions::default()
-        };
-        let sparse = dc_operating_point(&ckt, &opts).unwrap();
-        assert!((sparse.voltage(g) - dense.voltage(g)).abs() < 1e-9);
     }
 
     #[test]

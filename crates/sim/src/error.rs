@@ -15,11 +15,10 @@ pub enum SimError {
         /// Column at which elimination failed.
         column: usize,
     },
-    /// The sparse-backend MNA matrix was singular to working precision:
-    /// no acceptable pivot survived in some column of the sparse LU. Kept
-    /// distinct from [`SimError::SingularMatrix`] so callers can tell
-    /// which backend rejected the system; the reported column is in the
-    /// original (unpermuted) matrix numbering, like the dense variant's.
+    /// Singular to working precision on a sparse LU backend. The
+    /// simulator has one dense backend and never returns this variant; it
+    /// is kept only so that code matching every variant exhaustively (an
+    /// external error table, for example) keeps compiling.
     SingularSparse {
         /// Original-matrix column at which elimination failed.
         column: usize,
@@ -28,12 +27,13 @@ pub enum SimError {
     /// matrix entries can make it numerically nonsingular, because some
     /// column cannot be matched to a distinct row holding one of its
     /// structural nonzeros (maximum bipartite matching on the sparsity
-    /// pattern falls short of the dimension). Detected by the structural
-    /// preflight of the sparse backend *before* any factorization work —
-    /// typically a floating node (only capacitive coupling with gmin
-    /// disabled) or a dangling net. Unlike the numeric singular variants
-    /// this is a property of the circuit topology alone, so retrying with
-    /// different values (gmin stepping, source ramping) cannot help.
+    /// pattern falls short of the dimension). The DC solve checks the
+    /// pattern of a Jacobian its cold Newton iteration could not factor,
+    /// before the gmin homotopy — typically a floating node (only
+    /// capacitive coupling with gmin disabled) or a dangling net. Unlike
+    /// the numeric singular variant this is a property of the circuit
+    /// topology alone, so retrying with different values (gmin stepping,
+    /// source ramping) cannot help.
     StructurallySingular {
         /// First unmatched column, in original MNA numbering (node
         /// voltages first, then voltage-source branch currents).

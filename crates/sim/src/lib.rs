@@ -14,11 +14,20 @@
 //!   PVT corners
 //! - [`dc`] — Newton–Raphson operating point with gmin stepping
 //! - [`ac`] — complex-valued small-signal sweeps
+//! - [`linalg`] — the dense LU and the Hessenberg–triangular pencil
+//!   reduction every analysis solves through
 //! - [`tran`] — trapezoidal transient analysis
 //! - [`noise`] — per-source noise analysis with input referral
 //! - [`measure`] — gain / UGBW / phase margin / settling / integration
 //! - [`pex`] — deterministic layout-parasitic extraction (BAG substitute)
 //! - [`export`] — SPICE-deck netlist export for debugging/cross-checking
+//! - [`par`] — the process-wide thread budget the rollout workers and the
+//!   PPO update reserve through (the simulator itself never spawns)
+//!
+//! There is one linear-algebra backend and no solver settings: every MNA
+//! system is factored densely ([`linalg::LuFactors`]), and AC and noise
+//! sweeps reduce the `(G, C)` pencil once per operating point
+//! ([`linalg::pencil`]). Every analysis runs on the calling thread.
 //!
 //! ## Example: measure an amplifier
 //!
@@ -64,9 +73,16 @@ pub mod pex;
 pub mod tran;
 
 pub use error::SimError;
-pub use linalg::sparse::{SolverBackend, SolverConfig};
-pub use linalg::structure::{BtfDecomposition, BtfLu, SparseSolver};
-pub use par::Parallelism;
+
+/// A solver configuration with no settings.
+///
+/// The simulator has one dense backend and runs every analysis serially,
+/// so there is nothing left to configure. The type is kept, field-less,
+/// only so that external implementors of the sizing-problem trait's
+/// `solver_config`/`simulate_cfg`/`simulate_warm_cfg` methods (in
+/// `autockt_circuits`) keep compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct SolverConfig;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
@@ -75,11 +91,9 @@ pub mod prelude {
     pub use crate::dc::{dc_operating_point, DcOptions, OpPoint};
     pub use crate::device::{MosPolarity, MosRegion, ProcessCorner, Pvt, Technology};
     pub use crate::error::SimError;
-    pub use crate::linalg::sparse::{SolverBackend, SolverConfig};
     pub use crate::measure::{db20, integrate_trapezoid, settling_time};
     pub use crate::netlist::{Circuit, Element, Mosfet, Node, Step, GND};
     pub use crate::noise::{noise_analysis, noise_analysis_corners, NoiseResult};
-    pub use crate::par::Parallelism;
     pub use crate::pex::{extract, PexConfig};
     pub use crate::tran::{transient, transient_warm, TranOptions, TranResult};
 }

@@ -1,14 +1,12 @@
 //! Linear algebra for modified nodal analysis (MNA).
 //!
-//! Schematic-level circuit matrices in this project are small (tens of
-//! unknowns), where a dense LU factorization with partial pivoting is both
-//! simpler and faster than sparse machinery — that kernel, [`LuFactors`],
-//! lives in this module. Post-layout extraction meshes push the dimension
-//! into the hundreds, where the O(n³) dense elimination loses to a
-//! fill-reducing sparse factorization; that backend lives in [`sparse`],
-//! and [`sparse::SolverConfig`] picks between the two by dimension.
+//! Every MNA system this project solves is schematic- or extraction-sized
+//! (dims 4 to 60 on the benchmark workloads), where a dense LU
+//! factorization with partial pivoting is both simpler and faster than
+//! sparse machinery. That kernel, [`LuFactors`], lives in this module and
+//! is the simulator's one factorization backend.
 //!
-//! [`LuFactors`] is the one dense LU. It is generic over the matrix
+//! [`LuFactors`] is generic over the matrix
 //! scalar, so the same code serves real (DC, transient, Woodbury
 //! corrections) and complex (the per-point AC oracle, Woodbury corner
 //! rows) systems. MNA matrices are mostly zeros even when they are small
@@ -20,11 +18,12 @@
 //!
 //! Dense AC and noise sweeps do not factor per point: [`pencil`] reduces
 //! `(G, C)` to Hessenberg–triangular form once per operating point, after
-//! which each frequency point is an O(n²) Hessenberg solve.
+//! which each frequency point is an O(n²) Hessenberg solve. [`structure`]
+//! holds the structural-rank diagnosis the DC solve runs on a singular
+//! Jacobian.
 
 pub(crate) mod correction;
 pub mod pencil;
-pub mod sparse;
 pub mod structure;
 
 use crate::complex::Complex;
@@ -37,13 +36,9 @@ const NEG_ZERO: u64 = 1 << 63;
 ///
 /// This trait is sealed in spirit: it is implemented for [`f64`] and
 /// [`Complex`] and the simulator does not expect downstream
-/// implementations. `Send + Sync` are supertraits so factorizations over
-/// any `Scalar` can fan out across the scoped-thread tile scheduler in
-/// [`crate::par`] (both implementors are plain `Copy` data).
+/// implementations.
 pub trait Scalar:
     Copy
-    + Send
-    + Sync
     + Default
     + PartialEq
     + std::fmt::Debug
@@ -449,6 +444,11 @@ impl<T: Scalar> LuFactors<T> {
         }
     }
 
+    /// Dimension of the factored system (0 before the first factorization).
+    pub fn dim(&self) -> usize {
+        self.lu.rows
+    }
+
     /// Re-factors `a` into this object's buffers, reusing the matrix and
     /// permutation allocations (the DC Newton loop refactors a
     /// same-dimension Jacobian every iteration).
@@ -465,8 +465,9 @@ impl<T: Scalar> LuFactors<T> {
 
     /// Re-factors an `n x n` system assembled in place by `fill` (invoked
     /// on a zeroed matrix), reusing this object's buffers. This skips the
-    /// separate assembly matrix entirely — the AC sweep stamps its sparse
-    /// pattern straight into the factorization buffer once per frequency.
+    /// separate assembly matrix entirely — the Woodbury corner sweeps stamp
+    /// their `(row, col, g, c)` pattern straight into the factorization
+    /// buffer once per frequency.
     ///
     /// # Errors
     ///
@@ -783,43 +784,6 @@ impl<T: Scalar> LuFactors<T> {
     }
 }
 
-/// A factored linear system that can back-substitute right-hand sides.
-///
-/// This is the seam between the analyses and the factorization backends:
-/// solve-side code holds "something factored" — the dense [`LuFactors`]
-/// or the sparse [`sparse::SparseLu`] — and drives it through this trait
-/// without caring which elimination produced it. Factoring stays on the
-/// concrete types because each backend's assembly entry point is shaped
-/// differently (fill a [`Matrix`], compress triplets).
-pub trait LinearSolver<T: Scalar> {
-    /// Dimension of the factored system (0 before the first factorization).
-    fn dim(&self) -> usize;
-
-    /// Solves `A x = b` into a caller-provided buffer, reusing its
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the factored dimension.
-    fn solve_into(&self, b: &[T], x: &mut Vec<T>);
-
-    /// Solves `A x = b`, allocating the solution vector.
-    fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut x = Vec::new();
-        self.solve_into(b, &mut x);
-        x
-    }
-}
-
-impl<T: Scalar> LinearSolver<T> for LuFactors<T> {
-    fn dim(&self) -> usize {
-        self.lu.rows
-    }
-    fn solve_into(&self, b: &[T], x: &mut Vec<T>) {
-        LuFactors::solve_into(self, b, x);
-    }
-}
-
 /// Convenience one-shot solve of `A x = b`.
 ///
 /// # Errors
@@ -927,7 +891,7 @@ mod tests {
     fn refactor_with_reuses_buffers_across_dimensions() {
         use crate::complex::Complex as C;
         let mut lu = LuFactors::<C>::empty();
-        assert_eq!(LinearSolver::dim(&lu), 0);
+        assert_eq!(lu.dim(), 0);
         // 2x2 system.
         lu.refactor_with(2, 1e-300, |m| {
             m[(0, 0)] = C::new(2.0, 0.0);
@@ -947,7 +911,7 @@ mod tests {
         // A different-dimension system lands in regrown buffers.
         lu.refactor_with(1, 1e-300, |m| m[(0, 0)] = C::from_re(5.0))
             .unwrap();
-        assert_eq!(LinearSolver::dim(&lu), 1);
+        assert_eq!(lu.dim(), 1);
         let x1 = lu.solve(&[C::from_re(10.0)]);
         assert!((x1[0] - C::from_re(2.0)).norm() < 1e-12);
     }

@@ -10,32 +10,26 @@
 //!
 //! `x_b = y0 - W (I + N_b W)^{-1} N_b y0`,  `W = A0^{-1} P_R`.
 //!
-//! This module is the single home of that machinery, generic over the
-//! system scalar so all three users share one implementation:
+//! This module is the single home of that machinery. Its users, the AC
+//! sweep ([`crate::ac::ac_sweep_corners`]) and the noise analysis
+//! ([`crate::noise::noise_analysis_corners`]), instantiate it at
+//! [`Complex`](crate::complex::Complex) with the per-frequency stamp
+//! `dG + j·w·dC`; the helpers stay generic over the system scalar.
 //!
-//! - the AC sweep ([`crate::ac::ac_sweep_corners`]) and noise analysis
-//!   ([`crate::noise::noise_analysis_corners`]) instantiate it at
-//!   [`Complex`](crate::complex::Complex) with the per-frequency stamp
-//!   `dG + j·w·dC`;
-//! - the settling integration ([`crate::tran`]'s
-//!   `step_response_corners`) instantiates it at `f64` with the
-//!   trapezoidal companion stamp `dG + (2/h)·dC`.
-//!
-//! The frequency/time-step dependence enters only through the `combine`
-//! closure mapping a stored `(dG, dC)` difference pair to the scalar
-//! update, so [`CornerDiff`] itself is built once per corner set and
-//! reused across the whole sweep.
+//! The frequency dependence enters only through the `combine` closure
+//! mapping a stored `(dG, dC)` difference pair to the scalar update, so
+//! [`CornerDiff`] itself is built once per corner set and reused across
+//! the whole sweep.
 
-use super::{LinearSolver, LuFactors, Scalar};
+use super::{LuFactors, Scalar};
 use crate::error::SimError;
 
 /// The stamp-difference structure of a corner set relative to its base
 /// corner: which matrix rows any sibling differs on, and each corner's
 /// sparse `(row, col, dG, dC)` difference list. This is the shared
-/// skeleton of every base-plus-Woodbury corner correction — the AC sweep,
-/// the noise analysis, and the settling integration all build one per
-/// evaluation and correct against it per frequency (or, for settling,
-/// once per corner set).
+/// skeleton of every base-plus-Woodbury corner correction — the AC sweep
+/// and the noise analysis both build one per evaluation and correct
+/// against it per frequency.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CornerDiff {
     /// Union of rows any corner's stamps differ on, ascending.
@@ -110,13 +104,11 @@ impl CornerDiff {
 
 /// Solves the correction basis `W = A0^{-1} P_R` — one back-substitution
 /// per support row against the factored base system, shared by every
-/// corner (and every right-hand side) of a frequency point or time grid.
+/// corner (and every right-hand side) of a frequency point.
 /// `wflat` is filled column-major: `wflat[j*n..]` is the solution for
-/// support row `rows[j]`. The base is taken as a [`LinearSolver`] trait
-/// object so the dense and sparse factorizations feed the identical
-/// correction path.
+/// support row `rows[j]`.
 pub(crate) fn solve_correction_basis<T: Scalar>(
-    base: &dyn LinearSolver<T>,
+    base: &LuFactors<T>,
     rows: &[usize],
     n: usize,
     unit: &mut Vec<T>,
@@ -202,42 +194,4 @@ pub(crate) fn corrected_entry<T: Scalar>(
         v -= wflat[j2 * n + o] * *zj;
     }
     v
-}
-
-/// Full-vector Woodbury application: corner `b`'s complete solution
-/// recovered from the base solution `y` —
-/// `x_b = y - W S_b^{-1} N_b y` — at the cost of one sparse product, one
-/// `|R| x |R|` solve, and a rank-`|R|` dense update. The settling
-/// integration needs the whole state vector (the next time step's
-/// right-hand side reads every entry), unlike the AC sweep's single
-/// output entry. `x` is overwritten with the corrected solution.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn corrected_vector<T: Scalar>(
-    small: &LuFactors<T>,
-    diff: &[(usize, usize, f64, f64)],
-    row_pos: &[usize],
-    wflat: &[T],
-    y: &[T],
-    combine: impl Fn(f64, f64) -> T,
-    n: usize,
-    rn: usize,
-    u: &mut Vec<T>,
-    z: &mut Vec<T>,
-    x: &mut Vec<T>,
-) {
-    u.clear();
-    u.resize(rn, T::zero());
-    for &(r, c, dg, dc) in diff {
-        u[row_pos[r]] += combine(dg, dc) * y[c];
-    }
-    small.solve_into(u, z);
-    x.clear();
-    x.extend_from_slice(y);
-    for (j2, zj) in z.iter().enumerate() {
-        let col = &wflat[j2 * n..(j2 + 1) * n];
-        for (xi, wij) in x.iter_mut().zip(col) {
-            let upd = *wij * *zj;
-            *xi -= upd;
-        }
-    }
 }

@@ -31,7 +31,7 @@ const PIVOT_FLOOR: f64 = 1e-300;
 
 /// The reduced pencil of one linearization: `H`, `T` and the orthogonal
 /// `Q`, `Z`, all `n x n` row-major. Read-only after
-/// [`Pencil::reduce`], so threaded sweeps share one reduction.
+/// [`Pencil::reduce`], so every point of a sweep reads one reduction.
 #[derive(Debug, Clone, Default)]
 pub struct Pencil {
     n: usize,

@@ -1,46 +1,23 @@
-//! Static structural analysis of sparse MNA patterns: maximum bipartite
-//! matching, the Dulmage–Mendelsohn coarse decomposition, and a
-//! block-triangular-form (BTF) factorization mode for [`SparseLu`].
+//! Static structural analysis of MNA sparsity patterns: maximum
+//! bipartite matching and the structural-rank check built on it.
 //!
-//! Everything in this module runs purely on the CSC *pattern* — the
-//! `col_ptr`/`row_idx` arrays — never the values:
+//! Everything here runs purely on a compressed-column *pattern* — the
+//! `col_ptr`/`row_idx` slices — never the values. [`maximum_matching`]
+//! pairs each column with a distinct row holding one of its structural
+//! nonzeros (Kuhn's augmenting-path algorithm). The matching size is the
+//! **structural rank**: an upper bound on the numeric rank that holds for
+//! *every* assignment of values. A column left unmatched can never be
+//! eliminated, so [`structural_check`] reports it as
+//! [`SimError::StructurallySingular`].
 //!
-//! 1. [`maximum_matching`] pairs each column with a distinct row holding
-//!    one of its structural nonzeros (Kuhn's augmenting-path algorithm).
-//!    The matching size is the **structural rank**: an upper bound on the
-//!    numeric rank that holds for *every* assignment of values. A column
-//!    left unmatched can never be eliminated, so
-//!    [`structural_check`] rejects the system with
-//!    [`SimError::StructurallySingular`] before any factorization work —
-//!    this is the preflight [`SparseLu::refactor`] runs once per pattern,
-//!    turning a post-Newton numeric failure (a floating PEX mesh node, a
-//!    dangling net) into an immediate, explainable diagnosis.
-//! 2. [`btf_decompose`] runs Tarjan's SCC algorithm on the matched
-//!    column graph, yielding the coarse Dulmage–Mendelsohn decomposition
-//!    of a structurally nonsingular matrix: row/column permutations that
-//!    bring it to **block upper triangular** form. [`BtfLu`] exploits it
-//!    the way KLU does — factor only the diagonal blocks (each a
-//!    strongly connected, structurally nonsingular subsystem with its own
-//!    fill-reducing ordering) and solve by block back-substitution, with
-//!    the off-diagonal entries applied as cheap rank-updates to the
-//!    right-hand side. Reducible systems get strictly less fill than a
-//!    whole-matrix ordering; an irreducible system degenerates to one
-//!    block, i.e. the plain [`SparseLu`] path plus a one-time
-//!    decomposition per pattern.
-//!
-//! [`SparseSolver`] is the small dispatch enum the DC/AC/transient
-//! workspaces hold: plain [`SparseLu`] or [`BtfLu`] as selected by
-//! [`super::sparse::SolverConfig::btf`], behind one refactor/solve
-//! surface. Both modes cache their symbolic work (ordering, matching,
-//! decomposition, scatter maps) keyed on the pattern, so per-iteration
-//! and per-frequency re-solves pay for values only.
+//! The DC solve runs the check on the Jacobian a cold Newton iteration
+//! failed to factor ([`check_dense`]): a floating node (only capacitive
+//! coupling with gmin disabled) or a dangling net is then diagnosed by
+//! name, before the gmin homotopy, which cannot repair a topology. The
+//! successful solve path never runs it.
 
-use std::cell::RefCell;
-
-use super::sparse::{CscMatrix, SparseLu};
-use super::{LinearSolver, Scalar};
+use super::{Matrix, Scalar};
 use crate::error::SimError;
-use crate::par::{run_chunks_unit, Parallelism};
 
 /// Sentinel for "no partner" in matching vectors.
 pub const UNMATCHED: usize = usize::MAX;
@@ -55,8 +32,8 @@ pub const UNMATCHED: usize = usize::MAX;
 /// column's candidate rows in stored (ascending) order, so the same
 /// pattern always yields the same matching.
 ///
-/// Worst case `O(n * nnz)`, which is comfortable at the few-hundred
-/// dimensions of extracted MNA meshes; typical MNA patterns (every node
+/// Worst case `O(n * nnz)`, which is comfortable at the dimensions of
+/// extracted MNA meshes; typical MNA patterns (every node
 /// column carries its gmin/diagonal stamp) match almost entirely in the
 /// first greedy pass.
 pub fn maximum_matching(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> (usize, Vec<usize>) {
@@ -85,7 +62,7 @@ pub fn maximum_matching(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> (usiz
 /// One augmenting-path DFS from column `j`: claims a free row or
 /// recursively re-routes the column currently holding one. Recursion
 /// depth is bounded by the augmenting path length (at most `n`), which is
-/// fine at this module's few-hundred-dimension scale.
+/// fine at MNA scale.
 fn augment(
     j: usize,
     col_ptr: &[usize],
@@ -114,18 +91,13 @@ fn augment(
     false
 }
 
-/// Structural preflight: verifies the pattern has full structural rank,
-/// returning the matching for downstream use ([`btf_decompose`]).
+/// Structural check: verifies the pattern has full structural rank.
 ///
 /// # Errors
 ///
 /// [`SimError::StructurallySingular`] naming the first unmatched column
 /// (original numbering), the structural rank, and the dimension.
-pub fn structural_check(
-    n: usize,
-    col_ptr: &[usize],
-    row_idx: &[usize],
-) -> Result<Vec<usize>, SimError> {
+pub fn structural_check(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> Result<(), SimError> {
     let (rank, match_row) = maximum_matching(n, col_ptr, row_idx);
     if rank < n {
         let column = match_row
@@ -138,601 +110,52 @@ pub fn structural_check(
             dim: n,
         });
     }
-    Ok(match_row)
+    Ok(())
 }
 
-/// The coarse Dulmage–Mendelsohn decomposition of a structurally
-/// nonsingular pattern: permutations bringing it to block *upper*
-/// triangular form, with the diagonal blocks the strongly connected
-/// components of the matched column graph.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BtfDecomposition {
-    /// Original row at permuted position `k` (aligned with `col_perm`
-    /// through the matching, so every diagonal position is structurally
-    /// nonzero).
-    pub row_perm: Vec<usize>,
-    /// Original column at permuted position `k`.
-    pub col_perm: Vec<usize>,
-    /// Block `b` spans permuted positions `block_ptr[b]..block_ptr[b+1]`;
-    /// `block_ptr.len()` is the block count plus one.
-    pub block_ptr: Vec<usize>,
-}
-
-impl BtfDecomposition {
-    /// Number of diagonal blocks.
-    pub fn nblocks(&self) -> usize {
-        self.block_ptr.len().saturating_sub(1)
-    }
-}
-
-/// Computes the BTF permutation of a fully matched pattern: relabel rows
-/// by the matching (so the diagonal is structurally nonzero), run
-/// Tarjan's SCC algorithm on the resulting column digraph, and order the
-/// components so every cross-component entry lands *above* the diagonal
-/// blocks. `match_row` must be a full matching as returned by
-/// [`structural_check`].
+/// [`structural_check`] on the pattern of a dense matrix, where an entry
+/// is structural unless it is exactly `+0.0` — the rule [`super::LuFactors`]
+/// tracks fill with. Columns are scanned in order, rows ascending.
 ///
-/// Deterministic: Tarjan roots and edge lists are visited in ascending
-/// order, and columns keep their relative order inside each block.
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics (in debug builds) if `match_row` is not a full matching.
-pub fn btf_decompose(
-    n: usize,
-    col_ptr: &[usize],
-    row_idx: &[usize],
-    match_row: &[usize],
-) -> BtfDecomposition {
-    debug_assert_eq!(match_row.len(), n);
-    // rinv[original row] = matched column: the row relabeling that puts
-    // the matching on the diagonal.
-    let mut rinv = vec![UNMATCHED; n];
-    for (j, &r) in match_row.iter().enumerate() {
-        debug_assert!(r != UNMATCHED, "btf_decompose requires a full matching");
-        rinv[r] = j;
+/// Same contract as [`structural_check`].
+pub fn check_dense(m: &Matrix<f64>) -> Result<(), SimError> {
+    let n = m.rows();
+    let mut col_ptr = Vec::with_capacity(n + 1);
+    let mut row_idx = Vec::new();
+    col_ptr.push(0);
+    for c in 0..n {
+        row_idx.extend((0..n).filter(|&r| !m[(r, c)].is_pos_zero()));
+        col_ptr.push(row_idx.len());
     }
-    // Column digraph: edge j -> rinv[i] for each structural nonzero
-    // (i, j) of the relabeled matrix (self-loops dropped). A cross-SCC
-    // edge j -> w then forces w's component to finish — and pop — first.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (j, targets) in adj.iter_mut().enumerate() {
-        for &i in &row_idx[col_ptr[j]..col_ptr[j + 1]] {
-            let w = rinv[i];
-            if w != j {
-                targets.push(w);
-            }
-        }
-    }
-    // Iterative Tarjan (explicit DFS stack: deep extraction meshes would
-    // overflow the call stack recursively). Components are numbered in
-    // pop order, which for this edge orientation makes every
-    // cross-component entry sit in a *later* column block than its row
-    // block: block upper triangular.
-    let mut index = vec![UNMATCHED; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut comp = vec![UNMATCHED; n];
-    let mut scc_stack: Vec<usize> = Vec::new();
-    let mut call: Vec<(usize, usize)> = Vec::new();
-    let mut next_index = 0usize;
-    let mut ncomp = 0usize;
-    for root in 0..n {
-        if index[root] != UNMATCHED {
-            continue;
-        }
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        scc_stack.push(root);
-        on_stack[root] = true;
-        call.push((root, 0));
-        while let Some(frame) = call.last_mut() {
-            let v = frame.0;
-            if frame.1 < adj[v].len() {
-                let w = adj[v][frame.1];
-                frame.1 += 1;
-                if index[w] == UNMATCHED {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    scc_stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(parent) = call.last() {
-                    let u = parent.0;
-                    low[u] = low[u].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    while let Some(w) = scc_stack.pop() {
-                        on_stack[w] = false;
-                        comp[w] = ncomp;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    ncomp += 1;
-                }
-            }
-        }
-    }
-    // Columns grouped by component id (= pop order), keeping ascending
-    // column order inside each block.
-    let mut sizes = vec![0usize; ncomp];
-    for &c in &comp {
-        sizes[c] += 1;
-    }
-    let mut block_ptr = Vec::with_capacity(ncomp + 1);
-    block_ptr.push(0usize);
-    let mut acc = 0usize;
-    for &s in &sizes {
-        acc += s;
-        block_ptr.push(acc);
-    }
-    let mut cursor = block_ptr.clone();
-    let mut col_perm = vec![0usize; n];
-    for (j, &c) in comp.iter().enumerate() {
-        col_perm[cursor[c]] = j;
-        cursor[c] += 1;
-    }
-    let row_perm: Vec<usize> = col_perm.iter().map(|&j| match_row[j]).collect();
-    BtfDecomposition {
-        row_perm,
-        col_perm,
-        block_ptr,
-    }
-}
-
-/// Reusable right-hand-side / per-block scratch of [`BtfLu::solve_into`],
-/// behind a `RefCell` because the [`LinearSolver`] solve surface is
-/// `&self` (solvers are not shared across threads; every workspace owns
-/// its own).
-#[derive(Debug, Clone, Default)]
-struct BtfScratch<T> {
-    /// Permuted right-hand side, consumed block by block.
-    bp: Vec<T>,
-    /// Per-block solution buffer.
-    xb: Vec<T>,
-}
-
-/// One tile of the parallel per-block refactor in [`BtfLu::refactor`]:
-/// the block's factorization, its sub-matrix, and the lane-recorded
-/// first error of the chunk.
-struct BlockTile<'a, T> {
-    lu: &'a mut SparseLu<T>,
-    blk: &'a CscMatrix<T>,
-    err: Option<SimError>,
-}
-
-/// Block-triangular-form sparse LU: the BTF mode of the sparse backend.
-///
-/// On a pattern change the structural preflight, the
-/// [`btf_decompose`] permutation, the per-block sub-matrices, and a
-/// per-entry scatter map are rebuilt; a same-pattern
-/// [`BtfLu::refactor`] is then a pure value scatter plus per-block
-/// [`SparseLu`] refactors (each reusing its own symbolic analysis), so
-/// Newton iterations and AC frequency points pay no structural work.
-/// Only the diagonal blocks are factored; the entries above them are
-/// stored raw and applied to the right-hand side during block
-/// back-substitution.
-#[derive(Debug, Clone, Default)]
-pub struct BtfLu<T> {
-    n: usize,
-    /// Pattern of the last decomposed matrix (fast-path key).
-    a_colptr: Vec<usize>,
-    a_rowidx: Vec<usize>,
-    btf: BtfDecomposition,
-    /// Position of original row / column in the permuted system.
-    rpos: Vec<usize>,
-    /// Diagonal-block sub-matrices, local (block-relative) coordinates.
-    blocks: Vec<CscMatrix<T>>,
-    /// Per-block factorizations, parallel to `blocks`.
-    lus: Vec<SparseLu<T>>,
-    /// Per-entry destination, parallel to the input CSC values:
-    /// `(block, value position)` for a diagonal-block entry,
-    /// `(usize::MAX, slot)` for an off-diagonal one.
-    dest: Vec<(usize, usize)>,
-    /// Off-diagonal entries grouped by *permuted column*: column `k`'s
-    /// entries sit at `off_colptr[k]..off_colptr[k+1]`, with permuted row
-    /// in `off_rowidx` and the value in `off_vals`.
-    off_colptr: Vec<usize>,
-    off_rowidx: Vec<usize>,
-    off_vals: Vec<T>,
-    scratch: RefCell<BtfScratch<T>>,
-    /// Tile-scheduler policy for the per-block numeric refactors; the
-    /// serial off-diagonal back-substitution is unaffected.
-    par: Parallelism,
-}
-
-impl<T: Scalar> BtfLu<T> {
-    /// Creates an empty factorization whose buffers [`BtfLu::refactor`]
-    /// fills; solving before a successful refactor panics on the
-    /// dimension check.
-    pub fn empty() -> Self {
-        BtfLu::default()
-    }
-
-    /// Dimension of the factored system (0 before the first refactor).
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Sets the tile-scheduler policy for the per-block numeric refactors
-    /// (default [`Parallelism::Auto`]). Threaded and serial refactors are
-    /// bitwise-identical — each block's factorization reads only its own
-    /// sub-matrix — so this is pure performance policy.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
-    }
-
-    /// Number of diagonal blocks in the current decomposition.
-    pub fn nblocks(&self) -> usize {
-        self.btf.nblocks()
-    }
-
-    /// The current decomposition (empty before the first refactor).
-    pub fn decomposition(&self) -> &BtfDecomposition {
-        &self.btf
-    }
-
-    /// Structural nonzeros across every block's computed `L + U` factors
-    /// plus the raw off-diagonal entries — the fill metric comparable to
-    /// [`SparseLu::factor_nnz`] on the whole matrix.
-    pub fn factor_nnz(&self) -> usize {
-        self.lus.iter().map(SparseLu::factor_nnz).sum::<usize>() + self.off_vals.len()
-    }
-
-    /// Rebuilds the decomposition and scatter maps for a new pattern.
-    /// The pattern cache is only updated on success, so a structurally
-    /// singular pattern is re-diagnosed (and re-reported) on every
-    /// attempt instead of silently passing the fast path.
-    fn build_structure(&mut self, a: &CscMatrix<T>) -> Result<(), SimError> {
-        let n = a.dim();
-        let match_row = structural_check(n, a.col_ptr(), a.row_idx())?;
-        let btf = btf_decompose(n, a.col_ptr(), a.row_idx(), &match_row);
-        self.n = n;
-        self.rpos.clear();
-        self.rpos.resize(n, 0);
-        let mut cpos = vec![0usize; n];
-        for (k, (&r, &c)) in btf.row_perm.iter().zip(&btf.col_perm).enumerate() {
-            self.rpos[r] = k;
-            cpos[c] = k;
-        }
-        // Which block a permuted position belongs to.
-        let mut block_of = vec![0usize; n];
-        for b in 0..btf.nblocks() {
-            for pos in block_of
-                .iter_mut()
-                .take(btf.block_ptr[b + 1])
-                .skip(btf.block_ptr[b])
-            {
-                *pos = b;
-            }
-        }
-        let nblocks = btf.nblocks();
-        self.blocks.clear();
-        self.blocks.resize(nblocks, CscMatrix::empty());
-        self.lus.resize(nblocks, SparseLu::empty());
-        for (b, blk) in self.blocks.iter_mut().enumerate() {
-            let dim = btf.block_ptr[b + 1] - btf.block_ptr[b];
-            blk.n = dim;
-            blk.col_ptr.clear();
-            blk.col_ptr.push(0);
-            blk.row_idx.clear();
-            blk.values.clear();
-        }
-        self.dest.clear();
-        self.dest.resize(a.nnz(), (0, 0));
-        self.off_colptr.clear();
-        self.off_colptr.push(0);
-        self.off_rowidx.clear();
-        self.off_vals.clear();
-        // Walk columns in permuted order so both the per-block CSC
-        // columns and the off-diagonal groups come out column-major.
-        // Within a column, block entries are sorted by permuted row to
-        // keep each sub-matrix's rows ascending.
-        let mut col_entries: Vec<(usize, usize)> = Vec::new();
-        for (&j, &b) in btf.col_perm.iter().zip(&block_of) {
-            let start = btf.block_ptr[b];
-            col_entries.clear();
-            for p in a.col_ptr()[j]..a.col_ptr()[j + 1] {
-                let pr = self.rpos[a.row_idx()[p]];
-                col_entries.push((pr, p));
-            }
-            col_entries.sort_unstable();
-            for &(pr, p) in &col_entries {
-                if pr >= start {
-                    debug_assert!(
-                        pr < btf.block_ptr[b + 1],
-                        "entry below the diagonal blocks contradicts BTF"
-                    );
-                    let blk = &mut self.blocks[b];
-                    self.dest[p] = (b, blk.values.len());
-                    blk.row_idx.push(pr - start);
-                    blk.values.push(T::zero());
-                } else {
-                    self.dest[p] = (UNMATCHED, self.off_vals.len());
-                    self.off_rowidx.push(pr);
-                    self.off_vals.push(T::zero());
-                }
-            }
-            self.off_colptr.push(self.off_rowidx.len());
-            let blk = &mut self.blocks[b];
-            blk.col_ptr.push(blk.row_idx.len());
-        }
-        self.btf = btf;
-        self.a_colptr.clone_from(&a.col_ptr);
-        self.a_rowidx.clone_from(&a.row_idx);
-        Ok(())
-    }
-
-    /// Re-factors `a` into this object's buffers: structural preflight +
-    /// decomposition on a pattern change, then a value scatter and
-    /// per-block numeric refactors. Same-pattern refactors are
-    /// bitwise-stable: the same input values always produce the same
-    /// factors and solutions (property-tested in
-    /// `tests/proptest_structure.rs`).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::StructurallySingular`] from the preflight on a
-    /// rank-deficient pattern; [`SimError::SingularSparse`] (column in
-    /// original numbering) if some diagonal block is numerically
-    /// singular. On error the stored factorization is garbage and must be
-    /// refactored before the next solve.
-    pub fn refactor(&mut self, a: &CscMatrix<T>, pivot_floor: f64) -> Result<(), SimError> {
-        let same_pattern =
-            self.n == a.dim() && self.a_colptr == a.col_ptr && self.a_rowidx == a.row_idx;
-        if !same_pattern {
-            self.build_structure(a)?;
-        }
-        for (p, &v) in a.values().iter().enumerate() {
-            let (b, pos) = self.dest[p];
-            if b == UNMATCHED {
-                self.off_vals[pos] = v;
-            } else {
-                self.blocks[b].values[pos] = v;
-            }
-        }
-        // Each block's numeric refactor reads only its own sub-matrix, so
-        // the diagonal blocks are independent tiles: threaded and serial
-        // schedules produce bitwise-identical factors.
-        let par = self.block_parallelism();
-        let mut tiles: Vec<BlockTile<'_, T>> = self
-            .lus
-            .iter_mut()
-            .zip(self.blocks.iter())
-            .map(|(lu, blk)| BlockTile { lu, blk, err: None })
-            .collect();
-        run_chunks_unit(par, &mut tiles, |_, chunk| {
-            for t in chunk.iter_mut() {
-                if let Err(e) = t.lu.refactor_unchecked(t.blk, pivot_floor) {
-                    // Later blocks of this chunk stay unfactored — exactly
-                    // as garbage as the serial abort leaves them.
-                    t.err = Some(e);
-                    break;
-                }
-            }
-        });
-        // In-order error scan: the globally lowest failing block is always
-        // reached (every block before it succeeds, so its lane cannot have
-        // bailed earlier), hence the reported error matches the serial
-        // walk regardless of schedule.
-        for (b, t) in tiles.iter_mut().enumerate() {
-            if let Some(e) = t.err.take() {
-                return Err(match e {
-                    SimError::SingularSparse { column } => SimError::SingularSparse {
-                        column: self.btf.col_perm[self.btf.block_ptr[b] + column],
-                    },
-                    other => other,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Auto-gate for the block refactor: threading pays only when at
-    /// least two blocks are big enough to amortize a lane spawn; PEX-mesh
-    /// measurements put that floor around two dozen unknowns. Forced
-    /// modes pass through untouched.
-    fn block_parallelism(&self) -> Parallelism {
-        const MIN_PAR_BLOCK_DIM: usize = 24;
-        match self.par {
-            Parallelism::Auto => {
-                let sizeable = self
-                    .blocks
-                    .iter()
-                    .filter(|b| b.dim() >= MIN_PAR_BLOCK_DIM)
-                    .count();
-                if sizeable >= 2 {
-                    Parallelism::Auto
-                } else {
-                    Parallelism::Off
-                }
-            }
-            forced => forced,
-        }
-    }
-
-    /// Solves `A x = b` for the factored `A` by block back-substitution:
-    /// blocks are solved last to first, and each solved block's
-    /// off-diagonal column entries are pushed onto the still-pending
-    /// earlier rows of the right-hand side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the factored dimension.
-    pub fn solve_into(&self, b: &[T], x: &mut Vec<T>) {
-        let n = self.n;
-        assert_eq!(b.len(), n, "dimension mismatch");
-        let mut scratch = self.scratch.borrow_mut();
-        let BtfScratch { bp, xb } = &mut *scratch;
-        bp.clear();
-        bp.extend(self.btf.row_perm.iter().map(|&r| b[r]));
-        x.clear();
-        x.resize(n, T::zero());
-        for blk in (0..self.blocks.len()).rev() {
-            let (s, e) = (self.btf.block_ptr[blk], self.btf.block_ptr[blk + 1]);
-            self.lus[blk].solve_into(&bp[s..e], xb);
-            x[s..e].copy_from_slice(xb);
-            for (k, &xk) in x.iter().enumerate().take(e).skip(s) {
-                for t in self.off_colptr[k]..self.off_colptr[k + 1] {
-                    let upd = self.off_vals[t] * xk;
-                    bp[self.off_rowidx[t]] -= upd;
-                }
-            }
-        }
-        // Un-permute through the spent rhs buffer: x currently holds the
-        // solution in permuted coordinates.
-        bp.copy_from_slice(x);
-        for (k, &j) in self.btf.col_perm.iter().enumerate() {
-            x[j] = bp[k];
-        }
-    }
-
-    /// Solves `A x = b`, allocating the solution vector.
-    pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut x = Vec::new();
-        self.solve_into(b, &mut x);
-        x
-    }
-}
-
-impl<T: Scalar> LinearSolver<T> for BtfLu<T> {
-    fn dim(&self) -> usize {
-        self.n
-    }
-    fn solve_into(&self, b: &[T], x: &mut Vec<T>) {
-        BtfLu::solve_into(self, b, x);
-    }
-}
-
-/// The sparse backend's mode dispatch: plain whole-matrix [`SparseLu`]
-/// or the BTF [`BtfLu`], as selected by
-/// [`super::sparse::SolverConfig::btf`]. Workspaces hold one of these and
-/// call [`SparseSolver::ensure_mode`] before the first refactor of a
-/// solve; a mode switch resets the factorization (and its pattern
-/// cache), so structural caches never leak across modes.
-#[derive(Debug, Clone)]
-pub enum SparseSolver<T> {
-    /// Whole-matrix Gilbert–Peierls LU with AMD ordering.
-    Plain(SparseLu<T>),
-    /// Block-triangular-form factorization over the DM decomposition.
-    Btf(BtfLu<T>),
-}
-
-impl<T: Scalar> Default for SparseSolver<T> {
-    fn default() -> Self {
-        SparseSolver::Btf(BtfLu::empty())
-    }
-}
-
-impl<T: Scalar> SparseSolver<T> {
-    /// An empty solver in the given mode.
-    pub fn empty(btf: bool) -> Self {
-        if btf {
-            SparseSolver::Btf(BtfLu::empty())
-        } else {
-            SparseSolver::Plain(SparseLu::empty())
-        }
-    }
-
-    /// Whether this solver is in BTF mode.
-    pub fn is_btf(&self) -> bool {
-        matches!(self, SparseSolver::Btf(_))
-    }
-
-    /// Switches the solver to the requested mode, dropping any cached
-    /// factorization on a change (the two modes' symbolic caches are not
-    /// interchangeable).
-    pub fn ensure_mode(&mut self, btf: bool) {
-        if self.is_btf() != btf {
-            *self = SparseSolver::empty(btf);
-        }
-    }
-
-    /// Sets the tile-scheduler policy for modes that can fan out (BTF
-    /// block refactors); a no-op for the plain whole-matrix mode.
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        if let SparseSolver::Btf(lu) = self {
-            lu.set_parallelism(par);
-        }
-    }
-
-    /// Dimension of the factored system (0 before the first refactor).
-    pub fn dim(&self) -> usize {
-        match self {
-            SparseSolver::Plain(lu) => lu.dim(),
-            SparseSolver::Btf(lu) => lu.dim(),
-        }
-    }
-
-    /// Structural nonzeros held by the factorization (fill metric; for
-    /// BTF this counts the block factors plus the raw off-diagonal
-    /// entries).
-    pub fn factor_nnz(&self) -> usize {
-        match self {
-            SparseSolver::Plain(lu) => lu.factor_nnz(),
-            SparseSolver::Btf(lu) => lu.factor_nnz(),
-        }
-    }
-
-    /// Re-factors `a`, dispatching to the current mode; both modes run
-    /// the structural preflight once per pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::StructurallySingular`] or [`SimError::SingularSparse`]
-    /// per the mode's contract ([`SparseLu::refactor`] /
-    /// [`BtfLu::refactor`]).
-    pub fn refactor(&mut self, a: &CscMatrix<T>, pivot_floor: f64) -> Result<(), SimError> {
-        match self {
-            SparseSolver::Plain(lu) => lu.refactor(a, pivot_floor),
-            SparseSolver::Btf(lu) => lu.refactor(a, pivot_floor),
-        }
-    }
-
-    /// Solves `A x = b` into a caller-provided buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` does not match the factored dimension.
-    pub fn solve_into(&self, b: &[T], x: &mut Vec<T>) {
-        match self {
-            SparseSolver::Plain(lu) => lu.solve_into(b, x),
-            SparseSolver::Btf(lu) => lu.solve_into(b, x),
-        }
-    }
-}
-
-impl<T: Scalar> LinearSolver<T> for SparseSolver<T> {
-    fn dim(&self) -> usize {
-        SparseSolver::dim(self)
-    }
-    fn solve_into(&self, b: &[T], x: &mut Vec<T>) {
-        SparseSolver::solve_into(self, b, x);
-    }
+    structural_check(n, &col_ptr, &row_idx)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg::sparse::TripletList;
-    use crate::linalg::Matrix;
+    use crate::linalg::LuFactors;
 
-    fn csc_of(rows: &[Vec<f64>]) -> CscMatrix<f64> {
-        CscMatrix::from_dense(&Matrix::from_rows(rows))
+    /// Compressed-column pattern of `(row, col)` entries in an `n x n`
+    /// system.
+    fn pattern(n: usize, entries: &[(usize, usize)]) -> (Vec<usize>, Vec<usize>) {
+        let mut col_ptr = vec![0];
+        let mut row_idx = Vec::new();
+        for c in 0..n {
+            let mut rows: Vec<usize> = entries.iter().filter(|e| e.1 == c).map(|e| e.0).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            row_idx.extend(rows);
+            col_ptr.push(row_idx.len());
+        }
+        (col_ptr, row_idx)
     }
 
     #[test]
     fn matching_full_rank_on_diagonal() {
-        let a = csc_of(&[vec![1.0, 1.0], vec![0.0, 1.0]]);
-        let (rank, mr) = maximum_matching(2, a.col_ptr(), a.row_idx());
+        let (cp, ri) = pattern(2, &[(0, 0), (0, 1), (1, 1)]);
+        let (rank, mr) = maximum_matching(2, &cp, &ri);
         assert_eq!(rank, 2);
         assert!(mr.iter().all(|&r| r != UNMATCHED));
     }
@@ -740,16 +163,11 @@ mod tests {
     #[test]
     fn matching_detects_empty_column() {
         // Column 2 has no structural entries at all.
-        let mut t = TripletList::new(3);
-        t.push(0, 0, 1.0);
-        t.push(1, 1, 1.0);
-        t.push(2, 1, 1.0);
-        let mut a = CscMatrix::empty();
-        t.compress_into(&mut a);
-        let (rank, mr) = maximum_matching(3, a.col_ptr(), a.row_idx());
+        let (cp, ri) = pattern(3, &[(0, 0), (1, 1), (2, 1)]);
+        let (rank, mr) = maximum_matching(3, &cp, &ri);
         assert_eq!(rank, 2);
         assert_eq!(mr[2], UNMATCHED);
-        match structural_check(3, a.col_ptr(), a.row_idx()) {
+        match structural_check(3, &cp, &ri) {
             Err(SimError::StructurallySingular {
                 column,
                 structural_rank,
@@ -767,120 +185,44 @@ mod tests {
     fn matching_needs_augmentation() {
         // Columns 0 and 1 both only reach row 0 and row 1, column 2 only
         // row 0: structurally rank 2 no matter the greedy choices.
-        let mut t = TripletList::new(3);
-        t.push(0, 0, 1.0);
-        t.push(1, 0, 1.0);
-        t.push(0, 1, 1.0);
-        t.push(1, 1, 1.0);
-        t.push(0, 2, 1.0);
-        let mut a = CscMatrix::empty();
-        t.compress_into(&mut a);
-        let (rank, _) = maximum_matching(3, a.col_ptr(), a.row_idx());
+        let (cp, ri) = pattern(3, &[(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]);
+        let (rank, _) = maximum_matching(3, &cp, &ri);
         assert_eq!(rank, 2);
     }
 
     #[test]
-    fn btf_upper_triangular_two_blocks() {
-        // A feedforward 2-stage pattern: {0,1} strongly connected, {2,3}
-        // strongly connected, coupling only from the first pair into the
-        // second's equations (rows 2,3 reading columns 0,1 — i.e. the
-        // nonzeros (2,0),(3,1) make edges 0->2, 1->3 in the relabeled
-        // graph; no path back).
-        let a = csc_of(&[
-            vec![1.0, 1.0, 0.0, 0.0],
-            vec![1.0, 1.0, 0.0, 0.0],
-            vec![1.0, 0.0, 1.0, 1.0],
-            vec![0.0, 1.0, 1.0, 1.0],
-        ]);
-        let mr = structural_check(4, a.col_ptr(), a.row_idx()).unwrap();
-        let btf = btf_decompose(4, a.col_ptr(), a.row_idx(), &mr);
-        assert_eq!(btf.nblocks(), 2);
-        // Cross entries must all sit above the diagonal blocks.
-        let mut rpos = [0; 4];
-        let mut block_of = [0; 4];
-        for (k, &r) in btf.row_perm.iter().enumerate() {
-            rpos[r] = k;
-        }
-        for b in 0..btf.nblocks() {
-            for slot in &mut block_of[btf.block_ptr[b]..btf.block_ptr[b + 1]] {
-                *slot = b;
-            }
-        }
-        for (k, &j) in btf.col_perm.iter().enumerate() {
-            for &i in &a.row_idx()[a.col_ptr()[j]..a.col_ptr()[j + 1]] {
-                assert!(
-                    block_of[rpos[i]] <= block_of[k],
-                    "entry below the diagonal blocks"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn btf_single_block_on_irreducible() {
-        // Fully coupled 3x3: one SCC, one block.
-        let a = csc_of(&[
-            vec![1.0, 1.0, 1.0],
-            vec![1.0, 1.0, 1.0],
-            vec![1.0, 1.0, 1.0],
-        ]);
-        let mr = structural_check(3, a.col_ptr(), a.row_idx()).unwrap();
-        let btf = btf_decompose(3, a.col_ptr(), a.row_idx(), &mr);
-        assert_eq!(btf.nblocks(), 1);
-    }
-
-    #[test]
-    fn btf_solve_matches_plain_sparse() {
-        let rows = vec![
-            vec![4.0, 1.0, 0.0, 0.5, 0.0],
-            vec![1.0, 5.0, 0.0, 0.0, 0.2],
-            vec![0.3, 0.0, 6.0, 1.0, 0.0],
-            vec![0.0, 0.1, 1.0, 3.0, 0.0],
-            vec![0.0, 0.0, 0.4, 0.0, 2.0],
-        ];
-        let a = csc_of(&rows);
-        let mut btf = BtfLu::empty();
-        btf.refactor(&a, 1e-300).unwrap();
-        let plain = SparseLu::factor(&a, 1e-300).unwrap();
-        let b = [1.0, -2.0, 3.0, 0.5, -1.0];
-        let xb = btf.solve(&b);
-        let xp = plain.solve(&b);
-        for (u, v) in xb.iter().zip(&xp) {
-            assert!((u - v).abs() < 1e-12, "{u} vs {v}");
-        }
-    }
-
-    #[test]
-    fn btf_refactor_same_pattern_is_bitwise_stable() {
-        let rows = vec![
-            vec![4.0, 1.0, 0.0],
-            vec![1.0, 5.0, 0.0],
-            vec![0.7, 0.0, 2.0],
-        ];
-        let a = csc_of(&rows);
-        let mut lu = BtfLu::empty();
-        lu.refactor(&a, 1e-300).unwrap();
-        let b = [1.0, 2.0, 3.0];
-        let x1 = lu.solve(&b);
-        let mut fresh = BtfLu::empty();
-        fresh.refactor(&a, 1e-300).unwrap();
-        lu.refactor(&a, 1e-300).unwrap();
-        assert_eq!(lu.solve(&b), x1, "same-pattern refactor must be bitwise");
-        assert_eq!(fresh.solve(&b), x1, "fresh decomposition must agree");
+    fn dense_check_treats_only_positive_zero_as_empty() {
+        // Column 1 holds only `+0.0` entries: structurally empty.
+        let m = Matrix::from_rows(&[vec![1.0, 0.0], vec![2.0, 0.0]]);
+        assert!(matches!(
+            check_dense(&m),
+            Err(SimError::StructurallySingular {
+                column: 1,
+                structural_rank: 1,
+                dim: 2,
+            })
+        ));
+        // A `-0.0` entry counts as structural, as in the LU's fill rule.
+        let m = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, -0.0]]);
+        assert!(check_dense(&m).is_ok());
     }
 
     #[test]
     fn btf_structurally_singular_is_rediagnosed() {
-        // An empty column fails the preflight on *every* refactor attempt
-        // (the pattern cache must not absorb a failing pattern).
-        let mut t = TripletList::new(2);
-        t.push(0, 0, 1.0);
-        t.push(1, 0, 1.0);
-        let mut a = CscMatrix::empty();
-        t.compress_into(&mut a);
-        let mut lu = BtfLu::empty();
+        // A factorization reused across Newton iterations: a good matrix,
+        // then one with an empty column. The LU fails numerically and the
+        // dense check names the empty column on every attempt, so the
+        // reused buffers never absorb the failing pattern.
+        let good = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
+        let bad = Matrix::from_rows(&[vec![1.0, 0.0], vec![1.0, 0.0]]);
+        let mut lu = LuFactors::empty();
         for _ in 0..2 {
-            match lu.refactor(&a, 1e-300) {
+            lu.refactor(&good, 1e-300).expect("regular");
+            assert!(matches!(
+                lu.refactor(&bad, 1e-300),
+                Err(SimError::SingularMatrix { .. })
+            ));
+            match check_dense(&bad) {
                 Err(SimError::StructurallySingular { column, .. }) => assert_eq!(column, 1),
                 other => panic!("expected StructurallySingular, got {other:?}"),
             }
@@ -889,57 +231,19 @@ mod tests {
 
     #[test]
     fn btf_numerically_singular_block_reports_original_column() {
-        // Structurally fine, numerically singular: rows 0,1 identical in
-        // the {0,1} block.
-        let a = csc_of(&[
-            vec![1.0, 2.0, 0.0],
-            vec![1.0, 2.0, 0.0],
-            vec![0.0, 0.5, 3.0],
+        // Structurally fine, numerically singular: rows 1 and 2 are equal
+        // in the {1,2} block. The structural check passes, so the LU's
+        // numeric diagnosis stands, naming the block's last column in the
+        // original numbering.
+        let m = Matrix::from_rows(&[
+            vec![3.0, 0.5, 0.0],
+            vec![0.0, 1.0, 2.0],
+            vec![0.0, 1.0, 2.0],
         ]);
-        let mut lu = BtfLu::empty();
-        match lu.refactor(&a, 1e-300) {
-            Err(SimError::SingularSparse { column }) => assert!(column < 2),
-            other => panic!("expected SingularSparse, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sparse_solver_mode_switch_resets() {
-        let a = csc_of(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
-        let mut s = SparseSolver::<f64>::empty(true);
-        s.refactor(&a, 1e-300).unwrap();
-        assert!(s.is_btf());
-        s.ensure_mode(false);
-        assert!(!s.is_btf());
-        assert_eq!(s.dim(), 0, "mode switch must drop the factorization");
-        s.refactor(&a, 1e-300).unwrap();
-        let x = s.solve(&[5.0, 10.0]);
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn btf_complex_roundtrip() {
-        use crate::complex::Complex;
-        let mut t = TripletList::new(3);
-        t.push(0, 0, Complex::new(2.0, 1.0));
-        t.push(1, 0, Complex::new(0.0, -1.0));
-        t.push(1, 1, Complex::new(3.0, 0.0));
-        t.push(2, 2, Complex::new(1.0, -2.0));
-        t.push(0, 2, Complex::new(0.0, 0.3));
-        let mut a = CscMatrix::empty();
-        t.compress_into(&mut a);
-        let xt = vec![
-            Complex::new(1.0, -1.0),
-            Complex::new(2.0, 0.5),
-            Complex::new(-0.3, 0.9),
-        ];
-        let b = a.mul_vec(&xt);
-        let mut lu = BtfLu::empty();
-        lu.refactor(&a, 1e-300).unwrap();
-        let x = lu.solve(&b);
-        for (g, t) in x.iter().zip(&xt) {
-            assert!((*g - *t).norm() < 1e-10);
+        assert!(check_dense(&m).is_ok());
+        match LuFactors::factor(m, 1e-300).err() {
+            Some(SimError::SingularMatrix { column }) => assert_eq!(column, 2),
+            other => panic!("expected SingularMatrix, got {other:?}"),
         }
     }
 }

@@ -6,17 +6,16 @@
 //! noise PSD, and dividing by the squared signal gain refers it to the
 //! input.
 //!
-//! On the dense backend the pencil is reduced once per operating point
+//! The pencil is reduced once per operating point
 //! ([`crate::linalg::pencil`]) and each injection is projected by `Qᵀ`
 //! once. Every frequency point is then one transposed Hessenberg solve
 //! from the output row, whose solution gives the signal gain and every
-//! source's transfer as one dot product each. On the sparse backend each
-//! point is factored once and back-substituted per source. The per-point
-//! dense LU ([`AcSolver::factor_at`]) stays as the oracle these paths are
-//! tested against.
+//! source's transfer as one dot product each. The per-point dense LU
+//! ([`AcSolver::factor_at`]) stays as the oracle this path is tested
+//! against.
 //!
 //! Worst-case PVT evaluations run the analysis over a *corner set* of
-//! same-structure circuits. Cold evaluations call [`noise_analysis_cfg`]
+//! same-structure circuits. Cold evaluations call [`noise_analysis_ws`]
 //! once per corner; warm ones call [`noise_analysis_corners`], which at
 //! dense-mesh dims factors the **base corner once per frequency** and
 //! recovers every sibling through the same Woodbury correction as
@@ -27,8 +26,7 @@
 //! runs the reduced scalar path per corner.
 
 use crate::ac::{
-    ac_batch_ws_pool, factor_pattern, grid_parallelism, validate_freqs, AcBatchWorkspace, AcSolver,
-    AcWorkspace, Reduced, STOCK_DIM_MAX,
+    factor_pattern, sweep, validate_freqs, AcBatchWorkspace, AcSolver, AcWorkspace, STOCK_DIM_MAX,
 };
 use crate::complex::Complex;
 use crate::dc::OpPoint;
@@ -38,11 +36,9 @@ use crate::linalg::correction::{
     corrected_entry, factor_correction, solve_correction_basis, CornerDiff,
 };
 use crate::linalg::pencil::{dot, dot_re};
-use crate::linalg::sparse::SolverConfig;
 use crate::linalg::LuFactors;
 use crate::measure::integrate_trapezoid;
 use crate::netlist::{Circuit, Element, Node};
-use crate::par::{run_chunks, would_parallelize};
 
 /// Result of a noise analysis over a frequency grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,9 +137,11 @@ fn collect_sources(ckt: &Circuit, op: &OpPoint, temp_k: f64) -> Result<Vec<Noise
 }
 
 /// The scalar analysis' sweep: prepares `ws` for this solver (the
-/// reduction, output row and projected injections on the dense backend)
-/// and samples `(gain, psd)` at every grid point, in order, stopping at
-/// the first failing point.
+/// reduction, output row and projected injections) and samples
+/// `(gain, psd)` at every grid point, in order, stopping at the first
+/// failing point. Each point is one transposed solve against the shared
+/// reduction, then a dot product for the gain and one per source, with
+/// the PSD accumulated in source order.
 fn noise_points(
     solver: &AcSolver<'_>,
     sources: &[NoiseSource],
@@ -153,76 +151,35 @@ fn noise_points(
 ) -> Result<(Vec<f64>, Vec<f64>), SimError> {
     solver.prepare_workspace(ws);
     solver.prepare_output(out, &mut ws.red);
-    if !solver.sparse() {
-        let Reduced { pencil, proj, .. } = &mut ws.red;
-        proj.clear();
-        for s in sources {
-            // Qᵀ u for the unit AC current u from p to n inside the source.
-            let start = proj.len();
-            proj.resize(start + solver.dim(), 0.0);
-            let u = &mut proj[start..];
-            if let Some(ip) = solver.mna_index(s.p) {
-                u.iter_mut()
-                    .zip(pencil.q_row(ip))
-                    .for_each(|(a, q)| *a -= q);
-            }
-            if let Some(in_) = solver.mna_index(s.n) {
-                u.iter_mut()
-                    .zip(pencil.q_row(in_))
-                    .for_each(|(a, q)| *a += q);
-            }
+    let dim = solver.dim();
+    let red = &mut ws.red;
+    red.proj.clear();
+    for s in sources {
+        // Qᵀ u for the unit AC current u from p to n inside the source.
+        let start = red.proj.len();
+        red.proj.resize(start + dim, 0.0);
+        let u = &mut red.proj[start..];
+        if let Some(ip) = solver.mna_index(s.p) {
+            u.iter_mut()
+                .zip(red.pencil.q_row(ip))
+                .for_each(|(a, q)| *a -= q);
+        }
+        if let Some(in_) = solver.mna_index(s.n) {
+            u.iter_mut()
+                .zip(red.pencil.q_row(in_))
+                .for_each(|(a, q)| *a += q);
         }
     }
-    let pts = solver.sweep(freqs, ws, |f, red, lane| {
-        noise_point(solver, sources, out, f, red, lane)
-    })?;
-    Ok(pts.into_iter().unzip())
-}
-
-/// One grid point of the scalar analysis, returning `(gain, psd)` with
-/// the PSD accumulated in source order (serial inside a point, which
-/// keeps the sum bitwise-stable under any tiling). Dense backend: one
-/// transposed solve against the shared reduction, then a dot product
-/// for the gain and one per source. Sparse backend: factor, gain solve,
-/// and one unit-injection solve per source.
-fn noise_point(
-    solver: &AcSolver<'_>,
-    sources: &[NoiseSource],
-    out: Node,
-    f: f64,
-    red: &Reduced,
-    lane: &mut AcWorkspace,
-) -> Result<(f64, f64), SimError> {
-    let dim = solver.dim();
-    let mut psd = 0.0;
-    if !solver.sparse() {
+    let pts = sweep(freqs, ws, |f, red, hess| {
         let w = 2.0 * std::f64::consts::PI * f;
-        let v = red.pencil.solve_transposed(w, &red.zo, &mut lane.hess)?;
+        let v = red.pencil.solve_transposed(w, &red.zo, hess)?;
+        let mut psd = 0.0;
         for (s, u) in sources.iter().zip(red.proj.chunks_exact(dim.max(1))) {
             psd += dot_re(v, u).norm_sqr() * s.psd_at(f);
         }
-        return Ok((dot(v, &red.qb).norm(), psd));
-    }
-    solver.factor_at_ws(f, lane)?;
-    let AcWorkspace { lu, x, rhs, .. } = lane;
-    lu.solve_into(solver.source_rhs(), x);
-    let g = solver.voltage(x, out).norm();
-    rhs.clear();
-    rhs.resize(dim, Complex::ZERO);
-    for s in sources {
-        rhs.iter_mut().for_each(|v| *v = Complex::ZERO);
-        // Unit AC current from p to n inside the source.
-        if let Some(ip) = solver.mna_index(s.p) {
-            rhs[ip] -= Complex::ONE;
-        }
-        if let Some(in_) = solver.mna_index(s.n) {
-            rhs[in_] += Complex::ONE;
-        }
-        lu.solve_into(rhs, x);
-        let h2 = solver.voltage(x, out).norm_sqr();
-        psd += h2 * s.psd_at(f);
-    }
-    Ok((g, psd))
+        Ok((dot(v, &red.qb).norm(), psd))
+    })?;
+    Ok(pts.into_iter().unzip())
 }
 
 /// Integrates the sampled PSDs into the result: total output noise over
@@ -276,7 +233,8 @@ fn finalize(freqs: &[f64], out_psd: Vec<f64>, gain: Vec<f64>) -> Result<NoiseRes
 }
 
 /// Runs a noise analysis at temperature `temp_k`, referred to the circuit's
-/// own AC sources, measuring at node `out`.
+/// own AC sources, measuring at node `out`: [`noise_analysis_ws`] on a
+/// fresh workspace.
 ///
 /// # Errors
 ///
@@ -296,11 +254,10 @@ pub fn noise_analysis(
 }
 
 /// [`noise_analysis`] with reusable workspace buffers — no per-frequency
-/// or per-source allocation; results are identical. Below the sparse
-/// crossover the pencil is reduced once and each frequency point is one
-/// transposed Hessenberg solve plus a dot product per noise source. Warm
-/// evaluation sessions route their noise analyses through this entry
-/// point.
+/// or per-source allocation; results are identical. The pencil is reduced
+/// once and each frequency point is one transposed Hessenberg solve plus
+/// a dot product per noise source. This is the one workspace entry point
+/// of the noise analysis; warm evaluation sessions route through it.
 ///
 /// # Errors
 ///
@@ -313,30 +270,9 @@ pub fn noise_analysis_ws(
     temp_k: f64,
     ws: &mut AcWorkspace,
 ) -> Result<NoiseResult, SimError> {
-    noise_analysis_cfg(ckt, op, out, freqs, temp_k, SolverConfig::default(), ws)
-}
-
-/// [`noise_analysis_ws`] with an explicit linear-solver backend policy:
-/// the reduced dense sweep or the per-point sparse factorization per
-/// `cfg` (identical results within solver tolerance). This is how the
-/// sizing topologies thread their [`SolverConfig`] into the serial noise
-/// path.
-///
-/// # Errors
-///
-/// Same contract as [`noise_analysis`].
-pub fn noise_analysis_cfg(
-    ckt: &Circuit,
-    op: &OpPoint,
-    out: Node,
-    freqs: &[f64],
-    temp_k: f64,
-    cfg: SolverConfig,
-    ws: &mut AcWorkspace,
-) -> Result<NoiseResult, SimError> {
     validate_freqs(freqs)?;
     let sources = collect_sources(ckt, op, temp_k)?;
-    let solver = AcSolver::new(ckt, op).with_config(cfg);
+    let solver = AcSolver::new(ckt, op);
     let (gain, out_psd) = noise_points(&solver, &sources, out, freqs, ws)?;
     finalize(freqs, out_psd, gain)
 }
@@ -444,7 +380,7 @@ fn direct_noise_point(
 /// The correction is algebraically exact; in floating point it agrees
 /// with the direct per-corner analysis to roundoff — inside the warm
 /// evaluation path's solver-tolerance contract; cold evaluations run
-/// [`noise_analysis_cfg`] per corner instead. Falls back to the scalar per-corner
+/// [`noise_analysis_ws`] per corner instead. Falls back to the scalar per-corner
 /// path at stock dims (`n <= 16`), on structural mismatch (dims, source
 /// lists, injection nodes, source vectors), or when the difference
 /// support is too wide to pay; falls back to direct per-corner
@@ -473,17 +409,10 @@ pub fn noise_analysis_corners(
         return (0..bt).map(|_| Err(e.clone())).collect();
     }
     let n = solvers[0].dim();
-    if bt == 1
-        || solvers.iter().any(|s| s.dim() != n)
-        || n <= STOCK_DIM_MAX
-        || solvers.iter().any(|s| s.config().use_sparse(s.dim()))
-    {
+    if bt == 1 || solvers.iter().any(|s| s.dim() != n) || n <= STOCK_DIM_MAX {
         // At stock extraction dims the difference support spans most of
         // the system, so the correction cannot pay — run the scalar
         // per-corner analysis (the warm serial path's exact arithmetic).
-        // Sparse-routed dims also run scalar: the Woodbury correction
-        // machinery (dense base factor and basis) assumes the dense
-        // kernel, while the scalar path dispatches per backend.
         return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
     }
     let rhs0 = solvers[0].source_rhs();
@@ -527,66 +456,32 @@ pub fn noise_analysis_corners(
         .zip(outs)
         .map(|(s, &o)| s.mna_index(o))
         .collect();
-    // Every frequency's full corner row is an independent tile, exactly
-    // as in [`crate::ac::ac_sweep_corners`]: the base factor, correction
-    // basis, shared per-source base solves, and per-corner recoveries at
-    // one `fq` read nothing a sibling frequency wrote, so the serial walk
-    // and the threaded schedule run the exact same row body. Values a
-    // corner computes past its first failing frequency are discarded by
-    // the in-order assembly, matching the serial abort contract.
+    // Frequency-major, as in [`crate::ac::ac_sweep_corners`]: every
+    // corner at one `fq` shares that point's base factor, correction basis
+    // and per-source base solves. Values a corner computes past its first
+    // failing frequency are discarded by the in-order assembly.
     let patterns = std::mem::take(&mut ws.patterns);
     let mut rows: Vec<Vec<Result<(f64, f64), SimError>>> = (0..freqs.len())
         .map(|_| (0..bt).map(|_| Ok((0.0, 0.0))).collect())
         .collect();
-    let par = grid_parallelism(solvers);
-    if would_parallelize(par, freqs.len()) {
-        run_chunks(
-            par,
-            &mut rows,
-            ac_batch_ws_pool(),
-            AcBatchWorkspace::new,
-            |off, chunk, lane| {
-                let mut u = vec![Complex::ZERO; rn];
-                let mut z = Vec::new();
-                for (k, row) in chunk.iter_mut().enumerate() {
-                    corrected_noise_row(
-                        &patterns[..bt],
-                        &cd,
-                        rn,
-                        n,
-                        rhs0,
-                        &oi,
-                        &sources,
-                        &inj,
-                        freqs[off + k],
-                        lane,
-                        &mut u,
-                        &mut z,
-                        row,
-                    );
-                }
-            },
+    let mut u = vec![Complex::ZERO; rn];
+    let mut z = Vec::new();
+    for (i, row) in rows.iter_mut().enumerate() {
+        corrected_noise_row(
+            &patterns[..bt],
+            &cd,
+            rn,
+            n,
+            rhs0,
+            &oi,
+            &sources,
+            &inj,
+            freqs[i],
+            ws,
+            &mut u,
+            &mut z,
+            row,
         );
-    } else {
-        let mut u = vec![Complex::ZERO; rn];
-        let mut z = Vec::new();
-        for (i, row) in rows.iter_mut().enumerate() {
-            corrected_noise_row(
-                &patterns[..bt],
-                &cd,
-                rn,
-                n,
-                rhs0,
-                &oi,
-                &sources,
-                &inj,
-                freqs[i],
-                ws,
-                &mut u,
-                &mut z,
-                row,
-            );
-        }
     }
     ws.patterns = patterns;
     (0..bt)
@@ -607,13 +502,10 @@ pub fn noise_analysis_corners(
         .collect()
 }
 
-/// One frequency tile of the corrected noise analysis: base factor +
+/// One frequency point of the corrected noise analysis: base factor +
 /// shared correction basis + per-source base solves + per-corner Woodbury
 /// recoveries, writing every corner's `(gain, psd)` (or error) into
-/// `row`. Identical arithmetic whether called from the serial loop
-/// (caller workspace) or a threaded lane (pooled workspace): the dense
-/// refactor is a full restamp, so the workspace carries no
-/// cross-frequency history.
+/// `row`.
 #[allow(clippy::too_many_arguments)]
 fn corrected_noise_row(
     patterns: &[Vec<(usize, usize, f64, f64)>],

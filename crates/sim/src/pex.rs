@@ -39,12 +39,9 @@ pub struct PexConfig {
     /// internal nodes in series, each carrying `1/depth` of the
     /// capacitance behind [`PexConfig::mesh_res`] ohms of metal — which
     /// grows the MNA dimension by `depth` per annotated terminal. Benches
-    /// use it to reach the 32+ dims where the corner-batched kernels pay,
-    /// and — now that the solvers dispatch to the
-    /// CSC sparse backend past the crossover dimension — the
-    /// hundreds-of-nodes extraction sizes where dense `O(n^3)`
-    /// factorization stops being viable (a TIA at depth 16 is an MNA dim
-    /// of ~134; depth 24 pushes past 190).
+    /// and the mesh-8 deployment workload use it to reach the dense-mesh
+    /// dims where the Woodbury corner kernels pay (the TIA is dim 32 at
+    /// depth 4, 60 at depth 8 and 116 at depth 16).
     pub mesh_depth: usize,
     /// Series routing resistance per mesh segment (ohms); unused at
     /// `mesh_depth == 0`. Routes are real metal, so the segments are

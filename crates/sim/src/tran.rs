@@ -7,20 +7,12 @@
 //!
 //! The settling measurements integrate the *linearized* circuit instead:
 //! [`AcSolver::step_response`] folds the constant trapezoidal companion
-//! into a propagator `x1 = M x0 + k`, so on the dense backend every time
-//! step is one `n²` matrix-vector product. [`step_response_corners`] runs
-//! it per corner, except on sparse-routed corner sets, where the base
-//! corner's companion is factored once and siblings are Woodbury-corrected
-//! per step.
+//! into a propagator `x1 = M x0 + k`, so every time step is one `n²`
+//! matrix-vector product. [`step_response_corners`] runs it per corner.
 
 use crate::ac::AcSolver;
 use crate::dc::{dc_operating_point, eval_mos_oriented, DcOptions, OpPoint, WarmState};
 use crate::error::SimError;
-use crate::linalg::correction::{
-    corrected_vector, factor_correction, solve_correction_basis, CornerDiff,
-};
-use crate::linalg::sparse::{CscMatrix, SparseLu, TripletList};
-use crate::linalg::structure::SparseSolver;
 use crate::linalg::{LuFactors, Matrix};
 use crate::netlist::{Circuit, Element, Node};
 
@@ -219,14 +211,7 @@ pub fn transient_from_op(
     // Persistent factorization buffers: every Newton iteration refactors
     // in place (`refactor` is bitwise-equal to a fresh `factor`) instead
     // of cloning the Jacobian and reallocating the factors per iteration.
-    // Above the sparse crossover the Jacobian is rescanned into CSC and
-    // refactored through the sparse kernel, which reuses its symbolic
-    // analysis as long as the nonzero pattern holds (MOS region changes
-    // can shift it; the sparse refactor re-runs its analysis then).
-    let sparse = opts.dc.solver.use_sparse(dim);
     let mut lu = LuFactors::empty();
-    let mut csc = CscMatrix::empty();
-    let mut slu = SparseSolver::empty(opts.dc.solver.btf);
     let mut rhs = vec![0.0; dim];
     let mut dx: Vec<f64> = Vec::new();
 
@@ -423,14 +408,8 @@ pub fn transient_from_op(
             for (r, v) in rhs.iter_mut().zip(&f) {
                 *r = -v;
             }
-            if sparse {
-                csc.from_dense_into(&j);
-                slu.refactor(&csc, 1e-30)?;
-                slu.solve_into(&rhs, &mut dx);
-            } else {
-                lu.refactor(&j, 1e-30)?;
-                lu.solve_into(&rhs, &mut dx);
-            }
+            lu.refactor(&j, 1e-30)?;
+            lu.solve_into(&rhs, &mut dx);
             let mut maxd = 0.0f64;
             for (i, d) in dx.iter().enumerate() {
                 let s = if i < nv { d.clamp(-0.5, 0.5) } else { *d };
@@ -479,26 +458,9 @@ pub fn transient_from_op(
 /// response, or the solver error that corner failed with.
 pub type StepRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
 
-/// Corner-batched small-signal step response — the warm path of the
-/// settling measurement across a PVT corner set sharing one time window.
-///
-/// The trapezoidal companion `A_b = G_b + 2C_b/h` is constant over the
-/// whole record. At dense dims each corner runs
-/// [`AcSolver::step_response`], whose propagator already makes every
-/// step one `n²` matrix-vector product. At sparse-routed dims the
-/// per-step sparse back-substitution is already cheap, so the kernel
-/// instead factors the **base corner's companion once**, builds the
-/// [`CornerDiff`] low-rank structure over the per-corner stamp deltas,
-/// and recovers every sibling's state per step through the Woodbury
-/// identity (`x_b = y_b - W S_b^{-1} N_b y_b`); each corner's
-/// `|R| x |R|` correction system is factored once per corner set. Corner
-/// 0 and empty-diff siblings take their lane of the fused solve directly
-/// (bitwise); corrected siblings are exact to roundoff, within the warm
-/// path's solver-tolerance contract.
-///
-/// Falls back per corner to [`AcSolver::step_response`] on structural
-/// mismatch, a singular lane or base, a fill blow-up, or unprofitable
-/// support (`3|R| >= n`).
+/// Small-signal step response of every corner of a PVT corner set over
+/// one shared time window: [`AcSolver::step_response`] per corner, whose
+/// propagator already makes every step one `n²` matrix-vector product.
 ///
 /// Returns one `(t, y)` record per corner, ordered like `solvers`.
 ///
@@ -512,197 +474,11 @@ pub fn step_response_corners(
     steps: usize,
 ) -> Vec<StepRecord> {
     assert_eq!(solvers.len(), outs.len(), "one output node per corner");
-    let bt = solvers.len();
-    if bt == 0 {
-        return Vec::new();
-    }
-    let n = solvers[0].dim();
-    let scalar_all = || {
-        solvers
-            .iter()
-            .zip(outs)
-            .map(|(s, &o)| s.step_response(o, t_stop, steps))
-            .collect()
-    };
-    let cfg = solvers[0].config();
-    if bt == 1 || !cfg.use_sparse(n) || solvers.iter().any(|s| s.dim() != n) {
-        return scalar_all();
-    }
-    if let Err(e) = TranOptions::new(t_stop, steps).validate() {
-        return (0..bt).map(|_| Err(e.clone())).collect();
-    }
-    let h = t_stop / steps as f64;
-    let mut patterns: Vec<Vec<(usize, usize, f64, f64)>> = vec![Vec::new(); bt];
-    for (pat, s) in patterns.iter_mut().zip(solvers) {
-        s.collect_pattern(pat);
-    }
-    let cd = CornerDiff::from_patterns(&patterns, n);
-    if !cd.profitable(n) {
-        return scalar_all();
-    }
-    // Base companion A0 = G0 + 2*C0/h on the *plain* sparse kernel (the
-    // correction basis needs one whole-matrix solve per support row,
-    // which the BTF block solve provides no advantage for).
-    let mut trip = TripletList::new(n);
-    for &(r, c, gg, cc) in &patterns[0] {
-        let v = gg + 2.0 * cc / h;
-        // lint:allow(float-eq) — exact-zero sparsity guard.
-        if v != 0.0 {
-            trip.push(r, c, v);
-        }
-    }
-    let mut csc = CscMatrix::empty();
-    trip.compress_into(&mut csc);
-    let mut slu = SparseLu::empty();
-    // A singular base lets every corner report through its own scalar
-    // solve; a fill blow-up sends every corner to the dense propagator.
-    if slu.refactor(&csc, 1e-300).is_err() || cfg.dense_by_fill(n, slu.factor_nnz()) {
-        return scalar_all();
-    }
-    corners_woodbury(solvers, outs, t_stop, steps, h, &slu, &patterns, &cd)
-}
-
-/// Sparse-regime settling kernel: Woodbury-corrects every sibling's
-/// per-step state against the once-factored base-corner companion — see
-/// [`step_response_corners`] for the contract.
-#[allow(clippy::too_many_arguments)]
-fn corners_woodbury(
-    solvers: &[&AcSolver<'_>],
-    outs: &[Node],
-    t_stop: f64,
-    steps: usize,
-    h: f64,
-    base: &SparseLu<f64>,
-    patterns: &[Vec<(usize, usize, f64, f64)>],
-    cd: &CornerDiff,
-) -> Vec<StepRecord> {
-    let bt = solvers.len();
-    let n = solvers[0].dim();
-    let rn = cd.support();
-    // Same companion arithmetic as the scalar kernel (`2*c/h` with this
-    // exact rounding) so the uncorrected lanes stay bitwise-equal.
-    let combine = |dg: f64, dc: f64| dg + 2.0 * dc / h;
-
-    // W = A0^{-1} P_R — |R| back-substitutions, shared by every corner
-    // and every time step.
-    let mut unit = Vec::new();
-    let mut xcol = Vec::new();
-    let mut wflat = Vec::new();
-    solve_correction_basis(base, &cd.rows, n, &mut unit, &mut xcol, &mut wflat);
-
-    // Per-corner correction factors S_b = I + N_b W, factored once for
-    // the whole record (the companion has no per-step dependence). A
-    // singular correction (corner shifted the base too hard) drops that
-    // corner to the scalar kernel.
-    let mut smalls: Vec<Option<LuFactors<f64>>> = Vec::with_capacity(bt);
-    let mut fallback = vec![false; bt];
-    for (diff, fb) in cd.diffs.iter().zip(fallback.iter_mut()) {
-        if diff.is_empty() {
-            smalls.push(None);
-            continue;
-        }
-        let mut small = LuFactors::empty();
-        match factor_correction(&mut small, diff, &cd.row_pos, rn, n, combine, &wflat) {
-            Ok(()) => smalls.push(Some(small)),
-            Err(_) => {
-                *fb = true;
-                smalls.push(None);
-            }
-        }
-    }
-    let active: Vec<usize> = (0..bt).filter(|&b| !fallback[b]).collect();
-    let lanes = active.len();
-
-    let mut out: Vec<StepRecord> = (0..bt).map(|_| Ok((Vec::new(), Vec::new()))).collect();
-    if lanes > 0 {
-        // Companion right-hand-side stamps per active corner, from the
-        // same pattern entries (and in the same row-major order) the
-        // scalar kernel walks.
-        let comps: Vec<Vec<(usize, usize, f64)>> = active
-            .iter()
-            .map(|&b| {
-                patterns[b]
-                    .iter()
-                    .filter_map(|&(r, c, gg, cc)| {
-                        let v = 2.0 * cc / h - gg;
-                        // lint:allow(float-eq) — exact-zero sparsity guard.
-                        (v != 0.0).then_some((r, c, v))
-                    })
-                    .collect()
-            })
-            .collect();
-        let bvecs: Vec<Vec<f64>> = active
-            .iter()
-            .map(|&b| solvers[b].source_rhs().iter().map(|c| c.re).collect())
-            .collect();
-        let oi: Vec<Option<usize>> = active
-            .iter()
-            .map(|&b| solvers[b].mna_index(outs[b]))
-            .collect();
-        let mut xs: Vec<Vec<f64>> = vec![vec![0.0; n]; lanes];
-        let mut touts: Vec<Vec<f64>> = vec![Vec::with_capacity(steps + 1); lanes];
-        let mut youts: Vec<Vec<f64>> = vec![Vec::with_capacity(steps + 1); lanes];
-        for l in 0..lanes {
-            touts[l].push(0.0);
-            youts[l].push(0.0);
-        }
-        let mut rhs_flat = vec![0.0; n * lanes];
-        let mut ys_flat = Vec::new();
-        let mut ylane = vec![0.0; n];
-        let mut u = Vec::new();
-        let mut z = Vec::new();
-        for s in 1..=steps {
-            for (l, bv) in bvecs.iter().enumerate() {
-                for (i, &bi) in bv.iter().enumerate() {
-                    rhs_flat[i * lanes + l] = 2.0 * bi;
-                }
-                for &(r, c, v) in &comps[l] {
-                    rhs_flat[r * lanes + l] += v * xs[l][c];
-                }
-            }
-            base.solve_multi_into(&rhs_flat, lanes, &mut ys_flat);
-            for (l, &b) in active.iter().enumerate() {
-                match &smalls[b] {
-                    None => {
-                        // Stamps equal the base: the fused solve's lane
-                        // *is* this corner's solve.
-                        for (i, xi) in xs[l].iter_mut().enumerate() {
-                            *xi = ys_flat[i * lanes + l];
-                        }
-                    }
-                    Some(small) => {
-                        for (i, yi) in ylane.iter_mut().enumerate() {
-                            *yi = ys_flat[i * lanes + l];
-                        }
-                        corrected_vector(
-                            small,
-                            &cd.diffs[b],
-                            &cd.row_pos,
-                            &wflat,
-                            &ylane,
-                            combine,
-                            n,
-                            rn,
-                            &mut u,
-                            &mut z,
-                            &mut xs[l],
-                        );
-                    }
-                }
-                touts[l].push(s as f64 * h);
-                youts[l].push(oi[l].map_or(0.0, |i| xs[l][i]));
-            }
-        }
-        for ((&b, t), y) in active.iter().zip(touts).zip(youts) {
-            out[b] = Ok((t, y));
-        }
-    }
-    for (b, slot) in out.iter_mut().enumerate() {
-        if fallback[b] {
-            *slot = solvers[b].step_response(outs[b], t_stop, steps);
-        }
-    }
-    out
+    solvers
+        .iter()
+        .zip(outs)
+        .map(|(s, &o)| s.step_response(o, t_stop, steps))
+        .collect()
 }
 
 #[cfg(test)]
@@ -846,35 +622,6 @@ mod tests {
         }
         // The warm state now holds the transient's initial OP solution.
         assert!(state.is_warm());
-    }
-
-    #[test]
-    fn forced_sparse_transient_matches_dense() {
-        use crate::linalg::sparse::SolverConfig;
-        let mut ckt = Circuit::new();
-        let i = ckt.node("in");
-        let o = ckt.node("out");
-        ckt.vsource_step(
-            i,
-            GND,
-            Step {
-                v0: 0.0,
-                v1: 1.0,
-                t_delay: 0.0,
-            },
-            0.0,
-        );
-        ckt.resistor(i, o, 1.0e3);
-        ckt.capacitor(o, GND, 1e-9);
-        let opts = TranOptions::new(5e-6, 500);
-        let dense = transient(&ckt, &opts).unwrap();
-        let mut sp_opts = opts.clone();
-        sp_opts.dc.solver = SolverConfig::sparse();
-        let sparse = transient(&ckt, &sp_opts).unwrap();
-        assert_eq!(dense.t, sparse.t);
-        for (a, b) in dense.v.iter().flatten().zip(sparse.v.iter().flatten()) {
-            assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
-        }
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! frequency grid like the noise analysis does.
 
 use autockt_sim::ac::{
-    ac_sweep, ac_sweep_cfg, ac_sweep_corners, AcBatchWorkspace, AcSolver, AcWorkspace,
+    ac_sweep, ac_sweep_corners, ac_sweep_ws, AcBatchWorkspace, AcSolver, AcWorkspace,
 };
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::netlist::{Circuit, Node, GND};
-use autockt_sim::{SimError, SolverConfig};
+use autockt_sim::SimError;
 
 /// The RC low-pass (1 kΩ into 1 nF) driven by a 1 V AC source.
 fn rc_lowpass() -> (Circuit, Node, OpPoint) {
@@ -84,8 +84,8 @@ fn ac_sweep_rejects_non_increasing_grids() {
     for bad in [&[1e4, 1e3][..], &[1e3, 1e3, 1e4][..]] {
         assert!(is_invalid(&ac_sweep(&ckt, &op, bad, o)), "{bad:?}");
         let mut ws = AcWorkspace::new();
-        let cfg = ac_sweep_cfg(&ckt, &op, bad, o, SolverConfig::sparse(), &mut ws);
-        assert!(is_invalid(&cfg), "{bad:?} sparse");
+        let r = ac_sweep_ws(&ckt, &op, bad, o, &mut ws);
+        assert!(is_invalid(&r), "{bad:?} with a workspace");
     }
 }
 

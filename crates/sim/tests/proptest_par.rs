@@ -1,27 +1,22 @@
-//! Property-based tests for the tile scheduler (`autockt_sim::par`):
-//! every threaded walk — the scalar AC sweep, the scalar noise
-//! analysis, and the per-block BTF factorization — must be *bitwise*
-//! equal to its serial reference under any forced lane count, and the
-//! process-wide workspace pools must preserve that equality when they
-//! are re-used across calls of differing dimension.
+//! Property-based tests for running the simulator from several threads at
+//! once, the way the rollout collector does (one thread per environment,
+//! each with its own workspace): every threaded AC sweep and noise
+//! analysis must be *bitwise* equal to its serial reference, and a
+//! workspace kept by a thread across calls of differing dimension must be
+//! indistinguishable from a fresh one.
 //!
-//! `Parallelism::Threads(n)` is the forced mode: it bypasses the
-//! small-dimension Auto gates, so these properties exercise real
-//! multi-lane schedules even on dimensions the Auto policy would run
-//! serially.
+//! The analyses themselves are serial; these properties pin that they
+//! share no mutable state across threads and that workspace reuse leaks
+//! nothing from one call into the next.
 
-use autockt_sim::ac::{ac_sweep_cfg, AcWorkspace};
+use autockt_sim::ac::{ac_sweep_ws, AcWorkspace};
 use autockt_sim::dc::{dc_operating_point, DcOptions};
-use autockt_sim::linalg::sparse::{CscMatrix, TripletList};
-use autockt_sim::linalg::structure::BtfLu;
 use autockt_sim::netlist::{Circuit, Node, GND};
-use autockt_sim::noise::noise_analysis_cfg;
-use autockt_sim::{Parallelism, SolverConfig};
+use autockt_sim::noise::{noise_analysis_ws, NoiseResult};
 use proptest::prelude::*;
 
-/// The forced lane counts every property sweeps over (ISSUE 10): a
-/// degenerate single lane, even splits, and a count that leaves a
-/// ragged tail chunk.
+/// The thread counts every property sweeps over: a single thread, even
+/// counts, and an odd count above the usual core count.
 const LANES: [usize; 4] = [1, 2, 4, 7];
 
 /// An `n`-segment RC ladder with an AC-driven source (magnitude 1), so
@@ -48,214 +43,134 @@ fn freq_grid(npts: usize) -> Vec<f64> {
     (0..npts).map(|k| 1e3 * 2f64.powi(k as i32)).collect()
 }
 
-/// A block-diagonal, diagonally dominant matrix with `dims`-sized
-/// irreducible (banded, pattern-symmetric) diagonal blocks, plus one
-/// acyclic coupling entry between consecutive blocks so the matrix is
-/// not merely block-diagonal. The BTF decomposition recovers exactly
-/// these blocks as its strongly connected components.
-fn block_diag_dominant(dims: &[usize], entries: &[f64]) -> CscMatrix<f64> {
-    let n: usize = dims.iter().sum();
-    let mut dense = vec![vec![0.0f64; n]; n];
-    let mut e = 0usize;
-    let val = |e: &mut usize| {
-        let v = entries[*e % entries.len()].clamp(-10.0, 10.0);
-        *e += 1;
-        v
-    };
-    let mut start = 0usize;
-    let mut prev_start: Option<usize> = None;
-    for &d in dims {
-        for r in 0..d {
-            for c in (r + 1)..d.min(r + 3) {
-                let v = val(&mut e);
-                dense[start + r][start + c] = v;
-                // Pattern-symmetric (so the block is one SCC) but not
-                // value-symmetric: keep the elimination generic.
-                dense[start + c][start + r] = 0.5 * v - 0.25;
-            }
-        }
-        // One-way edge from the previous block: cannot close a cycle,
-        // so the SCCs stay the diagonal blocks.
-        if let Some(p) = prev_start {
-            dense[p][start] = val(&mut e);
-        }
-        prev_start = Some(start);
-        start += d;
-    }
-    for (r, row) in dense.iter_mut().enumerate() {
-        let rowsum: f64 = row
-            .iter()
-            .enumerate()
-            .filter(|&(c, _)| c != r)
-            .map(|(_, v)| v.abs())
-            .sum();
-        row[r] = rowsum + 1.0;
-    }
-    let mut t = TripletList::new(n);
-    for (r, row) in dense.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                t.push(r, c, v);
-            }
-        }
-    }
-    let mut csc = CscMatrix::empty();
-    t.compress_into(&mut csc);
-    csc
+/// Every field of a noise result, compared bitwise.
+fn assert_noise_eq(a: &NoiseResult, b: &NoiseResult) {
+    assert_eq!(a.out_psd, b.out_psd);
+    assert_eq!(a.gain, b.gain);
+    assert_eq!(a.out_vrms, b.out_vrms);
+    assert_eq!(a.input_referred_rms, b.input_referred_rms);
 }
 
 proptest! {
-    /// The threaded scalar AC sweep is bitwise-equal to the serial
-    /// sweep for every forced lane count, with the MNA dimension and
-    /// the dense/sparse crossover varied against each other so both
-    /// per-point factorization routes are covered.
+    /// The AC sweep run concurrently on `t` threads, each with its own
+    /// workspace, is bitwise-equal to the serial sweep on every thread.
     #[test]
     fn threaded_ac_sweep_is_bitwise_serial(
         segs in 3usize..32,
         npts in 2usize..14,
-        crossover in 2usize..40,
         r_scale in 10.0..1e4f64,
     ) {
         let (ckt, out) = noisy_ladder(segs, r_scale);
         let op = dc_operating_point(&ckt, &DcOptions::default()).expect("ladder solves");
         let freqs = freq_grid(npts);
-        let base = SolverConfig { crossover, ..SolverConfig::default() };
-        let mut ws = AcWorkspace::new();
-        let serial = ac_sweep_cfg(
-            &ckt, &op, &freqs, out,
-            base.with_parallelism(Parallelism::Off),
-            &mut ws,
-        ).expect("serial sweep");
+        let serial = ac_sweep_ws(&ckt, &op, &freqs, out, &mut AcWorkspace::new())
+            .expect("serial sweep");
         for t in LANES {
-            let mut wt = AcWorkspace::new();
-            let threaded = ac_sweep_cfg(
-                &ckt, &op, &freqs, out,
-                base.with_parallelism(Parallelism::Threads(t)),
-                &mut wt,
-            ).expect("threaded sweep");
-            prop_assert_eq!(&serial.h, &threaded.h, "lanes={}", t);
+            let threaded: Vec<_> = std::thread::scope(|s| {
+                let lanes: Vec<_> = (0..t)
+                    .map(|_| {
+                        s.spawn(|| ac_sweep_ws(&ckt, &op, &freqs, out, &mut AcWorkspace::new()))
+                    })
+                    .collect();
+                lanes.into_iter().map(|h| h.join().expect("lane panicked")).collect()
+            });
+            for (lane, r) in threaded.into_iter().enumerate() {
+                let r = r.expect("threaded sweep");
+                prop_assert_eq!(&serial.h, &r.h, "threads={} lane={}", t, lane);
+            }
         }
     }
 
-    /// The threaded scalar noise analysis is bitwise-equal to the
-    /// serial walk — every derived field, including the integrated rms
-    /// figures whose trapezoid accumulation order must survive the
-    /// tiling — for every forced lane count.
+    /// The noise analysis run concurrently on `t` threads is bitwise-equal
+    /// to the serial walk — every derived field, including the integrated
+    /// rms figures — on every thread.
     #[test]
     fn threaded_noise_analysis_is_bitwise_serial(
         segs in 3usize..24,
         npts in 2usize..12,
-        crossover in 2usize..40,
         r_scale in 10.0..1e4f64,
     ) {
         let (ckt, out) = noisy_ladder(segs, r_scale);
         let op = dc_operating_point(&ckt, &DcOptions::default()).expect("ladder solves");
         let freqs = freq_grid(npts);
-        let base = SolverConfig { crossover, ..SolverConfig::default() };
-        let mut ws = AcWorkspace::new();
-        let serial = noise_analysis_cfg(
-            &ckt, &op, out, &freqs, 300.0,
-            base.with_parallelism(Parallelism::Off),
-            &mut ws,
-        ).expect("serial noise");
+        let serial = noise_analysis_ws(&ckt, &op, out, &freqs, 300.0, &mut AcWorkspace::new())
+            .expect("serial noise");
         for t in LANES {
-            let mut wt = AcWorkspace::new();
-            let threaded = noise_analysis_cfg(
-                &ckt, &op, out, &freqs, 300.0,
-                base.with_parallelism(Parallelism::Threads(t)),
-                &mut wt,
-            ).expect("threaded noise");
-            prop_assert_eq!(&serial.out_psd, &threaded.out_psd, "lanes={}", t);
-            prop_assert_eq!(&serial.gain, &threaded.gain, "lanes={}", t);
-            prop_assert_eq!(serial.out_vrms, threaded.out_vrms, "lanes={}", t);
-            prop_assert_eq!(
-                serial.input_referred_rms, threaded.input_referred_rms,
-                "lanes={}", t
-            );
+            let threaded: Vec<_> = std::thread::scope(|s| {
+                let lanes: Vec<_> = (0..t)
+                    .map(|_| {
+                        s.spawn(|| {
+                            noise_analysis_ws(
+                                &ckt, &op, out, &freqs, 300.0, &mut AcWorkspace::new(),
+                            )
+                        })
+                    })
+                    .collect();
+                lanes.into_iter().map(|h| h.join().expect("lane panicked")).collect()
+            });
+            for r in threaded {
+                assert_noise_eq(&serial, &r.expect("threaded noise"));
+            }
         }
     }
 
-    /// Threaded BTF block factoring is bitwise-equal to serial for
-    /// every forced lane count, both on a cold factorization and on a
-    /// warm same-pattern `refactor` that re-uses the instance's block
-    /// workspaces.
-    #[test]
-    fn threaded_btf_factor_is_bitwise_serial(
-        dims in prop::collection::vec(1usize..28, 2..5),
-        entries in prop::collection::vec(-10.0..10.0f64, 64),
-        rhs in prop::collection::vec(-100.0..100.0f64, 112),
-    ) {
-        let a = block_diag_dominant(&dims, &entries);
-        let n: usize = dims.iter().sum();
-        let b = &rhs[..n];
-        let mut serial = BtfLu::empty();
-        serial.set_parallelism(Parallelism::Off);
-        serial.refactor(&a, 1e-300).expect("dominant");
-        let xs = serial.solve(b);
-        for t in LANES {
-            let mut btf = BtfLu::empty();
-            btf.set_parallelism(Parallelism::Threads(t));
-            btf.refactor(&a, 1e-300).expect("dominant");
-            prop_assert_eq!(btf.nblocks(), serial.nblocks());
-            prop_assert_eq!(btf.factor_nnz(), serial.factor_nnz());
-            prop_assert_eq!(btf.solve(b), xs.clone(), "cold, lanes={}", t);
-            // Warm refactor: same pattern, scaled values, through the
-            // same instance (per-block factor buffers re-used).
-            let scaled: Vec<f64> = entries.iter().map(|v| v * 1.5 + 0.125).collect();
-            let a2 = block_diag_dominant(&dims, &scaled);
-            prop_assert_eq!(a.col_ptr(), a2.col_ptr());
-            prop_assert_eq!(a.row_idx(), a2.row_idx());
-            btf.refactor(&a2, 1e-300).expect("dominant");
-            let mut fresh = BtfLu::empty();
-            fresh.set_parallelism(Parallelism::Off);
-            fresh.refactor(&a2, 1e-300).expect("dominant");
-            prop_assert_eq!(btf.solve(b), fresh.solve(b), "warm, lanes={}", t);
-            prop_assert_eq!(btf.factor_nnz(), fresh.factor_nnz());
-        }
-    }
-
-    /// Re-using the process-wide workspace pools across calls of
-    /// *different* dimension keeps every call bitwise-equal to serial:
-    /// a pooled lane workspace checked out for a large sweep must be
-    /// indistinguishable from a fresh one when a smaller sweep checks
-    /// it out next (and vice versa).
+    /// Each thread keeps one workspace across a sequence of calls of
+    /// *different* dimension, alternating AC sweeps and noise analyses: a
+    /// workspace last used by a large system must be indistinguishable
+    /// from a fresh one when a smaller system uses it next (and vice
+    /// versa).
     #[test]
     fn workspace_pool_reuse_across_calls_stays_bitwise(
         segs in prop::collection::vec(3usize..32, 3..6),
         npts in 2usize..10,
-        crossover in 2usize..40,
         r_scale in 10.0..1e4f64,
     ) {
         let freqs = freq_grid(npts);
-        let base = SolverConfig { crossover, ..SolverConfig::default() };
-        for (i, &s) in segs.iter().enumerate() {
-            let t = LANES[i % LANES.len()].max(2);
-            let (ckt, out) = noisy_ladder(s, r_scale);
-            let op = dc_operating_point(&ckt, &DcOptions::default()).expect("ladder solves");
-            let mut ws = AcWorkspace::new();
-            let serial = ac_sweep_cfg(
-                &ckt, &op, &freqs, out,
-                base.with_parallelism(Parallelism::Off),
-                &mut ws,
-            ).expect("serial sweep");
-            let threaded = ac_sweep_cfg(
-                &ckt, &op, &freqs, out,
-                base.with_parallelism(Parallelism::Threads(t)),
-                &mut ws,
-            ).expect("threaded sweep");
-            prop_assert_eq!(&serial.h, &threaded.h, "call #{} segs={} lanes={}", i, s, t);
-            let sn = noise_analysis_cfg(
-                &ckt, &op, out, &freqs, 300.0,
-                base.with_parallelism(Parallelism::Off),
-                &mut ws,
-            ).expect("serial noise");
-            let tn = noise_analysis_cfg(
-                &ckt, &op, out, &freqs, 300.0,
-                base.with_parallelism(Parallelism::Threads(t)),
-                &mut ws,
-            ).expect("threaded noise");
-            prop_assert_eq!(&sn.out_psd, &tn.out_psd, "call #{} segs={}", i, s);
-            prop_assert_eq!(sn.out_vrms, tn.out_vrms, "call #{} segs={}", i, s);
+        let ladders: Vec<_> = segs
+            .iter()
+            .map(|&s| {
+                let (ckt, out) = noisy_ladder(s, r_scale);
+                let op = dc_operating_point(&ckt, &DcOptions::default()).expect("ladder solves");
+                (ckt, out, op)
+            })
+            .collect();
+        let fresh: Vec<_> = ladders
+            .iter()
+            .map(|(ckt, out, op)| {
+                let h = ac_sweep_ws(ckt, op, &freqs, *out, &mut AcWorkspace::new())
+                    .expect("fresh sweep")
+                    .h;
+                let n = noise_analysis_ws(ckt, op, *out, &freqs, 300.0, &mut AcWorkspace::new())
+                    .expect("fresh noise");
+                (h, n)
+            })
+            .collect();
+        let reused: Vec<Vec<_>> = std::thread::scope(|s| {
+            let lanes: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut ws = AcWorkspace::new();
+                        ladders
+                            .iter()
+                            .map(|(ckt, out, op)| {
+                                let h = ac_sweep_ws(ckt, op, &freqs, *out, &mut ws)
+                                    .expect("reused sweep")
+                                    .h;
+                                let n = noise_analysis_ws(ckt, op, *out, &freqs, 300.0, &mut ws)
+                                    .expect("reused noise");
+                                (h, n)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            lanes.into_iter().map(|h| h.join().expect("lane panicked")).collect()
+        });
+        for lane in &reused {
+            for (i, ((fh, fnz), (rh, rnz))) in fresh.iter().zip(lane).enumerate() {
+                prop_assert_eq!(fh, rh, "call #{} segs={}", i, segs[i]);
+                assert_noise_eq(fnz, rnz);
+            }
         }
     }
 }

@@ -1,25 +1,17 @@
-//! Property: the corner-batched settling integrations are equivalent to
-//! the scalar per-corner reference.
+//! Property: the corner settling integration is the scalar per-corner
+//! reference.
 //!
-//! At dense-routed dims [`step_response_corners`] runs the scalar
-//! [`AcSolver::step_response`] per corner (whose propagator already makes
-//! each step one matrix-vector product), so every lane is **bitwise** the
-//! scalar record — at stock dims and at dense-mesh dims alike. At
-//! sparse-routed dims it factors only the base corner's companion and
-//! recovers each sibling through the low-rank Woodbury correction, which
-//! is algebraically exact — siblings must agree to roundoff, while the
-//! base corner and any corner whose device stamps match the base (empty
-//! diff) run the scalar arithmetic in the scalar order and must agree
-//! bitwise. On corner sets whose dims differ, and on singular or
-//! unprofitable bases, the kernel falls back to the scalar path per
-//! corner, so every lane tightens back to bitwise.
+//! [`step_response_corners`] runs the scalar [`AcSolver::step_response`]
+//! per corner (whose propagator already makes each step one
+//! matrix-vector product), so every lane is **bitwise** the scalar record
+//! — at stock dims, at dense-mesh dims and above 64, on corner sets
+//! whose dims differ, and on single-corner and empty sets.
 
 use autockt_sim::ac::AcSolver;
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::netlist::{Circuit, Mosfet, Node, GND};
 use autockt_sim::tran::step_response_corners;
-use autockt_sim::SolverConfig;
 use proptest::prelude::*;
 
 /// Shared settling window and step count for every equivalence check:
@@ -74,34 +66,14 @@ fn corner_set(widths: &[f64], depth: usize) -> (Vec<(Circuit, Node)>, Vec<OpPoin
     (variants, ops)
 }
 
-fn rel_close(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
-}
-
-/// Which lanes of the corrected kernel must match the scalar reference
-/// bitwise (the rest must match to roundoff).
-#[derive(Clone, Copy, PartialEq)]
-enum Bitwise {
-    /// Dense dims and scalar fallback regimes: every lane.
-    All,
-    /// Sparse Woodbury regime: the base corner and empty-diff siblings.
-    BaseLanes,
-}
-
-/// Runs the scalar reference per corner, then checks the corrected
-/// kernel: lanes selected by `mode` must match exactly, the rest to
-/// roundoff.
-fn check_corrected(
-    widths: &[f64],
-    depth: usize,
-    cfg: SolverConfig,
-    mode: Bitwise,
-) -> Result<(), String> {
+/// Runs the scalar reference per corner, then checks that the corner
+/// kernel matches it bitwise.
+fn check_corrected(widths: &[f64], depth: usize) -> Result<(), String> {
     let (variants, ops) = corner_set(widths, depth);
     let solvers: Vec<AcSolver<'_>> = variants
         .iter()
         .zip(&ops)
-        .map(|((ckt, _), op)| AcSolver::new(ckt, op).with_config(cfg))
+        .map(|((ckt, _), op)| AcSolver::new(ckt, op))
         .collect();
     let refs: Vec<&AcSolver<'_>> = solvers.iter().collect();
     let outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
@@ -127,22 +99,8 @@ fn check_corrected(
                 if ct != st {
                     return Err(format!("time axis diverged at corner {b}"));
                 }
-                let bitwise = match mode {
-                    Bitwise::All => true,
-                    Bitwise::BaseLanes => b == 0 || widths[b] == widths[0],
-                };
-                if bitwise {
-                    if cy != sy {
-                        return Err(format!("scalar-lane corner {b} diverged bitwise"));
-                    }
-                    continue;
-                }
-                for (i, (c, s)) in cy.iter().zip(sy).enumerate() {
-                    if !rel_close(*c, *s, 1e-9) {
-                        return Err(format!(
-                            "corrected sample {i} diverged at corner {b}: {c} vs {s}"
-                        ));
-                    }
+                if cy != sy {
+                    return Err(format!("corner {b} diverged bitwise"));
                 }
             }
             (Err(_), Err(_)) => {}
@@ -157,7 +115,7 @@ fn check_corrected(
 }
 
 proptest! {
-    /// Dense dims (16 < dim < crossover): every corner runs the scalar
+    /// Dense-mesh dims (dim > 16): every corner runs the scalar
     /// propagator, so every lane is bitwise — duplicates and spread-out
     /// siblings alike. A duplicate corner rides along to cover the
     /// equal-stamps lane too.
@@ -171,7 +129,23 @@ proptest! {
             .chain(std::iter::once(base_w)) // duplicate corner: equal stamps
             .chain(deltas.iter().map(|d| base_w * (1.0 + d)))
             .collect();
-        let r = check_corrected(&widths, depth, SolverConfig::default(), Bitwise::All);
+        let r = check_corrected(&widths, depth);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
+
+    /// Dims above 64 (depth 60+), the range a sparse base factorization
+    /// once served: the corner kernel still runs the scalar propagator
+    /// per corner, so the base corner and every sibling are bitwise.
+    #[test]
+    fn settle_corrected_close_sparse_base(
+        base_w in 0.8e-6..4.0e-6f64,
+        deltas in prop::collection::vec(-0.3..0.3f64, 3),
+        depth in 60usize..72,
+    ) {
+        let widths: Vec<f64> = std::iter::once(base_w)
+            .chain(deltas.iter().map(|d| base_w * (1.0 + d)))
+            .collect();
+        let r = check_corrected(&widths, depth);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 
@@ -186,30 +160,13 @@ proptest! {
         let widths: Vec<f64> = std::iter::once(base_w)
             .chain(deltas.iter().map(|d| base_w * (1.0 + d)))
             .collect();
-        let r = check_corrected(&widths, depth, SolverConfig::default(), Bitwise::All);
-        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
-    }
-
-    /// Sparse base (forced sparse backend, BTF off so the scalar path
-    /// factors the same plain sparse LU as the corrected base): base
-    /// corner bitwise, corrected siblings to roundoff.
-    #[test]
-    fn settle_corrected_close_sparse_base(
-        base_w in 0.8e-6..4.0e-6f64,
-        deltas in prop::collection::vec(-0.3..0.3f64, 3),
-        depth in 18usize..26,
-    ) {
-        let widths: Vec<f64> = std::iter::once(base_w)
-            .chain(deltas.iter().map(|d| base_w * (1.0 + d)))
-            .collect();
-        let cfg = SolverConfig::sparse().with_btf(false);
-        let r = check_corrected(&widths, depth, cfg, Bitwise::BaseLanes);
+        let r = check_corrected(&widths, depth);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 }
 
-/// Corners whose MNA dims differ (structural mismatch) must fall back
-/// to the scalar path per corner — bitwise, no cross-corner sharing.
+/// Corners whose MNA dims differ (structural mismatch) run the scalar
+/// path per corner — bitwise, no cross-corner sharing.
 #[test]
 fn dim_mismatch_falls_back_to_scalar_bitwise() {
     let depths = [20usize, 24, 22];

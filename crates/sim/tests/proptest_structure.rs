@@ -1,36 +1,71 @@
 //! Property-based tests for the structural-analysis layer
 //! (`linalg::structure`): maximum matching must compute the true
-//! structural rank (== numeric rank for generic values), the BTF
-//! decomposition must be a valid block-upper-triangular permutation, the
-//! BTF factorization must agree with the plain sparse path and be
-//! bitwise-stable across same-pattern refactors, and the structural
-//! preflight must reject a floating-node circuit before any Newton work.
+//! structural rank (== numeric rank for generic values), an emptied
+//! column must be diagnosed by name, and the DC solve must report a
+//! floating-node circuit as structurally singular before its homotopy.
 
 use autockt_sim::dc::{dc_operating_point, DcOptions};
-use autockt_sim::linalg::sparse::{CscMatrix, SparseLu, TripletList};
-use autockt_sim::linalg::structure::{
-    btf_decompose, maximum_matching, structural_check, BtfLu, UNMATCHED,
-};
+use autockt_sim::linalg::structure::{maximum_matching, structural_check, UNMATCHED};
 use autockt_sim::netlist::{Circuit, GND};
-use autockt_sim::{SimError, SolverConfig};
+use autockt_sim::SimError;
 use proptest::prelude::*;
 
-/// Builds an `n x n` CSC pattern from `(slot -> (row, col))` picks, with
+/// A compressed-column matrix: the pattern slices the structural layer
+/// reads, plus the values the numeric-rank oracle needs.
+struct Csc {
+    n: usize,
+    col_ptr: Vec<usize>,
+    row_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl Csc {
+    /// Compresses `(row, col, value)` entries; duplicates add.
+    fn from_entries(n: usize, entries: &[(usize, usize, f64)]) -> Csc {
+        let mut dense = vec![vec![None::<f64>; n]; n];
+        for &(r, c, v) in entries {
+            *dense[r][c].get_or_insert(0.0) += v;
+        }
+        let mut m = Csc {
+            n,
+            col_ptr: vec![0],
+            row_idx: Vec::new(),
+            values: Vec::new(),
+        };
+        for c in 0..n {
+            for (r, row) in dense.iter().enumerate() {
+                if let Some(v) = row[c] {
+                    m.row_idx.push(r);
+                    m.values.push(v);
+                }
+            }
+            m.col_ptr.push(m.row_idx.len());
+        }
+        m
+    }
+
+    fn col(&self, j: usize) -> std::ops::Range<usize> {
+        self.col_ptr[j]..self.col_ptr[j + 1]
+    }
+}
+
+/// Builds an `n x n` pattern from `(slot -> (row, col))` picks, with
 /// values chosen to be "generic": spread magnitudes, no structured
 /// cancellation, so the numeric rank equals the structural rank with
 /// probability 1.
-fn random_pattern(n: usize, slots: &[usize], vals: &[f64]) -> CscMatrix<f64> {
-    let mut t = TripletList::new(n);
-    for (i, &s) in slots.iter().enumerate() {
-        let (r, c) = (s / n % n, s % n);
-        // Strictly positive, spread over two decades, perturbed per slot:
-        // duplicate (r, c) picks merge additively and stay nonzero.
-        let v = (1.0 + vals[i % vals.len()].abs()) * (1.0 + 0.01 * i as f64);
-        t.push(r, c, v);
-    }
-    let mut csc = CscMatrix::empty();
-    t.compress_into(&mut csc);
-    csc
+fn random_pattern(n: usize, slots: &[usize], vals: &[f64]) -> Csc {
+    let entries: Vec<(usize, usize, f64)> = slots
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| {
+            // Strictly positive, spread over two decades, perturbed per
+            // slot: duplicate (r, c) picks merge additively and stay
+            // nonzero.
+            let v = (1.0 + vals[i % vals.len()].abs()) * (1.0 + 0.01 * i as f64);
+            (s / n % n, s % n, v)
+        })
+        .collect();
+    Csc::from_entries(n, &entries)
 }
 
 /// Numeric rank of a dense copy via complete-pivoting Gaussian
@@ -38,12 +73,12 @@ fn random_pattern(n: usize, slots: &[usize], vals: &[f64]) -> CscMatrix<f64> {
 /// these sizes a relative threshold cleanly separates "zero by
 /// structure" from roundoff.
 #[allow(clippy::needless_range_loop)] // index pairs mirror the math
-fn numeric_rank(a: &CscMatrix<f64>) -> usize {
-    let n = a.dim();
+fn numeric_rank(a: &Csc) -> usize {
+    let n = a.n;
     let mut m = vec![vec![0.0f64; n]; n];
     for j in 0..n {
-        for p in a.col_ptr()[j]..a.col_ptr()[j + 1] {
-            m[a.row_idx()[p]][j] = a.values()[p];
+        for p in a.col(j) {
+            m[a.row_idx[p]][j] = a.values[p];
         }
     }
     let scale: f64 = m
@@ -82,10 +117,8 @@ fn numeric_rank(a: &CscMatrix<f64>) -> usize {
 }
 
 /// A diagonally dominant matrix over a random sparsity pattern with a
-/// full diagonal: structurally and numerically nonsingular, and with
-/// enough sparsity that the BTF decomposition regularly finds several
-/// blocks.
-fn dominant_on_pattern(n: usize, slots: &[usize], vals: &[f64]) -> CscMatrix<f64> {
+/// full diagonal: structurally and numerically nonsingular.
+fn dominant_on_pattern(n: usize, slots: &[usize], vals: &[f64]) -> Csc {
     let mut dense = vec![vec![0.0f64; n]; n];
     for (i, &s) in slots.iter().enumerate() {
         let (r, c) = (s / n % n, s % n);
@@ -97,17 +130,15 @@ fn dominant_on_pattern(n: usize, slots: &[usize], vals: &[f64]) -> CscMatrix<f64
         let rowsum: f64 = row.iter().map(|v| v.abs()).sum();
         row[r] = rowsum + 1.0;
     }
-    let mut t = TripletList::new(n);
+    let mut entries = Vec::new();
     for (r, row) in dense.iter().enumerate() {
         for (c, &v) in row.iter().enumerate() {
             if v != 0.0 {
-                t.push(r, c, v);
+                entries.push((r, c, v));
             }
         }
     }
-    let mut csc = CscMatrix::empty();
-    t.compress_into(&mut csc);
-    csc
+    Csc::from_entries(n, &entries)
 }
 
 proptest! {
@@ -122,7 +153,7 @@ proptest! {
         vals in prop::collection::vec(-10.0..10.0f64, 40),
     ) {
         let a = random_pattern(n, &slots, &vals);
-        let (rank, match_row) = maximum_matching(n, a.col_ptr(), a.row_idx());
+        let (rank, match_row) = maximum_matching(n, &a.col_ptr, &a.row_idx);
         prop_assert_eq!(rank, numeric_rank(&a));
         // The matching itself must be consistent: matched rows distinct,
         // each matched row actually present in its column's pattern.
@@ -135,104 +166,10 @@ proptest! {
             counted += 1;
             prop_assert!(r < n && !used[r], "row matched twice");
             used[r] = true;
-            let col = &a.row_idx()[a.col_ptr()[j]..a.col_ptr()[j + 1]];
+            let col = &a.row_idx[a.col(j)];
             prop_assert!(col.contains(&r), "matched row not in column pattern");
         }
         prop_assert_eq!(counted, rank);
-    }
-
-    /// On full-structural-rank patterns the BTF decomposition is a valid
-    /// permutation pair: blocks tile `0..n`, the permuted diagonal is
-    /// structurally nonzero, and every entry lands in a block row at or
-    /// above its block column (block upper triangular).
-    #[test]
-    fn btf_is_a_block_upper_triangular_permutation(
-        n in 1usize..12,
-        slots in prop::collection::vec(0usize..150, 0..50),
-        vals in prop::collection::vec(-10.0..10.0f64, 40),
-    ) {
-        let a = dominant_on_pattern(n, &slots, &vals);
-        let match_row = structural_check(n, a.col_ptr(), a.row_idx()).expect("full diagonal");
-        let btf = btf_decompose(n, a.col_ptr(), a.row_idx(), &match_row);
-        // Permutation validity.
-        for perm in [&btf.row_perm, &btf.col_perm] {
-            prop_assert_eq!(perm.len(), n);
-            let mut seen = vec![false; n];
-            for &p in perm {
-                prop_assert!(p < n && !seen[p], "not a permutation");
-                seen[p] = true;
-            }
-        }
-        // Blocks tile the index range exactly.
-        prop_assert_eq!(*btf.block_ptr.first().expect("nonempty block_ptr"), 0);
-        prop_assert_eq!(*btf.block_ptr.last().expect("nonempty block_ptr"), n);
-        prop_assert!(btf.block_ptr.windows(2).all(|w| w[0] < w[1]));
-        let mut rpos = vec![0usize; n];
-        for (k, &r) in btf.row_perm.iter().enumerate() {
-            rpos[r] = k;
-        }
-        let mut block_of = vec![0usize; n];
-        for b in 0..btf.nblocks() {
-            for pos in block_of
-                .iter_mut()
-                .take(btf.block_ptr[b + 1])
-                .skip(btf.block_ptr[b])
-            {
-                *pos = b;
-            }
-        }
-        for (k, &j) in btf.col_perm.iter().enumerate() {
-            let col = &a.row_idx()[a.col_ptr()[j]..a.col_ptr()[j + 1]];
-            // Structurally nonzero diagonal (the matching, permuted).
-            prop_assert!(col.contains(&btf.row_perm[k]), "zero-free diagonal violated");
-            for &i in col {
-                prop_assert!(
-                    block_of[rpos[i]] <= block_of[k],
-                    "entry below the diagonal blocks"
-                );
-            }
-        }
-    }
-
-    /// BTF and plain sparse factorizations agree on the solution to
-    /// solver tolerance, and a same-pattern BTF refactor is bitwise
-    /// identical to a freshly decomposed factorization of the same
-    /// values.
-    #[test]
-    fn btf_solve_matches_plain_and_refactor_is_bitwise(
-        n in 1usize..12,
-        slots in prop::collection::vec(0usize..150, 0..50),
-        vals in prop::collection::vec(-10.0..10.0f64, 40),
-        rhs in prop::collection::vec(-100.0..100.0f64, 12),
-    ) {
-        let a = dominant_on_pattern(n, &slots, &vals);
-        let mut btf = BtfLu::empty();
-        btf.refactor(&a, 1e-300).expect("dominant");
-        let plain = SparseLu::factor(&a, 1e-300).expect("dominant");
-        let b = &rhs[..n];
-        let xb = btf.solve(b);
-        let xp = plain.solve(b);
-        for (u, v) in xb.iter().zip(&xp) {
-            prop_assert!((u - v).abs() <= 1e-9 * (1.0 + v.abs()), "{u} vs {v}");
-        }
-        // Same-pattern refactor with scaled values: warm path vs fresh
-        // decomposition must produce bitwise-equal solutions.
-        let mut t = TripletList::new(n);
-        for j in 0..n {
-            for p in a.col_ptr()[j]..a.col_ptr()[j + 1] {
-                t.push(a.row_idx()[p], j, a.values()[p] * 1.5);
-            }
-        }
-        let mut a2 = CscMatrix::empty();
-        t.compress_into(&mut a2);
-        prop_assert_eq!(a.col_ptr(), a2.col_ptr());
-        prop_assert_eq!(a.row_idx(), a2.row_idx());
-        btf.refactor(&a2, 1e-300).expect("dominant");
-        let mut fresh = BtfLu::empty();
-        fresh.refactor(&a2, 1e-300).expect("dominant");
-        prop_assert_eq!(btf.solve(b), fresh.solve(b));
-        prop_assert_eq!(btf.factor_nnz(), fresh.factor_nnz());
-        prop_assert_eq!(btf.nblocks(), fresh.nblocks());
     }
 
     /// Deleting a column's every entry from a full-rank pattern drops the
@@ -246,18 +183,17 @@ proptest! {
     ) {
         let victim = victim % n;
         let full = dominant_on_pattern(n, &slots, &vals);
-        let mut t = TripletList::new(n);
+        let mut entries = Vec::new();
         for j in 0..n {
             if j == victim {
                 continue;
             }
-            for p in full.col_ptr()[j]..full.col_ptr()[j + 1] {
-                t.push(full.row_idx()[p], j, full.values()[p]);
+            for p in full.col(j) {
+                entries.push((full.row_idx[p], j, full.values[p]));
             }
         }
-        let mut a = CscMatrix::empty();
-        t.compress_into(&mut a);
-        match structural_check(n, a.col_ptr(), a.row_idx()) {
+        let a = Csc::from_entries(n, &entries);
+        match structural_check(n, &a.col_ptr, &a.row_idx) {
             Err(SimError::StructurallySingular { column, structural_rank, dim }) => {
                 prop_assert_eq!(column, victim);
                 prop_assert_eq!(structural_rank, n - 1);
@@ -300,18 +236,16 @@ fn floating_mesh_circuit(k: usize) -> (Circuit, usize) {
     (ckt, float.index() - 1)
 }
 
-/// With gmin disabled, the floating mesh node must be rejected by the
-/// structural preflight — [`SimError::StructurallySingular`] naming its
-/// MNA column — with zero Newton iterations taken: the diagnosis comes
-/// out of the pattern before the first linear solve, not from a numeric
-/// pivot failure (`SingularSparse`) or iteration exhaustion
-/// (`DcNoConvergence`) later.
+/// With gmin disabled, the floating mesh node must be diagnosed as
+/// [`SimError::StructurallySingular`] naming its MNA column: the
+/// diagnosis comes out of the pattern of the first singular Jacobian,
+/// before any Newton update and before the gmin homotopy, not from a
+/// numeric pivot failure (`SingularMatrix`) after the homotopy.
 #[test]
 fn floating_mesh_node_fails_structural_preflight_before_newton() {
     let (ckt, float_col) = floating_mesh_circuit(4);
     let opts = DcOptions {
         gmin: 0.0,
-        solver: SolverConfig::sparse(),
         ..DcOptions::default()
     };
     match dc_operating_point(&ckt, &opts) {
@@ -327,30 +261,8 @@ fn floating_mesh_node_fails_structural_preflight_before_newton() {
     }
     // The same topology with default gmin regularization solves: the
     // failure above is a property of the gmin-free pattern, and the
-    // preflight never rejects a pattern the factorization could handle.
-    let regularized = DcOptions {
-        solver: SolverConfig::sparse(),
-        ..DcOptions::default()
-    };
-    let op = dc_operating_point(&ckt, &regularized).expect("gmin regularizes the floating node");
+    // check never rejects a pattern the factorization could handle.
+    let op = dc_operating_point(&ckt, &DcOptions::default())
+        .expect("gmin regularizes the floating node");
     assert!(op.iterations() >= 1);
-}
-
-/// The BTF mode must deliver the same DC answer as the plain sparse mode
-/// on a real circuit solve, end to end through the Newton loop.
-#[test]
-fn btf_and_plain_sparse_dc_agree_on_mesh() {
-    let (ckt, _) = floating_mesh_circuit(5);
-    let solve = |btf: bool| {
-        let opts = DcOptions {
-            solver: SolverConfig::sparse().with_btf(btf),
-            ..DcOptions::default()
-        };
-        dc_operating_point(&ckt, &opts).expect("regularized mesh solves")
-    };
-    let with_btf = solve(true);
-    let plain = solve(false);
-    for (a, b) in with_btf.voltages().iter().zip(plain.voltages()) {
-        assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "{a} vs {b}");
-    }
 }

@@ -3,7 +3,7 @@
 
 pub fn justified() {
     // lint:allow(thread-discipline) — one-shot watchdog outside the
-    // evaluation path; never competes with the tile scheduler's budget.
+    // evaluation path; never competes with the rollout workers' budget.
     let h = std::thread::spawn(|| ());
     let _ = h.join();
     // lint:allow(thread-discipline) — structured teardown helper, joins

@@ -3,7 +3,7 @@
 //! `thread` module, and test modules may thread freely. Not compiled —
 //! read by the lint's unit tests.
 
-/// Callers wanting parallelism go through the scheduler, never
+/// Callers wanting parallelism go through the rollout collector, never
 /// `thread::spawn` — see the module docs.
 pub fn describe() -> &'static str {
     "we never call thread::scope(|s| ...) here"
