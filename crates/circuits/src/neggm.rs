@@ -16,13 +16,13 @@
 //! explains this aids transfer).
 
 use crate::problem::{
-    CornerCase, CornerEvaluator, CornerPlan, ParamSpec, SimMode, SizingProblem, SpecDef, SpecKind,
+    CornerCase, CornerEvaluator, ParamSpec, SimMode, SizingProblem, SpecDef, SpecKind,
 };
-use autockt_sim::ac::{ac_sweep_ws, log_freqs, AcResponse, AcWorkspace};
-use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
+use autockt_sim::ac::{log_freqs, AcResponse};
+use autockt_sim::dc::{DcOptions, WarmState};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::netlist::{Circuit, Mosfet, Node, GND};
-use autockt_sim::pex::{extract, PexConfig};
+use autockt_sim::pex::PexConfig;
 use autockt_sim::SimError;
 
 /// Index constants into the OTA spec vector.
@@ -205,8 +205,7 @@ impl NegGmOta {
         (ckt, out)
     }
 
-    /// The AC sweep grid shared by every fidelity's measurement (the
-    /// corner engine and `measure_at` must sweep the same points).
+    /// The AC sweep grid of every fidelity's measurement.
     fn ac_freqs() -> Vec<f64> {
         log_freqs(1e2, 1e10, 10)
     }
@@ -218,88 +217,33 @@ impl NegGmOta {
         }
     }
 
-    fn measure(&self, ckt: &Circuit, out: Node) -> Result<Vec<f64>, SimError> {
-        let op = dc_operating_point(ckt, &self.dc_opts())?;
-        self.measure_at(ckt, out, &op, None)
-    }
-
-    fn measure_warm(
-        &self,
-        ckt: &Circuit,
-        out: Node,
-        slot: usize,
-        state: &mut WarmState,
-    ) -> Result<Vec<f64>, SimError> {
-        let op = state.solve(slot, ckt, &self.dc_opts())?;
-        self.measure_at(ckt, out, &op, Some(state.ac_workspace()))
-    }
-
     /// Shared body of `simulate`/`simulate_warm`: `state` selects the
-    /// warm (session-threaded) or cold measurement path.
+    /// warm (session-threaded) or cold evaluation.
     fn simulate_inner(
         &self,
         idx: &[usize],
         mode: SimMode,
         state: Option<&mut WarmState>,
     ) -> Result<Vec<f64>, SimError> {
-        let measure = |ckt: &Circuit, out, slot, state: Option<&mut WarmState>| match state {
-            Some(st) => self.measure_warm(ckt, out, slot, st),
-            None => self.measure(ckt, out),
-        };
-        match mode {
-            SimMode::Schematic => {
-                let (ckt, out) = self.build(idx, &self.tech);
-                measure(&ckt, out, 0, state)
-            }
-            SimMode::Pex => {
-                let (ckt, out) = self.build(idx, &self.tech);
-                let ex = extract(&ckt, &self.pex);
-                measure(&ex, out, 0, state)
-            }
-            SimMode::PexWorstCase => {
-                let engine = CornerEvaluator::new(
-                    CornerPlan::pvt_worst_case(),
-                    self.dc_opts(),
-                    NegGmOta::ac_freqs(),
-                );
-                engine.evaluate(
-                    &self.specs,
-                    |_slot, pvt| {
-                        let tech = self.tech.at_corner(*pvt);
-                        let (ckt, out) = self.build(idx, &tech);
-                        CornerCase {
-                            ckt: extract(&ckt, &self.pex),
-                            out,
-                            temp_k: pvt.temp_kelvin(),
-                            vdd_src: 0,
-                        }
-                    },
-                    |_slot, _case, _op, _solver, resp, _ws, _noise, _settle| {
-                        self.corner_specs(resp)
-                    },
-                    state,
-                )
-            }
-        }
+        let engine =
+            CornerEvaluator::for_mode(mode, &self.pex, self.dc_opts(), NegGmOta::ac_freqs());
+        engine.evaluate(
+            &self.specs,
+            |_slot, pvt| {
+                let (ckt, out) = self.build(idx, &self.tech.at_corner(*pvt));
+                CornerCase {
+                    ckt,
+                    out,
+                    temp_k: pvt.temp_kelvin(),
+                    vdd_src: 0,
+                }
+            },
+            |_slot, _case, _op, resp, _noise, _settle| self.corner_specs(resp),
+            state,
+        )
     }
 
-    fn measure_at(
-        &self,
-        ckt: &Circuit,
-        out: Node,
-        op: &OpPoint,
-        ac_ws: Option<&mut AcWorkspace>,
-    ) -> Result<Vec<f64>, SimError> {
-        let freqs = NegGmOta::ac_freqs();
-        let resp = match ac_ws {
-            Some(ws) => ac_sweep_ws(ckt, op, &freqs, out, ws)?,
-            None => ac_sweep_ws(ckt, op, &freqs, out, &mut AcWorkspace::default())?,
-        };
-        self.corner_specs(&resp)
-    }
-
-    /// Spec extraction shared by the single-corner measurement and the
-    /// corner engine.
+    /// One corner's spec row.
     fn corner_specs(&self, resp: &AcResponse) -> Result<Vec<f64>, SimError> {
         let gain = resp.dc_gain();
         let ugbw = resp

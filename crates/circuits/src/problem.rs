@@ -12,6 +12,7 @@ use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
 use autockt_sim::device::Pvt;
 use autockt_sim::netlist::{Circuit, Node};
 use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws, NoiseResult};
+use autockt_sim::pex::{extract, PexConfig};
 use autockt_sim::tran::step_response_corners;
 use autockt_sim::{SimError, SolverConfig};
 use std::collections::{HashMap, VecDeque};
@@ -87,7 +88,9 @@ pub struct SpecDef {
     pub fail_value: f64,
 }
 
-/// Simulation fidelity requested from [`SizingProblem::simulate`].
+/// Simulation fidelity requested from [`SizingProblem::simulate`]. Every
+/// fidelity is one [`CornerPlan`] evaluated by the [`CornerEvaluator`]
+/// (see [`CornerEvaluator::for_mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimMode {
     /// Schematic-level simulation at the nominal PVT corner.
@@ -119,14 +122,22 @@ pub struct SettleSpec {
 /// integration hit.
 pub type SettleRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
 
-/// The corner list of a worst-case evaluation: which PVT points every
-/// design is checked at.
+/// The corner list of an evaluation: which PVT points every design is
+/// checked at.
 #[derive(Debug, Clone)]
 pub struct CornerPlan {
     corners: Vec<Pvt>,
 }
 
 impl CornerPlan {
+    /// The single nominal corner ([`Pvt::nominal`]) of `SimMode::Schematic`
+    /// and `SimMode::Pex`.
+    pub fn nominal() -> Self {
+        CornerPlan {
+            corners: vec![Pvt::nominal()],
+        }
+    }
+
     /// The canonical worst-case PVT plan ([`Pvt::corner_set`]) used by
     /// `SimMode::PexWorstCase` — the paper's Table IV configuration.
     pub fn pvt_worst_case() -> Self {
@@ -158,11 +169,13 @@ impl CornerPlan {
 }
 
 /// One corner's concrete evaluation inputs, produced by a topology's
-/// builder closure: the (extracted) netlist plus whatever the
-/// measurement needs to interpret it.
+/// builder closure: the netlist plus whatever the measurement needs to
+/// interpret it.
 #[derive(Debug, Clone)]
 pub struct CornerCase {
-    /// The netlist evaluated at this corner (already PEX-extracted).
+    /// The netlist evaluated at this corner. The builder returns the
+    /// schematic; an engine with an extraction config replaces it with
+    /// its PEX extraction before any stage runs.
     pub ckt: Circuit,
     /// Output node driven and measured by the AC sweep.
     pub out: Node,
@@ -172,16 +185,18 @@ pub struct CornerCase {
     pub vdd_src: usize,
 }
 
-/// The shared corner-iteration engine behind `SimMode::PexWorstCase`:
-/// owns the corner set and the per-corner warm-start slots, so a topology
-/// contributes only its circuit-builder closure and its per-corner spec
-/// measurement (the worst-case fold runs on the topology's spec
-/// definitions). The per-corner loops that used to be triplicated across
-/// `tia.rs`/`opamp2.rs`/`neggm.rs` live here and nowhere else.
+/// The one evaluation engine behind every [`SimMode`]: owns the corner
+/// set, the extraction decision and the per-corner warm-start slots, so a
+/// topology contributes only its circuit-builder closure and its
+/// per-corner spec measurement (the worst-case fold runs on the
+/// topology's spec definitions). `Schematic` and `Pex` are one-corner
+/// plans at [`Pvt::nominal`]; `PexWorstCase` is the PVT corner set (see
+/// [`CornerEvaluator::for_mode`]).
 ///
-/// An evaluation runs stage-major: every corner is built, then every
-/// corner's operating point is solved, then the AC sweeps, the optional
-/// noise and settling stages, and finally the per-corner measurements.
+/// An evaluation runs stage-major: every corner is built (and extracted),
+/// then every corner's operating point is solved, then the AC sweeps, the
+/// optional noise and settling stages, and finally the per-corner
+/// measurements.
 /// The only choice a stage makes is warm or cold. Warm evaluations run
 /// the corner kernels ([`ac_sweep_corners`], [`noise_analysis_corners`],
 /// [`step_response_corners`]); the AC and noise kernels share one base
@@ -193,6 +208,7 @@ pub struct CornerCase {
 #[derive(Debug, Clone)]
 pub struct CornerEvaluator {
     plan: CornerPlan,
+    pex: Option<PexConfig>,
     dc_opts: DcOptions,
     freqs: Vec<f64>,
     noise_freqs: Option<Vec<f64>>,
@@ -201,14 +217,33 @@ pub struct CornerEvaluator {
 
 impl CornerEvaluator {
     /// Creates an engine over `plan`, solving operating points with
-    /// `dc_opts` and sweeping `freqs` at every corner.
+    /// `dc_opts` and sweeping `freqs` at every corner. The builder's
+    /// netlists are evaluated as built (no extraction).
     pub fn new(plan: CornerPlan, dc_opts: DcOptions, freqs: Vec<f64>) -> Self {
         CornerEvaluator {
             plan,
+            pex: None,
             dc_opts,
             freqs,
             noise_freqs: None,
             settle: None,
+        }
+    }
+
+    /// The engine of fidelity `mode` — the one place a [`SimMode`] is
+    /// mapped to a corner plan and an extraction step: `Schematic`
+    /// evaluates the schematic at the nominal corner, `Pex` its `pex`
+    /// extraction at the nominal corner, and `PexWorstCase` the extraction
+    /// at every corner of [`CornerPlan::pvt_worst_case`].
+    pub fn for_mode(mode: SimMode, pex: &PexConfig, dc_opts: DcOptions, freqs: Vec<f64>) -> Self {
+        let (plan, pex) = match mode {
+            SimMode::Schematic => (CornerPlan::nominal(), None),
+            SimMode::Pex => (CornerPlan::nominal(), Some(pex.clone())),
+            SimMode::PexWorstCase => (CornerPlan::pvt_worst_case(), Some(pex.clone())),
+        };
+        CornerEvaluator {
+            pex,
+            ..CornerEvaluator::new(plan, dc_opts, freqs)
         }
     }
 
@@ -231,8 +266,9 @@ impl CornerEvaluator {
     /// first sweeps every corner, then integrates all valid corners (those
     /// with a positive -3 dB cutoff) over **one shared time window**
     /// `spec.window / min cutoff`; corners without a valid cutoff receive
-    /// `None` (topologies map that to the spec's fail value, matching
-    /// their pre-engine local measurement).
+    /// `None` (topologies map that to the spec's fail value). On a
+    /// one-corner plan the window is that corner's own `spec.window /
+    /// cutoff`.
     ///
     /// Every corner integrates through [`AcSolver::step_response`] (via
     /// [`step_response_corners`]), whose propagator makes every step one
@@ -284,19 +320,20 @@ impl CornerEvaluator {
     }
 
     /// Evaluates every corner and reduces the per-corner spec rows to
-    /// the worst case in each spec's constraint direction.
+    /// the worst case in each spec's constraint direction (a one-corner
+    /// plan returns its row unchanged).
     ///
-    /// `build` produces corner `slot`'s circuit; `measure` turns corner
-    /// `slot`'s operating point, linearization, swept response, and —
-    /// when [`CornerEvaluator::with_noise`] /
-    /// [`CornerEvaluator::with_settling`] are set — noise analysis and
-    /// settling record into a spec row (it receives the session's
-    /// [`AcWorkspace`] when warm-started, for allocation-free
-    /// measurements). A noise failure is handed to the closure rather
-    /// than aborting the corner, so topologies can map it to a spec's
-    /// fail value; likewise a settling record's `Err` lets the closure
-    /// decide. `state` carries the per-corner warm slots; `None`
-    /// evaluates cold.
+    /// `build(slot, pvt)` produces corner `slot`'s schematic netlist at
+    /// `pvt`, which the engine extracts when it carries an extraction
+    /// config. `measure(slot, case, op, resp, noise, settle)` turns corner
+    /// `slot`'s case, operating point, swept response and — when
+    /// [`CornerEvaluator::with_noise`] / [`CornerEvaluator::with_settling`]
+    /// are set, `None` otherwise — noise analysis and settling record into
+    /// a spec row. A noise failure is handed to the closure rather than
+    /// aborting the corner, so topologies can map it to a spec's fail
+    /// value; likewise a settling record's `Err` lets the closure decide,
+    /// and a corner without a valid cutoff gets no record. `state` carries
+    /// the per-corner warm slots; `None` evaluates cold.
     ///
     /// # Errors
     ///
@@ -317,9 +354,7 @@ impl CornerEvaluator {
             usize,
             &CornerCase,
             &OpPoint,
-            &AcSolver<'_>,
             &AcResponse,
-            Option<&mut AcWorkspace>,
             Option<&Result<NoiseResult, SimError>>,
             Option<&SettleRecord>,
         ) -> Result<Vec<f64>, SimError>,
@@ -334,7 +369,13 @@ impl CornerEvaluator {
             .corners
             .iter()
             .enumerate()
-            .map(|(slot, pvt)| build(slot, pvt))
+            .map(|(slot, pvt)| {
+                let mut case = build(slot, pvt);
+                if let Some(pex) = &self.pex {
+                    case.ckt = extract(&case.ckt, pex);
+                }
+                case
+            })
             .collect();
         // Every corner solves before any failure surfaces, so each warm
         // slot is refreshed (or cleared) whatever its siblings did.
@@ -374,44 +415,33 @@ impl CornerEvaluator {
         // Per-corner noise failures stay in the row: the measure closure
         // decides whether one is fatal.
         let noises: Option<Vec<Result<NoiseResult, SimError>>> =
-            self.noise_freqs
-                .as_ref()
-                .map(|nf| match state.as_deref_mut() {
-                    Some(st) => {
-                        let op_refs: Vec<&OpPoint> = ops.iter().collect();
-                        let temps: Vec<f64> = cases.iter().map(|c| c.temp_k).collect();
-                        noise_analysis_corners(
-                            &solvers,
-                            &op_refs,
-                            &outs,
-                            nf,
-                            &temps,
-                            st.ac_batch_workspace(),
-                        )
-                    }
-                    None => cases
-                        .iter()
-                        .zip(&ops)
-                        .map(|(c, op)| {
-                            noise_analysis_ws(&c.ckt, op, c.out, nf, c.temp_k, &mut cold_ws)
-                        })
-                        .collect(),
-                });
+            self.noise_freqs.as_ref().map(|nf| match state {
+                Some(st) => {
+                    let op_refs: Vec<&OpPoint> = ops.iter().collect();
+                    let temps: Vec<f64> = cases.iter().map(|c| c.temp_k).collect();
+                    noise_analysis_corners(
+                        &solvers,
+                        &op_refs,
+                        &outs,
+                        nf,
+                        &temps,
+                        st.ac_batch_workspace(),
+                    )
+                }
+                None => cases
+                    .iter()
+                    .zip(&ops)
+                    .map(|(c, op)| noise_analysis_ws(&c.ckt, op, c.out, nf, c.temp_k, &mut cold_ws))
+                    .collect(),
+            });
         let settles = self.settle_stage(&solvers, &outs, &resps);
         let mut rows = Vec::with_capacity(cases.len());
-        for (slot, ((case, op), (solver, resp))) in cases
-            .iter()
-            .zip(&ops)
-            .zip(solvers.iter().zip(&resps))
-            .enumerate()
-        {
+        for (slot, ((case, op), resp)) in cases.iter().zip(&ops).zip(&resps).enumerate() {
             rows.push(measure(
                 slot,
                 case,
                 op,
-                solver,
                 resp,
-                state.as_deref_mut().map(WarmState::ac_workspace),
                 noises.as_ref().map(|v| &v[slot]),
                 settles.as_ref().and_then(|v| v[slot].as_ref()),
             )?);
@@ -1405,7 +1435,7 @@ mod tests {
         engine.evaluate(
             &specs,
             |slot, _pvt| rc_case(slot, defective),
-            |_slot, _case, _op, _solver, resp, _ws, _noise, _settle| {
+            |_slot, _case, _op, resp, _noise, _settle| {
                 Ok(vec![resp.h[0].norm(), resp.h.last().unwrap().norm()])
             },
             warm,
@@ -1425,7 +1455,7 @@ mod tests {
             engine.evaluate(
                 &specs,
                 |slot, _pvt| rc_case(slot, None),
-                |_slot, _case, _op, _solver, resp, _ws, noise, _settle| {
+                |_slot, _case, _op, resp, noise, _settle| {
                     let nr = noise
                         .expect("engine must run noise")
                         .as_ref()
@@ -1461,7 +1491,7 @@ mod tests {
             engine.evaluate(
                 &specs,
                 |slot, _pvt| rc_case(slot, None),
-                |_slot, _case, _op, _solver, resp, _ws, _noise, settle| {
+                |_slot, _case, _op, resp, _noise, settle| {
                     let (t, y) = settle
                         .expect("rc corners have a valid cutoff")
                         .as_ref()
@@ -1528,7 +1558,7 @@ mod tests {
                 built += 1;
                 rc_case(slot, None)
             },
-            |_slot, _case, _op, _solver, _resp, _ws, _noise, _settle| Ok(vec![0.0, 0.0]),
+            |_slot, _case, _op, _resp, _noise, _settle| Ok(vec![0.0, 0.0]),
             None,
         );
         assert_eq!(

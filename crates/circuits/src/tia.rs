@@ -10,17 +10,16 @@
 //! output noise.
 
 use crate::problem::{
-    CornerCase, CornerEvaluator, CornerPlan, ParamSpec, SettleRecord, SettleSpec, SimMode,
-    SizingProblem, SpecDef, SpecKind,
+    CornerCase, CornerEvaluator, ParamSpec, SettleRecord, SettleSpec, SimMode, SizingProblem,
+    SpecDef, SpecKind,
 };
-use autockt_sim::ac::{ac_sweep_ws, log_freqs, AcResponse, AcSolver, AcWorkspace};
-use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
+use autockt_sim::ac::{log_freqs, AcResponse};
+use autockt_sim::dc::{DcOptions, WarmState};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::measure::settling_time;
 use autockt_sim::netlist::{Circuit, Mosfet, Node, Step, GND};
-use autockt_sim::noise::{noise_analysis_ws, NoiseResult};
-use autockt_sim::pex::{extract, PexConfig};
-use autockt_sim::tran::{transient, transient_warm, TranOptions};
+use autockt_sim::noise::NoiseResult;
+use autockt_sim::pex::PexConfig;
 use autockt_sim::SimError;
 
 /// Index constants into the TIA spec vector.
@@ -46,7 +45,6 @@ pub struct Tia {
     /// Load capacitance at the output (F).
     pub c_load: f64,
     pex: PexConfig,
-    transient_settling: bool,
 }
 
 impl Default for Tia {
@@ -101,7 +99,6 @@ impl Tia {
             c_in: 40e-15,
             c_load: 25e-15,
             pex: PexConfig::default(),
-            transient_settling: false,
         }
     }
 
@@ -118,20 +115,6 @@ impl Tia {
         &self.pex
     }
 
-    /// Measures settling with the nonlinear transient engine (a small step
-    /// of photodiode current integrated through Newton time stepping)
-    /// instead of the small-signal linear step response. Off by default —
-    /// the linear response is exact for small-signal settling and orders
-    /// of magnitude cheaper — but the transient path exercises large-signal
-    /// effects and, evaluated through a session, warm-starts its initial
-    /// DC operating point from the session's [`WarmState`] instead of
-    /// cold-starting (applies to `Schematic` and `Pex` modes; the
-    /// worst-case PVT sweep keeps the linear measurement).
-    pub fn with_transient_settling(mut self, on: bool) -> Self {
-        self.transient_settling = on;
-        self
-    }
-
     /// Builds the netlist at the given grid indices for a technology
     /// variant. Returns the circuit and its output node.
     pub fn build(&self, idx: &[usize], tech: &Technology) -> (Circuit, Node) {
@@ -140,8 +123,9 @@ impl Tia {
 
     /// Like [`Tia::build`], with the photodiode replaced by a step current
     /// source (`0 -> i_step` at `t = 0`) for nonlinear transient settling
-    /// measurements. Element and node order match `build` exactly, so the
-    /// MNA structure — and therefore a session's warm-start slot — is
+    /// measurements, which cross-check the linear step response the specs
+    /// use. Element and node order match `build` exactly, so the MNA
+    /// structure — and therefore a session's warm-start slot — is
     /// interchangeable with the AC variant's.
     pub fn build_step(&self, idx: &[usize], tech: &Technology, i_step: f64) -> (Circuit, Node) {
         self.build_inner(
@@ -203,16 +187,13 @@ impl Tia {
         (ckt, out)
     }
 
-    /// The AC sweep grid shared by every fidelity's measurement (the
-    /// corner engine and `measure_at` must sweep the same points).
+    /// The AC sweep grid of every fidelity's measurement.
     fn ac_freqs() -> Vec<f64> {
         log_freqs(1e5, 1e12, 10)
     }
 
-    /// The noise integration grid shared by every fidelity's measurement
-    /// (the corner engine's batched noise analyses and the single-corner
-    /// `measure_at` path must integrate the same points). Public so the
-    /// noise-corner benches time the exact production workload.
+    /// The noise integration grid of every fidelity's measurement. Public
+    /// so the noise-corner benches time the exact production workload.
     pub fn noise_freqs() -> Vec<f64> {
         log_freqs(1e4, 1e11, 8)
     }
@@ -224,239 +205,75 @@ impl Tia {
         }
     }
 
-    fn measure(&self, ckt: &Circuit, out: Node, temp_k: f64) -> Result<Vec<f64>, SimError> {
-        let op = dc_operating_point(ckt, &self.dc_opts())?;
-        self.measure_at(ckt, out, temp_k, &op, None)
-    }
-
-    fn measure_warm(
-        &self,
-        ckt: &Circuit,
-        out: Node,
-        temp_k: f64,
-        slot: usize,
-        state: &mut WarmState,
-    ) -> Result<Vec<f64>, SimError> {
-        let op = state.solve(slot, ckt, &self.dc_opts())?;
-        self.measure_at(ckt, out, temp_k, &op, Some(state.ac_workspace()))
-    }
-
     /// Shared body of `simulate`/`simulate_warm`: `state` selects the
-    /// warm (session-threaded) or cold measurement path.
+    /// warm (session-threaded) or cold evaluation.
     fn simulate_inner(
         &self,
         idx: &[usize],
         mode: SimMode,
-        mut state: Option<&mut WarmState>,
+        state: Option<&mut WarmState>,
     ) -> Result<Vec<f64>, SimError> {
-        let measure = |ckt: &Circuit, out, temp_k, slot, state: Option<&mut WarmState>| match state
-        {
-            Some(st) => self.measure_warm(ckt, out, temp_k, slot, st),
-            None => self.measure(ckt, out, temp_k),
-        };
-        match mode {
-            SimMode::Schematic => {
-                let (ckt, out) = self.build(idx, &self.tech);
-                let mut specs = measure(&ckt, out, 300.15, 0, state.as_deref_mut())?;
-                if self.transient_settling {
-                    let (sckt, sout) = self.build_step(idx, &self.tech, Tia::STEP_CURRENT);
-                    specs[spec_index::SETTLING] =
-                        self.settling_transient(&sckt, sout, specs[spec_index::CUTOFF], state)?;
+        // Noise and settling run inside the engine (`with_noise` /
+        // `with_settling`) so warm worst-case evaluations can share work
+        // across the corner set at dense-mesh dims (Woodbury) — the TIA's
+        // worst-case step is noise- and settle-bound, so this is where its
+        // dense-dim speedup comes from. Settling integrates one shared
+        // window of 8 periods of the slowest corner's cutoff (a one-corner
+        // plan: its own), 2048 trapezoidal steps, so both 5 ps and 500 ps
+        // responses resolve.
+        let engine = CornerEvaluator::for_mode(mode, &self.pex, self.dc_opts(), Tia::ac_freqs())
+            .with_noise(Tia::noise_freqs())
+            .with_settling(SettleSpec {
+                steps: 2048,
+                window: 8.0,
+            });
+        engine.evaluate(
+            &self.specs,
+            |_slot, pvt| {
+                let (ckt, out) = self.build(idx, &self.tech.at_corner(*pvt));
+                CornerCase {
+                    ckt,
+                    out,
+                    temp_k: pvt.temp_kelvin(),
+                    vdd_src: 0,
                 }
-                Ok(specs)
-            }
-            SimMode::Pex => {
-                let (ckt, out) = self.build(idx, &self.tech);
-                let ex = extract(&ckt, &self.pex);
-                let mut specs = measure(&ex, out, 300.15, 0, state.as_deref_mut())?;
-                if self.transient_settling {
-                    let (sckt, sout) = self.build_step(idx, &self.tech, Tia::STEP_CURRENT);
-                    let sex = extract(&sckt, &self.pex);
-                    specs[spec_index::SETTLING] =
-                        self.settling_transient(&sex, sout, specs[spec_index::CUTOFF], state)?;
-                }
-                Ok(specs)
-            }
-            SimMode::PexWorstCase => {
-                // Noise and settling run inside the engine (`with_noise`
-                // / `with_settling`) so warm evaluations can share work
-                // across the corner set at dense-mesh dims (Woodbury) —
-                // the TIA's worst-case step is noise- and settle-bound,
-                // so this is where its dense-dim speedup comes from.
-                // Settling integrates one shared window scaled to the
-                // slowest corner's cutoff (window 8.0, as the per-corner
-                // measurement used), 2048 trapezoidal steps.
-                let engine = CornerEvaluator::new(
-                    CornerPlan::pvt_worst_case(),
-                    self.dc_opts(),
-                    Tia::ac_freqs(),
-                )
-                .with_noise(Tia::noise_freqs())
-                .with_settling(SettleSpec {
-                    steps: 2048,
-                    window: 8.0,
-                });
-                engine.evaluate(
-                    &self.specs,
-                    |_slot, pvt| {
-                        let tech = self.tech.at_corner(*pvt);
-                        let (ckt, out) = self.build(idx, &tech);
-                        CornerCase {
-                            ckt: extract(&ckt, &self.pex),
-                            out,
-                            temp_k: pvt.temp_kelvin(),
-                            vdd_src: 0,
-                        }
-                    },
-                    |_slot, case, op, solver, resp, ws, noise, settle| {
-                        self.corner_specs(
-                            &case.ckt,
-                            case.out,
-                            case.temp_k,
-                            op,
-                            Some(solver),
-                            resp,
-                            ws,
-                            noise,
-                            settle,
-                        )
-                    },
-                    state,
-                )
-            }
-        }
+            },
+            |_slot, _case, _op, resp, noise, settle| self.corner_specs(resp, noise, settle),
+            state,
+        )
     }
 
-    /// Step amplitude for the nonlinear transient settling measurement:
-    /// small enough that the response stays in the small-signal regime
-    /// (output deviation of a few millivolts), so it cross-checks the
-    /// linear step response rather than measuring slewing.
+    /// Step amplitude for nonlinear transient settling measurements on
+    /// [`Tia::build_step`]: small enough that the response stays in the
+    /// small-signal regime (output deviation of a few millivolts), so it
+    /// cross-checks the linear step response rather than measuring slewing.
     pub const STEP_CURRENT: f64 = 1e-6;
 
-    /// Settling time from a nonlinear transient of the step-driven
-    /// netlist, warm-starting the initial DC operating point from the
-    /// session's state when available (the step circuit shares the AC
-    /// variant's MNA structure and operating point, so the slot is hot).
-    /// Transient non-convergence and an unsettled record report the spec's
-    /// fail value; only an unsolvable operating point is an error.
-    fn settling_transient(
-        &self,
-        ckt: &Circuit,
-        out: Node,
-        cutoff: f64,
-        state: Option<&mut WarmState>,
-    ) -> Result<f64, SimError> {
-        let fail = self.specs[spec_index::SETTLING].fail_value;
-        if cutoff <= 0.0 {
-            return Ok(fail);
-        }
-        let mut opts = TranOptions::new(8.0 / cutoff, 512);
-        opts.dc = self.dc_opts();
-        let res = match state {
-            Some(st) => transient_warm(ckt, &opts, 0, st),
-            None => transient(ckt, &opts),
-        };
-        let res = match res {
-            Ok(r) => r,
-            Err(SimError::TranNoConvergence { .. }) => return Ok(fail),
-            Err(e) => return Err(e),
-        };
-        let w = res.node_waveform(out);
-        Ok(settling_time(&res.t, &w, 0.02).unwrap_or(fail))
-    }
-
-    fn measure_at(
-        &self,
-        ckt: &Circuit,
-        out: Node,
-        temp_k: f64,
-        op: &OpPoint,
-        mut ac_ws: Option<&mut AcWorkspace>,
-    ) -> Result<Vec<f64>, SimError> {
-        let freqs = Tia::ac_freqs();
-        let resp = match ac_ws.as_deref_mut() {
-            Some(ws) => ac_sweep_ws(ckt, op, &freqs, out, ws)?,
-            None => ac_sweep_ws(ckt, op, &freqs, out, &mut AcWorkspace::default())?,
-        };
-        self.corner_specs(ckt, out, temp_k, op, None, &resp, ac_ws, None, None)
-    }
-
-    /// Spec extraction shared by the single-corner measurement and the
-    /// corner engine: cutoff from the swept response, settling from the
-    /// linear step response — taken from the engine's settle stage when
-    /// provided (`settle`: corner-batched over a shared window), run
-    /// scalar here otherwise (single-corner fidelities, own-bandwidth
-    /// window) — and integrated output noise at `temp_k`, likewise from
-    /// the engine's corner-batched analysis when provided (`noise`).
-    #[allow(clippy::too_many_arguments)]
+    /// One corner's spec row: cutoff from the swept response, settling
+    /// from the engine's linear step-response record (no record — no
+    /// valid cutoff — reports the fail value) and integrated output noise
+    /// from the engine's noise analysis (a noise failure reports the fail
+    /// value).
     fn corner_specs(
         &self,
-        ckt: &Circuit,
-        out: Node,
-        temp_k: f64,
-        op: &OpPoint,
-        solver: Option<&AcSolver<'_>>,
         resp: &AcResponse,
-        ac_ws: Option<&mut AcWorkspace>,
         noise: Option<&Result<NoiseResult, SimError>>,
         settle: Option<&SettleRecord>,
     ) -> Result<Vec<f64>, SimError> {
         let cutoff = resp
             .f_3db()
             .unwrap_or(self.specs[spec_index::CUTOFF].fail_value);
-
-        // Settling: window scaled to the measured bandwidth so both 5 ps
-        // and 500 ps responses resolve on a 2048-step grid. The engine's
-        // settle stage (corner evaluations) already integrated the
-        // record; an engine-detected invalid cutoff arrives as `None`
-        // and falls into the `cutoff <= 0` arm below, matching the
-        // local measurement.
         let settling = match settle {
             Some(Ok((t, y))) => {
                 settling_time(t, y, 0.02).unwrap_or(self.specs[spec_index::SETTLING].fail_value)
             }
             Some(Err(e)) => return Err(e.clone()),
-            None if cutoff > 0.0 => {
-                let own;
-                let solver = match solver {
-                    Some(s) => s,
-                    None => {
-                        own = AcSolver::new(ckt, op);
-                        &own
-                    }
-                };
-                let t_stop = 8.0 / cutoff;
-                let (t, y) = solver.step_response(out, t_stop, 2048)?;
-                settling_time(&t, &y, 0.02).unwrap_or(self.specs[spec_index::SETTLING].fail_value)
-            }
             None => self.specs[spec_index::SETTLING].fail_value,
         };
-
-        // Integrated output noise across the amplifier band: the corner
-        // engine already analyzed it (batched/corrected); single-corner
-        // paths run the scalar analysis here. A noise failure reports the
-        // spec's fail value either way.
-        let fail = self.specs[spec_index::NOISE].fail_value;
         let noise = match noise {
-            Some(nr) => nr.as_ref().map(|n| n.out_vrms).unwrap_or(fail),
-            None => {
-                let nfreqs = Tia::noise_freqs();
-                match ac_ws {
-                    Some(ws) => noise_analysis_ws(ckt, op, out, &nfreqs, temp_k, ws),
-                    None => noise_analysis_ws(
-                        ckt,
-                        op,
-                        out,
-                        &nfreqs,
-                        temp_k,
-                        &mut AcWorkspace::default(),
-                    ),
-                }
-                .map(|n| n.out_vrms)
-                .unwrap_or(fail)
-            }
+            Some(Ok(n)) => n.out_vrms,
+            _ => self.specs[spec_index::NOISE].fail_value,
         };
-
         Ok(vec![settling, cutoff, noise])
     }
 }
@@ -491,6 +308,7 @@ impl SizingProblem for Tia {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autockt_sim::tran::{transient, transient_warm, TranOptions, TranResult};
 
     #[test]
     fn center_design_simulates() {
@@ -523,38 +341,44 @@ mod tests {
         );
     }
 
+    /// The nonlinear transient engine cross-checks the linear step
+    /// response behind the settling spec: a small photodiode step on
+    /// [`Tia::build_step`] stays small-signal, so its settling time agrees
+    /// with `simulate`'s, and warm-starting the transient's initial
+    /// operating point from a session's slot converges to the cold one.
     #[test]
-    fn transient_settling_cross_checks_linear_and_threads_warm_state() {
-        let lin = Tia::default();
-        let tran = Tia::default().with_transient_settling(true);
-        let idx: Vec<usize> = lin.cardinalities().iter().map(|k| k / 2).collect();
-        let s_lin = lin.simulate(&idx, SimMode::Schematic).unwrap();
-        // Cold reference path.
-        let s_cold = tran.simulate(&idx, SimMode::Schematic).unwrap();
-        // Session path: the WarmState threads through the transient's DC.
-        let mut session = crate::problem::EvalSession::borrowed(&tran, SimMode::Schematic);
-        let s_warm = session.evaluate(&idx).unwrap();
-        let (lin_t, cold_t, warm_t) = (
-            s_lin[spec_index::SETTLING],
-            s_cold[spec_index::SETTLING],
-            s_warm[spec_index::SETTLING],
-        );
-        assert!(cold_t > 0.0 && cold_t < 1e-6, "settling {cold_t}");
-        // A small-amplitude step stays small-signal: the nonlinear
-        // settling must agree with the linear response up to integration
-        // and device-cap modelling differences.
-        assert!(
-            (cold_t - lin_t).abs() <= 0.5 * lin_t.max(cold_t),
-            "transient settling {cold_t} vs linear {lin_t}"
-        );
-        // Warm and cold transient converge to the same fixed point.
-        assert!(
-            (warm_t - cold_t).abs() <= 5e-3 * (1.0 + cold_t.abs()),
-            "warm {warm_t} vs cold {cold_t}"
-        );
-        // The flag leaves the other specs untouched.
-        assert_eq!(s_cold[spec_index::CUTOFF], s_lin[spec_index::CUTOFF]);
-        assert_eq!(s_cold[spec_index::NOISE], s_lin[spec_index::NOISE]);
+    fn small_step_transient_matches_linear_settling() {
+        let tia = Tia::default();
+        let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
+        for mode in [SimMode::Schematic, SimMode::Pex] {
+            let mut state = WarmState::new();
+            // Arms warm slot 0 with the AC variant's operating point.
+            let lin = tia.simulate_warm(&idx, mode, &mut state).unwrap();
+            let (lin_t, cutoff) = (lin[spec_index::SETTLING], lin[spec_index::CUTOFF]);
+            let (ckt, out) = tia.build_step(&idx, &tia.tech, Tia::STEP_CURRENT);
+            let ckt = match mode {
+                SimMode::Schematic => ckt,
+                _ => autockt_sim::pex::extract(&ckt, &tia.pex),
+            };
+            let mut opts = TranOptions::new(8.0 / cutoff, 512);
+            opts.dc = tia.dc_opts();
+            let settle = |res: TranResult| {
+                settling_time(&res.t, &res.node_waveform(out), 0.02).expect("step settles")
+            };
+            let cold_t = settle(transient(&ckt, &opts).unwrap());
+            let warm_t = settle(transient_warm(&ckt, &opts, 0, &mut state).unwrap());
+            assert!(cold_t > 0.0 && cold_t < 1e-6, "{mode:?}: settling {cold_t}");
+            // Up to integration and device-cap modelling differences.
+            assert!(
+                (cold_t - lin_t).abs() <= 0.5 * lin_t.max(cold_t),
+                "{mode:?}: transient settling {cold_t} vs linear {lin_t}"
+            );
+            // Warm and cold transient converge to the same fixed point.
+            assert!(
+                (warm_t - cold_t).abs() <= 5e-3 * (1.0 + cold_t.abs()),
+                "{mode:?}: warm {warm_t} vs cold {cold_t}"
+            );
+        }
     }
 
     #[test]

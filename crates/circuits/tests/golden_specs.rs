@@ -2,7 +2,7 @@
 //! spec for a fixed set of evaluations, compared against
 //! `tests/golden_specs.txt`.
 //!
-//! The evaluations cover the three topologies in `Schematic` and
+//! The evaluations cover the three topologies in `Schematic`, `Pex` and
 //! `PexWorstCase` (the TIA also at extraction mesh depth 8, where the MNA
 //! system has 60 unknowns), each as cold evaluations at fixed grid points
 //! plus a short seeded warm walk of one-notch moves. Every linear solve of
@@ -81,6 +81,29 @@ fn cases() -> Vec<Case> {
         mode: SimMode::PexWorstCase,
         cold: &[0.3, 0.7],
         walk: 4,
+    });
+    // Appended after the cases above so their walk seeds (the case index)
+    // and lines stay put.
+    out.push(Case {
+        label: "opamp2 Pex".to_string(),
+        problem: Box::new(OpAmp2::default()),
+        mode: SimMode::Pex,
+        cold: COLD,
+        walk: 6,
+    });
+    out.push(Case {
+        label: "neggm Pex".to_string(),
+        problem: Box::new(NegGmOta::default()),
+        mode: SimMode::Pex,
+        cold: COLD,
+        walk: 6,
+    });
+    out.push(Case {
+        label: "tia Pex mesh0".to_string(),
+        problem: Box::new(tia(0)),
+        mode: SimMode::Pex,
+        cold: COLD,
+        walk: 6,
     });
     out
 }

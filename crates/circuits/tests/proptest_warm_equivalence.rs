@@ -8,7 +8,9 @@
 //! The `PexWorstCase` walks also pin the corner engine's two paths to
 //! each other: warm evaluations run the corner kernels (shared base
 //! factorization plus Woodbury correction at dense-mesh dims), cold ones
-//! the scalar per-corner reference.
+//! the scalar per-corner reference. A deterministic gate checks the same
+//! on fixed seed designs of every topology at stock and dense-mesh
+//! extraction.
 
 use autockt_circuits::prelude::*;
 use autockt_sim::dc::WarmState;
@@ -68,6 +70,61 @@ fn check_walk(
         }
     }
     Ok(())
+}
+
+/// Deterministic seed designs: grid corners, center, and two fixed
+/// off-center points.
+fn seed_designs(problem: &dyn SizingProblem) -> Vec<Vec<usize>> {
+    let cards = problem.cardinalities();
+    let at = |f: f64| -> Vec<usize> {
+        cards
+            .iter()
+            .map(|k| (((*k - 1) as f64 * f) as usize).min(k - 1))
+            .collect()
+    };
+    vec![at(0.0), at(0.25), at(0.5), at(0.75), at(1.0)]
+}
+
+/// Warm-vs-cold `PexWorstCase` gate on the seed designs of all three
+/// topologies, at stock extraction and at mesh depth 4, where the warm
+/// corner kernels switch to base-plus-Woodbury correction (the TIA's
+/// noise and settling stages included). One warm state threads through
+/// each topology's seed designs.
+#[test]
+fn seed_designs_pex_worst_case_warm_matches_cold() {
+    let mut failures = Vec::new();
+    for depth in [0usize, 4] {
+        let mesh = |base: &PexConfig| PexConfig {
+            mesh_depth: depth,
+            ..base.clone()
+        };
+        let tia = Tia::default();
+        let tia = Tia::default().with_pex_config(mesh(tia.pex_config()));
+        let op = OpAmp2::default();
+        let op = OpAmp2::default().with_pex_config(mesh(op.pex_config()));
+        let ng = NegGmOta::default();
+        let ng = NegGmOta::default().with_pex_config(mesh(ng.pex_config()));
+        let problems: [&dyn SizingProblem; 3] = [&tia, &op, &ng];
+        for problem in problems {
+            let mut warm = WarmState::new();
+            for idx in seed_designs(problem) {
+                let c = problem.simulate(&idx, SimMode::PexWorstCase);
+                let w = problem.simulate_warm(&idx, SimMode::PexWorstCase, &mut warm);
+                let ok = match (&w, &c) {
+                    (Ok(w), Ok(c)) => specs_close(w, c),
+                    (Err(_), Err(_)) => true,
+                    _ => false,
+                };
+                if !ok {
+                    failures.push(format!(
+                        "{} mesh={depth} {idx:?}: warm {w:?} vs cold {c:?}",
+                        problem.name()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 proptest! {

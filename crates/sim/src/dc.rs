@@ -61,7 +61,6 @@ impl Default for DcWorkspace {
 pub struct WarmState {
     slots: Vec<Option<Vec<f64>>>,
     ws: DcWorkspace,
-    ac: crate::ac::AcWorkspace,
     ac_batch: crate::ac::AcBatchWorkspace,
 }
 
@@ -130,14 +129,8 @@ impl WarmState {
         }
     }
 
-    /// The session's reusable AC-analysis buffers, for routing sweeps and
-    /// noise analyses through the allocation-free workspace entry points.
-    pub fn ac_workspace(&mut self) -> &mut crate::ac::AcWorkspace {
-        &mut self.ac
-    }
-
-    /// The session's reusable corner-sweep buffers, for the warm
-    /// worst-case stages: [`crate::ac::ac_sweep_corners`] and
+    /// The session's reusable AC-analysis buffers, for the warm stages of
+    /// every evaluation (one corner or many): [`crate::ac::ac_sweep_corners`] and
     /// [`crate::noise::noise_analysis_corners`] keep their base factor,
     /// correction basis and scalar-fallback workspace here between
     /// evaluations.

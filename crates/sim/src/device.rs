@@ -226,8 +226,13 @@ impl Technology {
     ///
     /// Mobility degrades as `T^-1.5`, threshold drifts -1 mV/K, and the
     /// process corner shifts `kp` by +/-12% and `vth0` by -/+30 mV (fast
-    /// means more drive, lower threshold).
+    /// means more drive, lower threshold). The nominal corner returns the
+    /// technology unchanged, so a nominal-corner evaluation is exactly the
+    /// schematic technology's.
     pub fn at_corner(&self, pvt: Pvt) -> Technology {
+        if pvt == Pvt::nominal() {
+            return self.clone();
+        }
         let t_ratio = pvt.temp_kelvin() / 300.15;
         let mob = t_ratio.powf(-1.5);
         let dvth_t = -1.0e-3 * (pvt.temp_c - 27.0);
@@ -277,8 +282,8 @@ impl MosModel {
     pub fn eval(&self, vgs: f64, vds: f64, w: f64, l: f64, mult: f64) -> MosEval {
         let vds = vds.max(0.0);
         let beta = self.kp * (w / l) * mult;
-        // Scale channel-length modulation with inverse length relative to
-        // the unit device the card was characterised at.
+        // Channel-length modulation is the card's `lambda` as is, at every
+        // length: no inverse-length scaling.
         let lambda = self.lambda;
         let vov = vgs - self.vth0;
         if vov <= 0.0 {
@@ -442,6 +447,17 @@ mod tests {
         // SS hot: higher vth from corner but lower from temperature; corner
         // dominates the sign at +125C? -1mV/K * 98K = -98mV vs +30mV -> net lower.
         assert!(ss.nmos.vth0 < t.nmos.vth0);
+    }
+
+    #[test]
+    fn nominal_corner_is_the_identity() {
+        // A threshold below the corner formula's 50 mV clamp would be
+        // raised by it; the nominal corner must not apply the formula.
+        let mut low_vth = Technology::ptm45();
+        low_vth.nmos.vth0 = 0.03;
+        for t in [Technology::ptm45(), Technology::finfet16(), low_vth] {
+            assert_eq!(t.at_corner(Pvt::nominal()), t);
+        }
     }
 
     #[test]

@@ -326,3 +326,51 @@ fn rc_integrated_output_noise_is_kt_over_c() {
         "{total:e} vs kT/C {kt_c:e}"
     );
 }
+
+#[test]
+fn diode_connected_nmos_biases_at_the_square_law_root() {
+    // An ideal current source into a diode-connected NMOS: the device sits
+    // in saturation (vds = vgs), so the node voltage V solves
+    // I = ½β(V − Vth)²(1 + λV) + gmin·V in closed form, found here by
+    // bisection on the monotone branch V > Vth.
+    let tech = Technology::ptm45();
+    let model = tech.nmos;
+    let (w, l, mult) = (2.0e-6, 2.0 * tech.lmin, 1.0);
+    let opts = DcOptions::default();
+    let beta = model.kp * (w / l) * mult;
+    for i_bias in [1e-6, 20e-6, 200e-6] {
+        let mut ckt = Circuit::new();
+        let d = ckt.node("d");
+        ckt.isource(GND, d, i_bias, 0.0);
+        ckt.mosfet(Mosfet {
+            polarity: MosPolarity::Nmos,
+            d,
+            g: d,
+            s: GND,
+            w,
+            l,
+            mult,
+            model,
+        });
+        let op = dc_operating_point(&ckt, &opts).expect("diode bias solves");
+        let residual = |v: f64| {
+            let vov = v - model.vth0;
+            0.5 * beta * vov * vov * (1.0 + model.lambda * v) + opts.gmin * v - i_bias
+        };
+        let (mut lo, mut hi) = (model.vth0, model.vth0 + 10.0);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if residual(mid) > 0.0 {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let v = op.voltage(d);
+        let root = 0.5 * (lo + hi);
+        assert!(
+            (v - root).abs() <= 1e-9 * root,
+            "I = {i_bias:e}: solved {v} vs square-law root {root}"
+        );
+    }
+}
