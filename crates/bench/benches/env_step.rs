@@ -236,7 +236,7 @@ fn bench_noise_corners(c: &mut Criterion) {
 /// settle-corner section.
 fn bench_settle_corners(c: &mut Criterion) {
     use autockt_sim::ac::AcSolver;
-    for depth in [0usize, 4] {
+    for depth in [0usize, 4, 8] {
         let case = autockt_bench::tia_settle_corner_case(depth)
             .expect("TIA settle corner workload builds");
         let solvers: Vec<AcSolver<'_>> = case

@@ -66,7 +66,10 @@ fn bench_ac(c: &mut Criterion) {
 
 /// The stock-dim settling record: the TIA center design at stock
 /// extraction (dim 4, the `deploy_tia_pexwc` system), 2048 trapezoidal
-/// steps over 8 cutoff periods — one corner's settle stage.
+/// steps over 8 cutoff periods — one corner's settle stage. The record is
+/// blocked: a per-step warm-up of `SETTLE_BLOCK` steps, the output rows
+/// and `M^B`, then one `n²` anchor advance and `SETTLE_BLOCK` length-`n`
+/// dots per block.
 fn bench_settle(c: &mut Criterion) {
     let tia = Tia::default();
     let idx = center(&tia);

@@ -271,8 +271,8 @@ impl CornerEvaluator {
     /// cutoff`.
     ///
     /// Every corner integrates through [`AcSolver::step_response`] (via
-    /// [`step_response_corners`]), whose propagator makes every step one
-    /// matrix-vector product.
+    /// [`step_response_corners`]), whose blocked propagator makes every
+    /// output sample one length-`n` dot product.
     pub fn with_settling(mut self, spec: SettleSpec) -> Self {
         self.settle = Some(spec);
         self

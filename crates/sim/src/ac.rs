@@ -341,10 +341,25 @@ impl<'a> AcSolver<'a> {
     /// `A = G + 2C/h` is constant over the record and each step
     /// `A x1 = 2b + (2C/h - G) x0` is the fixed affine map
     /// `x1 = M x0 + k` with `M = A⁻¹(2C/h - G)` and `k = A⁻¹ 2b`. `A` is
-    /// factored once, `M` and `k` cost `n + 1` back-substitutions, and
-    /// every step is one `n²` matrix-vector product with no substitution
-    /// chain. `M` commits its solve roundoff once, so the record matches
-    /// per-step solves to roundoff, not bitwise.
+    /// factored once and `M` and `k` cost `n + 1` back-substitutions.
+    ///
+    /// Only the output entry of `x` is ever read, so the record is
+    /// evaluated in blocks of `B` = [`SETTLE_BLOCK`] steps:
+    /// - **warm-up:** the first `B` steps run the recurrence from
+    ///   `x₀ = 0` one `n²` product at a time, giving the zero-state
+    ///   outputs `y⁰₁…y⁰_B` and state `x⁰_B` (a record of at most `B`
+    ///   steps ends here);
+    /// - **set-up:** the output rows `pᵢ = (Mⁱ)ᵀ e_out` for `i = 1..=B`
+    ///   (`pᵢ = Mᵀ pᵢ₋₁`) and `M^B` by `log₂ B` squarings;
+    /// - **per block:** from the anchor `x_{jB}`, every output
+    ///   `y_{jB+i} = pᵢ·x_{jB} + y⁰ᵢ` is one independent length-`n` dot,
+    ///   and the next anchor is `x_{(j+1)B} = M^B x_{jB} + x⁰_B`.
+    ///
+    /// A block costs `n² + B·n` for `B` steps instead of `B·n²`, on top
+    /// of a set-up of `B·n² + log₂B·n³`. `M` commits its solve roundoff
+    /// once and the later blocks regroup the sums, so the record matches
+    /// per-step solves to roundoff, not bitwise; the first `B` samples
+    /// are the per-step recurrence itself.
     ///
     /// Returns `(t, y)` with `y` the small-signal deviation of `out`.
     ///
@@ -363,13 +378,8 @@ impl<'a> AcSolver<'a> {
         crate::tran::TranOptions::new(t_stop, steps).validate()?;
         let h = t_stop / steps as f64;
         let n = self.dim;
-        let b: Vec<f64> = self.rhs.iter().map(|c| c.re).collect();
         let oi = self.ckt.mna_index(out);
-        let mut t_out = Vec::with_capacity(steps + 1);
-        let mut y_out = Vec::with_capacity(steps + 1);
-        t_out.push(0.0);
-        y_out.push(0.0);
-        let mut x = vec![0.0; n];
+        let t_out: Vec<f64> = (0..=steps).map(|s| s as f64 * h).collect();
         let mut a = Matrix::<f64>::zeros(n, n);
         for r in 0..n {
             for c in 0..n {
@@ -378,7 +388,7 @@ impl<'a> AcSolver<'a> {
         }
         let lu = LuFactors::factor(a, 1e-300)?;
         // M column by column — `A⁻¹ (2C/h - G) e_j` — stored column-major
-        // so each step accumulates contiguous columns.
+        // so each product accumulates contiguous columns.
         let mut mcols = vec![0.0; n * n];
         let mut col = vec![0.0; n];
         let mut xcol = Vec::new();
@@ -389,25 +399,107 @@ impl<'a> AcSolver<'a> {
             lu.solve_into(&col, &mut xcol);
             mcols[j * n..(j + 1) * n].copy_from_slice(&xcol);
         }
-        let b2: Vec<f64> = b.iter().map(|bv| 2.0 * bv).collect();
+        let b2: Vec<f64> = self.rhs.iter().map(|bv| 2.0 * bv.re).collect();
         let mut k = Vec::new();
         lu.solve_into(&b2, &mut k);
+
+        // Warm-up: the per-step recurrence for the first block.
+        let mut y_out = Vec::with_capacity(steps + 1);
+        y_out.push(0.0);
+        let mut x = vec![0.0; n];
         let mut xn = vec![0.0; n];
-        for s in 1..=steps {
-            // x1 = M x0 + k, axpy over M's columns: the inner loop
-            // carries no dependency between iterations.
+        for _ in 0..steps.min(SETTLE_BLOCK) {
             xn.copy_from_slice(&k);
-            for (j, &xj) in x.iter().enumerate() {
-                let mcol = &mcols[j * n..(j + 1) * n];
-                for (xi, &mij) in xn.iter_mut().zip(mcol) {
-                    *xi += mij * xj;
-                }
-            }
+            mat_vec_add(&mcols, &x, &mut xn);
             std::mem::swap(&mut x, &mut xn);
-            t_out.push(s as f64 * h);
             y_out.push(oi.map_or(0.0, |i| x[i]));
         }
-        Ok((t_out, y_out))
+        if steps <= SETTLE_BLOCK {
+            return Ok((t_out, y_out));
+        }
+        let Some(o) = oi else {
+            // A ground output is identically zero.
+            y_out.resize(steps + 1, 0.0);
+            return Ok((t_out, y_out));
+        };
+
+        // Set-up: `prows[j*B + i-1]` is entry `j` of `pᵢ = Mᵀ pᵢ₋₁`, with
+        // `p₀ = e_out`; `(Mᵀ p)_j` is column `j` of `M` dotted with `p`.
+        let mut p = vec![0.0; n];
+        p[o] = 1.0;
+        let mut pn = vec![0.0; n];
+        let mut prows = vec![0.0; n * SETTLE_BLOCK];
+        for i in 0..SETTLE_BLOCK {
+            for (pj, mcol) in pn.iter_mut().zip(mcols.chunks_exact(n)) {
+                *pj = mcol.iter().zip(&p).map(|(m, v)| m * v).sum();
+            }
+            std::mem::swap(&mut p, &mut pn);
+            for (j, &pj) in p.iter().enumerate() {
+                prows[j * SETTLE_BLOCK + i] = pj;
+            }
+        }
+        // `M^B` by repeated squaring: column `j` of `M²` is `M` times
+        // column `j` of `M`.
+        let mut mb = mcols;
+        let mut sq = vec![0.0; n * n];
+        for _ in 0..SETTLE_BLOCK.trailing_zeros() {
+            sq.fill(0.0);
+            for (sc, mc) in sq.chunks_exact_mut(n).zip(mb.chunks_exact(n)) {
+                mat_vec_add(&mb, mc, sc);
+            }
+            std::mem::swap(&mut mb, &mut sq);
+        }
+
+        // Blocks: the anchor `x` starts at `x_B = x⁰_B`.
+        let y0 = y_out[1..].to_vec();
+        let xb = x.clone();
+        let mut acc = [0.0; SETTLE_BLOCK];
+        loop {
+            acc.fill(0.0);
+            for (&xj, pcol) in x.iter().zip(prows.chunks_exact(SETTLE_BLOCK)) {
+                for (ai, &pij) in acc.iter_mut().zip(pcol) {
+                    *ai += pij * xj;
+                }
+            }
+            let len = (steps + 1 - y_out.len()).min(SETTLE_BLOCK);
+            y_out.extend(acc[..len].iter().zip(&y0).map(|(a, y)| a + y));
+            if y_out.len() > steps {
+                return Ok((t_out, y_out));
+            }
+            xn.copy_from_slice(&xb);
+            mat_vec_add(&mb, &x, &mut xn);
+            std::mem::swap(&mut x, &mut xn);
+        }
+    }
+}
+
+/// Steps per block of [`AcSolver::step_response`]. A block pays one
+/// `n²` anchor advance plus `B` length-`n` output dots, and the set-up
+/// pays `B` row products and `log₂ B` squarings, so a larger `B` trades
+/// per-step work for `n³` set-up. Must be a power of two.
+///
+/// Chosen by measurement on the TIA's six-corner, 2048-step settle
+/// records at dims 4 and 60 (criterion `settle_corners_serial_tia_mesh0`
+/// and `_mesh8`, 2-vCPU x86-64 host, two runs each): 65–70 µs and
+/// 3.4 ms at `B = 8`; 49–58 µs and 2.9–3.1 ms at 16; 44–50 µs and
+/// 2.7–4.0 ms at 32; 46–60 µs and 3.7–5.1 ms at 64; against 59–75 µs
+/// and 4.2–4.7 ms for the per-step loop. The two deploy workloads of the
+/// ledger read flat from 16 to 64. 32 sits inside that flat range: a
+/// smaller block pays more anchor advances at dim 60, a larger one more
+/// squarings.
+pub const SETTLE_BLOCK: usize = 32;
+
+const _: () = assert!(SETTLE_BLOCK.is_power_of_two());
+
+/// `acc += M x` for a column-major `n × n` matrix `m`, as an axpy over
+/// `M`'s columns: the inner loop carries no dependency between
+/// iterations.
+fn mat_vec_add(m: &[f64], x: &[f64], acc: &mut [f64]) {
+    let n = acc.len();
+    for (j, &xj) in x.iter().enumerate() {
+        for (ai, &mij) in acc.iter_mut().zip(&m[j * n..(j + 1) * n]) {
+            *ai += mij * xj;
+        }
     }
 }
 

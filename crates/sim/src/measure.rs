@@ -211,8 +211,9 @@ impl AcResponse {
 /// # Errors
 ///
 /// [`SimError::MeasureFailed`] if the waveform has not settled by the end
-/// of the record or the record is degenerate (fewer than two points or no
-/// transition).
+/// of the record, or the record is degenerate (fewer than two points, a
+/// non-finite sample in `t` or `y`, or no transition). A NaN sample
+/// would otherwise compare as in-band and read as an early settle.
 ///
 /// # Examples
 ///
@@ -229,6 +230,11 @@ pub fn settling_time(t: &[f64], y: &[f64], tol_frac: f64) -> Result<f64, SimErro
     if t.len() != y.len() || t.len() < 2 {
         return Err(SimError::MeasureFailed {
             what: "degenerate waveform",
+        });
+    }
+    if !t.iter().chain(y).all(|v| v.is_finite()) {
+        return Err(SimError::MeasureFailed {
+            what: "non-finite waveform sample",
         });
     }
     let y_final = y[y.len() - 1];
@@ -343,6 +349,61 @@ mod tests {
         let t: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let y: Vec<f64> = t.iter().map(|&t| (t * 0.5).sin()).collect();
         assert!(settling_time(&t, &y, 0.01).is_err());
+    }
+
+    /// A step that settles at sample 4 of 10 (`y = 1` from there on).
+    fn settling_record() -> (Vec<f64>, Vec<f64>) {
+        let t: Vec<f64> = (0..10).map(f64::from).collect();
+        let y = vec![0.0, 0.3, 0.6, 0.9, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+        (t, y)
+    }
+
+    #[test]
+    fn settling_rejects_nan_final_sample() {
+        let (t, mut y) = settling_record();
+        y[9] = f64::NAN;
+        assert!(matches!(
+            settling_time(&t, &y, 0.02),
+            Err(SimError::MeasureFailed { .. })
+        ));
+    }
+
+    #[test]
+    fn settling_rejects_nan_mid_record() {
+        let (t, mut y) = settling_record();
+        assert_eq!(settling_time(&t, &y, 0.02).unwrap(), 4.0);
+        y[2] = f64::NAN;
+        y[3] = f64::NAN;
+        assert!(matches!(
+            settling_time(&t, &y, 0.02),
+            Err(SimError::MeasureFailed { .. })
+        ));
+    }
+
+    #[test]
+    fn settling_rejects_infinite_samples() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            for i in [0, 5, 9] {
+                let (t, mut y) = settling_record();
+                y[i] = bad;
+                assert!(
+                    matches!(
+                        settling_time(&t, &y, 0.02),
+                        Err(SimError::MeasureFailed { .. })
+                    ),
+                    "y[{i}] = {bad}"
+                );
+                let (mut t, y) = settling_record();
+                t[i] = bad;
+                assert!(
+                    matches!(
+                        settling_time(&t, &y, 0.02),
+                        Err(SimError::MeasureFailed { .. })
+                    ),
+                    "t[{i}] = {bad}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //!
 //! The settling measurements integrate the *linearized* circuit instead:
 //! [`AcSolver::step_response`] folds the constant trapezoidal companion
-//! into a propagator `x1 = M x0 + k`, so every time step is one `n²`
-//! matrix-vector product. [`step_response_corners`] runs it per corner.
+//! into a propagator `x1 = M x0 + k` and evaluates it in blocks of
+//! [`crate::ac::SETTLE_BLOCK`] steps: one `n²` anchor advance by `M^B`
+//! per block and one length-`n` dot per output sample.
+//! [`step_response_corners`] runs it per corner.
 
 use crate::ac::AcSolver;
 use crate::dc::{dc_operating_point, eval_mos_oriented, DcOptions, OpPoint, WarmState};
@@ -460,7 +462,9 @@ pub type StepRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
 
 /// Small-signal step response of every corner of a PVT corner set over
 /// one shared time window: [`AcSolver::step_response`] per corner, whose
-/// propagator already makes every step one `n²` matrix-vector product.
+/// blocked propagator makes every output sample one length-`n` dot plus,
+/// per block of [`crate::ac::SETTLE_BLOCK`] samples, one `n²` anchor
+/// advance.
 ///
 /// Returns one `(t, y)` record per corner, ordered like `solvers`.
 ///
