@@ -185,15 +185,17 @@ fn benches(c: &mut Criterion) {
 
 /// One full TIA corner-set noise analysis (6 corners x the noise grid)
 /// through the two pipelines — serial per corner (the cold path) and
-/// base-plus-Woodbury corrected (the warm fast path, per-source base
-/// solves shared across corners) — over the
-/// same [`autockt_bench::NoiseCornerCase`] workloads as `bench_env_step`'s
+/// corner-corrected (the warm fast path: one base factor and a few
+/// adjoint solves per point, each corner's adjoint recovered by a
+/// transposed Woodbury correction) — at mesh depths 0, 4 and 8 (dim 60,
+/// the `deploy_tia_pexwc_mesh8` system), over the same
+/// [`autockt_bench::NoiseCornerCase`] workloads as `bench_env_step`'s
 /// noise-corner section.
 fn bench_noise_corners(c: &mut Criterion) {
     use autockt_sim::ac::{AcBatchWorkspace, AcSolver, AcWorkspace};
     use autockt_sim::dc::OpPoint;
     use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws};
-    for depth in [0usize, 4] {
+    for depth in [0usize, 4, 8] {
         let case = autockt_bench::tia_noise_corner_case(depth).expect("TIA corner workload builds");
         let solvers: Vec<AcSolver<'_>> = case
             .ckts

@@ -36,9 +36,9 @@
 //! - **noise-corner** — one full TIA noise analysis of the PVT corner
 //!   set (6 corners x the noise grid), run serial per corner
 //!   (`noise_analysis_ws`, the cold path) and corner-corrected
-//!   (`noise_analysis_corners`, base factor + Woodbury with shared
-//!   per-source base solves — the warm fast path), at stock and dense
-//!   mesh dims.
+//!   (`noise_analysis_corners`, one base factor and a few adjoint solves
+//!   per point, each corner's adjoint recovered by a transposed Woodbury
+//!   correction — the warm fast path), at stock and dense mesh dims.
 //! - **settle-corner** — one full TIA corner-set settling integration
 //!   (2048 trapezoidal steps per corner on a shared time window), run
 //!   serial per corner (`step_response`) and through

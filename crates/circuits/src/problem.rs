@@ -252,10 +252,11 @@ impl CornerEvaluator {
     /// measure closure. Running noise *inside* the engine (instead of in
     /// the closure) is what lets warm evaluations share work across the
     /// corner set: cold corners run the scalar [`noise_analysis_ws`],
-    /// and warm evaluations run [`noise_analysis_corners`], which shares
-    /// the per-source base solves across the corner set at dense-mesh
-    /// dims (Woodbury-corrected) and runs the scalar kernel per corner at
-    /// stock dims.
+    /// and warm evaluations run [`noise_analysis_corners`], which at
+    /// dense-mesh dims factors the base corner once per point and reads
+    /// every corner's gain and PSD off one adjoint vector per corner
+    /// (Woodbury-corrected from the base's adjoint solves), and runs the
+    /// scalar kernel per corner at stock dims.
     pub fn with_noise(mut self, freqs: Vec<f64>) -> Self {
         self.noise_freqs = Some(freqs);
         self
@@ -455,17 +456,27 @@ impl CornerEvaluator {
 /// the specification") — the fold every topology's `PexWorstCase`
 /// evaluation shares.
 ///
+/// A NaN entry counts as that spec's `fail_value`, in every row and on a
+/// one-row plan too: `f64::min`/`max` return the other operand for a NaN,
+/// so a diverged corner would otherwise read as the best of its siblings.
+///
 /// # Panics
 ///
 /// Panics on an empty corner set.
 pub fn worst_case(specs: &[SpecDef], per_corner: &[Vec<f64>]) -> Vec<f64> {
     assert!(!per_corner.is_empty());
-    let mut out = per_corner[0].clone();
+    let value = |i: usize, v: f64| if v.is_nan() { specs[i].fail_value } else { v };
+    let mut out: Vec<f64> = per_corner[0]
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| value(i, v))
+        .collect();
     for row in &per_corner[1..] {
-        for (i, v) in row.iter().enumerate() {
+        for (i, &v) in row.iter().enumerate() {
+            let v = value(i, v);
             out[i] = match specs[i].kind {
-                SpecKind::HardMin => out[i].min(*v),
-                SpecKind::HardMax | SpecKind::Minimize => out[i].max(*v),
+                SpecKind::HardMin => out[i].min(v),
+                SpecKind::HardMax | SpecKind::Minimize => out[i].max(v),
             };
         }
     }
@@ -1196,6 +1207,47 @@ impl<'p> EvalSession<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worst_case_folds_nan_as_fail_value() {
+        let spec = |kind, fail_value| SpecDef {
+            name: "s",
+            unit: "",
+            kind,
+            lo: 0.0,
+            hi: 1.0,
+            fail_value,
+        };
+        let specs = [
+            spec(SpecKind::HardMin, -1.0),
+            spec(SpecKind::HardMax, 50.0),
+            spec(SpecKind::Minimize, 40.0),
+        ];
+        let healthy = vec![
+            vec![3.0, 5.0, 4.0],
+            vec![2.0, 6.0, 7.0],
+            vec![4.0, 4.0, 6.0],
+        ];
+        assert_eq!(worst_case(&specs, &healthy), vec![2.0, 6.0, 7.0]);
+        let fails = [-1.0, 50.0, 40.0];
+        for spec_i in 0..specs.len() {
+            // A NaN in row 0 and in a middle row both fold as the fail
+            // value, never as the best sibling.
+            for row in [0, 1] {
+                let mut rows = healthy.clone();
+                rows[row][spec_i] = f64::NAN;
+                let out = worst_case(&specs, &rows);
+                assert_eq!(
+                    out[spec_i], fails[spec_i],
+                    "spec {spec_i}, NaN in row {row}"
+                );
+            }
+            // A one-row plan folds nothing, and still maps NaN.
+            let mut one = vec![healthy[0].clone()];
+            one[0][spec_i] = f64::NAN;
+            assert_eq!(worst_case(&specs, &one)[spec_i], fails[spec_i]);
+        }
+    }
 
     #[test]
     fn swept_grid_matches_paper_notation() {

@@ -59,17 +59,27 @@ impl AcWorkspace {
 /// a scalar workspace for the per-corner fallbacks.
 #[derive(Debug, Clone, Default)]
 pub struct AcBatchWorkspace {
+    /// Each corner's `(row, col, g, c)` stamp pattern.
     pub(crate) patterns: Vec<Vec<(usize, usize, f64, f64)>>,
+    /// The base corner's factor at the current frequency point.
     pub(crate) base: LuFactors<Complex>,
+    /// A corner's own factor, for the per-point direct fallbacks.
     pub(crate) spare: LuFactors<Complex>,
+    /// One corner's factored `|R| x |R|` correction `S_b = I + N_b W`.
     pub(crate) small: LuFactors<Complex>,
+    /// The base solution: `A0⁻¹ b` in the AC sweep, the adjoint
+    /// `A0⁻ᵀ e_out` in the noise analysis.
     pub(crate) y0: Vec<Complex>,
+    /// A unit right-hand side.
     pub(crate) unit: Vec<Complex>,
+    /// One solution: a basis column, or a corner's adjoint vector.
     pub(crate) xcol: Vec<Complex>,
+    /// The correction basis `W`, column-major (`wflat[j*n + c]` is
+    /// `W[c][j]`).
     pub(crate) wflat: Vec<Complex>,
-    /// Flattened per-source base solutions (`ys[s*n..(s+1)*n]`) shared by
-    /// every corner of a frequency point in the corrected noise analysis.
-    pub(crate) ys: Vec<Complex>,
+    /// The noise analysis' adjoint columns `A0⁻ᵀ e_c`, one per column `c`
+    /// of the difference column support, `n` entries each.
+    pub(crate) adj: Vec<Complex>,
     /// Scalar-path workspace for the per-corner fallbacks (mismatched
     /// structures, stock dims).
     pub(crate) scalar: AcWorkspace,

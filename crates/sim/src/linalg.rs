@@ -9,7 +9,7 @@
 //! [`LuFactors`] is generic over the matrix
 //! scalar, so the same code serves real (DC, transient, Woodbury
 //! corrections) and complex (the per-point AC oracle, Woodbury corner
-//! rows) systems. MNA matrices are mostly zeros even when they are small
+//! rows, and the adjoint solves of the corner noise rows) systems. MNA matrices are mostly zeros even when they are small
 //! — the op-amp's 11 x 11 AC system has 40 stamped entries out of 121 —
 //! so the factorization tracks which entries can be nonzero (one bitset
 //! per row, fill included) and spends its arithmetic only on those, while
@@ -318,9 +318,10 @@ impl<T> std::ops::IndexMut<(usize, usize)> for Matrix<T> {
 /// LU factorization with partial pivoting of a square matrix, computed
 /// over the entries that can be nonzero.
 ///
-/// Factor once, then [`LuFactors::solve`] any number of right-hand sides —
-/// the noise analysis exploits this by reusing one factorization per
-/// frequency point across every noise source.
+/// Factor once, then [`LuFactors::solve`] any number of right-hand sides,
+/// or solve the transposed system ([`LuFactors::solve_transposed_into`]) —
+/// the corner noise analysis reads every noise source's transfer off a
+/// few transposed solves per frequency point.
 ///
 /// # Structure tracking
 ///
@@ -706,6 +707,94 @@ impl<T: Scalar> LuFactors<T> {
         finite
     }
 
+    /// Solves `Aᵀ x = b` for the factored `A` into a caller-provided
+    /// buffer, reusing its allocation. With `PA = LU`, `Aᵀ = Uᵀ Lᵀ P`, so
+    /// this runs `Uᵀ` forward, `Lᵀ` back, and then the inverse row
+    /// permutation, all from the factors [`LuFactors::solve_into`] uses.
+    /// One adjoint solve `Aᵀ z = e_o` gives entry `o` of `A⁻¹ b` for every
+    /// right-hand side `b` as the product `z · b`.
+    ///
+    /// The structural-list loops are bitwise the loops over every entry,
+    /// under the same rules as [`LuFactors::solve_into`]: a right-hand side
+    /// with a `-0.0` or non-finite component runs over every entry, and so
+    /// does a rerun of a solve whose result came out non-finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` does not match the matrix dimension.
+    pub fn solve_transposed_into(&self, b: &[T], x: &mut Vec<T>) {
+        assert_eq!(b.len(), self.lu.rows, "dimension mismatch");
+        if !self.substitute_transposed(b, x, self.solve_dense()) {
+            self.substitute_transposed(b, x, true);
+        }
+    }
+
+    /// The two triangular sweeps of [`LuFactors::solve_transposed_into`],
+    /// each a column sweep over the row-major factors (`Uᵀ`'s columns are
+    /// `U`'s rows): a solved component is subtracted from every later
+    /// accumulator through the structural entries of its row, or through
+    /// every entry when `full`.
+    ///
+    /// Skipping an entry is exact while no accumulator is `-0.0` and every
+    /// solved component is finite, as in [`LuFactors::substitute`]. The
+    /// `Uᵀ` accumulators start from a plain `b`. Its divisions can leave a
+    /// `-0.0`, so the `Lᵀ` accumulators start from `w + 0`, which turns a
+    /// `-0.0` into `+0.0` and leaves every other value as it is. A
+    /// non-finite component of `w` stays non-finite through the `Lᵀ` sweep,
+    /// so a non-finite result again flags a rerun with `full`.
+    fn substitute_transposed(&self, b: &[T], x: &mut Vec<T>, full: bool) -> bool {
+        let n = self.lu.rows;
+        let full = full || !b.iter().all(|v| v.is_plain());
+        let data = &self.lu.data;
+        // The sweeps run in `x[n..]`; the permutation then writes `x[..n]`.
+        x.clear();
+        x.resize(n, T::zero());
+        x.extend_from_slice(b);
+        let (out, v) = x.split_at_mut(n);
+        // Uᵀ w = b, forward.
+        for i in 0..n {
+            let wi = v[i].div_pivot(self.divisors[i]);
+            v[i] = wi;
+            let row = &data[i * n..(i + 1) * n];
+            if full {
+                for j in i + 1..n {
+                    let u = row[j] * wi;
+                    v[j] -= u;
+                }
+            } else {
+                for &j in &self.upper[self.upper_ptr[i]..self.upper_ptr[i + 1]] {
+                    let u = row[j] * wi;
+                    v[j] -= u;
+                }
+            }
+        }
+        for vi in v.iter_mut() {
+            *vi += T::zero();
+        }
+        // Lᵀ y = w, backward (L has unit diagonal).
+        for i in (1..n).rev() {
+            let yi = v[i];
+            let row = &data[i * n..i * n + i];
+            if full {
+                for (j, &l) in row.iter().enumerate() {
+                    let u = l * yi;
+                    v[j] -= u;
+                }
+            } else {
+                for &j in &self.lower[self.lower_ptr[i]..self.lower_ptr[i + 1]] {
+                    let u = row[j] * yi;
+                    v[j] -= u;
+                }
+            }
+        }
+        // x = Pᵀ y.
+        for (&p, &yi) in self.perm.iter().zip(v.iter()) {
+            out[p] = yi;
+        }
+        x.truncate(n);
+        full || x.iter().all(|v| v.is_finite())
+    }
+
     /// Solves `A X = B` for `lanes` right-hand sides in one pass over the
     /// factors, with `b` and `x` in lane-innermost layout
     /// (`[i * lanes + lane]`). Each lane performs the exact arithmetic of
@@ -985,6 +1074,71 @@ mod tests {
         seen.clear();
         for_each_col(&pattern, 0, 128, |j| seen.push(j));
         assert_eq!(seen, vec![0, 4, 5, 7, 67, 127]);
+    }
+
+    /// Component bits of a solution, with every NaN mapped to one value
+    /// (Rust leaves the sign and payload of an arithmetic NaN unspecified).
+    fn bits(x: &[Complex]) -> Vec<(u64, u64)> {
+        let b = |v: f64| if v.is_nan() { f64::NAN } else { v }.to_bits();
+        x.iter().map(|c| (b(c.re), b(c.im))).collect()
+    }
+
+    #[test]
+    fn transposed_structural_loops_match_dense_loops_bitwise() {
+        use crate::complex::Complex as C;
+        // A sparse 70 x 70 system over two pattern words, with branch rows
+        // whose zero diagonals force row swaps and real-valued entries
+        // whose products and divisions create signed zeros.
+        let n = 70;
+        let mut a = Matrix::<C>::zeros(n, n);
+        for i in 0..n {
+            a[(i, i)] = C::new(if i % 3 == 0 { -2.0 } else { 3.0 }, 0.1 * (i % 5) as f64);
+            if i + 1 < n {
+                a[(i, i + 1)] = C::new(-0.5, 0.0);
+                a[(i + 1, i)] = C::new(-0.7, 0.2);
+            }
+            a[(i, (i * 7 + 3) % n)] += C::new(0.3, -0.1);
+        }
+        for r in [10, 40, 65] {
+            for c in 0..n {
+                a[(r, c)] = C::ZERO;
+            }
+            a[(r, r - 5)] = C::ONE;
+            a[(r - 5, r)] = C::ONE;
+        }
+        let f = LuFactors::factor(a.clone(), 1e-300).unwrap();
+        assert!(!f.solve_dense(), "the test needs the structural lists");
+        let (mut lists, mut dense) = (Vec::new(), Vec::new());
+        let mut unit = vec![C::ZERO; n];
+        unit[37] = C::ONE;
+        let ramp: Vec<C> = (0..n).map(|i| C::new(i as f64 - 30.0, 0.0)).collect();
+        for b in [&unit, &ramp] {
+            assert!(f.substitute_transposed(b, &mut lists, false));
+            f.substitute_transposed(b, &mut dense, true);
+            assert_eq!(bits(&lists), bits(&dense));
+        }
+        // The solution solves Aᵀ x = b.
+        let at = Matrix::from_rows(
+            &(0..n)
+                .map(|r| (0..n).map(|c| a[(c, r)]).collect())
+                .collect::<Vec<_>>(),
+        );
+        f.solve_transposed_into(&ramp, &mut lists);
+        for (got, want) in at.mul_vec(&lists).iter().zip(&ramp) {
+            assert!((*got - *want).norm() < 1e-9, "{got:?} vs {want:?}");
+        }
+        // A -0.0 or ±inf right-hand side gets the dense loops' bits.
+        for bad in [
+            C::new(-0.0, 0.0),
+            C::new(0.0, f64::INFINITY),
+            C::new(f64::NEG_INFINITY, 1.0),
+        ] {
+            let mut b = ramp.clone();
+            b[12] = bad;
+            f.solve_transposed_into(&b, &mut lists);
+            f.substitute_transposed(&b, &mut dense, true);
+            assert_eq!(bits(&lists), bits(&dense), "rhs entry {bad:?}");
+        }
     }
 
     #[test]

@@ -16,6 +16,18 @@
 //! [`Complex`](crate::complex::Complex) with the per-frequency stamp
 //! `dG + j·w·dC`; the helpers stay generic over the system scalar.
 //!
+//! The AC sweep applies the identity above to the shared source vector
+//! and reads one entry of `x_b` ([`corrected_entry`]). The noise analysis
+//! applies its transpose to the output selector instead: with
+//! `A_bᵀ = A0ᵀ + N_bᵀ P_Rᵀ`, corner `b`'s adjoint vector is
+//!
+//! `z_b = z - V N_bᵀ S_b^{-T} z|_R`,  `z = A0^{-T} e_out`,  `S_b = I + N_b W`,
+//!
+//! where `V` holds `A0^{-T} e_c` for each column `c` of the difference
+//! column support `C` ([`CornerDiff::cols`]). `S_b` is the same matrix as
+//! in the forward form, and `W`'s entries follow from the adjoint solves
+//! as `W[c][j] = V_c[R_j]`, so that path needs no forward basis solves.
+//!
 //! The frequency dependence enters only through the `combine` closure
 //! mapping a stored `(dG, dC)` difference pair to the scalar update, so
 //! [`CornerDiff`] itself is built once per corner set and reused across
@@ -36,13 +48,18 @@ pub(crate) struct CornerDiff {
     pub(crate) rows: Vec<usize>,
     /// `row -> position in rows` map (`usize::MAX` off-support).
     pub(crate) row_pos: Vec<usize>,
+    /// Union of columns any corner's stamps differ on, ascending: the
+    /// support of the adjoint correction.
+    pub(crate) cols: Vec<usize>,
+    /// `column -> position in cols` map (`usize::MAX` off-support).
+    pub(crate) col_pos: Vec<usize>,
     /// Per-corner sparse stamp difference vs corner 0 (`diffs[0]` empty).
     pub(crate) diffs: Vec<Vec<(usize, usize, f64, f64)>>,
 }
 
 impl CornerDiff {
     /// Computes every corner's dense stamp difference against
-    /// `patterns[0]` and the union of affected rows.
+    /// `patterns[0]` and the unions of affected rows and columns.
     pub(crate) fn from_patterns(
         patterns: &[Vec<(usize, usize, f64, f64)>],
         n: usize,
@@ -75,16 +92,13 @@ impl CornerDiff {
             }
             diffs.push(d);
         }
-        let mut rows: Vec<usize> = diffs.iter().flatten().map(|d| d.0).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        let mut row_pos = vec![usize::MAX; n];
-        for (j, &r) in rows.iter().enumerate() {
-            row_pos[r] = j;
-        }
+        let (rows, row_pos) = index_support(diffs.iter().flatten().map(|d| d.0), n);
+        let (cols, col_pos) = index_support(diffs.iter().flatten().map(|d| d.1), n);
         CornerDiff {
             rows,
             row_pos,
+            cols,
+            col_pos,
             diffs,
         }
     }
@@ -100,6 +114,19 @@ impl CornerDiff {
     pub(crate) fn profitable(&self, n: usize) -> bool {
         3 * self.support() < n
     }
+}
+
+/// The distinct indices of `idx`, ascending, and the `index -> position`
+/// map over `0..n` (`usize::MAX` off-support).
+fn index_support(idx: impl Iterator<Item = usize>, n: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut set: Vec<usize> = idx.collect();
+    set.sort_unstable();
+    set.dedup();
+    let mut pos = vec![usize::MAX; n];
+    for (j, &i) in set.iter().enumerate() {
+        pos[i] = j;
+    }
+    (set, pos)
 }
 
 /// Solves the correction basis `W = A0^{-1} P_R` — one back-substitution
@@ -129,8 +156,9 @@ pub(crate) fn solve_correction_basis<T: Scalar>(
 /// `small`, with `combine` mapping each stored `(dG, dC)` difference pair
 /// to the system scalar (`dG + j·w·dC` for an AC point, `dG + (2/h)·dC`
 /// for the trapezoidal companion) — done once per (corner, point), after
-/// which [`corrected_entry`] / [`corrected_vector`] apply it to any
-/// number of right-hand sides.
+/// which [`corrected_entry`] applies it to any number of right-hand sides
+/// and a transposed solve of `small` to the adjoint form. Only the columns
+/// of `wflat` that `diff` touches are read.
 ///
 /// # Errors
 ///

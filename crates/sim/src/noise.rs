@@ -18,12 +18,15 @@
 //! same-structure circuits. Cold evaluations call [`noise_analysis_ws`]
 //! once per corner; warm ones call [`noise_analysis_corners`], which at
 //! dense-mesh dims factors the **base corner once per frequency** and
-//! recovers every sibling through the same Woodbury correction as
-//! [`crate::ac::ac_sweep_corners`] — and, because the corners share their
-//! injection nodes and source vector, the per-source unit-injection base
-//! solves are computed once and shared by the whole corner set. Exact to
-//! roundoff (the warm path's solver-tolerance contract); at stock dims it
-//! runs the reduced scalar path per corner.
+//! works on adjoints: the output's response to the signal source and to
+//! every noise injection is a dot product with one vector
+//! `A_b⁻ᵀ e_out` per corner, the adjoint-network method of SPICE's
+//! `.NOISE`. The base adjoint comes from one transposed solve, and each
+//! sibling's from a rank-`|R|` transposed Woodbury correction
+//! ([`crate::linalg::correction`]), so the number of noise sources never
+//! multiplies the solves. Exact to roundoff (the warm path's
+//! solver-tolerance contract); at stock dims it runs the reduced scalar
+//! path per corner.
 
 use crate::ac::{
     factor_pattern, sweep, validate_freqs, AcBatchWorkspace, AcSolver, AcWorkspace, STOCK_DIM_MAX,
@@ -32,9 +35,7 @@ use crate::complex::Complex;
 use crate::dc::OpPoint;
 use crate::device::BOLTZMANN;
 use crate::error::SimError;
-use crate::linalg::correction::{
-    corrected_entry, factor_correction, solve_correction_basis, CornerDiff,
-};
+use crate::linalg::correction::{factor_correction, CornerDiff};
 use crate::linalg::pencil::{dot, dot_re};
 use crate::linalg::LuFactors;
 use crate::measure::integrate_trapezoid;
@@ -185,7 +186,17 @@ fn noise_points(
 /// Integrates the sampled PSDs into the result: total output noise over
 /// the whole grid, input-referred noise over the segments whose gain
 /// clears the per-point floor (see [`GAIN_FLOOR_REL`]).
+///
+/// A non-finite PSD or gain sample is a [`SimError::MeasureFailed`]: a NaN
+/// would integrate into a NaN `out_vrms`, and the `f64::max` gain fold
+/// skips NaN, so the result would pass as a number that no worst-case
+/// fold can rank.
 fn finalize(freqs: &[f64], out_psd: Vec<f64>, gain: Vec<f64>) -> Result<NoiseResult, SimError> {
+    if !out_psd.iter().chain(&gain).all(|v| v.is_finite()) {
+        return Err(SimError::MeasureFailed {
+            what: "non-finite noise PSD or gain sample",
+        });
+    }
     let out_v2 = integrate_trapezoid(freqs, &out_psd);
     let out_vrms = out_v2.sqrt();
     let max_gain = gain.iter().cloned().fold(0.0f64, f64::max);
@@ -242,7 +253,8 @@ fn finalize(freqs: &[f64], out_psd: Vec<f64>, gain: Vec<f64>) -> Result<NoiseRes
 /// non-positive, or not strictly increasing), [`SimError::BadNetlist`]
 /// when `op` does not belong to `ckt` (MOS count mismatch),
 /// [`SimError::MeasureFailed`] if the signal gain is zero (nothing to
-/// refer to), and propagates factorization failures.
+/// refer to) or a PSD or gain sample is non-finite, and propagates
+/// factorization failures.
 pub fn noise_analysis(
     ckt: &Circuit,
     op: &OpPoint,
@@ -324,68 +336,79 @@ fn collect_corner_sources(
     Some(all)
 }
 
+/// Reads one point off a corner's adjoint vector `z = A⁻ᵀ e_out`: the
+/// signal gain `|z · b|` for the source vector `b`, and the output PSD
+/// `Σ_s |z · u_s|² psd_s(f)`, where the unit injection `u_s` is `-1` at
+/// the source's `p` and `+1` at its `n`, so `z · u_s = z[n] - z[p]`.
+fn adjoint_point(
+    z: &[Complex],
+    rhs: &[Complex],
+    sources: &[NoiseSource],
+    inj: &[(Option<usize>, Option<usize>)],
+    fq: f64,
+) -> (f64, f64) {
+    let at = |i: Option<usize>| i.map_or(Complex::ZERO, |i| z[i]);
+    let mut psd = 0.0;
+    for (s, &(ip, in_)) in sources.iter().zip(inj) {
+        psd += (at(in_) - at(ip)).norm_sqr() * s.psd_at(fq);
+    }
+    (dot(z, rhs).norm(), psd)
+}
+
 /// Factors corner `b`'s full system at one frequency into the spare
-/// buffer and runs the full scalar point (gain + per-source solves) — the
-/// per-point fallback of [`noise_analysis_corners`] when the base factor
-/// or a correction system is singular. Matches the scalar path's
-/// arithmetic exactly at that point.
+/// buffer and reads the point off its own adjoint solve `A_b⁻ᵀ e_out` —
+/// the per-point fallback of [`noise_analysis_corners`] when the base
+/// factor or a correction system is singular.
 #[allow(clippy::too_many_arguments)]
 fn direct_noise_point(
     spare: &mut LuFactors<Complex>,
-    unit: &mut Vec<Complex>,
-    xcol: &mut Vec<Complex>,
+    z: &mut Vec<Complex>,
     pat: &[(usize, usize, f64, f64)],
     n: usize,
     w_ang: f64,
+    e_out: &[Complex],
     rhs0: &[Complex],
-    o: Option<usize>,
     sources_b: &[NoiseSource],
     inj: &[(Option<usize>, Option<usize>)],
     fq: f64,
 ) -> Result<(f64, f64), SimError> {
     factor_pattern(spare, n, pat, w_ang)?;
-    spare.solve_into(rhs0, xcol);
-    let g = o.map_or(0.0, |i| xcol[i].norm());
-    let mut psd = 0.0;
-    for (s, &(ip, in_)) in sources_b.iter().zip(inj) {
-        unit.clear();
-        unit.resize(n, Complex::ZERO);
-        if let Some(ip) = ip {
-            unit[ip] -= Complex::ONE;
-        }
-        if let Some(in_) = in_ {
-            unit[in_] += Complex::ONE;
-        }
-        spare.solve_into(unit, xcol);
-        let h2 = o.map_or(0.0, |i| xcol[i].norm_sqr());
-        psd += h2 * s.psd_at(fq);
-    }
-    Ok((g, psd))
+    spare.solve_transposed_into(e_out, z);
+    Ok(adjoint_point(z, rhs0, sources_b, inj, fq))
 }
 
 /// Corner-**corrected** noise analysis: the fast path of the warm corner
-/// engine. PVT corner systems differ only in their device stamps —
-/// the parasitic mesh, passives, sources, and regularization are shared —
-/// so per frequency this factors the base corner once, computes the
-/// Woodbury correction basis `W = A0^{-1} P_R` over the difference
-/// support `R`, and solves the shared source vector **and every noise
-/// source's unit injection once against the base factor**; each sibling
-/// corner then recovers its gain and per-source transfers through an
-/// `|R| x |R|` solve per right-hand side instead of a full
-/// factorization + back-substitution. Per frequency that is
-/// `1` factorization + `(1 + S + |R|)` back-substitutions +
-/// `B` small factors, instead of the serial path's `B` factorizations +
-/// `B (1 + S)` back-substitutions.
+/// engine. PVT corner systems differ only in their device stamps — the
+/// parasitic mesh, passives, sources, and regularization are shared — and
+/// every quantity the analysis reads is one entry of a solution: the
+/// output's response to the source vector and to each noise source's unit
+/// injection. All of them are dot products with one adjoint vector
+/// `z_b = A_b⁻ᵀ e_out` per corner (the adjoint-network method of SPICE's
+/// `.NOISE`).
+///
+/// Per frequency this factors the base corner once and solves
+/// `z = A0⁻ᵀ e_out` and `V_c = A0⁻ᵀ e_c` for every column `c` of the
+/// difference column support `C`. Each sibling then recovers its own
+/// adjoint through the transposed Woodbury identity
+/// ([`crate::linalg::correction`]): its `|R| x |R|` correction
+/// `S_b = I + N_b W` is filled from `W[c][j] = V_c[R_j]`, one transposed
+/// small solve gives `r_b = S_b⁻ᵀ z|_R`, and `z_b = z - Σ_c q_b[c] V_c`
+/// with `q_b = N_bᵀ r_b`. Per frequency that is `1` factorization +
+/// `(1 + |C|)` transposed solves + `B` small factors and solves, instead
+/// of the per-corner path's `B` solves against `B` reductions; the number
+/// of noise sources only enters through one dot product each.
 ///
 /// The correction is algebraically exact; in floating point it agrees
 /// with the direct per-corner analysis to roundoff — inside the warm
 /// evaluation path's solver-tolerance contract; cold evaluations run
-/// [`noise_analysis_ws`] per corner instead. Falls back to the scalar per-corner
-/// path at stock dims (`n <= 16`), on structural mismatch (dims, source
-/// lists, injection nodes, source vectors), or when the difference
-/// support is too wide to pay; falls back to direct per-corner
-/// factorization at any frequency where the base factor or a correction
-/// system is singular.
+/// [`noise_analysis_ws`] per corner instead. Falls back to the scalar
+/// per-corner path at stock dims (`n <= 16`), on structural mismatch
+/// (dims, output nodes, source lists, injection nodes, source vectors),
+/// or when the difference support is too wide to pay; falls back to a
+/// direct per-corner factorization and adjoint solve at any frequency
+/// where the base factor or a correction system is singular. A ground
+/// output reads `(0, 0)` at every point, which [`finalize`] reports as a
+/// zero-gain failure, as the scalar path does.
 ///
 /// # Panics
 ///
@@ -409,10 +432,19 @@ pub fn noise_analysis_corners(
         return (0..bt).map(|_| Err(e.clone())).collect();
     }
     let n = solvers[0].dim();
-    if bt == 1 || solvers.iter().any(|s| s.dim() != n) || n <= STOCK_DIM_MAX {
+    let o = solvers[0].mna_index(outs[0]);
+    if bt == 1
+        || n <= STOCK_DIM_MAX
+        || solvers
+            .iter()
+            .zip(outs)
+            .any(|(s, &out)| s.dim() != n || s.mna_index(out) != o)
+    {
         // At stock extraction dims the difference support spans most of
         // the system, so the correction cannot pay — run the scalar
         // per-corner analysis (the warm serial path's exact arithmetic).
+        // One adjoint per corner needs one output; corner sets always
+        // share it, so differing outputs are a safety valve.
         return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
     }
     let rhs0 = solvers[0].source_rhs();
@@ -422,7 +454,7 @@ pub fn noise_analysis_corners(
     let Some(sources) = collect_corner_sources(solvers, ops, temps) else {
         return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
     };
-    // Shared base solves need shared injection nodes; corner sets always
+    // One injection list needs shared injection nodes; corner sets always
     // satisfy this (same netlist structure), so this is a safety valve.
     if sources[1..].iter().any(|srcs| {
         srcs.iter()
@@ -433,12 +465,7 @@ pub fn noise_analysis_corners(
     }
     let inj: Vec<(Option<usize>, Option<usize>)> = sources[0]
         .iter()
-        .map(|s| {
-            (
-                solvers[0].circuit().mna_index(s.p),
-                solvers[0].circuit().mna_index(s.n),
-            )
-        })
+        .map(|s| (solvers[0].mna_index(s.p), solvers[0].mna_index(s.n)))
         .collect();
 
     ws.patterns.resize(bt, Vec::new());
@@ -446,44 +473,38 @@ pub fn noise_analysis_corners(
         s.collect_pattern(pat);
     }
     let cd = CornerDiff::from_patterns(&ws.patterns, n);
-    if !cd.profitable(n) {
+    if !cd.profitable(n) || 3 * cd.cols.len() >= n {
         return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
     }
-    let rn = cd.support();
 
-    let oi: Vec<Option<usize>> = solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| s.mna_index(o))
-        .collect();
-    // Frequency-major, as in [`crate::ac::ac_sweep_corners`]: every
-    // corner at one `fq` shares that point's base factor, correction basis
-    // and per-source base solves. Values a corner computes past its first
+    // Frequency-major: every corner at one `fq` shares that point's base
+    // factor and adjoint solves. Values a corner computes past its first
     // failing frequency are discarded by the in-order assembly.
-    let patterns = std::mem::take(&mut ws.patterns);
     let mut rows: Vec<Vec<Result<(f64, f64), SimError>>> = (0..freqs.len())
         .map(|_| (0..bt).map(|_| Ok((0.0, 0.0))).collect())
         .collect();
-    let mut u = vec![Complex::ZERO; rn];
-    let mut z = Vec::new();
-    for (i, row) in rows.iter_mut().enumerate() {
-        corrected_noise_row(
-            &patterns[..bt],
-            &cd,
-            rn,
-            n,
-            rhs0,
-            &oi,
-            &sources,
-            &inj,
-            freqs[i],
-            ws,
-            &mut u,
-            &mut z,
-            row,
-        );
+    if let Some(o) = o {
+        let patterns = std::mem::take(&mut ws.patterns);
+        let mut e_out = vec![Complex::ZERO; n];
+        e_out[o] = Complex::ONE;
+        let mut small = SmallScratch::default();
+        for (row, &fq) in rows.iter_mut().zip(freqs) {
+            adjoint_noise_row(
+                &patterns[..bt],
+                &cd,
+                n,
+                &e_out,
+                rhs0,
+                &sources,
+                &inj,
+                fq,
+                ws,
+                &mut small,
+                row,
+            );
+        }
+        ws.patterns = patterns;
     }
-    ws.patterns = patterns;
     (0..bt)
         .map(|b| {
             let mut out_psd = Vec::with_capacity(freqs.len());
@@ -502,44 +523,62 @@ pub fn noise_analysis_corners(
         .collect()
 }
 
-/// One frequency point of the corrected noise analysis: base factor +
-/// shared correction basis + per-source base solves + per-corner Woodbury
-/// recoveries, writing every corner's `(gain, psd)` (or error) into
-/// `row`.
+/// The `|R|`- and `|C|`-sized vectors of one corner's adjoint correction:
+/// `z|_R`, `r_b = S_b⁻ᵀ z|_R` and `q_b = N_bᵀ r_b`.
+#[derive(Default)]
+struct SmallScratch {
+    zr: Vec<Complex>,
+    r: Vec<Complex>,
+    q: Vec<Complex>,
+}
+
+/// One frequency point of the corrected noise analysis: base factor, the
+/// base adjoint `z` and the column adjoints `V_c`, then each corner's
+/// small transposed correction, writing every corner's `(gain, psd)` (or
+/// error) into `row`.
 #[allow(clippy::too_many_arguments)]
-fn corrected_noise_row(
+// Out of line on purpose: inlined, this kernel moved the code layout of
+// the stock-dim paths enough to slow the dim-4 TIA deployment by 4–6%
+// (ledger `deploy_tia_pexwc`), although none of its code runs there.
+#[inline(never)]
+fn adjoint_noise_row(
     patterns: &[Vec<(usize, usize, f64, f64)>],
     cd: &CornerDiff,
-    rn: usize,
     n: usize,
+    e_out: &[Complex],
     rhs0: &[Complex],
-    oi: &[Option<usize>],
     sources: &[Vec<NoiseSource>],
     inj: &[(Option<usize>, Option<usize>)],
     fq: f64,
     ws: &mut AcBatchWorkspace,
-    u: &mut Vec<Complex>,
-    z: &mut Vec<Complex>,
+    small: &mut SmallScratch,
     row: &mut [Result<(f64, f64), SimError>],
 ) {
     let w_ang = 2.0 * std::f64::consts::PI * fq;
-    let base_ok = factor_pattern(&mut ws.base, n, &patterns[0], w_ang).is_ok();
-    if !base_ok {
+    let combine = |dg: f64, dc: f64| Complex::new(dg, w_ang * dc);
+    let AcBatchWorkspace {
+        base,
+        spare,
+        small: s_b,
+        y0: z,
+        unit,
+        xcol: z_b,
+        wflat,
+        adj,
+        ..
+    } = ws;
+    if factor_pattern(base, n, &patterns[0], w_ang).is_err() {
         // Base corner singular at this point: run every corner through
-        // the direct scalar point instead.
+        // its own factor instead.
         for (b, slot) in row.iter_mut().enumerate() {
-            let AcBatchWorkspace {
-                spare, unit, xcol, ..
-            } = &mut *ws;
             *slot = direct_noise_point(
                 spare,
-                unit,
-                xcol,
+                z_b,
                 &patterns[b],
                 n,
                 w_ang,
+                e_out,
                 rhs0,
-                oi[b],
                 &sources[b],
                 inj,
                 fq,
@@ -547,114 +586,62 @@ fn corrected_noise_row(
         }
         return;
     }
-    ws.base.solve_into(rhs0, &mut ws.y0);
-    {
-        let AcBatchWorkspace {
-            base,
-            unit,
-            xcol,
-            wflat,
-            ..
-        } = &mut *ws;
-        solve_correction_basis(&*base, &cd.rows, n, unit, xcol, wflat);
-    }
-    // Per-source base solves, computed once and shared by the whole
-    // corner set — the structural win of the corrected analysis.
-    ws.ys.clear();
-    for &(ip, in_) in inj {
-        let AcBatchWorkspace {
-            base,
-            unit,
-            xcol,
-            ys,
-            ..
-        } = &mut *ws;
+    base.solve_transposed_into(e_out, z);
+    adj.clear();
+    for &c in &cd.cols {
         unit.clear();
         unit.resize(n, Complex::ZERO);
-        if let Some(ip) = ip {
-            unit[ip] -= Complex::ONE;
+        unit[c] = Complex::ONE;
+        base.solve_transposed_into(unit, z_b);
+        adj.extend_from_slice(z_b);
+    }
+    // W[c][j] = V_c[R_j]; only the columns in C are ever read.
+    let rn = cd.support();
+    wflat.clear();
+    wflat.resize(rn * n, Complex::ZERO);
+    for (v, &c) in adj.chunks_exact(n).zip(&cd.cols) {
+        for (j, &r) in cd.rows.iter().enumerate() {
+            wflat[j * n + c] = v[r];
         }
-        if let Some(in_) = in_ {
-            unit[in_] += Complex::ONE;
-        }
-        base.solve_into(unit, xcol);
-        ys.extend_from_slice(xcol);
     }
     for (b, slot) in row.iter_mut().enumerate() {
         let diff = &cd.diffs[b];
         if diff.is_empty() {
-            // Corner identical to the base: its solves *are* the base
-            // solves.
-            let g = oi[b].map_or(0.0, |i| ws.y0[i].norm());
-            let mut p = 0.0;
-            for (s, src) in sources[b].iter().enumerate() {
-                let h2 = oi[b].map_or(0.0, |i| ws.ys[s * n + i].norm_sqr());
-                p += h2 * src.psd_at(fq);
-            }
-            *slot = Ok((g, p));
+            // Corner identical to the base: its adjoint *is* `z`.
+            *slot = Ok(adjoint_point(z, rhs0, &sources[b], inj, fq));
             continue;
         }
-        let ok = factor_correction(
-            &mut ws.small,
-            diff,
-            &cd.row_pos,
-            rn,
-            n,
-            |dg, dc| Complex::new(dg, w_ang * dc),
-            &ws.wflat,
-        )
-        .is_ok();
-        if !ok {
-            let AcBatchWorkspace {
-                spare, unit, xcol, ..
-            } = &mut *ws;
+        if factor_correction(s_b, diff, &cd.row_pos, rn, n, combine, wflat).is_err() {
             *slot = direct_noise_point(
                 spare,
-                unit,
-                xcol,
+                z_b,
                 &patterns[b],
                 n,
                 w_ang,
+                e_out,
                 rhs0,
-                oi[b],
                 &sources[b],
                 inj,
                 fq,
             );
             continue;
         }
-        let g = corrected_entry(
-            &ws.small,
-            diff,
-            &cd.row_pos,
-            &ws.wflat,
-            &ws.y0,
-            oi[b],
-            |dg, dc| Complex::new(dg, w_ang * dc),
-            n,
-            rn,
-            u,
-            z,
-        )
-        .norm();
-        let mut p = 0.0;
-        for (s, src) in sources[b].iter().enumerate() {
-            let h = corrected_entry(
-                &ws.small,
-                diff,
-                &cd.row_pos,
-                &ws.wflat,
-                &ws.ys[s * n..(s + 1) * n],
-                oi[b],
-                |dg, dc| Complex::new(dg, w_ang * dc),
-                n,
-                rn,
-                u,
-                z,
-            );
-            p += h.norm_sqr() * src.psd_at(fq);
+        small.zr.clear();
+        small.zr.extend(cd.rows.iter().map(|&r| z[r]));
+        s_b.solve_transposed_into(&small.zr, &mut small.r);
+        small.q.clear();
+        small.q.resize(cd.cols.len(), Complex::ZERO);
+        for &(r, c, dg, dc) in diff {
+            small.q[cd.col_pos[c]] += combine(dg, dc) * small.r[cd.row_pos[r]];
         }
-        *slot = Ok((g, p));
+        z_b.clear();
+        z_b.extend_from_slice(z);
+        for (v, &q) in adj.chunks_exact(n).zip(&small.q) {
+            for (zi, &vi) in z_b.iter_mut().zip(v) {
+                *zi -= q * vi;
+            }
+        }
+        *slot = Ok(adjoint_point(z_b, rhs0, &sources[b], inj, fq));
     }
 }
 
@@ -877,6 +864,25 @@ mod tests {
             matches!(r, Err(SimError::BadNetlist { .. })),
             "expected BadNetlist, got {r:?}"
         );
+    }
+
+    #[test]
+    fn non_finite_samples_are_measure_failures() {
+        // A NaN sample would integrate into `out_vrms = NaN`, which a
+        // worst-case fold through `f64::min`/`max` silently drops.
+        let freqs = [1e3, 1e4, 1e5];
+        for (psd, gain) in [
+            ([1e-18, f64::NAN, 1e-18], [1.0, 1.0, 1.0]),
+            ([1e-18, 1e-18, f64::INFINITY], [1.0, 1.0, 1.0]),
+            ([1e-18, 1e-18, 1e-18], [1.0, f64::NAN, 1.0]),
+        ] {
+            let r = finalize(&freqs, psd.to_vec(), gain.to_vec());
+            assert!(
+                matches!(r, Err(SimError::MeasureFailed { .. })),
+                "psd {psd:?}, gain {gain:?}: {r:?}"
+            );
+        }
+        assert!(finalize(&freqs, vec![1e-18; 3], vec![1.0; 3]).is_ok());
     }
 
     #[test]

@@ -6,11 +6,18 @@
 //! must agree with [`noise_analysis_ws`] to roundoff (far inside the warm
 //! path's solver-tolerance contract); at stock dims (`n <= 16`) it falls
 //! back to the scalar path and the comparison tightens to bitwise.
+//!
+//! A second reference shares no code with either noise path: per grid
+//! point it factors each corner's system with [`AcSolver::factor_at`] and
+//! solves one right-hand side per noise injection, with the sources
+//! enumerated here from the netlist and the device models' public noise
+//! parameters.
 
 use autockt_sim::ac::{log_freqs, AcBatchWorkspace, AcSolver, AcWorkspace};
+use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
-use autockt_sim::device::{MosPolarity, Technology};
-use autockt_sim::netlist::{Circuit, Mosfet, Node, GND};
+use autockt_sim::device::{MosPolarity, Technology, BOLTZMANN};
+use autockt_sim::netlist::{Circuit, Element, Mosfet, Node, GND};
 use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws};
 use autockt_sim::SimError;
 use proptest::prelude::*;
@@ -135,7 +142,126 @@ fn check_equivalence(widths: &[f64], depth: usize, bitwise_corners: bool) -> Res
     Ok(())
 }
 
+/// One noise source of the oracle: injection terminals and
+/// `(white PSD, flicker prefactor)`, so the PSD at `f` is
+/// `white + flicker / max(f, 1 mHz)`.
+struct OracleSource {
+    p: Node,
+    n: Node,
+    white: f64,
+    flicker: f64,
+}
+
+/// Every thermal resistor and MOSFET of `ckt` at `temp_k`, read off the
+/// netlist and the operating point's device entries.
+fn oracle_sources(ckt: &Circuit, op: &OpPoint, temp_k: f64) -> Vec<OracleSource> {
+    let mut out = Vec::new();
+    for e in ckt.elements() {
+        if let Element::Resistor {
+            p,
+            n,
+            r,
+            noisy: true,
+        } = e
+        {
+            out.push(OracleSource {
+                p: *p,
+                n: *n,
+                white: 4.0 * BOLTZMANN * temp_k / r,
+                flicker: 0.0,
+            });
+        }
+    }
+    for mi in op.mosfets() {
+        let Element::Mos(m) = &ckt.elements()[mi.elem_index] else {
+            panic!("MOS entry {} is not a MOSFET", mi.elem_index);
+        };
+        out.push(OracleSource {
+            p: mi.a_d,
+            n: mi.a_s,
+            white: m.model.thermal_noise_psd(mi.gm, temp_k),
+            flicker: m.model.kf * mi.gm * mi.gm / (m.model.cox * m.w * m.l * m.mult),
+        });
+    }
+    out
+}
+
+/// The oracle's `(gain, psd)` at one point: one factorization of the
+/// corner's system, one solve for the signal source and one per
+/// injection.
+fn oracle_point(solver: &AcSolver<'_>, sources: &[OracleSource], out: Node, f: f64) -> (f64, f64) {
+    let lu = solver.factor_at(f).expect("oracle factor");
+    let o = solver.mna_index(out).expect("output is a node");
+    let gain = lu.solve(solver.source_rhs())[o].norm();
+    let mut psd = 0.0;
+    for s in sources {
+        let mut u = vec![Complex::ZERO; solver.dim()];
+        if let Some(ip) = solver.mna_index(s.p) {
+            u[ip] -= Complex::ONE;
+        }
+        if let Some(in_) = solver.mna_index(s.n) {
+            u[in_] += Complex::ONE;
+        }
+        psd += lu.solve(&u)[o].norm_sqr() * (s.white + s.flicker / f.max(1e-3));
+    }
+    (gain, psd)
+}
+
+/// Checks every corner's per-point gain and PSD from the corner analysis
+/// against the oracle, to `tol` relative.
+fn check_against_oracle(widths: &[f64], depth: usize, tol: f64) -> Result<(), String> {
+    let (variants, ops, temps) = corner_set(widths, depth);
+    let solvers: Vec<AcSolver<'_>> = variants
+        .iter()
+        .zip(&ops)
+        .map(|((ckt, _), op)| AcSolver::new(ckt, op))
+        .collect();
+    if solvers[0].dim() <= 16 {
+        return Err(format!(
+            "dim {} is not past the stock dims",
+            solvers[0].dim()
+        ));
+    }
+    let op_refs: Vec<&OpPoint> = ops.iter().collect();
+    let outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
+    let freqs = log_freqs(1e4, 1e10, 5);
+    let mut ws = AcBatchWorkspace::new();
+    let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
+    for (b, r) in corr.iter().enumerate() {
+        let r = r
+            .as_ref()
+            .map_err(|e| format!("corner {b} failed: {e:?}"))?;
+        let sources = oracle_sources(solvers[b].circuit(), &ops[b], temps[b]);
+        for (k, &f) in freqs.iter().enumerate() {
+            let (g, p) = oracle_point(&solvers[b], &sources, outs[b], f);
+            let (eg, ep) = ((r.gain[k] - g).abs() / g, (r.out_psd[k] - p).abs() / p);
+            if !(eg <= tol && ep <= tol) {
+                return Err(format!(
+                    "corner {b} at {f} Hz: gain {} vs {g} ({eg:e}), psd {} vs {p} ({ep:e})",
+                    r.gain[k], r.out_psd[k]
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Dense mesh (dim > 16): every corner's per-point gain and PSD match
+    /// the per-point LU oracle.
+    #[test]
+    fn noise_corners_match_per_point_lu_oracle(
+        base_w in 0.8e-6..4.0e-6f64,
+        deltas in prop::collection::vec(-0.3..0.3f64, 5),
+        depth in 18usize..30,
+    ) {
+        let widths: Vec<f64> = std::iter::once(base_w)
+            .chain(deltas.iter().map(|d| base_w * (1.0 + d)))
+            .collect();
+        let r = check_against_oracle(&widths, depth, 1e-9);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
+
     /// Dense mesh (dim > 16): corrected to roundoff.
     #[test]
     fn noise_corrected_close_dense(
@@ -237,4 +363,70 @@ fn workspace_reuse_is_stable() {
         a.iter().map(|r| r.as_ref().unwrap()).collect::<Vec<_>>(),
         b.iter().map(|r| r.as_ref().unwrap()).collect::<Vec<_>>()
     );
+}
+
+/// A dense corner set whose corners read different output nodes: the
+/// corner analysis runs the scalar path per corner, bitwise.
+#[test]
+fn differing_outputs_match_scalar_path_bitwise() {
+    let (variants, ops, temps) = corner_set(&[2e-6, 1.6e-6, 2.8e-6], 20);
+    let solvers: Vec<AcSolver<'_>> = variants
+        .iter()
+        .zip(&ops)
+        .map(|((ckt, _), op)| AcSolver::new(ckt, op))
+        .collect();
+    let op_refs: Vec<&OpPoint> = ops.iter().collect();
+    let mut outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
+    // Corner 1 reads the amplifier's drain instead of the mesh's end.
+    outs[1] = variants[1]
+        .0
+        .elements()
+        .iter()
+        .find_map(|e| match e {
+            Element::Mos(m) => Some(m.d),
+            _ => None,
+        })
+        .expect("the amplifier has a MOSFET");
+    let freqs = log_freqs(1e4, 1e10, 4);
+    let mut ws = AcBatchWorkspace::new();
+    let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
+    let mut sws = AcWorkspace::new();
+    for (b, r) in corr.iter().enumerate() {
+        let (ckt, _) = &variants[b];
+        let scalar = noise_analysis_ws(ckt, &ops[b], outs[b], &freqs, temps[b], &mut sws);
+        assert_eq!(r, &scalar, "corner {b}");
+        assert!(r.is_ok(), "corner {b}: {r:?}");
+    }
+}
+
+/// A ground output has no response: every corner reports the scalar
+/// path's zero-gain error.
+#[test]
+fn ground_output_reports_scalar_error() {
+    let (variants, ops, temps) = corner_set(&[2e-6, 1.6e-6, 2.8e-6], 20);
+    let solvers: Vec<AcSolver<'_>> = variants
+        .iter()
+        .zip(&ops)
+        .map(|((ckt, _), op)| AcSolver::new(ckt, op))
+        .collect();
+    let op_refs: Vec<&OpPoint> = ops.iter().collect();
+    let outs = vec![GND; variants.len()];
+    let freqs = log_freqs(1e4, 1e10, 4);
+    let mut ws = AcBatchWorkspace::new();
+    let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
+    for (b, r) in corr.iter().enumerate() {
+        let scalar = noise_analysis_ws(
+            &variants[b].0,
+            &ops[b],
+            GND,
+            &freqs,
+            temps[b],
+            &mut AcWorkspace::new(),
+        );
+        assert!(
+            matches!(scalar, Err(SimError::MeasureFailed { .. })),
+            "{scalar:?}"
+        );
+        assert_eq!(r, &scalar, "corner {b}");
+    }
 }
