@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks of the learning stack: forward/backward
-//! passes of the paper's 3x50 network and a full PPO update on a synthetic
-//! batch.
+//! Criterion micro-benchmarks of the learning stack: the hidden-layer
+//! activation over one tile, forward/backward passes of the paper's 3x50
+//! network and a full PPO update on a synthetic batch.
 
-use autockt_rl::mlp::{Activation, Mlp, Tape, TILE};
+use autockt_rl::mlp::{tanh, Activation, Mlp, Tape, TILE};
 use autockt_rl::policy::PolicyNet;
 use autockt_rl::ppo::{Ppo, PpoConfig};
 use autockt_rl::rollout::{compute_gae, Batch, Transition};
@@ -10,6 +10,31 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+
+/// One hidden layer's activations over a full tile (50 units x 64
+/// samples), with the network's own `tanh` and with libm's.
+fn bench_tanh(c: &mut Criterion) {
+    let x: Vec<f64> = (0..50 * TILE)
+        .map(|i| (i as f64 * 0.37).sin() * 3.0)
+        .collect();
+    let mut y = vec![0.0; x.len()];
+    c.bench_function("tanh_tile_50x64", |b| {
+        b.iter(|| {
+            for (o, &v) in y.iter_mut().zip(black_box(&x)) {
+                *o = tanh(v);
+            }
+            black_box(&mut y);
+        })
+    });
+    c.bench_function("tanh_tile_50x64_libm", |b| {
+        b.iter(|| {
+            for (o, &v) in y.iter_mut().zip(black_box(&x)) {
+                *o = v.tanh();
+            }
+            black_box(&mut y);
+        })
+    });
+}
 
 fn bench_mlp(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -92,5 +117,11 @@ fn bench_ppo_update(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_mlp, bench_policy_act, bench_ppo_update);
+criterion_group!(
+    benches,
+    bench_tanh,
+    bench_mlp,
+    bench_policy_act,
+    bench_ppo_update
+);
 criterion_main!(benches);

@@ -1,5 +1,6 @@
 //! Identities between analyses on the three topologies: the linear step
-//! response settles to the DC small-signal gain.
+//! response settles to the DC small-signal gain, and the AC transfer far
+//! below the cutoff approaches it as a dominant pole predicts.
 //!
 //! For each topology's centre design (`Schematic`, cold operating point),
 //! the end of [`AcSolver::step_response`] is compared with the DC
@@ -11,6 +12,10 @@
 //! - A centred finite difference of two DC operating points, with the
 //!   AC-driven source's DC value moved by `±δ`.
 //!
+//! The AC transfer at [`AC_RATIO`] of the -3 dB cutoff is held to the
+//! same two DC transfers, its real and imaginary parts each to the order
+//! in the ratio a dominant pole gives them.
+//!
 //! The op-amps are driven by a voltage source. Its branch row has no
 //! capacitance, so the trapezoidal rule carries the zero initial state's
 //! mismatch with `v = 1` as an undamped `(−1)ⁿ` mode (the row reads
@@ -20,7 +25,8 @@
 //! alone is held to the looser [`RING_REL_TOL`].
 
 use autockt_circuits::prelude::*;
-use autockt_sim::ac::{log_freqs, AcSolver};
+use autockt_sim::ac::{ac_sweep, log_freqs, AcSolver};
+use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::device::Technology;
 use autockt_sim::linalg::LuFactors;
@@ -55,6 +61,22 @@ const FD_DV: f64 = 1e-5;
 /// Finite difference against `G⁻¹b`: the 5e-7 truncation error above,
 /// with a twentyfold margin.
 const FD_REL_TOL: f64 = 1e-5;
+
+/// Where the AC transfer is read against the DC gain, as a fraction `r`
+/// of the -3 dB cutoff: six decades below it. A dominant pole gives
+/// `H / H₀ = 1 / (1 + jr) = 1 − r² − jr + O(r³)`: the imaginary part is
+/// first order in `r`, the real part's gap second order.
+const AC_RATIO: f64 = 1e-6;
+
+/// `|Re H / G⁻¹b − 1|` at [`AC_RATIO`]: the `r²` = 1e-12 of the dominant
+/// pole with a tenfold margin (roundoff alone measured 3.3e-14). Measured
+/// 9.6e-13 (op-amp), 1.04e-12 (neg-gm OTA), 1.01e-12 (TIA).
+const AC_RE_REL_TOL: f64 = 1e-11;
+
+/// `|Im H / G⁻¹b + r| / r` at [`AC_RATIO`]: how far the poles and zeros
+/// above the cutoff move the first-order term off a lone pole's `−r`.
+/// Measured 0.44% (op-amp), 4.0% (neg-gm OTA), 2.0% (TIA).
+const AC_IM_SPREAD: f64 = 0.1;
 
 /// A topology's centre design: its netlist, output node and the DC
 /// options its evaluations solve with.
@@ -146,14 +168,35 @@ fn lu_dc_gain(solver: &AcSolver<'_>, out: Node) -> f64 {
 /// slowest pole is taken as the -3 dB cutoff of the AC response; every
 /// design here is dominant-pole.
 fn settled(ckt: &Circuit, op: &OpPoint, out: Node) -> (f64, f64) {
-    let cutoff = autockt_sim::ac::ac_sweep(ckt, op, &log_freqs(1e-2, 1e12, 10), out)
-        .and_then(|r| r.f_3db())
-        .expect("has a cutoff");
-    let tau = 1.0 / (2.0 * std::f64::consts::PI * cutoff);
+    let tau = 1.0 / (2.0 * std::f64::consts::PI * cutoff(ckt, op, out));
     let (_, y) = AcSolver::new(ckt, op)
         .step_response(out, WINDOW_TAUS * tau, STEPS)
         .expect("integrates");
     (y[STEPS], 0.5 * (y[STEPS] + y[STEPS - 1]))
+}
+
+/// The -3 dB cutoff of the AC response, taken as the slowest pole; every
+/// design here is dominant-pole.
+fn cutoff(ckt: &Circuit, op: &OpPoint, out: Node) -> f64 {
+    ac_sweep(ckt, op, &log_freqs(1e-2, 1e12, 10), out)
+        .and_then(|r| r.f_3db())
+        .expect("has a cutoff")
+}
+
+/// The AC transfer at `ratio` times the cutoff, from the production sweep
+/// (the pencil reduction).
+fn ac_below_cutoff(ckt: &Circuit, op: &OpPoint, out: Node, ratio: f64) -> Complex {
+    let f = ratio * cutoff(ckt, op, out);
+    ac_sweep(ckt, op, &[f], out).expect("sweeps").h[0]
+}
+
+/// The DC transfer by a centred finite difference of two operating points,
+/// the drive moved by [`FD_DV`] of output.
+fn fd_dc_gain(c: &Centre, g_lu: f64) -> f64 {
+    let delta = FD_DV / g_lu.abs();
+    let plus = dc_operating_point(&shifted(&c.ckt, delta), &c.dc).expect("+δ solves");
+    let minus = dc_operating_point(&shifted(&c.ckt, -delta), &c.dc).expect("-δ solves");
+    (plus.voltage(c.out) - minus.voltage(c.out)) / (2.0 * delta)
 }
 
 fn rel(a: f64, b: f64) -> f64 {
@@ -166,10 +209,7 @@ fn step_response_final_value_is_the_dc_gain() {
         let op = dc_operating_point(&c.ckt, &c.dc).expect("centre design solves");
         let solver = AcSolver::new(&c.ckt, &op);
         let g_lu = lu_dc_gain(&solver, c.out);
-        let delta = FD_DV / g_lu.abs();
-        let plus = dc_operating_point(&shifted(&c.ckt, delta), &c.dc).expect("+δ solves");
-        let minus = dc_operating_point(&shifted(&c.ckt, -delta), &c.dc).expect("-δ solves");
-        let g_fd = (plus.voltage(c.out) - minus.voltage(c.out)) / (2.0 * delta);
+        let g_fd = fd_dc_gain(&c, g_lu);
         let (last, mean) = settled(&c.ckt, &op, c.out);
         let name = c.name;
         assert!(
@@ -187,6 +227,32 @@ fn step_response_final_value_is_the_dc_gain() {
         assert!(
             rel(mean, g_fd) <= FD_REL_TOL,
             "{name}: settled {mean:e} against finite-difference gain {g_fd:e}"
+        );
+    }
+}
+
+#[test]
+fn ac_transfer_far_below_the_cutoff_is_the_dc_gain() {
+    for c in centres() {
+        let op = dc_operating_point(&c.ckt, &c.dc).expect("centre design solves");
+        let g_lu = lu_dc_gain(&AcSolver::new(&c.ckt, &op), c.out);
+        let g_fd = fd_dc_gain(&c, g_lu);
+        let h = ac_below_cutoff(&c.ckt, &op, c.out, AC_RATIO).scale(1.0 / g_lu);
+        let name = c.name;
+        assert!(
+            (h.re - 1.0).abs() <= AC_RE_REL_TOL,
+            "{name}: Re H / G⁻¹b = {:e} at {AC_RATIO:e} of the cutoff",
+            h.re
+        );
+        assert!(
+            (h.im + AC_RATIO).abs() <= AC_IM_SPREAD * AC_RATIO,
+            "{name}: Im H / G⁻¹b = {:e} at {AC_RATIO:e} of the cutoff",
+            h.im
+        );
+        assert!(
+            rel(h.re * g_lu, g_fd) <= FD_REL_TOL,
+            "{name}: Re H {:e} against finite-difference gain {g_fd:e}",
+            h.re * g_lu
         );
     }
 }

@@ -10,7 +10,7 @@
 //! ([`ValueNet::mse_grad`]), run over a minibatch one [`TILE`] of samples
 //! at a time through the batched passes of [`crate::mlp`].
 
-use crate::mlp::{log_sum_exp, softmax, softmax_into, Activation, Mlp, Tape, TILE};
+use crate::mlp::{softmax_lse, Activation, Mlp, Tape, TILE};
 use crate::rollout::Transition;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -53,7 +53,15 @@ impl PolicyNet {
     /// Builds a policy for `obs_dim` inputs and the given action factors,
     /// with `hidden` fully-connected tanh layers (the paper uses
     /// `&[50, 50, 50]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an action factor has no choices.
     pub fn new(obs_dim: usize, action_dims: &[usize], hidden: &[usize], rng: &mut StdRng) -> Self {
+        assert!(
+            action_dims.iter().all(|&d| d >= 1),
+            "every action factor needs at least one choice"
+        );
         let n_logits: usize = action_dims.iter().sum();
         let mut sizes = Vec::with_capacity(hidden.len() + 2);
         sizes.push(obs_dim);
@@ -81,9 +89,11 @@ impl PolicyNet {
         let mut actions = Vec::with_capacity(self.action_dims.len());
         let mut logp = 0.0;
         let mut off = 0;
+        let mut p = Vec::new();
         for &d in &self.action_dims {
             let z = &logits[off..off + d];
-            let p = softmax(z);
+            p.resize(d, 0.0);
+            let lse = softmax_lse(z, &mut p);
             let u: f64 = rng.random::<f64>();
             let mut acc = 0.0;
             let mut choice = d - 1;
@@ -94,7 +104,7 @@ impl PolicyNet {
                     break;
                 }
             }
-            logp += z[choice] - log_sum_exp(z);
+            logp += z[choice] - lse;
             actions.push(choice);
             off += d;
         }
@@ -109,8 +119,8 @@ impl PolicyNet {
         for &d in &self.action_dims {
             let z = &logits[off..off + d];
             // `total_cmp` orders NaN logits deterministically instead of
-            // panicking mid-deployment; a zero-width factor (which the
-            // constructors never build) falls back to action 0.
+            // panicking mid-deployment. `new` rejects zero-width factors,
+            // so `z` is never empty.
             let best = z
                 .iter()
                 .enumerate()
@@ -129,11 +139,11 @@ impl PolicyNet {
         let mut logp = 0.0;
         let mut ent = 0.0;
         let mut off = 0;
+        let mut p = Vec::new();
         for (&d, &a) in self.action_dims.iter().zip(actions) {
             let z = &logits[off..off + d];
-            let lse = log_sum_exp(z);
-            logp += z[a] - lse;
-            let p = softmax(z);
+            p.resize(d, 0.0);
+            logp += z[a] - softmax_lse(z, &mut p);
             ent -= p
                 .iter()
                 .map(|&pi| if pi > 0.0 { pi * pi.ln() } else { 0.0 })
@@ -157,7 +167,8 @@ impl PolicyNet {
         mut seen: impl FnMut(&Transition, f64, f64),
     ) {
         let n_logits = self.net.n_out();
-        let (mut z, mut dz, mut p) = (Vec::new(), vec![0.0; n_logits], Vec::new());
+        let (mut z, mut dz) = (Vec::new(), vec![0.0; n_logits]);
+        let (mut p, mut ln_p) = (vec![0.0; n_logits], Vec::new());
         for tile in idx.chunks(TILE) {
             let len = tile.len();
             bufs.tape
@@ -169,7 +180,8 @@ impl PolicyNet {
                 z.clear();
                 z.extend((0..n_logits).map(|k| logits[k * len + s]));
                 dz.fill(0.0);
-                let (logp_new, entropy) = self.ppo_head(&z, t, clip, ent_coef, &mut p, &mut dz);
+                let (logp_new, entropy) =
+                    self.ppo_head(&z, t, clip, ent_coef, (&mut p, &mut ln_p), &mut dz);
                 for (k, &g) in dz.iter().enumerate() {
                     bufs.dout[k * len + s] = g;
                 }
@@ -181,24 +193,30 @@ impl PolicyNet {
 
     /// The PPO-clip head of one sample with logits `z`: adds
     /// `d(-L_clip - ent_coef * H)/dz` to `dz` and returns
-    /// `(logp_new, entropy)`. `p` is a reused work buffer.
+    /// `(logp_new, entropy)`. `p` (one entry per logit) and `ln_p` are
+    /// reused work buffers.
+    ///
+    /// Each factor's exponentials and each probability's logarithm are
+    /// taken once and read by every term that needs them; every term is
+    /// bitwise what computing it on its own gives.
     fn ppo_head(
         &self,
         z: &[f64],
         t: &Transition,
         clip: f64,
         ent_coef: f64,
-        p: &mut Vec<f64>,
+        (p, ln_p): (&mut [f64], &mut Vec<f64>),
         dz: &mut [f64],
     ) -> (f64, f64) {
         let mut logp_new = 0.0;
         let mut entropy = 0.0;
 
-        // First pass: compute logp_new to decide clipping.
+        // First pass: compute logp_new to decide clipping, and keep each
+        // factor's softmax for the second.
         let mut off = 0;
         for (&d, &a) in self.action_dims.iter().zip(&t.actions) {
             let zf = &z[off..off + d];
-            logp_new += zf[a] - log_sum_exp(zf);
+            logp_new += zf[a] - softmax_lse(zf, &mut p[off..off + d]);
             off += d;
         }
         let ratio = (logp_new - t.logp).exp();
@@ -217,17 +235,25 @@ impl PolicyNet {
 
         let mut off = 0;
         for (&d, &a) in self.action_dims.iter().zip(&t.actions) {
-            softmax_into(&z[off..off + d], p);
+            let p = &p[off..off + d];
+            ln_p.clear();
+            ln_p.extend(p.iter().map(|pi| pi.ln()));
             let h: f64 = -p
                 .iter()
-                .map(|&pi| if pi > 0.0 { pi * pi.ln() } else { 0.0 })
+                .zip(ln_p.iter())
+                .map(|(&pi, &l)| if pi > 0.0 { pi * l } else { 0.0 })
                 .sum::<f64>();
             entropy += h;
             for j in 0..d {
                 // d logp(a) / dz_j = [j == a] - p_j
                 let dlp = (if j == a { 1.0 } else { 0.0 }) - p[j];
-                // dH/dz_j = -p_j (ln p_j + H)
-                let dh = -p[j] * (p[j].max(1e-12).ln() + h);
+                // dH/dz_j = -p_j (ln max(p_j, 1e-12) + H)
+                let ln_floored = if p[j] >= 1e-12 {
+                    ln_p[j]
+                } else {
+                    1e-12f64.ln()
+                };
+                let dh = -p[j] * (ln_floored + h);
                 dz[off + j] += dlogp * dlp - ent_coef * dh;
             }
             off += d;
@@ -422,6 +448,12 @@ mod tests {
             |_, _, _| {},
         );
         assert!(p.net().grad_norm() < 1e-12, "clipped sample must not move");
+    }
+
+    #[test]
+    #[should_panic(expected = "every action factor needs at least one choice")]
+    fn zero_width_action_factor_is_rejected_at_construction() {
+        PolicyNet::new(2, &[3, 0], &[8], &mut rng());
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl Ppo {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.minibatch` is 0.
+    /// Panics if `cfg.minibatch` is 0 or an action factor has no choices.
     pub fn new(obs_dim: usize, action_dims: &[usize], cfg: PpoConfig, seed: u64) -> Self {
         assert!(cfg.minibatch > 0, "need a minibatch of at least one sample");
         let mut rng = StdRng::seed_from_u64(seed);

@@ -20,7 +20,6 @@
 //! - [`noise`] — per-source noise analysis with input referral
 //! - [`measure`] — gain / UGBW / phase margin / settling / integration
 //! - [`pex`] — deterministic layout-parasitic extraction (BAG substitute)
-//! - [`export`] — SPICE-deck netlist export for debugging/cross-checking
 //! - [`par`] — the process-wide thread budget the rollout workers and the
 //!   PPO update reserve through (the simulator itself never spawns)
 //!
@@ -63,7 +62,6 @@ pub mod complex;
 pub mod dc;
 pub mod device;
 pub mod error;
-pub mod export;
 pub mod linalg;
 pub mod measure;
 pub mod netlist;
