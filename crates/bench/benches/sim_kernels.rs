@@ -59,7 +59,7 @@ fn bench_ac(c: &mut Criterion) {
     };
     let op = dc_operating_point(&ckt, &opts).expect("converges");
     let freqs = log_freqs(1e2, 1e10, 10);
-    c.bench_function("ac_sweep_opamp2_80pts", |bench| {
+    c.bench_function("ac_sweep_opamp2_82pts", |bench| {
         bench.iter(|| ac_sweep(black_box(&ckt), &op, &freqs, out).expect("solves"))
     });
 }
@@ -96,7 +96,18 @@ fn bench_settle(c: &mut Criterion) {
     );
 }
 
+/// One whole cold evaluation per iteration: DC, the measure-driven AC
+/// sweep (and the TIA's noise and settle stages), spec measurement.
 fn bench_full_spec_eval(c: &mut Criterion) {
+    let opamp = OpAmp2::default();
+    let idx_o = center(&opamp);
+    c.bench_function("spec_eval_opamp2_schematic", |bench| {
+        bench.iter(|| {
+            opamp
+                .simulate(black_box(&idx_o), SimMode::Schematic)
+                .expect("ok")
+        })
+    });
     let tia = Tia::default();
     let idx_t = center(&tia);
     c.bench_function("spec_eval_tia_schematic", |bench| {
@@ -126,7 +137,7 @@ fn bench_full_spec_eval(c: &mut Criterion) {
 /// One AC point per iteration through the dense LU: stamp the pattern
 /// into the reused factor buffer, refactor, solve — the per-point work of
 /// the Woodbury corner rows and of the LU oracle (dense sweeps run on the
-/// pencil reduction instead; see `ac_sweep_opamp2_80pts`).
+/// pencil reduction instead; see `ac_sweep_opamp2_82pts`).
 fn bench_dense_point(c: &mut Criterion, label: &str, case: &AcKernelCase) {
     let (n, w) = (case.n, case.w);
     let mut lu = LuFactors::<Complex>::empty();

@@ -12,9 +12,9 @@
 //! constraints) and bias current (minimized, the power proxy).
 
 use crate::problem::{
-    CornerCase, CornerEvaluator, ParamSpec, SimMode, SizingProblem, SpecDef, SpecKind,
+    unity_specs, CornerCase, CornerEvaluator, ParamSpec, SimMode, SizingProblem, SpecDef, SpecKind,
 };
-use autockt_sim::ac::{log_freqs, AcResponse};
+use autockt_sim::ac::{log_freqs, AcResponse, StopLevel};
 use autockt_sim::dc::{DcOptions, OpPoint, WarmState};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::netlist::{Circuit, Mosfet, Node, GND};
@@ -184,11 +184,16 @@ impl OpAmp2 {
     }
 
     /// The AC sweep grid of every fidelity's measurement.
-    fn ac_freqs() -> Vec<f64> {
+    pub fn ac_freqs() -> Vec<f64> {
         log_freqs(1e2, 1e10, 10)
     }
 
-    fn dc_opts(&self) -> DcOptions {
+    /// Where every fidelity's AC sweep stops: after the first downward
+    /// crossing of unity, the level `ugbw` and the phase margin read.
+    pub const AC_STOP: StopLevel = StopLevel::Absolute(1.0);
+
+    /// The DC options of every fidelity's operating point.
+    pub fn dc_opts(&self) -> DcOptions {
         DcOptions {
             initial_v: self.vdd / 2.0,
             ..DcOptions::default()
@@ -203,7 +208,13 @@ impl OpAmp2 {
         mode: SimMode,
         state: Option<&mut WarmState>,
     ) -> Result<Vec<f64>, SimError> {
-        let engine = CornerEvaluator::for_mode(mode, &self.pex, self.dc_opts(), OpAmp2::ac_freqs());
+        let engine = CornerEvaluator::for_mode(
+            mode,
+            &self.pex,
+            self.dc_opts(),
+            OpAmp2::ac_freqs(),
+            OpAmp2::AC_STOP,
+        );
         engine.evaluate(
             &self.specs,
             |_slot, pvt| {
@@ -229,12 +240,11 @@ impl OpAmp2 {
     ) -> Result<Vec<f64>, SimError> {
         let ibias = op.vsource_current(vdd_src).abs();
         let gain = resp.dc_gain();
-        let ugbw = resp
-            .ugbw()
-            .unwrap_or(self.specs[spec_index::UGBW].fail_value);
-        let pm = resp
-            .phase_margin_deg()
-            .unwrap_or(self.specs[spec_index::PM].fail_value);
+        let (ugbw, pm) = unity_specs(
+            resp,
+            self.specs[spec_index::UGBW].fail_value,
+            self.specs[spec_index::PM].fail_value,
+        );
         Ok(vec![gain, ugbw, pm, ibias])
     }
 }

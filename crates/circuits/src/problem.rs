@@ -7,7 +7,7 @@
 //! sampling ranges, and a black-box `parameters -> measured specs`
 //! evaluation (schematic or post-layout).
 
-use autockt_sim::ac::{ac_sweep_corners, AcResponse, AcSolver, AcWorkspace};
+use autockt_sim::ac::{ac_sweep_corners, AcResponse, AcSolver, AcWorkspace, StopLevel};
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
 use autockt_sim::device::Pvt;
 use autockt_sim::netlist::{Circuit, Node};
@@ -211,20 +211,24 @@ pub struct CornerEvaluator {
     pex: Option<PexConfig>,
     dc_opts: DcOptions,
     freqs: Vec<f64>,
+    stop: StopLevel,
     noise_freqs: Option<Vec<f64>>,
     settle: Option<SettleSpec>,
 }
 
 impl CornerEvaluator {
     /// Creates an engine over `plan`, solving operating points with
-    /// `dc_opts` and sweeping `freqs` at every corner. The builder's
-    /// netlists are evaluated as built (no extraction).
-    pub fn new(plan: CornerPlan, dc_opts: DcOptions, freqs: Vec<f64>) -> Self {
+    /// `dc_opts` and sweeping `freqs` at every corner up to the first
+    /// downward crossing of `stop`, the level the topology's AC specs
+    /// read (see [`StopLevel`]). The builder's netlists are evaluated as
+    /// built (no extraction).
+    pub fn new(plan: CornerPlan, dc_opts: DcOptions, freqs: Vec<f64>, stop: StopLevel) -> Self {
         CornerEvaluator {
             plan,
             pex: None,
             dc_opts,
             freqs,
+            stop,
             noise_freqs: None,
             settle: None,
         }
@@ -235,7 +239,13 @@ impl CornerEvaluator {
     /// evaluates the schematic at the nominal corner, `Pex` its `pex`
     /// extraction at the nominal corner, and `PexWorstCase` the extraction
     /// at every corner of [`CornerPlan::pvt_worst_case`].
-    pub fn for_mode(mode: SimMode, pex: &PexConfig, dc_opts: DcOptions, freqs: Vec<f64>) -> Self {
+    pub fn for_mode(
+        mode: SimMode,
+        pex: &PexConfig,
+        dc_opts: DcOptions,
+        freqs: Vec<f64>,
+        stop: StopLevel,
+    ) -> Self {
         let (plan, pex) = match mode {
             SimMode::Schematic => (CornerPlan::nominal(), None),
             SimMode::Pex => (CornerPlan::nominal(), Some(pex.clone())),
@@ -243,7 +253,7 @@ impl CornerEvaluator {
         };
         CornerEvaluator {
             pex,
-            ..CornerEvaluator::new(plan, dc_opts, freqs)
+            ..CornerEvaluator::new(plan, dc_opts, freqs, stop)
         }
     }
 
@@ -330,7 +340,12 @@ impl CornerEvaluator {
     /// `slot`'s case, operating point, swept response and — when
     /// [`CornerEvaluator::with_noise`] / [`CornerEvaluator::with_settling`]
     /// are set, `None` otherwise — noise analysis and settling record into
-    /// a spec row. A noise failure is handed to the closure rather than
+    /// a spec row. The swept response is the solved prefix of the grid,
+    /// through the point that completes the first downward crossing of
+    /// the engine's [`StopLevel`] (the whole grid if it never crosses):
+    /// every spec reads only that prefix, so the points after it are not
+    /// solved, and a point that would fail there cannot fail the corner.
+    /// A noise failure is handed to the closure rather than
     /// aborting the corner, so topologies can map it to a spec's fail
     /// value; likewise a settling record's `Err` lets the closure decide,
     /// and a corner without a valid cutoff gets no record. `state` carries
@@ -399,16 +414,24 @@ impl CornerEvaluator {
         // analysis; each call re-prepares it for its own corner.
         let mut cold_ws = AcWorkspace::new();
         let resps: Vec<AcResponse> = match state.as_deref_mut() {
-            Some(st) => ac_sweep_corners(&solvers, &self.freqs, &outs, st.ac_batch_workspace())
-                .into_iter()
-                .collect::<Result<_, _>>()?,
+            Some(st) => ac_sweep_corners(
+                &solvers,
+                &self.freqs,
+                &outs,
+                Some(self.stop),
+                st.ac_batch_workspace(),
+            )
+            .into_iter()
+            .collect::<Result<_, _>>()?,
             None => solvers
                 .iter()
                 .zip(&outs)
                 .map(|(s, &o)| {
+                    let h =
+                        s.solve_sources_batch_ws(&self.freqs, o, Some(self.stop), &mut cold_ws)?;
                     Ok(AcResponse {
-                        freqs: self.freqs.clone(),
-                        h: s.solve_sources_batch_ws(&self.freqs, o, &mut cold_ws)?,
+                        freqs: self.freqs[..h.len()].to_vec(),
+                        h,
                     })
                 })
                 .collect::<Result<_, SimError>>()?,
@@ -448,6 +471,16 @@ impl CornerEvaluator {
             )?);
         }
         Ok(worst_case(specs, &rows))
+    }
+}
+
+/// The unity-crossing specs of an amplifier's corner row: `ugbw` and the
+/// phase margin at it, from one crossing search, each replaced by its
+/// fail value when the response has no unity crossing.
+pub(crate) fn unity_specs(resp: &AcResponse, ugbw_fail: f64, pm_fail: f64) -> (f64, f64) {
+    match resp.ugbw() {
+        Ok(fu) => (fu, resp.phase_margin_at(fu).unwrap_or(pm_fail)),
+        Err(_) => (ugbw_fail, pm_fail),
     }
 }
 
@@ -1431,6 +1464,7 @@ mod tests {
             plan,
             autockt_sim::dc::DcOptions::default(),
             autockt_sim::ac::log_freqs(1e3, 1e8, 4),
+            StopLevel::RelativeToFirst(std::f64::consts::FRAC_1_SQRT_2),
         );
         let specs = vec![
             SpecDef {

@@ -13,7 +13,7 @@ use crate::problem::{
     CornerCase, CornerEvaluator, ParamSpec, SettleRecord, SettleSpec, SimMode, SizingProblem,
     SpecDef, SpecKind,
 };
-use autockt_sim::ac::{log_freqs, AcResponse};
+use autockt_sim::ac::{log_freqs, AcResponse, StopLevel};
 use autockt_sim::dc::{DcOptions, WarmState};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::measure::settling_time;
@@ -188,9 +188,22 @@ impl Tia {
     }
 
     /// The AC sweep grid of every fidelity's measurement.
-    fn ac_freqs() -> Vec<f64> {
+    pub fn ac_freqs() -> Vec<f64> {
         log_freqs(1e5, 1e12, 10)
     }
+
+    /// Where every fidelity's AC sweep stops: after the first downward
+    /// crossing of the -3 dB level `|H(f₀)|/√2`, which the cutoff (and so
+    /// the settle window) reads.
+    pub const AC_STOP: StopLevel = StopLevel::RelativeToFirst(std::f64::consts::FRAC_1_SQRT_2);
+
+    /// The settle stage of every fidelity: one shared window of 8 periods
+    /// of the slowest corner's cutoff (a one-corner plan: its own), 2048
+    /// trapezoidal steps, so both 5 ps and 500 ps responses resolve.
+    pub const SETTLE: SettleSpec = SettleSpec {
+        steps: 2048,
+        window: 8.0,
+    };
 
     /// The noise integration grid of every fidelity's measurement. Public
     /// so the noise-corner benches time the exact production workload.
@@ -198,7 +211,8 @@ impl Tia {
         log_freqs(1e4, 1e11, 8)
     }
 
-    fn dc_opts(&self) -> DcOptions {
+    /// The DC options of every fidelity's operating point.
+    pub fn dc_opts(&self) -> DcOptions {
         DcOptions {
             initial_v: self.tech.vdd / 2.0,
             ..DcOptions::default()
@@ -217,16 +231,16 @@ impl Tia {
         // `with_settling`) so warm worst-case evaluations can share work
         // across the corner set at dense-mesh dims (Woodbury) — the TIA's
         // worst-case step is noise- and settle-bound, so this is where its
-        // dense-dim speedup comes from. Settling integrates one shared
-        // window of 8 periods of the slowest corner's cutoff (a one-corner
-        // plan: its own), 2048 trapezoidal steps, so both 5 ps and 500 ps
-        // responses resolve.
-        let engine = CornerEvaluator::for_mode(mode, &self.pex, self.dc_opts(), Tia::ac_freqs())
-            .with_noise(Tia::noise_freqs())
-            .with_settling(SettleSpec {
-                steps: 2048,
-                window: 8.0,
-            });
+        // dense-dim speedup comes from.
+        let engine = CornerEvaluator::for_mode(
+            mode,
+            &self.pex,
+            self.dc_opts(),
+            Tia::ac_freqs(),
+            Tia::AC_STOP,
+        )
+        .with_noise(Tia::noise_freqs())
+        .with_settling(Tia::SETTLE);
         engine.evaluate(
             &self.specs,
             |_slot, pvt| {

@@ -10,6 +10,14 @@
 //! oracle the reduced sweeps are tested against. The Woodbury corner
 //! sweeps ([`ac_sweep_corners`]) factor per point too, once for the base
 //! corner and once per correction.
+//!
+//! The public [`ac_sweep`] / [`ac_sweep_ws`] solve every grid point. The
+//! evaluation sweeps ([`AcSolver::solve_sources_batch_ws`] and
+//! [`ac_sweep_corners`] with a [`StopLevel`]) are measure-driven: every
+//! AC spec reads a prefix of the grid (the DC gain point 0, `ugbw` and
+//! `f_3db` the first downward crossing of their level), so they stop
+//! after the point that completes that crossing and return the solved
+//! prefix. The specs measured on it are bitwise those of the full sweep.
 
 use crate::complex::Complex;
 use crate::dc::OpPoint;
@@ -304,29 +312,42 @@ impl<'a> AcSolver<'a> {
     }
 
     /// Batched multi-frequency solve: the source-driven transfer to `out`
-    /// at every frequency in `freqs`. The pencil is reduced once and each
-    /// point is one transposed Hessenberg solve; the batch allocates only
-    /// the output vector.
+    /// at the frequencies of `freqs`, in order. The pencil is reduced once
+    /// and each point is one transposed Hessenberg solve; the batch
+    /// allocates only the output vector.
+    ///
+    /// With `stop` set the sweep is measure-driven: it returns the prefix
+    /// through the point that completes the first downward crossing of
+    /// the level (see [`StopLevel`]), and a point past it is never solved,
+    /// so it cannot fail the sweep. `None` solves every point.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidOptions`] for an empty, non-positive,
     /// non-finite or non-increasing grid; otherwise propagates
-    /// singular-matrix failures at any frequency point.
+    /// singular-matrix failures at any solved frequency point.
     pub fn solve_sources_batch_ws(
         &self,
         freqs: &[f64],
         out: Node,
+        stop: Option<StopLevel>,
         ws: &mut AcWorkspace,
     ) -> Result<Vec<Complex>, SimError> {
         validate_freqs(freqs)?;
         self.prepare_workspace(ws);
         self.prepare_output(out, &mut ws.red);
-        sweep(freqs, ws, |f, red, hess| {
+        let AcWorkspace { red, hess } = ws;
+        let mut watch = StopWatch::new(stop);
+        let mut h = Vec::with_capacity(freqs.len());
+        for &f in freqs {
             let w = 2.0 * std::f64::consts::PI * f;
-            let v = red.pencil.solve_transposed(w, &red.zo, hess)?;
-            Ok(dot(v, &red.qb))
-        })
+            let v = dot(red.pencil.solve_transposed(w, &red.zo, hess)?, &red.qb);
+            h.push(v);
+            if watch.done_after(v) {
+                break;
+            }
+        }
+        Ok(h)
     }
 
     /// Extracts the voltage of `node` from an MNA solution vector.
@@ -522,6 +543,75 @@ pub struct AcResponse {
     pub h: Vec<Complex>,
 }
 
+/// The magnitude level whose first downward crossing a topology's AC
+/// specs read, and so where its measure-driven sweep may stop: after the
+/// first point `j` with `|H(f_{j-1})| >= level > |H(f_j)|`, the test
+/// [`AcResponse::ugbw`] and [`AcResponse::f_3db`] search with. A response
+/// whose first point is already below the level stops after its second
+/// point: `ugbw` fails on it before any search, and a
+/// [`StopLevel::RelativeToFirst`] level of at most 1 never starts below.
+/// A response that never crosses (or has a NaN magnitude) is solved over
+/// the whole grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StopLevel {
+    /// `|H| = level`: unity for `ugbw` and the phase margin.
+    Absolute(f64),
+    /// `|H| = ratio·|H(f₀)|`: `1/√2` for `f_3db`.
+    RelativeToFirst(f64),
+}
+
+impl StopLevel {
+    /// The level against a response whose first point has magnitude
+    /// `m0`, computed as the spec computes it.
+    fn resolve(self, m0: f64) -> f64 {
+        match self {
+            StopLevel::Absolute(level) => level,
+            StopLevel::RelativeToFirst(ratio) => m0 * ratio,
+        }
+    }
+}
+
+/// The running stop test of one measure-driven sweep, fed one point at
+/// a time. `None` never stops.
+#[derive(Debug, Clone, Copy)]
+struct StopWatch {
+    stop: Option<StopLevel>,
+    level: f64,
+    prev: f64,
+    points: usize,
+}
+
+impl StopWatch {
+    fn new(stop: Option<StopLevel>) -> Self {
+        StopWatch {
+            stop,
+            level: f64::NAN,
+            prev: f64::NAN,
+            points: 0,
+        }
+    }
+
+    /// Records the next point's value; true once the sweep may stop
+    /// after it (see [`StopLevel`]).
+    fn done_after(&mut self, v: Complex) -> bool {
+        let Some(stop) = self.stop else {
+            return false;
+        };
+        let m = v.norm();
+        self.points += 1;
+        let done = match self.points {
+            1 => {
+                self.level = stop.resolve(m);
+                false
+            }
+            2 if self.prev < self.level => true,
+            _ => self.prev >= self.level && m < self.level,
+        };
+        self.prev = m;
+        done
+    }
+}
+
 /// Runs an AC sweep and records the transfer to `out` (driven by the
 /// netlist's AC sources): [`ac_sweep_ws`] on a fresh workspace.
 ///
@@ -579,7 +669,7 @@ pub fn ac_sweep_ws(
     out: Node,
     ws: &mut AcWorkspace,
 ) -> Result<AcResponse, SimError> {
-    let h = AcSolver::new(ckt, op).solve_sources_batch_ws(freqs, out, ws)?;
+    let h = AcSolver::new(ckt, op).solve_sources_batch_ws(freqs, out, None, ws)?;
     Ok(AcResponse {
         freqs: freqs.to_vec(),
         h,
@@ -625,20 +715,22 @@ pub(crate) fn validate_freqs(freqs: &[f64]) -> Result<(), SimError> {
 /// corner paths' route wherever the Woodbury correction does not apply
 /// (stock dims, single corners, mismatched structures, unprofitable
 /// support). Identical per corner to [`AcSolver::solve_sources_batch_ws`]
-/// on a fresh workspace, hence to [`ac_sweep`].
+/// on a fresh workspace (each corner stops on its own), hence to a
+/// prefix of [`ac_sweep`].
 fn scalar_sweeps(
     solvers: &[AcSolver<'_>],
     freqs: &[f64],
     outs: &[Node],
+    stop: Option<StopLevel>,
     ws: &mut AcBatchWorkspace,
 ) -> Vec<Result<AcResponse, SimError>> {
     solvers
         .iter()
         .zip(outs)
         .map(|(s, &o)| {
-            let h = s.solve_sources_batch_ws(freqs, o, &mut ws.scalar)?;
+            let h = s.solve_sources_batch_ws(freqs, o, stop, &mut ws.scalar)?;
             Ok(AcResponse {
-                freqs: freqs.to_vec(),
+                freqs: freqs[..h.len()].to_vec(),
                 h,
             })
         })
@@ -681,10 +773,17 @@ pub(crate) const STOCK_DIM_MAX: usize = 16;
 /// where the base factor or a correction system is singular. A
 /// degenerate frequency grid reports [`SimError::InvalidOptions`] for
 /// every corner.
+///
+/// With `stop` set every corner's response is the prefix through its own
+/// crossing (see [`AcSolver::solve_sources_batch_ws`]). The per-corner
+/// sweeps stop corner by corner; the Woodbury rows share one base factor
+/// per point, so they run until every corner has crossed or failed and
+/// skip the corners already done.
 pub fn ac_sweep_corners(
     solvers: &[AcSolver<'_>],
     freqs: &[f64],
     outs: &[Node],
+    stop: Option<StopLevel>,
     ws: &mut AcBatchWorkspace,
 ) -> Vec<Result<AcResponse, SimError>> {
     assert_eq!(solvers.len(), outs.len(), "one output node per corner");
@@ -701,14 +800,14 @@ pub fn ac_sweep_corners(
         // the system (every node touches a device), so the correction
         // cannot pay — skip its setup and sweep each corner through the
         // scalar kernel (bitwise-equal to the cold per-corner sweep).
-        return scalar_sweeps(solvers, freqs, outs, ws);
+        return scalar_sweeps(solvers, freqs, outs, stop, ws);
     }
     let rhs0 = solvers[0].source_rhs();
     if solvers.iter().any(|s| s.source_rhs() != rhs0) {
         // One shared base solve needs one shared source vector; corner
         // sets always satisfy this (same netlist structure), so this is
         // a safety valve, not a hot path.
-        return scalar_sweeps(solvers, freqs, outs, ws);
+        return scalar_sweeps(solvers, freqs, outs, stop, ws);
     }
 
     // Dense base images of G and C, plus per-corner stamp differences.
@@ -719,7 +818,7 @@ pub fn ac_sweep_corners(
     let cd = CornerDiff::from_patterns(&ws.patterns, n);
     if !cd.profitable(n) {
         // Correction support too wide relative to the system to pay.
-        return scalar_sweeps(solvers, freqs, outs, ws);
+        return scalar_sweeps(solvers, freqs, outs, stop, ws);
     }
     let rn = cd.support();
 
@@ -729,12 +828,18 @@ pub fn ac_sweep_corners(
         .map(|(s, &o)| s.mna_index(o))
         .collect();
     // Frequency-major: every corner's value at one `fq` shares the base
-    // factor and correction basis of that point.
+    // factor and correction basis of that point. A corner's response ends
+    // at its first error or once its stop test fires; the rows run until
+    // every corner has ended.
     let patterns = std::mem::take(&mut ws.patterns);
-    let mut rows = corner_rows(bt, freqs.len());
+    let mut hs: Vec<Vec<Complex>> = vec![Vec::with_capacity(freqs.len()); bt];
+    let mut errs: Vec<Option<SimError>> = vec![None; bt];
+    let mut watches = vec![StopWatch::new(stop); bt];
+    let mut live = vec![true; bt];
+    let mut row: Vec<Result<Complex, SimError>> = (0..bt).map(|_| Ok(Complex::ZERO)).collect();
     let mut u = vec![Complex::ZERO; rn];
     let mut z = Vec::new();
-    for (i, row) in rows.iter_mut().enumerate() {
+    for &fq in freqs {
         dense_corner_row(
             &patterns[..bt],
             &cd,
@@ -742,54 +847,49 @@ pub fn ac_sweep_corners(
             n,
             rhs0,
             &oi,
-            freqs[i],
+            &live,
+            fq,
             ws,
             &mut u,
             &mut z,
-            row,
+            &mut row,
         );
+        for (b, slot) in row.iter().enumerate() {
+            if !live[b] {
+                continue;
+            }
+            live[b] = match slot {
+                Ok(v) => {
+                    hs[b].push(*v);
+                    !watches[b].done_after(*v)
+                }
+                Err(e) => {
+                    errs[b] = Some(e.clone());
+                    false
+                }
+            };
+        }
+        if !live.contains(&true) {
+            break;
+        }
     }
     ws.patterns = patterns;
-    assemble_corner_rows(&rows, freqs, bt)
-}
-
-/// Preallocated (frequency × corner) result grid of the corner sweeps:
-/// one row per frequency point, one slot per corner.
-fn corner_rows(bt: usize, nf: usize) -> Vec<Vec<Result<Complex, SimError>>> {
-    (0..nf)
-        .map(|_| (0..bt).map(|_| Ok(Complex::ZERO)).collect())
-        .collect()
-}
-
-/// Per-corner assembly of a corner sweep's row grid: frequencies in
-/// order up to the corner's first failing point, exactly the serial
-/// per-corner abort contract (values computed past a corner's first
-/// error are discarded).
-fn assemble_corner_rows(
-    rows: &[Vec<Result<Complex, SimError>>],
-    freqs: &[f64],
-    bt: usize,
-) -> Vec<Result<AcResponse, SimError>> {
-    (0..bt)
-        .map(|b| {
-            let mut h = Vec::with_capacity(freqs.len());
-            for row in rows {
-                match &row[b] {
-                    Ok(v) => h.push(*v),
-                    Err(e) => return Err(e.clone()),
-                }
-            }
-            Ok(AcResponse {
-                freqs: freqs.to_vec(),
+    hs.into_iter()
+        .zip(errs)
+        .map(|(h, err)| match err {
+            Some(e) => Err(e),
+            None => Ok(AcResponse {
+                freqs: freqs[..h.len()].to_vec(),
                 h,
-            })
+            }),
         })
         .collect()
 }
 
 /// One frequency point of the warm corner sweep: base factor + shared
 /// correction basis + per-corner Woodbury corrections, writing every
-/// corner's value (or error) into `row`.
+/// live corner's value (or error) into `row`; the slots of corners that
+/// are no longer live are left as they are.
 #[allow(clippy::too_many_arguments)]
 fn dense_corner_row(
     patterns: &[Vec<(usize, usize, f64, f64)>],
@@ -798,6 +898,7 @@ fn dense_corner_row(
     n: usize,
     rhs0: &[Complex],
     oi: &[Option<usize>],
+    live: &[bool],
     fq: f64,
     ws: &mut AcBatchWorkspace,
     u: &mut Vec<Complex>,
@@ -807,9 +908,9 @@ fn dense_corner_row(
     let w_ang = 2.0 * std::f64::consts::PI * fq;
     let base_ok = factor_pattern(&mut ws.base, n, &patterns[0], w_ang).is_ok();
     if !base_ok {
-        // Base corner singular at this point: factor every corner
+        // Base corner singular at this point: factor every live corner
         // directly instead.
-        for (b, slot) in row.iter_mut().enumerate() {
+        for (b, slot) in row.iter_mut().enumerate().filter(|(b, _)| live[*b]) {
             *slot = direct_corner_point(
                 &mut ws.spare,
                 &mut ws.xcol,
@@ -835,7 +936,7 @@ fn dense_corner_row(
         } = &mut *ws;
         solve_correction_basis(&*base, &cd.rows, n, unit, xcol, wflat);
     }
-    for (b, slot) in row.iter_mut().enumerate() {
+    for (b, slot) in row.iter_mut().enumerate().filter(|(b, _)| live[*b]) {
         let base_v = oi[b].map_or(Complex::ZERO, |i| ws.y0[i]);
         let diff = &cd.diffs[b];
         if diff.is_empty() {
@@ -1042,24 +1143,49 @@ mod tests {
         }
     }
 
+    /// An RC low-pass from a 1 V AC source: one variant of a stock-dim
+    /// corner set.
+    fn rc_variant(r: f64, c: f64) -> (Circuit, Node) {
+        let mut ckt = Circuit::new();
+        let i = ckt.node("in");
+        let o = ckt.node("out");
+        ckt.vsource(i, GND, 0.0, 1.0);
+        ckt.resistor(i, o, r);
+        ckt.capacitor(o, GND, c);
+        (ckt, o)
+    }
+
+    /// A corner variant that differs from its siblings only in one
+    /// "device" conductance at the output: the worst-case-PVT shape.
+    fn mesh_variant(g_dev: f64) -> (Circuit, Node) {
+        let mut ckt = Circuit::new();
+        let i = ckt.node("in");
+        ckt.vsource(i, GND, 0.0, 1.0);
+        // A 20-segment RC mesh (shared by all corners) between the
+        // source and the corner-dependent element, so the system is
+        // dense enough for the correction to engage (dim > 16).
+        let mut prev = i;
+        for s in 0..20 {
+            let nn = ckt.node(&format!("m{s}"));
+            ckt.resistor(prev, nn, 1.0e3);
+            ckt.capacitor(nn, GND, 2e-12);
+            prev = nn;
+        }
+        let o = ckt.node("out");
+        ckt.resistor(prev, o, 1.0 / g_dev); // the corner-dependent part
+        ckt.capacitor(o, GND, 1e-9);
+        (ckt, o)
+    }
+
     #[test]
     fn batched_sweep_matches_scalar_bitwise() {
         // Three same-structure RC variants (the corner-set shape) at a
         // stock dim: the corner sweep runs each corner through the scalar
         // kernel and must reproduce each scalar sweep bit for bit.
-        let build = |r: f64, c: f64| {
-            let mut ckt = Circuit::new();
-            let i = ckt.node("in");
-            let o = ckt.node("out");
-            ckt.vsource(i, GND, 0.0, 1.0);
-            ckt.resistor(i, o, r);
-            ckt.capacitor(o, GND, c);
-            (ckt, o)
-        };
         let variants = [
-            build(1.0e3, 1e-9),
-            build(1.3e3, 0.8e-9),
-            build(0.7e3, 1.4e-9),
+            rc_variant(1.0e3, 1e-9),
+            rc_variant(1.3e3, 0.8e-9),
+            rc_variant(0.7e3, 1.4e-9),
         ];
         let ops: Vec<OpPoint> = variants
             .iter()
@@ -1073,13 +1199,13 @@ mod tests {
         let outs = vec![variants[0].1; variants.len()];
         let freqs = log_freqs(1e3, 1e8, 5);
         let mut ws = AcBatchWorkspace::new();
-        let batch = ac_sweep_corners(&solvers, &freqs, &outs, &mut ws);
+        let batch = ac_sweep_corners(&solvers, &freqs, &outs, None, &mut ws);
         for ((ckt, out), (op, res)) in variants.iter().zip(ops.iter().zip(&batch)) {
             let scalar = ac_sweep(ckt, op, &freqs, *out).unwrap();
             assert_eq!(res.as_ref().unwrap(), &scalar);
         }
         // Workspace reuse across a second sweep stays bitwise too.
-        let again = ac_sweep_corners(&solvers, &freqs, &outs, &mut ws);
+        let again = ac_sweep_corners(&solvers, &freqs, &outs, None, &mut ws);
         assert_eq!(batch, again);
     }
 
@@ -1089,26 +1215,12 @@ mod tests {
         // one node — the worst-case-PVT shape: shared mesh, tiny stamp
         // difference. The Woodbury sweep must agree with the direct
         // per-corner factorization to roundoff.
-        let build = |g_dev: f64| {
-            let mut ckt = Circuit::new();
-            let i = ckt.node("in");
-            ckt.vsource(i, GND, 0.0, 1.0);
-            // A 20-segment RC mesh (shared by all corners) between the
-            // source and the corner-dependent element, so the system is
-            // dense enough for the correction to engage (dim > 16).
-            let mut prev = i;
-            for s in 0..20 {
-                let nn = ckt.node(&format!("m{s}"));
-                ckt.resistor(prev, nn, 1.0e3);
-                ckt.capacitor(nn, GND, 2e-12);
-                prev = nn;
-            }
-            let o = ckt.node("out");
-            ckt.resistor(prev, o, 1.0 / g_dev); // the corner-dependent part
-            ckt.capacitor(o, GND, 1e-9);
-            (ckt, o)
-        };
-        let variants = [build(1e-3), build(1.12e-3), build(0.88e-3), build(1e-3)];
+        let variants = [
+            mesh_variant(1e-3),
+            mesh_variant(1.12e-3),
+            mesh_variant(0.88e-3),
+            mesh_variant(1e-3),
+        ];
         let ops: Vec<OpPoint> = variants
             .iter()
             .map(|(ckt, _)| dc_operating_point(ckt, &DcOptions::default()).unwrap())
@@ -1121,7 +1233,7 @@ mod tests {
         let outs = vec![variants[0].1; variants.len()];
         let freqs = log_freqs(1e3, 1e8, 6);
         let mut ws = AcBatchWorkspace::new();
-        let corr = ac_sweep_corners(&solvers, &freqs, &outs, &mut ws);
+        let corr = ac_sweep_corners(&solvers, &freqs, &outs, None, &mut ws);
         for ((ckt, out), (op, res)) in variants.iter().zip(ops.iter().zip(&corr)) {
             let direct = ac_sweep(ckt, op, &freqs, *out).unwrap();
             let got = res.as_ref().unwrap();
@@ -1135,6 +1247,91 @@ mod tests {
         // Corner 3 is identical to the base: the correction must be a
         // no-op, bit for bit.
         assert_eq!(corr[3].as_ref().unwrap().h, corr[0].as_ref().unwrap().h);
+    }
+
+    /// The corner sweep's responses with and without a stop: each
+    /// stopped response must be a bitwise prefix of the full one that
+    /// ends on the point completing its crossing.
+    fn assert_stopped_prefixes(
+        solvers: &[AcSolver<'_>],
+        out: Node,
+        freqs: &[f64],
+        stop: StopLevel,
+    ) {
+        let outs = vec![out; solvers.len()];
+        let mut ws = AcBatchWorkspace::new();
+        let full = ac_sweep_corners(solvers, freqs, &outs, None, &mut ws);
+        let cut = ac_sweep_corners(solvers, freqs, &outs, Some(stop), &mut ws);
+        for (s, (f, c)) in solvers.iter().zip(full.iter().zip(&cut)) {
+            let (f, c) = (f.as_ref().unwrap(), c.as_ref().unwrap());
+            let k = c.h.len();
+            assert!(
+                k >= 2 && k < f.h.len(),
+                "stopped after {k} of {}",
+                f.h.len()
+            );
+            assert_eq!(c.h[..], f.h[..k]);
+            assert_eq!(c.freqs[..], freqs[..k]);
+            let level = stop.resolve(c.h[0].norm());
+            let (m0, prev, last) = (c.h[0].norm(), c.h[k - 2].norm(), c.h[k - 1].norm());
+            assert!(
+                (k == 2 && m0 < level) || (prev >= level && last < level),
+                "stopped at {k} without a crossing"
+            );
+            // The cold sweep of the same corner stops on the same point.
+            let h = s.solve_sources_batch_ws(freqs, out, Some(stop), &mut AcWorkspace::new());
+            assert_eq!(h.unwrap().len(), k);
+        }
+    }
+
+    #[test]
+    fn stopped_corner_sweeps_are_prefixes_of_the_full_sweep() {
+        let freqs = log_freqs(1e3, 1e9, 10);
+        // Stock dim: the per-corner sweeps stop corner by corner.
+        let rcs = [
+            rc_variant(1.0e3, 1e-9),
+            rc_variant(1.3e3, 0.8e-9),
+            rc_variant(0.7e3, 1.4e-9),
+        ];
+        let ops: Vec<OpPoint> = rcs
+            .iter()
+            .map(|(c, _)| dc_operating_point(c, &DcOptions::default()).unwrap())
+            .collect();
+        let solvers: Vec<AcSolver<'_>> = rcs
+            .iter()
+            .zip(&ops)
+            .map(|((c, _), op)| AcSolver::new(c, op))
+            .collect();
+        for stop in [
+            StopLevel::RelativeToFirst(std::f64::consts::FRAC_1_SQRT_2),
+            StopLevel::Absolute(0.5),
+            StopLevel::Absolute(2.0),
+        ] {
+            assert_stopped_prefixes(&solvers, rcs[0].1, &freqs, stop);
+        }
+        // Dense dim: the Woodbury rows run until every corner has crossed.
+        let meshes = [
+            mesh_variant(1e-3),
+            mesh_variant(1.12e-3),
+            mesh_variant(0.88e-3),
+        ];
+        let ops: Vec<OpPoint> = meshes
+            .iter()
+            .map(|(c, _)| dc_operating_point(c, &DcOptions::default()).unwrap())
+            .collect();
+        let solvers: Vec<AcSolver<'_>> = meshes
+            .iter()
+            .zip(&ops)
+            .map(|((c, _), op)| AcSolver::new(c, op))
+            .collect();
+        assert!(solvers[0].dim() > STOCK_DIM_MAX);
+        for stop in [
+            StopLevel::RelativeToFirst(std::f64::consts::FRAC_1_SQRT_2),
+            StopLevel::Absolute(0.5),
+            StopLevel::Absolute(2.0),
+        ] {
+            assert_stopped_prefixes(&solvers, meshes[0].1, &freqs, stop);
+        }
     }
 
     #[test]

@@ -24,9 +24,14 @@ impl AcResponse {
     /// Phase in degrees, unwrapped so that no step between adjacent points
     /// exceeds 180 degrees. The first point anchors the branch.
     pub fn phase_unwrapped_deg(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.h.len());
+        self.unwrapped_phases().collect()
+    }
+
+    /// The unwrapped phases of [`AcResponse::phase_unwrapped_deg`], point
+    /// by point: a prefix costs only its own points.
+    fn unwrapped_phases(&self) -> impl Iterator<Item = f64> + '_ {
         let mut prev = 0.0f64;
-        for (i, c) in self.h.iter().enumerate() {
+        self.h.iter().enumerate().map(move |(i, c)| {
             let mut p = c.arg().to_degrees();
             if i > 0 {
                 while p - prev > 180.0 {
@@ -37,9 +42,8 @@ impl AcResponse {
                 }
             }
             prev = p;
-            out.push(p);
-        }
-        out
+            p
+        })
     }
 
     /// Returns an error unless the grid has at least two points — no
@@ -99,8 +103,25 @@ impl AcResponse {
     ///
     /// Propagates [`AcResponse::ugbw`] failure.
     pub fn phase_margin_deg(&self) -> Result<f64, SimError> {
-        let fu = self.ugbw()?;
-        let ph = self.phase_unwrapped_deg();
+        self.phase_margin_at(self.ugbw()?)
+    }
+
+    /// [`AcResponse::phase_margin_deg`] at a unity-gain frequency `fu`
+    /// the caller already measured with [`AcResponse::ugbw`], so a spec
+    /// row runs one crossing search. The phase is unwrapped only up to
+    /// the grid point that brackets `fu` from above.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MeasureFailed`] if the sweep has fewer than two points.
+    pub fn phase_margin_at(&self, fu: f64) -> Result<f64, SimError> {
+        self.require_grid()?;
+        let n = self.freqs.len().min(self.h.len());
+        let last = match self.bracket(n, fu) {
+            Ok((i, _)) => i + 1,
+            Err(j) => j,
+        };
+        let ph: Vec<f64> = self.unwrapped_phases().take(last + 1).collect();
         let shift = (self.interp_at(&ph, fu) - ph[0]).abs();
         Ok(180.0 - shift)
     }
@@ -110,11 +131,16 @@ impl AcResponse {
     /// `freqs[i] <= f <= freqs[i + 1]` with `t` in `[0, 1]`; `Err(j)`
     /// means `f` clamps to grid index `j` (outside the grid, or a
     /// single-point grid). Callers must guarantee `1 <= n <= freqs.len()`.
+    ///
+    /// A query on a grid point `freqs[k]`, `k >= 1`, takes the segment
+    /// that ends there (`t = 1`), the last point included, so the
+    /// interpolated value does not depend on how many points follow: a
+    /// sweep stopped after point `k` reads what the full sweep reads.
     fn bracket(&self, n: usize, f: f64) -> Result<(usize, f64), usize> {
         if n == 1 || f <= self.freqs[0] {
             return Err(0);
         }
-        if f >= self.freqs[n - 1] {
+        if f > self.freqs[n - 1] {
             return Err(n - 1);
         }
         let lf = f.ln();
@@ -496,6 +522,81 @@ mod tests {
             r.h[i + 1].norm().max(r.h[i].norm()),
         );
         assert!(g >= lo && g <= hi, "{g} outside [{lo}, {hi}]");
+    }
+
+    /// The response truncated after point `k` (inclusive).
+    fn prefix(r: &AcResponse, k: usize) -> AcResponse {
+        AcResponse {
+            freqs: r.freqs[..=k].to_vec(),
+            h: r.h[..=k].to_vec(),
+        }
+    }
+
+    /// The crossing measurements a truncated sweep must reproduce bit
+    /// for bit: `ugbw`, the phase margin and the gain at `ugbw`.
+    fn crossing_bits(r: &AcResponse) -> (u64, u64, u64) {
+        let fu = r.ugbw().unwrap();
+        let pm = r.phase_margin_deg().unwrap();
+        assert_eq!(pm.to_bits(), r.phase_margin_at(fu).unwrap().to_bits());
+        (fu.to_bits(), pm.to_bits(), r.gain_at(fu).to_bits())
+    }
+
+    #[test]
+    fn prefix_through_the_crossing_measures_like_the_full_response() {
+        let freqs = crate::ac::log_freqs(1e2, 1e10, 10);
+        let h: Vec<Complex> = freqs
+            .iter()
+            .map(|&f| {
+                Complex::from_re(-300.0) / (Complex::new(1.0, f / 3e4) * Complex::new(1.0, f / 2e7))
+            })
+            .collect();
+        let full = AcResponse { freqs, h };
+        let mags = full.magnitudes();
+        let k = (1..mags.len()).find(|&j| mags[j] < 1.0).unwrap();
+        assert!(k + 1 < mags.len(), "the crossing must leave points unread");
+        let cut = prefix(&full, k);
+        assert_eq!(crossing_bits(&cut), crossing_bits(&full));
+        assert_eq!(cut.dc_gain().to_bits(), full.dc_gain().to_bits());
+        // The -3 dB cutoff comes earlier; its prefix measures alike too.
+        let f3 = full.f_3db().unwrap();
+        let k3 = (1..mags.len()).find(|&j| mags[j] < mags[0] * std::f64::consts::FRAC_1_SQRT_2);
+        let cut3 = prefix(&full, k3.unwrap());
+        assert_eq!(cut3.f_3db().unwrap().to_bits(), f3.to_bits());
+    }
+
+    #[test]
+    fn crossing_on_the_last_prefix_point_interpolates_like_the_full_grid() {
+        // `|H(1 Hz)|` sits one ulp below unity, so the crossing weight
+        // rounds to t = 1 and `ugbw` lands exactly on the grid point
+        // 1 Hz (`ln 1 = 0`, `exp 0 = 1`). On the prefix ending there the
+        // query hits the last grid point; it must still interpolate on
+        // the segment that ends there, as the full grid does.
+        let freqs = vec![0.25, 0.5, 1.0, 2.0, 4.0];
+        let mut checked = 0;
+        for step in 1..40 {
+            let a = 0.013 * step as f64;
+            let b = a + 0.071 * step as f64;
+            let h = vec![
+                Complex::from_re(30.0),
+                Complex::new(10.0 * a.cos(), -10.0 * a.sin()),
+                Complex::new(-b.cos(), -b.sin()) * (1.0 - f64::EPSILON / 2.0),
+                Complex::new(0.1, -0.2),
+                Complex::new(0.01, -0.02),
+            ];
+            let full = AcResponse {
+                freqs: freqs.clone(),
+                h,
+            };
+            if full.ugbw().unwrap() != 1.0 {
+                continue;
+            }
+            checked += 1;
+            assert_eq!(crossing_bits(&prefix(&full, 2)), crossing_bits(&full));
+        }
+        assert!(
+            checked > 20,
+            "only {checked} responses crossed on the grid point"
+        );
     }
 
     #[test]

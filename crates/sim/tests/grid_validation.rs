@@ -94,7 +94,7 @@ fn corner_sweep_reports_invalid_grid_per_corner() {
     let (ckt, o, op) = rc_lowpass();
     let solvers = [AcSolver::new(&ckt, &op), AcSolver::new(&ckt, &op)];
     let mut ws = AcBatchWorkspace::new();
-    let r = ac_sweep_corners(&solvers, &[1e4, 1e3], &[o, o], &mut ws);
+    let r = ac_sweep_corners(&solvers, &[1e4, 1e3], &[o, o], None, &mut ws);
     assert_eq!(r.len(), 2);
     assert!(r.iter().all(is_invalid));
 }

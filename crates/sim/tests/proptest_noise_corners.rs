@@ -356,7 +356,7 @@ fn workspace_reuse_is_stable() {
     let freqs = log_freqs(1e4, 1e10, 4);
     let mut ws = AcBatchWorkspace::new();
     let a = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
-    let sweep = autockt_sim::ac::ac_sweep_corners(&solvers, &freqs, &outs, &mut ws);
+    let sweep = autockt_sim::ac::ac_sweep_corners(&solvers, &freqs, &outs, None, &mut ws);
     assert!(sweep.iter().all(Result::is_ok));
     let b = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
     assert_eq!(
