@@ -190,9 +190,12 @@ fn benches(c: &mut Criterion) {
 /// transposed Woodbury correction) — at mesh depths 0, 4 and 8 (dim 60,
 /// the `deploy_tia_pexwc_mesh8` system), over the same
 /// [`autockt_bench::NoiseCornerCase`] workloads as `bench_env_step`'s
-/// noise-corner section.
+/// noise-corner section. The `ac_corners_*` rows time the warm AC stage on
+/// the same corner sets: `ac_sweep_corners` over the TIA's AC grid, each
+/// corner stopped at its cutoff (`Tia::AC_STOP`), on the adjoint row the
+/// noise analysis shares at mesh depths 4 and 8.
 fn bench_noise_corners(c: &mut Criterion) {
-    use autockt_sim::ac::{AcBatchWorkspace, AcSolver, AcWorkspace};
+    use autockt_sim::ac::{ac_sweep_corners, AcBatchWorkspace, AcSolver, AcWorkspace};
     use autockt_sim::dc::OpPoint;
     use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws};
     for depth in [0usize, 4, 8] {
@@ -225,6 +228,13 @@ fn bench_noise_corners(c: &mut Criterion) {
                     &case.temps,
                     &mut ws,
                 );
+                black_box(r.len())
+            });
+        });
+        let ac_freqs = Tia::ac_freqs();
+        c.bench_function(&format!("ac_corners_tia_mesh{depth}"), |b| {
+            b.iter(|| {
+                let r = ac_sweep_corners(&solvers, &ac_freqs, &outs, Some(Tia::AC_STOP), &mut ws);
                 black_box(r.len())
             });
         });

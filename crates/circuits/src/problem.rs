@@ -199,10 +199,12 @@ pub struct CornerCase {
 /// measurements.
 /// The only choice a stage makes is warm or cold. Warm evaluations run
 /// the corner kernels ([`ac_sweep_corners`], [`noise_analysis_corners`],
-/// [`step_response_corners`]); the AC and noise kernels share one base
-/// factorization across the corner set at dense-mesh dims and fall back
-/// to the scalar kernel per corner where that cannot pay. Cold evaluations run the scalar
-/// kernels per corner — the reference path. When several corners fail,
+/// [`step_response_corners`]); at dense-mesh dims the AC and noise kernels
+/// run one shared adjoint row per frequency point (one base factorization
+/// across the corner set, each corner's adjoint `A_b⁻ᵀ e_out` recovered by
+/// a small Woodbury correction) and fall back to the scalar kernel per
+/// corner where that cannot pay. Cold evaluations run the scalar kernels
+/// per corner — the reference path. When several corners fail,
 /// the reported `SimError` is the lowest-slot failure of the first stage
 /// that surfaced one.
 #[derive(Debug, Clone)]
@@ -263,10 +265,11 @@ impl CornerEvaluator {
     /// the closure) is what lets warm evaluations share work across the
     /// corner set: cold corners run the scalar [`noise_analysis_ws`],
     /// and warm evaluations run [`noise_analysis_corners`], which at
-    /// dense-mesh dims factors the base corner once per point and reads
-    /// every corner's gain and PSD off one adjoint vector per corner
-    /// (Woodbury-corrected from the base's adjoint solves), and runs the
-    /// scalar kernel per corner at stock dims.
+    /// dense-mesh dims runs the adjoint row [`ac_sweep_corners`] runs —
+    /// the base corner factored once per point, one adjoint vector per
+    /// corner Woodbury-corrected from the base's adjoint solves — and
+    /// reads every corner's gain and PSD off it, and runs the scalar
+    /// kernel per corner at stock dims.
     pub fn with_noise(mut self, freqs: Vec<f64>) -> Self {
         self.noise_freqs = Some(freqs);
         self

@@ -7,9 +7,11 @@
 //! one O(n²) transposed Hessenberg solve from the output row plus a dot
 //! product with the projected source vector. [`AcSolver::factor_at`] /
 //! [`AcSolver::solve_sources`] keep the plain per-point dense LU: the
-//! oracle the reduced sweeps are tested against. The Woodbury corner
-//! sweeps ([`ac_sweep_corners`]) factor per point too, once for the base
-//! corner and once per correction.
+//! oracle the reduced sweeps are tested against. The warm corner sweep
+//! ([`ac_sweep_corners`]) factors per point too: at dense dims it shares
+//! one adjoint row per point with the corner noise analysis
+//! (`CornerSet`), one base factorization plus a small Woodbury
+//! correction per corner.
 //!
 //! The public [`ac_sweep`] / [`ac_sweep_ws`] solve every grid point. The
 //! evaluation sweeps ([`AcSolver::solve_sources_batch_ws`] and
@@ -22,9 +24,7 @@
 use crate::complex::Complex;
 use crate::dc::OpPoint;
 use crate::error::SimError;
-use crate::linalg::correction::{
-    corrected_entry, factor_correction, solve_correction_basis, CornerDiff,
-};
+use crate::linalg::correction::{factor_correction, CornerDiff};
 use crate::linalg::pencil::{dot, HessenbergLu, Pencil};
 use crate::linalg::{LuFactors, Matrix};
 use crate::netlist::{Circuit, Element, Node};
@@ -63,31 +63,37 @@ impl AcWorkspace {
 
 /// Reusable buffers for the corner sweeps ([`ac_sweep_corners`] and
 /// [`crate::noise::noise_analysis_corners`]): one stamp pattern per
-/// corner, the base-factor/correction scratch of the Woodbury paths, and
-/// a scalar workspace for the per-corner fallbacks.
+/// corner, the scratch of the shared adjoint row (`CornerSet`), and a
+/// scalar workspace for the per-corner fallbacks.
 #[derive(Debug, Clone, Default)]
 pub struct AcBatchWorkspace {
     /// Each corner's `(row, col, g, c)` stamp pattern.
     pub(crate) patterns: Vec<Vec<(usize, usize, f64, f64)>>,
     /// The base corner's factor at the current frequency point.
     pub(crate) base: LuFactors<Complex>,
-    /// A corner's own factor, for the per-point direct fallbacks.
+    /// A corner's own factor, for the per-point direct fallback.
     pub(crate) spare: LuFactors<Complex>,
     /// One corner's factored `|R| x |R|` correction `S_b = I + N_b W`.
     pub(crate) small: LuFactors<Complex>,
-    /// The base solution: `A0⁻¹ b` in the AC sweep, the adjoint
-    /// `A0⁻ᵀ e_out` in the noise analysis.
-    pub(crate) y0: Vec<Complex>,
-    /// A unit right-hand side.
+    /// The base adjoint `z = A0⁻ᵀ e_out`.
+    pub(crate) z: Vec<Complex>,
+    /// A unit right-hand side `e_c`.
     pub(crate) unit: Vec<Complex>,
-    /// One solution: a basis column, or a corner's adjoint vector.
+    /// A corner's own adjoint, from the direct fallback.
     pub(crate) xcol: Vec<Complex>,
     /// The correction basis `W`, column-major (`wflat[j*n + c]` is
-    /// `W[c][j]`).
+    /// `W[c][j]`); only the columns in the difference column support are
+    /// filled.
     pub(crate) wflat: Vec<Complex>,
-    /// The noise analysis' adjoint columns `A0⁻ᵀ e_c`, one per column `c`
-    /// of the difference column support, `n` entries each.
+    /// The column adjoints `V_c = A0⁻ᵀ e_c`, one per column `c` of the
+    /// difference column support, `n` entries each.
     pub(crate) adj: Vec<Complex>,
+    /// `z|_R`, the base adjoint on the support rows.
+    pub(crate) zr: Vec<Complex>,
+    /// `S_b⁻ᵀ z|_R` (and a column solve's scratch before it).
+    pub(crate) sr: Vec<Complex>,
+    /// One corner's weights `q_b = N_bᵀ S_b⁻ᵀ z|_R`.
+    pub(crate) q: Vec<Complex>,
     /// Scalar-path workspace for the per-corner fallbacks (mismatched
     /// structures, stock dims).
     pub(crate) scalar: AcWorkspace,
@@ -711,32 +717,6 @@ pub(crate) fn validate_freqs(freqs: &[f64]) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Per-corner sweep through the batch workspace's scalar buffers — the
-/// corner paths' route wherever the Woodbury correction does not apply
-/// (stock dims, single corners, mismatched structures, unprofitable
-/// support). Identical per corner to [`AcSolver::solve_sources_batch_ws`]
-/// on a fresh workspace (each corner stops on its own), hence to a
-/// prefix of [`ac_sweep`].
-fn scalar_sweeps(
-    solvers: &[AcSolver<'_>],
-    freqs: &[f64],
-    outs: &[Node],
-    stop: Option<StopLevel>,
-    ws: &mut AcBatchWorkspace,
-) -> Vec<Result<AcResponse, SimError>> {
-    solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| {
-            let h = s.solve_sources_batch_ws(freqs, o, stop, &mut ws.scalar)?;
-            Ok(AcResponse {
-                freqs: freqs[..h.len()].to_vec(),
-                h,
-            })
-        })
-        .collect()
-}
-
 /// Dimension boundary between "stock" and "dense" extraction regimes for
 /// the corner paths. At or below it the Woodbury correction cannot pay
 /// (the difference support spans most of the system), so the corner
@@ -749,30 +729,25 @@ pub(crate) const STOCK_DIM_MAX: usize = 16;
 /// engine. The B corner systems of a worst-case evaluation differ only in
 /// their device stamps — the parasitic mesh, passives, sources, and gmin
 /// regularization are identical across PVT corners — so instead of B full
-/// factorizations per frequency this factors the **base corner once** and
-/// recovers every sibling's output voltage through the Woodbury identity:
+/// factorizations per frequency this runs the shared adjoint row
+/// (`CornerSet`): one base factorization per point, and every corner's
+/// transfer read off its adjoint `z_b = A_b⁻ᵀ e_out` as
 ///
-/// `A_b = A0 + P_R N_b  =>  x_b = y0 - W (I + N_b W)^{-1} N_b y0`
+/// `H_b = z_b·b = z·b − Σ_c q_b[c]·(V_c·b)`,
 ///
-/// where `R` is the set of rows any corner's stamps differ on (device
-/// terminal rows — a handful, independent of mesh depth), `W = A0^{-1}
-/// P_R` costs `|R|` extra back-substitutions shared by all corners, and
-/// the per-corner work collapses to an `|R| x |R|` solve plus one dot
-/// product (only the output node's voltage is needed). Per frequency that
-/// is ~`1 + |R|/n` factorization-equivalents instead of `B`, which is
-/// where the warm engine's dense-mesh speedup comes from.
+/// with the dots `z·b` and `V_c·b` taken once per point, so a corner costs
+/// its `|R| x |R|` correction and `|C|` products, and `z_b` is never
+/// formed.
 ///
 /// The correction is algebraically exact; in floating point it agrees
 /// with the direct per-corner factorization to roundoff amplified by the
 /// base system's conditioning — far inside the warm evaluation path's
 /// solver-tolerance contract, which is why *cold* evaluations sweep each
 /// corner through [`AcSolver::solve_sources_batch_ws`] instead. Falls
-/// back to that reduced per-corner sweep at stock dims, when the
-/// difference support is too wide to pay (`3|R| >= n`), and on
-/// structural mismatch, and to a direct per-corner LU at any frequency
-/// where the base factor or a correction system is singular. A
-/// degenerate frequency grid reports [`SimError::InvalidOptions`] for
-/// every corner.
+/// back to that reduced per-corner sweep wherever `CornerSet` does not
+/// apply, and to a direct per-corner factor at any frequency where the
+/// base factor or a correction system is singular. A degenerate frequency
+/// grid reports [`SimError::InvalidOptions`] for every corner.
 ///
 /// With `stop` set every corner's response is the prefix through its own
 /// crossing (see [`AcSolver::solve_sources_batch_ws`]). The per-corner
@@ -787,227 +762,301 @@ pub fn ac_sweep_corners(
     ws: &mut AcBatchWorkspace,
 ) -> Vec<Result<AcResponse, SimError>> {
     assert_eq!(solvers.len(), outs.len(), "one output node per corner");
-    let bt = solvers.len();
     if let Err(e) = validate_freqs(freqs) {
-        return (0..bt).map(|_| Err(e.clone())).collect();
+        return solvers.iter().map(|_| Err(e.clone())).collect();
     }
-    if bt == 0 {
-        return Vec::new();
-    }
-    let n = solvers[0].dim();
-    if bt == 1 || n <= STOCK_DIM_MAX || solvers.iter().any(|s| s.dim() != n) {
-        // At stock extraction dims the difference support spans most of
-        // the system (every node touches a device), so the correction
-        // cannot pay — skip its setup and sweep each corner through the
-        // scalar kernel (bitwise-equal to the cold per-corner sweep).
-        return scalar_sweeps(solvers, freqs, outs, stop, ws);
-    }
-    let rhs0 = solvers[0].source_rhs();
-    if solvers.iter().any(|s| s.source_rhs() != rhs0) {
-        // One shared base solve needs one shared source vector; corner
-        // sets always satisfy this (same netlist structure), so this is
-        // a safety valve, not a hot path.
-        return scalar_sweeps(solvers, freqs, outs, stop, ws);
-    }
-
-    // Dense base images of G and C, plus per-corner stamp differences.
-    ws.patterns.resize(bt, Vec::new());
-    for (pat, s) in ws.patterns.iter_mut().zip(solvers) {
-        s.collect_pattern(pat);
-    }
-    let cd = CornerDiff::from_patterns(&ws.patterns, n);
-    if !cd.profitable(n) {
-        // Correction support too wide relative to the system to pay.
-        return scalar_sweeps(solvers, freqs, outs, stop, ws);
-    }
-    let rn = cd.support();
-
-    let oi: Vec<Option<usize>> = solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| s.mna_index(o))
-        .collect();
-    // Frequency-major: every corner's value at one `fq` shares the base
-    // factor and correction basis of that point. A corner's response ends
-    // at its first error or once its stop test fires; the rows run until
-    // every corner has ended.
-    let patterns = std::mem::take(&mut ws.patterns);
-    let mut hs: Vec<Vec<Complex>> = vec![Vec::with_capacity(freqs.len()); bt];
-    let mut errs: Vec<Option<SimError>> = vec![None; bt];
-    let mut watches = vec![StopWatch::new(stop); bt];
-    let mut live = vec![true; bt];
-    let mut row: Vec<Result<Complex, SimError>> = (0..bt).map(|_| Ok(Complex::ZERO)).collect();
-    let mut u = vec![Complex::ZERO; rn];
-    let mut z = Vec::new();
-    for &fq in freqs {
-        dense_corner_row(
-            &patterns[..bt],
-            &cd,
-            rn,
-            n,
-            rhs0,
-            &oi,
-            &live,
-            fq,
-            ws,
-            &mut u,
-            &mut z,
-            &mut row,
-        );
-        for (b, slot) in row.iter().enumerate() {
-            if !live[b] {
-                continue;
-            }
-            live[b] = match slot {
-                Ok(v) => {
-                    hs[b].push(*v);
-                    !watches[b].done_after(*v)
-                }
-                Err(e) => {
-                    errs[b] = Some(e.clone());
-                    false
-                }
-            };
-        }
-        if !live.contains(&true) {
-            break;
-        }
-    }
-    ws.patterns = patterns;
-    hs.into_iter()
-        .zip(errs)
-        .map(|(h, err)| match err {
-            Some(e) => Err(e),
-            None => Ok(AcResponse {
-                freqs: freqs[..h.len()].to_vec(),
-                h,
-            }),
-        })
+    let response = |h: Vec<Complex>| AcResponse {
+        freqs: freqs[..h.len()].to_vec(),
+        h,
+    };
+    let Some(set) = CornerSet::new(solvers, outs, ws) else {
+        // Each corner through the scalar kernel, stopping on its own:
+        // bitwise the cold per-corner sweep.
+        let scalar = &mut ws.scalar;
+        return solvers
+            .iter()
+            .zip(outs)
+            .map(|(s, &o)| {
+                s.solve_sources_batch_ws(freqs, o, stop, scalar)
+                    .map(response)
+            })
+            .collect();
+    };
+    let mut read = AcRead {
+        rhs: solvers[0].source_rhs(),
+        zb: Complex::ZERO,
+        vb: Vec::new(),
+        watches: vec![StopWatch::new(stop); solvers.len()],
+    };
+    set.sweep(freqs, ws, &mut read)
+        .into_iter()
+        .map(|h| h.map(response))
         .collect()
 }
 
-/// One frequency point of the warm corner sweep: base factor + shared
-/// correction basis + per-corner Woodbury corrections, writing every
-/// live corner's value (or error) into `row`; the slots of corners that
-/// are no longer live are left as they are.
-#[allow(clippy::too_many_arguments)]
-fn dense_corner_row(
-    patterns: &[Vec<(usize, usize, f64, f64)>],
-    cd: &CornerDiff,
-    rn: usize,
-    n: usize,
-    rhs0: &[Complex],
-    oi: &[Option<usize>],
-    live: &[bool],
-    fq: f64,
-    ws: &mut AcBatchWorkspace,
-    u: &mut Vec<Complex>,
-    z: &mut Vec<Complex>,
-    row: &mut [Result<Complex, SimError>],
-) {
-    let w_ang = 2.0 * std::f64::consts::PI * fq;
-    let base_ok = factor_pattern(&mut ws.base, n, &patterns[0], w_ang).is_ok();
-    if !base_ok {
-        // Base corner singular at this point: factor every live corner
-        // directly instead.
-        for (b, slot) in row.iter_mut().enumerate().filter(|(b, _)| live[*b]) {
-            *slot = direct_corner_point(
-                &mut ws.spare,
-                &mut ws.xcol,
-                &patterns[b],
-                n,
-                w_ang,
-                rhs0,
-                oi[b],
-            );
-        }
-        return;
+/// [`ac_sweep_corners`]' reading of the adjoint row.
+struct AcRead<'a> {
+    rhs: &'a [Complex],
+    /// `z·b` at the current point.
+    zb: Complex,
+    /// `V_c·b` at the current point, one per column of the support.
+    vb: Vec<Complex>,
+    watches: Vec<StopWatch>,
+}
+
+impl AdjointRead for AcRead<'_> {
+    type Point = Complex;
+
+    fn base(&mut self, z: &[Complex], v: &[Complex]) {
+        self.zb = dot(z, self.rhs);
+        self.vb.clear();
+        self.vb
+            .extend(v.chunks_exact(z.len()).map(|vc| dot(vc, self.rhs)));
     }
-    ws.base.solve_into(rhs0, &mut ws.y0);
-    // W = A0^{-1} P_R : one extra back-substitution per support row,
-    // shared by every corner at this frequency.
-    {
-        let AcBatchWorkspace {
-            base,
-            unit,
-            xcol,
-            wflat,
-            ..
-        } = &mut *ws;
-        solve_correction_basis(&*base, &cd.rows, n, unit, xcol, wflat);
-    }
-    for (b, slot) in row.iter_mut().enumerate().filter(|(b, _)| live[*b]) {
-        let base_v = oi[b].map_or(Complex::ZERO, |i| ws.y0[i]);
-        let diff = &cd.diffs[b];
-        if diff.is_empty() {
-            *slot = Ok(base_v);
-            continue;
+
+    fn corner(&mut self, _: usize, _: f64, adj: CornerAdjoint<'_>) -> Complex {
+        match adj {
+            CornerAdjoint::Formed(z) => dot(z, self.rhs),
+            CornerAdjoint::Corrected { q, .. } => q
+                .iter()
+                .zip(&self.vb)
+                .fold(self.zb, |h, (&qc, &vc)| h - qc * vc),
         }
-        // S = I + N_b W and u = N_b y0, accumulated straight from
-        // the sparse stamp differences — into the reused small-LU
-        // buffer, so the per-(corner, frequency) correction
-        // allocates nothing.
-        let ok = factor_correction(
-            &mut ws.small,
-            diff,
-            &cd.row_pos,
-            rn,
-            n,
-            |dg, dc| Complex::new(dg, w_ang * dc),
-            &ws.wflat,
-        )
-        .is_ok();
-        *slot = if ok {
-            Ok(corrected_entry(
-                &ws.small,
-                diff,
-                &cd.row_pos,
-                &ws.wflat,
-                &ws.y0,
-                oi[b],
-                |dg, dc| Complex::new(dg, w_ang * dc),
-                n,
-                rn,
-                u,
-                z,
-            ))
-        } else {
-            // Correction system singular (a corner shifted the
-            // base too hard): solve this corner directly.
-            direct_corner_point(
-                &mut ws.spare,
-                &mut ws.xcol,
-                &patterns[b],
-                n,
-                w_ang,
-                rhs0,
-                oi[b],
-            )
-        };
+    }
+
+    fn done_after(&mut self, b: usize, h: &Complex) -> bool {
+        self.watches[b].done_after(*h)
     }
 }
 
-/// Factors corner `b`'s full system at one frequency into the spare
-/// buffer and solves the shared source vector — the per-point fallback of
-/// [`ac_sweep_corners`].
-fn direct_corner_point(
-    spare: &mut LuFactors<Complex>,
-    xcol: &mut Vec<Complex>,
-    pat: &[(usize, usize, f64, f64)],
-    n: usize,
-    w_ang: f64,
-    rhs: &[Complex],
-    oi: Option<usize>,
-) -> Result<Complex, SimError> {
-    factor_pattern(spare, n, pat, w_ang)?;
-    spare.solve_into(rhs, xcol);
-    Ok(oi.map_or(Complex::ZERO, |i| xcol[i]))
+/// Corner `b`'s adjoint `z_b = A_b⁻ᵀ e_out` at one point of
+/// [`CornerSet::sweep`].
+pub(crate) enum CornerAdjoint<'a> {
+    /// Formed: the base corner's `z`, or a corner's own direct solve.
+    Formed(&'a [Complex]),
+    /// Left as `z_b = z − Σ_c q[c]·V_c`: the base adjoint `z`, the column
+    /// adjoints `V` (`n` entries each, in [`CornerDiff::cols`] order) and
+    /// the corner's weights `q`.
+    Corrected {
+        z: &'a [Complex],
+        v: &'a [Complex],
+        q: &'a [Complex],
+    },
+}
+
+/// How a corner path reads the shared adjoint row of
+/// [`CornerSet::sweep`].
+pub(crate) trait AdjointRead {
+    /// One corner's value at one point.
+    type Point;
+
+    /// Once per point where the base factor holds, before any corner's
+    /// [`AdjointRead::corner`]: the base adjoint `z` and the column
+    /// adjoints `V`.
+    fn base(&mut self, _z: &[Complex], _v: &[Complex]) {}
+
+    /// Corner `b`'s value at frequency `fq`.
+    fn corner(&mut self, b: usize, fq: f64, adj: CornerAdjoint<'_>) -> Self::Point;
+
+    /// Whether corner `b`'s sweep ends after the point `p`; never by
+    /// default.
+    fn done_after(&mut self, _b: usize, _p: &Self::Point) -> bool {
+        false
+    }
+}
+
+/// The warm corner paths' shared Woodbury set-up ([`ac_sweep_corners`]
+/// and [`crate::noise::noise_analysis_corners`]): the corners' common
+/// output row, their stamp patterns and their stamp differences against
+/// the base corner ([`CornerDiff`]).
+///
+/// Per frequency point [`CornerSet::sweep`] runs one adjoint row
+/// ([`crate::linalg::correction`]): it factors the base corner once,
+/// solves `z = A0⁻ᵀ e_out` and `V_c = A0⁻ᵀ e_c` for each column `c` of
+/// [`CornerDiff::cols`], fills `W[c][j] = V_c[R_j]`, and for each live
+/// corner factors `S_b = I + N_b W` and forms the weights
+/// `q_b = N_bᵀ S_b⁻ᵀ z|_R`. That is 1 factorization, `1 + |C|`
+/// transposed solves and `B` small factors per point, instead of `B`
+/// factorizations; the caller's [`AdjointRead`] turns each corner's
+/// adjoint into its value.
+pub(crate) struct CornerSet {
+    /// The output's MNA index, shared by every corner.
+    out: usize,
+    cd: CornerDiff,
+    /// Each corner's `(row, col, g, c)` stamp pattern, on loan from the
+    /// workspace for the sweep.
+    patterns: Vec<Vec<(usize, usize, f64, f64)>>,
+}
+
+impl CornerSet {
+    /// The set-up, or `None` where the caller runs its per-corner scalar
+    /// path instead: a single corner; a stock dim (`n <= STOCK_DIM_MAX`);
+    /// corners that differ in dim, output or source vector (corner sets
+    /// never do, so this is a safety valve); a ground output; or a
+    /// difference support too wide to pay ([`CornerDiff::profitable`]).
+    pub(crate) fn new(
+        solvers: &[AcSolver<'_>],
+        outs: &[Node],
+        ws: &mut AcBatchWorkspace,
+    ) -> Option<CornerSet> {
+        let s0 = solvers.first()?;
+        let n = s0.dim();
+        let out = s0.mna_index(outs[0])?;
+        if solvers.len() == 1
+            || n <= STOCK_DIM_MAX
+            || solvers.iter().zip(outs).any(|(s, &o)| {
+                s.dim() != n || s.mna_index(o) != Some(out) || s.source_rhs() != s0.source_rhs()
+            })
+        {
+            return None;
+        }
+        ws.patterns.resize(solvers.len(), Vec::new());
+        for (pat, s) in ws.patterns.iter_mut().zip(solvers) {
+            s.collect_pattern(pat);
+        }
+        let cd = CornerDiff::from_patterns(&ws.patterns, n);
+        cd.profitable(n).then(|| CornerSet {
+            out,
+            cd,
+            patterns: std::mem::take(&mut ws.patterns),
+        })
+    }
+
+    /// Sweeps `freqs` in order, frequency-major: every live corner's point
+    /// at one frequency shares that point's base factor and adjoint
+    /// solves. A corner's sweep ends at its first error, which replaces
+    /// its points, or once `read` stops it; the rows run until every
+    /// corner has ended.
+    pub(crate) fn sweep<R: AdjointRead>(
+        self,
+        freqs: &[f64],
+        ws: &mut AcBatchWorkspace,
+        read: &mut R,
+    ) -> Vec<Result<Vec<R::Point>, SimError>> {
+        let bt = self.patterns.len();
+        let mut e_out = vec![Complex::ZERO; self.cd.row_pos.len()];
+        e_out[self.out] = Complex::ONE;
+        let mut sweeps: Vec<Result<Vec<R::Point>, SimError>> = (0..bt)
+            .map(|_| Ok(Vec::with_capacity(freqs.len())))
+            .collect();
+        let mut live = vec![true; bt];
+        let mut row: Vec<Option<Result<R::Point, SimError>>> = (0..bt).map(|_| None).collect();
+        for &fq in freqs {
+            self.row(fq, &e_out, &live, ws, read, &mut row);
+            for (b, slot) in row.iter_mut().enumerate() {
+                match slot.take() {
+                    Some(Ok(p)) => {
+                        live[b] = !read.done_after(b, &p);
+                        if let Ok(pts) = &mut sweeps[b] {
+                            pts.push(p);
+                        }
+                    }
+                    Some(Err(e)) => {
+                        sweeps[b] = Err(e);
+                        live[b] = false;
+                    }
+                    None => {}
+                }
+            }
+            if !live.contains(&true) {
+                break;
+            }
+        }
+        ws.patterns = self.patterns;
+        sweeps
+    }
+
+    /// One frequency point of [`CornerSet::sweep`], writing every live
+    /// corner's value (or error) into its slot of `row`.
+    // Out of line on purpose: inlined, this kernel moved the code layout of
+    // the stock-dim paths enough to slow the dim-4 TIA deployment by 4–6%
+    // (ledger `deploy_tia_pexwc`), although none of its code runs there.
+    #[inline(never)]
+    fn row<R: AdjointRead>(
+        &self,
+        fq: f64,
+        e_out: &[Complex],
+        live: &[bool],
+        ws: &mut AcBatchWorkspace,
+        read: &mut R,
+        row: &mut [Option<Result<R::Point, SimError>>],
+    ) {
+        let (cd, n) = (&self.cd, e_out.len());
+        let w_ang = 2.0 * std::f64::consts::PI * fq;
+        let combine = |dg: f64, dc: f64| Complex::new(dg, w_ang * dc);
+        let AcBatchWorkspace {
+            base,
+            spare,
+            small,
+            z,
+            unit,
+            xcol,
+            wflat,
+            adj,
+            zr,
+            sr,
+            q,
+            ..
+        } = ws;
+        // A corner's own factor and transposed solve: the fallback where
+        // the base factor or the corner's correction is singular.
+        let mut direct = |b: usize, read: &mut R| -> Result<R::Point, SimError> {
+            factor_pattern(spare, n, &self.patterns[b], w_ang)?;
+            spare.solve_transposed_into(e_out, xcol);
+            Ok(read.corner(b, fq, CornerAdjoint::Formed(xcol.as_slice())))
+        };
+        let slots = row.iter_mut().enumerate().filter(|(b, _)| live[*b]);
+        if factor_pattern(base, n, &self.patterns[0], w_ang).is_err() {
+            for (b, slot) in slots {
+                *slot = Some(direct(b, read));
+            }
+            return;
+        }
+        base.solve_transposed_into(e_out, z);
+        adj.clear();
+        for &c in &cd.cols {
+            unit.clear();
+            unit.resize(n, Complex::ZERO);
+            unit[c] = Complex::ONE;
+            base.solve_transposed_into(unit, sr);
+            adj.extend_from_slice(sr);
+        }
+        // W[c][j] = V_c[R_j]; only the columns in C are ever read.
+        let rn = cd.support();
+        wflat.clear();
+        wflat.resize(rn * n, Complex::ZERO);
+        for (v, &c) in adj.chunks_exact(n).zip(&cd.cols) {
+            for (j, &r) in cd.rows.iter().enumerate() {
+                wflat[j * n + c] = v[r];
+            }
+        }
+        read.base(z, adj);
+        for (b, slot) in slots {
+            let diff = &cd.diffs[b];
+            *slot = Some(if diff.is_empty() {
+                // Corner identical to the base: its adjoint *is* `z`.
+                Ok(read.corner(b, fq, CornerAdjoint::Formed(z)))
+            } else if factor_correction(small, diff, &cd.row_pos, rn, n, combine, wflat).is_ok() {
+                zr.clear();
+                zr.extend(cd.rows.iter().map(|&r| z[r]));
+                small.solve_transposed_into(zr, sr);
+                q.clear();
+                q.resize(cd.cols.len(), Complex::ZERO);
+                for &(r, c, dg, dc) in diff {
+                    q[cd.col_pos[c]] += combine(dg, dc) * sr[cd.row_pos[r]];
+                }
+                Ok(read.corner(b, fq, CornerAdjoint::Corrected { z, v: adj, q }))
+            } else {
+                direct(b, read)
+            });
+        }
+    }
 }
 
 /// Factors `G + j*w*C`, stamped from a `(row, col, g, c)` pattern into a
 /// zeroed `n x n` matrix, into `lu` — the per-frequency-point
 /// factorization of the Woodbury corner paths.
-pub(crate) fn factor_pattern(
+fn factor_pattern(
     lu: &mut LuFactors<Complex>,
     n: usize,
     pattern: &[(usize, usize, f64, f64)],

@@ -131,9 +131,9 @@ impl WarmState {
 
     /// The session's reusable AC-analysis buffers, for the warm stages of
     /// every evaluation (one corner or many): [`crate::ac::ac_sweep_corners`] and
-    /// [`crate::noise::noise_analysis_corners`] keep their base factor,
-    /// correction basis and scalar-fallback workspace here between
-    /// evaluations.
+    /// [`crate::noise::noise_analysis_corners`] keep the stamp patterns,
+    /// base factor and adjoint scratch of their shared adjoint row, and
+    /// their scalar-fallback workspace, here between evaluations.
     pub fn ac_batch_workspace(&mut self) -> &mut crate::ac::AcBatchWorkspace {
         &mut self.ac_batch
     }

@@ -17,11 +17,12 @@
 //! Worst-case PVT evaluations run the analysis over a *corner set* of
 //! same-structure circuits. Cold evaluations call [`noise_analysis_ws`]
 //! once per corner; warm ones call [`noise_analysis_corners`], which at
-//! dense-mesh dims factors the **base corner once per frequency** and
-//! works on adjoints: the output's response to the signal source and to
-//! every noise injection is a dot product with one vector
+//! dense-mesh dims works on adjoints: the output's response to the signal
+//! source and to every noise injection is a dot product with one vector
 //! `A_b⁻ᵀ e_out` per corner, the adjoint-network method of SPICE's
-//! `.NOISE`. The base adjoint comes from one transposed solve, and each
+//! `.NOISE`. Those vectors come from the adjoint row the AC corner sweep
+//! shares ([`crate::ac::ac_sweep_corners`]): the **base corner factored
+//! once per frequency**, its adjoint from one transposed solve, and each
 //! sibling's from a rank-`|R|` transposed Woodbury correction
 //! ([`crate::linalg::correction`]), so the number of noise sources never
 //! multiplies the solves. Exact to roundoff (the warm path's
@@ -29,15 +30,14 @@
 //! path per corner.
 
 use crate::ac::{
-    factor_pattern, sweep, validate_freqs, AcBatchWorkspace, AcSolver, AcWorkspace, STOCK_DIM_MAX,
+    sweep, validate_freqs, AcBatchWorkspace, AcSolver, AcWorkspace, AdjointRead, CornerAdjoint,
+    CornerSet,
 };
 use crate::complex::Complex;
 use crate::dc::OpPoint;
 use crate::device::BOLTZMANN;
 use crate::error::SimError;
-use crate::linalg::correction::{factor_correction, CornerDiff};
 use crate::linalg::pencil::{dot, dot_re};
-use crate::linalg::LuFactors;
 use crate::measure::integrate_trapezoid;
 use crate::netlist::{Circuit, Element, Node};
 
@@ -316,24 +316,29 @@ fn scalar_noise_ws(
 }
 
 /// Collects each corner's noise sources, or `None` when any corner fails
-/// or the corner lists disagree in length (the corrected path needs one
-/// source index space across the corner set) — callers then
-/// route through the scalar path, which reports per-corner failures
-/// individually.
-fn collect_corner_sources(
+/// or the corners disagree in source count or injection nodes (the
+/// adjoint row reads one injection list; corner sets always share it, so
+/// this is a safety valve) — callers then route through the scalar path,
+/// which reports per-corner failures individually.
+fn corner_sources(
     solvers: &[AcSolver<'_>],
     ops: &[&OpPoint],
     temps: &[f64],
 ) -> Option<Vec<Vec<NoiseSource>>> {
-    let mut all = Vec::with_capacity(solvers.len());
-    for ((s, op), &t) in solvers.iter().zip(ops).zip(temps) {
-        all.push(collect_sources(s.circuit(), op, t).ok()?);
-    }
-    let n_src = all[0].len();
-    if all.iter().any(|s| s.len() != n_src) {
-        return None;
-    }
-    Some(all)
+    let all = solvers
+        .iter()
+        .zip(ops)
+        .zip(temps)
+        .map(|((s, op), &t)| collect_sources(s.circuit(), op, t).ok())
+        .collect::<Option<Vec<_>>>()?;
+    let same = |srcs: &Vec<NoiseSource>| {
+        srcs.len() == all[0].len()
+            && srcs
+                .iter()
+                .zip(&all[0])
+                .all(|(a, b)| a.p == b.p && a.n == b.n)
+    };
+    all.iter().all(same).then_some(all)
 }
 
 /// Reads one point off a corner's adjoint vector `z = A⁻ᵀ e_out`: the
@@ -355,26 +360,37 @@ fn adjoint_point(
     (dot(z, rhs).norm(), psd)
 }
 
-/// Factors corner `b`'s full system at one frequency into the spare
-/// buffer and reads the point off its own adjoint solve `A_b⁻ᵀ e_out` —
-/// the per-point fallback of [`noise_analysis_corners`] when the base
-/// factor or a correction system is singular.
-#[allow(clippy::too_many_arguments)]
-fn direct_noise_point(
-    spare: &mut LuFactors<Complex>,
-    z: &mut Vec<Complex>,
-    pat: &[(usize, usize, f64, f64)],
-    n: usize,
-    w_ang: f64,
-    e_out: &[Complex],
-    rhs0: &[Complex],
-    sources_b: &[NoiseSource],
-    inj: &[(Option<usize>, Option<usize>)],
-    fq: f64,
-) -> Result<(f64, f64), SimError> {
-    factor_pattern(spare, n, pat, w_ang)?;
-    spare.solve_transposed_into(e_out, z);
-    Ok(adjoint_point(z, rhs0, sources_b, inj, fq))
+/// [`noise_analysis_corners`]' reading of the adjoint row: each corner's
+/// adjoint `z_b`, formed where the row leaves it corrected, gives its
+/// `(gain, psd)` through [`adjoint_point`].
+struct NoiseRead<'a> {
+    rhs: &'a [Complex],
+    sources: Vec<Vec<NoiseSource>>,
+    /// Each source's `(p, n)` MNA indices, shared by every corner.
+    inj: Vec<(Option<usize>, Option<usize>)>,
+    /// A corrected corner's formed adjoint.
+    z_b: Vec<Complex>,
+}
+
+impl AdjointRead for NoiseRead<'_> {
+    type Point = (f64, f64);
+
+    fn corner(&mut self, b: usize, fq: f64, adj: CornerAdjoint<'_>) -> (f64, f64) {
+        let z_b = match adj {
+            CornerAdjoint::Formed(z) => z,
+            CornerAdjoint::Corrected { z, v, q } => {
+                self.z_b.clear();
+                self.z_b.extend_from_slice(z);
+                for (vc, &qc) in v.chunks_exact(z.len()).zip(q) {
+                    for (zi, &vi) in self.z_b.iter_mut().zip(vc) {
+                        *zi -= qc * vi;
+                    }
+                }
+                &self.z_b
+            }
+        };
+        adjoint_point(z_b, self.rhs, &self.sources[b], &self.inj, fq)
+    }
 }
 
 /// Corner-**corrected** noise analysis: the fast path of the warm corner
@@ -386,29 +402,24 @@ fn direct_noise_point(
 /// `z_b = A_b⁻ᵀ e_out` per corner (the adjoint-network method of SPICE's
 /// `.NOISE`).
 ///
-/// Per frequency this factors the base corner once and solves
-/// `z = A0⁻ᵀ e_out` and `V_c = A0⁻ᵀ e_c` for every column `c` of the
-/// difference column support `C`. Each sibling then recovers its own
-/// adjoint through the transposed Woodbury identity
-/// ([`crate::linalg::correction`]): its `|R| x |R|` correction
-/// `S_b = I + N_b W` is filled from `W[c][j] = V_c[R_j]`, one transposed
-/// small solve gives `r_b = S_b⁻ᵀ z|_R`, and `z_b = z - Σ_c q_b[c] V_c`
-/// with `q_b = N_bᵀ r_b`. Per frequency that is `1` factorization +
-/// `(1 + |C|)` transposed solves + `B` small factors and solves, instead
-/// of the per-corner path's `B` solves against `B` reductions; the number
+/// At dense dims every corner's adjoint comes from the adjoint row the
+/// AC corner sweep shares ([`crate::ac::ac_sweep_corners`]): per
+/// frequency one base factorization, `1 + |C|` transposed solves, and per
+/// corner one small `|R| x |R|` correction, after which this analysis
+/// forms `z_b = z − Σ_c q_b[c]·V_c` and reads its gain and PSD. The number
 /// of noise sources only enters through one dot product each.
 ///
 /// The correction is algebraically exact; in floating point it agrees
 /// with the direct per-corner analysis to roundoff — inside the warm
 /// evaluation path's solver-tolerance contract; cold evaluations run
 /// [`noise_analysis_ws`] per corner instead. Falls back to the scalar
-/// per-corner path at stock dims (`n <= 16`), on structural mismatch
-/// (dims, output nodes, source lists, injection nodes, source vectors),
-/// or when the difference support is too wide to pay; falls back to a
-/// direct per-corner factorization and adjoint solve at any frequency
-/// where the base factor or a correction system is singular. A ground
-/// output reads `(0, 0)` at every point, which [`finalize`] reports as a
-/// zero-gain failure, as the scalar path does.
+/// per-corner path wherever the AC corner sweep does (a single corner,
+/// stock dims `n <= 16`, differing dims, outputs or source vectors, a
+/// ground output, or a difference support too wide to pay) and on
+/// differing noise-source lists; falls back to a direct per-corner
+/// factorization and adjoint solve at any frequency where the base factor
+/// or a correction system is singular. A corner's analysis stops at its
+/// first failing frequency.
 ///
 /// # Panics
 ///
@@ -424,225 +435,32 @@ pub fn noise_analysis_corners(
     assert_eq!(solvers.len(), ops.len(), "one operating point per corner");
     assert_eq!(solvers.len(), outs.len(), "one output node per corner");
     assert_eq!(solvers.len(), temps.len(), "one temperature per corner");
-    let bt = solvers.len();
-    if bt == 0 {
-        return Vec::new();
-    }
     if let Err(e) = validate_freqs(freqs) {
-        return (0..bt).map(|_| Err(e.clone())).collect();
+        return solvers.iter().map(|_| Err(e.clone())).collect();
     }
-    let n = solvers[0].dim();
-    let o = solvers[0].mna_index(outs[0]);
-    if bt == 1
-        || n <= STOCK_DIM_MAX
-        || solvers
-            .iter()
-            .zip(outs)
-            .any(|(s, &out)| s.dim() != n || s.mna_index(out) != o)
-    {
-        // At stock extraction dims the difference support spans most of
-        // the system, so the correction cannot pay — run the scalar
-        // per-corner analysis (the warm serial path's exact arithmetic).
-        // One adjoint per corner needs one output; corner sets always
-        // share it, so differing outputs are a safety valve.
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    }
-    let rhs0 = solvers[0].source_rhs();
-    if solvers.iter().any(|s| s.source_rhs() != rhs0) {
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    }
-    let Some(sources) = collect_corner_sources(solvers, ops, temps) else {
+    let Some(set) = CornerSet::new(solvers, outs, ws) else {
         return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
     };
-    // One injection list needs shared injection nodes; corner sets always
-    // satisfy this (same netlist structure), so this is a safety valve.
-    if sources[1..].iter().any(|srcs| {
-        srcs.iter()
-            .zip(&sources[0])
-            .any(|(a, b)| a.p != b.p || a.n != b.n)
-    }) {
+    let Some(sources) = corner_sources(solvers, ops, temps) else {
         return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    }
-    let inj: Vec<(Option<usize>, Option<usize>)> = sources[0]
+    };
+    let inj = sources[0]
         .iter()
         .map(|s| (solvers[0].mna_index(s.p), solvers[0].mna_index(s.n)))
         .collect();
-
-    ws.patterns.resize(bt, Vec::new());
-    for (pat, s) in ws.patterns.iter_mut().zip(solvers) {
-        s.collect_pattern(pat);
-    }
-    let cd = CornerDiff::from_patterns(&ws.patterns, n);
-    if !cd.profitable(n) || 3 * cd.cols.len() >= n {
-        return scalar_noise_ws(solvers, ops, outs, freqs, temps, ws);
-    }
-
-    // Frequency-major: every corner at one `fq` shares that point's base
-    // factor and adjoint solves. Values a corner computes past its first
-    // failing frequency are discarded by the in-order assembly.
-    let mut rows: Vec<Vec<Result<(f64, f64), SimError>>> = (0..freqs.len())
-        .map(|_| (0..bt).map(|_| Ok((0.0, 0.0))).collect())
-        .collect();
-    if let Some(o) = o {
-        let patterns = std::mem::take(&mut ws.patterns);
-        let mut e_out = vec![Complex::ZERO; n];
-        e_out[o] = Complex::ONE;
-        let mut small = SmallScratch::default();
-        for (row, &fq) in rows.iter_mut().zip(freqs) {
-            adjoint_noise_row(
-                &patterns[..bt],
-                &cd,
-                n,
-                &e_out,
-                rhs0,
-                &sources,
-                &inj,
-                fq,
-                ws,
-                &mut small,
-                row,
-            );
-        }
-        ws.patterns = patterns;
-    }
-    (0..bt)
-        .map(|b| {
-            let mut out_psd = Vec::with_capacity(freqs.len());
-            let mut gain = Vec::with_capacity(freqs.len());
-            for row in &rows {
-                match &row[b] {
-                    Ok((g, p)) => {
-                        gain.push(*g);
-                        out_psd.push(*p);
-                    }
-                    Err(e) => return Err(e.clone()),
-                }
-            }
+    let mut read = NoiseRead {
+        rhs: solvers[0].source_rhs(),
+        sources,
+        inj,
+        z_b: Vec::new(),
+    };
+    set.sweep(freqs, ws, &mut read)
+        .into_iter()
+        .map(|pts| {
+            let (gain, out_psd) = pts?.into_iter().unzip();
             finalize(freqs, out_psd, gain)
         })
         .collect()
-}
-
-/// The `|R|`- and `|C|`-sized vectors of one corner's adjoint correction:
-/// `z|_R`, `r_b = S_b⁻ᵀ z|_R` and `q_b = N_bᵀ r_b`.
-#[derive(Default)]
-struct SmallScratch {
-    zr: Vec<Complex>,
-    r: Vec<Complex>,
-    q: Vec<Complex>,
-}
-
-/// One frequency point of the corrected noise analysis: base factor, the
-/// base adjoint `z` and the column adjoints `V_c`, then each corner's
-/// small transposed correction, writing every corner's `(gain, psd)` (or
-/// error) into `row`.
-#[allow(clippy::too_many_arguments)]
-// Out of line on purpose: inlined, this kernel moved the code layout of
-// the stock-dim paths enough to slow the dim-4 TIA deployment by 4–6%
-// (ledger `deploy_tia_pexwc`), although none of its code runs there.
-#[inline(never)]
-fn adjoint_noise_row(
-    patterns: &[Vec<(usize, usize, f64, f64)>],
-    cd: &CornerDiff,
-    n: usize,
-    e_out: &[Complex],
-    rhs0: &[Complex],
-    sources: &[Vec<NoiseSource>],
-    inj: &[(Option<usize>, Option<usize>)],
-    fq: f64,
-    ws: &mut AcBatchWorkspace,
-    small: &mut SmallScratch,
-    row: &mut [Result<(f64, f64), SimError>],
-) {
-    let w_ang = 2.0 * std::f64::consts::PI * fq;
-    let combine = |dg: f64, dc: f64| Complex::new(dg, w_ang * dc);
-    let AcBatchWorkspace {
-        base,
-        spare,
-        small: s_b,
-        y0: z,
-        unit,
-        xcol: z_b,
-        wflat,
-        adj,
-        ..
-    } = ws;
-    if factor_pattern(base, n, &patterns[0], w_ang).is_err() {
-        // Base corner singular at this point: run every corner through
-        // its own factor instead.
-        for (b, slot) in row.iter_mut().enumerate() {
-            *slot = direct_noise_point(
-                spare,
-                z_b,
-                &patterns[b],
-                n,
-                w_ang,
-                e_out,
-                rhs0,
-                &sources[b],
-                inj,
-                fq,
-            );
-        }
-        return;
-    }
-    base.solve_transposed_into(e_out, z);
-    adj.clear();
-    for &c in &cd.cols {
-        unit.clear();
-        unit.resize(n, Complex::ZERO);
-        unit[c] = Complex::ONE;
-        base.solve_transposed_into(unit, z_b);
-        adj.extend_from_slice(z_b);
-    }
-    // W[c][j] = V_c[R_j]; only the columns in C are ever read.
-    let rn = cd.support();
-    wflat.clear();
-    wflat.resize(rn * n, Complex::ZERO);
-    for (v, &c) in adj.chunks_exact(n).zip(&cd.cols) {
-        for (j, &r) in cd.rows.iter().enumerate() {
-            wflat[j * n + c] = v[r];
-        }
-    }
-    for (b, slot) in row.iter_mut().enumerate() {
-        let diff = &cd.diffs[b];
-        if diff.is_empty() {
-            // Corner identical to the base: its adjoint *is* `z`.
-            *slot = Ok(adjoint_point(z, rhs0, &sources[b], inj, fq));
-            continue;
-        }
-        if factor_correction(s_b, diff, &cd.row_pos, rn, n, combine, wflat).is_err() {
-            *slot = direct_noise_point(
-                spare,
-                z_b,
-                &patterns[b],
-                n,
-                w_ang,
-                e_out,
-                rhs0,
-                &sources[b],
-                inj,
-                fq,
-            );
-            continue;
-        }
-        small.zr.clear();
-        small.zr.extend(cd.rows.iter().map(|&r| z[r]));
-        s_b.solve_transposed_into(&small.zr, &mut small.r);
-        small.q.clear();
-        small.q.resize(cd.cols.len(), Complex::ZERO);
-        for &(r, c, dg, dc) in diff {
-            small.q[cd.col_pos[c]] += combine(dg, dc) * small.r[cd.row_pos[r]];
-        }
-        z_b.clear();
-        z_b.extend_from_slice(z);
-        for (v, &q) in adj.chunks_exact(n).zip(&small.q) {
-            for (zi, &vi) in z_b.iter_mut().zip(v) {
-                *zi -= q * vi;
-            }
-        }
-        *slot = Ok(adjoint_point(z_b, rhs0, &sources[b], inj, fq));
-    }
 }
 
 #[cfg(test)]

@@ -1,19 +1,24 @@
-//! Property: the corner-batched noise analysis is equivalent to the
-//! scalar per-corner reference.
+//! Property: the corner-batched noise analysis and AC sweep are
+//! equivalent to their scalar per-corner references.
 //!
-//! [`noise_analysis_corners`] recovers each sibling through the
-//! base-plus-Woodbury correction, which is algebraically exact, so it
-//! must agree with [`noise_analysis_ws`] to roundoff (far inside the warm
-//! path's solver-tolerance contract); at stock dims (`n <= 16`) it falls
-//! back to the scalar path and the comparison tightens to bitwise.
+//! [`noise_analysis_corners`] and [`ac_sweep_corners`] share one adjoint
+//! row per frequency point, which recovers each sibling's adjoint through
+//! the base-plus-Woodbury correction. That is algebraically exact, so
+//! both must agree with the scalar paths ([`noise_analysis_ws`] and
+//! [`AcSolver::solve_sources_batch_ws`] per corner) to roundoff (far
+//! inside the warm path's solver-tolerance contract); at stock dims
+//! (`n <= 16`), and for corner sets that differ in output or read ground,
+//! they fall back to the scalar paths and the comparison tightens to
+//! bitwise.
 //!
-//! A second reference shares no code with either noise path: per grid
+//! A second reference shares no code with either corner path: per grid
 //! point it factors each corner's system with [`AcSolver::factor_at`] and
-//! solves one right-hand side per noise injection, with the sources
+//! solves the signal source (the transfer [`AcSolver::solve_sources`]
+//! reads) and one right-hand side per noise injection, with the sources
 //! enumerated here from the netlist and the device models' public noise
 //! parameters.
 
-use autockt_sim::ac::{log_freqs, AcBatchWorkspace, AcSolver, AcWorkspace};
+use autockt_sim::ac::{ac_sweep_corners, log_freqs, AcBatchWorkspace, AcSolver, AcWorkspace};
 use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::device::{MosPolarity, Technology, BOLTZMANN};
@@ -77,6 +82,34 @@ fn rel_close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
 }
 
+/// Each corner's full AC transfer through the scalar per-corner sweep,
+/// the reference of [`ac_sweep_corners`] at stock dims and on fallbacks.
+fn scalar_transfers(
+    solvers: &[AcSolver<'_>],
+    outs: &[Node],
+    freqs: &[f64],
+) -> Vec<Result<Vec<Complex>, SimError>> {
+    let mut ws = AcWorkspace::new();
+    solvers
+        .iter()
+        .zip(outs)
+        .map(|(s, &o)| s.solve_sources_batch_ws(freqs, o, None, &mut ws))
+        .collect()
+}
+
+/// Each corner's full AC transfer through [`ac_sweep_corners`].
+fn corner_transfers(
+    solvers: &[AcSolver<'_>],
+    outs: &[Node],
+    freqs: &[f64],
+    ws: &mut AcBatchWorkspace,
+) -> Vec<Result<Vec<Complex>, SimError>> {
+    ac_sweep_corners(solvers, freqs, outs, None, ws)
+        .into_iter()
+        .map(|r| r.map(|resp| resp.h))
+        .collect()
+}
+
 /// Runs the scalar reference per corner, then checks the corner analysis.
 fn check_equivalence(widths: &[f64], depth: usize, bitwise_corners: bool) -> Result<(), String> {
     let (variants, ops, temps) = corner_set(widths, depth);
@@ -97,6 +130,29 @@ fn check_equivalence(widths: &[f64], depth: usize, bitwise_corners: bool) -> Res
         .collect();
 
     let mut ws = AcBatchWorkspace::new();
+    let ac_corr = corner_transfers(&solvers, &outs, &freqs, &mut ws);
+    for (b, (cc, ss)) in ac_corr
+        .iter()
+        .zip(&scalar_transfers(&solvers, &outs, &freqs))
+        .enumerate()
+    {
+        let (cc, ss) = match (cc, ss) {
+            (Ok(cc), Ok(ss)) => (cc, ss),
+            _ => return Err(format!("AC sweep failed at corner {b}: {cc:?} vs {ss:?}")),
+        };
+        if bitwise_corners && cc != ss {
+            return Err(format!(
+                "corrected AC sweep diverged bitwise at stock dims, corner {b}"
+            ));
+        }
+        for (i, (hc, hs)) in cc.iter().zip(ss).enumerate() {
+            if (*hc - *hs).norm() > 1e-8 * hs.norm() {
+                return Err(format!(
+                    "corrected AC point {i} diverged at corner {b}: {hc} vs {hs}"
+                ));
+            }
+        }
+    }
     let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
     for (b, (cc, ss)) in corr.iter().zip(&scalar).enumerate() {
         match (cc, ss) {
@@ -186,13 +242,18 @@ fn oracle_sources(ckt: &Circuit, op: &OpPoint, temp_k: f64) -> Vec<OracleSource>
     out
 }
 
-/// The oracle's `(gain, psd)` at one point: one factorization of the
+/// The oracle's `(transfer, psd)` at one point: one factorization of the
 /// corner's system, one solve for the signal source and one per
 /// injection.
-fn oracle_point(solver: &AcSolver<'_>, sources: &[OracleSource], out: Node, f: f64) -> (f64, f64) {
+fn oracle_point(
+    solver: &AcSolver<'_>,
+    sources: &[OracleSource],
+    out: Node,
+    f: f64,
+) -> (Complex, f64) {
     let lu = solver.factor_at(f).expect("oracle factor");
     let o = solver.mna_index(out).expect("output is a node");
-    let gain = lu.solve(solver.source_rhs())[o].norm();
+    let h = lu.solve(solver.source_rhs())[o];
     let mut psd = 0.0;
     for s in sources {
         let mut u = vec![Complex::ZERO; solver.dim()];
@@ -204,11 +265,12 @@ fn oracle_point(solver: &AcSolver<'_>, sources: &[OracleSource], out: Node, f: f
         }
         psd += lu.solve(&u)[o].norm_sqr() * (s.white + s.flicker / f.max(1e-3));
     }
-    (gain, psd)
+    (h, psd)
 }
 
-/// Checks every corner's per-point gain and PSD from the corner analysis
-/// against the oracle, to `tol` relative.
+/// Checks every corner's per-point AC transfer from the corner sweep, and
+/// gain and PSD from the corner analysis, against the oracle, to `tol`
+/// relative.
 fn check_against_oracle(widths: &[f64], depth: usize, tol: f64) -> Result<(), String> {
     let (variants, ops, temps) = corner_set(widths, depth);
     let solvers: Vec<AcSolver<'_>> = variants
@@ -227,18 +289,25 @@ fn check_against_oracle(widths: &[f64], depth: usize, tol: f64) -> Result<(), St
     let freqs = log_freqs(1e4, 1e10, 5);
     let mut ws = AcBatchWorkspace::new();
     let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
-    for (b, r) in corr.iter().enumerate() {
+    let ac_corr = corner_transfers(&solvers, &outs, &freqs, &mut ws);
+    for (b, (r, ac)) in corr.iter().zip(&ac_corr).enumerate() {
         let r = r
             .as_ref()
             .map_err(|e| format!("corner {b} failed: {e:?}"))?;
+        let ac = ac
+            .as_ref()
+            .map_err(|e| format!("corner {b} AC sweep failed: {e:?}"))?;
         let sources = oracle_sources(solvers[b].circuit(), &ops[b], temps[b]);
         for (k, &f) in freqs.iter().enumerate() {
-            let (g, p) = oracle_point(&solvers[b], &sources, outs[b], f);
+            let (h, p) = oracle_point(&solvers[b], &sources, outs[b], f);
+            let g = h.norm();
+            let eh = (ac[k] - h).norm() / g;
             let (eg, ep) = ((r.gain[k] - g).abs() / g, (r.out_psd[k] - p).abs() / p);
-            if !(eg <= tol && ep <= tol) {
+            if !(eh <= tol && eg <= tol && ep <= tol) {
                 return Err(format!(
-                    "corner {b} at {f} Hz: gain {} vs {g} ({eg:e}), psd {} vs {p} ({ep:e})",
-                    r.gain[k], r.out_psd[k]
+                    "corner {b} at {f} Hz: transfer {} vs {h} ({eh:e}), gain {} vs {g} ({eg:e}), \
+                     psd {} vs {p} ({ep:e})",
+                    ac[k], r.gain[k], r.out_psd[k]
                 ));
             }
         }
@@ -247,8 +316,8 @@ fn check_against_oracle(widths: &[f64], depth: usize, tol: f64) -> Result<(), St
 }
 
 proptest! {
-    /// Dense mesh (dim > 16): every corner's per-point gain and PSD match
-    /// the per-point LU oracle.
+    /// Dense mesh (dim > 16): every corner's per-point AC transfer, gain
+    /// and PSD match the per-point LU oracle.
     #[test]
     fn noise_corners_match_per_point_lu_oracle(
         base_w in 0.8e-6..4.0e-6f64,
@@ -262,7 +331,8 @@ proptest! {
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 
-    /// Dense mesh (dim > 16): corrected to roundoff.
+    /// Dense mesh (dim > 16): the corrected AC sweep and noise analysis
+    /// agree with the scalar paths to roundoff.
     #[test]
     fn noise_corrected_close_dense(
         base_w in 0.8e-6..4.0e-6f64,
@@ -276,8 +346,8 @@ proptest! {
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 
-    /// Stock dims (dim <= 16): the corner analysis reduces to the scalar
-    /// arithmetic, so it is bitwise.
+    /// Stock dims (dim <= 16): the corner sweep and analysis reduce to the
+    /// scalar arithmetic, so they are bitwise.
     #[test]
     fn noise_batch_bitwise_at_stock_dims(
         base_w in 0.8e-6..4.0e-6f64,
@@ -366,7 +436,7 @@ fn workspace_reuse_is_stable() {
 }
 
 /// A dense corner set whose corners read different output nodes: the
-/// corner analysis runs the scalar path per corner, bitwise.
+/// corner analysis and sweep run the scalar path per corner, bitwise.
 #[test]
 fn differing_outputs_match_scalar_path_bitwise() {
     let (variants, ops, temps) = corner_set(&[2e-6, 1.6e-6, 2.8e-6], 20);
@@ -397,10 +467,14 @@ fn differing_outputs_match_scalar_path_bitwise() {
         assert_eq!(r, &scalar, "corner {b}");
         assert!(r.is_ok(), "corner {b}: {r:?}");
     }
+    let ac = corner_transfers(&solvers, &outs, &freqs, &mut ws);
+    assert_eq!(ac, scalar_transfers(&solvers, &outs, &freqs));
+    assert!(ac.iter().all(Result::is_ok));
 }
 
 /// A ground output has no response: every corner reports the scalar
-/// path's zero-gain error.
+/// path's zero-gain error, and the corner sweep the scalar path's zero
+/// transfer.
 #[test]
 fn ground_output_reports_scalar_error() {
     let (variants, ops, temps) = corner_set(&[2e-6, 1.6e-6, 2.8e-6], 20);
@@ -429,4 +503,9 @@ fn ground_output_reports_scalar_error() {
         );
         assert_eq!(r, &scalar, "corner {b}");
     }
+    let ac = corner_transfers(&solvers, &outs, &freqs, &mut ws);
+    assert_eq!(ac, scalar_transfers(&solvers, &outs, &freqs));
+    assert!(ac.iter().all(|h| h
+        .as_ref()
+        .is_ok_and(|h| h.iter().all(|v| *v == Complex::ZERO))));
 }
