@@ -6,8 +6,11 @@ use autockt_bench::{ac_kernel_cases, tia_mesh_kernel_case, AcKernelCase};
 use autockt_circuits::{NegGmOta, OpAmp2, SimMode, SizingProblem, Tia};
 use autockt_sim::ac::{ac_sweep, log_freqs, AcSolver};
 use autockt_sim::complex::Complex;
-use autockt_sim::dc::{dc_operating_point, DcOptions};
+use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
+use autockt_sim::device::Technology;
+use autockt_sim::linalg::pencil::{HessenbergLu, Pencil, LANES};
 use autockt_sim::linalg::{solve, LuFactors, Matrix};
+use autockt_sim::netlist::{Circuit, Node};
 use autockt_sim::pex::extract;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -37,7 +40,7 @@ fn bench_lu(c: &mut Criterion) {
 fn bench_dc(c: &mut Criterion) {
     let opamp = OpAmp2::default();
     let idx = center(&opamp);
-    let tech = autockt_sim::device::Technology::ptm45();
+    let tech = Technology::ptm45();
     let (ckt, _, _) = opamp.build(&idx, &tech);
     let opts = DcOptions {
         initial_v: 0.6,
@@ -51,7 +54,7 @@ fn bench_dc(c: &mut Criterion) {
 fn bench_ac(c: &mut Criterion) {
     let opamp = OpAmp2::default();
     let idx = center(&opamp);
-    let tech = autockt_sim::device::Technology::ptm45();
+    let tech = Technology::ptm45();
     let (ckt, out, _) = opamp.build(&idx, &tech);
     let opts = DcOptions {
         initial_v: 0.6,
@@ -73,7 +76,7 @@ fn bench_ac(c: &mut Criterion) {
 fn bench_settle(c: &mut Criterion) {
     let tia = Tia::default();
     let idx = center(&tia);
-    let (ckt, out) = tia.build(&idx, &autockt_sim::device::Technology::ptm45());
+    let (ckt, out) = tia.build(&idx, &Technology::ptm45());
     let ex = extract(&ckt, tia.pex_config());
     let opts = DcOptions {
         initial_v: 0.5,
@@ -168,6 +171,77 @@ fn bench_dense_points(c: &mut Criterion) {
     }
 }
 
+/// The per-point layer of the dense AC sweep: one lockstep transposed
+/// Hessenberg solve per `L` grid points plus each point's dot with the
+/// projected source, over a grid prefix, on a reduction prepared once.
+/// `lanes1` is the one-point kernel.
+fn bench_hessenberg_lanes<const L: usize>(
+    c: &mut Criterion,
+    label: &str,
+    ckt: &Circuit,
+    op: &OpPoint,
+    out: Node,
+    freqs: &[f64],
+) {
+    let solver = AcSolver::new(ckt, op);
+    let (g, cap) = solver.stamps();
+    let mut p = Pencil::new();
+    p.reduce(g, cap);
+    let mut qb = Vec::new();
+    p.project(solver.source_rhs(), &mut qb);
+    let zo = p
+        .z_row(solver.mna_index(out).expect("output is a node"))
+        .to_vec();
+    let mut lu = HessenbergLu::<L>::new();
+    let name = format!("hessenberg_points_{label}_dim{}_lanes{L}", solver.dim());
+    c.bench_function(&name, |bench| {
+        bench.iter(|| {
+            let mut acc = Complex::ZERO;
+            for chunk in freqs.chunks(L) {
+                let w = std::array::from_fn(|i| {
+                    2.0 * std::f64::consts::PI * chunk[i.min(chunk.len() - 1)]
+                });
+                p.solve_transposed_lanes(&w, black_box(&zo), &mut lu);
+                for (lane, v) in lu.dot(&qb).into_iter().take(chunk.len()).enumerate() {
+                    lu.status(lane).expect("nonsingular");
+                    acc += v;
+                }
+            }
+            black_box(acc)
+        })
+    });
+}
+
+/// The points a measured sweep solves on the center designs: the first
+/// 56 of the op-amp's grid (dim 11, schematic) and the first 40 of the
+/// TIA's (dim 4, stock extraction), the median prefixes the measure-driven
+/// sweeps stop after, at one lane and at `LANES`.
+fn bench_hessenberg_points(c: &mut Criterion) {
+    let tech = Technology::ptm45();
+    let opamp = OpAmp2::default();
+    let (ckt, out, _) = opamp.build(&center(&opamp), &tech);
+    let opts = DcOptions {
+        initial_v: 0.6,
+        ..DcOptions::default()
+    };
+    let op = dc_operating_point(&ckt, &opts).expect("converges");
+    let freqs = &OpAmp2::ac_freqs()[..56];
+    bench_hessenberg_lanes::<1>(c, "opamp2", &ckt, &op, out, freqs);
+    bench_hessenberg_lanes::<LANES>(c, "opamp2", &ckt, &op, out, freqs);
+
+    let tia = Tia::default();
+    let (ckt, out) = tia.build(&center(&tia), &tech);
+    let ex = extract(&ckt, tia.pex_config());
+    let opts = DcOptions {
+        initial_v: 0.5,
+        ..DcOptions::default()
+    };
+    let op = dc_operating_point(&ex, &opts).expect("converges");
+    let freqs = &Tia::ac_freqs()[..40];
+    bench_hessenberg_lanes::<1>(c, "tia", &ex, &op, out, freqs);
+    bench_hessenberg_lanes::<LANES>(c, "tia", &ex, &op, out, freqs);
+}
+
 criterion_group!(
     benches,
     bench_lu,
@@ -175,6 +249,7 @@ criterion_group!(
     bench_ac,
     bench_settle,
     bench_full_spec_eval,
-    bench_dense_points
+    bench_dense_points,
+    bench_hessenberg_points
 );
 criterion_main!(benches);

@@ -9,7 +9,8 @@
 //! measured on the *full* `ac_sweep` response of the same operating
 //! point. A recording engine checks that every response it hands the
 //! measurement is a bitwise prefix of the full one, that the stop fired,
-//! and prints the median number of points solved.
+//! and prints the median number of points solved, and of lanes solved
+//! past the stop in the sweep's last lockstep pass.
 //!
 //! The design count is `PROPTEST_CASES`, at least 200.
 
@@ -18,6 +19,7 @@ use autockt_circuits::{CornerCase, CornerEvaluator};
 use autockt_sim::ac::{ac_sweep, AcResponse, AcSolver, StopLevel};
 use autockt_sim::dc::{DcOptions, OpPoint, WarmState};
 use autockt_sim::device::{Pvt, Technology};
+use autockt_sim::linalg::pencil::LANES;
 use autockt_sim::measure::settling_time;
 use autockt_sim::noise::noise_analysis;
 use autockt_sim::pex::PexConfig;
@@ -297,11 +299,19 @@ fn check_topology(t: Topology, seed: u64) {
         );
         let mut cold = cold_solved;
         let at_two = cold.iter().filter(|&&k| k == 2).count();
+        // A sweep solves its points LANES at a time, so the last pass of
+        // one that stopped holds up to LANES - 1 points nothing reads.
+        let mut past: Vec<usize> = cold
+            .iter()
+            .map(|&k| (k.div_ceil(LANES) * LANES).min(grid) - k)
+            .collect();
         println!(
             "{name} {mode:?}: median {} of {grid} points solved over {} random designs \
-             ({at_two} stopped at 2 points); {} rescued by the stop, {} failed on both sides",
+             ({at_two} stopped at 2 points), median {} lanes past the stop; \
+             {} rescued by the stop, {} failed on both sides",
             median(&mut cold),
             cold.len(),
+            median(&mut past),
             tally.rescued,
             tally.both_failed,
         );

@@ -5,12 +5,13 @@
 //! pencil `(G, C)` is then reduced once to Hessenberg–triangular form
 //! ([`crate::linalg::pencil`]), and every frequency point of a sweep is
 //! one O(n²) transposed Hessenberg solve from the output row plus a dot
-//! product with the projected source vector. [`AcSolver::factor_at`] /
-//! [`AcSolver::solve_sources`] keep the plain per-point dense LU: the
-//! oracle the reduced sweeps are tested against. The warm corner sweep
-//! ([`ac_sweep_corners`]) factors per point too: at dense dims it shares
-//! one adjoint row per point with the corner noise analysis
-//! (`CornerSet`), one base factorization plus a small Woodbury
+//! product with the projected source vector, solved
+//! [`crate::linalg::pencil::LANES`] grid points per lockstep pass.
+//! [`AcSolver::factor_at`] / [`AcSolver::solve_sources`] keep the plain
+//! per-point dense LU: the oracle the reduced sweeps are tested against.
+//! The warm corner sweep ([`ac_sweep_corners`]) factors per point too: at
+//! dense dims it shares one adjoint row per point with the corner noise
+//! analysis (`CornerSet`), one base factorization plus a small Woodbury
 //! correction per corner.
 //!
 //! The public [`ac_sweep`] / [`ac_sweep_ws`] solve every grid point. The
@@ -25,7 +26,7 @@ use crate::complex::Complex;
 use crate::dc::OpPoint;
 use crate::error::SimError;
 use crate::linalg::correction::{factor_correction, CornerDiff};
-use crate::linalg::pencil::{dot, HessenbergLu, Pencil};
+use crate::linalg::pencil::{HessenbergLu, Pencil, LANES};
 use crate::linalg::{LuFactors, Matrix};
 use crate::netlist::{Circuit, Element, Node};
 
@@ -45,13 +46,13 @@ pub(crate) struct Reduced {
 }
 
 /// Reusable buffers for repeated sweeps: the per-operating-point
-/// reduction and the per-point Hessenberg scratch. A whole sweep (and
-/// consecutive sweeps of a warm evaluation session) performs no
-/// per-point allocation.
+/// reduction and the Hessenberg scratch of [`LANES`] points in lockstep.
+/// A whole sweep (and consecutive sweeps of a warm evaluation session)
+/// performs no per-point allocation.
 #[derive(Debug, Clone, Default)]
 pub struct AcWorkspace {
     pub(crate) red: Reduced,
-    pub(crate) hess: HessenbergLu,
+    pub(crate) hess: HessenbergLu<LANES>,
 }
 
 impl AcWorkspace {
@@ -281,6 +282,12 @@ impl<'a> AcSolver<'a> {
         Ok(self.factor_at(f)?.solve(&self.rhs))
     }
 
+    /// The real `G` and `C` of the small-signal system `G + jωC`: what
+    /// [`AcSolver::prepare_workspace`] reduces to a [`Pencil`].
+    pub fn stamps(&self) -> (&Matrix<f64>, &Matrix<f64>) {
+        (&self.g, &self.c)
+    }
+
     /// Prepares `ws` for this linearization; call once before any sweep
     /// point. Reduces the pencil and projects the source vector (O(n³),
     /// once per operating point).
@@ -319,13 +326,15 @@ impl<'a> AcSolver<'a> {
 
     /// Batched multi-frequency solve: the source-driven transfer to `out`
     /// at the frequencies of `freqs`, in order. The pencil is reduced once
-    /// and each point is one transposed Hessenberg solve; the batch
-    /// allocates only the output vector.
+    /// and every [`LANES`] consecutive points are one lockstep transposed
+    /// Hessenberg solve ([`Pencil::solve_transposed_lanes`]), read in grid
+    /// order; the batch allocates only the output vector.
     ///
     /// With `stop` set the sweep is measure-driven: it returns the prefix
     /// through the point that completes the first downward crossing of
-    /// the level (see [`StopLevel`]), and a point past it is never solved,
-    /// so it cannot fail the sweep. `None` solves every point.
+    /// the level (see [`StopLevel`]). A point past it is never read, so it
+    /// cannot fail the sweep; at most `LANES - 1` of them share the last
+    /// pass. `None` solves every point.
     ///
     /// # Errors
     ///
@@ -345,12 +354,15 @@ impl<'a> AcSolver<'a> {
         let AcWorkspace { red, hess } = ws;
         let mut watch = StopWatch::new(stop);
         let mut h = Vec::with_capacity(freqs.len());
-        for &f in freqs {
-            let w = 2.0 * std::f64::consts::PI * f;
-            let v = dot(red.pencil.solve_transposed(w, &red.zo, hess)?, &red.qb);
-            h.push(v);
-            if watch.done_after(v) {
-                break;
+        for chunk in freqs.chunks(LANES) {
+            red.pencil
+                .solve_transposed_lanes(&lane_omegas(chunk), &red.zo, hess);
+            for (lane, v) in hess.dot(&red.qb).into_iter().take(chunk.len()).enumerate() {
+                hess.status(lane)?;
+                h.push(v);
+                if watch.done_after(v) {
+                    return Ok(h);
+                }
             }
         }
         Ok(h)
@@ -682,15 +694,17 @@ pub fn ac_sweep_ws(
     })
 }
 
-/// Runs `point` at every frequency of a prepared workspace, in order,
-/// stopping at the first failing point. Each point reads the shared
-/// reduction and solves in the workspace's Hessenberg scratch.
-pub(crate) fn sweep<T, P>(freqs: &[f64], ws: &mut AcWorkspace, point: P) -> Result<Vec<T>, SimError>
-where
-    P: Fn(f64, &Reduced, &mut HessenbergLu) -> Result<T, SimError>,
-{
-    let AcWorkspace { red, hess } = ws;
-    freqs.iter().map(|&f| point(f, red, hess)).collect()
+/// The angular frequencies `2πf` of one pass of at most [`LANES`] grid
+/// points; a short last chunk repeats its last point in the spare lanes,
+/// which nothing reads.
+pub(crate) fn lane_omegas(chunk: &[f64]) -> [f64; LANES] {
+    std::array::from_fn(|i| 2.0 * std::f64::consts::PI * chunk[i.min(chunk.len() - 1)])
+}
+
+/// `Σ v_i x_i`, the bilinear (unconjugated) product that reads a
+/// response off an adjoint vector.
+pub(crate) fn dot(v: &[Complex], x: &[Complex]) -> Complex {
+    v.iter().zip(x).fold(Complex::ZERO, |s, (&a, &b)| s + a * b)
 }
 
 /// Validates a sweep frequency grid the way `TranOptions::validate`

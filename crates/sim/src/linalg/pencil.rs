@@ -20,6 +20,17 @@
 //! every right-hand side: the source vector and each noise injection are
 //! projected by `Qᵀ` once per reduction and cost one dot product per
 //! point.
+//!
+//! The point solve is latency-bound, not arithmetic-bound: each step of
+//! the Hessenberg elimination must wait for the previous step's pivot
+//! choice, reciprocal and multiplier, a serial chain of about 60 ns per
+//! step at dims 4 and 11, around little work. The grid points of a sweep
+//! are independent, so [`Pencil::solve_transposed_lanes`] solves
+//! [`LANES`] of them in one pass, lane-innermost, and their chains
+//! overlap. Each lane runs exactly the IEEE operations of the one-point
+//! solve, in the same order, so its result is bitwise the one-point
+//! result, errors included; [`Pencil::solve_transposed`] is the one-lane
+//! instance of the same body.
 
 use crate::complex::Complex;
 use crate::error::SimError;
@@ -47,27 +58,133 @@ pub struct Pencil {
     v: Vec<f64>,
 }
 
-/// Per-point scratch of [`Pencil::solve_transposed`]: the eliminated
-/// `H + jωT` and its pivots. One per thread; the [`Pencil`] is shared.
-#[derive(Debug, Clone, Default)]
-pub struct HessenbergLu {
-    a: Vec<Complex>,
+/// Frequency points one elimination pass of
+/// [`Pencil::solve_transposed_lanes`] solves in lockstep: the lane width
+/// of the AC and noise sweeps (see the module documentation for why
+/// lanes pay).
+///
+/// Chosen by measurement on a 2-vCPU x86-64 host. Per point (solve plus
+/// source dot over the center designs' measured grid prefixes, best of
+/// 400 rounds against the one-point kernel), 4 lanes ran the op-amp's
+/// dim-11 points 1.76x and the TIA's dim-4 points 1.9–2.0x faster, and 2
+/// lanes 1.5–1.7x and 1.7–1.8x. On the ledger the two widths read within
+/// 2% of each other (`deploy_tia_pexwc` 1.6% faster at 2, `ga_opamp2`
+/// 1.9% slower, 4 pairs each), where 4 also solves up to 3 points past a
+/// measured sweep's stop that nothing reads. 4 keeps the per-point margin,
+/// which the noise sweeps, never stopped early, collect in full.
+pub const LANES: usize = 4;
+
+/// Scratch of one transposed Hessenberg solve over `L` frequency points
+/// (lanes) in lockstep: [`Pencil::solve_transposed_lanes`] fills it and
+/// [`HessenbergLu::status`], [`HessenbergLu::dot`],
+/// [`HessenbergLu::dot_re`] and [`HessenbergLu::solution`] read each
+/// lane. One per thread; the [`Pencil`] is shared.
+///
+/// Every buffer is lane-innermost (`[f64; L]` per entry), with real and
+/// imaginary parts apart, so each operation of the elimination runs once
+/// across all lanes. The pass keeps only the live row of the partly
+/// eliminated `H + jωT` and the pending right-hand side of `Uᵀ y = c`;
+/// the next row is read from `H` and `T` as the pass reaches it, and `U`
+/// is never stored.
+///
+/// `HessenbergLu` (one lane) is the scratch of
+/// [`Pencil::solve_transposed`].
+#[derive(Debug, Clone)]
+pub struct HessenbergLu<const L: usize = 1> {
+    /// The live row: row `k` of the partly eliminated `H + jωT` at step
+    /// `k`, entries `k..n`.
+    row_re: Vec<[f64; L]>,
+    row_im: Vec<[f64; L]>,
     /// Multiplier of each elimination step `k` (row `k + 1` minus `l[k]`
     /// times row `k`).
-    l: Vec<Complex>,
-    /// Whether step `k` swapped rows `k` and `k + 1` first.
-    swap: Vec<bool>,
-    /// Reciprocal of each diagonal entry of `U`.
-    inv: Vec<Complex>,
-    /// The solution of the last transposed solve.
+    l_re: Vec<[f64; L]>,
+    l_im: Vec<[f64; L]>,
+    /// All ones where step `k` swapped rows `k` and `k + 1` first.
+    swap: Vec<[u64; L]>,
+    /// The pending right-hand side of `Uᵀ y = c`, overwritten by `y` as
+    /// the pass goes and by the solution `v` at its end.
+    v_re: Vec<[f64; L]>,
+    v_im: Vec<[f64; L]>,
+    /// Each lane's first singular column.
+    fail: [Option<usize>; L],
+    /// The one-lane solution as complex numbers, for
+    /// [`Pencil::solve_transposed`].
     v: Vec<Complex>,
 }
 
-impl HessenbergLu {
+impl<const L: usize> Default for HessenbergLu<L> {
+    fn default() -> Self {
+        HessenbergLu {
+            row_re: Vec::new(),
+            row_im: Vec::new(),
+            l_re: Vec::new(),
+            l_im: Vec::new(),
+            swap: Vec::new(),
+            v_re: Vec::new(),
+            v_im: Vec::new(),
+            fail: [None; L],
+            v: Vec::new(),
+        }
+    }
+}
+
+impl<const L: usize> HessenbergLu<L> {
     /// Creates empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         HessenbergLu::default()
     }
+
+    /// Lane `lane` of the last solve: `Ok` when it solved, or
+    /// [`SimError::SingularMatrix`] at its first singular column.
+    pub fn status(&self, lane: usize) -> Result<(), SimError> {
+        match self.fail[lane] {
+            Some(column) => Err(SimError::SingularMatrix { column }),
+            None => Ok(()),
+        }
+    }
+
+    /// `Σ v_i x_i` for every lane's solution `v`: the bilinear
+    /// (unconjugated) product that reads a response off a transposed
+    /// solve, in the order and with the operations of a one-point fold.
+    /// A lane that failed reads garbage.
+    pub fn dot(&self, x: &[Complex]) -> [Complex; L] {
+        let (mut re, mut im) = ([0.0; L], [0.0; L]);
+        for ((vr, vi), b) in self.v_re.iter().zip(&self.v_im).zip(x) {
+            for i in 0..L {
+                re[i] += vr[i] * b.re - vi[i] * b.im;
+                im[i] += vr[i] * b.im + vi[i] * b.re;
+            }
+        }
+        std::array::from_fn(|i| Complex::new(re[i], im[i]))
+    }
+
+    /// [`HessenbergLu::dot`] against a real vector (a noise injection's
+    /// projection `Qᵀ u`).
+    pub fn dot_re(&self, x: &[f64]) -> [Complex; L] {
+        let (mut re, mut im) = ([0.0; L], [0.0; L]);
+        for ((vr, vi), &b) in self.v_re.iter().zip(&self.v_im).zip(x) {
+            for i in 0..L {
+                re[i] += vr[i] * b;
+                im[i] += vi[i] * b;
+            }
+        }
+        std::array::from_fn(|i| Complex::new(re[i], im[i]))
+    }
+
+    /// Lane `lane`'s solution `v`, entry by entry; garbage where the lane
+    /// failed.
+    pub fn solution(&self, lane: usize) -> impl Iterator<Item = Complex> + '_ {
+        self.v_re
+            .iter()
+            .zip(&self.v_im)
+            .map(move |(r, i)| Complex::new(r[lane], i[lane]))
+    }
+}
+
+/// Lane-wise select: `a` where the mask is all ones, `b` where it is zero.
+#[inline(always)]
+fn select(mask: u64, a: f64, b: f64) -> f64 {
+    f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
 }
 
 /// `(c, s)` of the rotation taking `(a, b)` to `(hypot(a, b), 0)`.
@@ -273,91 +390,237 @@ impl Pencil {
     /// `v`. With `c` the output row of `Z` ([`Pencil::z_row`]), `v · Qᵀb`
     /// is the output's response to any right-hand side `b`.
     ///
-    /// The elimination runs down the subdiagonal, choosing each pivot
-    /// between the two rows that can hold it (partial pivoting restricted
-    /// to a Hessenberg matrix's only candidates).
+    /// The one-lane instance of [`Pencil::solve_transposed_lanes`].
     ///
     /// # Errors
     ///
     /// [`SimError::SingularMatrix`] when a pivot is at or below 1e-300 in
-    /// magnitude, or when `G` and `C` share an empty row or column.
+    /// magnitude or not finite, or when `G` and `C` share an empty row or
+    /// column.
     pub fn solve_transposed<'s>(
         &self,
         w: f64,
         c: &[f64],
         lu: &'s mut HessenbergLu,
     ) -> Result<&'s [Complex], SimError> {
+        self.solve_transposed_lanes(&[w], c, lu);
+        lu.status(0)?;
+        let HessenbergLu { v_re, v_im, v, .. } = lu;
+        v.clear();
+        v.extend(
+            v_re.iter()
+                .zip(v_im.iter())
+                .map(|(r, i)| Complex::new(r[0], i[0])),
+        );
+        Ok(v)
+    }
+
+    /// Solves `(H + jw_iT)ᵀ v_i = c` for every lane `i` in one elimination
+    /// pass; [`HessenbergLu::status`] reports each lane's outcome, and
+    /// its dots and [`HessenbergLu::solution`] read each `v_i`.
+    ///
+    /// The elimination runs down the subdiagonal, choosing each pivot
+    /// between the two rows that can hold it (partial pivoting restricted
+    /// to a Hessenberg matrix's only candidates). Step `k` takes its
+    /// pivot row as row `k` of `U`, subtracts it from the other candidate
+    /// (the next live row) and from the pending right-hand side of
+    /// `Uᵀ y = c`, so the forward solve rides along with the elimination;
+    /// a backward pass then undoes each step's multiplier and swap:
+    /// `v = P0 M0ᵀ ... P(n-2) M(n-2)ᵀ y`.
+    ///
+    /// **Lanes.** Each lane chooses its own pivots (its swap is a
+    /// branch-free select) and runs exactly the IEEE operations, in the
+    /// same order, of a one-lane solve at its `w`, so every lane is
+    /// bitwise the one-point result. The point of the lanes is latency,
+    /// not arithmetic: one step's pivot test, reciprocal and multiplier
+    /// are a serial chain, and `L` independent points overlap `L` chains
+    /// (see [`LANES`]).
+    ///
+    /// **Failures.** A lane whose pivot is at or below 1e-300 in
+    /// magnitude, or not finite, records that column as its
+    /// [`SimError::SingularMatrix`] and runs on with garbage that no
+    /// other lane reads; the pass ends once every lane has failed. A
+    /// row or column empty in both `G` and `C` fails every lane.
+    pub fn solve_transposed_lanes<const L: usize>(
+        &self,
+        w: &[f64; L],
+        c: &[f64],
+        lu: &mut HessenbergLu<L>,
+    ) {
         let n = self.n;
         if let Some(column) = self.empty {
-            return Err(SimError::SingularMatrix { column });
+            lu.fail = [Some(column); L];
+            return;
         }
-        let HessenbergLu { a, l, swap, inv, v } = lu;
-        a.clear();
-        a.resize(n * n, Complex::ZERO);
-        for i in 0..n {
-            let lo = i.saturating_sub(1);
-            let (hr, tr) = (&self.h[i * n..(i + 1) * n], &self.t[i * n..(i + 1) * n]);
-            for j in lo..n {
-                a[i * n + j] = Complex::new(hr[j], w * tr[j]);
-            }
-        }
-        l.clear();
-        l.resize(n, Complex::ZERO);
-        swap.clear();
-        swap.resize(n, false);
-        inv.clear();
-        inv.resize(n, Complex::ZERO);
+        lu.fail = [None; L];
+        let HessenbergLu {
+            row_re,
+            row_im,
+            l_re,
+            l_im,
+            swap,
+            v_re,
+            v_im,
+            fail,
+            ..
+        } = lu;
+        // The first live row is row 0 of H + jωT; the pending right-hand
+        // side starts as c.
+        row_re.clear();
+        row_re.extend(self.h[..n].iter().map(|&h| [h; L]));
+        row_im.clear();
+        row_im.extend(self.t[..n].iter().map(|&t| w.map(|wi| wi * t)));
+        v_re.clear();
+        v_re.extend(c[..n].iter().map(|&ck| [ck; L]));
+        v_im.clear();
+        v_im.resize(n, [0.0; L]);
+        // Written at each step before the backward pass reads them.
+        l_re.resize(n, [0.0; L]);
+        l_im.resize(n, [0.0; L]);
+        swap.resize(n, [0; L]);
         for k in 0..n {
-            if k + 1 < n && a[(k + 1) * n + k].abs_gt(a[k * n + k]) {
-                let (top, bottom) = a.split_at_mut((k + 1) * n);
-                top[k * n + k..].swap_with_slice(&mut bottom[k..n]);
-                swap[k] = true;
-            }
-            let p = a[k * n + k];
-            if p.below_floor(PIVOT_FLOOR) {
-                return Err(SimError::SingularMatrix { column: k });
-            }
-            inv[k] = p.recip();
-            if k + 1 < n {
-                let (top, bottom) = a.split_at_mut((k + 1) * n);
-                let m = bottom[k] * inv[k];
-                l[k] = m;
-                for (x, &u) in bottom[k + 1..n].iter_mut().zip(&top[k * n + k + 1..]) {
-                    *x -= m * u;
+            // Row k + 1 of H + jωT, the other pivot candidate (empty at the
+            // last step).
+            let next = (k + 1 < n).then(|| {
+                let row = (k + 1) * n..(k + 2) * n;
+                (&self.h[row.clone()], &self.t[row])
+            });
+            let mut sw = [0u64; L];
+            let (mut m_re, mut m_im) = ([0.0; L], [0.0; L]);
+            let (mut y_re, mut y_im) = ([0.0; L], [0.0; L]);
+            for i in 0..L {
+                let r = Complex::new(row_re[k][i], row_im[k][i]);
+                let (p, o) = match next {
+                    Some((hn, tn)) => {
+                        let x = Complex::new(hn[k], w[i] * tn[k]);
+                        if x.abs_gt(r) {
+                            sw[i] = !0;
+                            (x, r)
+                        } else {
+                            (r, x)
+                        }
+                    }
+                    None => (r, Complex::ZERO),
+                };
+                if p.below_floor(PIVOT_FLOOR) && fail[i].is_none() {
+                    fail[i] = Some(k);
                 }
+                let inv = p.recip();
+                let y = Complex::new(v_re[k][i], v_im[k][i]) * inv;
+                let m = o * inv;
+                (y_re[i], y_im[i], m_re[i], m_im[i]) = (y.re, y.im, m.re, m.im);
             }
-        }
-        // Uᵀ y = c, forward; then undo each step's multiplier and swap in
-        // reverse order: v = P0 M0ᵀ ... P(n-2) M(n-2)ᵀ y.
-        v.clear();
-        v.resize(n, Complex::ZERO);
-        for k in 0..n {
-            let mut s = Complex::from_re(c[k]);
-            for i in 0..k {
-                s -= a[i * n + k] * v[i];
+            if fail.iter().all(Option::is_some) {
+                return;
             }
-            v[k] = s * inv[k];
+            (v_re[k], v_im[k]) = (y_re, y_im);
+            let Some((hn, tn)) = next else {
+                break;
+            };
+            (l_re[k], l_im[k], swap[k]) = (m_re, m_im, sw);
+            // Row k of U is the pivot row: the other candidate minus m times
+            // it becomes the live row, and y[k] times it leaves the pending
+            // right-hand side of Uᵀ y = c.
+            let step = Step {
+                w,
+                sw,
+                m_re,
+                m_im,
+                y_re,
+                y_im,
+            };
+            step.update(
+                &mut row_re[k + 1..n],
+                &mut row_im[k + 1..n],
+                &mut v_re[k + 1..n],
+                &mut v_im[k + 1..n],
+                &hn[k + 1..n],
+                &tn[k + 1..n],
+            );
         }
-        for k in (0..n.saturating_sub(1)).rev() {
-            let next = v[k + 1];
-            v[k] -= l[k] * next;
-            if swap[k] {
-                v.swap(k, k + 1);
-            }
-        }
-        Ok(v)
+        back_substitute(v_re, v_im, l_re, l_im, swap);
     }
 }
 
-/// `Σ v_i x_i`, the bilinear (unconjugated) product that reads a
-/// response off a transposed solve.
-#[inline]
-pub(crate) fn dot(v: &[Complex], x: &[Complex]) -> Complex {
-    v.iter().zip(x).fold(Complex::ZERO, |s, (&a, &b)| s + a * b)
+/// One elimination step's lane data: the pivot row's swap masks, its
+/// multipliers `m` and the new entry `y[k]` of `Uᵀ y = c`.
+struct Step<'a, const L: usize> {
+    w: &'a [f64; L],
+    sw: [u64; L],
+    m_re: [f64; L],
+    m_im: [f64; L],
+    y_re: [f64; L],
+    y_im: [f64; L],
 }
 
-/// `Σ v_i x_i` against a real projection (a noise injection's `Qᵀ u`).
-#[inline]
-pub(crate) fn dot_re(v: &[Complex], x: &[f64]) -> Complex {
-    v.iter().zip(x).fold(Complex::ZERO, |s, (&a, &b)| s + a * b)
+impl<const L: usize> Step<'_, L> {
+    /// Columns `k + 1..n` of step `k`: the pivot row `u` (the live row or
+    /// the next row of `H + jωT`, `hn` and `tn`, per lane) leaves
+    /// `o − m·u` in the live row, where `o` is the other candidate, and
+    /// `p − u·y[k]` in the pending right-hand side `p`.
+    // Out of line on purpose, like `back_substitute`: as arguments the
+    // slices cannot alias, so the compiler runs the lanes side by side in
+    // vector registers and keeps the swap selects branch-free. Inlined into
+    // the pass, both stayed scalar and the dim-4 TIA points ran 11% slower
+    // (the `hessenberg_points_tia_dim4_lanes4` workload, best of 400 rounds).
+    #[inline(never)]
+    fn update(
+        &self,
+        row_re: &mut [[f64; L]],
+        row_im: &mut [[f64; L]],
+        p_re: &mut [[f64; L]],
+        p_im: &mut [[f64; L]],
+        hn: &[f64],
+        tn: &[f64],
+    ) {
+        let Step {
+            w,
+            sw,
+            m_re,
+            m_im,
+            y_re,
+            y_im,
+        } = self;
+        let live = row_re.iter_mut().zip(row_im.iter_mut());
+        let pending = p_re.iter_mut().zip(p_im.iter_mut());
+        for (((r_re, r_im), (p_re, p_im)), (&x_re, &t)) in live.zip(pending).zip(hn.iter().zip(tn))
+        {
+            for i in 0..L {
+                let x_im = w[i] * t;
+                let u_re = select(sw[i], x_re, r_re[i]);
+                let u_im = select(sw[i], x_im, r_im[i]);
+                let o_re = select(sw[i], r_re[i], x_re);
+                let o_im = select(sw[i], r_im[i], x_im);
+                r_re[i] = o_re - (m_re[i] * u_re - m_im[i] * u_im);
+                r_im[i] = o_im - (m_re[i] * u_im + m_im[i] * u_re);
+                p_re[i] -= u_re * y_re[i] - u_im * y_im[i];
+                p_im[i] -= u_re * y_im[i] + u_im * y_re[i];
+            }
+        }
+    }
+}
+
+/// The backward pass `v = P0 M0ᵀ ... P(n-2) M(n-2)ᵀ y` over every lane:
+/// undoes each step's multiplier and then its swap, last step first.
+/// Out of line for the reason `Step::update` is.
+#[inline(never)]
+fn back_substitute<const L: usize>(
+    v_re: &mut [[f64; L]],
+    v_im: &mut [[f64; L]],
+    l_re: &[[f64; L]],
+    l_im: &[[f64; L]],
+    swap: &[[u64; L]],
+) {
+    for k in (0..v_re.len().saturating_sub(1)).rev() {
+        let (a_re, b_re) = v_re[k..k + 2].split_at_mut(1);
+        let (a_im, b_im) = v_im[k..k + 2].split_at_mut(1);
+        let (a_re, a_im, b_re, b_im) = (&mut a_re[0], &mut a_im[0], &mut b_re[0], &mut b_im[0]);
+        for i in 0..L {
+            let (lr, li, s) = (l_re[k][i], l_im[k][i], swap[k][i]);
+            let t_re = a_re[i] - (lr * b_re[i] - li * b_im[i]);
+            let t_im = a_im[i] - (lr * b_im[i] + li * b_re[i]);
+            (a_re[i], b_re[i]) = (select(s, b_re[i], t_re), select(s, t_re, b_re[i]));
+            (a_im[i], b_im[i]) = (select(s, b_im[i], t_im), select(s, t_im, b_im[i]));
+        }
+    }
 }

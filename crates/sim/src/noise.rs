@@ -9,10 +9,11 @@
 //! The pencil is reduced once per operating point
 //! ([`crate::linalg::pencil`]) and each injection is projected by `Qᵀ`
 //! once. Every frequency point is then one transposed Hessenberg solve
-//! from the output row, whose solution gives the signal gain and every
-//! source's transfer as one dot product each. The per-point dense LU
-//! ([`AcSolver::factor_at`]) stays as the oracle this path is tested
-//! against.
+//! from the output row (in lockstep passes of
+//! [`crate::linalg::pencil::LANES`] points), whose solution gives the
+//! signal gain and every source's transfer as one dot product each. The
+//! per-point dense LU ([`AcSolver::factor_at`]) stays as the oracle this
+//! path is tested against.
 //!
 //! Worst-case PVT evaluations run the analysis over a *corner set* of
 //! same-structure circuits. Cold evaluations call [`noise_analysis_ws`]
@@ -30,14 +31,14 @@
 //! path per corner.
 
 use crate::ac::{
-    sweep, validate_freqs, AcBatchWorkspace, AcSolver, AcWorkspace, AdjointRead, CornerAdjoint,
-    CornerSet,
+    dot, lane_omegas, validate_freqs, AcBatchWorkspace, AcSolver, AcWorkspace, AdjointRead,
+    CornerAdjoint, CornerSet,
 };
 use crate::complex::Complex;
 use crate::dc::OpPoint;
 use crate::device::BOLTZMANN;
 use crate::error::SimError;
-use crate::linalg::pencil::{dot, dot_re};
+use crate::linalg::pencil::LANES;
 use crate::measure::integrate_trapezoid;
 use crate::netlist::{Circuit, Element, Node};
 
@@ -140,9 +141,10 @@ fn collect_sources(ckt: &Circuit, op: &OpPoint, temp_k: f64) -> Result<Vec<Noise
 /// The scalar analysis' sweep: prepares `ws` for this solver (the
 /// reduction, output row and projected injections) and samples
 /// `(gain, psd)` at every grid point, in order, stopping at the first
-/// failing point. Each point is one transposed solve against the shared
-/// reduction, then a dot product for the gain and one per source, with
-/// the PSD accumulated in source order.
+/// failing point. Every [`LANES`] consecutive points are one lockstep
+/// transposed solve against the shared reduction, then a dot product
+/// for the gain and one per source, with the PSD accumulated in source
+/// order; each lane is bitwise a one-point solve.
 fn noise_points(
     solver: &AcSolver<'_>,
     sources: &[NoiseSource],
@@ -171,16 +173,33 @@ fn noise_points(
                 .for_each(|(a, q)| *a += q);
         }
     }
-    let pts = sweep(freqs, ws, |f, red, hess| {
-        let w = 2.0 * std::f64::consts::PI * f;
-        let v = red.pencil.solve_transposed(w, &red.zo, hess)?;
-        let mut psd = 0.0;
+    let AcWorkspace { red, hess } = ws;
+    let (mut gain, mut out_psd) = (
+        Vec::with_capacity(freqs.len()),
+        Vec::with_capacity(freqs.len()),
+    );
+    for chunk in freqs.chunks(LANES) {
+        red.pencil
+            .solve_transposed_lanes(&lane_omegas(chunk), &red.zo, hess);
+        let mut psd = [0.0; LANES];
         for (s, u) in sources.iter().zip(red.proj.chunks_exact(dim.max(1))) {
-            psd += dot_re(v, u).norm_sqr() * s.psd_at(f);
+            for ((p, d), &f) in psd.iter_mut().zip(hess.dot_re(u)).zip(chunk) {
+                *p += d.norm_sqr() * s.psd_at(f);
+            }
         }
-        Ok((dot(v, &red.qb).norm(), psd))
-    })?;
-    Ok(pts.into_iter().unzip())
+        for (lane, (g, p)) in hess
+            .dot(&red.qb)
+            .into_iter()
+            .zip(psd)
+            .take(chunk.len())
+            .enumerate()
+        {
+            hess.status(lane)?;
+            gain.push(g.norm());
+            out_psd.push(p);
+        }
+    }
+    Ok((gain, out_psd))
 }
 
 /// Integrates the sampled PSDs into the result: total output noise over
