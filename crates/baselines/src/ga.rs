@@ -155,41 +155,7 @@ pub fn ga_solve(
         pop.sort_by(|a, b| b.1.total_cmp(&a.1));
         let mut next: Vec<(Vec<usize>, f64)> = pop.iter().take(cfg.elitism).cloned().collect();
         while next.len() < cfg.population {
-            let parent = |rng: &mut StdRng, pop: &[(Vec<usize>, f64)]| -> Vec<usize> {
-                let mut best_i = rng.random_range(0..pop.len());
-                for _ in 1..cfg.tournament {
-                    let j = rng.random_range(0..pop.len());
-                    if pop[j].1 > pop[best_i].1 {
-                        best_i = j;
-                    }
-                }
-                pop[best_i].0.clone()
-            };
-            let pa = parent(&mut rng, &pop);
-            let pb = parent(&mut rng, &pop);
-            let mut child: Vec<usize> = pa
-                .iter()
-                .zip(&pb)
-                .map(|(a, b)| {
-                    if rng.random::<f64>() < cfg.crossover_p {
-                        *b
-                    } else {
-                        *a
-                    }
-                })
-                .collect();
-            for (g, &k) in child.iter_mut().zip(&cards) {
-                if rng.random::<f64>() < cfg.mutation_p {
-                    // Half the mutations are local nudges, half are resets —
-                    // the classic exploration/exploitation mix.
-                    if rng.random::<bool>() {
-                        let delta: i64 = if rng.random::<bool>() { 1 } else { -1 };
-                        *g = (*g as i64 + delta).clamp(0, k as i64 - 1) as usize;
-                    } else {
-                        *g = rng.random_range(0..k);
-                    }
-                }
-            }
+            let child = offspring(&mut rng, &pop, &cards, cfg);
             let f = ev.eval(&child);
             if is_success(f) {
                 return GaOutcome {
@@ -259,9 +225,55 @@ pub fn ga_solve_sweep(
     best.unwrap_or_else(|| empty_outcome(0))
 }
 
+/// One child of `pop`: two tournament-selected parents, uniform
+/// crossover, then per-gene mutation, half local nudges and half resets
+/// (the classic exploration/exploitation mix). Draws from `rng` in that
+/// order, so [`ga_solve`] and [`crate::ga_ml::ga_ml_solve`] breed alike.
+pub(crate) fn offspring(
+    rng: &mut StdRng,
+    pop: &[(Vec<usize>, f64)],
+    cards: &[usize],
+    cfg: &GaConfig,
+) -> Vec<usize> {
+    let parent = |rng: &mut StdRng| -> usize {
+        let mut best = rng.random_range(0..pop.len());
+        for _ in 1..cfg.tournament {
+            let j = rng.random_range(0..pop.len());
+            if pop[j].1 > pop[best].1 {
+                best = j;
+            }
+        }
+        best
+    };
+    let (pa, pb) = (parent(rng), parent(rng));
+    let mut child: Vec<usize> = pop[pa]
+        .0
+        .iter()
+        .zip(&pop[pb].0)
+        .map(|(&a, &b)| {
+            if rng.random::<f64>() < cfg.crossover_p {
+                b
+            } else {
+                a
+            }
+        })
+        .collect();
+    for (g, &k) in child.iter_mut().zip(cards) {
+        if rng.random::<f64>() < cfg.mutation_p {
+            if rng.random::<bool>() {
+                let delta: i64 = if rng.random::<bool>() { 1 } else { -1 };
+                *g = (*g as i64 + delta).clamp(0, k as i64 - 1) as usize;
+            } else {
+                *g = rng.random_range(0..k);
+            }
+        }
+    }
+    child
+}
+
 /// Outcome of a degenerate run (empty population or empty sweep):
 /// nothing simulated, nothing reached.
-fn empty_outcome(sims: usize) -> GaOutcome {
+pub(crate) fn empty_outcome(sims: usize) -> GaOutcome {
     GaOutcome {
         reached: false,
         sims,

@@ -8,7 +8,7 @@
 //! are actually simulated. Sample efficiency counts simulations, not model
 //! queries.
 
-use crate::ga::{GaConfig, GaOutcome};
+use crate::ga::{empty_outcome, offspring, GaConfig, GaOutcome};
 use autockt_circuits::{EvalSession, SimMode, SizingProblem};
 use autockt_core::{is_success, reward};
 use autockt_rl::mlp::{Activation, Mlp, Tape, TILE};
@@ -118,14 +118,7 @@ pub fn ga_ml_solve(
     // and an empty population short-circuits to a degenerate outcome.
     let mut best = match pop.iter().max_by(|a, b| a.1.total_cmp(&b.1)).cloned() {
         Some(b) => b,
-        None => {
-            return GaOutcome {
-                reached: false,
-                sims,
-                best_reward: f64::NEG_INFINITY,
-                best_idx: Vec::new(),
-            }
-        }
+        None => return empty_outcome(sims),
     };
 
     for _gen in 0..cfg.ga.generations {
@@ -156,42 +149,7 @@ pub fn ga_ml_solve(
         // Generate a large pool of children, screen, simulate survivors.
         pop.sort_by(|a, b| b.1.total_cmp(&a.1));
         let pool: Vec<Vec<usize>> = (0..cfg.ga.population * 4)
-            .map(|_| {
-                let parent = |rng: &mut StdRng| -> &Vec<usize> {
-                    let mut bi = rng.random_range(0..pop.len());
-                    for _ in 1..cfg.ga.tournament {
-                        let j = rng.random_range(0..pop.len());
-                        if pop[j].1 > pop[bi].1 {
-                            bi = j;
-                        }
-                    }
-                    &pop[bi].0
-                };
-                let pa = parent(&mut rng).clone();
-                let pb = parent(&mut rng).clone();
-                let mut child: Vec<usize> = pa
-                    .iter()
-                    .zip(&pb)
-                    .map(|(a, b)| {
-                        if rng.random::<f64>() < cfg.ga.crossover_p {
-                            *b
-                        } else {
-                            *a
-                        }
-                    })
-                    .collect();
-                for (g, &k) in child.iter_mut().zip(&cards) {
-                    if rng.random::<f64>() < cfg.ga.mutation_p {
-                        if rng.random::<bool>() {
-                            let d: i64 = if rng.random::<bool>() { 1 } else { -1 };
-                            *g = (*g as i64 + d).clamp(0, k as i64 - 1) as usize;
-                        } else {
-                            *g = rng.random_range(0..k);
-                        }
-                    }
-                }
-                child
-            })
+            .map(|_| offspring(&mut rng, &pop, &cards, &cfg.ga))
             .collect();
         let keep = ((cfg.ga.population as f64 * cfg.screen_keep).ceil() as usize).max(2);
         let survivors: Vec<Vec<usize>> = if dataset.len() >= cfg.warmup {

@@ -24,9 +24,6 @@
 //! the overhead check for the concurrent sharded cache on the revisit
 //! workload (a shard lock + probe per step instead of a plain `HashMap`
 //! probe).
-//!
-//! `cargo run --release -p autockt_bench --bin bench_env_step` emits the
-//! steps/sec version of this comparison as `results/BENCH_env_step.json`.
 
 use autockt_circuits::{NegGmOta, OpAmp2, SharedMemo, SimMode, SizingProblem, Tia};
 use autockt_core::{EnvConfig, SizingEnv, TargetMode};
@@ -188,9 +185,8 @@ fn benches(c: &mut Criterion) {
 /// corner-corrected (the warm fast path: one base factor and a few
 /// adjoint solves per point, each corner's adjoint recovered by a
 /// transposed Woodbury correction) — at mesh depths 0, 4 and 8 (dim 60,
-/// the `deploy_tia_pexwc_mesh8` system), over the same
-/// [`autockt_bench::NoiseCornerCase`] workloads as `bench_env_step`'s
-/// noise-corner section. The `ac_corners_*` rows time the warm AC stage on
+/// the `deploy_tia_pexwc_mesh8` system), over the
+/// [`autockt_bench::NoiseCornerCase`] workloads. The `ac_corners_*` rows time the warm AC stage on
 /// the same corner sets: `ac_sweep_corners` over the TIA's AC grid, each
 /// corner stopped at its cutoff (`Tia::AC_STOP`), on the adjoint row the
 /// noise analysis shares at mesh depths 4 and 8.
@@ -243,9 +239,8 @@ fn bench_noise_corners(c: &mut Criterion) {
 
 /// One full TIA corner-set settling integration (6 corners x 2048
 /// trapezoidal steps on a shared window) through the per-corner
-/// `step_response` propagator — over the same
-/// [`autockt_bench::SettleCornerCase`] workloads as `bench_env_step`'s
-/// settle-corner section.
+/// `step_response` propagator, over the
+/// [`autockt_bench::SettleCornerCase`] workloads.
 fn bench_settle_corners(c: &mut Criterion) {
     use autockt_sim::ac::AcSolver;
     for depth in [0usize, 4, 8] {

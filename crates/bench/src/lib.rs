@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 /// linearized system — the input of the criterion `ac_point_dense_*`
 /// benches (stamp + refactor + solve through the dense LU).
 pub struct AcKernelCase {
-    /// Label for bench names and JSON rows.
+    /// Label for bench names.
     pub name: String,
     /// MNA dimension.
     pub n: usize,
@@ -120,14 +120,9 @@ pub fn tia_mesh_kernel_case(mesh_depth: usize) -> Result<AcKernelCase, SimError>
 
 /// One corner-batched noise workload: the TIA center design extracted at
 /// one mesh depth across the full PVT corner set, with cold operating
-/// points already solved — shared by the criterion `noise_corners_*`
-/// benches and the `bench_env_step` noise-corner section so both time
-/// the identical corner set through the identical grid.
+/// points already solved — the criterion `noise_corners_*` and
+/// `ac_corners_*` benches' corner set and grid.
 pub struct NoiseCornerCase {
-    /// Mesh depth of the extraction.
-    pub mesh_depth: usize,
-    /// Per-corner MNA dimension.
-    pub dim: usize,
     /// Extracted corner circuits.
     pub ckts: Vec<Circuit>,
     /// Per-corner cold operating points.
@@ -178,10 +173,7 @@ pub fn tia_noise_corner_case(mesh_depth: usize) -> Result<NoiseCornerCase, SimEr
     let out = out.ok_or(SimError::InvalidOptions {
         what: "empty PVT corner set",
     })?;
-    let dim = ckts[0].mna_dim();
     Ok(NoiseCornerCase {
-        mesh_depth,
-        dim,
         ckts,
         ops,
         out,
@@ -193,14 +185,9 @@ pub fn tia_noise_corner_case(mesh_depth: usize) -> Result<NoiseCornerCase, SimEr
 /// One corner-batched settling workload: the TIA center design extracted
 /// at one mesh depth across the full PVT corner set, with cold operating
 /// points solved and the shared integration window already derived from
-/// the corner cutoffs — shared by the criterion `settle_corners_*`
-/// benches and the `bench_env_step` settle-corner section so both time
-/// the identical corner set over the identical time grid.
+/// the corner cutoffs — the criterion `settle_corners_*` benches' corner
+/// set and time grid.
 pub struct SettleCornerCase {
-    /// Mesh depth of the extraction.
-    pub mesh_depth: usize,
-    /// Per-corner MNA dimension.
-    pub dim: usize,
     /// Extracted corner circuits.
     pub ckts: Vec<Circuit>,
     /// Per-corner cold operating points.
@@ -241,8 +228,6 @@ pub fn tia_settle_corner_case(mesh_depth: usize) -> Result<SettleCornerCase, Sim
         });
     }
     Ok(SettleCornerCase {
-        mesh_depth,
-        dim: nc.dim,
         ckts: nc.ckts,
         ops: nc.ops,
         out: nc.out,

@@ -188,11 +188,10 @@ proptest! {
         depth in 2usize..5,
         moves in prop::collection::vec(0usize..3, 6),
     ) {
-        // Dense-mesh warm walks route the sweep, the noise analysis and
-        // the settling records through the base-plus-Woodbury corrected
-        // paths (`ac_sweep_corners` / `noise_analysis_corners` /
-        // `step_response_corners`); the cold side is the scalar
-        // per-corner reference.
+        // Dense-mesh warm walks route the sweep and the noise analysis
+        // through the base-plus-Woodbury corrected paths
+        // (`ac_sweep_corners` / `noise_analysis_corners`); the cold side
+        // is the scalar per-corner reference.
         let tia = Tia::default().with_pex_config(PexConfig {
             mesh_depth: depth,
             ..PexConfig::default()

@@ -711,7 +711,9 @@ pub(crate) fn dot(v: &[Complex], x: &[Complex]) -> Complex {
 /// guards time grids: an empty, non-positive, non-finite or
 /// non-increasing grid would silently produce an empty response, a
 /// singular point, or a response that `f_3db`/`ugbw` interpolation and
-/// the noise integrals misread, so it is rejected up front.
+/// the noise integrals misread, so it is rejected up front. So is a
+/// point above about 2.86e307 Hz, whose angular frequency `2πf` (the
+/// value [`lane_omegas`] feeds the kernels) overflows to infinity.
 pub(crate) fn validate_freqs(freqs: &[f64]) -> Result<(), SimError> {
     if freqs.is_empty() {
         return Err(SimError::InvalidOptions {
@@ -721,6 +723,14 @@ pub(crate) fn validate_freqs(freqs: &[f64]) -> Result<(), SimError> {
     if freqs.iter().any(|f| !f.is_finite() || *f <= 0.0) {
         return Err(SimError::InvalidOptions {
             what: "frequencies must be finite and positive",
+        });
+    }
+    if freqs
+        .iter()
+        .any(|f| !(2.0 * std::f64::consts::PI * f).is_finite())
+    {
+        return Err(SimError::InvalidOptions {
+            what: "angular frequency 2πf overflows",
         });
     }
     if freqs.windows(2).any(|w| w[1] <= w[0]) {

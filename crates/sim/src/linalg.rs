@@ -140,7 +140,7 @@ impl Scalar for Complex {
         self.norm()
     }
     /// Compares squared norms first, which costs two multiplies instead of
-    /// a libm `hypot`. A square inside [`SQUARES`] that exceeds the other
+    /// a libm `hypot`. A square inside `SQUARES` that exceeds the other
     /// by more than a relative 1e-13 decides `hypot`'s comparison too;
     /// anything closer, or out of range, compares the magnitudes
     /// themselves.
@@ -792,83 +792,6 @@ impl<T: Scalar> LuFactors<T> {
             out[p] = yi;
         }
         x.truncate(n);
-        full || x.iter().all(|v| v.is_finite())
-    }
-
-    /// Solves `A X = B` for `lanes` right-hand sides in one pass over the
-    /// factors, with `b` and `x` in lane-innermost layout
-    /// (`[i * lanes + lane]`). Each lane performs the exact arithmetic of
-    /// [`LuFactors::solve_into`] in the exact order — permutation, forward,
-    /// backward — so every lane's solution is bitwise-equal to a scalar
-    /// solve of that lane; the fusion only shares the single traversal of
-    /// the factors across all lanes (memory traffic `nnz + lanes·n`
-    /// instead of `lanes·nnz`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != dim * lanes`.
-    pub fn solve_multi_into(&self, b: &[T], lanes: usize, x: &mut Vec<T>) {
-        assert_eq!(b.len(), self.lu.rows * lanes, "dimension mismatch");
-        if !self.substitute_multi(b, lanes, x, self.solve_dense()) {
-            self.substitute_multi(b, lanes, x, true);
-        }
-    }
-
-    /// [`LuFactors::substitute`] for `lanes` interleaved right-hand sides,
-    /// with the same exactness conditions over every lane.
-    fn substitute_multi(&self, b: &[T], lanes: usize, x: &mut Vec<T>, full: bool) -> bool {
-        let n = self.lu.rows;
-        x.clear();
-        x.reserve(n * lanes);
-        for &p in &self.perm {
-            x.extend_from_slice(&b[p * lanes..(p + 1) * lanes]);
-        }
-        let full = full || !b.iter().all(|v| v.is_plain());
-        let data = &self.lu.data;
-        // One row's update of every lane by column j.
-        let update = |xi: &mut [T], l: T, xj: &[T]| {
-            for (acc, &v) in xi.iter_mut().zip(xj) {
-                let upd = l * v;
-                *acc -= upd;
-            }
-        };
-        // Forward substitution (L has unit diagonal), all lanes per row.
-        for i in 1..n {
-            let row = &data[i * n..(i + 1) * n];
-            let (done, rest) = x.split_at_mut(i * lanes);
-            let xi = &mut rest[..lanes];
-            let cols = &self.lower[self.lower_ptr[i]..self.lower_ptr[i + 1]];
-            if full {
-                for (j, &l) in row[..i].iter().enumerate() {
-                    update(xi, l, &done[j * lanes..(j + 1) * lanes]);
-                }
-            } else {
-                for &j in cols {
-                    update(xi, row[j], &done[j * lanes..(j + 1) * lanes]);
-                }
-            }
-        }
-        // Back substitution.
-        for i in (0..n).rev() {
-            let row = &data[i * n..(i + 1) * n];
-            let (head, tail) = x.split_at_mut((i + 1) * lanes);
-            let xi = &mut head[i * lanes..];
-            let cols = &self.upper[self.upper_ptr[i]..self.upper_ptr[i + 1]];
-            if full {
-                for (j, &l) in row.iter().enumerate().skip(i + 1) {
-                    update(xi, l, &tail[(j - i - 1) * lanes..(j - i) * lanes]);
-                }
-            } else {
-                for &j in cols {
-                    update(xi, row[j], &tail[(j - i - 1) * lanes..(j - i) * lanes]);
-                }
-            }
-            let d = self.divisors[i];
-            for acc in xi.iter_mut() {
-                let v = acc.div_pivot(d);
-                *acc = v;
-            }
-        }
         full || x.iter().all(|v| v.is_finite())
     }
 }

@@ -25,7 +25,7 @@
 //! shares ([`crate::ac::ac_sweep_corners`]): the **base corner factored
 //! once per frequency**, its adjoint from one transposed solve, and each
 //! sibling's from a rank-`|R|` transposed Woodbury correction
-//! ([`crate::linalg::correction`]), so the number of noise sources never
+//! (`crate::linalg::correction`), so the number of noise sources never
 //! multiplies the solves. Exact to roundoff (the warm path's
 //! solver-tolerance contract); at stock dims it runs the reduced scalar
 //! path per corner.

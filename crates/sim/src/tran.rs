@@ -6,13 +6,11 @@
 //! [`crate::netlist::Step`] waveforms.
 //!
 //! The settling measurements integrate the *linearized* circuit instead:
-//! [`AcSolver::step_response`] folds the constant trapezoidal companion
+//! [`crate::ac::AcSolver::step_response`] folds the constant trapezoidal companion
 //! into a propagator `x1 = M x0 + k` and evaluates it in blocks of
 //! [`crate::ac::SETTLE_BLOCK`] steps: one `n²` anchor advance by `M^B`
 //! per block and one length-`n` dot per output sample.
-//! [`step_response_corners`] runs it per corner.
 
-use crate::ac::AcSolver;
 use crate::dc::{dc_operating_point, eval_mos_oriented, DcOptions, OpPoint, WarmState};
 use crate::error::SimError;
 use crate::linalg::{LuFactors, Matrix};
@@ -454,35 +452,6 @@ pub fn transient_from_op(
         t: t_points,
         v: v_points,
     })
-}
-
-/// One corner's settling record: the `(t, y)` sample vectors of a step
-/// response, or the solver error that corner failed with.
-pub type StepRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
-
-/// Small-signal step response of every corner of a PVT corner set over
-/// one shared time window: [`AcSolver::step_response`] per corner, whose
-/// blocked propagator makes every output sample one length-`n` dot plus,
-/// per block of [`crate::ac::SETTLE_BLOCK`] samples, one `n²` anchor
-/// advance.
-///
-/// Returns one `(t, y)` record per corner, ordered like `solvers`.
-///
-/// # Panics
-///
-/// Panics if `solvers` and `outs` have different lengths.
-pub fn step_response_corners(
-    solvers: &[&AcSolver<'_>],
-    outs: &[Node],
-    t_stop: f64,
-    steps: usize,
-) -> Vec<StepRecord> {
-    assert_eq!(solvers.len(), outs.len(), "one output node per corner");
-    solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| s.step_response(o, t_stop, steps))
-        .collect()
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use autockt_sim::ac::{
 };
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::netlist::{Circuit, Node, GND};
+use autockt_sim::noise::noise_analysis;
 use autockt_sim::SimError;
 
 /// The RC low-pass (1 kΩ into 1 nF) driven by a 1 V AC source.
@@ -87,6 +88,21 @@ fn ac_sweep_rejects_non_increasing_grids() {
         let r = ac_sweep_ws(&ckt, &op, bad, o, &mut ws);
         assert!(is_invalid(&r), "{bad:?} with a workspace");
     }
+}
+
+/// Above about 2.86e307 Hz the angular frequency `2πf` overflows to
+/// infinity, so the point cannot be stamped.
+#[test]
+fn sweeps_reject_frequencies_whose_angular_frequency_overflows() {
+    let (ckt, o, op) = rc_lowpass();
+    let bad = [1e3, 3e307];
+    assert!(is_invalid(&ac_sweep(&ckt, &op, &bad, o)));
+    assert!(is_invalid(&noise_analysis(&ckt, &op, o, &bad, 300.0)));
+    let solvers = [AcSolver::new(&ckt, &op), AcSolver::new(&ckt, &op)];
+    let mut ws = AcBatchWorkspace::new();
+    let r = ac_sweep_corners(&solvers, &bad, &[o, o], None, &mut ws);
+    assert_eq!(r.len(), 2);
+    assert!(r.iter().all(is_invalid), "{r:?}");
 }
 
 #[test]

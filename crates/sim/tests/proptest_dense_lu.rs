@@ -6,7 +6,7 @@
 //! systems.
 //!
 //! The reference below is the dense kernel `LuFactors` ran before it
-//! tracked structure (`eliminate`, `solve_into`, `solve_multi_into`),
+//! tracked structure (`eliminate`, `solve_into`),
 //! copied unchanged apart from living on a test-local struct.
 //!
 //! Inputs cover dimensions 1–150 (one, two and three 64-bit pattern
@@ -111,48 +111,6 @@ impl<T: Scalar> RefLu<T> {
                 acc -= *l * x[j];
             }
             x[i] = acc / row[i];
-        }
-    }
-
-    fn solve_multi_into(&self, b: &[T], lanes: usize, x: &mut Vec<T>) {
-        let n = self.n;
-        assert_eq!(b.len(), n * lanes, "dimension mismatch");
-        x.clear();
-        x.reserve(n * lanes);
-        for &p in &self.perm {
-            x.extend_from_slice(&b[p * lanes..(p + 1) * lanes]);
-        }
-        let data = &self.data;
-        // Forward substitution (L has unit diagonal), all lanes per row.
-        for i in 1..n {
-            let row = &data[i * n..i * n + i];
-            let (done, rest) = x.split_at_mut(i * lanes);
-            let xi = &mut rest[..lanes];
-            for (j, l) in row.iter().enumerate() {
-                let xj = &done[j * lanes..(j + 1) * lanes];
-                for (acc, &v) in xi.iter_mut().zip(xj) {
-                    let upd = *l * v;
-                    *acc -= upd;
-                }
-            }
-        }
-        // Back substitution.
-        for i in (0..n).rev() {
-            let row = &data[i * n..(i + 1) * n];
-            let (head, tail) = x.split_at_mut((i + 1) * lanes);
-            let xi = &mut head[i * lanes..];
-            for (j, l) in row.iter().enumerate().skip(i + 1) {
-                let xj = &tail[(j - i - 1) * lanes..(j - i) * lanes];
-                for (acc, &v) in xi.iter_mut().zip(xj) {
-                    let upd = *l * v;
-                    *acc -= upd;
-                }
-            }
-            let d = row[i];
-            for acc in xi.iter_mut() {
-                let v = *acc / d;
-                *acc = v;
-            }
         }
     }
 }
@@ -335,8 +293,8 @@ impl Bits for [Complex] {
     }
 }
 
-/// Factors `m` both ways and compares errors, single solves of the three
-/// right-hand sides packed in `b`, and the fused three-lane solve.
+/// Factors `m` both ways and compares errors and single solves of the
+/// three right-hand sides packed in `b`.
 fn check<T: Scalar>(m: &Matrix<T>, b: &[T]) -> Result<(), String>
 where
     [T]: Bits,
@@ -357,25 +315,6 @@ where
         if xr.bits() != xk.bits() {
             return Err(format!("dim {n}: solve differs: {xr:?} vs {xk:?}"));
         }
-    }
-    // Lane-innermost layout of the same three right-hand sides.
-    let lanes = 3;
-    let mut packed = Vec::with_capacity(n * lanes);
-    for i in 0..n {
-        for l in 0..lanes {
-            packed.push(b[l * n + i]);
-        }
-    }
-    reference.solve_multi_into(&packed, lanes, &mut xr);
-    lu.solve_multi_into(&packed, lanes, &mut xk);
-    if xr.bits() != xk.bits() {
-        let (br, bk) = (xr.bits(), xk.bits());
-        let at = (0..br.len()).find(|&i| br[i] != bk[i]);
-        return Err(format!(
-            "dim {n}: multi-lane solve differs at component {at:?}: {:x?} vs {:x?}",
-            at.map(|i| br[i]),
-            at.map(|i| bk[i])
-        ));
     }
     Ok(())
 }

@@ -16,10 +16,13 @@
 //!   leave spare lanes in the last pass): `AcSolver::solve_sources_batch_ws`
 //!   with no stop and with each `StopLevel`, and `noise_analysis_ws`, equal
 //!   a per-point loop over the oracle with the same stop rule, bitwise,
-//!   including which error is returned. Grids may end in huge frequencies
-//!   whose points fail; a failing point past the stop never fails the
+//!   including which error is returned. Grids may end in huge frequencies:
+//!   a grid where `2πf` overflows is rejected as `InvalidOptions` before
+//!   any point is solved, a failing point past the stop never fails the
 //!   sweep, and a spare lane never shows in a result.
-//!   `crossing_lands_on_every_lane_slot` checks that those cases occur.
+//!   `crossing_lands_on_every_lane_slot` checks that the stop and the
+//!   rejection occur; `a_failing_point_past_the_stop_is_never_read` builds
+//!   a point that fails at a finite `2πf` past the stop.
 
 use autockt_sim::ac::{AcSolver, AcWorkspace, StopLevel};
 use autockt_sim::complex::Complex;
@@ -342,6 +345,8 @@ struct Seen {
     failure_skipped: bool,
     /// An error a sweep returned from a lane other than the first.
     error_returned: bool,
+    /// A grid rejected because its `2πf` overflows.
+    grid_rejected: bool,
 }
 
 /// A random network of `nodes` nodes driven by a 1 V AC source: a
@@ -400,7 +405,7 @@ fn random_network(nodes: usize, rng: &mut Mix) -> (Circuit, Node) {
 
 /// A strictly increasing grid of at most `len` points across the
 /// networks' poles. About a third of the grids end in frequencies so
-/// large that `2πf` may overflow, which fails their points.
+/// large that `2πf` may overflow, which invalidates the grid.
 fn random_grid(len: usize, rng: &mut Mix) -> Vec<f64> {
     let mut f = rng.log_uniform(1e2, 1e8);
     let mut grid: Vec<f64> = (0..len)
@@ -438,6 +443,19 @@ fn stops_after(stop: StopLevel, h: &[Complex]) -> bool {
     }
 }
 
+/// The grid check the sweeps make before solving any point: a grid whose
+/// largest angular frequency `2πf` overflows is an invalid option.
+fn check_omegas(freqs: &[f64]) -> Result<(), SimError> {
+    let top = freqs.iter().fold(0.0f64, |m, &f| m.max(f));
+    if (2.0 * std::f64::consts::PI * top).is_finite() {
+        Ok(())
+    } else {
+        Err(SimError::InvalidOptions {
+            what: "angular frequency 2πf overflows",
+        })
+    }
+}
+
 /// The per-point oracle sweep: one oracle solve and dot per point, in
 /// grid order, ending at the first error or after the stop.
 fn oracle_ac_sweep(
@@ -448,6 +466,7 @@ fn oracle_ac_sweep(
     freqs: &[f64],
     stop: Option<StopLevel>,
 ) -> Result<Vec<Complex>, SimError> {
+    check_omegas(freqs)?;
     let mut h = Vec::new();
     for &f in freqs {
         let w = 2.0 * std::f64::consts::PI * f;
@@ -471,14 +490,19 @@ fn finalize_rejects(psd: &[f64], gain: &[f64]) -> bool {
         || (gain.len() > 1 && !gain.windows(2).any(|g| g[0] > floor && g[1] > floor))
 }
 
-/// Checks one random network and grid: the AC sweep without a stop and
-/// with each stop rule, and the noise analysis, against the oracle loop.
+/// Checks one random network and grid (see [`check_network`]).
 fn check_sweeps(nodes: usize, len: usize, seed: u64) -> Seen {
     let mut rng = Mix(seed);
     let (ckt, out) = random_network(nodes, &mut rng);
     let freqs = random_grid(len, &mut rng);
-    let op = dc_operating_point(&ckt, &DcOptions::default()).expect("linear network solves");
-    let solver = AcSolver::new(&ckt, &op);
+    check_network(&ckt, out, &freqs)
+}
+
+/// Checks one network and grid: the AC sweep without a stop and with
+/// each stop rule, and the noise analysis, against the oracle loop.
+fn check_network(ckt: &Circuit, out: Node, freqs: &[f64]) -> Seen {
+    let op = dc_operating_point(ckt, &DcOptions::default()).expect("linear network solves");
+    let solver = AcSolver::new(ckt, &op);
     let (g, c) = solver.stamps();
     let mut p = Pencil::new();
     p.reduce(g, c);
@@ -490,7 +514,7 @@ fn check_sweeps(nodes: usize, len: usize, seed: u64) -> Seen {
     let mut ws = AcWorkspace::new();
     let mut seen = Seen::default();
 
-    let full = oracle_ac_sweep(&p, empty, &zo, &qb, &freqs, None);
+    let full = oracle_ac_sweep(&p, empty, &zo, &qb, freqs, None);
     // Levels that put the crossing on each point of the grid in turn,
     // where the magnitude falls there.
     let mags: Vec<f64> = full
@@ -507,8 +531,8 @@ fn check_sweeps(nodes: usize, len: usize, seed: u64) -> Seen {
         }
     }
     for stop in stops {
-        let want = oracle_ac_sweep(&p, empty, &zo, &qb, &freqs, stop);
-        let got = solver.solve_sources_batch_ws(&freqs, out, stop, &mut ws);
+        let want = oracle_ac_sweep(&p, empty, &zo, &qb, freqs, stop);
+        let got = solver.solve_sources_batch_ws(freqs, out, stop, &mut ws);
         match (&want, &got) {
             (Ok(a), Ok(b)) => {
                 let (a, b): (Vec<_>, Vec<_>) = (
@@ -523,6 +547,10 @@ fn check_sweeps(nodes: usize, len: usize, seed: u64) -> Seen {
             }
             (Err(a), Err(b)) => {
                 assert_eq!(a, b, "{stop:?} on {freqs:?}");
+                if matches!(a, SimError::InvalidOptions { .. }) {
+                    seen.grid_rejected = true;
+                    continue;
+                }
                 let at = freqs.iter().position(|&f| {
                     oracle_solve(&p, empty, 2.0 * std::f64::consts::PI * f, &zo).is_err()
                 });
@@ -555,20 +583,22 @@ fn check_sweeps(nodes: usize, len: usize, seed: u64) -> Seen {
             sources.push((u, 4.0 * BOLTZMANN * temp_k / r));
         }
     }
-    let want: Result<(Vec<f64>, Vec<f64>), SimError> = freqs
-        .iter()
-        .map(|&f| {
-            let w = 2.0 * std::f64::consts::PI * f;
-            let v = oracle_solve(&p, empty, w, &zo)?;
-            let mut psd = 0.0;
-            for (u, white) in &sources {
-                psd += oracle_dot_re(&v, u).norm_sqr() * (white + 0.0 / f.max(1e-3));
-            }
-            Ok((oracle_dot(&v, &qb).norm(), psd))
-        })
-        .collect::<Result<Vec<_>, _>>()
-        .map(|pts| pts.into_iter().unzip());
-    let got = noise_analysis_ws(&ckt, &op, out, &freqs, temp_k, &mut ws);
+    let want: Result<(Vec<f64>, Vec<f64>), SimError> = check_omegas(freqs).and_then(|()| {
+        freqs
+            .iter()
+            .map(|&f| {
+                let w = 2.0 * std::f64::consts::PI * f;
+                let v = oracle_solve(&p, empty, w, &zo)?;
+                let mut psd = 0.0;
+                for (u, white) in &sources {
+                    psd += oracle_dot_re(&v, u).norm_sqr() * (white + 0.0 / f.max(1e-3));
+                }
+                Ok((oracle_dot(&v, &qb).norm(), psd))
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map(|pts| pts.into_iter().unzip())
+    });
+    let got = noise_analysis_ws(ckt, &op, out, freqs, temp_k, &mut ws);
     match (&want, &got) {
         (Ok((gain, psd)), Ok(r)) => {
             let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -585,22 +615,45 @@ fn check_sweeps(nodes: usize, len: usize, seed: u64) -> Seen {
 }
 
 /// The seeded sweep cases reach what the properties are about: a stop on
-/// every lane slot of a pass, a failing point past the stop that the
-/// stopped sweep never read, and an error returned from a lane other
-/// than the first.
+/// every lane slot of a pass, and a grid rejected for its overflowing
+/// `2πf`. On these networks every point of a valid grid solves, so a
+/// failing point past the stop and an error from a later lane are
+/// [`a_failing_point_past_the_stop_is_never_read`]'s case.
 #[test]
 fn crossing_lands_on_every_lane_slot() {
     let mut slots = [0usize; LANES];
-    let (mut skipped, mut returned) = (false, false);
+    let mut rejected = false;
     for seed in 0..200u64 {
         let seen = check_sweeps(1 + (seed as usize % 12), 1 + (seed as usize % 9), seed);
         for s in seen.stop_slots {
             slots[s] += 1;
         }
-        skipped |= seen.failure_skipped;
-        returned |= seen.error_returned;
+        rejected |= seen.grid_rejected;
     }
     assert!(slots.iter().all(|&k| k > 0), "stop slots {slots:?}");
-    assert!(skipped, "no failing point past a stop");
-    assert!(returned, "no error returned from a later lane");
+    assert!(rejected, "no grid rejected for an overflowing 2πf");
+}
+
+/// A point can fail at a finite `2πf`: a 100 F capacitor at 1e306 Hz
+/// stamps `ωC` past `f64::MAX`. On an RC low-pass whose -3 dB crossing
+/// is the second point, that point is the fourth lane of the first pass.
+/// The stopped sweep returns the two points before it, and the unstopped
+/// sweep and the noise analysis return its error, as the oracle loop
+/// does.
+#[test]
+fn a_failing_point_past_the_stop_is_never_read() {
+    let mut ckt = Circuit::new();
+    let drive = ckt.node("drive");
+    let out = ckt.node("out");
+    ckt.vsource(drive, GND, 0.0, 1.0);
+    ckt.resistor(drive, out, 1e3);
+    ckt.capacitor(out, GND, 100.0);
+    // f_3db = 1/(2π·1e5 s) ≈ 1.6e-6 Hz.
+    let freqs = [1e-7, 1e-5, 1e-4, 1e306];
+    let seen = check_network(&ckt, out, &freqs);
+    assert!(seen.failure_skipped, "no failing point past a stop");
+    assert!(
+        seen.error_returned,
+        "the failing lane's error was not returned"
+    );
 }
