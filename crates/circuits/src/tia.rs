@@ -322,7 +322,7 @@ impl SizingProblem for Tia {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autockt_sim::tran::{transient, transient_warm, TranOptions, TranResult};
+    use autockt_sim::tran::{transient, transient_from_op, TranOptions, TranResult};
 
     #[test]
     fn center_design_simulates() {
@@ -380,7 +380,8 @@ mod tests {
                 settling_time(&res.t, &res.node_waveform(out), 0.02).expect("step settles")
             };
             let cold_t = settle(transient(&ckt, &opts).unwrap());
-            let warm_t = settle(transient_warm(&ckt, &opts, 0, &mut state).unwrap());
+            let warm_op = state.solve(0, &ckt, &opts.dc).unwrap();
+            let warm_t = settle(transient_from_op(&ckt, &opts, &warm_op).unwrap());
             assert!(cold_t > 0.0 && cold_t < 1e-6, "{mode:?}: settling {cold_t}");
             // Up to integration and device-cap modelling differences.
             assert!(

@@ -23,6 +23,11 @@
 //! feedthrough as an alternating offset of about 2e-5 of the gain at every
 //! step size. The mean of the last two samples cancels it; the last sample
 //! alone is held to the looser [`RING_REL_TOL`].
+//!
+//! The nonlinear transient shares its residual with the DC solve: a
+//! transient of the op-amp's centre design, whose sources are all
+//! constant, started at the DC operating point stays there to
+//! [`REST_TOL`] at every sample.
 
 use autockt_circuits::prelude::*;
 use autockt_sim::ac::{ac_sweep, log_freqs, AcSolver};
@@ -31,6 +36,7 @@ use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::device::Technology;
 use autockt_sim::linalg::LuFactors;
 use autockt_sim::netlist::{Circuit, Element, Node};
+use autockt_sim::tran::{transient, TranOptions};
 
 /// Time constants of the slowest pole the settling window spans. The
 /// un-decayed transient left at the end is then about `e^{-40}` ≈ 4e-18
@@ -77,6 +83,19 @@ const AC_RE_REL_TOL: f64 = 1e-11;
 /// above the cutoff move the first-order term off a lone pole's `−r`.
 /// Measured 0.44% (op-amp), 4.0% (neg-gm OTA), 2.0% (TIA).
 const AC_IM_SPREAD: f64 = 0.1;
+
+/// Time steps of the at-rest transient, over [`REST_TAUS`] time constants
+/// of the cutoff pole.
+const REST_STEPS: usize = 300;
+
+/// Time constants of the cutoff pole the at-rest transient spans.
+const REST_TAUS: f64 = 5.0;
+
+/// Every node sample of the at-rest transient against the DC operating
+/// point (V). Both Newton iterations stop on updates below 1e-9 and
+/// converge quadratically, so a shared residual leaves far less; a
+/// residual missing one element kind moves the nodes by volts.
+const REST_TOL: f64 = 1e-8;
 
 /// A topology's centre design: its netlist, output node and the DC
 /// options its evaluations solve with.
@@ -254,5 +273,35 @@ fn ac_transfer_far_below_the_cutoff_is_the_dc_gain() {
             "{name}: Re H {:e} against finite-difference gain {g_fd:e}",
             h.re * g_lu
         );
+    }
+}
+
+#[test]
+fn transient_at_rest_stays_at_the_operating_point() {
+    let c = centres()
+        .into_iter()
+        .find(|c| c.name == "opamp2")
+        .expect("op-amp centre");
+    // The premise: nonlinear, with capacitors, driven by constant sources.
+    let elems = c.ckt.elements();
+    assert!(elems.iter().any(|e| matches!(e, Element::Mos(_))));
+    assert!(elems.iter().any(|e| matches!(e, Element::Capacitor { .. })));
+    assert!(elems.iter().all(|e| !matches!(
+        e,
+        Element::Vsource { wave: Some(_), .. } | Element::Isource { wave: Some(_), .. }
+    )));
+    let op = dc_operating_point(&c.ckt, &c.dc).expect("centre design solves");
+    let tau = 1.0 / (2.0 * std::f64::consts::PI * cutoff(&c.ckt, &op, c.out));
+    let mut opts = TranOptions::new(REST_TAUS * tau, REST_STEPS);
+    opts.dc = c.dc.clone();
+    let res = transient(&c.ckt, &opts).expect("integrates");
+    assert_eq!(res.v.len(), REST_STEPS + 1);
+    for (k, row) in res.v.iter().enumerate() {
+        for (node, (v, v_op)) in row.iter().zip(op.voltages()).enumerate() {
+            assert!(
+                (v - v_op).abs() <= REST_TOL,
+                "step {k}, node {node}: {v:e} against the operating point {v_op:e}"
+            );
+        }
     }
 }

@@ -41,8 +41,6 @@ use rand::Rng;
 pub enum Activation {
     /// Hyperbolic tangent, computed by this module's [`tanh`].
     Tanh,
-    /// Rectified linear unit.
-    Relu,
     /// Identity (for logits / value outputs).
     Linear,
 }
@@ -51,7 +49,6 @@ impl Activation {
     fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Tanh => tanh(x),
-            Activation::Relu => x.max(0.0),
             Activation::Linear => x,
         }
     }
@@ -60,13 +57,6 @@ impl Activation {
     fn deriv_from_output(self, y: f64) -> f64 {
         match self {
             Activation::Tanh => 1.0 - y * y,
-            Activation::Relu => {
-                if y > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
             Activation::Linear => 1.0,
         }
     }
@@ -921,15 +911,6 @@ mod tests {
                 assert_eq!(pi.to_bits(), (ei / s).to_bits());
             }
         }
-    }
-
-    #[test]
-    fn relu_activation_forward_backward() {
-        let mut net = Mlp::new(&[1, 4, 1], Activation::Relu, Activation::Linear, &mut rng());
-        net.zero_grad();
-        let y = backprop_one(&mut net, &[0.5], |_| vec![1.0]);
-        assert!(y[0].is_finite());
-        assert!(net.grad_norm().is_finite());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! prefix. The specs measured on it are bitwise those of the full sweep.
 
 use crate::complex::Complex;
-use crate::dc::OpPoint;
+use crate::dc::{Assembler, OpPoint, GMIN};
 use crate::error::SimError;
 use crate::linalg::correction::{factor_correction, CornerDiff};
 use crate::linalg::pencil::{HessenbergLu, Pencil, LANES};
@@ -120,6 +120,7 @@ pub struct AcSolver<'a> {
 impl<'a> AcSolver<'a> {
     /// Builds the small-signal stamps for `ckt` linearized at `op`.
     pub fn new(ckt: &'a Circuit, op: &OpPoint) -> Self {
+        let asm = Assembler::new(ckt);
         let dim = ckt.mna_dim();
         let nnodes = ckt.num_nodes();
         let mut g = Matrix::zeros(dim, dim);
@@ -127,61 +128,21 @@ impl<'a> AcSolver<'a> {
         let mut rhs = vec![Complex::ZERO; dim];
         let idx = |n: Node| ckt.mna_index(n);
 
-        // Same gmin regularization as the DC solve keeps conditioning
-        // consistent between analyses.
+        // The DC solve's default gmin keeps conditioning consistent
+        // between analyses.
         for i in 0..(nnodes - 1) {
-            g[(i, i)] += 1e-12;
+            g[(i, i)] += GMIN;
         }
-
-        let stamp_g = |m: &mut Matrix<f64>, p: Node, n: Node, val: f64| {
-            if let Some(ip) = idx(p) {
-                m[(ip, ip)] += val;
-                if let Some(in_) = idx(n) {
-                    m[(ip, in_)] -= val;
-                }
-            }
-            if let Some(in_) = idx(n) {
-                m[(in_, in_)] += val;
-                if let Some(ip) = idx(p) {
-                    m[(in_, ip)] -= val;
-                }
-            }
-        };
-        let stamp_vccs = |m: &mut Matrix<f64>, op_: Node, on: Node, cp: Node, cn: Node, gm: f64| {
-            if let Some(io) = idx(op_) {
-                if let Some(icp) = idx(cp) {
-                    m[(io, icp)] += gm;
-                }
-                if let Some(icn) = idx(cn) {
-                    m[(io, icn)] -= gm;
-                }
-            }
-            if let Some(io) = idx(on) {
-                if let Some(icp) = idx(cp) {
-                    m[(io, icp)] -= gm;
-                }
-                if let Some(icn) = idx(cn) {
-                    m[(io, icn)] += gm;
-                }
-            }
-        };
 
         let mut vk = 0usize;
         let mut mos_iter = op.mosfets().iter();
         for e in ckt.elements() {
             match e {
-                Element::Resistor { p, n, r, .. } => stamp_g(&mut g, *p, *n, 1.0 / r),
-                Element::Capacitor { p, n, c: cap } => stamp_g(&mut c, *p, *n, *cap),
+                Element::Resistor { p, n, r, .. } => asm.stamp_conductance(&mut g, *p, *n, 1.0 / r),
+                Element::Capacitor { p, n, c: cap } => asm.stamp_conductance(&mut c, *p, *n, *cap),
                 Element::Vsource { p, n, ac, .. } => {
-                    let row = nnodes - 1 + vk;
-                    if let Some(ip) = idx(*p) {
-                        g[(ip, row)] += 1.0;
-                        g[(row, ip)] += 1.0;
-                    }
-                    if let Some(in_) = idx(*n) {
-                        g[(in_, row)] -= 1.0;
-                        g[(row, in_)] -= 1.0;
-                    }
+                    let row = asm.branch_row(vk);
+                    asm.stamp_branch(&mut g, *p, *n, row);
                     rhs[row] += Complex::from_re(*ac);
                     vk += 1;
                 }
@@ -199,21 +160,19 @@ impl<'a> AcSolver<'a> {
                     cp,
                     cn,
                     gm,
-                } => {
-                    stamp_vccs(&mut g, *o, *on, *cp, *cn, *gm);
-                }
+                } => asm.stamp_vccs(&mut g, *o, *on, *cp, *cn, *gm),
                 Element::Mos(m) => {
                     // lint:allow(panic) — `op` carries one MosOp per MOS
                     // element of the circuit it was solved on; a foreign
                     // operating point is a caller bug, and this constructor
                     // has no error channel to report it.
                     let mi = mos_iter.next().expect("op and circuit out of sync");
-                    stamp_g(&mut g, mi.a_d, mi.a_s, mi.gds);
-                    stamp_vccs(&mut g, mi.a_d, mi.a_s, mi.g, mi.a_s, mi.gm);
-                    stamp_g(&mut c, m.g, mi.a_s, mi.cgs);
-                    stamp_g(&mut c, m.g, mi.a_d, mi.cgd);
-                    stamp_g(&mut c, mi.a_d, crate::netlist::GND, mi.cdb);
-                    stamp_g(&mut c, mi.a_s, crate::netlist::GND, mi.csb);
+                    asm.stamp_conductance(&mut g, mi.a_d, mi.a_s, mi.gds);
+                    asm.stamp_vccs(&mut g, mi.a_d, mi.a_s, mi.g, mi.a_s, mi.gm);
+                    asm.stamp_conductance(&mut c, m.g, mi.a_s, mi.cgs);
+                    asm.stamp_conductance(&mut c, m.g, mi.a_d, mi.cgd);
+                    asm.stamp_conductance(&mut c, mi.a_d, crate::netlist::GND, mi.cdb);
+                    asm.stamp_conductance(&mut c, mi.a_s, crate::netlist::GND, mi.csb);
                 }
             }
         }

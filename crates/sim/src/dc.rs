@@ -9,6 +9,12 @@
 //! structural check of [`crate::linalg::structure`] runs on that Jacobian
 //! before the homotopy: a topology no gmin value can repair is reported
 //! as [`SimError::StructurallySingular`] at once.
+//!
+//! The element stamps and the Newton loop here are the simulator's only
+//! ones: every transient time point ([`crate::tran`]) is one Newton solve
+//! of this assembler with the capacitor companions added, and the
+//! small-signal linearization ([`crate::ac::AcSolver::new`]) builds `G`
+//! and `C` from the same conductance, VCCS and branch stamps.
 
 use crate::device::{MosPolarity, MosRegion};
 use crate::error::SimError;
@@ -139,12 +145,19 @@ impl WarmState {
     }
 }
 
-/// Options for the DC solve.
+/// The default minimum conductance from every node to ground (S): the
+/// [`DcOptions::default`] `gmin`, and the regularization the small-signal
+/// linearization ([`crate::ac::AcSolver::new`]) stamps, so the analyses
+/// agree on nodes with no DC path.
+pub const GMIN: f64 = 1e-12;
+
+/// Options for the DC solve. The transient's Newton iteration at every
+/// time point runs on them too (see [`crate::tran::TranOptions::dc`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcOptions {
     /// Initial guess applied to every non-ground node (typically `vdd/2`).
     pub initial_v: f64,
-    /// Maximum Newton iterations per gmin stage.
+    /// Maximum Newton iterations per gmin stage (or transient time point).
     pub max_iter: usize,
     /// Convergence tolerance on the update norm (V, A).
     pub tol: f64,
@@ -162,7 +175,7 @@ impl Default for DcOptions {
             max_iter: 150,
             tol: 1e-9,
             dv_max: 0.3,
-            gmin: 1e-12,
+            gmin: GMIN,
         }
     }
 }
@@ -252,8 +265,7 @@ impl OpPoint {
     }
 }
 
-/// Orientation-resolved large-signal MOSFET evaluation shared by DC and
-/// transient assembly.
+/// Orientation-resolved large-signal MOSFET evaluation.
 ///
 /// Returns `(a_d, a_s, id_signed_into_ad, gm, gds, region)` where
 /// `id_signed_into_ad` is the current *leaving* node `a_d` into the device.
@@ -273,14 +285,19 @@ pub(crate) fn eval_mos_oriented(
     (a_d, a_s, s * e.id, e.gm, e.gds, e.region)
 }
 
-struct Assembler<'a> {
+/// The MNA element stamps of one circuit: the residual and Jacobian of
+/// the nonlinear system that the operating point and every transient time
+/// point solve, and the conductance, VCCS and voltage-source-branch
+/// stamps that the small-signal linearization ([`crate::ac::AcSolver`])
+/// builds `G` and `C` from.
+pub(crate) struct Assembler<'a> {
     ckt: &'a Circuit,
     dim: usize,
     nnodes: usize,
 }
 
 impl<'a> Assembler<'a> {
-    fn new(ckt: &'a Circuit) -> Self {
+    pub(crate) fn new(ckt: &'a Circuit) -> Self {
         Assembler {
             ckt,
             dim: ckt.mna_dim(),
@@ -292,25 +309,37 @@ impl<'a> Assembler<'a> {
         self.ckt.mna_index(n)
     }
 
-    fn branch_row(&self, k: usize) -> usize {
+    /// The MNA row of the `k`-th voltage source's branch current.
+    pub(crate) fn branch_row(&self, k: usize) -> usize {
         self.nnodes - 1 + k
     }
 
+    /// The voltage of node `n` in the MNA vector `x` (ground reads 0).
+    pub(crate) fn voltage(&self, x: &[f64], n: Node) -> f64 {
+        self.idx(n).map_or(0.0, |i| x[i])
+    }
+
     /// Assembles the Newton Jacobian into `j` (resized to the system
-    /// dimension and zeroed) and the residual `f` at the point `x`.
-    fn assemble(&self, x: &[f64], gmin: f64, j: &mut Matrix<f64>, f: &mut [f64]) {
+    /// dimension and zeroed) and the residual `f` at the point `x`, with
+    /// the sources at `time`: `None` is the operating point (every
+    /// source at its DC value), `Some(t)` a transient time point (step
+    /// sources follow their waveforms). Capacitors are open; the
+    /// transient adds their companions through [`Assembler::stamp_pair`].
+    pub(crate) fn assemble(
+        &self,
+        x: &[f64],
+        time: Option<f64>,
+        gmin: f64,
+        j: &mut Matrix<f64>,
+        f: &mut [f64],
+    ) {
         if j.rows() != self.dim || j.cols() != self.dim {
             *j = Matrix::zeros(self.dim, self.dim);
         } else {
             j.fill_zero();
         }
         f.iter_mut().for_each(|v| *v = 0.0);
-        let volt = |n: Node| -> f64 {
-            match self.ckt.mna_index(n) {
-                None => 0.0,
-                Some(i) => x[i],
-            }
-        };
+        let volt = |n: Node| self.voltage(x, n);
         // gmin from every node to ground. Skipped entirely when disabled,
         // so a floating node keeps its empty Jacobian column.
         // lint:allow(float-eq) — exact-zero means "disabled" by contract.
@@ -321,7 +350,7 @@ impl<'a> Assembler<'a> {
             }
         }
         let mut vk = 0usize;
-        for (ei, e) in self.ckt.elements().iter().enumerate() {
+        for e in self.ckt.elements() {
             match e {
                 Element::Resistor { p, n, r, .. } => {
                     let g = 1.0 / r;
@@ -329,54 +358,40 @@ impl<'a> Assembler<'a> {
                     self.stamp_pair(j, f, *p, *n, g, i);
                 }
                 Element::Capacitor { .. } => {} // open at DC
-                Element::Vsource { p, n, dc, .. } => {
+                Element::Vsource { p, n, dc, wave, .. } => {
                     let row = self.branch_row(vk);
                     let ibr = x[row];
                     if let Some(ip) = self.idx(*p) {
                         f[ip] += ibr;
-                        j[(ip, row)] += 1.0;
-                        j[(row, ip)] += 1.0;
                     }
                     if let Some(in_) = self.idx(*n) {
                         f[in_] -= ibr;
-                        j[(in_, row)] += -1.0;
-                        j[(row, in_)] += -1.0;
                     }
-                    f[row] += volt(*p) - volt(*n) - dc;
+                    self.stamp_branch(j, *p, *n, row);
+                    f[row] += volt(*p) - volt(*n) - wave.zip(time).map_or(*dc, |(w, t)| w.value(t));
                     vk += 1;
                 }
-                Element::Isource { p, n, dc, .. } => {
+                Element::Isource { p, n, dc, wave, .. } => {
+                    let val = wave.zip(time).map_or(*dc, |(w, t)| w.value(t));
                     if let Some(ip) = self.idx(*p) {
-                        f[ip] += dc;
+                        f[ip] += val;
                     }
                     if let Some(in_) = self.idx(*n) {
-                        f[in_] -= dc;
+                        f[in_] -= val;
                     }
                 }
                 Element::Vccs { op, on, cp, cn, gm } => {
                     let i = gm * (volt(*cp) - volt(*cn));
                     if let Some(iop) = self.idx(*op) {
                         f[iop] += i;
-                        if let Some(icp) = self.idx(*cp) {
-                            j[(iop, icp)] += *gm;
-                        }
-                        if let Some(icn) = self.idx(*cn) {
-                            j[(iop, icn)] += -*gm;
-                        }
                     }
                     if let Some(ion) = self.idx(*on) {
                         f[ion] -= i;
-                        if let Some(icp) = self.idx(*cp) {
-                            j[(ion, icp)] += -*gm;
-                        }
-                        if let Some(icn) = self.idx(*cn) {
-                            j[(ion, icn)] += *gm;
-                        }
                     }
+                    self.stamp_vccs(j, *op, *on, *cp, *cn, *gm);
                 }
                 Element::Mos(m) => {
                     let (a_d, a_s, i_ad, gm, gds, _) = eval_mos_oriented(m, volt);
-                    let _ = ei;
                     // Current leaves a_d, enters a_s.
                     // d i_ad / d v(g) = gm ; d/d v(a_d) = gds ; d/d v(a_s) = -(gm+gds)
                     if let Some(id_) = self.idx(a_d) {
@@ -404,38 +419,108 @@ impl<'a> Assembler<'a> {
         }
     }
 
-    /// Stamps a two-terminal conductance `g` carrying current `i` (p -> n).
-    fn stamp_pair(&self, j: &mut Matrix<f64>, f: &mut [f64], p: Node, n: Node, g: f64, i: f64) {
+    /// Stamps a two-terminal conductance `g` carrying current `i` (p -> n)
+    /// into the Jacobian `j` and the residual `f`.
+    pub(crate) fn stamp_pair(
+        &self,
+        j: &mut Matrix<f64>,
+        f: &mut [f64],
+        p: Node,
+        n: Node,
+        g: f64,
+        i: f64,
+    ) {
         if let Some(ip) = self.idx(p) {
             f[ip] += i;
-            j[(ip, ip)] += g;
-            if let Some(in_) = self.idx(n) {
-                j[(ip, in_)] += -g;
-            }
         }
         if let Some(in_) = self.idx(n) {
             f[in_] -= i;
-            j[(in_, in_)] += g;
-            if let Some(ip) = self.idx(p) {
-                j[(in_, ip)] += -g;
+        }
+        self.stamp_conductance(j, p, n, g);
+    }
+
+    /// Stamps a conductance `g` between `p` and `n` into `m`.
+    pub(crate) fn stamp_conductance(&self, m: &mut Matrix<f64>, p: Node, n: Node, g: f64) {
+        if let Some(ip) = self.idx(p) {
+            m[(ip, ip)] += g;
+            if let Some(in_) = self.idx(n) {
+                m[(ip, in_)] -= g;
             }
+        }
+        if let Some(in_) = self.idx(n) {
+            m[(in_, in_)] += g;
+            if let Some(ip) = self.idx(p) {
+                m[(in_, ip)] -= g;
+            }
+        }
+    }
+
+    /// Stamps a transconductance `gm` into `m`: current `gm * v(cp, cn)`
+    /// flows from `op` to `on`.
+    pub(crate) fn stamp_vccs(
+        &self,
+        m: &mut Matrix<f64>,
+        op: Node,
+        on: Node,
+        cp: Node,
+        cn: Node,
+        gm: f64,
+    ) {
+        if let Some(iop) = self.idx(op) {
+            if let Some(icp) = self.idx(cp) {
+                m[(iop, icp)] += gm;
+            }
+            if let Some(icn) = self.idx(cn) {
+                m[(iop, icn)] -= gm;
+            }
+        }
+        if let Some(ion) = self.idx(on) {
+            if let Some(icp) = self.idx(cp) {
+                m[(ion, icp)] -= gm;
+            }
+            if let Some(icn) = self.idx(cn) {
+                m[(ion, icn)] += gm;
+            }
+        }
+    }
+
+    /// Stamps the `±1` incidence of a voltage source between `p` and `n`
+    /// whose branch current is unknown `row`.
+    pub(crate) fn stamp_branch(&self, m: &mut Matrix<f64>, p: Node, n: Node, row: usize) {
+        if let Some(ip) = self.idx(p) {
+            m[(ip, row)] += 1.0;
+            m[(row, ip)] += 1.0;
+        }
+        if let Some(in_) = self.idx(n) {
+            m[(in_, row)] -= 1.0;
+            m[(row, in_)] -= 1.0;
         }
     }
 }
 
-fn newton_solve(
-    asm: &Assembler<'_>,
+/// Damped Newton–Raphson on the system `assemble` builds: it writes the
+/// Jacobian and residual at the point `x` into its two buffers. Every
+/// update of the first `nv` unknowns (the node voltages) is clamped to
+/// `opts.dv_max`; the iteration stops once no update exceeds `opts.tol`.
+/// The operating point and every transient time point run here. Returns
+/// the iterations spent.
+///
+/// # Errors
+///
+/// [`SimError::DcNoConvergence`] after `opts.max_iter` iterations or on a
+/// non-finite iterate; [`SimError::SingularMatrix`] from the LU.
+pub(crate) fn newton_solve(
     x: &mut [f64],
-    gmin: f64,
+    nv: usize,
     opts: &DcOptions,
     ws: &mut DcWorkspace,
+    mut assemble: impl FnMut(&[f64], &mut Matrix<f64>, &mut [f64]),
 ) -> Result<usize, SimError> {
-    let dim = asm.dim;
-    let nv = asm.nnodes - 1;
+    let dim = x.len();
     ws.f.resize(dim, 0.0);
     ws.rhs.resize(dim, 0.0);
     for it in 0..opts.max_iter {
-        asm.assemble(x, gmin, &mut ws.j, &mut ws.f);
+        assemble(x, &mut ws.j, &mut ws.f);
         for (r, v) in ws.rhs.iter_mut().zip(&ws.f) {
             *r = -v;
         }
@@ -535,13 +620,16 @@ pub fn dc_operating_point_warm(
     let dim = asm.dim;
     let nv = asm.nnodes - 1;
     let mut x = vec![0.0; dim];
+    let solve = |x: &mut [f64], gmin: f64, ws: &mut DcWorkspace| {
+        newton_solve(x, nv, opts, ws, |x, j, f| asm.assemble(x, None, gmin, j, f))
+    };
 
     let mut total_iters = 0usize;
     let mut warm_started = false;
     if let Some(w) = warm {
         if w.len() == dim && w.iter().all(|v| v.is_finite()) {
             x.copy_from_slice(w);
-            if let Ok(it) = newton_solve(&asm, &mut x, opts.gmin, opts, ws) {
+            if let Ok(it) = solve(&mut x, opts.gmin, ws) {
                 total_iters += it;
                 warm_started = true;
             }
@@ -550,7 +638,7 @@ pub fn dc_operating_point_warm(
     if !warm_started {
         x.iter_mut().for_each(|v| *v = 0.0);
         x[..nv].iter_mut().for_each(|v| *v = opts.initial_v);
-        let direct = newton_solve(&asm, &mut x, opts.gmin, opts, ws);
+        let direct = solve(&mut x, opts.gmin, ws);
         match direct {
             Ok(it) => total_iters += it,
             Err(e) => {
@@ -566,7 +654,7 @@ pub fn dc_operating_point_warm(
                 x[..nv].iter_mut().for_each(|v| *v = opts.initial_v);
                 let mut g = 1e-3;
                 loop {
-                    let it = newton_solve(&asm, &mut x, g, opts, ws)?;
+                    let it = solve(&mut x, g, ws)?;
                     total_iters += it;
                     if g <= opts.gmin * 1.0001 {
                         break;
@@ -583,12 +671,8 @@ pub fn dc_operating_point_warm(
 /// Builds the [`OpPoint`] from a converged MNA solution vector.
 fn finish_op(ckt: &Circuit, x: &[f64], iterations: usize, warm_started: bool) -> OpPoint {
     let nv = ckt.num_nodes() - 1;
-    let volt = |n: Node| -> f64 {
-        match ckt.mna_index(n) {
-            None => 0.0,
-            Some(i) => x[i],
-        }
-    };
+    let asm = Assembler::new(ckt);
+    let volt = |n: Node| asm.voltage(x, n);
     let mut node_v = vec![0.0; ckt.num_nodes()];
     node_v[1..].copy_from_slice(&x[..nv]);
     let branch_i: Vec<f64> = (0..ckt.num_vsources()).map(|k| x[nv + k]).collect();

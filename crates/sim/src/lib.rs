@@ -12,11 +12,14 @@
 //! - [`netlist`] — circuit representation (nodes, R/C/V/I/VCCS/MOSFET)
 //! - [`device`] — square-law MOSFET cards for 45 nm and 16 nm flavours,
 //!   PVT corners
-//! - [`dc`] — Newton–Raphson operating point with gmin stepping
+//! - [`dc`] — Newton–Raphson operating point with gmin stepping; its
+//!   element stamps and Newton loop are the only ones, shared by the
+//!   transient and the small-signal linearization
 //! - [`ac`] — complex-valued small-signal sweeps
 //! - [`linalg`] — the dense LU and the Hessenberg–triangular pencil
 //!   reduction every analysis solves through
-//! - [`tran`] — trapezoidal transient analysis
+//! - [`tran`] — trapezoidal transient analysis, one DC Newton solve per
+//!   time point
 //! - [`noise`] — per-source noise analysis with input referral
 //! - [`measure`] — gain / UGBW / phase margin / settling / integration
 //! - [`pex`] — deterministic layout-parasitic extraction (BAG substitute)
@@ -93,5 +96,5 @@ pub mod prelude {
     pub use crate::netlist::{Circuit, Element, Mosfet, Node, Step, GND};
     pub use crate::noise::{noise_analysis, noise_analysis_corners, NoiseResult};
     pub use crate::pex::{extract, PexConfig};
-    pub use crate::tran::{transient, transient_warm, TranOptions, TranResult};
+    pub use crate::tran::{transient, TranOptions, TranResult};
 }

@@ -1,9 +1,12 @@
 //! Transient analysis: fixed-step trapezoidal integration with a
 //! backward-Euler start step, Newton iteration at every time point.
 //!
-//! Capacitors are replaced by their integration companion models; MOSFETs
-//! are re-linearized each Newton iteration; step sources follow their
-//! [`crate::netlist::Step`] waveforms.
+//! Every time point is one Newton solve of the DC assembler
+//! ([`crate::dc`]) with the sources at that time, under the options of
+//! [`TranOptions::dc`]: step sources follow their [`crate::netlist::Step`]
+//! waveforms, MOSFETs are re-linearized each Newton iteration, and the
+//! capacitors and MOSFET gate capacitances add their integration
+//! companions. A circuit at rest therefore stays at its operating point.
 //!
 //! The settling measurements integrate the *linearized* circuit instead:
 //! [`crate::ac::AcSolver::step_response`] folds the constant trapezoidal companion
@@ -11,9 +14,12 @@
 //! [`crate::ac::SETTLE_BLOCK`] steps: one `n²` anchor advance by `M^B`
 //! per block and one length-`n` dot per output sample.
 
-use crate::dc::{dc_operating_point, eval_mos_oriented, DcOptions, OpPoint, WarmState};
+use crate::dc::{
+    dc_operating_point, eval_mos_oriented, newton_solve, Assembler, DcOptions, DcWorkspace, OpPoint,
+};
+use crate::device::MosPolarity;
 use crate::error::SimError;
-use crate::linalg::{LuFactors, Matrix};
+use crate::linalg::Matrix;
 use crate::netlist::{Circuit, Element, Node};
 
 /// Options for the transient solve.
@@ -23,11 +29,9 @@ pub struct TranOptions {
     pub t_stop: f64,
     /// Fixed time step (s).
     pub dt: f64,
-    /// Maximum Newton iterations per time point.
-    pub max_iter: usize,
-    /// Newton update tolerance (V, A).
-    pub tol: f64,
-    /// DC options used for the initial operating point.
+    /// DC options: the initial operating point's solve, and the Newton
+    /// iteration at every time point (iteration cap, update tolerance,
+    /// damping and gmin).
     pub dc: DcOptions,
 }
 
@@ -42,8 +46,6 @@ impl TranOptions {
         TranOptions {
             t_stop,
             dt: t_stop / steps as f64,
-            max_iter: 50,
-            tol: 1e-9,
             dc: DcOptions::default(),
         }
     }
@@ -99,6 +101,22 @@ struct CapState {
     i_prev: f64,
 }
 
+impl CapState {
+    /// The companion `(geq, ieq)` of the step from the committed state:
+    /// the capacitor current is `geq * v + ieq`. Trapezoidal, or backward
+    /// Euler on the first step (which also damps the discontinuity of
+    /// step sources at `t = 0`).
+    fn companion(&self, dt: f64, trap: bool) -> (f64, f64) {
+        if trap {
+            let g = 2.0 * self.c / dt;
+            (g, -(g * self.v_prev + self.i_prev))
+        } else {
+            let g = self.c / dt;
+            (g, -(g * self.v_prev))
+        }
+    }
+}
+
 /// Runs a transient analysis from the DC operating point at `t = 0`.
 ///
 /// # Errors
@@ -134,32 +152,10 @@ pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult, SimErr
     transient_from_op(ckt, opts, &op)
 }
 
-/// [`transient`] with the initial DC operating point solved through a
-/// session's [`WarmState`]: the previous solution stored in `slot` seeds
-/// the Newton iteration (with the usual cold + homotopy fallback), so an
-/// evaluation session that just solved the same design's operating point
-/// for its AC analyses starts the transient in ~1 Newton iteration instead
-/// of re-running the cold `initial_v` solve — closing the last cold start
-/// in the session pipeline.
-///
-/// # Errors
-///
-/// Same contract as [`transient`].
-pub fn transient_warm(
-    ckt: &Circuit,
-    opts: &TranOptions,
-    slot: usize,
-    state: &mut WarmState,
-) -> Result<TranResult, SimError> {
-    opts.validate()?;
-    let op = state.solve(slot, ckt, &opts.dc)?;
-    transient_from_op(ckt, opts, &op)
-}
-
 /// [`transient`] starting from an already-solved operating point `op`
-/// (which must belong to `ckt` at its DC source values). Both public
-/// entry points delegate here; callers that already hold an operating
-/// point (e.g. after an AC linearization) can skip the DC solve entirely.
+/// (which must belong to `ckt` at its DC source values), e.g. one a
+/// session's [`crate::dc::WarmState`] solved warm, or the one an AC
+/// linearization used.
 ///
 /// # Errors
 ///
@@ -172,18 +168,10 @@ pub fn transient_from_op(
     op: &OpPoint,
 ) -> Result<TranResult, SimError> {
     opts.validate()?;
-    let dim = ckt.mna_dim();
-    let nnodes = ckt.num_nodes();
-    let nv = nnodes - 1;
-
+    let asm = Assembler::new(ckt);
+    let nv = ckt.num_nodes() - 1;
     // State vector starts at the operating point.
-    let mut x = vec![0.0; dim];
-    x[..nv].copy_from_slice(&op.voltages()[1..nnodes]);
-    for k in 0..ckt.num_vsources() {
-        x[nv + k] = op.vsource_current(k);
-    }
-
-    // Capacitor companion state.
+    let mut x = op.mna_vector();
     let mut caps: Vec<CapState> = ckt
         .elements()
         .iter()
@@ -204,247 +192,53 @@ pub fn transient_from_op(
     let mut v_points = Vec::with_capacity(steps + 1);
     t_points.push(0.0);
     v_points.push(op.voltages().to_vec());
-
-    let idx = |n: Node| ckt.mna_index(n);
-    let mut j = Matrix::zeros(dim, dim);
-    let mut f = vec![0.0; dim];
-    // Persistent factorization buffers: every Newton iteration refactors
-    // in place (`refactor` is bitwise-equal to a fresh `factor`) instead
-    // of cloning the Jacobian and reallocating the factors per iteration.
-    let mut lu = LuFactors::empty();
-    let mut rhs = vec![0.0; dim];
-    let mut dx: Vec<f64> = Vec::new();
+    let mut ws = DcWorkspace::new();
 
     for step in 1..=steps {
         let t = step as f64 * opts.dt;
-        // Trapezoidal companion (backward Euler on the first step, which
-        // also damps the discontinuity of step sources at t = 0).
         let trap = step > 1;
-        let mut converged = false;
-        for _ in 0..opts.max_iter {
-            j.fill_zero();
-            f.iter_mut().for_each(|e| *e = 0.0);
-            let volt = |n: Node| -> f64 {
-                match ckt.mna_index(n) {
-                    None => 0.0,
-                    Some(i) => x[i],
-                }
-            };
-            for i in 0..nv {
-                j[(i, i)] += 1e-12;
-                f[i] += 1e-12 * x[i];
-            }
-            // Capacitor companions.
+        let prev: &[f64] = &v_points[v_points.len() - 1];
+        let assemble = |x: &[f64], j: &mut Matrix<f64>, f: &mut [f64]| {
+            asm.assemble(x, Some(t), opts.dc.gmin, j, f);
+            let volt = |n: Node| asm.voltage(x, n);
             for cs in &caps {
-                let (geq, ieq_hist) = if trap {
-                    let g = 2.0 * cs.c / opts.dt;
-                    (g, -(g * cs.v_prev + cs.i_prev))
-                } else {
-                    let g = cs.c / opts.dt;
-                    (g, -(g * cs.v_prev))
-                };
-                let vc = volt(cs.p) - volt(cs.n);
-                let i_now = geq * vc + ieq_hist;
-                if let Some(ip) = idx(cs.p) {
-                    f[ip] += i_now;
-                    j[(ip, ip)] += geq;
-                    if let Some(in_) = idx(cs.n) {
-                        j[(ip, in_)] -= geq;
-                    }
-                }
-                if let Some(in_) = idx(cs.n) {
-                    f[in_] -= i_now;
-                    j[(in_, in_)] += geq;
-                    if let Some(ip) = idx(cs.p) {
-                        j[(in_, ip)] -= geq;
-                    }
-                }
+                let (geq, ieq) = cs.companion(opts.dt, trap);
+                let i_now = geq * (volt(cs.p) - volt(cs.n)) + ieq;
+                asm.stamp_pair(j, f, cs.p, cs.n, geq, i_now);
             }
-            // Remaining elements.
-            let mut vk = 0usize;
             for e in ckt.elements() {
-                match e {
-                    Element::Resistor { p, n, r, .. } => {
-                        let g = 1.0 / r;
-                        let i = g * (volt(*p) - volt(*n));
-                        if let Some(ip) = idx(*p) {
-                            f[ip] += i;
-                            j[(ip, ip)] += g;
-                            if let Some(in_) = idx(*n) {
-                                j[(ip, in_)] -= g;
-                            }
-                        }
-                        if let Some(in_) = idx(*n) {
-                            f[in_] -= i;
-                            j[(in_, in_)] += g;
-                            if let Some(ip) = idx(*p) {
-                                j[(in_, ip)] -= g;
-                            }
-                        }
-                    }
-                    Element::Capacitor { .. } => {}
-                    Element::Vsource { p, n, dc, wave, .. } => {
-                        let val = wave.map_or(*dc, |w| w.value(t));
-                        let row = nv + vk;
-                        let ibr = x[row];
-                        if let Some(ip) = idx(*p) {
-                            f[ip] += ibr;
-                            j[(ip, row)] += 1.0;
-                            j[(row, ip)] += 1.0;
-                        }
-                        if let Some(in_) = idx(*n) {
-                            f[in_] -= ibr;
-                            j[(in_, row)] -= 1.0;
-                            j[(row, in_)] -= 1.0;
-                        }
-                        f[row] += volt(*p) - volt(*n) - val;
-                        vk += 1;
-                    }
-                    Element::Isource { p, n, dc, wave, .. } => {
-                        let val = wave.map_or(*dc, |w| w.value(t));
-                        if let Some(ip) = idx(*p) {
-                            f[ip] += val;
-                        }
-                        if let Some(in_) = idx(*n) {
-                            f[in_] -= val;
-                        }
-                    }
-                    Element::Vccs {
-                        op: o,
-                        on,
-                        cp,
-                        cn,
-                        gm,
-                    } => {
-                        let i = gm * (volt(*cp) - volt(*cn));
-                        if let Some(io) = idx(*o) {
-                            f[io] += i;
-                            if let Some(icp) = idx(*cp) {
-                                j[(io, icp)] += gm;
-                            }
-                            if let Some(icn) = idx(*cn) {
-                                j[(io, icn)] -= gm;
-                            }
-                        }
-                        if let Some(io) = idx(*on) {
-                            f[io] -= i;
-                            if let Some(icp) = idx(*cp) {
-                                j[(io, icp)] -= gm;
-                            }
-                            if let Some(icn) = idx(*cn) {
-                                j[(io, icn)] += gm;
-                            }
-                        }
-                    }
-                    Element::Mos(m) => {
-                        let (a_d, a_s, i_ad, gm, gds, _) = eval_mos_oriented(m, volt);
-                        if let Some(id_) = idx(a_d) {
-                            f[id_] += i_ad;
-                            if let Some(ig) = idx(m.g) {
-                                j[(id_, ig)] += gm;
-                            }
-                            j[(id_, id_)] += gds;
-                            if let Some(is_) = idx(a_s) {
-                                j[(id_, is_)] -= gm + gds;
-                            }
-                        }
-                        if let Some(is_) = idx(a_s) {
-                            f[is_] -= i_ad;
-                            if let Some(ig) = idx(m.g) {
-                                j[(is_, ig)] -= gm;
-                            }
-                            if let Some(id_) = idx(a_d) {
-                                j[(is_, id_)] -= gds;
-                            }
-                            j[(is_, is_)] += gm + gds;
-                        }
-                        // Device capacitances as fixed small-signal values
-                        // from the operating point would miss large-signal
-                        // swing; instead stamp them as linear companions on
-                        // the fly using the current region's gate caps.
-                        let (cgs, cgd) = {
-                            let e = m.model.eval(
-                                match m.polarity {
-                                    crate::device::MosPolarity::Nmos => volt(m.g) - volt(a_s),
-                                    crate::device::MosPolarity::Pmos => volt(a_s) - volt(m.g),
-                                },
-                                1.0,
-                                m.w,
-                                m.l,
-                                m.mult,
-                            );
-                            m.model.gate_caps(e.region, m.w, m.l, m.mult)
-                        };
-                        // These small device caps are integrated with
-                        // backward Euler against the previous *node*
-                        // voltages snapshot, folded in via geq only
-                        // (history handled implicitly through v_points).
-                        let prev = &v_points[v_points.len() - 1];
-                        let geq_gs = cgs / opts.dt;
-                        let geq_gd = cgd / opts.dt;
-                        let pairs = [(m.g, a_s, geq_gs), (m.g, a_d, geq_gd)];
-                        for (p, n, geq) in pairs {
-                            let v_now = volt(p) - volt(n);
-                            let v_prev = prev[p.index()] - prev[n.index()];
-                            let i_now = geq * (v_now - v_prev);
-                            if let Some(ip) = idx(p) {
-                                f[ip] += i_now;
-                                j[(ip, ip)] += geq;
-                                if let Some(in_) = idx(n) {
-                                    j[(ip, in_)] -= geq;
-                                }
-                            }
-                            if let Some(in_) = idx(n) {
-                                f[in_] -= i_now;
-                                j[(in_, in_)] += geq;
-                                if let Some(ip) = idx(p) {
-                                    j[(in_, ip)] -= geq;
-                                }
-                            }
-                        }
-                    }
+                let Element::Mos(m) = e else { continue };
+                // The gate capacitances of the current region, integrated
+                // with backward Euler against the previous time point's
+                // node voltages (history through `v_points` only).
+                let (a_d, a_s, ..) = eval_mos_oriented(m, volt);
+                let vgs_e = match m.polarity {
+                    MosPolarity::Nmos => volt(m.g) - volt(a_s),
+                    MosPolarity::Pmos => volt(a_s) - volt(m.g),
+                };
+                let region = m.model.eval(vgs_e, 1.0, m.w, m.l, m.mult).region;
+                let (cgs, cgd) = m.model.gate_caps(region, m.w, m.l, m.mult);
+                for (p, n, c) in [(m.g, a_s, cgs), (m.g, a_d, cgd)] {
+                    let geq = c / opts.dt;
+                    let v_prev = prev[p.index()] - prev[n.index()];
+                    let i_now = geq * (volt(p) - volt(n) - v_prev);
+                    asm.stamp_pair(j, f, p, n, geq, i_now);
                 }
-            }
-            for (r, v) in rhs.iter_mut().zip(&f) {
-                *r = -v;
-            }
-            lu.refactor(&j, 1e-30)?;
-            lu.solve_into(&rhs, &mut dx);
-            let mut maxd = 0.0f64;
-            for (i, d) in dx.iter().enumerate() {
-                let s = if i < nv { d.clamp(-0.5, 0.5) } else { *d };
-                x[i] += s;
-                maxd = maxd.max(d.abs());
-            }
-            if maxd < opts.tol {
-                converged = true;
-                break;
-            }
-        }
-        if !converged || !x.iter().all(|v| v.is_finite()) {
-            return Err(SimError::TranNoConvergence { time: t });
-        }
-        // Commit the step: update capacitor history.
-        let volt = |n: Node| -> f64 {
-            match ckt.mna_index(n) {
-                None => 0.0,
-                Some(i) => x[i],
             }
         };
+        newton_solve(&mut x, nv, &opts.dc, &mut ws, assemble).map_err(|e| match e {
+            SimError::DcNoConvergence { .. } => SimError::TranNoConvergence { time: t },
+            e => e,
+        })?;
+        // Commit the step: update capacitor history.
         for cs in &mut caps {
-            let vc = volt(cs.p) - volt(cs.n);
-            let (geq, ieq_hist) = if trap {
-                let g = 2.0 * cs.c / opts.dt;
-                (g, -(g * cs.v_prev + cs.i_prev))
-            } else {
-                let g = cs.c / opts.dt;
-                (g, -(g * cs.v_prev))
-            };
-            cs.i_prev = geq * vc + ieq_hist;
+            let vc = asm.voltage(&x, cs.p) - asm.voltage(&x, cs.n);
+            let (geq, ieq) = cs.companion(opts.dt, trap);
+            cs.i_prev = geq * vc + ieq;
             cs.v_prev = vc;
         }
-        let mut row = vec![0.0; nnodes];
-        row[1..].copy_from_slice(&x[..nnodes - 1]);
+        let mut row = vec![0.0; nv + 1];
+        row[1..].copy_from_slice(&x[..nv]);
         t_points.push(t);
         v_points.push(row);
     }
@@ -457,6 +251,7 @@ pub fn transient_from_op(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dc::WarmState;
     use crate::netlist::{Step, GND};
 
     #[test]
@@ -588,7 +383,9 @@ mod tests {
         let mut state = WarmState::new();
         // Prime the slot with the operating point, as a session would.
         state.solve(0, &ckt, &opts.dc).unwrap();
-        let warm = transient_warm(&ckt, &opts, 0, &mut state).unwrap();
+        let op = state.solve(0, &ckt, &opts.dc).unwrap();
+        assert!(op.warm_started());
+        let warm = transient_from_op(&ckt, &opts, &op).unwrap();
         assert_eq!(cold.t, warm.t);
         for (a, b) in cold.v.iter().flatten().zip(warm.v.iter().flatten()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
