@@ -16,11 +16,12 @@
 //! premise that makes the previous operating point a trustworthy Newton
 //! guess.
 
-use autockt_circuits::{EvalSession, SimMode, SizingProblem};
+use autockt_circuits::{EvalSession, SharedMemo, SimMode, SizingProblem};
 use autockt_core::{is_success, reward};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Genetic-algorithm hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +117,7 @@ pub fn ga_solve(
     let mut ev = Evaluator {
         session: EvalSession::borrowed(problem, mode)
             .with_warm_start(false)
-            .with_memo_capacity(usize::MAX),
+            .with_shared_memo(Arc::new(SharedMemo::new(usize::MAX))),
         target,
         sims: 0,
         fail_reward: -5.0,

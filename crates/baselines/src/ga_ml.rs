@@ -9,12 +9,13 @@
 //! queries.
 
 use crate::ga::{empty_outcome, offspring, GaConfig, GaOutcome};
-use autockt_circuits::{EvalSession, SimMode, SizingProblem};
+use autockt_circuits::{EvalSession, SharedMemo, SimMode, SizingProblem};
 use autockt_core::{is_success, reward};
-use autockt_rl::mlp::{Activation, Mlp, Tape, TILE};
+use autockt_rl::mlp::{Mlp, Tape, TILE};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Configuration of the GA+ML optimizer.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,12 +62,7 @@ pub fn ga_ml_solve(
     let mut rng = StdRng::seed_from_u64(cfg.ga.seed);
     let cards = problem.cardinalities();
     let n = cards.len();
-    let mut model = Mlp::new(
-        &[n, 32, 32, 1],
-        Activation::Tanh,
-        Activation::Linear,
-        &mut rng,
-    );
+    let mut model = Mlp::new(&[n, 32, 32, 1], &mut rng);
     let mut tape = Tape::new(&model);
     let mut dout = Vec::with_capacity(TILE);
 
@@ -78,7 +74,7 @@ pub fn ga_ml_solve(
     // limit.
     let mut session = EvalSession::borrowed(problem, mode)
         .with_warm_start(false)
-        .with_memo_capacity(usize::MAX);
+        .with_shared_memo(Arc::new(SharedMemo::new(usize::MAX)));
     let mut sims = 0usize;
     let mut dataset: Vec<(Vec<f64>, f64)> = Vec::new();
     let simulate = |idx: &[usize],

@@ -31,4 +31,4 @@ pub mod random_agent;
 
 pub use ga::{ga_solve, ga_solve_sweep, GaConfig, GaOutcome};
 pub use ga_ml::{ga_ml_solve, GaMlConfig};
-pub use random_agent::{random_agent_deploy, RandomAgentStats};
+pub use random_agent::random_agent_deploy;

@@ -3,40 +3,21 @@
 //! environment, illustrating design-space complexity.
 
 use autockt_circuits::{SimMode, SizingProblem};
-use autockt_core::{DeployOutcome, EnvConfig, SizingEnv, TargetMode};
-use autockt_rl::env::Env;
+use autockt_core::{run_episode, DeployStats, EnvConfig, SizingEnv, TargetMode};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Aggregate result of random-agent deployment.
-#[derive(Debug, Clone)]
-pub struct RandomAgentStats {
-    /// Per-target outcomes.
-    pub outcomes: Vec<DeployOutcome>,
-}
-
-impl RandomAgentStats {
-    /// Number of reached targets.
-    pub fn reached(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.reached).count()
-    }
-
-    /// Targets attempted.
-    pub fn total(&self) -> usize {
-        self.outcomes.len()
-    }
-}
-
-/// Runs a uniformly random policy against each target.
+/// Runs a uniformly random policy against each target, on deployment's
+/// episode loop ([`run_episode`]).
 pub fn random_agent_deploy(
     problem: Arc<dyn SizingProblem>,
     targets: &[Vec<f64>],
     horizon: usize,
     mode: SimMode,
     seed: u64,
-) -> RandomAgentStats {
+) -> DeployStats {
     let mut env = SizingEnv::new(
         Arc::clone(&problem),
         EnvConfig {
@@ -51,39 +32,12 @@ pub fn random_agent_deploy(
     let outcomes = targets
         .iter()
         .map(|t| {
-            env.reset_with_target(t.clone());
-            let sim_failed = env.last_sim_failed();
-            let mut spec_trajectory = vec![env.last_specs().to_vec()];
-            let mut reached = false;
-            let mut steps = 0;
-            // An unsolvable starting point is reported as an unreached
-            // outcome with zero steps, matching `deploy::run_trajectory`.
-            let horizon = if sim_failed { 0 } else { horizon };
-            for _ in 0..horizon {
-                let action: Vec<usize> = (0..n_params).map(|_| rng.random_range(0..3)).collect();
-                let sr = env.step(&action);
-                steps += 1;
-                spec_trajectory.push(env.last_specs().to_vec());
-                if sr.success {
-                    reached = true;
-                    break;
-                }
-                if sr.done {
-                    break;
-                }
-            }
-            DeployOutcome {
-                target: t.clone(),
-                reached,
-                steps,
-                final_specs: env.last_specs().to_vec(),
-                final_params: env.param_indices().to_vec(),
-                spec_trajectory,
-                sim_failed,
-            }
+            run_episode(&mut env, t.clone(), horizon, |_| {
+                (0..n_params).map(|_| rng.random_range(0..3)).collect()
+            })
         })
         .collect();
-    RandomAgentStats { outcomes }
+    DeployStats { outcomes }
 }
 
 #[cfg(test)]

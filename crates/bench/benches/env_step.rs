@@ -13,19 +13,13 @@
 //! - `env_step_warm_<topo>` — warm: the previous step's operating point
 //!   seeds the Newton iteration and solver buffers are reused.
 //! - `env_step_warm_memo_<topo>` — warm + memo: exact grid revisits are
-//!   served from the session cache without any solve.
+//!   served from the session's memo without any solve.
 //!
 //! `env_step_walk_*` variants drive a uniform random one-notch walk
 //! instead — the memoization worst case, isolating the warm-start win on
 //! fresh solves.
-//!
-//! `env_step_shared_memo_*` steps an environment whose session caches into
-//! a pooled [`autockt_circuits::SharedMemo`] instead of a private map —
-//! the overhead check for the concurrent sharded cache on the revisit
-//! workload (a shard lock + probe per step instead of a plain `HashMap`
-//! probe).
 
-use autockt_circuits::{NegGmOta, OpAmp2, SharedMemo, SimMode, SizingProblem, Tia};
+use autockt_circuits::{NegGmOta, OpAmp2, SimMode, SizingProblem, Tia};
 use autockt_core::{EnvConfig, SizingEnv, TargetMode};
 use autockt_rl::env::Env;
 use autockt_sim::pex::PexConfig;
@@ -53,29 +47,14 @@ fn bench_env(
     memoize: bool,
     walk: bool,
 ) {
-    bench_env_cfg(
-        c,
-        name,
-        problem,
-        EnvConfig {
-            horizon: usize::MAX / 2, // never terminate on the horizon
-            mode,
-            target_mode: TargetMode::Uniform,
-            warm_start,
-            memoize,
-            ..EnvConfig::default()
-        },
-        walk,
-    );
-}
-
-fn bench_env_cfg(
-    c: &mut Criterion,
-    name: &str,
-    problem: Arc<dyn SizingProblem>,
-    cfg: EnvConfig,
-    walk: bool,
-) {
+    let cfg = EnvConfig {
+        horizon: usize::MAX / 2, // never terminate on the horizon
+        mode,
+        target_mode: TargetMode::Uniform,
+        warm_start,
+        memoize,
+        ..EnvConfig::default()
+    };
     let mut env = SizingEnv::new(problem, cfg);
     let mut rng = StdRng::seed_from_u64(11);
     env.reset(&mut rng);
@@ -119,23 +98,6 @@ fn benches(c: &mut Criterion) {
                 walk,
             );
         }
-    }
-    // Pooled-memo variant of the revisit workload: same hits, served
-    // through the concurrent sharded map instead of the private HashMap.
-    for (name, problem) in &topologies {
-        bench_env_cfg(
-            c,
-            &format!("env_step_shared_memo_{name}"),
-            Arc::clone(problem),
-            EnvConfig {
-                horizon: usize::MAX / 2,
-                mode: SimMode::Schematic,
-                target_mode: TargetMode::Uniform,
-                shared_memo: Some(Arc::new(SharedMemo::with_default_capacity())),
-                ..EnvConfig::default()
-            },
-            false,
-        );
     }
     // PexWorstCase stepping: cold and warm at the stock extraction, and
     // warm at dense-mesh extractions where the warm corner kernels

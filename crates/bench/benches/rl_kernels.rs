@@ -2,7 +2,7 @@
 //! activation over one tile, forward/backward passes of the paper's 3x50
 //! network and a full PPO update on a synthetic batch.
 
-use autockt_rl::mlp::{tanh, Activation, Mlp, Tape, TILE};
+use autockt_rl::mlp::{tanh, Mlp, Tape, TILE};
 use autockt_rl::policy::PolicyNet;
 use autockt_rl::ppo::{Ppo, PpoConfig};
 use autockt_rl::rollout::{compute_gae, Batch, Transition};
@@ -38,12 +38,7 @@ fn bench_tanh(c: &mut Criterion) {
 
 fn bench_mlp(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
-    let net = Mlp::new(
-        &[13, 50, 50, 50, 21],
-        Activation::Tanh,
-        Activation::Linear,
-        &mut rng,
-    );
+    let net = Mlp::new(&[13, 50, 50, 50, 21], &mut rng);
     let x: Vec<f64> = (0..13).map(|i| (i as f64 * 0.1).sin()).collect();
     c.bench_function("mlp_forward_3x50", |b| {
         b.iter(|| net.forward(black_box(&x)))

@@ -1,8 +1,11 @@
 //! # autockt_bench — experiment harness
 //!
 //! Shared plumbing for the binaries that regenerate every table and figure
-//! of the AutoCkt paper (see DESIGN.md for the per-experiment index), plus
-//! Criterion micro-benchmarks of the simulation and learning kernels.
+//! of the AutoCkt paper, plus Criterion micro-benchmarks of the simulation
+//! and learning kernels. There is one binary per experiment in
+//! `src/bin/` (`table1` … `table4`, `fig5` … `fig14`, the ablations); each
+//! binary's module doc names the paper result it reproduces and how to
+//! run it, and README's "Running things" section lists the commands.
 //!
 //! Each experiment binary prints a paper-vs-measured comparison to stdout
 //! and writes raw series as CSV under `results/`.

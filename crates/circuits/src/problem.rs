@@ -14,8 +14,8 @@ use autockt_sim::netlist::{Circuit, Node};
 use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws, NoiseResult};
 use autockt_sim::pex::{extract, PexConfig};
 use autockt_sim::{SimError, SolverConfig};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -630,38 +630,21 @@ pub trait SizingProblem: Send + Sync {
 }
 
 /// One memoized evaluation: the measured specs plus the warm-start slots
-/// as of the solve, restored on cache hits so that a later cache miss
-/// still warm-starts from the operating point of the *adjacent* grid
-/// point just revisited (never from one arbitrarily many notches back).
-#[derive(Clone)]
-struct MemoEntry {
-    specs: Result<Vec<f64>, SimError>,
-    warm: Vec<Option<Vec<f64>>>,
-}
-
-/// One entry of a [`SharedMemo`]: like the per-session `MemoEntry`, plus
-/// the id of the worker that inserted it (for cross-worker hit accounting).
-#[derive(Clone)]
+/// as of the solve, restored on hits so that a later miss still
+/// warm-starts from the operating point of the *adjacent* grid point just
+/// revisited (never from one arbitrarily many notches back), and the id of
+/// the worker that inserted it (for cross-worker hit accounting).
 struct SharedEntry {
     specs: Result<Vec<f64>, SimError>,
     warm: Vec<Option<Vec<f64>>>,
     owner: u64,
 }
 
-/// One mutex-guarded shard of a [`SharedMemo`]: the key -> entry map plus
-/// an insertion-order queue driving FIFO eviction at capacity.
-#[derive(Default)]
-struct MemoShard {
-    map: HashMap<Vec<usize>, SharedEntry>,
-    order: VecDeque<Vec<usize>>,
-}
-
-/// Unwraps a shard lock, recovering from poisoning instead of cascading
-/// the panic: a poisoned shard means some *other* worker panicked while
-/// holding the lock, and every shard mutation (probe, insert, evict,
-/// clear) leaves the map/queue pair valid between statements — worst
-/// case, FIFO order drifts for a cache whose entries are immutable once
-/// inserted. Evaluation must keep running on the surviving workers.
+/// Unwraps the memo lock, recovering from poisoning instead of cascading
+/// the panic: a poisoned lock means some *other* worker panicked while
+/// holding it, and every mutation (probe, insert) leaves the map valid
+/// between statements, with entries immutable once inserted. Evaluation
+/// must keep running on the surviving workers.
 fn recover<'m, T>(
     lock: Result<
         std::sync::MutexGuard<'m, T>,
@@ -674,19 +657,23 @@ fn recover<'m, T>(
     }
 }
 
-/// A concurrent evaluation memo shared by every rollout worker of a
-/// training run: `N` mutex-guarded shards keyed by the discrete parameter
-/// index vector, so the 8 training environments pool their grid revisits
-/// instead of each re-solving points a sibling already evaluated (episodes
-/// all restart from the grid center, so cross-worker overlap is heavy).
+/// The evaluation memo: one map from the discrete parameter index vector
+/// to the measured specs, behind one mutex. Every [`EvalSession`] owns
+/// one; training hands the same memo to all of its rollout workers
+/// ([`EvalSession::with_shared_memo`]), so a grid point solved by *any*
+/// worker serves every sibling's revisit (episodes all restart from the
+/// grid center, so cross-worker overlap is heavy).
 ///
-/// Sharding keeps contention negligible — a key's shard is chosen by hash,
-/// and a lock is held only for the microseconds of a map probe or insert,
-/// never across a solve. Each shard is capacity-bounded like the per-env
-/// memo; at capacity the *oldest* entry in the shard is evicted FIFO (the
-/// shared map outlives episodes and workers, so unlike the per-session
-/// cache it cannot simply stop inserting without eventually pinning a
-/// stale working set).
+/// The lock is held only for the microseconds of a map probe or insert,
+/// never across a solve. At capacity the memo stops inserting: existing
+/// entries keep serving hits, new results are no longer cached, and
+/// nothing is ever evicted. Explore-heavy workloads, where exact revisits
+/// are rare and nearly every step would insert a never-reused entry,
+/// cannot grow memory linearly with training length, and since episodes
+/// restart from the grid center the earliest entries are also the
+/// likeliest to be revisited. When two workers solve the same point
+/// concurrently, the first insertion wins, so every later hit serves one
+/// value.
 ///
 /// Warm-start state stays private per worker: the memo stores warm
 /// *snapshots* (restored on hits so a later miss still warm-starts from an
@@ -705,7 +692,7 @@ fn recover<'m, T>(
 ///
 /// # fn main() -> Result<(), autockt_sim::SimError> {
 /// let tia = Tia::default();
-/// let memo = Arc::new(SharedMemo::new(8, 1 << 16));
+/// let memo = Arc::new(SharedMemo::new(1 << 16));
 /// let mut a = EvalSession::borrowed(&tia, SimMode::Schematic)
 ///     .with_shared_memo(Arc::clone(&memo));
 /// let mut b = EvalSession::borrowed(&tia, SimMode::Schematic)
@@ -720,125 +707,115 @@ fn recover<'m, T>(
 /// # }
 /// ```
 pub struct SharedMemo {
-    shards: Vec<Mutex<MemoShard>>,
-    /// Lock acquisitions that found their shard already held (`try_lock`
-    /// miss → blocking wait): the direct contention signal for sizing the
-    /// shard count as worker counts grow.
+    /// Entries are boxed so that the table holds only a key and a
+    /// pointer per slot: growing the table then copies a third of the
+    /// bytes it would with the entries inline, which keeps the peak
+    /// memory of the copy (old and new table both live) small.
+    map: Mutex<HashMap<Vec<usize>, Box<SharedEntry>>>,
+    capacity: usize,
+    /// Lock acquisitions that found the lock already held (`try_lock`
+    /// miss → blocking wait): the direct contention signal.
     contended: AtomicU64,
     /// Total hot-path lock acquisitions (probes, inserts, contains) —
     /// the denominator for the contention ratio. Counted at the lock
     /// itself, so a get-miss followed by an insert counts as two.
     acquisitions: AtomicU64,
-    per_shard_capacity: usize,
     hits: AtomicU64,
     cross_hits: AtomicU64,
     inserts: AtomicU64,
-    evictions: AtomicU64,
     next_worker: AtomicU64,
 }
 
 impl std::fmt::Debug for SharedMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedMemo")
-            .field("shards", &self.shards.len())
-            .field("per_shard_capacity", &self.per_shard_capacity)
+            .field("capacity", &self.capacity)
             .field("len", &self.len())
             .field("hits", &self.hits())
             .field("cross_hits", &self.cross_hits())
-            .field("evictions", &self.evictions())
             .field("contended_locks", &self.contended_locks())
             .finish()
     }
 }
 
 impl SharedMemo {
-    /// Default shard count: comfortably above the 8 training workers, so
-    /// two workers probing simultaneously almost never contend.
-    pub const DEFAULT_SHARDS: usize = 16;
+    /// Default bound on memoized grid points: ~50 MB at the largest
+    /// topology's entry size, far above any revisit-relevant working set.
+    pub const DEFAULT_CAPACITY: usize = 1 << 18;
 
-    /// Creates a memo with `shards` shards (rounded up to a power of two,
-    /// minimum 1) bounding `capacity` total entries across all shards.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
+    /// Creates an empty memo holding at most `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
         SharedMemo {
-            shards: (0..shards)
-                .map(|_| Mutex::new(MemoShard::default()))
-                .collect(),
+            map: Mutex::new(HashMap::new()),
+            capacity,
             contended: AtomicU64::new(0),
             acquisitions: AtomicU64::new(0),
-            per_shard_capacity: capacity.div_ceil(shards).max(1),
             hits: AtomicU64::new(0),
             cross_hits: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             next_worker: AtomicU64::new(0),
         }
     }
 
-    /// A memo sized like the per-session default
-    /// ([`EvalSession::DEFAULT_MEMO_CAPACITY`]) over
-    /// [`SharedMemo::DEFAULT_SHARDS`] shards.
+    /// A memo of [`SharedMemo::DEFAULT_CAPACITY`] entries.
     pub fn with_default_capacity() -> Self {
-        SharedMemo::new(
-            SharedMemo::DEFAULT_SHARDS,
-            EvalSession::DEFAULT_MEMO_CAPACITY,
-        )
+        SharedMemo::new(SharedMemo::DEFAULT_CAPACITY)
     }
 
     /// Registers a new worker, returning its id (used to distinguish
     /// cross-worker hits from a worker re-reading its own insertions).
-    pub fn register_worker(&self) -> u64 {
+    fn register_worker(&self) -> u64 {
         self.next_worker.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn shard_index(&self, idx: &[usize]) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        idx.hash(&mut h);
-        (h.finish() as usize) & (self.shards.len() - 1)
-    }
-
-    /// Locks the shard holding `idx`, counting the acquisition as
-    /// contended when another worker already holds it (the hot paths all
-    /// come through here, so [`SharedMemo::contended_locks`] reflects
-    /// real probe/insert contention, not maintenance scans).
-    fn lock_shard(&self, idx: &[usize]) -> std::sync::MutexGuard<'_, MemoShard> {
-        let s = self.shard_index(idx);
+    /// Locks the map, counting the acquisition as contended when another
+    /// worker already holds it (the hot paths all come through here, so
+    /// [`SharedMemo::contended_locks`] reflects real probe/insert
+    /// contention, not maintenance reads).
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<usize>, Box<SharedEntry>>> {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        match self.shards[s].try_lock() {
+        match self.map.try_lock() {
             Ok(g) => g,
             Err(std::sync::TryLockError::WouldBlock) => {
                 self.contended.fetch_add(1, Ordering::Relaxed);
-                recover(self.shards[s].lock())
+                recover(self.map.lock())
             }
             Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
         }
     }
 
-    /// Looks up `idx`, cloning the entry out (the lock is never held
-    /// across a solve). Returns the specs, the warm snapshot taken at the
-    /// original solve, and whether the entry was inserted by a *different*
-    /// worker than `worker`.
-    #[allow(clippy::type_complexity)]
+    /// Looks up `idx`, cloning the specs out (the lock is never held
+    /// across a solve) and, when `warm` is given, restoring into it the
+    /// warm snapshot taken at the original solve. Returns the specs and
+    /// whether the entry was inserted by a *different* worker than
+    /// `worker`.
     fn get(
         &self,
         idx: &[usize],
         worker: u64,
-    ) -> Option<(Result<Vec<f64>, SimError>, Vec<Option<Vec<f64>>>, bool)> {
-        let shard = self.lock_shard(idx);
-        let e = shard.map.get(idx)?;
+        warm: Option<&mut WarmState>,
+    ) -> Option<(Result<Vec<f64>, SimError>, bool)> {
+        let map = self.lock();
+        let e = map.get(idx)?;
         let cross = e.owner != worker;
         self.hits.fetch_add(1, Ordering::Relaxed);
         if cross {
             self.cross_hits.fetch_add(1, Ordering::Relaxed);
         }
-        Some((e.specs.clone(), e.warm.clone(), cross))
+        if let Some(w) = warm {
+            w.restore(&e.warm);
+        }
+        Some((e.specs.clone(), cross))
     }
 
     /// Whether `idx` is currently memoized.
     pub fn contains(&self, idx: &[usize]) -> bool {
-        self.lock_shard(idx).map.contains_key(idx)
+        self.lock().contains_key(idx)
     }
 
+    /// Caches `idx`'s result unless the memo is full or already holds
+    /// `idx` (a sibling solved the same point concurrently: the first
+    /// insertion stays, so every later hit serves one consistent value).
     fn insert(
         &self,
         idx: &[usize],
@@ -846,37 +823,27 @@ impl SharedMemo {
         warm: Vec<Option<Vec<f64>>>,
         worker: u64,
     ) {
-        let mut shard = self.lock_shard(idx);
-        if shard.map.contains_key(idx) {
-            // A sibling solved the same point concurrently; keep the
-            // first insertion so every later hit serves one consistent
-            // value.
+        // Allocate before taking the lock, so that it is held only for
+        // the probe and the insert.
+        let key = idx.to_vec();
+        let entry = Box::new(SharedEntry {
+            specs,
+            warm,
+            owner: worker,
+        });
+        let mut map = self.lock();
+        if map.len() >= self.capacity {
             return;
         }
-        if shard.map.len() >= self.per_shard_capacity {
-            if let Some(oldest) = shard.order.pop_front() {
-                shard.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Entry::Vacant(slot) = map.entry(key) {
+            slot.insert(entry);
+            self.inserts.fetch_add(1, Ordering::Relaxed);
         }
-        shard.order.push_back(idx.to_vec());
-        shard.map.insert(
-            idx.to_vec(),
-            SharedEntry {
-                specs,
-                warm,
-                owner: worker,
-            },
-        );
-        self.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Distinct grid points currently memoized across all shards.
+    /// Distinct grid points currently memoized.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| recover(s.lock()).map.len())
-            .sum()
+        recover(self.map.lock()).len()
     }
 
     /// Whether the memo holds no entries.
@@ -900,44 +867,23 @@ impl SharedMemo {
         self.inserts.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted FIFO at shard capacity.
+    /// Entries evicted: always 0, because the memo never evicts (at
+    /// capacity it stops inserting instead).
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        0
     }
 
-    /// Total hot-path lock acquisitions across all shards (every probe,
-    /// insert, and containment check) — the denominator for the
-    /// contention ratio.
+    /// Total hot-path lock acquisitions (every probe, insert, and
+    /// containment check) — the denominator for the contention ratio.
     pub fn lock_acquisitions(&self) -> u64 {
         self.acquisitions.load(Ordering::Relaxed)
     }
 
-    /// Total contended lock acquisitions across all shards: probes or
-    /// inserts that found their shard held by another worker and had to
-    /// wait. The pooling design bets this stays negligible relative to
-    /// [`SharedMemo::lock_acquisitions`].
+    /// Contended lock acquisitions: probes or inserts that found the lock
+    /// held by another worker and had to wait. The pooling design bets
+    /// this stays negligible relative to [`SharedMemo::lock_acquisitions`].
     pub fn contended_locks(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total entry capacity across all shards.
-    pub fn capacity(&self) -> usize {
-        self.per_shard_capacity * self.shards.len()
-    }
-
-    /// Drops every entry, keeping counters (useful between benchmark
-    /// configurations sharing one memo allocation).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            let mut s = recover(s.lock());
-            s.map.clear();
-            s.order.clear();
-        }
     }
 }
 
@@ -958,7 +904,7 @@ impl<'p> ProblemRef<'p> {
 }
 
 /// A stateful evaluation pipeline bound to one problem and fidelity: a
-/// memo cache of exact parameter-grid revisits consulted before any solve
+/// memo of exact parameter-grid revisits consulted before any solve
 /// (simulation is deterministic, so revisits are free), plus warm-start
 /// state threaded through consecutive DC solves.
 ///
@@ -967,6 +913,12 @@ impl<'p> ProblemRef<'p> {
 /// they share the same warm+memo pipeline. Warm-started solves converge
 /// to the same specs as cold ones up to solver tolerance; memoization
 /// makes revisits *exactly* reproducible within a session.
+///
+/// Each session owns a [`SharedMemo`] of
+/// [`SharedMemo::DEFAULT_CAPACITY`] entries unless
+/// [`EvalSession::with_shared_memo`] hands it a pooled one. A cloned
+/// session shares its original's memo (and worker id) but keeps its own
+/// warm state and counters.
 ///
 /// # Examples
 ///
@@ -992,10 +944,8 @@ pub struct EvalSession<'p> {
     mode: SimMode,
     warm_start: bool,
     memoize: bool,
-    memo_capacity: usize,
     warm: WarmState,
-    memo: HashMap<Vec<usize>, MemoEntry>,
-    shared: Option<Arc<SharedMemo>>,
+    memo: Arc<SharedMemo>,
     worker_id: u64,
     solves: u64,
     memo_hits: u64,
@@ -1009,7 +959,6 @@ impl std::fmt::Debug for EvalSession<'_> {
             .field("mode", &self.mode)
             .field("warm_start", &self.warm_start)
             .field("memoize", &self.memoize)
-            .field("shared", &self.shared.is_some())
             .field("memo_len", &self.memo.len())
             .field("solves", &self.solves)
             .field("memo_hits", &self.memo_hits)
@@ -1020,16 +969,15 @@ impl std::fmt::Debug for EvalSession<'_> {
 
 impl<'p> EvalSession<'p> {
     fn with(problem: ProblemRef<'p>, mode: SimMode) -> Self {
+        let memo = Arc::new(SharedMemo::with_default_capacity());
         EvalSession {
             problem,
             mode,
             warm_start: true,
             memoize: true,
-            memo_capacity: EvalSession::DEFAULT_MEMO_CAPACITY,
             warm: WarmState::new(),
-            memo: HashMap::new(),
-            shared: None,
-            worker_id: 0,
+            worker_id: memo.register_worker(),
+            memo,
             solves: 0,
             memo_hits: 0,
             cross_hits: 0,
@@ -1054,42 +1002,22 @@ impl<'p> EvalSession<'p> {
         self
     }
 
-    /// Disables or enables the memo cache (on by default).
+    /// Disables or enables the memo (on by default).
     pub fn with_memo(mut self, on: bool) -> Self {
         self.memoize = on;
         self
     }
 
-    /// Attaches a [`SharedMemo`] pooled across sessions: lookups and
-    /// insertions go to the concurrent sharded map instead of this
-    /// session's private cache, so grid points solved by *any* attached
-    /// worker serve every other worker's revisits. Implies memoization;
-    /// warm-start state remains private to this session (hits restore the
-    /// entry's warm snapshot exactly as the private memo does). The
-    /// session registers itself as a distinct worker for
+    /// Replaces this session's own memo with `memo`, pooled across
+    /// sessions: grid points solved by *any* attached worker serve every
+    /// other worker's revisits. Implies memoization; warm-start state
+    /// remains private to this session (hits restore the entry's warm
+    /// snapshot). The session registers itself as a distinct worker for
     /// [`EvalSession::cross_memo_hits`] accounting.
     pub fn with_shared_memo(mut self, memo: Arc<SharedMemo>) -> Self {
         self.worker_id = memo.register_worker();
-        self.shared = Some(memo);
+        self.memo = memo;
         self.memoize = true;
-        self
-    }
-
-    /// Default bound on memoized grid points (see
-    /// [`EvalSession::with_memo_capacity`]): ~50 MB per session at the
-    /// largest topology's entry size, far above any revisit-relevant
-    /// working set.
-    pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 18;
-
-    /// Bounds the memo cache to `cap` distinct grid points. At capacity,
-    /// evaluations still run (and existing entries keep serving hits) but
-    /// new results are no longer cached, so explore-heavy workloads —
-    /// where exact revisits are rare and nearly every step would insert a
-    /// never-reused entry — cannot grow memory linearly with training
-    /// length. Episodes restart from the grid center, so the earliest
-    /// entries are also the likeliest to be revisited.
-    pub fn with_memo_capacity(mut self, cap: usize) -> Self {
-        self.memo_capacity = cap;
         self
     }
 
@@ -1104,7 +1032,7 @@ impl<'p> EvalSession<'p> {
     }
 
     /// Evaluates grid indices `idx`, serving exact revisits from the memo
-    /// cache and warm-starting the solver otherwise.
+    /// and warm-starting the solver otherwise.
     ///
     /// # Errors
     ///
@@ -1112,26 +1040,16 @@ impl<'p> EvalSession<'p> {
     /// too (an unsolvable grid point stays unsolvable).
     pub fn evaluate(&mut self, idx: &[usize]) -> Result<Vec<f64>, SimError> {
         if self.memoize {
-            if let Some(shared) = &self.shared {
-                if let Some((specs, warm, cross)) = shared.get(idx, self.worker_id) {
-                    self.memo_hits += 1;
-                    if cross {
-                        self.cross_hits += 1;
-                    }
-                    if self.warm_start {
-                        self.warm.restore(&warm);
-                    }
-                    return specs;
-                }
-            } else if let Some(hit) = self.memo.get(idx) {
+            // A hit re-arms the warm state as of this grid point's solve:
+            // the next miss is one notch from *here*, not from wherever
+            // the last fresh solve happened.
+            let warm = self.warm_start.then_some(&mut self.warm);
+            if let Some((specs, cross)) = self.memo.get(idx, self.worker_id, warm) {
                 self.memo_hits += 1;
-                if self.warm_start {
-                    // Re-arm the warm state as of this grid point's solve:
-                    // the next cache miss is one notch from *here*, not
-                    // from wherever the last fresh solve happened.
-                    self.warm.restore(&hit.warm);
+                if cross {
+                    self.cross_hits += 1;
                 }
-                return hit.specs.clone();
+                return specs;
             }
         }
         self.solves += 1;
@@ -1148,46 +1066,20 @@ impl<'p> EvalSession<'p> {
             } else {
                 Vec::new()
             };
-            if let Some(shared) = &self.shared {
-                shared.insert(idx, res.clone(), warm, self.worker_id);
-            } else if self.memo.len() < self.memo_capacity {
-                self.memo.insert(
-                    idx.to_vec(),
-                    MemoEntry {
-                        specs: res.clone(),
-                        warm,
-                    },
-                );
-            }
+            self.memo.insert(idx, res.clone(), warm, self.worker_id);
         }
         res
     }
 
     /// Whether `idx` is already memoized (no solve would be spent on it).
     pub fn is_memoized(&self, idx: &[usize]) -> bool {
-        self.memoize
-            && match &self.shared {
-                Some(shared) => shared.contains(idx),
-                None => self.memo.contains_key(idx),
-            }
+        self.memoize && self.memo.contains(idx)
     }
 
-    /// Clears warm-start state (episode reset), keeping the memo cache —
-    /// the grid is the same circuit family across episodes.
+    /// Clears warm-start state (episode reset), keeping the memo — the
+    /// grid is the same circuit family across episodes.
     pub fn reset_warm(&mut self) {
         self.warm.reset();
-    }
-
-    /// Clears warm state *and* this session's private memo cache and
-    /// counters. An attached [`SharedMemo`] is left untouched — it belongs
-    /// to every worker, not this session; clear it via
-    /// [`SharedMemo::clear`] if that is really intended.
-    pub fn clear(&mut self) {
-        self.warm.reset();
-        self.memo.clear();
-        self.solves = 0;
-        self.memo_hits = 0;
-        self.cross_hits = 0;
     }
 
     /// Evaluations that actually ran the simulator.
@@ -1195,29 +1087,21 @@ impl<'p> EvalSession<'p> {
         self.solves
     }
 
-    /// Evaluations served from the memo cache (private or shared).
+    /// Evaluations served from the memo.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits
     }
 
-    /// Shared-memo hits served from an entry solved by a *different*
-    /// worker — always 0 without [`EvalSession::with_shared_memo`].
+    /// Memo hits served from an entry solved by a *different* worker —
+    /// always 0 without [`EvalSession::with_shared_memo`].
     pub fn cross_memo_hits(&self) -> u64 {
         self.cross_hits
     }
 
-    /// The attached shared memo, if any.
-    pub fn shared_memo(&self) -> Option<&Arc<SharedMemo>> {
-        self.shared.as_ref()
-    }
-
-    /// Distinct grid points memoized so far (across all workers when a
-    /// shared memo is attached).
+    /// Distinct grid points memoized so far (across all workers when the
+    /// memo is pooled).
     pub fn memo_len(&self) -> usize {
-        match &self.shared {
-            Some(shared) => shared.len(),
-            None => self.memo.len(),
-        }
+        self.memo.len()
     }
 }
 
@@ -1332,14 +1216,13 @@ mod tests {
         assert!(s.is_memoized(&idx));
         s.evaluate(&idx).unwrap();
         assert_eq!(s.solve_count(), 1, "revisit after reset must be a hit");
-        s.clear();
-        assert!(!s.is_memoized(&idx));
     }
 
     #[test]
     fn session_memo_capacity_bounds_insertions() {
         let tia = crate::Tia::default();
-        let mut s = EvalSession::borrowed(&tia, SimMode::Schematic).with_memo_capacity(2);
+        let mut s = EvalSession::borrowed(&tia, SimMode::Schematic)
+            .with_shared_memo(Arc::new(SharedMemo::new(2)));
         let cards = tia.cardinalities();
         let point = |i: usize| -> Vec<usize> { cards.iter().map(|k| i % k).collect() };
         for i in 0..4 {
@@ -1353,36 +1236,33 @@ mod tests {
         assert!(s.memo_hits() >= 1);
     }
 
+    /// At capacity the memo stops inserting and never evicts; a
+    /// duplicate insertion keeps the first value.
     #[test]
     fn shared_memo_shard_capacity_evicts_fifo() {
-        let memo = SharedMemo::new(1, 2); // single shard bounding 2 entries
+        let memo = SharedMemo::new(2);
+        assert!(memo.is_empty());
         memo.insert(&[0], Ok(vec![0.0]), Vec::new(), 0);
         memo.insert(&[1], Ok(vec![1.0]), Vec::new(), 0);
         assert_eq!(memo.len(), 2);
         memo.insert(&[2], Ok(vec![2.0]), Vec::new(), 0);
         assert_eq!(memo.len(), 2, "capacity bound holds");
-        assert_eq!(memo.evictions(), 1);
-        assert!(!memo.contains(&[0]), "oldest entry evicted first");
-        assert!(memo.contains(&[1]) && memo.contains(&[2]));
+        assert_eq!(memo.inserts(), 2);
+        assert_eq!(memo.evictions(), 0);
+        assert!(memo.contains(&[0]) && memo.contains(&[1]));
+        assert!(!memo.contains(&[2]), "insertions stop at capacity");
         // Duplicate insertion keeps the first value (first-solve-wins).
-        memo.insert(&[2], Ok(vec![9.0]), Vec::new(), 1);
-        let (specs, _, _) = memo.get(&[2], 0).unwrap();
-        assert_eq!(specs.unwrap(), vec![2.0]);
-    }
-
-    #[test]
-    fn shared_memo_rounds_shards_to_power_of_two() {
-        let memo = SharedMemo::new(5, 100);
-        assert_eq!(memo.num_shards(), 8);
-        assert!(memo.capacity() >= 100);
-        assert!(memo.is_empty());
+        memo.insert(&[1], Ok(vec![9.0]), Vec::new(), 1);
+        let (specs, cross) = memo.get(&[1], 1, None).unwrap();
+        assert_eq!(specs.unwrap(), vec![1.0]);
+        assert!(cross, "the entry still belongs to its first inserter");
     }
 
     #[test]
     fn shared_memo_tracks_lock_contention() {
-        let memo = Arc::new(SharedMemo::new(1, 1024)); // one shard: all keys collide
+        let memo = Arc::new(SharedMemo::new(1024));
         assert_eq!(memo.contended_locks(), 0);
-        // Hammer the single shard from several threads: every probe and
+        // Hammer the lock from several threads: every probe and
         // insert routes through the counting lock path (how much
         // contention actually materializes depends on scheduling, so
         // only the counter invariants are asserted).
@@ -1392,7 +1272,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..2000usize {
                         memo.insert(&[t as usize, i], Ok(vec![i as f64]), Vec::new(), t);
-                        let _ = memo.get(&[t as usize, i], t);
+                        let _ = memo.get(&[t as usize, i], t, None);
                     }
                 });
             }
@@ -1401,16 +1281,16 @@ mod tests {
         assert_eq!(memo.lock_acquisitions(), 4 * 2000 * 2);
         assert!(memo.contended_locks() <= memo.lock_acquisitions());
         // Uncontended single-threaded access never counts.
-        let quiet = SharedMemo::new(4, 64);
+        let quiet = SharedMemo::new(64);
         quiet.insert(&[1], Ok(vec![1.0]), Vec::new(), 0);
-        let _ = quiet.get(&[1], 0);
+        let _ = quiet.get(&[1], 0, None);
         assert_eq!(quiet.contended_locks(), 0);
     }
 
     #[test]
     fn shared_memo_pools_across_sessions() {
         let tia = crate::Tia::default();
-        let memo = Arc::new(SharedMemo::new(4, 1024));
+        let memo = Arc::new(SharedMemo::new(1024));
         let mut a =
             EvalSession::borrowed(&tia, SimMode::Schematic).with_shared_memo(Arc::clone(&memo));
         let mut b =
@@ -1431,11 +1311,6 @@ mod tests {
         assert_eq!(memo.cross_hits(), 1);
         assert!(a.is_memoized(&idx));
         assert_eq!(a.memo_len(), 1);
-        // Session clear leaves the pooled entries alone.
-        a.clear();
-        assert!(a.is_memoized(&idx));
-        memo.clear();
-        assert!(!a.is_memoized(&idx));
     }
 
     /// A little two-spec engine over hand-built RC "corners" — the

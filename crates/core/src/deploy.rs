@@ -101,18 +101,40 @@ impl DeployStats {
     }
 }
 
-/// Runs one trajectory against `target`, returning its outcome.
-///
-/// All evaluation goes through the environment's `EvalSession` (the
-/// warm-start and memo pipeline); a starting design whose operating point
-/// cannot be solved at this fidelity — possible for PEX worst-case
-/// corners — is propagated as an unreached outcome instead of panicking.
+/// Runs one trajectory of `policy` against `target`, returning its
+/// outcome: [`run_episode`] with actions sampled from the policy (or its
+/// greedy action when `cfg.stochastic` is off).
 pub fn run_trajectory(
     policy: &PolicyNet,
     env: &mut SizingEnv,
     target: Vec<f64>,
     cfg: &DeployConfig,
     rng: &mut StdRng,
+) -> DeployOutcome {
+    run_episode(env, target, cfg.horizon, |obs| {
+        if cfg.stochastic {
+            policy.act(obs, rng).actions
+        } else {
+            policy.act_greedy(obs)
+        }
+    })
+}
+
+/// Runs one episode of at most `horizon` steps against `target`, taking
+/// each step's action from `act(observation)`, and returns its outcome.
+/// The episode ends early when the target is reached or the environment
+/// reports done.
+///
+/// All evaluation goes through the environment's `EvalSession` (the
+/// warm-start and memo pipeline); a starting design whose operating point
+/// cannot be solved at this fidelity — possible for PEX worst-case
+/// corners — is propagated as an unreached outcome with zero steps,
+/// without consulting `act`, instead of panicking.
+pub fn run_episode(
+    env: &mut SizingEnv,
+    target: Vec<f64>,
+    horizon: usize,
+    mut act: impl FnMut(&[f64]) -> Vec<usize>,
 ) -> DeployOutcome {
     let mut obs = env.reset_with_target(target.clone());
     if env.last_sim_failed() {
@@ -129,13 +151,8 @@ pub fn run_trajectory(
     let mut spec_trajectory = vec![env.last_specs().to_vec()];
     let mut reached = false;
     let mut steps = 0;
-    for _ in 0..cfg.horizon {
-        let actions = if cfg.stochastic {
-            policy.act(&obs, rng).actions
-        } else {
-            policy.act_greedy(&obs)
-        };
-        let sr = env.step(&actions);
+    for _ in 0..horizon {
+        let sr = env.step(&act(&obs));
         steps += 1;
         spec_trajectory.push(env.last_specs().to_vec());
         obs = sr.obs;

@@ -53,9 +53,9 @@ pub struct EnvConfig {
     /// not the target).
     pub memoize: bool,
     /// Pool the memo across environments: when set, this env's session
-    /// caches into (and serves revisits from) the given concurrent sharded
-    /// map instead of a private one, so parallel rollout workers share
-    /// every solved grid point. Warm-start state stays private per env.
+    /// caches into (and serves revisits from) the given memo instead of
+    /// its own, so parallel rollout workers share every solved grid
+    /// point. Warm-start state stays private per env.
     /// Implies `memoize`. With `warm_start` also on, a pooled hit may
     /// serve specs solved from a sibling's warm trajectory — identical to
     /// a private run within solver tolerance (bitwise-identical when
@@ -472,7 +472,7 @@ mod tests {
     #[test]
     fn shared_memo_pools_revisits_across_envs() {
         use autockt_circuits::SharedMemo;
-        let memo = Arc::new(SharedMemo::new(8, 4096));
+        let memo = Arc::new(SharedMemo::new(4096));
         let mk = || {
             SizingEnv::new(
                 Arc::new(Tia::default()),

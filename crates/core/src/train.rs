@@ -10,23 +10,19 @@ use crate::target::training_targets;
 use autockt_circuits::{SharedMemo, SimMode, SizingProblem};
 use autockt_rl::env::Env;
 use autockt_rl::ppo::{IterStats, Ppo, PpoConfig};
-use autockt_rl::rollout::{register_thread_accountant, ThreadAccountant};
+use autockt_rl::rollout::register_thread_budget;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Wires the rollout collector's thread accounting to the process-wide
-/// thread budget (`autockt_sim::par`): rollout workers and the PPO
-/// update's second lane charge their head count before spawning, so
-/// together they never exceed the budget — whoever reserves first wins,
-/// and a later request degrades to serial. Idempotent; called by
-/// [`train`], and callable directly by deployments that run the collector
-/// themselves.
+/// Wires the PPO update to the process-wide thread budget
+/// (`autockt_sim::par::thread_budget`): the update steps the value
+/// network on a second lane only when the budget is at least 2, so
+/// `autockt_sim::par::set_thread_budget(1)` keeps it on the calling
+/// thread. Idempotent; called by [`train`], and callable directly by
+/// deployments that run the update themselves.
 pub fn wire_thread_budget() {
-    register_thread_accountant(ThreadAccountant {
-        reserve: autockt_sim::par::reserve_threads,
-        release: autockt_sim::par::release_threads,
-    });
+    register_thread_budget(autockt_sim::par::thread_budget);
 }
 
 /// Configuration of a training run.
@@ -118,8 +114,8 @@ pub fn train(problem: Arc<dyn SizingProblem>, cfg: &TrainConfig) -> TrainResult 
         &mut rng,
         cfg.feasible_targets,
     );
-    // One sharded memo pooled across all rollout workers: any worker's
-    // solve serves every other worker's revisit of that grid point.
+    // One memo pooled across all rollout workers: any worker's solve
+    // serves every other worker's revisit of that grid point.
     let shared_memo = cfg
         .pool_memo
         .then(|| Arc::new(SharedMemo::with_default_capacity()));

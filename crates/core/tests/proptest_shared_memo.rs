@@ -92,7 +92,7 @@ proptest! {
         }
 
         // Pooled: all workers share one memo and run *concurrently*.
-        let memo = Arc::new(SharedMemo::new(8, 1 << 16));
+        let memo = Arc::new(SharedMemo::new(1 << 16));
         let mut envs: Vec<SizingEnv> =
             (0..WORKERS).map(|_| env(false, Some(&memo))).collect();
         let pooled: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {
@@ -137,7 +137,7 @@ proptest! {
             ref_specs.push(run_plan(&mut e, plan));
         }
 
-        let memo = Arc::new(SharedMemo::new(8, 1 << 16));
+        let memo = Arc::new(SharedMemo::new(1 << 16));
         let mut envs: Vec<SizingEnv> =
             (0..WORKERS).map(|_| env(true, Some(&memo))).collect();
         let pooled: Vec<Vec<Vec<f64>>> = std::thread::scope(|scope| {

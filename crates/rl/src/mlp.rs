@@ -27,7 +27,8 @@
 //!
 //! ## Activation
 //!
-//! [`Activation::Tanh`] is this module's own [`tanh`], not libm's. It is
+//! Hidden layers run this module's own [`tanh`], not libm's; the output
+//! layer is linear (logits and value estimates). The `tanh` is
 //! built only from IEEE `+ - * /` and bit operations, so a seeded network
 //! computes the same bits on every host. It is inlined, branch-free, into
 //! the forward writeback of each register block, where libm's `tanh` cost
@@ -35,32 +36,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-
-/// Activation functions for hidden and output layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// Hyperbolic tangent, computed by this module's [`tanh`].
-    Tanh,
-    /// Identity (for logits / value outputs).
-    Linear,
-}
-
-impl Activation {
-    fn apply(self, x: f64) -> f64 {
-        match self {
-            Activation::Tanh => tanh(x),
-            Activation::Linear => x,
-        }
-    }
-
-    /// Derivative expressed in terms of the *output* value `y = f(x)`.
-    fn deriv_from_output(self, y: f64) -> f64 {
-        match self {
-            Activation::Tanh => 1.0 - y * y,
-            Activation::Linear => 1.0,
-        }
-    }
-}
 
 /// Hyperbolic tangent from IEEE `+ - * /` and bit operations only, with no
 /// branch: both halves below are computed and one is selected.
@@ -219,12 +194,13 @@ fn rank1_sweep<const R: usize, const C: usize>(
     }
 }
 
-/// Forward blocks: rows are outputs `o`, columns samples `s`.
+/// Forward blocks: rows are outputs `o`, columns samples `s`. A hidden
+/// layer applies [`tanh`] in the writeback; the output layer is linear.
 struct Forward<'a> {
     layer: &'a Linear,
     x: &'a [f64],
     len: usize,
-    act: Activation,
+    hidden: bool,
     out: &'a mut [f64],
 }
 
@@ -239,7 +215,7 @@ impl Blocks for Forward<'_> {
         rank1_sweep(&mut acc, w, &self.x[s0..], len);
         for (r, row) in acc.iter().enumerate() {
             for (c, &a) in row.iter().enumerate() {
-                self.out[(o0 + r) * len + s0 + c] = self.act.apply(a);
+                self.out[(o0 + r) * len + s0 + c] = if self.hidden { tanh(a) } else { a };
             }
         }
     }
@@ -273,13 +249,14 @@ impl Blocks for WeightGrad<'_> {
     }
 }
 
-/// Input-gradient blocks: rows are samples `s`, columns inputs `i`.
+/// Input-gradient blocks: rows are samples `s`, columns inputs `i`. The
+/// input is a hidden layer's `tanh` output `y`, whose derivative is
+/// `1 - y^2`.
 struct InputGrad<'a> {
     layer: &'a Linear,
     dy: &'a [f64],
     y: &'a [f64],
     len: usize,
-    act: Activation,
     dx: &'a mut [f64],
 }
 
@@ -292,7 +269,8 @@ impl Blocks for InputGrad<'_> {
         for (r, row) in acc.iter().enumerate() {
             for (c, &a) in row.iter().enumerate() {
                 let (s, i) = (s0 + r, i0 + c);
-                self.dx[s * n_in + i] = a * self.act.deriv_from_output(self.y[i * len + s]);
+                let y = self.y[i * len + s];
+                self.dx[s * n_in + i] = a * (1.0 - y * y);
             }
         }
     }
@@ -319,15 +297,15 @@ impl Linear {
         }
     }
 
-    /// `out[o][s] = act(b[o] + sum_i W[o][i] * x[i][s])` for `len`
-    /// samples; `x` is `[n_in x len]` and `out` `[n_out x len]`, both
-    /// feature-major.
-    fn forward(&self, x: &[f64], len: usize, act: Activation, out: &mut [f64]) {
+    /// `out[o][s] = b[o] + sum_i W[o][i] * x[i][s]` for `len` samples,
+    /// passed through [`tanh`] for a `hidden` layer; `x` is `[n_in x len]`
+    /// and `out` `[n_out x len]`, both feature-major.
+    fn forward(&self, x: &[f64], len: usize, hidden: bool, out: &mut [f64]) {
         let mut k = Forward {
             layer: self,
             x,
             len,
-            act,
+            hidden,
             out,
         };
         for_blocks(&mut k, self.n_out, len);
@@ -355,17 +333,16 @@ impl Linear {
     }
 
     /// Back-propagates `dy` (sample-major `[len x n_out]`) through this
-    /// layer and the activation `act` of its input `y` (the previous
-    /// layer's output, feature-major `[n_in x len]`): writes
-    /// `dx[s][i] = (sum_o dy[s][o] * W[o][i]) * act'(y[i][s])`,
+    /// layer and the `tanh` of its input `y` (the previous hidden layer's
+    /// output, feature-major `[n_in x len]`): writes
+    /// `dx[s][i] = (sum_o dy[s][o] * W[o][i]) * (1 - y[i][s]^2)`,
     /// sample-major `[len x n_in]`.
-    fn input_grad(&self, dy: &[f64], y: &[f64], len: usize, act: Activation, dx: &mut [f64]) {
+    fn input_grad(&self, dy: &[f64], y: &[f64], len: usize, dx: &mut [f64]) {
         let mut k = InputGrad {
             layer: self,
             dy,
             y,
             len,
-            act,
             dx,
         };
         for_blocks(&mut k, len, self.n_in);
@@ -480,24 +457,23 @@ pub struct LayerView<'a> {
     pub gb: &'a [f64],
 }
 
-/// A fully-connected feed-forward network.
+/// A fully-connected feed-forward network: [`tanh`] hidden layers and a
+/// linear output layer.
 ///
 /// # Examples
 ///
 /// ```
-/// use autockt_rl::mlp::{Activation, Mlp};
+/// use autockt_rl::mlp::Mlp;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let net = Mlp::new(&[4, 16, 2], Activation::Tanh, Activation::Linear, &mut rng);
+/// let net = Mlp::new(&[4, 16, 2], &mut rng);
 /// let y = net.forward(&[0.1, -0.2, 0.3, 0.0]);
 /// assert_eq!(y.len(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    hidden_act: Activation,
-    out_act: Activation,
     adam_t: u64,
 }
 
@@ -508,23 +484,13 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if fewer than two sizes are supplied.
-    pub fn new(
-        sizes: &[usize],
-        hidden_act: Activation,
-        out_act: Activation,
-        rng: &mut StdRng,
-    ) -> Self {
+    pub fn new(sizes: &[usize], rng: &mut StdRng) -> Self {
         assert!(sizes.len() >= 2, "need at least input and output sizes");
         let layers = sizes
             .windows(2)
             .map(|w| Linear::new(w[0], w[1], rng))
             .collect();
-        Mlp {
-            layers,
-            hidden_act,
-            out_act,
-            adam_t: 0,
-        }
+        Mlp { layers, adam_t: 0 }
     }
 
     /// Input dimension (0 for a layerless net, which the constructors
@@ -552,18 +518,10 @@ impl Mlp {
         for (li, layer) in self.layers.iter().enumerate() {
             next.clear();
             next.resize(layer.n_out, 0.0);
-            layer.forward(&cur, 1, self.act(li == last), &mut next);
+            layer.forward(&cur, 1, li != last, &mut next);
             std::mem::swap(&mut cur, &mut next);
         }
         cur
-    }
-
-    fn act(&self, output_layer: bool) -> Activation {
-        if output_layer {
-            self.out_act
-        } else {
-            self.hidden_act
-        }
     }
 
     /// Batched forward pass over the tile loaded in `tape`, keeping every
@@ -574,14 +532,15 @@ impl Mlp {
         let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
             let (done, rest) = tape.acts.split_at_mut(li + 1);
-            layer.forward(&done[li], len, self.act(li == last), &mut rest[0]);
+            layer.forward(&done[li], len, li != last, &mut rest[0]);
         }
         &tape.acts[last + 1][..self.n_out() * len]
     }
 
     /// Batched backward pass: accumulates the parameter gradients of the
     /// tile that [`Mlp::forward_tile`] last ran on `tape`, given the loss
-    /// gradient w.r.t. the network output, feature-major `[n_out x len]`.
+    /// gradient w.r.t. the (linear) network output, feature-major
+    /// `[n_out x len]`.
     /// Every gradient element is summed in sample order, so the result is
     /// bitwise that of accumulating the samples one at a time.
     ///
@@ -592,19 +551,15 @@ impl Mlp {
     pub fn backward_tile(&mut self, tape: &mut Tape, dout: &[f64]) {
         let (len, n_out) = (tape.len, self.n_out());
         assert_eq!(dout.len(), n_out * len, "bad output gradient size");
-        let last = self.layers.len() - 1;
-        let y = &tape.acts[last + 1];
         for s in 0..len {
             for o in 0..n_out {
-                tape.dy[s * n_out + o] =
-                    dout[o * len + s] * self.out_act.deriv_from_output(y[o * len + s]);
+                tape.dy[s * n_out + o] = dout[o * len + s];
             }
         }
-        let hidden = self.hidden_act;
         for (li, layer) in self.layers.iter_mut().enumerate().rev() {
             layer.accumulate_grad(&tape.acts[li], &tape.dy, len);
             if li > 0 {
-                layer.input_grad(&tape.dy, &tape.acts[li], len, hidden, &mut tape.dx);
+                layer.input_grad(&tape.dy, &tape.acts[li], len, &mut tape.dx);
                 std::mem::swap(&mut tape.dy, &mut tape.dx);
             }
         }
@@ -797,12 +752,7 @@ mod tests {
 
     #[test]
     fn forward_shapes() {
-        let net = Mlp::new(
-            &[3, 8, 8, 2],
-            Activation::Tanh,
-            Activation::Linear,
-            &mut rng(),
-        );
+        let net = Mlp::new(&[3, 8, 8, 2], &mut rng());
         assert_eq!(net.n_in(), 3);
         assert_eq!(net.n_out(), 2);
         assert_eq!(net.forward(&[0.0, 0.0, 0.0]).len(), 2);
@@ -813,7 +763,7 @@ mod tests {
     fn gradient_matches_finite_difference() {
         // Loss = 0.5 * sum(y^2); analytic grad vs numerical perturbation of
         // a weight checked through the full backprop chain.
-        let mut net = Mlp::new(&[2, 5, 3], Activation::Tanh, Activation::Linear, &mut rng());
+        let mut net = Mlp::new(&[2, 5, 3], &mut rng());
         let x = [0.3, -0.7];
         net.zero_grad();
         backprop_one(&mut net, &x, <[f64]>::to_vec);
@@ -843,7 +793,7 @@ mod tests {
     fn adam_reduces_regression_loss() {
         // Fit y = [x0 + x1, x0 - x1] from random samples.
         let mut r = rng();
-        let mut net = Mlp::new(&[2, 16, 2], Activation::Tanh, Activation::Linear, &mut r);
+        let mut net = Mlp::new(&[2, 16, 2], &mut r);
         let loss_of = |net: &Mlp, data: &[([f64; 2], [f64; 2])]| -> f64 {
             data.iter()
                 .map(|(x, t)| {
@@ -915,7 +865,7 @@ mod tests {
 
     #[test]
     fn clone_is_independent() {
-        let mut a = Mlp::new(&[2, 4, 1], Activation::Tanh, Activation::Linear, &mut rng());
+        let mut a = Mlp::new(&[2, 4, 1], &mut rng());
         let b = a.clone();
         let x = [0.2, 0.4];
         let before = b.forward(&x)[0];

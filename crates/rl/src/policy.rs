@@ -10,7 +10,7 @@
 //! ([`ValueNet::mse_grad`]), run over a minibatch one [`TILE`] of samples
 //! at a time through the batched passes of [`crate::mlp`].
 
-use crate::mlp::{softmax_lse, Activation, Mlp, Tape, TILE};
+use crate::mlp::{softmax_lse, Mlp, Tape, TILE};
 use crate::rollout::Transition;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -68,7 +68,7 @@ impl PolicyNet {
         sizes.extend_from_slice(hidden);
         sizes.push(n_logits);
         PolicyNet {
-            net: Mlp::new(&sizes, Activation::Tanh, Activation::Linear, rng),
+            net: Mlp::new(&sizes, rng),
             action_dims: action_dims.to_vec(),
         }
     }
@@ -286,7 +286,7 @@ impl ValueNet {
         sizes.extend_from_slice(hidden);
         sizes.push(1);
         ValueNet {
-            net: Mlp::new(&sizes, Activation::Tanh, Activation::Linear, rng),
+            net: Mlp::new(&sizes, rng),
         }
     }
 

@@ -15,13 +15,13 @@
 //!
 //! The memo need not even be per-worker: environments constructed with a
 //! pooled `SharedMemo` (see `autockt_circuits::problem::SharedMemo` and
-//! `autockt_core::EnvConfig::shared_memo`) cache into one concurrent
-//! sharded map, so a grid point solved by *any* of the workers spawned
+//! `autockt_core::EnvConfig::shared_memo`) cache into one map behind
+//! one lock, so a grid point solved by *any* of the workers spawned
 //! here serves every sibling's revisit — episodes all restart from the
 //! grid center, making that overlap heavy. The envs arrive here already
 //! wired (this collector is generic over [`Env`] and needs no special
 //! handling): each scoped thread steps its own env, the sessions inside
-//! take a shard lock only for the microseconds of a map probe, and
+//! take the memo's lock only for the microseconds of a map probe, and
 //! warm-start state stays thread-private.
 
 use crate::env::Env;
@@ -30,45 +30,34 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
 
-/// Hooks into a process-wide thread budget owned by another crate (the
-/// simulation substrate's `autockt_sim::par` module, in the deployed
-/// stack). The rl crate deliberately depends on nothing below it, so the
-/// budget arrives as plain function pointers, registered once at process
-/// start by the layer that wires envs to simulators.
-///
-/// `reserve` asks for up to the given number of threads and returns how
-/// many were granted; `release` returns previously granted threads.
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadAccountant {
-    /// Reserve up to `want` threads, returning the number granted.
-    pub reserve: fn(usize) -> usize,
-    /// Release `n` previously granted threads.
-    pub release: fn(usize),
-}
+/// The process-wide thread budget reader, owned by another crate (the
+/// simulation substrate's `autockt_sim::par::thread_budget`, in the
+/// deployed stack). The rl crate deliberately depends on nothing below
+/// it, so the budget arrives as a plain function pointer, registered once
+/// at process start by the layer that wires envs to simulators.
+static THREAD_BUDGET: OnceLock<fn() -> usize> = OnceLock::new();
 
-static ACCOUNTANT: OnceLock<ThreadAccountant> = OnceLock::new();
-
-/// Registers the process-wide [`ThreadAccountant`]. The first
-/// registration wins; later calls are ignored (the budget is global, so
-/// two competing accountants would double-count).
-pub fn register_thread_accountant(acc: ThreadAccountant) {
-    let _ = ACCOUNTANT.set(acc);
+/// Registers the process-wide thread budget reader, which returns the
+/// total number of threads (the calling thread included) a nested
+/// parallel step may use: the PPO update steps the value network on a
+/// second lane only when it reads at least 2. The first registration
+/// wins; later calls are ignored.
+pub fn register_thread_budget(budget: fn() -> usize) {
+    let _ = THREAD_BUDGET.set(budget);
 }
 
 /// Runs `main` on the calling thread and `side` beside it on one extra
-/// scoped lane when the thread budget grants one; otherwise runs `main`
-/// and then `side` on the calling thread. The lane is reserved through
-/// the registered [`ThreadAccountant`]; with none registered, it runs iff
-/// the host has at least two cores. A panic on the lane is re-raised
-/// here once both are done.
+/// scoped lane when the thread budget is at least 2; otherwise runs
+/// `main` and then `side` on the calling thread. The budget is the
+/// registered reader's; with none registered, it is the host's
+/// `available_parallelism`. A panic on the lane is re-raised here once
+/// both are done.
 pub(crate) fn run_beside(main: impl FnOnce(), side: impl FnOnce() + Send) {
-    let granted = match ACCOUNTANT.get() {
-        Some(a) => (a.reserve)(1),
-        None => usize::from(
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) >= 2,
-        ),
+    let budget = match THREAD_BUDGET.get() {
+        Some(budget) => budget(),
+        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     };
-    if granted == 0 {
+    if budget < 2 {
         main();
         side();
         return;
@@ -77,9 +66,6 @@ pub(crate) fn run_beside(main: impl FnOnce(), side: impl FnOnce() + Send) {
         scope.spawn(side);
         main();
     });
-    if let Some(a) = ACCOUNTANT.get() {
-        (a.release)(granted);
-    }
 }
 
 /// One stored transition.
@@ -176,15 +162,8 @@ pub fn collect_parallel<E: Env + Send>(
     lam: f64,
     seed: u64,
 ) -> Batch {
-    // Rollout workers are the *outer* parallel level: they always spawn
-    // (each owns an env and its warm-start state), but their head count
-    // is charged against the shared thread budget so the simulation
-    // kernels they drive see the reduced headroom and degrade their own
-    // tiling toward serial — workers × inner threads stays within the
-    // budget, outer level wins. The coordinator blocks for the whole
-    // scope, so one worker rides its slot and only the rest are charged.
-    let charged = envs.len().saturating_sub(1);
-    let granted = ACCOUNTANT.get().map_or(0, |a| (a.reserve)(charged));
+    // One scoped thread per environment: each worker owns its env and
+    // its warm-start state for the whole collection.
     let results: Vec<WorkerSegment> = std::thread::scope(|scope| {
         let handles: Vec<_> = envs
             .iter_mut()
@@ -247,9 +226,6 @@ pub fn collect_parallel<E: Env + Send>(
             .map(|h| h.join().expect("rollout worker panicked"))
             .collect()
     });
-    if let Some(a) = ACCOUNTANT.get() {
-        (a.release)(granted);
-    }
 
     let mut batch = Batch::default();
     for (seg, rets, lens, succ) in results {
@@ -341,33 +317,5 @@ mod tests {
         let b = Batch::default();
         assert!(b.mean_episode_return().is_none());
         assert!(b.success_rate().is_none());
-    }
-
-    #[test]
-    fn accountant_charges_and_returns_worker_threads() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static RESERVED: AtomicUsize = AtomicUsize::new(0);
-        static RELEASED: AtomicUsize = AtomicUsize::new(0);
-        fn fake_reserve(want: usize) -> usize {
-            RESERVED.fetch_add(want, Ordering::SeqCst);
-            want
-        }
-        fn fake_release(n: usize) {
-            RELEASED.fetch_add(n, Ordering::SeqCst);
-        }
-        register_thread_accountant(ThreadAccountant {
-            reserve: fake_reserve,
-            release: fake_release,
-        });
-        let (p, v) = nets(3, &[3]);
-        let mut envs: Vec<LineEnv> = (0..3).map(|_| LineEnv::new(16, 20)).collect();
-        let b = collect_parallel(&p, &v, &mut envs, 10, 0.99, 0.95, 5);
-        assert_eq!(b.transitions.len(), 30);
-        // The registration is process-global and sibling tests also run
-        // collections, so only monotone facts are asserted: this
-        // collection charged its workers (3 envs -> 2 charged, the
-        // coordinator's slot carries the third) and returned them.
-        assert!(RESERVED.load(Ordering::SeqCst) >= 2);
-        assert!(RELEASED.load(Ordering::SeqCst) >= 2);
     }
 }

@@ -13,9 +13,7 @@
 use autockt_rl::mlp::{tanh, LayerView, Mlp};
 use autockt_rl::policy::{GradBuffers, PolicyNet, ValueNet};
 use autockt_rl::ppo::{Ppo, PpoConfig};
-use autockt_rl::rollout::{
-    compute_gae, register_thread_accountant, Batch, ThreadAccountant, Transition,
-};
+use autockt_rl::rollout::{compute_gae, register_thread_budget, Batch, Transition};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -214,30 +212,28 @@ fn batch(
 }
 
 static TWO_LANES: AtomicBool = AtomicBool::new(false);
-static LANES_GRANTED: AtomicUsize = AtomicUsize::new(0);
+static BUDGET_READS: AtomicUsize = AtomicUsize::new(0);
 static LANE_SWITCH: Mutex<()> = Mutex::new(());
 
-fn reserve(want: usize) -> usize {
+fn budget() -> usize {
+    BUDGET_READS.fetch_add(1, Ordering::SeqCst);
     if TWO_LANES.load(Ordering::SeqCst) {
-        LANES_GRANTED.fetch_add(want, Ordering::SeqCst);
-        want
+        2
     } else {
-        0
+        1
     }
 }
 
-fn release(_: usize) {}
-
-/// Runs `f` with the update's second lane granted or refused, and checks
-/// that `f` asked for it and got what was set.
+/// Runs `f` with a thread budget of 2 (the update's second lane runs) or
+/// 1 (it does not), and checks that `f` consulted the budget.
 fn with_lanes<T>(two: bool, f: impl FnOnce() -> T) -> T {
     let _switch = LANE_SWITCH.lock().unwrap_or_else(PoisonError::into_inner);
-    register_thread_accountant(ThreadAccountant { reserve, release });
+    register_thread_budget(budget);
     TWO_LANES.store(two, Ordering::SeqCst);
-    let before = LANES_GRANTED.load(Ordering::SeqCst);
+    let before = BUDGET_READS.load(Ordering::SeqCst);
     let out = f();
-    let granted = LANES_GRANTED.load(Ordering::SeqCst) - before;
-    assert_eq!(granted > 0, two, "{granted} lanes granted");
+    let reads = BUDGET_READS.load(Ordering::SeqCst) - before;
+    assert!(reads > 0, "the update never read the thread budget");
     out
 }
 

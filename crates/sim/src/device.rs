@@ -4,8 +4,13 @@
 //! modulation and Meyer-style gate capacitances. This is the standard
 //! hand-analysis model; it reproduces the gm/ID, gain–bandwidth and
 //! noise–power trade-offs that drive the AutoCkt sizing problem, which is
-//! what matters for reproducing the paper (the paper's BSIM/FinFET decks are
-//! proprietary — see DESIGN.md, substitution table).
+//! what matters for reproducing the paper.
+//!
+//! The substitution: the paper simulates its circuits in Spectre with
+//! proprietary BSIM FinFET model decks, which cannot ship here, so this
+//! square-law model stands in for BSIM. Absolute spec values therefore
+//! differ from the paper's, while the trade-offs the agent has to learn
+//! are the same.
 
 /// Boltzmann constant (J/K).
 pub const BOLTZMANN: f64 = 1.380_649e-23;

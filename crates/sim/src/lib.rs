@@ -23,8 +23,8 @@
 //! - [`noise`] — per-source noise analysis with input referral
 //! - [`measure`] — gain / UGBW / phase margin / settling / integration
 //! - [`pex`] — deterministic layout-parasitic extraction (BAG substitute)
-//! - [`par`] — the process-wide thread budget the rollout workers and the
-//!   PPO update reserve through (the simulator itself never spawns)
+//! - [`par`] — the process-wide thread budget that decides the PPO
+//!   update's second lane (the simulator itself never spawns)
 //!
 //! There is one linear-algebra backend and no solver settings: every MNA
 //! system is factored densely ([`linalg::LuFactors`]), and AC and noise

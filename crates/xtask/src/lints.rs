@@ -83,10 +83,10 @@ pub const LINTS: &[LintSpec] = &[
 ];
 
 /// The only library file allowed to touch raw thread entry points: the
-/// rollout collector, whose workers (and the PPO update's second lane)
-/// charge the process-wide budget in `autockt_sim::par` through its
-/// `ThreadAccountant`. The simulator runs every analysis on the calling
-/// thread, so the budget stays the single accounting point.
+/// rollout collector, which spawns the rollout workers and the PPO
+/// update's second lane. That lane runs only when the process-wide budget
+/// in `autockt_sim::par` is at least 2. The simulator runs every analysis
+/// on the calling thread, so the collector is the one place threads start.
 pub const THREAD_ALLOWED_FILES: &[&str] = &["crates/rl/src/rollout.rs"];
 
 /// The allow marker for a lint name: `lint:allow(<name>)`.
@@ -236,7 +236,7 @@ pub fn scan_float_eq(file: &SourceFile) -> Vec<Finding> {
 /// (plain or `std::`-qualified, call sites and imports alike) in
 /// non-test library code outside [`THREAD_ALLOWED_FILES`]. Ad-hoc
 /// threads bypass the process-wide thread budget, so parallelism belongs
-/// in the rollout collector, which reserves through it.
+/// in the rollout collector, whose second lane reads it.
 pub fn scan_thread_discipline(file: &SourceFile) -> Vec<Finding> {
     if THREAD_ALLOWED_FILES.contains(&file.rel.as_str()) {
         return Vec::new();

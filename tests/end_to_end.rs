@@ -93,3 +93,73 @@ fn training_is_reproducible_for_fixed_seed() {
         assert!((x.mean_episode_reward - y.mean_episode_reward).abs() < 1e-9);
     }
 }
+
+/// With `pool_memo` off, every worker evaluates through its own memo, so
+/// nothing a worker sees depends on the thread schedule: two runs from
+/// one seed agree bit for bit, every iteration statistic and both
+/// networks alike.
+#[test]
+fn unpooled_training_is_bitwise_reproducible() {
+    use autockt::rl::mlp::Mlp;
+    use autockt::rl::IterStats;
+    let problem: Arc<dyn SizingProblem> = Arc::new(Tia::default());
+    let cfg = TrainConfig {
+        ppo: PpoConfig {
+            steps_per_iter: 128,
+            minibatch: 64,
+            epochs: 2,
+            ..PpoConfig::default()
+        },
+        num_workers: 2,
+        horizon: 10,
+        max_iters: 2,
+        target_mean_reward: f64::INFINITY,
+        pool_memo: false,
+        seed: 777,
+        ..TrainConfig::default()
+    };
+    let a = train(Arc::clone(&problem), &cfg);
+    let b = train(Arc::clone(&problem), &cfg);
+    assert_eq!(a.targets, b.targets, "target sets must match");
+    let stats_bits = |s: &IterStats| {
+        let IterStats {
+            mean_episode_reward,
+            episodes,
+            success_rate,
+            mean_episode_len,
+            entropy,
+            approx_kl,
+            total_env_steps,
+        } = *s;
+        [
+            mean_episode_reward.to_bits(),
+            episodes as u64,
+            success_rate.to_bits(),
+            mean_episode_len.to_bits(),
+            entropy.to_bits(),
+            approx_kl.to_bits(),
+            total_env_steps as u64,
+        ]
+    };
+    assert_eq!(a.curve.len(), cfg.max_iters);
+    assert_eq!(b.curve.len(), cfg.max_iters);
+    for (i, (x, y)) in a.curve.iter().zip(&b.curve).enumerate() {
+        assert_eq!(stats_bits(x), stats_bits(y), "iteration {i}");
+    }
+    let net_bits = |net: &Mlp| -> Vec<u64> {
+        net.layers()
+            .flat_map(|l| l.w.iter().chain(l.b))
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    assert_eq!(
+        net_bits(a.agent.policy.net()),
+        net_bits(b.agent.policy.net()),
+        "policy network"
+    );
+    assert_eq!(
+        net_bits(a.agent.value.net()),
+        net_bits(b.agent.value.net()),
+        "value network"
+    );
+}
