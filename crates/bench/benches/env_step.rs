@@ -143,9 +143,10 @@ fn benches(c: &mut Criterion) {
 }
 
 /// One full TIA corner-set noise analysis (6 corners x the noise grid)
-/// through the two pipelines — serial per corner (the cold path) and
-/// corner-corrected (the warm fast path: one base factor and a few
-/// adjoint solves per point, each corner's adjoint recovered by a
+/// through the two pipelines — serial per corner (the cold path: one
+/// one-corner `noise_analysis_corners` call per corner, the scalar
+/// kernel) and corner-corrected (the warm fast path: one base factor and
+/// a few adjoint solves per point, each corner's adjoint recovered by a
 /// transposed Woodbury correction) — at mesh depths 0, 4 and 8 (dim 60,
 /// the `deploy_tia_pexwc_mesh8` system), over the
 /// [`autockt_bench::NoiseCornerCase`] workloads. The `ac_corners_*` rows time the warm AC stage on
@@ -153,9 +154,9 @@ fn benches(c: &mut Criterion) {
 /// corner stopped at its cutoff (`Tia::AC_STOP`), on the adjoint row the
 /// noise analysis shares at mesh depths 4 and 8.
 fn bench_noise_corners(c: &mut Criterion) {
-    use autockt_sim::ac::{ac_sweep_corners, AcBatchWorkspace, AcSolver, AcWorkspace};
+    use autockt_sim::ac::{ac_sweep_corners, AcSolver, AcWorkspace};
     use autockt_sim::dc::OpPoint;
-    use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws};
+    use autockt_sim::noise::noise_analysis_corners;
     for depth in [0usize, 4, 8] {
         let case = autockt_bench::tia_noise_corner_case(depth).expect("TIA corner workload builds");
         let solvers: Vec<AcSolver<'_>> = case
@@ -169,13 +170,21 @@ fn bench_noise_corners(c: &mut Criterion) {
         let mut sws = AcWorkspace::new();
         c.bench_function(&format!("noise_corners_serial_tia_mesh{depth}"), |b| {
             b.iter(|| {
-                for ((ckt, op), &t) in case.ckts.iter().zip(&case.ops).zip(&case.temps) {
-                    let r = noise_analysis_ws(ckt, op, case.out, &case.freqs, t, &mut sws);
-                    black_box(r.expect("corner solves").out_vrms);
+                for k in 0..solvers.len() {
+                    let r = k..k + 1;
+                    let nr = noise_analysis_corners(
+                        &solvers[r.clone()],
+                        &op_refs[r.clone()],
+                        &outs[r.clone()],
+                        &case.freqs,
+                        &case.temps[r],
+                        &mut sws,
+                    );
+                    black_box(nr[0].as_ref().expect("corner solves").out_vrms);
                 }
             });
         });
-        let mut ws = AcBatchWorkspace::new();
+        let mut ws = AcWorkspace::new();
         c.bench_function(&format!("noise_corners_corrected_tia_mesh{depth}"), |b| {
             b.iter(|| {
                 let r = noise_analysis_corners(

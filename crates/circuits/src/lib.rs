@@ -35,8 +35,8 @@ pub mod tia;
 pub use neggm::NegGmOta;
 pub use opamp2::OpAmp2;
 pub use problem::{
-    CornerCase, CornerEvaluator, CornerPlan, EvalSession, ParamSpec, SharedMemo, SimMode,
-    SizingProblem, SpecDef, SpecKind,
+    CornerCase, CornerEvaluator, EvalSession, ParamSpec, SharedMemo, SimMode, SizingProblem,
+    SpecDef, SpecKind,
 };
 pub use tia::Tia;
 

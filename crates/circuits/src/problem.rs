@@ -11,7 +11,7 @@ use autockt_sim::ac::{ac_sweep_corners, AcResponse, AcSolver, AcWorkspace, StopL
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint, WarmState};
 use autockt_sim::device::Pvt;
 use autockt_sim::netlist::{Circuit, Node};
-use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws, NoiseResult};
+use autockt_sim::noise::{noise_analysis_corners, NoiseResult};
 use autockt_sim::pex::{extract, PexConfig};
 use autockt_sim::{SimError, SolverConfig};
 use std::collections::hash_map::Entry;
@@ -88,8 +88,8 @@ pub struct SpecDef {
 }
 
 /// Simulation fidelity requested from [`SizingProblem::simulate`]. Every
-/// fidelity is one [`CornerPlan`] evaluated by the [`CornerEvaluator`]
-/// (see [`CornerEvaluator::for_mode`]).
+/// fidelity is one corner list evaluated by the [`CornerEvaluator`] (see
+/// [`CornerEvaluator::for_mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimMode {
     /// Schematic-level simulation at the nominal PVT corner.
@@ -121,52 +121,6 @@ pub struct SettleSpec {
 /// integration hit.
 pub type SettleRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
 
-/// The corner list of an evaluation: which PVT points every design is
-/// checked at.
-#[derive(Debug, Clone)]
-pub struct CornerPlan {
-    corners: Vec<Pvt>,
-}
-
-impl CornerPlan {
-    /// The single nominal corner ([`Pvt::nominal`]) of `SimMode::Schematic`
-    /// and `SimMode::Pex`.
-    pub fn nominal() -> Self {
-        CornerPlan {
-            corners: vec![Pvt::nominal()],
-        }
-    }
-
-    /// The canonical worst-case PVT plan ([`Pvt::corner_set`]) used by
-    /// `SimMode::PexWorstCase` — the paper's Table IV configuration.
-    pub fn pvt_worst_case() -> Self {
-        CornerPlan {
-            corners: Pvt::corner_set(),
-        }
-    }
-
-    /// A plan over an explicit corner list.
-    pub fn from_corners(corners: Vec<Pvt>) -> Self {
-        CornerPlan { corners }
-    }
-
-    /// The corners, in slot order (warm-start slots are keyed by this
-    /// index).
-    pub fn corners(&self) -> &[Pvt] {
-        &self.corners
-    }
-
-    /// Number of corners.
-    pub fn len(&self) -> usize {
-        self.corners.len()
-    }
-
-    /// Whether the plan holds no corners.
-    pub fn is_empty(&self) -> bool {
-        self.corners.is_empty()
-    }
-}
-
 /// One corner's concrete evaluation inputs, produced by a topology's
 /// builder closure: the netlist plus whatever the measurement needs to
 /// interpret it.
@@ -185,30 +139,33 @@ pub struct CornerCase {
 }
 
 /// The one evaluation engine behind every [`SimMode`]: owns the corner
-/// set, the extraction decision and the per-corner warm-start slots, so a
+/// list, the extraction decision and the per-corner warm-start slots, so a
 /// topology contributes only its circuit-builder closure and its
 /// per-corner spec measurement (the worst-case fold runs on the
-/// topology's spec definitions). `Schematic` and `Pex` are one-corner
-/// plans at [`Pvt::nominal`]; `PexWorstCase` is the PVT corner set (see
+/// topology's spec definitions). `Schematic` and `Pex` are one corner at
+/// [`Pvt::nominal`]; `PexWorstCase` is the PVT corner set (see
 /// [`CornerEvaluator::for_mode`]).
 ///
 /// An evaluation runs stage-major: every corner is built (and extracted),
 /// then every corner's operating point is solved, then the AC sweeps, the
 /// optional noise and settling stages, and finally the per-corner
 /// measurements.
-/// The only choice a stage makes is warm or cold. Warm evaluations run
-/// the corner kernels ([`ac_sweep_corners`], [`noise_analysis_corners`]);
-/// at dense-mesh dims they run one shared adjoint row per frequency point
-/// (one base factorization across the corner set, each corner's adjoint
-/// `A_b⁻ᵀ e_out` recovered by a small Woodbury correction) and fall back
-/// to the scalar kernel per corner where that cannot pay. Cold
-/// evaluations run the scalar kernels per corner — the reference path.
+///
+/// The AC and noise stages each run one loop of corner-kernel calls
+/// ([`ac_sweep_corners`], [`noise_analysis_corners`]) over groups of
+/// corners; warm or cold only picks the groups. A warm evaluation hands
+/// the kernels the whole corner list at once: at dense-mesh dims they run
+/// one shared adjoint row per frequency point (one base factorization
+/// across the corner set, each corner's adjoint `A_b⁻ᵀ e_out` recovered
+/// by a small Woodbury correction), and the scalar kernel per corner
+/// where that cannot pay. A cold evaluation hands them one corner per
+/// call, which always takes the scalar kernel — the reference path.
 /// Settling runs [`AcSolver::step_response`] per corner either way. When
 /// several corners fail, the reported `SimError` is the lowest-slot
 /// failure of the first stage that surfaced one.
 #[derive(Debug, Clone)]
 pub struct CornerEvaluator {
-    plan: CornerPlan,
+    corners: Vec<Pvt>,
     pex: Option<PexConfig>,
     dc_opts: DcOptions,
     freqs: Vec<f64>,
@@ -218,14 +175,15 @@ pub struct CornerEvaluator {
 }
 
 impl CornerEvaluator {
-    /// Creates an engine over `plan`, solving operating points with
-    /// `dc_opts` and sweeping `freqs` at every corner up to the first
-    /// downward crossing of `stop`, the level the topology's AC specs
-    /// read (see [`StopLevel`]). The builder's netlists are evaluated as
-    /// built (no extraction).
-    pub fn new(plan: CornerPlan, dc_opts: DcOptions, freqs: Vec<f64>, stop: StopLevel) -> Self {
+    /// Creates an engine over `corners`, in slot order (warm-start slots
+    /// are keyed by the index), solving operating points with `dc_opts`
+    /// and sweeping `freqs` at every corner up to the first downward
+    /// crossing of `stop`, the level the topology's AC specs read (see
+    /// [`StopLevel`]). The builder's netlists are evaluated as built (no
+    /// extraction).
+    pub fn new(corners: Vec<Pvt>, dc_opts: DcOptions, freqs: Vec<f64>, stop: StopLevel) -> Self {
         CornerEvaluator {
-            plan,
+            corners,
             pex: None,
             dc_opts,
             freqs,
@@ -236,10 +194,11 @@ impl CornerEvaluator {
     }
 
     /// The engine of fidelity `mode` — the one place a [`SimMode`] is
-    /// mapped to a corner plan and an extraction step: `Schematic`
-    /// evaluates the schematic at the nominal corner, `Pex` its `pex`
-    /// extraction at the nominal corner, and `PexWorstCase` the extraction
-    /// at every corner of [`CornerPlan::pvt_worst_case`].
+    /// mapped to a corner list and an extraction step: `Schematic`
+    /// evaluates the schematic at the nominal corner ([`Pvt::nominal`]),
+    /// `Pex` its `pex` extraction at the nominal corner, and
+    /// `PexWorstCase` the extraction at every corner of
+    /// [`Pvt::corner_set`], the paper's Table IV configuration.
     pub fn for_mode(
         mode: SimMode,
         pex: &PexConfig,
@@ -247,14 +206,14 @@ impl CornerEvaluator {
         freqs: Vec<f64>,
         stop: StopLevel,
     ) -> Self {
-        let (plan, pex) = match mode {
-            SimMode::Schematic => (CornerPlan::nominal(), None),
-            SimMode::Pex => (CornerPlan::nominal(), Some(pex.clone())),
-            SimMode::PexWorstCase => (CornerPlan::pvt_worst_case(), Some(pex.clone())),
+        let (corners, pex) = match mode {
+            SimMode::Schematic => (vec![Pvt::nominal()], None),
+            SimMode::Pex => (vec![Pvt::nominal()], Some(pex.clone())),
+            SimMode::PexWorstCase => (Pvt::corner_set(), Some(pex.clone())),
         };
         CornerEvaluator {
             pex,
-            ..CornerEvaluator::new(plan, dc_opts, freqs, stop)
+            ..CornerEvaluator::new(corners, dc_opts, freqs, stop)
         }
     }
 
@@ -262,13 +221,12 @@ impl CornerEvaluator {
     /// corner's output node and temperature, and hands the result to the
     /// measure closure. Running noise *inside* the engine (instead of in
     /// the closure) is what lets warm evaluations share work across the
-    /// corner set: cold corners run the scalar [`noise_analysis_ws`],
-    /// and warm evaluations run [`noise_analysis_corners`], which at
-    /// dense-mesh dims runs the adjoint row [`ac_sweep_corners`] runs —
-    /// the base corner factored once per point, one adjoint vector per
-    /// corner Woodbury-corrected from the base's adjoint solves — and
-    /// reads every corner's gain and PSD off it, and runs the scalar
-    /// kernel per corner at stock dims.
+    /// corner set: [`noise_analysis_corners`] over the whole list runs, at
+    /// dense-mesh dims, the adjoint row [`ac_sweep_corners`] runs — the
+    /// base corner factored once per point, one adjoint vector per corner
+    /// Woodbury-corrected from the base's adjoint solves — and reads every
+    /// corner's gain and PSD off it. Cold evaluations and stock dims run
+    /// the scalar kernel per corner.
     pub fn with_noise(mut self, freqs: Vec<f64>) -> Self {
         self.noise_freqs = Some(freqs);
         self
@@ -279,9 +237,8 @@ impl CornerEvaluator {
     /// first sweeps every corner, then integrates all valid corners (those
     /// with a positive -3 dB cutoff) over **one shared time window**
     /// `spec.window / min cutoff`; corners without a valid cutoff receive
-    /// `None` (topologies map that to the spec's fail value). On a
-    /// one-corner plan the window is that corner's own `spec.window /
-    /// cutoff`.
+    /// `None` (topologies map that to the spec's fail value). With one
+    /// corner the window is that corner's own `spec.window / cutoff`.
     ///
     /// Every corner integrates through [`AcSolver::step_response`], whose
     /// blocked propagator makes every output sample one length-`n` dot
@@ -289,11 +246,6 @@ impl CornerEvaluator {
     pub fn with_settling(mut self, spec: SettleSpec) -> Self {
         self.settle = Some(spec);
         self
-    }
-
-    /// The corner plan.
-    pub fn plan(&self) -> &CornerPlan {
-        &self.plan
     }
 
     /// Runs the settling stage over the solved corner set: picks the
@@ -330,8 +282,8 @@ impl CornerEvaluator {
     }
 
     /// Evaluates every corner and reduces the per-corner spec rows to
-    /// the worst case in each spec's constraint direction (a one-corner
-    /// plan returns its row unchanged).
+    /// the worst case in each spec's constraint direction (one corner
+    /// returns its row unchanged).
     ///
     /// `build(slot, pvt)` produces corner `slot`'s schematic netlist at
     /// `pvt`, which the engine extracts when it carries an extraction
@@ -352,7 +304,7 @@ impl CornerEvaluator {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidOptions`] on an empty corner plan; otherwise
+    /// [`SimError::InvalidOptions`] on an empty corner list; otherwise
     /// the first corner failure (unsolvable operating point, singular
     /// sweep, or measurement error) — same contract as
     /// `SizingProblem::simulate`.
@@ -374,13 +326,12 @@ impl CornerEvaluator {
             Option<&SettleRecord>,
         ) -> Result<Vec<f64>, SimError>,
     {
-        if self.plan.is_empty() {
+        if self.corners.is_empty() {
             return Err(SimError::InvalidOptions {
                 what: "empty corner plan",
             });
         }
         let cases: Vec<CornerCase> = self
-            .plan
             .corners
             .iter()
             .enumerate()
@@ -409,53 +360,32 @@ impl CornerEvaluator {
             .map(|(c, op)| AcSolver::new(&c.ckt, op))
             .collect();
         let outs: Vec<Node> = cases.iter().map(|c| c.out).collect();
-        // One workspace serves every cold corner's sweep and noise
-        // analysis; each call re-prepares it for its own corner.
+        // Each stage is one loop of corner-kernel calls over groups of
+        // `group` corners: the whole list at once when warm; one corner
+        // per call when cold, which keeps every corner on the scalar
+        // kernel, the reference bits.
+        let group = if state.is_some() { cases.len() } else { 1 };
         let mut cold_ws = AcWorkspace::new();
-        let resps: Vec<AcResponse> = match state.as_deref_mut() {
-            Some(st) => ac_sweep_corners(
-                &solvers,
-                &self.freqs,
-                &outs,
-                Some(self.stop),
-                st.ac_batch_workspace(),
-            )
-            .into_iter()
-            .collect::<Result<_, _>>()?,
-            None => solvers
-                .iter()
-                .zip(&outs)
-                .map(|(s, &o)| {
-                    let h =
-                        s.solve_sources_batch_ws(&self.freqs, o, Some(self.stop), &mut cold_ws)?;
-                    Ok(AcResponse {
-                        freqs: self.freqs[..h.len()].to_vec(),
-                        h,
-                    })
-                })
-                .collect::<Result<_, SimError>>()?,
-        };
+        let ws = state.map_or(&mut cold_ws, WarmState::ac_workspace);
+        // The lowest-slot sweep failure ends the evaluation; a cold one
+        // sweeps no corner after it.
+        let resps: Vec<AcResponse> = solvers
+            .chunks(group)
+            .zip(outs.chunks(group))
+            .flat_map(|(s, o)| ac_sweep_corners(s, &self.freqs, o, Some(self.stop), ws))
+            .collect::<Result<_, _>>()?;
         // Per-corner noise failures stay in the row: the measure closure
         // decides whether one is fatal.
         let noises: Option<Vec<Result<NoiseResult, SimError>>> =
-            self.noise_freqs.as_ref().map(|nf| match state {
-                Some(st) => {
-                    let op_refs: Vec<&OpPoint> = ops.iter().collect();
-                    let temps: Vec<f64> = cases.iter().map(|c| c.temp_k).collect();
-                    noise_analysis_corners(
-                        &solvers,
-                        &op_refs,
-                        &outs,
-                        nf,
-                        &temps,
-                        st.ac_batch_workspace(),
-                    )
-                }
-                None => cases
-                    .iter()
-                    .zip(&ops)
-                    .map(|(c, op)| noise_analysis_ws(&c.ckt, op, c.out, nf, c.temp_k, &mut cold_ws))
-                    .collect(),
+            self.noise_freqs.as_ref().map(|nf| {
+                let op_refs: Vec<&OpPoint> = ops.iter().collect();
+                let temps: Vec<f64> = cases.iter().map(|c| c.temp_k).collect();
+                solvers
+                    .chunks(group)
+                    .zip(op_refs.chunks(group))
+                    .zip(outs.chunks(group).zip(temps.chunks(group)))
+                    .flat_map(|((s, op), (o, t))| noise_analysis_corners(s, op, o, nf, t, ws))
+                    .collect()
             });
         let settles = self.settle_stage(&solvers, &outs, &resps);
         let mut rows = Vec::with_capacity(cases.len());
@@ -1239,7 +1169,7 @@ mod tests {
     /// At capacity the memo stops inserting and never evicts; a
     /// duplicate insertion keeps the first value.
     #[test]
-    fn shared_memo_shard_capacity_evicts_fifo() {
+    fn shared_memo_stops_inserting_at_capacity() {
         let memo = SharedMemo::new(2);
         assert!(memo.is_empty());
         memo.insert(&[0], Ok(vec![0.0]), Vec::new(), 0);
@@ -1315,9 +1245,9 @@ mod tests {
 
     /// A little two-spec engine over hand-built RC "corners" — the
     /// engine is topology-agnostic, so the tests drive it directly.
-    fn rc_engine(plan: CornerPlan) -> (CornerEvaluator, Vec<SpecDef>) {
+    fn rc_engine(corners: Vec<Pvt>) -> (CornerEvaluator, Vec<SpecDef>) {
         let engine = CornerEvaluator::new(
-            plan,
+            corners,
             autockt_sim::dc::DcOptions::default(),
             autockt_sim::ac::log_freqs(1e3, 1e8, 4),
             StopLevel::RelativeToFirst(std::f64::consts::FRAC_1_SQRT_2),
@@ -1373,7 +1303,7 @@ mod tests {
         defective: Option<usize>,
         warm: Option<&mut WarmState>,
     ) -> Result<Vec<f64>, SimError> {
-        let (engine, specs) = rc_engine(CornerPlan::pvt_worst_case());
+        let (engine, specs) = rc_engine(Pvt::corner_set());
         engine.evaluate(
             &specs,
             |slot, _pvt| rc_case(slot, defective),
@@ -1392,7 +1322,7 @@ mod tests {
     fn corner_engine_noise_warm_matches_cold() {
         let nfreqs = autockt_sim::ac::log_freqs(1e3, 1e8, 4);
         let run = |warm: Option<&mut WarmState>| {
-            let (engine, specs) = rc_engine(CornerPlan::pvt_worst_case());
+            let (engine, specs) = rc_engine(Pvt::corner_set());
             let engine = engine.with_noise(nfreqs.clone());
             engine.evaluate(
                 &specs,
@@ -1425,7 +1355,7 @@ mod tests {
     #[test]
     fn corner_engine_settle_warm_matches_cold() {
         let run = |warm: Option<&mut WarmState>| {
-            let (engine, specs) = rc_engine(CornerPlan::pvt_worst_case());
+            let (engine, specs) = rc_engine(Pvt::corner_set());
             let engine = engine.with_settling(SettleSpec {
                 steps: 256,
                 window: 8.0,
@@ -1472,7 +1402,7 @@ mod tests {
     fn corner_engine_defective_corner_fails_without_stalling_siblings() {
         // A deliberately unsolvable corner: cold and warm runs both
         // report the failure, wherever the defect sits in the plan.
-        let last = CornerPlan::pvt_worst_case().len() - 1;
+        let last = Pvt::corner_set().len() - 1;
         for slot in [1, last] {
             let cold = run_rc_engine(Some(slot), None);
             assert!(
@@ -1492,7 +1422,7 @@ mod tests {
 
     #[test]
     fn corner_engine_empty_plan_is_invalid_options() {
-        let (engine, specs) = rc_engine(CornerPlan::from_corners(Vec::new()));
+        let (engine, specs) = rc_engine(Vec::new());
         let mut built = 0;
         let res = engine.evaluate(
             &specs,

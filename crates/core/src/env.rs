@@ -135,12 +135,6 @@ impl SizingEnv {
         &self.problem
     }
 
-    /// The evaluation session (warm-start + memo pipeline) backing this
-    /// environment's simulations.
-    pub fn session(&self) -> &EvalSession<'static> {
-        &self.session
-    }
-
     /// Total simulations requested (the paper's sample-efficiency unit —
     /// every env evaluation counts, whether it hit the memo cache or ran
     /// the solver; see [`SizingEnv::solve_count`] for solver work actually

@@ -9,18 +9,20 @@
 //! [`crate::linalg::pencil::LANES`] grid points per lockstep pass.
 //! [`AcSolver::factor_at`] / [`AcSolver::solve_sources`] keep the plain
 //! per-point dense LU: the oracle the reduced sweeps are tested against.
-//! The warm corner sweep ([`ac_sweep_corners`]) factors per point too: at
-//! dense dims it shares one adjoint row per point with the corner noise
-//! analysis (`CornerSet`), one base factorization plus a small Woodbury
-//! correction per corner.
 //!
-//! The public [`ac_sweep`] / [`ac_sweep_ws`] solve every grid point. The
-//! evaluation sweeps ([`AcSolver::solve_sources_batch_ws`] and
-//! [`ac_sweep_corners`] with a [`StopLevel`]) are measure-driven: every
-//! AC spec reads a prefix of the grid (the DC gain point 0, `ugbw` and
-//! `f_3db` the first downward crossing of their level), so they stop
-//! after the point that completes that crossing and return the solved
-//! prefix. The specs measured on it are bitwise those of the full sweep.
+//! Two entry points sweep a grid. [`ac_sweep`] is the one-shot
+//! convenience: one circuit, every grid point, a fresh workspace.
+//! [`ac_sweep_corners`] is the evaluation sweep: it takes a set of
+//! same-structure corners and a reusable [`AcWorkspace`]. A one-corner
+//! set, or a set at a stock dim, runs the reduced kernel above once per
+//! corner. At dense dims the corners share one adjoint row per point
+//! (`CornerSet`): one base factorization plus a small Woodbury correction
+//! per corner. With a [`StopLevel`] the sweep is measure-driven: every AC
+//! spec reads a prefix of the grid (the DC gain point 0, `ugbw` and
+//! `f_3db` the first downward crossing of their level), so each corner
+//! stops after the point that completes that crossing and returns the
+//! solved prefix. The specs measured on it are bitwise those of the full
+//! sweep.
 
 use crate::complex::Complex;
 use crate::dc::{Assembler, OpPoint, GMIN};
@@ -31,7 +33,7 @@ use crate::linalg::{LuFactors, Matrix};
 use crate::netlist::{Circuit, Element, Node};
 
 /// What a sweep shares across its points, computed once per
-/// [`AcSolver::prepare_workspace`]: the reduced pencil, the projected
+/// `AcSolver::prepare_workspace`: the reduced pencil, the projected
 /// source vector `Qᵀb`, the output row of `Z`, and (noise analyses) the
 /// projected noise injections. Read-only during the sweep.
 #[derive(Debug, Clone, Default)]
@@ -45,29 +47,18 @@ pub(crate) struct Reduced {
     pub(crate) proj: Vec<f64>,
 }
 
-/// Reusable buffers for repeated sweeps: the per-operating-point
-/// reduction and the Hessenberg scratch of [`LANES`] points in lockstep.
-/// A whole sweep (and consecutive sweeps of a warm evaluation session)
-/// performs no per-point allocation.
+/// Reusable buffers of the evaluation sweeps ([`ac_sweep_corners`] and
+/// [`crate::noise::noise_analysis_corners`]): the per-operating-point
+/// reduction and Hessenberg scratch of the per-corner kernel, and the
+/// stamp patterns and adjoint scratch of the shared adjoint row
+/// (`CornerSet`). Buffers grow on first use and are resized when the
+/// dimension changes, so consecutive evaluations of a warm session
+/// perform no per-point allocation.
 #[derive(Debug, Clone, Default)]
 pub struct AcWorkspace {
     pub(crate) red: Reduced,
+    /// Hessenberg scratch of [`LANES`] points in lockstep.
     pub(crate) hess: HessenbergLu<LANES>,
-}
-
-impl AcWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        AcWorkspace::default()
-    }
-}
-
-/// Reusable buffers for the corner sweeps ([`ac_sweep_corners`] and
-/// [`crate::noise::noise_analysis_corners`]): one stamp pattern per
-/// corner, the scratch of the shared adjoint row (`CornerSet`), and a
-/// scalar workspace for the per-corner fallbacks.
-#[derive(Debug, Clone, Default)]
-pub struct AcBatchWorkspace {
     /// Each corner's `(row, col, g, c)` stamp pattern.
     pub(crate) patterns: Vec<Vec<(usize, usize, f64, f64)>>,
     /// The base corner's factor at the current frequency point.
@@ -95,15 +86,12 @@ pub struct AcBatchWorkspace {
     pub(crate) sr: Vec<Complex>,
     /// One corner's weights `q_b = N_bᵀ S_b⁻ᵀ z|_R`.
     pub(crate) q: Vec<Complex>,
-    /// Scalar-path workspace for the per-corner fallbacks (mismatched
-    /// structures, stock dims).
-    pub(crate) scalar: AcWorkspace,
 }
 
-impl AcBatchWorkspace {
+impl AcWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
     pub fn new() -> Self {
-        AcBatchWorkspace::default()
+        AcWorkspace::default()
     }
 }
 
@@ -242,7 +230,7 @@ impl<'a> AcSolver<'a> {
     }
 
     /// The real `G` and `C` of the small-signal system `G + jωC`: what
-    /// [`AcSolver::prepare_workspace`] reduces to a [`Pencil`].
+    /// every sweep reduces to a [`Pencil`].
     pub fn stamps(&self) -> (&Matrix<f64>, &Matrix<f64>) {
         (&self.g, &self.c)
     }
@@ -250,7 +238,7 @@ impl<'a> AcSolver<'a> {
     /// Prepares `ws` for this linearization; call once before any sweep
     /// point. Reduces the pencil and projects the source vector (O(n³),
     /// once per operating point).
-    pub fn prepare_workspace(&self, ws: &mut AcWorkspace) {
+    pub(crate) fn prepare_workspace(&self, ws: &mut AcWorkspace) {
         ws.red.pencil.reduce(&self.g, &self.c);
         ws.red.pencil.project(&self.rhs, &mut ws.red.qb);
     }
@@ -268,7 +256,7 @@ impl<'a> AcSolver<'a> {
     /// Collects the `(row, col, g, c)` stamp pattern (every entry where
     /// `G` or `C` is nonzero) into a caller-provided buffer (cleared
     /// first) — the per-corner input of the Woodbury corner sweeps.
-    pub fn collect_pattern(&self, pattern: &mut Vec<(usize, usize, f64, f64)>) {
+    pub(crate) fn collect_pattern(&self, pattern: &mut Vec<(usize, usize, f64, f64)>) {
         pattern.clear();
         for r in 0..self.dim {
             for c in 0..self.dim {
@@ -283,11 +271,12 @@ impl<'a> AcSolver<'a> {
         }
     }
 
-    /// Batched multi-frequency solve: the source-driven transfer to `out`
-    /// at the frequencies of `freqs`, in order. The pencil is reduced once
-    /// and every [`LANES`] consecutive points are one lockstep transposed
-    /// Hessenberg solve ([`Pencil::solve_transposed_lanes`]), read in grid
-    /// order; the batch allocates only the output vector.
+    /// The per-corner sweep kernel: the source-driven transfer to `out`
+    /// at the frequencies of `freqs`, in order, on a grid the caller has
+    /// validated ([`validate_freqs`]). The pencil is reduced once and every
+    /// [`LANES`] consecutive points are one lockstep transposed Hessenberg
+    /// solve ([`Pencil::solve_transposed_lanes`]), read in grid order; the
+    /// sweep allocates only the output vector.
     ///
     /// With `stop` set the sweep is measure-driven: it returns the prefix
     /// through the point that completes the first downward crossing of
@@ -297,20 +286,17 @@ impl<'a> AcSolver<'a> {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidOptions`] for an empty, non-positive,
-    /// non-finite or non-increasing grid; otherwise propagates
-    /// singular-matrix failures at any solved frequency point.
-    pub fn solve_sources_batch_ws(
+    /// Propagates singular-matrix failures at any solved frequency point.
+    pub(crate) fn solve_sources_batch_ws(
         &self,
         freqs: &[f64],
         out: Node,
         stop: Option<StopLevel>,
         ws: &mut AcWorkspace,
     ) -> Result<Vec<Complex>, SimError> {
-        validate_freqs(freqs)?;
         self.prepare_workspace(ws);
         self.prepare_output(out, &mut ws.red);
-        let AcWorkspace { red, hess } = ws;
+        let AcWorkspace { red, hess, .. } = ws;
         let mut watch = StopWatch::new(stop);
         let mut h = Vec::with_capacity(freqs.len());
         for chunk in freqs.chunks(LANES) {
@@ -590,7 +576,9 @@ impl StopWatch {
 }
 
 /// Runs an AC sweep and records the transfer to `out` (driven by the
-/// netlist's AC sources): [`ac_sweep_ws`] on a fresh workspace.
+/// netlist's AC sources) at every grid point, on a fresh workspace: the
+/// one-shot convenience. Evaluations that sweep again and again call
+/// [`ac_sweep_corners`] with a kept [`AcWorkspace`] instead.
 ///
 /// # Errors
 ///
@@ -628,25 +616,9 @@ pub fn ac_sweep(
     freqs: &[f64],
     out: Node,
 ) -> Result<AcResponse, SimError> {
-    ac_sweep_ws(ckt, op, freqs, out, &mut AcWorkspace::new())
-}
-
-/// [`ac_sweep`] with reusable workspace buffers: one reduction of the
-/// pencil, then an allocation-free O(n²) solve per frequency point. This
-/// is the one workspace entry point of the AC sweep; the warm evaluation
-/// sessions route their sweeps through it.
-///
-/// # Errors
-///
-/// Same contract as [`ac_sweep`].
-pub fn ac_sweep_ws(
-    ckt: &Circuit,
-    op: &OpPoint,
-    freqs: &[f64],
-    out: Node,
-    ws: &mut AcWorkspace,
-) -> Result<AcResponse, SimError> {
-    let h = AcSolver::new(ckt, op).solve_sources_batch_ws(freqs, out, None, ws)?;
+    validate_freqs(freqs)?;
+    let h =
+        AcSolver::new(ckt, op).solve_sources_batch_ws(freqs, out, None, &mut AcWorkspace::new())?;
     Ok(AcResponse {
         freqs: freqs.to_vec(),
         h,
@@ -704,17 +676,21 @@ pub(crate) fn validate_freqs(freqs: &[f64]) -> Result<(), SimError> {
 /// the corner paths. At or below it the Woodbury correction cannot pay
 /// (the difference support spans most of the system), so the corner
 /// sweeps and noise analyses run the reduced scalar path per corner —
-/// bitwise-equal to the cold per-corner path; above it the correction
+/// bitwise-equal to sweeping each corner alone; above it the correction
 /// wins.
 pub(crate) const STOCK_DIM_MAX: usize = 16;
 
-/// Corner-correction AC sweep: the fast path of the *warm* corner
-/// engine. The B corner systems of a worst-case evaluation differ only in
-/// their device stamps — the parasitic mesh, passives, sources, and gmin
-/// regularization are identical across PVT corners — so instead of B full
-/// factorizations per frequency this runs the shared adjoint row
-/// (`CornerSet`): one base factorization per point, and every corner's
-/// transfer read off its adjoint `z_b = A_b⁻ᵀ e_out` as
+/// The evaluation AC sweep over a set of same-structure corners, on a
+/// reusable workspace. Every corner is swept through the reduced
+/// per-corner kernel, unless the set qualifies for the shared adjoint
+/// row.
+///
+/// The B corner systems of a worst-case evaluation differ only in their
+/// device stamps — the parasitic mesh, passives, sources, and gmin
+/// regularization are identical across PVT corners — so at dense dims,
+/// instead of B full factorizations per frequency, this runs the shared
+/// adjoint row (`CornerSet`): one base factorization per point, and every
+/// corner's transfer read off its adjoint `z_b = A_b⁻ᵀ e_out` as
 ///
 /// `H_b = z_b·b = z·b − Σ_c q_b[c]·(V_c·b)`,
 ///
@@ -723,26 +699,28 @@ pub(crate) const STOCK_DIM_MAX: usize = 16;
 /// formed.
 ///
 /// The correction is algebraically exact; in floating point it agrees
-/// with the direct per-corner factorization to roundoff amplified by the
-/// base system's conditioning — far inside the warm evaluation path's
-/// solver-tolerance contract, which is why *cold* evaluations sweep each
-/// corner through [`AcSolver::solve_sources_batch_ws`] instead. Falls
-/// back to that reduced per-corner sweep wherever `CornerSet` does not
-/// apply, and to a direct per-corner factor at any frequency where the
-/// base factor or a correction system is singular. A degenerate frequency
-/// grid reports [`SimError::InvalidOptions`] for every corner.
+/// with the per-corner kernel to roundoff amplified by the base system's
+/// conditioning — inside the warm evaluation path's solver-tolerance
+/// contract. A one-corner set never takes it, so a caller that needs the
+/// reference bits (a cold evaluation) sweeps one corner per call. The
+/// per-corner kernel also runs wherever `CornerSet` does not apply (a
+/// stock dim among them), and a direct per-corner factor at any frequency
+/// where the base factor or a correction system is singular. A
+/// degenerate frequency grid reports [`SimError::InvalidOptions`] for
+/// every corner.
 ///
 /// With `stop` set every corner's response is the prefix through its own
-/// crossing (see [`AcSolver::solve_sources_batch_ws`]). The per-corner
-/// sweeps stop corner by corner; the Woodbury rows share one base factor
-/// per point, so they run until every corner has crossed or failed and
-/// skip the corners already done.
+/// crossing (see [`StopLevel`]); a point past it is never read, so it
+/// cannot fail the corner. The per-corner sweeps stop corner by corner;
+/// the Woodbury rows share one base factor per point, so they run until
+/// every corner has crossed or failed and skip the corners already done.
+/// `None` solves every point.
 pub fn ac_sweep_corners(
     solvers: &[AcSolver<'_>],
     freqs: &[f64],
     outs: &[Node],
     stop: Option<StopLevel>,
-    ws: &mut AcBatchWorkspace,
+    ws: &mut AcWorkspace,
 ) -> Vec<Result<AcResponse, SimError>> {
     assert_eq!(solvers.len(), outs.len(), "one output node per corner");
     if let Err(e) = validate_freqs(freqs) {
@@ -753,16 +731,11 @@ pub fn ac_sweep_corners(
         h,
     };
     let Some(set) = CornerSet::new(solvers, outs, ws) else {
-        // Each corner through the scalar kernel, stopping on its own:
-        // bitwise the cold per-corner sweep.
-        let scalar = &mut ws.scalar;
+        // Each corner through the scalar kernel, stopping on its own.
         return solvers
             .iter()
             .zip(outs)
-            .map(|(s, &o)| {
-                s.solve_sources_batch_ws(freqs, o, stop, scalar)
-                    .map(response)
-            })
+            .map(|(s, &o)| s.solve_sources_batch_ws(freqs, o, stop, ws).map(response))
             .collect();
     };
     let mut read = AcRead {
@@ -880,7 +853,7 @@ impl CornerSet {
     pub(crate) fn new(
         solvers: &[AcSolver<'_>],
         outs: &[Node],
-        ws: &mut AcBatchWorkspace,
+        ws: &mut AcWorkspace,
     ) -> Option<CornerSet> {
         let s0 = solvers.first()?;
         let n = s0.dim();
@@ -913,7 +886,7 @@ impl CornerSet {
     pub(crate) fn sweep<R: AdjointRead>(
         self,
         freqs: &[f64],
-        ws: &mut AcBatchWorkspace,
+        ws: &mut AcWorkspace,
         read: &mut R,
     ) -> Vec<Result<Vec<R::Point>, SimError>> {
         let bt = self.patterns.len();
@@ -960,14 +933,14 @@ impl CornerSet {
         fq: f64,
         e_out: &[Complex],
         live: &[bool],
-        ws: &mut AcBatchWorkspace,
+        ws: &mut AcWorkspace,
         read: &mut R,
         row: &mut [Option<Result<R::Point, SimError>>],
     ) {
         let (cd, n) = (&self.cd, e_out.len());
         let w_ang = 2.0 * std::f64::consts::PI * fq;
         let combine = |dg: f64, dc: f64| Complex::new(dg, w_ang * dc);
-        let AcBatchWorkspace {
+        let AcWorkspace {
             base,
             spare,
             small,
@@ -1230,7 +1203,7 @@ mod tests {
             .collect();
         let outs = vec![variants[0].1; variants.len()];
         let freqs = log_freqs(1e3, 1e8, 5);
-        let mut ws = AcBatchWorkspace::new();
+        let mut ws = AcWorkspace::new();
         let batch = ac_sweep_corners(&solvers, &freqs, &outs, None, &mut ws);
         for ((ckt, out), (op, res)) in variants.iter().zip(ops.iter().zip(&batch)) {
             let scalar = ac_sweep(ckt, op, &freqs, *out).unwrap();
@@ -1264,7 +1237,7 @@ mod tests {
             .collect();
         let outs = vec![variants[0].1; variants.len()];
         let freqs = log_freqs(1e3, 1e8, 6);
-        let mut ws = AcBatchWorkspace::new();
+        let mut ws = AcWorkspace::new();
         let corr = ac_sweep_corners(&solvers, &freqs, &outs, None, &mut ws);
         for ((ckt, out), (op, res)) in variants.iter().zip(ops.iter().zip(&corr)) {
             let direct = ac_sweep(ckt, op, &freqs, *out).unwrap();
@@ -1291,7 +1264,7 @@ mod tests {
         stop: StopLevel,
     ) {
         let outs = vec![out; solvers.len()];
-        let mut ws = AcBatchWorkspace::new();
+        let mut ws = AcWorkspace::new();
         let full = ac_sweep_corners(solvers, freqs, &outs, None, &mut ws);
         let cut = ac_sweep_corners(solvers, freqs, &outs, Some(stop), &mut ws);
         for (s, (f, c)) in solvers.iter().zip(full.iter().zip(&cut)) {

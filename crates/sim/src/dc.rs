@@ -27,7 +27,7 @@ use crate::netlist::{Circuit, Element, Mosfet, Node};
 /// resized on dimension change), so an evaluation session allocates the
 /// matrices once per environment instead of once per Newton iteration.
 #[derive(Debug, Clone)]
-pub struct DcWorkspace {
+pub(crate) struct DcWorkspace {
     j: Matrix<f64>,
     f: Vec<f64>,
     rhs: Vec<f64>,
@@ -37,7 +37,7 @@ pub struct DcWorkspace {
 
 impl DcWorkspace {
     /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DcWorkspace {
             j: Matrix::zeros(0, 0),
             f: Vec::new(),
@@ -54,20 +54,23 @@ impl Default for DcWorkspace {
     }
 }
 
-/// Warm-start state threaded through consecutive DC solves by an
+/// Warm-start state threaded through consecutive evaluations by an
 /// evaluation session: the previous MNA solution per *slot* (one slot per
 /// circuit variant — e.g. one per PVT corner — since their solution
-/// vectors are not interchangeable) plus a shared [`DcWorkspace`].
+/// vectors are not interchangeable), plus the session's reusable DC and
+/// AC buffers.
 ///
 /// RL actions move each parameter at most one grid notch, so the previous
-/// operating point is an excellent Newton initial guess for the next one;
-/// [`WarmState::solve`] falls back to the cold start + gmin homotopy of
-/// [`dc_operating_point`] whenever the warm guess does not converge.
+/// operating point is an excellent Newton initial guess for the next one.
+/// [`WarmState::solve`] is the warm DC entry point: it falls back to the
+/// cold start + gmin homotopy of [`dc_operating_point`] whenever the warm
+/// guess does not converge. [`WarmState::ac_workspace`] holds the buffers
+/// of the evaluation's AC and noise stages.
 #[derive(Debug, Clone, Default)]
 pub struct WarmState {
     slots: Vec<Option<Vec<f64>>>,
     ws: DcWorkspace,
-    ac_batch: crate::ac::AcBatchWorkspace,
+    ac: crate::ac::AcWorkspace,
 }
 
 impl WarmState {
@@ -136,12 +139,13 @@ impl WarmState {
     }
 
     /// The session's reusable AC-analysis buffers, for the warm stages of
-    /// every evaluation (one corner or many): [`crate::ac::ac_sweep_corners`] and
-    /// [`crate::noise::noise_analysis_corners`] keep the stamp patterns,
-    /// base factor and adjoint scratch of their shared adjoint row, and
-    /// their scalar-fallback workspace, here between evaluations.
-    pub fn ac_batch_workspace(&mut self) -> &mut crate::ac::AcBatchWorkspace {
-        &mut self.ac_batch
+    /// every evaluation (one corner or many):
+    /// [`crate::ac::ac_sweep_corners`] and
+    /// [`crate::noise::noise_analysis_corners`] keep the reduced pencil,
+    /// and the stamp patterns, base factor and adjoint scratch of their
+    /// shared adjoint row, here between evaluations.
+    pub fn ac_workspace(&mut self) -> &mut crate::ac::AcWorkspace {
+        &mut self.ac
     }
 }
 
@@ -596,7 +600,7 @@ pub fn dc_operating_point(ckt: &Circuit, opts: &DcOptions) -> Result<OpPoint, Si
 /// ignored, and warm non-convergence falls back to the cold
 /// `initial_v` start followed by the gmin homotopy, so the result contract
 /// is identical to [`dc_operating_point`]. `ws` supplies the reusable
-/// matrix/LU buffers.
+/// matrix/LU buffers. [`WarmState::solve`] is the public way in.
 ///
 /// Caveat: the fallback fires on *non-convergence only*. For a circuit
 /// with multiple valid operating points (e.g. cross-coupled loads), a
@@ -610,7 +614,7 @@ pub fn dc_operating_point(ckt: &Circuit, opts: &DcOptions) -> Result<OpPoint, Si
 /// # Errors
 ///
 /// Same contract as [`dc_operating_point`].
-pub fn dc_operating_point_warm(
+pub(crate) fn dc_operating_point_warm(
     ckt: &Circuit,
     opts: &DcOptions,
     warm: Option<&[f64]>,

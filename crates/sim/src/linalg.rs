@@ -6,12 +6,17 @@
 //! sparse machinery. That kernel, [`LuFactors`], lives in this module and
 //! is the simulator's one factorization backend.
 //!
-//! [`LuFactors`] is generic over the matrix
-//! scalar, so the same code serves real (DC, transient, Woodbury
-//! corrections) and complex (the per-point AC oracle, Woodbury corner
-//! rows, and the adjoint solves of the corner noise rows) systems. MNA matrices are mostly zeros even when they are small
-//! — the op-amp's 11 x 11 AC system has 40 stamped entries out of 121 —
-//! so the factorization tracks which entries can be nonzero (one bitset
+//! [`LuFactors`] is generic over the matrix scalar, so one kernel serves
+//! both kinds of system:
+//! - real: the DC and transient Newton iterations and the small-signal
+//!   step response;
+//! - complex: the per-point AC oracle and the Woodbury corner rows the AC
+//!   and noise corner paths share (base factor, corrections, per-corner
+//!   fallbacks).
+//!
+//! MNA matrices are mostly zeros even when they are small — the op-amp's
+//! 11 x 11 AC system has 40 stamped entries out of 121 — so the
+//! factorization tracks which entries can be nonzero (one bitset
 //! per row, fill included) and spends its arithmetic only on those, while
 //! staying bit-identical to a plain dense elimination (see [`LuFactors`]
 //! for the argument).

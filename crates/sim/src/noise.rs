@@ -15,24 +15,24 @@
 //! per-point dense LU ([`AcSolver::factor_at`]) stays as the oracle this
 //! path is tested against.
 //!
-//! Worst-case PVT evaluations run the analysis over a *corner set* of
-//! same-structure circuits. Cold evaluations call [`noise_analysis_ws`]
-//! once per corner; warm ones call [`noise_analysis_corners`], which at
-//! dense-mesh dims works on adjoints: the output's response to the signal
-//! source and to every noise injection is a dot product with one vector
-//! `A_b⁻ᵀ e_out` per corner, the adjoint-network method of SPICE's
+//! Two entry points run the analysis. [`noise_analysis`] is the one-shot
+//! convenience: one circuit on a fresh workspace. [`noise_analysis_corners`]
+//! is the evaluation analysis over a *corner set* of same-structure
+//! circuits on a reusable [`AcWorkspace`]. A one-corner set, or a set at
+//! a stock dim, runs the reduced kernel above once per corner. At
+//! dense-mesh dims it works on adjoints: the output's response to the
+//! signal source and to every noise injection is a dot product with one
+//! vector `A_b⁻ᵀ e_out` per corner, the adjoint-network method of SPICE's
 //! `.NOISE`. Those vectors come from the adjoint row the AC corner sweep
 //! shares ([`crate::ac::ac_sweep_corners`]): the **base corner factored
 //! once per frequency**, its adjoint from one transposed solve, and each
 //! sibling's from a rank-`|R|` transposed Woodbury correction
 //! (`crate::linalg::correction`), so the number of noise sources never
 //! multiplies the solves. Exact to roundoff (the warm path's
-//! solver-tolerance contract); at stock dims it runs the reduced scalar
-//! path per corner.
+//! solver-tolerance contract).
 
 use crate::ac::{
-    dot, lane_omegas, validate_freqs, AcBatchWorkspace, AcSolver, AcWorkspace, AdjointRead,
-    CornerAdjoint, CornerSet,
+    dot, lane_omegas, validate_freqs, AcSolver, AcWorkspace, AdjointRead, CornerAdjoint, CornerSet,
 };
 use crate::complex::Complex;
 use crate::dc::OpPoint;
@@ -173,7 +173,7 @@ fn noise_points(
                 .for_each(|(a, q)| *a += q);
         }
     }
-    let AcWorkspace { red, hess } = ws;
+    let AcWorkspace { red, hess, .. } = ws;
     let (mut gain, mut out_psd) = (
         Vec::with_capacity(freqs.len()),
         Vec::with_capacity(freqs.len()),
@@ -242,7 +242,7 @@ fn finalize(freqs: &[f64], out_psd: Vec<f64>, gain: Vec<f64>) -> Result<NoiseRes
             any_segment = true;
         }
     }
-    if freqs.len() > 1 && !any_segment {
+    if !any_segment {
         // Every segment had a below-floor endpoint: there is no band to
         // refer noise through. Reporting 0.0 here would read downstream
         // as "infinitely quiet" — fail honestly instead, like the
@@ -262,18 +262,35 @@ fn finalize(freqs: &[f64], out_psd: Vec<f64>, gain: Vec<f64>) -> Result<NoiseRes
     })
 }
 
+/// Validates a noise grid: a sweep grid ([`validate_freqs`]) of at least
+/// two points. The noise figures are integrals over the grid, and the
+/// trapezoid over one point is 0, which would read as a noiseless
+/// circuit.
+fn validate_noise_freqs(freqs: &[f64]) -> Result<(), SimError> {
+    validate_freqs(freqs)?;
+    if freqs.len() < 2 {
+        return Err(SimError::InvalidOptions {
+            what: "noise grid needs at least two frequency points",
+        });
+    }
+    Ok(())
+}
+
 /// Runs a noise analysis at temperature `temp_k`, referred to the circuit's
-/// own AC sources, measuring at node `out`: [`noise_analysis_ws`] on a
-/// fresh workspace.
+/// own AC sources, measuring at node `out`, on a fresh workspace: the
+/// one-shot convenience. Evaluations that analyse again and again call
+/// [`noise_analysis_corners`] with a kept [`AcWorkspace`] instead. The
+/// pencil is reduced once and each frequency point is one transposed
+/// Hessenberg solve plus a dot product per noise source.
 ///
 /// # Errors
 ///
 /// [`SimError::InvalidOptions`] for a degenerate frequency grid (empty,
-/// non-positive, or not strictly increasing), [`SimError::BadNetlist`]
-/// when `op` does not belong to `ckt` (MOS count mismatch),
-/// [`SimError::MeasureFailed`] if the signal gain is zero (nothing to
-/// refer to) or a PSD or gain sample is non-finite, and propagates
-/// factorization failures.
+/// non-positive, not strictly increasing, or fewer than two points),
+/// [`SimError::BadNetlist`] when `op` does not belong to `ckt` (MOS count
+/// mismatch), [`SimError::MeasureFailed`] if the signal gain is zero
+/// (nothing to refer to) or a PSD or gain sample is non-finite, and
+/// propagates factorization failures.
 pub fn noise_analysis(
     ckt: &Circuit,
     op: &OpPoint,
@@ -281,46 +298,24 @@ pub fn noise_analysis(
     freqs: &[f64],
     temp_k: f64,
 ) -> Result<NoiseResult, SimError> {
-    noise_analysis_ws(ckt, op, out, freqs, temp_k, &mut AcWorkspace::new())
-}
-
-/// [`noise_analysis`] with reusable workspace buffers — no per-frequency
-/// or per-source allocation; results are identical. The pencil is reduced
-/// once and each frequency point is one transposed Hessenberg solve plus
-/// a dot product per noise source. This is the one workspace entry point
-/// of the noise analysis; warm evaluation sessions route through it.
-///
-/// # Errors
-///
-/// Same contract as [`noise_analysis`].
-pub fn noise_analysis_ws(
-    ckt: &Circuit,
-    op: &OpPoint,
-    out: Node,
-    freqs: &[f64],
-    temp_k: f64,
-    ws: &mut AcWorkspace,
-) -> Result<NoiseResult, SimError> {
-    validate_freqs(freqs)?;
+    validate_noise_freqs(freqs)?;
     let sources = collect_sources(ckt, op, temp_k)?;
     let solver = AcSolver::new(ckt, op);
-    let (gain, out_psd) = noise_points(&solver, &sources, out, freqs, ws)?;
+    let (gain, out_psd) = noise_points(&solver, &sources, out, freqs, &mut AcWorkspace::new())?;
     finalize(freqs, out_psd, gain)
 }
 
-/// Per-corner scalar reference path of [`noise_analysis_corners`]: each
-/// corner runs the exact [`noise_analysis_ws`] pipeline (same kernel, same
-/// order) through the corner workspace's scalar buffers. This is the
-/// fallback for structural mismatches, single-corner sets, and stock
-/// dims where the correction cannot pay — bitwise-equal to calling
-/// [`noise_analysis_ws`] per corner.
+/// The per-corner path of [`noise_analysis_corners`]: each corner runs
+/// the scalar kernel on the one workspace. This is the path of one-corner
+/// sets, stock dims where the correction cannot pay, and structural
+/// mismatches.
 fn scalar_noise_ws(
     solvers: &[AcSolver<'_>],
     ops: &[&OpPoint],
     outs: &[Node],
     freqs: &[f64],
     temps: &[f64],
-    ws: &mut AcBatchWorkspace,
+    ws: &mut AcWorkspace,
 ) -> Vec<Result<NoiseResult, SimError>> {
     solvers
         .iter()
@@ -328,7 +323,7 @@ fn scalar_noise_ws(
         .zip(outs.iter().zip(temps))
         .map(|((solver, op), (&out, &temp_k))| {
             let sources = collect_sources(solver.circuit(), op, temp_k)?;
-            let (gain, out_psd) = noise_points(solver, &sources, out, freqs, &mut ws.scalar)?;
+            let (gain, out_psd) = noise_points(solver, &sources, out, freqs, ws)?;
             finalize(freqs, out_psd, gain)
         })
         .collect()
@@ -412,11 +407,14 @@ impl AdjointRead for NoiseRead<'_> {
     }
 }
 
-/// Corner-**corrected** noise analysis: the fast path of the warm corner
-/// engine. PVT corner systems differ only in their device stamps — the
-/// parasitic mesh, passives, sources, and regularization are shared — and
-/// every quantity the analysis reads is one entry of a solution: the
-/// output's response to the source vector and to each noise source's unit
+/// The evaluation noise analysis over a set of same-structure corners,
+/// on a reusable workspace. Every corner runs the scalar kernel of
+/// [`noise_analysis`], unless the set qualifies for the adjoint row.
+///
+/// PVT corner systems differ only in their device stamps — the parasitic
+/// mesh, passives, sources, and regularization are shared — and every
+/// quantity the analysis reads is one entry of a solution: the output's
+/// response to the source vector and to each noise source's unit
 /// injection. All of them are dot products with one adjoint vector
 /// `z_b = A_b⁻ᵀ e_out` per corner (the adjoint-network method of SPICE's
 /// `.NOISE`).
@@ -429,16 +427,17 @@ impl AdjointRead for NoiseRead<'_> {
 /// of noise sources only enters through one dot product each.
 ///
 /// The correction is algebraically exact; in floating point it agrees
-/// with the direct per-corner analysis to roundoff — inside the warm
-/// evaluation path's solver-tolerance contract; cold evaluations run
-/// [`noise_analysis_ws`] per corner instead. Falls back to the scalar
-/// per-corner path wherever the AC corner sweep does (a single corner,
-/// stock dims `n <= 16`, differing dims, outputs or source vectors, a
-/// ground output, or a difference support too wide to pay) and on
-/// differing noise-source lists; falls back to a direct per-corner
-/// factorization and adjoint solve at any frequency where the base factor
-/// or a correction system is singular. A corner's analysis stops at its
-/// first failing frequency.
+/// with the scalar kernel to roundoff — inside the warm evaluation path's
+/// solver-tolerance contract. A one-corner set never takes it, so a
+/// caller that needs the reference bits (a cold evaluation) analyses one
+/// corner per call. The scalar kernel also runs wherever the AC corner
+/// sweep's does (stock dims `n <= 16`, differing dims, outputs or source
+/// vectors, a ground output, or a difference support too wide to pay) and
+/// on differing noise-source lists; a direct per-corner factorization and
+/// adjoint solve runs at any frequency where the base factor or a
+/// correction system is singular. A corner's analysis stops at its first
+/// failing frequency. A degenerate grid, one of fewer than two points
+/// included, reports [`SimError::InvalidOptions`] for every corner.
 ///
 /// # Panics
 ///
@@ -449,12 +448,12 @@ pub fn noise_analysis_corners(
     outs: &[Node],
     freqs: &[f64],
     temps: &[f64],
-    ws: &mut AcBatchWorkspace,
+    ws: &mut AcWorkspace,
 ) -> Vec<Result<NoiseResult, SimError>> {
     assert_eq!(solvers.len(), ops.len(), "one operating point per corner");
     assert_eq!(solvers.len(), outs.len(), "one output node per corner");
     assert_eq!(solvers.len(), temps.len(), "one temperature per corner");
-    if let Err(e) = validate_freqs(freqs) {
+    if let Err(e) = validate_noise_freqs(freqs) {
         return solvers.iter().map(|_| Err(e.clone())).collect();
     }
     let Some(set) = CornerSet::new(solvers, outs, ws) else {
@@ -731,8 +730,9 @@ mod tests {
         ckt.resistor(i, o, 1e3);
         ckt.capacitor(o, GND, 1e-12);
         let op = dc_operating_point(&ckt, &DcOptions::default()).unwrap();
-        let bad: [&[f64]; 5] = [
+        let bad: [&[f64]; 6] = [
             &[],
+            &[1e3],
             &[0.0, 1e3],
             &[-1.0, 1e3],
             &[1e3, 1e2],

@@ -1,15 +1,14 @@
 //! Degenerate analysis grids are rejected with `SimError::InvalidOptions`
 //! instead of producing empty, backwards, singular or infinite results:
 //! the linear step response checks its time grid like
-//! `TranOptions::validate`, and every AC sweep entry point checks its
-//! frequency grid like the noise analysis does.
+//! `TranOptions::validate`, every AC sweep entry point checks its
+//! frequency grid like the noise analysis does, and the noise analyses
+//! also reject a grid of one point, whose integrals would read 0.
 
-use autockt_sim::ac::{
-    ac_sweep, ac_sweep_corners, ac_sweep_ws, AcBatchWorkspace, AcSolver, AcWorkspace,
-};
+use autockt_sim::ac::{ac_sweep, ac_sweep_corners, AcSolver, AcWorkspace};
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::netlist::{Circuit, Node, GND};
-use autockt_sim::noise::noise_analysis;
+use autockt_sim::noise::{noise_analysis, noise_analysis_corners};
 use autockt_sim::SimError;
 
 /// The RC low-pass (1 kΩ into 1 nF) driven by a 1 V AC source.
@@ -85,8 +84,9 @@ fn ac_sweep_rejects_non_increasing_grids() {
     for bad in [&[1e4, 1e3][..], &[1e3, 1e3, 1e4][..]] {
         assert!(is_invalid(&ac_sweep(&ckt, &op, bad, o)), "{bad:?}");
         let mut ws = AcWorkspace::new();
-        let r = ac_sweep_ws(&ckt, &op, bad, o, &mut ws);
-        assert!(is_invalid(&r), "{bad:?} with a workspace");
+        let solver = AcSolver::new(&ckt, &op);
+        let r = ac_sweep_corners(std::slice::from_ref(&solver), bad, &[o], None, &mut ws);
+        assert!(is_invalid(&r[0]), "{bad:?} with a workspace");
     }
 }
 
@@ -99,7 +99,7 @@ fn sweeps_reject_frequencies_whose_angular_frequency_overflows() {
     assert!(is_invalid(&ac_sweep(&ckt, &op, &bad, o)));
     assert!(is_invalid(&noise_analysis(&ckt, &op, o, &bad, 300.0)));
     let solvers = [AcSolver::new(&ckt, &op), AcSolver::new(&ckt, &op)];
-    let mut ws = AcBatchWorkspace::new();
+    let mut ws = AcWorkspace::new();
     let r = ac_sweep_corners(&solvers, &bad, &[o, o], None, &mut ws);
     assert_eq!(r.len(), 2);
     assert!(r.iter().all(is_invalid), "{r:?}");
@@ -109,8 +109,28 @@ fn sweeps_reject_frequencies_whose_angular_frequency_overflows() {
 fn corner_sweep_reports_invalid_grid_per_corner() {
     let (ckt, o, op) = rc_lowpass();
     let solvers = [AcSolver::new(&ckt, &op), AcSolver::new(&ckt, &op)];
-    let mut ws = AcBatchWorkspace::new();
+    let mut ws = AcWorkspace::new();
     let r = ac_sweep_corners(&solvers, &[1e4, 1e3], &[o, o], None, &mut ws);
     assert_eq!(r.len(), 2);
     assert!(r.iter().all(is_invalid));
+}
+
+/// A one-point grid is a valid AC sweep (`dc_gain` reads one point) but
+/// not a noise grid: the trapezoid over one point is 0, which would read
+/// as a noiseless circuit. Every corner of a corner set reports it.
+#[test]
+fn noise_rejects_a_one_point_grid_per_corner() {
+    let (ckt, o, op) = rc_lowpass();
+    let solvers = [AcSolver::new(&ckt, &op), AcSolver::new(&ckt, &op)];
+    let mut ws = AcWorkspace::new();
+    let r = noise_analysis_corners(
+        &solvers,
+        &[&op, &op],
+        &[o, o],
+        &[1e3],
+        &[300.0, 300.0],
+        &mut ws,
+    );
+    assert_eq!(r.len(), 2);
+    assert!(r.iter().all(is_invalid), "{r:?}");
 }

@@ -1,9 +1,10 @@
-//! Property-based tests for the dense LU on sparse systems. `LuFactors`
-//! tracks each row's structural nonzeros (anything but exactly `+0.0`)
-//! and eliminates over them only, so on a banded matrix it skips most of
-//! the work: that path must agree with the full elimination of the same
-//! values, and a `refactor` through reused buffers must be bitwise equal
-//! to a fresh factorization.
+//! Property-based tests for the dense LU (`LuFactors`, the simulator's
+//! one factorization backend) on banded systems. `LuFactors` tracks each
+//! row's structural nonzeros (anything but exactly `+0.0`) and eliminates
+//! over them only, so on a banded matrix it skips most of the work: that
+//! sparse path must agree with the full elimination of the same values,
+//! and a `refactor` through reused buffers must be bitwise equal to a
+//! fresh factorization.
 
 use autockt_sim::linalg::{LuFactors, Matrix};
 use proptest::prelude::*;

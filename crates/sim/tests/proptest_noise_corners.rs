@@ -4,12 +4,12 @@
 //! [`noise_analysis_corners`] and [`ac_sweep_corners`] share one adjoint
 //! row per frequency point, which recovers each sibling's adjoint through
 //! the base-plus-Woodbury correction. That is algebraically exact, so
-//! both must agree with the scalar paths ([`noise_analysis_ws`] and
-//! [`AcSolver::solve_sources_batch_ws`] per corner) to roundoff (far
-//! inside the warm path's solver-tolerance contract); at stock dims
-//! (`n <= 16`), and for corner sets that differ in output or read ground,
-//! they fall back to the scalar paths and the comparison tightens to
-//! bitwise.
+//! both must agree with the scalar paths (each corner alone: a one-corner
+//! call of the same entry point, which runs the scalar kernel) to
+//! roundoff (far inside the warm path's solver-tolerance contract); at
+//! stock dims (`n <= 16`), and for corner sets that differ in output or
+//! read ground, they fall back to the scalar paths and the comparison
+//! tightens to bitwise.
 //!
 //! A second reference shares no code with either corner path: per grid
 //! point it factors each corner's system with [`AcSolver::factor_at`] and
@@ -18,12 +18,12 @@
 //! enumerated here from the netlist and the device models' public noise
 //! parameters.
 
-use autockt_sim::ac::{ac_sweep_corners, log_freqs, AcBatchWorkspace, AcSolver, AcWorkspace};
+use autockt_sim::ac::{ac_sweep_corners, log_freqs, AcSolver, AcWorkspace};
 use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::device::{MosPolarity, Technology, BOLTZMANN};
 use autockt_sim::netlist::{Circuit, Element, Mosfet, Node, GND};
-use autockt_sim::noise::{noise_analysis_corners, noise_analysis_ws};
+use autockt_sim::noise::{noise_analysis, noise_analysis_corners, NoiseResult};
 use autockt_sim::SimError;
 use proptest::prelude::*;
 
@@ -82,18 +82,43 @@ fn rel_close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
 }
 
-/// Each corner's full AC transfer through the scalar per-corner sweep,
-/// the reference of [`ac_sweep_corners`] at stock dims and on fallbacks.
+/// Each corner's full AC transfer through the scalar per-corner sweep (a
+/// one-corner [`ac_sweep_corners`] call per corner, on one workspace),
+/// the reference of the corner sweep at stock dims and on fallbacks.
 fn scalar_transfers(
     solvers: &[AcSolver<'_>],
     outs: &[Node],
     freqs: &[f64],
 ) -> Vec<Result<Vec<Complex>, SimError>> {
     let mut ws = AcWorkspace::new();
-    solvers
-        .iter()
-        .zip(outs)
-        .map(|(s, &o)| s.solve_sources_batch_ws(freqs, o, None, &mut ws))
+    (0..solvers.len())
+        .flat_map(|b| corner_transfers(&solvers[b..=b], &outs[b..=b], freqs, &mut ws))
+        .collect()
+}
+
+/// Each corner's noise analysis through the scalar kernel (a one-corner
+/// [`noise_analysis_corners`] call per corner, on one workspace), the
+/// reference of the corner analysis at stock dims and on fallbacks.
+fn scalar_noises(
+    solvers: &[AcSolver<'_>],
+    ops: &[&OpPoint],
+    outs: &[Node],
+    freqs: &[f64],
+    temps: &[f64],
+) -> Vec<Result<NoiseResult, SimError>> {
+    let mut ws = AcWorkspace::new();
+    (0..solvers.len())
+        .flat_map(|b| {
+            let r = b..b + 1;
+            noise_analysis_corners(
+                &solvers[r.clone()],
+                &ops[r.clone()],
+                &outs[r.clone()],
+                freqs,
+                &temps[r],
+                &mut ws,
+            )
+        })
         .collect()
 }
 
@@ -102,7 +127,7 @@ fn corner_transfers(
     solvers: &[AcSolver<'_>],
     outs: &[Node],
     freqs: &[f64],
-    ws: &mut AcBatchWorkspace,
+    ws: &mut AcWorkspace,
 ) -> Vec<Result<Vec<Complex>, SimError>> {
     ac_sweep_corners(solvers, freqs, outs, None, ws)
         .into_iter()
@@ -122,14 +147,9 @@ fn check_equivalence(widths: &[f64], depth: usize, bitwise_corners: bool) -> Res
     let outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
     let freqs = log_freqs(1e4, 1e10, 5);
 
-    let mut sws = AcWorkspace::new();
-    let scalar: Vec<_> = variants
-        .iter()
-        .zip(ops.iter().zip(&temps))
-        .map(|((ckt, out), (op, &t))| noise_analysis_ws(ckt, op, *out, &freqs, t, &mut sws))
-        .collect();
+    let scalar = scalar_noises(&solvers, &op_refs, &outs, &freqs, &temps);
 
-    let mut ws = AcBatchWorkspace::new();
+    let mut ws = AcWorkspace::new();
     let ac_corr = corner_transfers(&solvers, &outs, &freqs, &mut ws);
     for (b, (cc, ss)) in ac_corr
         .iter()
@@ -287,7 +307,7 @@ fn check_against_oracle(widths: &[f64], depth: usize, tol: f64) -> Result<(), St
     let op_refs: Vec<&OpPoint> = ops.iter().collect();
     let outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
     let freqs = log_freqs(1e4, 1e10, 5);
-    let mut ws = AcBatchWorkspace::new();
+    let mut ws = AcWorkspace::new();
     let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
     let ac_corr = corner_transfers(&solvers, &outs, &freqs, &mut ws);
     for (b, (r, ac)) in corr.iter().zip(&ac_corr).enumerate() {
@@ -373,17 +393,9 @@ fn single_corner_and_empty_batches() {
     let op_refs: Vec<&OpPoint> = ops.iter().collect();
     let outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
     let freqs = log_freqs(1e4, 1e10, 4);
-    let mut ws = AcBatchWorkspace::new();
+    let mut ws = AcWorkspace::new();
     // Single corner: the corner entry point runs the scalar path, bitwise.
-    let scalar = noise_analysis_ws(
-        &variants[0].0,
-        &ops[0],
-        outs[0],
-        &freqs,
-        temps[0],
-        &mut AcWorkspace::new(),
-    )
-    .unwrap();
+    let scalar = noise_analysis(&variants[0].0, &ops[0], outs[0], &freqs, temps[0]).unwrap();
     let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
     assert_eq!(corr.len(), 1);
     assert_eq!(corr[0].as_ref().unwrap(), &scalar);
@@ -401,7 +413,7 @@ fn degenerate_grid_reports_invalid_options_per_corner() {
         .collect();
     let op_refs: Vec<&OpPoint> = ops.iter().collect();
     let outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
-    let mut ws = AcBatchWorkspace::new();
+    let mut ws = AcWorkspace::new();
     for bad in [vec![], vec![1e6, 1e3], vec![-1.0, 1e3]] {
         let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &bad, &temps, &mut ws);
         assert_eq!(corr.len(), 2);
@@ -424,7 +436,7 @@ fn workspace_reuse_is_stable() {
     let op_refs: Vec<&OpPoint> = ops.iter().collect();
     let outs: Vec<Node> = variants.iter().map(|(_, o)| *o).collect();
     let freqs = log_freqs(1e4, 1e10, 4);
-    let mut ws = AcBatchWorkspace::new();
+    let mut ws = AcWorkspace::new();
     let a = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
     let sweep = autockt_sim::ac::ac_sweep_corners(&solvers, &freqs, &outs, None, &mut ws);
     assert!(sweep.iter().all(Result::is_ok));
@@ -458,13 +470,11 @@ fn differing_outputs_match_scalar_path_bitwise() {
         })
         .expect("the amplifier has a MOSFET");
     let freqs = log_freqs(1e4, 1e10, 4);
-    let mut ws = AcBatchWorkspace::new();
+    let mut ws = AcWorkspace::new();
     let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
-    let mut sws = AcWorkspace::new();
+    let scalar = scalar_noises(&solvers, &op_refs, &outs, &freqs, &temps);
     for (b, r) in corr.iter().enumerate() {
-        let (ckt, _) = &variants[b];
-        let scalar = noise_analysis_ws(ckt, &ops[b], outs[b], &freqs, temps[b], &mut sws);
-        assert_eq!(r, &scalar, "corner {b}");
+        assert_eq!(r, &scalar[b], "corner {b}");
         assert!(r.is_ok(), "corner {b}: {r:?}");
     }
     let ac = corner_transfers(&solvers, &outs, &freqs, &mut ws);
@@ -486,17 +496,10 @@ fn ground_output_reports_scalar_error() {
     let op_refs: Vec<&OpPoint> = ops.iter().collect();
     let outs = vec![GND; variants.len()];
     let freqs = log_freqs(1e4, 1e10, 4);
-    let mut ws = AcBatchWorkspace::new();
+    let mut ws = AcWorkspace::new();
     let corr = noise_analysis_corners(&solvers, &op_refs, &outs, &freqs, &temps, &mut ws);
     for (b, r) in corr.iter().enumerate() {
-        let scalar = noise_analysis_ws(
-            &variants[b].0,
-            &ops[b],
-            GND,
-            &freqs,
-            temps[b],
-            &mut AcWorkspace::new(),
-        );
+        let scalar = noise_analysis(&variants[b].0, &ops[b], GND, &freqs, temps[b]);
         assert!(
             matches!(scalar, Err(SimError::MeasureFailed { .. })),
             "{scalar:?}"

@@ -8,11 +8,16 @@
 //! The analyses themselves are serial; these properties pin that they
 //! share no mutable state across threads and that workspace reuse leaks
 //! nothing from one call into the next.
+//!
+//! Every call is a one-corner call of the evaluation entry points
+//! ([`ac_sweep_corners`], [`noise_analysis_corners`]), which runs the
+//! scalar kernel on the caller's [`AcWorkspace`].
 
-use autockt_sim::ac::{ac_sweep_ws, AcWorkspace};
-use autockt_sim::dc::{dc_operating_point, DcOptions};
+use autockt_sim::ac::{ac_sweep_corners, AcResponse, AcSolver, AcWorkspace};
+use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::netlist::{Circuit, Node, GND};
-use autockt_sim::noise::{noise_analysis_ws, NoiseResult};
+use autockt_sim::noise::{noise_analysis_corners, NoiseResult};
+use autockt_sim::SimError;
 use proptest::prelude::*;
 
 /// The thread counts every property sweeps over: a single thread, even
@@ -36,6 +41,38 @@ fn noisy_ladder(n: usize, r_scale: f64) -> (Circuit, Node) {
     // A resistive path to ground so the DC solution is nontrivial.
     ckt.resistor(prev, GND, 10.0 * r_scale);
     (ckt, prev)
+}
+
+/// One circuit's full AC sweep on `ws`, as a one-corner set.
+fn sweep(
+    ckt: &Circuit,
+    op: &OpPoint,
+    freqs: &[f64],
+    out: Node,
+    ws: &mut AcWorkspace,
+) -> Result<AcResponse, SimError> {
+    let solver = AcSolver::new(ckt, op);
+    ac_sweep_corners(std::slice::from_ref(&solver), freqs, &[out], None, ws).remove(0)
+}
+
+/// One circuit's noise analysis at 300 K on `ws`, as a one-corner set.
+fn noise(
+    ckt: &Circuit,
+    op: &OpPoint,
+    out: Node,
+    freqs: &[f64],
+    ws: &mut AcWorkspace,
+) -> Result<NoiseResult, SimError> {
+    let solver = AcSolver::new(ckt, op);
+    noise_analysis_corners(
+        std::slice::from_ref(&solver),
+        &[op],
+        &[out],
+        freqs,
+        &[300.0],
+        ws,
+    )
+    .remove(0)
 }
 
 /// A strictly increasing frequency grid spanning several decades.
@@ -63,13 +100,13 @@ proptest! {
         let (ckt, out) = noisy_ladder(segs, r_scale);
         let op = dc_operating_point(&ckt, &DcOptions::default()).expect("ladder solves");
         let freqs = freq_grid(npts);
-        let serial = ac_sweep_ws(&ckt, &op, &freqs, out, &mut AcWorkspace::new())
+        let serial = sweep(&ckt, &op, &freqs, out, &mut AcWorkspace::new())
             .expect("serial sweep");
         for t in LANES {
             let threaded: Vec<_> = std::thread::scope(|s| {
                 let lanes: Vec<_> = (0..t)
                     .map(|_| {
-                        s.spawn(|| ac_sweep_ws(&ckt, &op, &freqs, out, &mut AcWorkspace::new()))
+                        s.spawn(|| sweep(&ckt, &op, &freqs, out, &mut AcWorkspace::new()))
                     })
                     .collect();
                 lanes.into_iter().map(|h| h.join().expect("lane panicked")).collect()
@@ -93,17 +130,13 @@ proptest! {
         let (ckt, out) = noisy_ladder(segs, r_scale);
         let op = dc_operating_point(&ckt, &DcOptions::default()).expect("ladder solves");
         let freqs = freq_grid(npts);
-        let serial = noise_analysis_ws(&ckt, &op, out, &freqs, 300.0, &mut AcWorkspace::new())
+        let serial = noise(&ckt, &op, out, &freqs, &mut AcWorkspace::new())
             .expect("serial noise");
         for t in LANES {
             let threaded: Vec<_> = std::thread::scope(|s| {
                 let lanes: Vec<_> = (0..t)
                     .map(|_| {
-                        s.spawn(|| {
-                            noise_analysis_ws(
-                                &ckt, &op, out, &freqs, 300.0, &mut AcWorkspace::new(),
-                            )
-                        })
+                        s.spawn(|| noise(&ckt, &op, out, &freqs, &mut AcWorkspace::new()))
                     })
                     .collect();
                 lanes.into_iter().map(|h| h.join().expect("lane panicked")).collect()
@@ -137,10 +170,10 @@ proptest! {
         let fresh: Vec<_> = ladders
             .iter()
             .map(|(ckt, out, op)| {
-                let h = ac_sweep_ws(ckt, op, &freqs, *out, &mut AcWorkspace::new())
+                let h = sweep(ckt, op, &freqs, *out, &mut AcWorkspace::new())
                     .expect("fresh sweep")
                     .h;
-                let n = noise_analysis_ws(ckt, op, *out, &freqs, 300.0, &mut AcWorkspace::new())
+                let n = noise(ckt, op, *out, &freqs, &mut AcWorkspace::new())
                     .expect("fresh noise");
                 (h, n)
             })
@@ -153,10 +186,10 @@ proptest! {
                         ladders
                             .iter()
                             .map(|(ckt, out, op)| {
-                                let h = ac_sweep_ws(ckt, op, &freqs, *out, &mut ws)
+                                let h = sweep(ckt, op, &freqs, *out, &mut ws)
                                     .expect("reused sweep")
                                     .h;
-                                let n = noise_analysis_ws(ckt, op, *out, &freqs, 300.0, &mut ws)
+                                let n = noise(ckt, op, *out, &freqs, &mut ws)
                                     .expect("reused noise");
                                 (h, n)
                             })

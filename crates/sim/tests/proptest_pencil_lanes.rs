@@ -13,10 +13,12 @@
 //! - On pencils built so that one ω = 0 lane is exactly singular: that lane
 //!   reports the oracle's column, and its neighbours stay bitwise.
 //! - On random RC/VCCS networks over grids of 1–9 points (lengths that
-//!   leave spare lanes in the last pass): `AcSolver::solve_sources_batch_ws`
-//!   with no stop and with each `StopLevel`, and `noise_analysis_ws`, equal
-//!   a per-point loop over the oracle with the same stop rule, bitwise,
-//!   including which error is returned. Grids may end in huge frequencies:
+//!   leave spare lanes in the last pass): the one-corner `ac_sweep_corners`
+//!   with no stop and with each `StopLevel`, and the one-corner
+//!   `noise_analysis_corners` (both run the scalar kernel), equal a
+//!   per-point loop over the oracle with the same stop rule, bitwise,
+//!   including which error is returned; a noise grid of one point is
+//!   rejected before any point is solved. Grids may end in huge frequencies:
 //!   a grid where `2πf` overflows is rejected as `InvalidOptions` before
 //!   any point is solved, a failing point past the stop never fails the
 //!   sweep, and a spare lane never shows in a result.
@@ -24,14 +26,14 @@
 //!   rejection occur; `a_failing_point_past_the_stop_is_never_read` builds
 //!   a point that fails at a finite `2πf` past the stop.
 
-use autockt_sim::ac::{AcSolver, AcWorkspace, StopLevel};
+use autockt_sim::ac::{ac_sweep_corners, AcSolver, AcWorkspace, StopLevel};
 use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions};
 use autockt_sim::device::BOLTZMANN;
 use autockt_sim::linalg::pencil::{HessenbergLu, Pencil, LANES};
 use autockt_sim::linalg::{Matrix, Scalar};
 use autockt_sim::netlist::{Circuit, Element, Node, GND};
-use autockt_sim::noise::{noise_analysis_ws, GAIN_FLOOR_REL};
+use autockt_sim::noise::{noise_analysis_corners, GAIN_FLOOR_REL};
 use autockt_sim::SimError;
 use proptest::prelude::*;
 
@@ -532,7 +534,9 @@ fn check_network(ckt: &Circuit, out: Node, freqs: &[f64]) -> Seen {
     }
     for stop in stops {
         let want = oracle_ac_sweep(&p, empty, &zo, &qb, freqs, stop);
-        let got = solver.solve_sources_batch_ws(freqs, out, stop, &mut ws);
+        let got = ac_sweep_corners(std::slice::from_ref(&solver), freqs, &[out], stop, &mut ws)
+            .remove(0)
+            .map(|r| r.h);
         match (&want, &got) {
             (Ok(a), Ok(b)) => {
                 let (a, b): (Vec<_>, Vec<_>) = (
@@ -584,6 +588,11 @@ fn check_network(ckt: &Circuit, out: Node, freqs: &[f64]) -> Seen {
         }
     }
     let want: Result<(Vec<f64>, Vec<f64>), SimError> = check_omegas(freqs).and_then(|()| {
+        if freqs.len() < 2 {
+            return Err(SimError::InvalidOptions {
+                what: "noise grid needs at least two frequency points",
+            });
+        }
         freqs
             .iter()
             .map(|&f| {
@@ -598,7 +607,15 @@ fn check_network(ckt: &Circuit, out: Node, freqs: &[f64]) -> Seen {
             .collect::<Result<Vec<_>, _>>()
             .map(|pts| pts.into_iter().unzip())
     });
-    let got = noise_analysis_ws(ckt, &op, out, freqs, temp_k, &mut ws);
+    let got = noise_analysis_corners(
+        std::slice::from_ref(&solver),
+        &[&op],
+        &[out],
+        freqs,
+        &[temp_k],
+        &mut ws,
+    )
+    .remove(0);
     match (&want, &got) {
         (Ok((gain, psd)), Ok(r)) => {
             let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

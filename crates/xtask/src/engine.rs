@@ -1,49 +1,27 @@
-//! The lint engine: file collection, lint execution, ratchet comparison.
+//! The lint engine: file collection and lint execution.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
-use crate::lints::{self, Finding, LintSpec};
+use crate::lints::{self, Finding, LintSpec, LINTS};
 use crate::source::SourceFile;
-use crate::{baseline, lints::LINTS};
 
-/// Result of one ratchet comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
-    /// Findings match the baseline exactly.
-    Ok,
-    /// At least one file exceeds its baselined count.
-    Failed,
-    /// Total fell below the baseline; must be locked in.
-    Improved,
-    /// Baseline missing or unreadable.
-    NoBaseline,
-    /// `--update-baseline` rewrote the baseline this run.
-    Updated,
-}
-
-impl Status {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Status::Ok => "ok",
-            Status::Failed => "failed",
-            Status::Improved => "improved-unlocked",
-            Status::NoBaseline => "no-baseline",
-            Status::Updated => "baseline-updated",
-        }
-    }
-}
-
-/// One lint's run: findings, per-file counts, and ratchet verdict.
+/// One lint's run: what it scanned and what it found. A lint passes
+/// with no findings; a deliberate exception is not a finding, because
+/// its `lint:allow(<name>)` comment suppresses it.
 pub struct LintOutcome {
     pub name: &'static str,
     pub description: &'static str,
-    pub status: Status,
     pub files_scanned: usize,
-    pub total: usize,
-    pub baseline_total: usize,
     pub findings: Vec<Finding>,
+}
+
+impl LintOutcome {
+    /// Whether the lint found nothing.
+    pub fn passed(&self) -> bool {
+        self.findings.is_empty()
+    }
 }
 
 /// Lexed-file cache shared by all lints in one invocation.
@@ -150,60 +128,6 @@ fn run_layering(root: &Path, cache: &mut FileCache) -> Result<(Vec<Finding>, usi
     Ok((findings, scanned))
 }
 
-/// Path-sorted per-file counts.
-pub fn count_by_file(findings: &[Finding]) -> BTreeMap<String, usize> {
-    let mut counts = BTreeMap::new();
-    for f in findings {
-        *counts.entry(f.file.clone()).or_insert(0usize) += 1;
-    }
-    counts
-}
-
-/// Compares findings to the checked-in baseline and produces the outcome
-/// (without printing).
-pub fn ratchet(
-    spec: &LintSpec,
-    root: &Path,
-    findings: Vec<Finding>,
-    files_scanned: usize,
-) -> LintOutcome {
-    let counts = count_by_file(&findings);
-    let total: usize = counts.values().sum();
-    let base = match baseline::load(&baseline::path(root, spec.name)) {
-        Ok(b) => b,
-        Err(_) => {
-            return LintOutcome {
-                name: spec.name,
-                description: spec.description,
-                status: Status::NoBaseline,
-                files_scanned,
-                total,
-                baseline_total: 0,
-                findings,
-            }
-        }
-    };
-    let over_budget = counts
-        .iter()
-        .any(|(file, count)| *count > base.per_file.get(file).copied().unwrap_or(0));
-    let status = if over_budget {
-        Status::Failed
-    } else if total < base.total {
-        Status::Improved
-    } else {
-        Status::Ok
-    };
-    LintOutcome {
-        name: spec.name,
-        description: spec.description,
-        status,
-        files_scanned,
-        total,
-        baseline_total: base.total,
-        findings,
-    }
-}
-
 /// Looks up a lint spec by name.
 pub fn spec_by_name(name: &str) -> Option<&'static LintSpec> {
     LINTS.iter().find(|s| s.name == name)
@@ -212,19 +136,6 @@ pub fn spec_by_name(name: &str) -> Option<&'static LintSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn count_by_file_sorts_and_sums() {
-        let f = |file: &str| Finding {
-            file: file.into(),
-            line: 1,
-            pattern: "p".into(),
-            snippet: "s".into(),
-        };
-        let counts = count_by_file(&[f("b.rs"), f("a.rs"), f("b.rs")]);
-        let flat: Vec<(String, usize)> = counts.into_iter().collect();
-        assert_eq!(flat, vec![("a.rs".to_string(), 1), ("b.rs".to_string(), 2)]);
-    }
 
     #[test]
     fn collect_skips_bin_when_asked() {

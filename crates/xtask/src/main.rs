@@ -3,7 +3,7 @@
 //! ## `lint` — the static-analysis suite
 //!
 //! ```text
-//! cargo run -p xtask -- lint [--only=<name>] [--update-baseline]
+//! cargo run -p xtask -- lint [--only=<name>]
 //! ```
 //!
 //! Runs a token-level static-analysis pass over the workspace: sources
@@ -11,17 +11,15 @@
 //! comments, lifetimes — see `lexer.rs`) so lints match *code tokens*,
 //! never prose or literal contents. Five lints ship (see `lints.rs`):
 //! `panic`, `kernel-purity`, `crate-layering`, `float-eq`,
-//! `thread-discipline`. Each holds
-//! its findings to a checked-in one-way ratchet baseline under
-//! `crates/xtask/baselines/` and honors `lint:allow(<name>)`
-//! justification comments; every run writes a machine-readable report to
+//! `thread-discipline`. A lint fails on any finding: a deliberate
+//! exception carries a `lint:allow(<name>)` justification comment, which
+//! the lint honors. Every run writes a machine-readable report to
 //! `target/lint-report.json`.
 //!
 //! Sites the lexer-level lints cannot see (indexing, arithmetic
 //! overflow, explicit `assert!`) are out of scope — those carry
 //! `# Panics` docs instead.
 
-mod baseline;
 mod engine;
 mod lexer;
 mod lints;
@@ -32,7 +30,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use engine::{FileCache, LintOutcome, Status};
+use engine::{FileCache, LintOutcome};
 use lints::LINTS;
 
 fn main() -> ExitCode {
@@ -40,18 +38,15 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => {
             let mut only: Option<String> = None;
-            let mut update = false;
             for arg in &args[1..] {
-                if arg == "--update-baseline" {
-                    update = true;
-                } else if let Some(name) = arg.strip_prefix("--only=") {
+                if let Some(name) = arg.strip_prefix("--only=") {
                     only = Some(name.to_string());
                 } else {
                     eprintln!("xtask lint: unknown flag {arg:?}\n{USAGE}");
                     return ExitCode::FAILURE;
                 }
             }
-            lint(only.as_deref(), update)
+            lint(only.as_deref())
         }
         other => {
             eprintln!("unknown task: {other:?}\n{USAGE}");
@@ -60,9 +55,9 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage: cargo run -p xtask -- lint [--only=<name>] [--update-baseline]";
+const USAGE: &str = "usage: cargo run -p xtask -- lint [--only=<name>]";
 
-fn lint(only: Option<&str>, update_baseline: bool) -> ExitCode {
+fn lint(only: Option<&str>) -> ExitCode {
     let root = match workspace_root() {
         Ok(r) => r,
         Err(e) => {
@@ -95,34 +90,12 @@ fn lint(only: Option<&str>, update_baseline: bool) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if update_baseline {
-            let counts = engine::count_by_file(&findings);
-            let total: usize = counts.values().sum();
-            if let Err(e) = baseline::save(
-                &baseline::path(&root, spec.name),
-                spec.name,
-                spec.description,
-                &counts,
-            ) {
-                eprintln!("xtask lint [{}]: {e}", spec.name);
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "xtask lint [{}]: baseline updated ({total} finding(s))",
-                spec.name
-            );
-            outcomes.push(LintOutcome {
-                name: spec.name,
-                description: spec.description,
-                status: Status::Updated,
-                files_scanned,
-                total,
-                baseline_total: total,
-                findings,
-            });
-        } else {
-            outcomes.push(engine::ratchet(spec, &root, findings, files_scanned));
-        }
+        outcomes.push(LintOutcome {
+            name: spec.name,
+            description: spec.description,
+            files_scanned,
+            findings,
+        });
     }
 
     if let Err(e) = write_report(&root, &outcomes) {
@@ -132,55 +105,23 @@ fn lint(only: Option<&str>, update_baseline: bool) -> ExitCode {
 
     let mut failed = false;
     for o in &outcomes {
-        match o.status {
-            Status::Updated => {}
-            Status::Ok => {
-                println!(
-                    "xtask lint [{}]: ok ({} finding(s), baseline {}, {} file(s))",
-                    o.name, o.total, o.baseline_total, o.files_scanned
-                );
-            }
-            Status::NoBaseline => {
-                failed = true;
-                eprintln!(
-                    "xtask lint [{}]: missing baseline {} — run\n\
-                     `cargo run -p xtask -- lint --only={} --update-baseline` to create it",
-                    o.name,
-                    baseline::path(&root, o.name).display(),
-                    o.name
-                );
-            }
-            Status::Improved => {
-                failed = true;
-                eprintln!(
-                    "xtask lint [{}]: {} finding(s), below the baselined {} — nice;\n\
-                     lock it in with `cargo run -p xtask -- lint --only={} --update-baseline`",
-                    o.name, o.total, o.baseline_total, o.name
-                );
-            }
-            Status::Failed => {
-                failed = true;
-                let base = baseline::load(&baseline::path(&root, o.name)).unwrap_or_default();
-                let counts = engine::count_by_file(&o.findings);
-                for (file, count) in &counts {
-                    let allowed = base.per_file.get(file).copied().unwrap_or(0);
-                    if *count > allowed {
-                        eprintln!(
-                            "xtask lint [{}]: {file}: {count} finding(s), baseline allows {allowed}:",
-                            o.name
-                        );
-                        for f in o.findings.iter().filter(|f| &f.file == file) {
-                            eprintln!("  {}:{}: `{}` in: {}", file, f.line, f.pattern, f.snippet);
-                        }
-                    }
-                }
-                eprintln!(
-                    "xtask lint [{}]: new findings — fix them, or justify each site with a\n\
-                     `lint:allow({})` comment on the line or within 5 lines above",
-                    o.name, o.name
-                );
-            }
+        if o.passed() {
+            println!(
+                "xtask lint [{}]: ok (0 findings, {} file(s))",
+                o.name, o.files_scanned
+            );
+            continue;
         }
+        failed = true;
+        eprintln!("xtask lint [{}]: {} finding(s):", o.name, o.findings.len());
+        for f in &o.findings {
+            eprintln!("  {}:{}: `{}` in: {}", f.file, f.line, f.pattern, f.snippet);
+        }
+        eprintln!(
+            "xtask lint [{}]: fix each finding, or justify the site with a\n\
+             `lint:allow({})` comment on the line or within 5 lines above",
+            o.name, o.name
+        );
     }
     if failed {
         ExitCode::FAILURE
@@ -239,24 +180,22 @@ mod tests {
         assert!(root.join("Cargo.toml").is_file());
     }
 
-    /// End-to-end: the committed baselines must be exactly in sync with
-    /// the tree — the same invariant CI enforces, kept close to the code
-    /// so `cargo test -p xtask` catches drift before CI does.
+    /// End-to-end: every lint finds 0 sites in the tree — the same gate
+    /// CI enforces, kept close to the code so `cargo test -p xtask`
+    /// catches a new finding before CI does.
     #[test]
-    fn committed_baselines_match_the_tree() {
+    fn every_lint_finds_zero_sites() {
         let root = workspace_root().expect("root discoverable");
         let mut cache = FileCache::default();
         for spec in LINTS {
             let (findings, files) = engine::run_lint(spec, &root, &mut cache).expect("lint runs");
-            let outcome = engine::ratchet(spec, &root, findings, files);
-            assert_eq!(
-                outcome.status,
-                Status::Ok,
-                "lint {} out of sync: {} finding(s) vs baseline {} — findings: {:#?}",
+            assert!(files > 0, "lint {} scanned no file", spec.name);
+            assert!(
+                findings.is_empty(),
+                "lint {}: {} finding(s): {:#?}",
                 spec.name,
-                outcome.total,
-                outcome.baseline_total,
-                outcome.findings
+                findings.len(),
+                findings
             );
         }
     }

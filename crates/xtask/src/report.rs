@@ -1,9 +1,10 @@
 //! Machine-readable lint report (`target/lint-report.json`).
 //!
-//! Hand-rolled JSON (the workspace builds offline, without serde): the
-//! schema is small and append-only. Consumers: the CI artifact upload
-//! and any tooling that wants per-lint finding lists without re-running
-//! the scan.
+//! Hand-rolled JSON (the workspace builds offline, without serde). The
+//! schema is small; its `schema` number goes up whenever a field changes
+//! meaning or goes away. Consumers: the CI artifact upload and any
+//! tooling that wants per-lint finding lists without re-running the
+//! scan.
 
 use std::fmt::Write as _;
 
@@ -31,15 +32,15 @@ fn esc(s: &str) -> String {
 /// Renders the full report document.
 pub fn render(outcomes: &[LintOutcome]) -> String {
     let mut s = String::new();
-    s.push_str("{\n  \"schema\": 1,\n  \"lints\": [\n");
+    s.push_str("{\n  \"schema\": 2,\n  \"lints\": [\n");
     for (li, o) in outcomes.iter().enumerate() {
         let _ = writeln!(s, "    {{");
         let _ = writeln!(s, "      \"name\": \"{}\",", esc(o.name));
         let _ = writeln!(s, "      \"description\": \"{}\",", esc(o.description));
-        let _ = writeln!(s, "      \"status\": \"{}\",", o.status.as_str());
+        let status = if o.passed() { "ok" } else { "failed" };
+        let _ = writeln!(s, "      \"status\": \"{status}\",");
         let _ = writeln!(s, "      \"files_scanned\": {},", o.files_scanned);
-        let _ = writeln!(s, "      \"total\": {},", o.total);
-        let _ = writeln!(s, "      \"baseline\": {},", o.baseline_total);
+        let _ = writeln!(s, "      \"total\": {},", o.findings.len());
         let _ = writeln!(s, "      \"findings\": [");
         for (fi, f) in o.findings.iter().enumerate() {
             let comma = if fi + 1 < o.findings.len() { "," } else { "" };
@@ -63,7 +64,7 @@ pub fn render(outcomes: &[LintOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{LintOutcome, Status};
+    use crate::engine::LintOutcome;
     use crate::lints::Finding;
 
     #[test]
@@ -71,10 +72,7 @@ mod tests {
         let outcomes = vec![LintOutcome {
             name: "panic",
             description: "desc with \"quotes\"",
-            status: Status::Ok,
             files_scanned: 3,
-            total: 1,
-            baseline_total: 1,
             findings: vec![Finding {
                 file: "crates/a/src/lib.rs".into(),
                 line: 7,
@@ -83,7 +81,10 @@ mod tests {
             }],
         }];
         let doc = render(&outcomes);
-        assert!(doc.contains("\"schema\": 1"));
+        assert!(doc.contains("\"schema\": 2"));
+        assert!(doc.contains("\"status\": \"failed\""));
+        assert!(doc.contains("\"total\": 1"));
+        assert!(!doc.contains("baseline"));
         assert!(doc.contains("\\\"quotes\\\""));
         assert!(doc.contains("\"line\": 7"));
         // Balanced braces/brackets as a cheap well-formedness check.
