@@ -149,16 +149,18 @@ fn benches(c: &mut Criterion) {
 /// a few adjoint solves per point, each corner's adjoint recovered by a
 /// transposed Woodbury correction) — at mesh depths 0, 4 and 8 (dim 60,
 /// the `deploy_tia_pexwc_mesh8` system), over the
-/// [`autockt_bench::NoiseCornerCase`] workloads. The `ac_corners_*` rows time the warm AC stage on
-/// the same corner sets: `ac_sweep_corners` over the TIA's AC grid, each
-/// corner stopped at its cutoff (`Tia::AC_STOP`), on the adjoint row the
-/// noise analysis shares at mesh depths 4 and 8.
-fn bench_noise_corners(c: &mut Criterion) {
+/// [`autockt_bench::TiaCornerCase`] workloads. On the same corner sets,
+/// the `ac_corners_*` rows time the warm AC stage (`ac_sweep_corners` over
+/// the TIA's AC grid, each corner stopped at its cutoff, `Tia::AC_STOP`,
+/// on the adjoint row the noise analysis shares at mesh depths 4 and 8),
+/// and the `settle_corners_*` rows the settle stage (each corner's
+/// `step_response` over the shared window, `Tia::SETTLE.steps` steps).
+fn bench_tia_corners(c: &mut Criterion) {
     use autockt_sim::ac::{ac_sweep_corners, AcSolver, AcWorkspace};
     use autockt_sim::dc::OpPoint;
     use autockt_sim::noise::noise_analysis_corners;
     for depth in [0usize, 4, 8] {
-        let case = autockt_bench::tia_noise_corner_case(depth).expect("TIA corner workload builds");
+        let case = autockt_bench::tia_corner_case(depth).expect("TIA corner workload builds");
         let solvers: Vec<AcSolver<'_>> = case
             .ckts
             .iter()
@@ -167,6 +169,7 @@ fn bench_noise_corners(c: &mut Criterion) {
             .collect();
         let op_refs: Vec<&OpPoint> = case.ops.iter().collect();
         let outs = vec![case.out; solvers.len()];
+        let noise_freqs = Tia::noise_freqs();
         let mut sws = AcWorkspace::new();
         c.bench_function(&format!("noise_corners_serial_tia_mesh{depth}"), |b| {
             b.iter(|| {
@@ -176,7 +179,7 @@ fn bench_noise_corners(c: &mut Criterion) {
                         &solvers[r.clone()],
                         &op_refs[r.clone()],
                         &outs[r.clone()],
-                        &case.freqs,
+                        &noise_freqs,
                         &case.temps[r],
                         &mut sws,
                     );
@@ -191,7 +194,7 @@ fn bench_noise_corners(c: &mut Criterion) {
                     &solvers,
                     &op_refs,
                     &outs,
-                    &case.freqs,
+                    &noise_freqs,
                     &case.temps,
                     &mut ws,
                 );
@@ -205,28 +208,10 @@ fn bench_noise_corners(c: &mut Criterion) {
                 black_box(r.len())
             });
         });
-    }
-}
-
-/// One full TIA corner-set settling integration (6 corners x 2048
-/// trapezoidal steps on a shared window) through the per-corner
-/// `step_response` propagator, over the
-/// [`autockt_bench::SettleCornerCase`] workloads.
-fn bench_settle_corners(c: &mut Criterion) {
-    use autockt_sim::ac::AcSolver;
-    for depth in [0usize, 4, 8] {
-        let case = autockt_bench::tia_settle_corner_case(depth)
-            .expect("TIA settle corner workload builds");
-        let solvers: Vec<AcSolver<'_>> = case
-            .ckts
-            .iter()
-            .zip(&case.ops)
-            .map(|(ckt, op)| AcSolver::new(ckt, op))
-            .collect();
         c.bench_function(&format!("settle_corners_serial_tia_mesh{depth}"), |b| {
             b.iter(|| {
                 for s in &solvers {
-                    let r = s.step_response(case.out, case.t_stop, case.steps);
+                    let r = s.step_response(case.out, case.t_stop, Tia::SETTLE.steps);
                     black_box(r.expect("corner settles").1.last().copied());
                 }
             });
@@ -234,10 +219,5 @@ fn bench_settle_corners(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    bench_group,
-    benches,
-    bench_noise_corners,
-    bench_settle_corners
-);
+criterion_group!(bench_group, benches, bench_tia_corners);
 criterion_main!(bench_group);

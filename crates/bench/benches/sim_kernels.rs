@@ -2,7 +2,7 @@
 //! per-environment-step cost that dominates training wall clock (the
 //! paper's 25 ms/schematic-sim and 91 s/PEX-sim discussion in Sec. III-D).
 
-use autockt_bench::{ac_kernel_cases, tia_mesh_kernel_case, AcKernelCase};
+use autockt_bench::{tia_mesh_kernel_case, AcKernelCase};
 use autockt_circuits::{NegGmOta, OpAmp2, SimMode, SizingProblem, Tia};
 use autockt_sim::ac::{ac_sweep, log_freqs, AcSolver};
 use autockt_sim::complex::Complex;
@@ -159,13 +159,11 @@ fn bench_dense_point(c: &mut Criterion, label: &str, case: &AcKernelCase) {
     });
 }
 
-/// The dense per-point LU on the center designs' real systems (TIA dim 4,
-/// op-amp dim 11) and on the TIA's extracted mesh systems.
+/// The dense per-point LU on the TIA's extracted mesh systems: dim 32
+/// (mesh 4) and dim 60 (mesh 8, the `deploy_tia_pexwc_mesh8` system, where
+/// this LU runs as the Woodbury base factor).
 fn bench_dense_points(c: &mut Criterion) {
-    for case in ac_kernel_cases().expect("center-design kernel workloads build") {
-        bench_dense_point(c, &case.name, &case);
-    }
-    for depth in [4usize, 16] {
+    for depth in [4usize, 8] {
         let case = tia_mesh_kernel_case(depth).expect("TIA mesh workload builds");
         bench_dense_point(c, &format!("mesh{depth}"), &case);
     }

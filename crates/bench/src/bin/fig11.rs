@@ -3,32 +3,16 @@
 //!
 //! Run: `cargo run --release -p autockt_bench --bin fig11`
 
-use autockt_bench::exp::train_agent;
-use autockt_bench::write_csv;
-use autockt_circuits::{NegGmOta, SizingProblem};
+use autockt_bench::exp::{report_curve, train_agent};
+use autockt_circuits::NegGmOta;
 use std::sync::Arc;
 
 fn main() {
-    let problem: Arc<dyn SizingProblem> = Arc::new(NegGmOta::default());
-    let res = train_agent(Arc::clone(&problem), 60, 30, 47);
-    println!("\nFig. 11 — negative-gm OTA mean episode reward curve");
-    let mut rows = Vec::new();
-    for (i, s) in res.curve.iter().enumerate() {
-        println!(
-            "{:>5} {:>12} {:>14.3}",
-            i, s.total_env_steps, s.mean_episode_reward
-        );
-        rows.push(vec![
-            i as f64,
-            s.total_env_steps as f64,
-            s.mean_episode_reward,
-            s.success_rate,
-        ]);
-    }
-    let path = write_csv(
+    let res = train_agent(Arc::new(NegGmOta::default()), 60, 30, 47);
+    report_curve(
+        &res,
+        "Fig. 11 — negative-gm OTA mean episode reward curve",
         "fig11_neggm_reward_curve.csv",
-        &["iter", "env_steps", "mean_episode_reward", "success_rate"],
-        &rows,
+        None,
     );
-    println!("wrote {}", path.display());
 }

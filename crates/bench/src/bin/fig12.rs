@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p autockt_bench --bin fig12 [-- --full]`
 
-use autockt_bench::exp::{deploy_and_report, train_agent, uniform_targets};
+use autockt_bench::exp::{deploy_and_report, outcome_rows, train_agent, uniform_targets};
 use autockt_bench::write_csv;
 use autockt_circuits::{NegGmOta, SimMode, SizingProblem};
 use std::sync::Arc;
@@ -23,23 +23,10 @@ fn main() {
         SimMode::Schematic,
         0x1213,
     );
-    let rows: Vec<Vec<f64>> = stats
-        .outcomes
-        .iter()
-        .map(|o| {
-            vec![
-                o.target[0],
-                o.target[1],
-                o.target[2],
-                if o.reached { 1.0 } else { 0.0 },
-                o.steps as f64,
-            ]
-        })
-        .collect();
     let path = write_csv(
         "fig12_neggm_target_scatter.csv",
         &["gain", "ugbw", "pm", "reached", "steps"],
-        &rows,
+        &outcome_rows(&stats),
     );
     println!(
         "\nFig. 12: {}/{} targets reached (paper: 500/500)",

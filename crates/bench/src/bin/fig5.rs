@@ -4,44 +4,19 @@
 //!
 //! Run: `cargo run --release -p autockt_bench --bin fig5`
 
-use autockt_bench::exp::train_agent;
-use autockt_bench::write_csv;
-use autockt_circuits::{SizingProblem, Tia};
+use autockt_bench::exp::{report_curve, train_agent};
+use autockt_circuits::Tia;
 use std::sync::Arc;
 
 fn main() {
-    let problem: Arc<dyn SizingProblem> = Arc::new(Tia::default());
-    let res = train_agent(Arc::clone(&problem), 40, 30, 5);
-    println!("\nFig. 5 — TIA mean episode reward vs training iteration");
-    println!("{:>5} {:>12} {:>14}", "iter", "env_steps", "mean_reward");
-    let mut rows = Vec::new();
-    for (i, s) in res.curve.iter().enumerate() {
-        println!(
-            "{:>5} {:>12} {:>14.3}",
-            i, s.total_env_steps, s.mean_episode_reward
-        );
-        rows.push(vec![
-            i as f64,
-            s.total_env_steps as f64,
-            s.mean_episode_reward,
-            s.success_rate,
-            s.mean_episode_len,
-        ]);
-    }
-    let path = write_csv(
+    let res = train_agent(Arc::new(Tia::default()), 40, 30, 5);
+    let last = res.curve.last().map_or(f64::NAN, |s| s.mean_episode_reward);
+    report_curve(
+        &res,
+        "Fig. 5 — TIA mean episode reward vs training iteration",
         "fig5_tia_reward_curve.csv",
-        &[
-            "iter",
-            "env_steps",
-            "mean_episode_reward",
-            "success_rate",
-            "mean_ep_len",
-        ],
-        &rows,
+        Some(&format!(
+            "paper shape: reward rises to >= 0 after training completes — measured final {last:.2}"
+        )),
     );
-    println!(
-        "\npaper shape: reward rises to >= 0 after training completes — measured final {:.2}",
-        res.curve.last().map_or(f64::NAN, |s| s.mean_episode_reward)
-    );
-    println!("wrote {}", path.display());
 }

@@ -4,40 +4,22 @@
 //!
 //! Run: `cargo run --release -p autockt_bench --bin fig7`
 
-use autockt_bench::exp::train_agent;
-use autockt_bench::write_csv;
-use autockt_circuits::{OpAmp2, SizingProblem};
+use autockt_bench::exp::{report_curve, train_agent};
+use autockt_circuits::OpAmp2;
 use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    let problem: Arc<dyn SizingProblem> = Arc::new(OpAmp2::default());
     let t0 = Instant::now();
-    let res = train_agent(Arc::clone(&problem), 60, 30, 31);
+    let res = train_agent(Arc::new(OpAmp2::default()), 60, 30, 31);
     let wall = t0.elapsed().as_secs_f64();
-    println!("\nFig. 7 — op-amp mean reward vs environment steps");
-    let mut rows = Vec::new();
-    for (i, s) in res.curve.iter().enumerate() {
-        println!(
-            "{:>5} {:>12} {:>14.3}",
-            i, s.total_env_steps, s.mean_episode_reward
-        );
-        rows.push(vec![
-            i as f64,
-            s.total_env_steps as f64,
-            s.mean_episode_reward,
-            s.success_rate,
-        ]);
-    }
-    let path = write_csv(
+    report_curve(
+        &res,
+        "Fig. 7 — op-amp mean reward vs environment steps",
         "fig7_opamp_reward_curve.csv",
-        &["iter", "env_steps", "mean_episode_reward", "success_rate"],
-        &rows,
+        Some(&format!(
+            "paper: ~1e4 steps to mean reward 0, 1.3 h on 8 cores; measured: {} steps, {wall:.1} s",
+            res.env_steps()
+        )),
     );
-    println!(
-        "\npaper: ~1e4 steps to mean reward 0, 1.3 h on 8 cores; measured: {} steps, {:.1} s",
-        res.env_steps(),
-        wall
-    );
-    println!("wrote {}", path.display());
 }

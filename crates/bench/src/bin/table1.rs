@@ -5,96 +5,22 @@
 //!
 //! Run: `cargo run --release -p autockt_bench --bin table1 [-- --full]`
 
-use autockt_baselines::{ga_solve_sweep, GaConfig};
-use autockt_bench::exp::{deploy_and_report, mean_sims_reached, train_agent, uniform_targets};
-use autockt_bench::{print_comparison, write_csv};
-use autockt_circuits::{SimMode, SizingProblem, Tia};
+use autockt_bench::exp::{run_table, Scale, Table};
+use autockt_circuits::Tia;
 use std::sync::Arc;
 
 fn main() {
-    let scale = autockt_bench::exp::Scale::resolve(150, 500);
-    let problem: Arc<dyn SizingProblem> = Arc::new(Tia::default());
-    let horizon = 30;
-
-    // AutoCkt: train once, deploy on fresh uniform targets.
-    let trained = train_agent(Arc::clone(&problem), scale.train_iters, horizon, 17);
-    let targets = uniform_targets(problem.as_ref(), scale.deploy_targets, 0xDEAD, None);
-    let stats = deploy_and_report(
-        "tia",
-        &trained.agent.policy,
-        Arc::clone(&problem),
-        &targets,
-        horizon,
-        SimMode::Schematic,
-        0xBEEF,
-    );
-
-    // Vanilla GA on a subset of the same targets, best-of population sweep.
-    let ga_outs: Vec<_> = targets
-        .iter()
-        .take(scale.ga_targets)
-        .enumerate()
-        .map(|(i, t)| {
-            ga_solve_sweep(
-                problem.as_ref(),
-                t,
-                SimMode::Schematic,
-                &[20, 40, 80],
-                &GaConfig {
-                    seed: 1000 + i as u64,
-                    ..GaConfig::default()
-                },
-            )
-        })
-        .collect();
-    let ga_mean = mean_sims_reached(&ga_outs);
-    let autockt_mean = stats.mean_steps_reached();
-
-    print_comparison(
-        "Table I — TIA sample efficiency (SE) and generalization",
-        &[
-            (
-                "Genetic Alg. SE (sims)",
-                "376".into(),
-                format!("{ga_mean:.0}"),
-            ),
-            (
-                "AutoCkt SE (sims)",
-                "15".into(),
-                format!("{autockt_mean:.0}"),
-            ),
-            (
-                "AutoCkt speedup vs GA",
-                "25.1x".into(),
-                format!("{:.1}x", ga_mean / autockt_mean),
-            ),
-            (
-                "Generalization",
-                "487/500 (97.4%)".into(),
-                format!(
-                    "{}/{} ({:.1}%)",
-                    stats.reached(),
-                    stats.total(),
-                    100.0 * stats.generalization()
-                ),
-            ),
-        ],
-    );
-
-    let rows: Vec<Vec<f64>> = stats
-        .outcomes
-        .iter()
-        .map(|o| {
-            let mut row = o.target.clone();
-            row.push(if o.reached { 1.0 } else { 0.0 });
-            row.push(o.steps as f64);
-            row
-        })
-        .collect();
-    let path = write_csv(
-        "table1_tia_deploy.csv",
-        &["settling", "cutoff", "noise", "reached", "steps"],
-        &rows,
-    );
-    println!("wrote {}", path.display());
+    let table = Table {
+        title: "Table I — TIA sample efficiency (SE) and generalization",
+        train_seed: 17,
+        target_seed: 0xDEAD,
+        deploy_seed: 0xBEEF,
+        random: None,
+        ga_seed: 1000,
+        ga_generations: 60,
+        paper: ["376", "15", "25.1x", "487/500 (97.4%)"],
+        csv: "table1_tia_deploy.csv",
+        header: &["settling", "cutoff", "noise", "reached", "steps"],
+    };
+    run_table(Arc::new(Tia::default()), Scale::resolve(150, 500), &table);
 }

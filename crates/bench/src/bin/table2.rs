@@ -34,115 +34,26 @@
 //! target would count about their mean. The gap to 1063 is documented,
 //! not tuned away.
 
-use autockt_baselines::{ga_solve_sweep, random_agent_deploy, GaConfig};
-use autockt_bench::exp::{deploy_and_report, mean_sims_reached, train_agent, uniform_targets};
-use autockt_bench::{print_comparison, write_csv};
-use autockt_circuits::{OpAmp2, SimMode, SizingProblem};
+use autockt_bench::exp::{run_table, Scale, Table};
+use autockt_circuits::OpAmp2;
 use std::sync::Arc;
 
 fn main() {
-    let scale = autockt_bench::exp::Scale::resolve(200, 1000);
-    let problem: Arc<dyn SizingProblem> = Arc::new(OpAmp2::default());
-    let horizon = 30; // the paper's trajectory length for this circuit
-
-    let trained = train_agent(Arc::clone(&problem), scale.train_iters, horizon, 29);
-    let targets = uniform_targets(problem.as_ref(), scale.deploy_targets, 0xF00D, None);
-    let stats = deploy_and_report(
-        "opamp2",
-        &trained.agent.policy,
-        Arc::clone(&problem),
-        &targets,
-        horizon,
-        SimMode::Schematic,
-        0xF11D,
+    let table = Table {
+        title: "Table II — two-stage op-amp SE and generalization",
+        train_seed: 29,
+        target_seed: 0xF00D,
+        deploy_seed: 0xF11D,
+        random: Some((0xAAAA, "38/1000 (3.8%)")),
+        ga_seed: 2000,
+        ga_generations: 100,
+        paper: ["1063", "27", "~40x", "963/1000 (96.3%)"],
+        csv: "table2_opamp_deploy.csv",
+        header: &["gain", "ugbw", "pm", "ibias", "reached", "steps"],
+    };
+    run_table(
+        Arc::new(OpAmp2::default()),
+        Scale::resolve(200, 1000),
+        &table,
     );
-
-    // Random RL agent over the full target set.
-    let random = random_agent_deploy(
-        Arc::clone(&problem),
-        &targets,
-        horizon,
-        SimMode::Schematic,
-        0xAAAA,
-    );
-
-    // Vanilla GA on a subset.
-    let ga_outs: Vec<_> = targets
-        .iter()
-        .take(scale.ga_targets)
-        .enumerate()
-        .map(|(i, t)| {
-            ga_solve_sweep(
-                problem.as_ref(),
-                t,
-                SimMode::Schematic,
-                &[20, 40, 80],
-                &GaConfig {
-                    generations: 100,
-                    seed: 2000 + i as u64,
-                    ..GaConfig::default()
-                },
-            )
-        })
-        .collect();
-    let ga_mean = mean_sims_reached(&ga_outs);
-    let autockt_mean = stats.mean_steps_reached();
-
-    print_comparison(
-        "Table II — two-stage op-amp SE and generalization",
-        &[
-            (
-                "Genetic Alg. SE (sims)",
-                "1063".into(),
-                format!("{ga_mean:.0}"),
-            ),
-            (
-                "AutoCkt SE (sims)",
-                "27".into(),
-                format!("{autockt_mean:.0}"),
-            ),
-            (
-                "AutoCkt speedup vs GA",
-                "~40x".into(),
-                format!("{:.1}x", ga_mean / autockt_mean),
-            ),
-            (
-                "Random RL agent generalization",
-                "38/1000 (3.8%)".into(),
-                format!(
-                    "{}/{} ({:.1}%)",
-                    random.reached(),
-                    random.total(),
-                    100.0 * random.reached() as f64 / random.total() as f64
-                ),
-            ),
-            (
-                "AutoCkt generalization",
-                "963/1000 (96.3%)".into(),
-                format!(
-                    "{}/{} ({:.1}%)",
-                    stats.reached(),
-                    stats.total(),
-                    100.0 * stats.generalization()
-                ),
-            ),
-        ],
-    );
-
-    let rows: Vec<Vec<f64>> = stats
-        .outcomes
-        .iter()
-        .map(|o| {
-            let mut row = o.target.clone();
-            row.push(if o.reached { 1.0 } else { 0.0 });
-            row.push(o.steps as f64);
-            row
-        })
-        .collect();
-    let path = write_csv(
-        "table2_opamp_deploy.csv",
-        &["gain", "ugbw", "pm", "ibias", "reached", "steps"],
-        &rows,
-    );
-    println!("wrote {}", path.display());
 }

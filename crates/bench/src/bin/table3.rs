@@ -4,111 +4,26 @@
 //!
 //! Run: `cargo run --release -p autockt_bench --bin table3 [-- --full]`
 
-use autockt_baselines::{ga_solve_sweep, random_agent_deploy, GaConfig};
-use autockt_bench::exp::{deploy_and_report, mean_sims_reached, train_agent, uniform_targets};
-use autockt_bench::{print_comparison, write_csv};
-use autockt_circuits::{NegGmOta, SimMode, SizingProblem};
+use autockt_bench::exp::{run_table, Scale, Table};
+use autockt_circuits::NegGmOta;
 use std::sync::Arc;
 
 fn main() {
-    let scale = autockt_bench::exp::Scale::resolve(150, 500);
-    let problem: Arc<dyn SizingProblem> = Arc::new(NegGmOta::default());
-    let horizon = 30;
-
-    let trained = train_agent(Arc::clone(&problem), scale.train_iters, horizon, 43);
-    let targets = uniform_targets(problem.as_ref(), scale.deploy_targets, 0x333, None);
-    let stats = deploy_and_report(
-        "neggm",
-        &trained.agent.policy,
-        Arc::clone(&problem),
-        &targets,
-        horizon,
-        SimMode::Schematic,
-        0x334,
+    let table = Table {
+        title: "Table III — negative-gm OTA SE and generalization",
+        train_seed: 43,
+        target_seed: 0x333,
+        deploy_seed: 0x334,
+        random: Some((0x335, "4/500 (0.8%)")),
+        ga_seed: 3000,
+        ga_generations: 80,
+        paper: ["406", "10", "40.6x", "500/500 (100%)"],
+        csv: "table3_neggm_deploy.csv",
+        header: &["gain", "ugbw", "pm", "reached", "steps"],
+    };
+    run_table(
+        Arc::new(NegGmOta::default()),
+        Scale::resolve(150, 500),
+        &table,
     );
-    let random = random_agent_deploy(
-        Arc::clone(&problem),
-        &targets,
-        horizon,
-        SimMode::Schematic,
-        0x335,
-    );
-    let ga_outs: Vec<_> = targets
-        .iter()
-        .take(scale.ga_targets)
-        .enumerate()
-        .map(|(i, t)| {
-            ga_solve_sweep(
-                problem.as_ref(),
-                t,
-                SimMode::Schematic,
-                &[20, 40, 80],
-                &GaConfig {
-                    generations: 80,
-                    seed: 3000 + i as u64,
-                    ..GaConfig::default()
-                },
-            )
-        })
-        .collect();
-    let ga_mean = mean_sims_reached(&ga_outs);
-    let autockt_mean = stats.mean_steps_reached();
-
-    print_comparison(
-        "Table III — negative-gm OTA SE and generalization",
-        &[
-            (
-                "Genetic Alg. SE (sims)",
-                "406".into(),
-                format!("{ga_mean:.0}"),
-            ),
-            (
-                "AutoCkt SE (sims)",
-                "10".into(),
-                format!("{autockt_mean:.0}"),
-            ),
-            (
-                "AutoCkt speedup vs GA",
-                "40.6x".into(),
-                format!("{:.1}x", ga_mean / autockt_mean),
-            ),
-            (
-                "Random RL agent generalization",
-                "4/500 (0.8%)".into(),
-                format!(
-                    "{}/{} ({:.1}%)",
-                    random.reached(),
-                    random.total(),
-                    100.0 * random.reached() as f64 / random.total() as f64
-                ),
-            ),
-            (
-                "AutoCkt generalization",
-                "500/500 (100%)".into(),
-                format!(
-                    "{}/{} ({:.1}%)",
-                    stats.reached(),
-                    stats.total(),
-                    100.0 * stats.generalization()
-                ),
-            ),
-        ],
-    );
-
-    let rows: Vec<Vec<f64>> = stats
-        .outcomes
-        .iter()
-        .map(|o| {
-            let mut row = o.target.clone();
-            row.push(if o.reached { 1.0 } else { 0.0 });
-            row.push(o.steps as f64);
-            row
-        })
-        .collect();
-    let path = write_csv(
-        "table3_neggm_deploy.csv",
-        &["gain", "ugbw", "pm", "reached", "steps"],
-        &rows,
-    );
-    println!("wrote {}", path.display());
 }

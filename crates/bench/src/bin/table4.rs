@@ -9,7 +9,9 @@
 //! Run: `cargo run --release -p autockt_bench --bin table4 [-- --full]`
 
 use autockt_baselines::{ga_ml_solve, GaConfig, GaMlConfig};
-use autockt_bench::exp::{deploy_and_report, mean_sims_reached, train_agent, uniform_targets};
+use autockt_bench::exp::{
+    deploy_and_report, mean_sims_reached, outcome_rows, train_agent, uniform_targets,
+};
 use autockt_bench::{print_comparison, write_csv};
 use autockt_circuits::neggm::spec_index;
 use autockt_circuits::{NegGmOta, SimMode, SizingProblem};
@@ -121,20 +123,10 @@ fn main() {
         ],
     );
 
-    let rows: Vec<Vec<f64>> = pex
-        .outcomes
-        .iter()
-        .map(|o| {
-            let mut row = o.target.clone();
-            row.push(if o.reached { 1.0 } else { 0.0 });
-            row.push(o.steps as f64);
-            row
-        })
-        .collect();
     let path = write_csv(
         "table4_pex_transfer.csv",
         &["gain", "ugbw", "pm", "reached", "steps"],
-        &rows,
+        &outcome_rows(&pex),
     );
     println!("wrote {}", path.display());
 }

@@ -8,14 +8,18 @@
 //! run it, and README's "Running things" section lists the commands.
 //!
 //! Each experiment binary prints a paper-vs-measured comparison to stdout
-//! and writes raw series as CSV under `results/`.
+//! and writes raw series as CSV under `results/`. Tables I–III run one
+//! flow, [`exp::run_table`] (train, deploy, random agent, GA sweep,
+//! comparison, CSV); their binaries hold only the table's constants.
+//! Figs. 5/7/11 share [`exp::report_curve`], and every deployment CSV
+//! takes its rows from [`exp::outcome_rows`].
 
 pub mod exp;
 
-use autockt_circuits::{OpAmp2, SizingProblem, Tia};
+use autockt_circuits::{SizingProblem, Tia};
 use autockt_sim::ac::{ac_sweep, AcSolver};
 use autockt_sim::complex::Complex;
-use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
+use autockt_sim::dc::{dc_operating_point, OpPoint};
 use autockt_sim::device::{Pvt, Technology};
 use autockt_sim::netlist::{Circuit, Node};
 use autockt_sim::pex::{extract, PexConfig};
@@ -29,8 +33,6 @@ use std::path::{Path, PathBuf};
 /// linearized system — the input of the criterion `ac_point_dense_*`
 /// benches (stamp + refactor + solve through the dense LU).
 pub struct AcKernelCase {
-    /// Label for bench names.
-    pub name: String,
     /// MNA dimension.
     pub n: usize,
     /// Angular frequency `2*pi*f` of the stamped point.
@@ -42,66 +44,10 @@ pub struct AcKernelCase {
     pub rhs: Vec<Complex>,
 }
 
-/// The real center-design MNA systems: the TIA (dim 4) and the two-stage
-/// op-amp (dim 11, the ROADMAP's per-point reference).
-///
-/// # Errors
-///
-/// Returns the solver failure if a center design's operating point does
-/// not solve — these are the bench's fixed reference circuits, so any
-/// error is a setup bug the caller should surface loudly.
-pub fn ac_kernel_cases() -> Result<Vec<AcKernelCase>, SimError> {
-    let tech = Technology::ptm45();
-    let tia = Tia::default();
-    let tidx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
-    let (tia_ckt, _) = tia.build(&tidx, &tech);
-    let opamp = OpAmp2::default();
-    let oidx: Vec<usize> = opamp.cardinalities().iter().map(|k| k / 2).collect();
-    let (op_ckt, _, _) = opamp.build(&oidx, &tech);
-    Ok(vec![
-        ac_kernel_case("tia", &tia_ckt, 0.5)?,
-        ac_kernel_case("opamp2", &op_ckt, 0.6)?,
-    ])
-}
-
-fn ac_kernel_case(name: &str, ckt: &Circuit, initial_v: f64) -> Result<AcKernelCase, SimError> {
-    let op = dc_operating_point(
-        ckt,
-        &DcOptions {
-            initial_v,
-            ..DcOptions::default()
-        },
-    )?;
-    let solver = AcSolver::new(ckt, &op);
-    let n = solver.dim();
-    let freq = 1e9;
-    let w = 2.0 * std::f64::consts::PI * freq;
-    // Recover the stamp pattern from the dense system matrix so the bench
-    // loops re-assemble per point exactly like the Woodbury corner rows do
-    // (entry = g + j*w*c, so c = im / w).
-    let y = solver.system_matrix(freq);
-    let mut pattern = Vec::new();
-    for r in 0..n {
-        for c in 0..n {
-            let v = y[(r, c)];
-            if v != Complex::ZERO {
-                pattern.push((r, c, v.re, v.im / w));
-            }
-        }
-    }
-    Ok(AcKernelCase {
-        name: name.to_string(),
-        n,
-        w,
-        pattern,
-        rhs: solver.source_rhs().to_vec(),
-    })
-}
-
 /// The TIA center design extracted at `mesh_depth`, as an AC-kernel
-/// workload: the real PEX-mesh MNA system (dim 4 + 7·depth: 4 at the
-/// lumped extraction, 32 at depth 4, 116 at depth 16) the dense per-point
-/// bench rows factor.
+/// workload at 1 GHz: the real PEX-mesh MNA system (dim 4 + 7·depth: 32
+/// at depth 4, 60 at depth 8, the `deploy_tia_pexwc_mesh8` system whose
+/// Woodbury base factor is this per-point LU).
 ///
 /// # Errors
 ///
@@ -118,14 +64,38 @@ pub fn tia_mesh_kernel_case(mesh_depth: usize) -> Result<AcKernelCase, SimError>
             ..tia.pex_config().clone()
         },
     );
-    ac_kernel_case(&format!("tia_mesh{mesh_depth}"), &ex, 0.5)
+    let op = dc_operating_point(&ex, &tia.dc_opts())?;
+    let solver = AcSolver::new(&ex, &op);
+    let n = solver.dim();
+    // The stamps as the evaluator's pattern keeps them: every entry where
+    // `g` or `c` is nonzero.
+    let (g, c) = solver.stamps();
+    let mut pattern = Vec::new();
+    for r in 0..n {
+        for col in 0..n {
+            let (gg, cc) = (g[(r, col)], c[(r, col)]);
+            // lint:allow(float-eq) — exact-zero sparsity guard: the
+            // pattern keeps every bitwise-nonzero stamp.
+            if gg != 0.0 || cc != 0.0 {
+                pattern.push((r, col, gg, cc));
+            }
+        }
+    }
+    Ok(AcKernelCase {
+        n,
+        w: 2.0 * std::f64::consts::PI * 1e9,
+        pattern,
+        rhs: solver.source_rhs().to_vec(),
+    })
 }
 
-/// One corner-batched noise workload: the TIA center design extracted at
-/// one mesh depth across the full PVT corner set, with cold operating
-/// points already solved — the criterion `noise_corners_*` and
-/// `ac_corners_*` benches' corner set and grid.
-pub struct NoiseCornerCase {
+/// One corner-batched workload: the TIA center design extracted at one
+/// mesh depth across the full PVT corner set, with cold operating points
+/// solved and the settle window derived from the corner cutoffs — the
+/// criterion `noise_corners_*`, `ac_corners_*` and `settle_corners_*`
+/// benches' corner set. Their grids and step count are the TIA's own
+/// (`Tia::noise_freqs`, `Tia::ac_freqs`, `Tia::SETTLE`).
+pub struct TiaCornerCase {
     /// Extracted corner circuits.
     pub ckts: Vec<Circuit>,
     /// Per-corner cold operating points.
@@ -134,40 +104,39 @@ pub struct NoiseCornerCase {
     pub out: Node,
     /// Per-corner temperatures (K).
     pub temps: Vec<f64>,
-    /// The TIA noise integration grid.
-    pub freqs: Vec<f64>,
+    /// Shared settling window `Tia::SETTLE.window / min corner cutoff`,
+    /// as the engine's settle stage picks it.
+    pub t_stop: f64,
 }
 
-/// Builds the TIA noise-corner workload at `mesh_depth` (see
-/// [`NoiseCornerCase`]).
+/// Builds the TIA corner workload at `mesh_depth` (see
+/// [`TiaCornerCase`]).
 ///
 /// # Errors
 ///
-/// Returns the solver failure if a corner's operating point does not
-/// solve — these are the bench's fixed reference circuits, so that is a
-/// setup bug the caller should surface loudly.
-pub fn tia_noise_corner_case(mesh_depth: usize) -> Result<NoiseCornerCase, SimError> {
+/// Returns the solver failure if a corner does not solve or no corner
+/// has a valid cutoff — these are the bench's fixed reference circuits,
+/// so that is a setup bug the caller should surface loudly.
+pub fn tia_corner_case(mesh_depth: usize) -> Result<TiaCornerCase, SimError> {
     let tia = Tia::default();
     let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
     let pex = PexConfig {
         mesh_depth,
         ..tia.pex_config().clone()
     };
-    let mut ckts = Vec::new();
-    let mut ops = Vec::new();
-    let mut temps = Vec::new();
+    let freqs = Tia::ac_freqs();
+    let (mut ckts, mut ops, mut temps) = (Vec::new(), Vec::new(), Vec::new());
     let mut out = None;
+    let mut min_cutoff = f64::INFINITY;
     for pvt in Pvt::corner_set() {
-        let tech = Technology::ptm45().at_corner(pvt);
-        let (ckt, o) = tia.build(&idx, &tech);
+        let (ckt, o) = tia.build(&idx, &Technology::ptm45().at_corner(pvt));
         let ex = extract(&ckt, &pex);
-        let op = dc_operating_point(
-            &ex,
-            &DcOptions {
-                initial_v: tech.vdd / 2.0,
-                ..DcOptions::default()
-            },
-        )?;
+        let op = dc_operating_point(&ex, &tia.dc_opts())?;
+        if let Ok(c) = ac_sweep(&ex, &op, &freqs, o)?.f_3db() {
+            if c > 0.0 {
+                min_cutoff = min_cutoff.min(c);
+            }
+        }
         out = Some(o);
         ckts.push(ex);
         ops.push(op);
@@ -176,66 +145,17 @@ pub fn tia_noise_corner_case(mesh_depth: usize) -> Result<NoiseCornerCase, SimEr
     let out = out.ok_or(SimError::InvalidOptions {
         what: "empty PVT corner set",
     })?;
-    Ok(NoiseCornerCase {
-        ckts,
-        ops,
-        out,
-        temps,
-        freqs: Tia::noise_freqs(),
-    })
-}
-
-/// One corner-batched settling workload: the TIA center design extracted
-/// at one mesh depth across the full PVT corner set, with cold operating
-/// points solved and the shared integration window already derived from
-/// the corner cutoffs — the criterion `settle_corners_*` benches' corner
-/// set and time grid.
-pub struct SettleCornerCase {
-    /// Extracted corner circuits.
-    pub ckts: Vec<Circuit>,
-    /// Per-corner cold operating points.
-    pub ops: Vec<OpPoint>,
-    /// Output node (shared — corner sets share structure).
-    pub out: Node,
-    /// Shared integration window `8 / min corner cutoff`, matching the
-    /// engine's settle stage.
-    pub t_stop: f64,
-    /// Trapezoidal steps per record (the TIA's production 2048).
-    pub steps: usize,
-}
-
-/// Builds the TIA settling-corner workload at `mesh_depth` (see
-/// [`SettleCornerCase`]): the noise workload's corner set, plus the
-/// shared settling window from each corner's -3 dB cutoff.
-///
-/// # Errors
-///
-/// Returns the solver failure if a corner does not solve or no corner
-/// has a valid cutoff — these are the bench's fixed reference circuits,
-/// so that is a setup bug the caller should surface loudly.
-pub fn tia_settle_corner_case(mesh_depth: usize) -> Result<SettleCornerCase, SimError> {
-    let nc = tia_noise_corner_case(mesh_depth)?;
-    let freqs = autockt_sim::ac::log_freqs(1e5, 1e12, 10);
-    let mut min_cutoff = f64::INFINITY;
-    for (ckt, op) in nc.ckts.iter().zip(&nc.ops) {
-        let resp = ac_sweep(ckt, op, &freqs, nc.out)?;
-        if let Ok(c) = resp.f_3db() {
-            if c > 0.0 {
-                min_cutoff = min_cutoff.min(c);
-            }
-        }
-    }
     if !min_cutoff.is_finite() {
         return Err(SimError::MeasureFailed {
             what: "no TIA corner has a valid cutoff",
         });
     }
-    Ok(SettleCornerCase {
-        ckts: nc.ckts,
-        ops: nc.ops,
-        out: nc.out,
-        t_stop: 8.0 / min_cutoff,
-        steps: 2048,
+    Ok(TiaCornerCase {
+        ckts,
+        ops,
+        out,
+        temps,
+        t_stop: Tia::SETTLE.window / min_cutoff,
     })
 }
 
