@@ -1,23 +1,23 @@
 //! Vanilla genetic algorithm baseline (the comparator in Tables I–IV).
 //!
 //! Genome = the vector of parameter grid indices; fitness = the Eq. 1
-//! reward against a fixed target; tournament selection, uniform crossover,
-//! per-gene mutation; optional initial-population sweep (the paper picked
-//! the best GA configuration per circuit the same way).
+//! reward against a fixed target ([`SIM_FAIL_REWARD`] for a genome with
+//! no operating point, as in the environment); tournament selection,
+//! uniform crossover, per-gene mutation; optional initial-population sweep
+//! (the paper picked the best GA configuration per circuit the same way).
 //!
-//! Sample efficiency counts every evaluation as a simulation by default
-//! (a GA driving a real simulator does not memoize — this matches how the
-//! paper's numbers are counted); set `count_duplicates: false` to count
-//! only unique genomes instead. Evaluation goes through the same
-//! [`EvalSession`] pipeline as the RL environments: the memo cache serves
-//! duplicate genomes, so redundant compute is avoided either way and the
-//! evolution itself is identical. Warm-starting is disabled — GA genomes
-//! are arbitrary jumps across the grid, outside the one-notch adjacency
-//! premise that makes the previous operating point a trustworthy Newton
-//! guess.
+//! Sample efficiency counts every evaluation as a simulation, repeated
+//! genomes included (a GA driving a real simulator does not memoize — this
+//! matches how the paper's numbers are counted). Evaluation goes through
+//! the same [`EvalSession`] pipeline as the RL environments: the memo
+//! serves repeated genomes, so no compute is spent on a repeat and the
+//! evolution is the one an uncached GA would run. Warm-starting is
+//! disabled — GA genomes are arbitrary jumps across the grid, outside the
+//! one-notch adjacency premise that makes the previous operating point a
+//! trustworthy Newton guess.
 
 use autockt_circuits::{EvalSession, SharedMemo, SimMode, SizingProblem};
-use autockt_core::{is_success, reward};
+use autockt_core::{is_success, reward, SIM_FAIL_REWARD};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -38,11 +38,6 @@ pub struct GaConfig {
     pub mutation_p: f64,
     /// Individuals copied unchanged into the next generation.
     pub elitism: usize,
-    /// Count duplicate genome evaluations as simulations (a GA driving a
-    /// real simulator does not memoize; the paper's sample-efficiency
-    /// numbers count simulations run). Results are served from the cache
-    /// either way, so evolution is unaffected.
-    pub count_duplicates: bool,
     /// RNG seed.
     pub seed: u64,
 }
@@ -56,7 +51,6 @@ impl Default for GaConfig {
             crossover_p: 0.5,
             mutation_p: 0.15,
             elitism: 2,
-            count_duplicates: true,
             seed: 0,
         }
     }
@@ -67,8 +61,8 @@ impl Default for GaConfig {
 pub struct GaOutcome {
     /// Whether a design meeting the target was found.
     pub reached: bool,
-    /// Simulations performed (the sample-efficiency metric; see
-    /// [`GaConfig::count_duplicates`]).
+    /// Simulations performed (the sample-efficiency metric): every
+    /// evaluation, repeated genomes included.
     pub sims: usize,
     /// Best Eq. 1 reward seen.
     pub best_reward: f64,
@@ -80,21 +74,14 @@ struct Evaluator<'a> {
     session: EvalSession<'a>,
     target: &'a [f64],
     sims: usize,
-    fail_reward: f64,
-    count_duplicates: bool,
 }
 
 impl<'a> Evaluator<'a> {
     fn eval(&mut self, idx: &[usize]) -> f64 {
-        let hits_before = self.session.memo_hits();
-        let res = self.session.evaluate(idx);
-        let was_hit = self.session.memo_hits() > hits_before;
-        if self.count_duplicates || !was_hit {
-            self.sims += 1;
-        }
-        match res {
+        self.sims += 1;
+        match self.session.evaluate(idx) {
             Ok(specs) => reward(self.session.problem().specs(), &specs, self.target),
-            Err(_) => self.fail_reward,
+            Err(_) => SIM_FAIL_REWARD,
         }
     }
 }
@@ -111,17 +98,14 @@ pub fn ga_solve(
     // Memoize duplicate genomes but evaluate fresh ones cold: consecutive
     // genomes are not grid-adjacent, so the warm-start premise (previous
     // operating point seeds Newton) does not hold here. The memo is
-    // unbounded like the pre-session cache, so duplicate counting never
-    // drifts with a capacity limit (GA runs evaluate thousands of unique
-    // genomes, not millions).
+    // unbounded, so a repeated genome is never solved twice (GA runs
+    // evaluate thousands of unique genomes, not millions).
     let mut ev = Evaluator {
         session: EvalSession::borrowed(problem, mode)
             .with_warm_start(false)
             .with_shared_memo(Arc::new(SharedMemo::new(usize::MAX))),
         target,
         sims: 0,
-        fail_reward: -5.0,
-        count_duplicates: cfg.count_duplicates,
     };
 
     let random_genome = |rng: &mut StdRng| -> Vec<usize> {
@@ -304,26 +288,6 @@ mod tests {
         assert!(out.reached, "GA should solve a feasible TIA target");
         assert!(out.sims >= 1);
         assert!(is_success(out.best_reward));
-    }
-
-    #[test]
-    fn ga_counts_unique_sims_only() {
-        let tia = Tia::default();
-        let mut rng = StdRng::seed_from_u64(22);
-        let target = sample_feasible(&tia, &mut rng, 50);
-        let cfg = GaConfig {
-            population: 10,
-            generations: 3,
-            mutation_p: 0.0, // heavy duplication pressure
-            crossover_p: 0.0,
-            count_duplicates: false,
-            seed: 6,
-            ..GaConfig::default()
-        };
-        let out = ga_solve(&tia, &target, SimMode::Schematic, &cfg);
-        // With no mutation/crossover, children equal parents: unique sims
-        // stay close to the initial population size.
-        assert!(out.sims <= 12, "sims = {}", out.sims);
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! network is trained online on all designs simulated so far and used to
 //! *screen* GA offspring, so only the children predicted to be promising
 //! are actually simulated. Sample efficiency counts simulations, not model
-//! queries.
+//! queries. Unlike the vanilla GA's count, a repeated genome is not one:
+//! it is served from the memo and adds no dataset row. A genome whose
+//! operating point does not solve scores [`SIM_FAIL_REWARD`], as in the
+//! environment.
 
 use crate::ga::{empty_outcome, offspring, GaConfig, GaOutcome};
 use autockt_circuits::{EvalSession, SharedMemo, SimMode, SizingProblem};
-use autockt_core::{is_success, reward};
+use autockt_core::{is_success, reward, SIM_FAIL_REWARD};
 use autockt_rl::mlp::{Mlp, Tape, TILE};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -90,7 +93,7 @@ pub fn ga_ml_solve(
         }
         let r = match res {
             Ok(specs) => reward(problem.specs(), &specs, target),
-            Err(_) => -5.0,
+            Err(_) => SIM_FAIL_REWARD,
         };
         if fresh {
             dataset.push((features(idx, &cards), r));

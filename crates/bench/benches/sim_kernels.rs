@@ -2,15 +2,16 @@
 //! per-environment-step cost that dominates training wall clock (the
 //! paper's 25 ms/schematic-sim and 91 s/PEX-sim discussion in Sec. III-D).
 
-use autockt_bench::{tia_mesh_kernel_case, AcKernelCase};
+use autockt_bench::{tia_corner_case, tia_mesh_kernel_case, AcKernelCase};
 use autockt_circuits::{NegGmOta, OpAmp2, SimMode, SizingProblem, Tia};
-use autockt_sim::ac::{ac_sweep, log_freqs, AcSolver};
+use autockt_sim::ac::{ac_sweep, ac_sweep_corners, log_freqs, AcSolver, AcWorkspace};
 use autockt_sim::complex::Complex;
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::device::Technology;
 use autockt_sim::linalg::pencil::{HessenbergLu, Pencil, LANES};
 use autockt_sim::linalg::{solve, LuFactors, Matrix};
 use autockt_sim::netlist::{Circuit, Node};
+use autockt_sim::noise::noise_analysis_corners;
 use autockt_sim::pex::extract;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -41,7 +42,7 @@ fn bench_dc(c: &mut Criterion) {
     let opamp = OpAmp2::default();
     let idx = center(&opamp);
     let tech = Technology::ptm45();
-    let (ckt, _, _) = opamp.build(&idx, &tech);
+    let (ckt, _) = opamp.build(&idx, &tech);
     let opts = DcOptions {
         initial_v: 0.6,
         ..DcOptions::default()
@@ -55,7 +56,7 @@ fn bench_ac(c: &mut Criterion) {
     let opamp = OpAmp2::default();
     let idx = center(&opamp);
     let tech = Technology::ptm45();
-    let (ckt, out, _) = opamp.build(&idx, &tech);
+    let (ckt, out) = opamp.build(&idx, &tech);
     let opts = DcOptions {
         initial_v: 0.6,
         ..DcOptions::default()
@@ -217,7 +218,7 @@ fn bench_hessenberg_lanes<const L: usize>(
 fn bench_hessenberg_points(c: &mut Criterion) {
     let tech = Technology::ptm45();
     let opamp = OpAmp2::default();
-    let (ckt, out, _) = opamp.build(&center(&opamp), &tech);
+    let (ckt, out) = opamp.build(&center(&opamp), &tech);
     let opts = DcOptions {
         initial_v: 0.6,
         ..DcOptions::default()
@@ -240,6 +241,80 @@ fn bench_hessenberg_points(c: &mut Criterion) {
     bench_hessenberg_lanes::<LANES>(c, "tia", &ex, &op, out, freqs);
 }
 
+/// One full TIA corner-set noise analysis (6 corners x the noise grid)
+/// through the two pipelines — serial per corner (the cold path: one
+/// one-corner `noise_analysis_corners` call per corner, the scalar
+/// kernel) and corner-corrected (the warm fast path: one base factor and
+/// a few adjoint solves per point, each corner's adjoint recovered by a
+/// transposed Woodbury correction) — at mesh depths 0, 4 and 8 (dim 60,
+/// the `deploy_tia_pexwc_mesh8` system), over the
+/// [`autockt_bench::TiaCornerCase`] workloads. On the same corner sets,
+/// the `ac_corners_*` rows time the warm AC stage (`ac_sweep_corners` over
+/// the TIA's AC grid, each corner stopped at its cutoff, `Tia::AC_STOP`,
+/// on the adjoint row the noise analysis shares at mesh depths 4 and 8),
+/// and the `settle_corners_*` rows the settle stage (each corner's
+/// `step_response` over the shared window, `Tia::SETTLE.steps` steps).
+fn bench_tia_corners(c: &mut Criterion) {
+    for depth in [0usize, 4, 8] {
+        let case = tia_corner_case(depth).expect("TIA corner workload builds");
+        let solvers: Vec<AcSolver<'_>> = case
+            .ckts
+            .iter()
+            .zip(&case.ops)
+            .map(|(ckt, op)| AcSolver::new(ckt, op))
+            .collect();
+        let op_refs: Vec<&OpPoint> = case.ops.iter().collect();
+        let outs = vec![case.out; solvers.len()];
+        let noise_freqs = Tia::noise_freqs();
+        let mut sws = AcWorkspace::new();
+        c.bench_function(&format!("noise_corners_serial_tia_mesh{depth}"), |b| {
+            b.iter(|| {
+                for k in 0..solvers.len() {
+                    let r = k..k + 1;
+                    let nr = noise_analysis_corners(
+                        &solvers[r.clone()],
+                        &op_refs[r.clone()],
+                        &outs[r.clone()],
+                        &noise_freqs,
+                        &case.temps[r],
+                        &mut sws,
+                    );
+                    black_box(nr[0].as_ref().expect("corner solves").out_vrms);
+                }
+            });
+        });
+        let mut ws = AcWorkspace::new();
+        c.bench_function(&format!("noise_corners_corrected_tia_mesh{depth}"), |b| {
+            b.iter(|| {
+                let r = noise_analysis_corners(
+                    &solvers,
+                    &op_refs,
+                    &outs,
+                    &noise_freqs,
+                    &case.temps,
+                    &mut ws,
+                );
+                black_box(r.len())
+            });
+        });
+        let ac_freqs = Tia::ac_freqs();
+        c.bench_function(&format!("ac_corners_tia_mesh{depth}"), |b| {
+            b.iter(|| {
+                let r = ac_sweep_corners(&solvers, &ac_freqs, &outs, Some(Tia::AC_STOP), &mut ws);
+                black_box(r.len())
+            });
+        });
+        c.bench_function(&format!("settle_corners_serial_tia_mesh{depth}"), |b| {
+            b.iter(|| {
+                for s in &solvers {
+                    let r = s.step_response(case.out, case.t_stop, Tia::SETTLE.steps);
+                    black_box(r.expect("corner settles").1.last().copied());
+                }
+            });
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_lu,
@@ -248,6 +323,7 @@ criterion_group!(
     bench_settle,
     bench_full_spec_eval,
     bench_dense_points,
-    bench_hessenberg_points
+    bench_hessenberg_points,
+    bench_tia_corners
 );
 criterion_main!(benches);

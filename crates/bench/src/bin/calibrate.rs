@@ -114,17 +114,16 @@ fn hit_rate(problem: &dyn SizingProblem, n_designs: usize, n_targets: usize, see
     );
 }
 
-fn main() {
-    let n: usize = autockt_bench::arg_value("--n")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(400);
+fn main() -> Result<(), String> {
+    let n: usize = autockt_bench::flag_or("--n", 400)?;
     if std::env::args().any(|a| a == "--hitrate") {
         hit_rate(&Tia::default(), n, 60, 31);
         hit_rate(&OpAmp2::default(), n, 60, 32);
         hit_rate(&NegGmOta::default(), n, 60, 33);
-        return;
+        return Ok(());
     }
     calibrate(&Tia::default(), n, 11);
     calibrate(&OpAmp2::default(), n, 12);
     calibrate(&NegGmOta::default(), n, 13);
+    Ok(())
 }

@@ -9,8 +9,8 @@ use autockt_bench::write_csv;
 use autockt_circuits::{NegGmOta, SimMode, SizingProblem};
 use std::sync::Arc;
 
-fn main() {
-    let scale = autockt_bench::exp::Scale::resolve(200, 500);
+fn main() -> Result<(), String> {
+    let scale = autockt_bench::exp::Scale::resolve(200, 500)?;
     let problem: Arc<dyn SizingProblem> = Arc::new(NegGmOta::default());
     let trained = train_agent(Arc::clone(&problem), scale.train_iters, 30, 53);
     let targets = uniform_targets(problem.as_ref(), scale.deploy_targets, 0x1212, None);
@@ -34,4 +34,5 @@ fn main() {
         stats.total()
     );
     println!("wrote {}", path.display());
+    Ok(())
 }

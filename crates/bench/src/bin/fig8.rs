@@ -12,8 +12,8 @@ use autockt_circuits::opamp2::spec_index;
 use autockt_circuits::{OpAmp2, SimMode, SizingProblem};
 use std::sync::Arc;
 
-fn main() {
-    let scale = autockt_bench::exp::Scale::resolve(300, 1000);
+fn main() -> Result<(), String> {
+    let scale = autockt_bench::exp::Scale::resolve(300, 1000)?;
     let problem: Arc<dyn SizingProblem> = Arc::new(OpAmp2::default());
     let trained = train_agent(Arc::clone(&problem), scale.train_iters, 30, 83);
     let targets = uniform_targets(problem.as_ref(), scale.deploy_targets, 0x808, None);
@@ -83,4 +83,5 @@ fn main() {
         }
     );
     println!("wrote {}", path.display());
+    Ok(())
 }

@@ -9,7 +9,7 @@ use autockt_bench::exp::{run_table, Scale, Table};
 use autockt_circuits::Tia;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), String> {
     let table = Table {
         title: "Table I — TIA sample efficiency (SE) and generalization",
         train_seed: 17,
@@ -22,5 +22,6 @@ fn main() {
         csv: "table1_tia_deploy.csv",
         header: &["settling", "cutoff", "noise", "reached", "steps"],
     };
-    run_table(Arc::new(Tia::default()), Scale::resolve(150, 500), &table);
+    run_table(Arc::new(Tia::default()), Scale::resolve(150, 500)?, &table);
+    Ok(())
 }

@@ -21,9 +21,9 @@
 //!   nudges, half uniform resets), elitism 2. A run stops at the first
 //!   genome that meets the target (Eq. 1 reward ≥ −0.01,
 //!   `autockt_core::is_success`) or after 100 generations.
-//! - `count_duplicates: true` (the default) counts every evaluation as a
-//!   simulation, repeated genomes included, as a GA driving a real
-//!   simulator would run them; the memo only saves the compute.
+//! - The GA counts every evaluation as a simulation, repeated genomes
+//!   included, as a GA driving a real simulator would run them; the memo
+//!   only saves the compute.
 //!
 //! What the paper states about its GA could not be checked here: beyond
 //! that phrase the repository carries no text of the paper, so its GA's
@@ -38,7 +38,7 @@ use autockt_bench::exp::{run_table, Scale, Table};
 use autockt_circuits::OpAmp2;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), String> {
     let table = Table {
         title: "Table II — two-stage op-amp SE and generalization",
         train_seed: 29,
@@ -53,7 +53,8 @@ fn main() {
     };
     run_table(
         Arc::new(OpAmp2::default()),
-        Scale::resolve(200, 1000),
+        Scale::resolve(200, 1000)?,
         &table,
     );
+    Ok(())
 }

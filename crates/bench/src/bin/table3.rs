@@ -8,7 +8,7 @@ use autockt_bench::exp::{run_table, Scale, Table};
 use autockt_circuits::NegGmOta;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), String> {
     let table = Table {
         title: "Table III — negative-gm OTA SE and generalization",
         train_seed: 43,
@@ -23,7 +23,8 @@ fn main() {
     };
     run_table(
         Arc::new(NegGmOta::default()),
-        Scale::resolve(150, 500),
+        Scale::resolve(150, 500)?,
         &table,
     );
+    Ok(())
 }

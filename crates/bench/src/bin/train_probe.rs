@@ -5,30 +5,20 @@
 //! Run: `cargo run --release -p autockt_bench --bin train_probe -- \
 //!        --problem tia --iters 25 --steps 2048 --deploy 100`
 
-use autockt_bench::arg_value;
+use autockt_bench::{arg_value, flag_or};
 use autockt_circuits::prelude::*;
 use autockt_core::prelude::*;
 use rand::rngs::StdRng;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), String> {
     let problem_name = arg_value("--problem").unwrap_or_else(|| "tia".into());
-    let iters: usize = arg_value("--iters")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(25);
-    let steps: usize = arg_value("--steps")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2048);
-    let n_deploy: usize = arg_value("--deploy")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
-    let horizon: usize = arg_value("--horizon")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30);
-    let seed: u64 = arg_value("--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(17);
+    let iters: usize = flag_or("--iters", 25)?;
+    let steps: usize = flag_or("--steps", 2048)?;
+    let n_deploy: usize = flag_or("--deploy", 100)?;
+    let horizon: usize = flag_or("--horizon", 30)?;
+    let seed: u64 = flag_or("--seed", 17)?;
 
     let problem: Arc<dyn SizingProblem> = match problem_name.as_str() {
         "tia" => Arc::new(Tia::default()),
@@ -37,15 +27,9 @@ fn main() {
         other => panic!("unknown problem {other}"),
     };
 
-    let min_reward: f64 = arg_value("--min-reward")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.0);
-    let ent: f64 = arg_value("--ent")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1e-3);
-    let n_targets: usize = arg_value("--targets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50);
+    let min_reward: f64 = flag_or("--min-reward", 0.0)?;
+    let ent: f64 = flag_or("--ent", 1e-3)?;
+    let n_targets: usize = flag_or("--targets", 50)?;
     let cfg = TrainConfig {
         ppo: PpoConfig {
             steps_per_iter: steps,
@@ -133,4 +117,5 @@ fn main() {
     println!(
         "unreached breakdown: {agent_missed} missed-but-reachable, {unreachable} likely unreachable (random-search probe)"
     );
+    Ok(())
 }

@@ -3,7 +3,7 @@
 //! Figs. 5/7/11 ([`report_curve`]) and the deployment-outcome CSV rows
 //! ([`outcome_rows`]).
 
-use crate::{print_comparison, write_csv};
+use crate::{flag_or, print_comparison, write_csv};
 use autockt_baselines::{ga_solve_sweep, random_agent_deploy, GaConfig};
 use autockt_circuits::{SimMode, SizingProblem};
 use autockt_core::{
@@ -28,24 +28,19 @@ pub struct Scale {
 
 impl Scale {
     /// Resolves the scale from the command line (`--full`, or explicit
-    /// `--deploy N` / `--ga N` overrides).
-    pub fn resolve(default_deploy: usize, full_deploy: usize) -> Scale {
+    /// `--deploy N` / `--ga N` / `--iters N` overrides).
+    ///
+    /// # Errors
+    ///
+    /// Names the override whose value does not parse (see
+    /// [`crate::flag_or`]).
+    pub fn resolve(default_deploy: usize, full_deploy: usize) -> Result<Scale, String> {
         let full = crate::full_scale();
-        let mut s = Scale {
-            deploy_targets: if full { full_deploy } else { default_deploy },
-            ga_targets: if full { 40 } else { 12 },
-            train_iters: if full { 100 } else { 60 },
-        };
-        if let Some(n) = crate::arg_value("--deploy").and_then(|v| v.parse().ok()) {
-            s.deploy_targets = n;
-        }
-        if let Some(n) = crate::arg_value("--ga").and_then(|v| v.parse().ok()) {
-            s.ga_targets = n;
-        }
-        if let Some(n) = crate::arg_value("--iters").and_then(|v| v.parse().ok()) {
-            s.train_iters = n;
-        }
-        s
+        Ok(Scale {
+            deploy_targets: flag_or("--deploy", if full { full_deploy } else { default_deploy })?,
+            ga_targets: flag_or("--ga", if full { 40 } else { 12 })?,
+            train_iters: flag_or("--iters", if full { 100 } else { 60 })?,
+        })
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! Shared plumbing for the binaries that regenerate every table and figure
 //! of the AutoCkt paper, plus Criterion micro-benchmarks of the simulation
-//! and learning kernels. There is one binary per experiment in
+//! and learning kernels (`benches/sim_kernels.rs`, `benches/rl_kernels.rs`;
+//! end-to-end timings are the ledger's). There is one binary per experiment in
 //! `src/bin/` (`table1` … `table4`, `fig5` … `fig14`, the ablations); each
 //! binary's module doc names the paper result it reproduces and how to
 //! run it, and README's "Running things" section lists the commands.
@@ -12,7 +13,9 @@
 //! flow, [`exp::run_table`] (train, deploy, random agent, GA sweep,
 //! comparison, CSV); their binaries hold only the table's constants.
 //! Figs. 5/7/11 share [`exp::report_curve`], and every deployment CSV
-//! takes its rows from [`exp::outcome_rows`].
+//! takes its rows from [`exp::outcome_rows`]. Numeric overrides go
+//! through [`flag_or`]: a value that does not parse ends the run with an
+//! error naming the flag.
 
 pub mod exp;
 
@@ -27,6 +30,7 @@ use autockt_sim::SimError;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// One AC-kernel workload: the MNA dimension, angular frequency,
 /// `(row, col, g, c)` stamp pattern, and source right-hand side of a
@@ -222,6 +226,24 @@ pub fn arg_value(flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The `--flag value` override of a numeric setting: `default` when
+/// `flag` is absent, its parsed value otherwise.
+///
+/// # Errors
+///
+/// A message naming `flag` when its value does not parse, so a mistyped
+/// override stops the run instead of running at the default.
+pub fn flag_or<T: FromStr>(flag: &str, default: T) -> Result<T, String> {
+    parse_flag(flag, arg_value(flag), default)
+}
+
+fn parse_flag<T: FromStr>(flag: &str, value: Option<String>, default: T) -> Result<T, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("invalid {flag} value: {v}")),
+    }
+}
+
 /// True when `--full` was passed (paper-scale budgets instead of
 /// laptop-scale defaults).
 pub fn full_scale() -> bool {
@@ -236,6 +258,14 @@ mod tests {
     fn results_dir_exists_after_call() {
         let d = results_dir();
         assert!(d.is_dir());
+    }
+
+    #[test]
+    fn flag_parses_or_names_itself() {
+        assert_eq!(parse_flag("--deploy", None, 150usize), Ok(150));
+        assert_eq!(parse_flag("--deploy", Some("20".into()), 150usize), Ok(20));
+        let err = parse_flag("--deploy", Some("x".into()), 150usize).unwrap_err();
+        assert!(err.contains("--deploy"), "{err}");
     }
 
     #[test]

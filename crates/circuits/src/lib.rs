@@ -68,7 +68,7 @@ mod tests {
     fn benchmark_systems_are_dense_dims() {
         let tech = Technology::ptm45();
         let opamp = OpAmp2::default();
-        let (ckt, _, _) = opamp.build(&center(&opamp), &tech);
+        let (ckt, _) = opamp.build(&center(&opamp), &tech);
         assert_eq!(ckt.mna_dim(), 11);
         let tia = Tia::default();
         let (ckt, _) = tia.build(&center(&tia), &tech);

@@ -241,12 +241,7 @@ impl NegGmOta {
             &self.specs,
             |_slot, pvt| {
                 let (ckt, out) = self.build(idx, &self.tech.at_corner(*pvt));
-                CornerCase {
-                    ckt,
-                    out,
-                    temp_k: pvt.temp_kelvin(),
-                    vdd_src: 0,
-                }
+                CornerCase { ckt, out }
             },
             |_slot, _case, _op, resp, _noise, _settle| self.corner_specs(resp),
             state,

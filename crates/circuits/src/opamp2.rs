@@ -127,10 +127,13 @@ impl OpAmp2 {
         &self.pex
     }
 
-    /// Builds the netlist at grid indices `idx`. Returns the circuit, the
-    /// output node, and the index of the supply source (for bias-current
-    /// measurement).
-    pub fn build(&self, idx: &[usize], tech: &Technology) -> (Circuit, Node, usize) {
+    /// Index of the supply source in every [`OpAmp2::build`] netlist, whose
+    /// current is the bias-current spec.
+    pub const VDD_SOURCE: usize = 0;
+
+    /// Builds the netlist at grid indices `idx`. Returns the circuit and
+    /// the output node.
+    pub fn build(&self, idx: &[usize], tech: &Technology) -> (Circuit, Node) {
         assert_eq!(idx.len(), self.params.len(), "wrong parameter count");
         let w_in = self.params[0].values[idx[0]];
         let w_load = self.params[1].values[idx[1]];
@@ -151,7 +154,7 @@ impl OpAmp2 {
         let d1 = ckt.node("stage1");
         let out = ckt.node("out");
 
-        ckt.vsource(vdd, GND, self.vdd, 0.0); // source index 0
+        ckt.vsource(vdd, GND, self.vdd, 0.0); // OpAmp2::VDD_SOURCE
         ckt.vsource(vinp, GND, self.vcm, 1.0); // single-ended AC drive
         ckt.vsource(vinn, GND, self.vcm, 0.0);
         // Bias: reference current into an NMOS diode, mirrored to the tail
@@ -180,7 +183,7 @@ impl OpAmp2 {
         ckt.mosfet(mos(MosPolarity::Nmos, out, bias, GND, w_sink)); // M7
         ckt.capacitor(d1, out, cc);
         ckt.capacitor(out, GND, self.c_load);
-        (ckt, out, 0)
+        (ckt, out)
     }
 
     /// The AC sweep grid of every fidelity's measurement.
@@ -218,27 +221,17 @@ impl OpAmp2 {
         engine.evaluate(
             &self.specs,
             |_slot, pvt| {
-                let (ckt, out, vs) = self.build(idx, &self.tech.at_corner(*pvt));
-                CornerCase {
-                    ckt,
-                    out,
-                    temp_k: pvt.temp_kelvin(),
-                    vdd_src: vs,
-                }
+                let (ckt, out) = self.build(idx, &self.tech.at_corner(*pvt));
+                CornerCase { ckt, out }
             },
-            |_slot, case, op, resp, _noise, _settle| self.corner_specs(op, case.vdd_src, resp),
+            |_slot, _case, op, resp, _noise, _settle| self.corner_specs(op, resp),
             state,
         )
     }
 
     /// One corner's spec row.
-    fn corner_specs(
-        &self,
-        op: &OpPoint,
-        vdd_src: usize,
-        resp: &AcResponse,
-    ) -> Result<Vec<f64>, SimError> {
-        let ibias = op.vsource_current(vdd_src).abs();
+    fn corner_specs(&self, op: &OpPoint, resp: &AcResponse) -> Result<Vec<f64>, SimError> {
+        let ibias = op.vsource_current(OpAmp2::VDD_SOURCE).abs();
         let gain = resp.dc_gain();
         let (ugbw, pm) = unity_specs(
             resp,

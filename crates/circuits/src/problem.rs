@@ -132,10 +132,6 @@ pub struct CornerCase {
     pub ckt: Circuit,
     /// Output node driven and measured by the AC sweep.
     pub out: Node,
-    /// Corner temperature (K), for noise analyses.
-    pub temp_k: f64,
-    /// Index of the supply voltage source, for bias-current measurement.
-    pub vdd_src: usize,
 }
 
 /// The one evaluation engine behind every [`SimMode`]: owns the corner
@@ -379,7 +375,7 @@ impl CornerEvaluator {
         let noises: Option<Vec<Result<NoiseResult, SimError>>> =
             self.noise_freqs.as_ref().map(|nf| {
                 let op_refs: Vec<&OpPoint> = ops.iter().collect();
-                let temps: Vec<f64> = cases.iter().map(|c| c.temp_k).collect();
+                let temps: Vec<f64> = self.corners.iter().map(Pvt::temp_kelvin).collect();
                 solvers
                     .chunks(group)
                     .zip(op_refs.chunks(group))
@@ -873,7 +869,6 @@ pub struct EvalSession<'p> {
     problem: ProblemRef<'p>,
     mode: SimMode,
     warm_start: bool,
-    memoize: bool,
     warm: WarmState,
     memo: Arc<SharedMemo>,
     worker_id: u64,
@@ -888,7 +883,6 @@ impl std::fmt::Debug for EvalSession<'_> {
             .field("problem", &self.problem.get().name())
             .field("mode", &self.mode)
             .field("warm_start", &self.warm_start)
-            .field("memoize", &self.memoize)
             .field("memo_len", &self.memo.len())
             .field("solves", &self.solves)
             .field("memo_hits", &self.memo_hits)
@@ -904,7 +898,6 @@ impl<'p> EvalSession<'p> {
             problem,
             mode,
             warm_start: true,
-            memoize: true,
             warm: WarmState::new(),
             worker_id: memo.register_worker(),
             memo,
@@ -932,22 +925,15 @@ impl<'p> EvalSession<'p> {
         self
     }
 
-    /// Disables or enables the memo (on by default).
-    pub fn with_memo(mut self, on: bool) -> Self {
-        self.memoize = on;
-        self
-    }
-
     /// Replaces this session's own memo with `memo`, pooled across
     /// sessions: grid points solved by *any* attached worker serve every
-    /// other worker's revisits. Implies memoization; warm-start state
-    /// remains private to this session (hits restore the entry's warm
-    /// snapshot). The session registers itself as a distinct worker for
+    /// other worker's revisits. Warm-start state remains private to this
+    /// session (hits restore the entry's warm snapshot). The session
+    /// registers itself as a distinct worker for
     /// [`EvalSession::cross_memo_hits`] accounting.
     pub fn with_shared_memo(mut self, memo: Arc<SharedMemo>) -> Self {
         self.worker_id = memo.register_worker();
         self.memo = memo;
-        self.memoize = true;
         self
     }
 
@@ -969,18 +955,16 @@ impl<'p> EvalSession<'p> {
     /// Same contract as [`SizingProblem::simulate`]; errors are memoized
     /// too (an unsolvable grid point stays unsolvable).
     pub fn evaluate(&mut self, idx: &[usize]) -> Result<Vec<f64>, SimError> {
-        if self.memoize {
-            // A hit re-arms the warm state as of this grid point's solve:
-            // the next miss is one notch from *here*, not from wherever
-            // the last fresh solve happened.
-            let warm = self.warm_start.then_some(&mut self.warm);
-            if let Some((specs, cross)) = self.memo.get(idx, self.worker_id, warm) {
-                self.memo_hits += 1;
-                if cross {
-                    self.cross_hits += 1;
-                }
-                return specs;
+        // A hit re-arms the warm state as of this grid point's solve: the
+        // next miss is one notch from *here*, not from wherever the last
+        // fresh solve happened.
+        let warm = self.warm_start.then_some(&mut self.warm);
+        if let Some((specs, cross)) = self.memo.get(idx, self.worker_id, warm) {
+            self.memo_hits += 1;
+            if cross {
+                self.cross_hits += 1;
             }
+            return specs;
         }
         self.solves += 1;
         let res = if self.warm_start {
@@ -990,20 +974,18 @@ impl<'p> EvalSession<'p> {
         } else {
             self.problem.get().simulate(idx, self.mode)
         };
-        if self.memoize {
-            let warm = if self.warm_start {
-                self.warm.snapshot()
-            } else {
-                Vec::new()
-            };
-            self.memo.insert(idx, res.clone(), warm, self.worker_id);
-        }
+        let warm = if self.warm_start {
+            self.warm.snapshot()
+        } else {
+            Vec::new()
+        };
+        self.memo.insert(idx, res.clone(), warm, self.worker_id);
         res
     }
 
     /// Whether `idx` is already memoized (no solve would be spent on it).
     pub fn is_memoized(&self, idx: &[usize]) -> bool {
-        self.memoize && self.memo.contains(idx)
+        self.memo.contains(idx)
     }
 
     /// Clears warm-start state (episode reset), keeping the memo — the
@@ -1289,12 +1271,7 @@ mod tests {
             ckt.resistor(i, o, 1.0e3 * (slot + 1) as f64);
             ckt.capacitor(o, GND, 1e-9);
         }
-        CornerCase {
-            ckt,
-            out: o,
-            temp_k: 300.0,
-            vdd_src: 0,
-        }
+        CornerCase { ckt, out: o }
     }
 
     use autockt_sim::netlist::GND;
@@ -1440,21 +1417,5 @@ mod tests {
             })
         );
         assert_eq!(built, 0, "no stage runs on an empty plan");
-    }
-
-    #[test]
-    fn session_without_memo_always_solves() {
-        let tia = crate::Tia::default();
-        let mut s = EvalSession::borrowed(&tia, SimMode::Schematic).with_memo(false);
-        let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
-        let a = s.evaluate(&idx).unwrap();
-        let b = s.evaluate(&idx).unwrap();
-        assert_eq!(s.solve_count(), 2);
-        assert_eq!(s.memo_hits(), 0);
-        // Revisiting the identical grid point warm-started must reproduce
-        // the same fixed point to solver tolerance.
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() <= 1e-6 * (1.0 + x.abs()), "{x} vs {y}");
-        }
     }
 }

@@ -120,7 +120,7 @@ fn dc_opts(vdd: f64) -> DcOptions {
 fn centres() -> Vec<Centre> {
     let tech = Technology::ptm45();
     let opamp = OpAmp2::default();
-    let (ckt, out, _) = opamp.build(&centre_idx(&opamp), &tech);
+    let (ckt, out) = opamp.build(&centre_idx(&opamp), &tech);
     let neggm = NegGmOta::default();
     let (nckt, nout) = neggm.build(&centre_idx(&neggm), &tech);
     let tia = Tia::default();

@@ -114,17 +114,12 @@ fn opamp2() -> Topology {
         stop: OpAmp2::AC_STOP,
         dc_opts,
         build: Box::new(move |idx, pvt| {
-            let (ckt, out, vdd_src) = builder.build(idx, &Technology::ptm45().at_corner(*pvt));
-            CornerCase {
-                ckt,
-                out,
-                temp_k: pvt.temp_kelvin(),
-                vdd_src,
-            }
+            let (ckt, out) = builder.build(idx, &Technology::ptm45().at_corner(*pvt));
+            CornerCase { ckt, out }
         }),
-        measure: Box::new(move |case, op, full| {
+        measure: Box::new(move |_case, op, full| {
             let (ugbw, pm) = unity_specs(full, &specs);
-            let ibias = op.vsource_current(case.vdd_src).abs();
+            let ibias = op.vsource_current(OpAmp2::VDD_SOURCE).abs();
             Ok(vec![full.dc_gain(), ugbw, pm, ibias])
         }),
     }
@@ -143,12 +138,7 @@ fn neggm() -> Topology {
         dc_opts,
         build: Box::new(move |idx, pvt| {
             let (ckt, out) = builder.build(idx, &Technology::finfet16().at_corner(*pvt));
-            CornerCase {
-                ckt,
-                out,
-                temp_k: pvt.temp_kelvin(),
-                vdd_src: 0,
-            }
+            CornerCase { ckt, out }
         }),
         measure: Box::new(move |_case, _op, full| {
             let (ugbw, pm) = unity_specs(full, &specs);
@@ -170,15 +160,11 @@ fn tia() -> Topology {
         dc_opts,
         build: Box::new(move |idx, pvt| {
             let (ckt, out) = builder.build(idx, &Technology::ptm45().at_corner(*pvt));
-            CornerCase {
-                ckt,
-                out,
-                temp_k: pvt.temp_kelvin(),
-                vdd_src: 0,
-            }
+            CornerCase { ckt, out }
         }),
         // Spec order: settling, cutoff, noise. The settle window is read
-        // off the full response's cutoff.
+        // off the full response's cutoff; both fidelities checked here run
+        // at the nominal corner, so noise is measured at its temperature.
         measure: Box::new(move |case, op, full| {
             let cutoff = full.f_3db();
             let settling = match cutoff {
@@ -192,7 +178,8 @@ fn tia() -> Topology {
                 }
                 _ => specs[0].fail_value,
             };
-            let noise = noise_analysis(&case.ckt, op, case.out, &Tia::noise_freqs(), case.temp_k)
+            let temp_k = Pvt::nominal().temp_kelvin();
+            let noise = noise_analysis(&case.ckt, op, case.out, &Tia::noise_freqs(), temp_k)
                 .map_or(specs[2].fail_value, |n| n.out_vrms);
             Ok(vec![settling, cutoff.unwrap_or(specs[1].fail_value), noise])
         }),

@@ -6,8 +6,8 @@
 //! circuit is simulated, and the Eq. 1 reward is granted. The episode ends
 //! on success (`r >= -0.01`, with a +10 bonus) or after `H` steps.
 
-use crate::reward::{is_success, reward, SUCCESS_BONUS};
-use crate::target::{sample_feasible, sample_uniform};
+use crate::reward::{is_success, reward, SIM_FAIL_REWARD, SUCCESS_BONUS};
+use crate::target::sample_uniform;
 use autockt_circuits::{EvalSession, SharedMemo, SimMode, SizingProblem};
 use autockt_rl::env::{Env, StepResult};
 use rand::rngs::StdRng;
@@ -19,9 +19,6 @@ use std::sync::Arc;
 pub enum TargetMode {
     /// Uniform over each spec's declared range.
     Uniform,
-    /// Measured specs of random feasible designs (reachable by
-    /// construction); the argument is the rejection-sampling budget.
-    Feasible(usize),
     /// Cycle through a fixed set (the training set `O*`), selected at
     /// random each episode as in the paper.
     FixedSet(Vec<Vec<f64>>),
@@ -36,9 +33,6 @@ pub struct EnvConfig {
     pub mode: SimMode,
     /// Target sampling strategy.
     pub target_mode: TargetMode,
-    /// Reward issued when the simulator cannot even produce an operating
-    /// point (far below any reachable Eq. 1 value).
-    pub sim_fail_reward: f64,
     /// Terminal bonus granted on success (paper: +10; the reward-shaping
     /// ablation sets this to 0).
     pub success_bonus: f64,
@@ -47,19 +41,14 @@ pub struct EnvConfig {
     /// to [`SizingProblem::simulate`]; warm results agree to solver
     /// tolerance.
     pub warm_start: bool,
-    /// Memoize measured specs per grid point: simulation is deterministic,
-    /// so exact revisits are served from the cache without a solve. The
-    /// cache persists across episodes (it belongs to the circuit family,
-    /// not the target).
-    pub memoize: bool,
     /// Pool the memo across environments: when set, this env's session
     /// caches into (and serves revisits from) the given memo instead of
     /// its own, so parallel rollout workers share every solved grid
-    /// point. Warm-start state stays private per env.
-    /// Implies `memoize`. With `warm_start` also on, a pooled hit may
-    /// serve specs solved from a sibling's warm trajectory — identical to
-    /// a private run within solver tolerance (bitwise-identical when
-    /// `warm_start` is off).
+    /// point. Warm-start state stays private per env. With `warm_start`
+    /// also on, a pooled hit may serve specs solved from a sibling's warm
+    /// trajectory — identical to a private run within solver tolerance
+    /// (bitwise-identical when `warm_start` is off). Without it, the env
+    /// memoizes into a memo of its own.
     pub shared_memo: Option<Arc<SharedMemo>>,
 }
 
@@ -68,11 +57,9 @@ impl Default for EnvConfig {
         EnvConfig {
             horizon: 30,
             mode: SimMode::Schematic,
-            target_mode: TargetMode::Feasible(50),
-            sim_fail_reward: -5.0,
+            target_mode: TargetMode::Uniform,
             success_bonus: SUCCESS_BONUS,
             warm_start: true,
-            memoize: true,
             shared_memo: None,
         }
     }
@@ -91,7 +78,6 @@ pub struct SizingEnv {
     last_specs: Vec<f64>,
     last_sim_failed: bool,
     t: usize,
-    sims: u64,
 }
 
 impl std::fmt::Debug for SizingEnv {
@@ -110,9 +96,8 @@ impl SizingEnv {
     pub fn new(problem: Arc<dyn SizingProblem>, cfg: EnvConfig) -> Self {
         let cards = problem.cardinalities();
         let nspecs = problem.specs().len();
-        let mut session = EvalSession::shared(Arc::clone(&problem), cfg.mode)
-            .with_warm_start(cfg.warm_start)
-            .with_memo(cfg.memoize);
+        let mut session =
+            EvalSession::shared(Arc::clone(&problem), cfg.mode).with_warm_start(cfg.warm_start);
         if let Some(memo) = &cfg.shared_memo {
             session = session.with_shared_memo(Arc::clone(memo));
         }
@@ -126,7 +111,6 @@ impl SizingEnv {
             last_specs: vec![0.0; nspecs],
             last_sim_failed: false,
             t: 0,
-            sims: 0,
         }
     }
 
@@ -140,7 +124,7 @@ impl SizingEnv {
     /// the solver; see [`SizingEnv::solve_count`] for solver work actually
     /// spent).
     pub fn sim_count(&self) -> u64 {
-        self.sims
+        self.solve_count() + self.memo_hits()
     }
 
     /// Evaluations that actually ran the simulator (memo misses).
@@ -190,7 +174,6 @@ impl SizingEnv {
     }
 
     fn simulate_current(&mut self) {
-        self.sims += 1;
         match self.session.evaluate(&self.idx) {
             Ok(specs) => {
                 self.last_specs = specs;
@@ -237,14 +220,10 @@ impl SizingEnv {
     fn current_reward(&self) -> f64 {
         // A fail-value spec vector produces a very negative Eq. 1 value on
         // its own, but an unsolvable operating point is reported even more
-        // pessimistically.
-        let all_failed = self
-            .last_specs
-            .iter()
-            .zip(self.problem.specs())
-            .all(|(v, d)| (*v - d.fail_value).abs() < f64::EPSILON);
-        if all_failed {
-            self.cfg.sim_fail_reward
+        // pessimistically. A design that solves is scored by Eq. 1 even
+        // when every measurement fell back to its fail value.
+        if self.last_sim_failed {
+            SIM_FAIL_REWARD
         } else {
             reward(self.problem.specs(), &self.last_specs, &self.target)
         }
@@ -263,7 +242,6 @@ impl Env for SizingEnv {
     fn reset(&mut self, rng: &mut StdRng) -> Vec<f64> {
         let target = match &self.cfg.target_mode {
             TargetMode::Uniform => sample_uniform(self.problem.as_ref(), rng),
-            TargetMode::Feasible(tries) => sample_feasible(self.problem.as_ref(), rng, *tries),
             TargetMode::FixedSet(set) => {
                 assert!(!set.is_empty(), "empty target set");
                 set[rng.random_range(0..set.len())].clone()
@@ -301,6 +279,7 @@ impl Env for SizingEnv {
 mod tests {
     use super::*;
     use autockt_circuits::Tia;
+    use autockt_sim::SimError;
     use rand::SeedableRng;
 
     fn env(target_mode: TargetMode) -> SizingEnv {
@@ -430,20 +409,19 @@ mod tests {
 
     #[test]
     fn cold_env_matches_warm_env_rewards() {
-        let mk = |warm: bool, memo: bool| {
+        let mk = |warm: bool| {
             SizingEnv::new(
                 Arc::new(Tia::default()),
                 EnvConfig {
                     horizon: 10,
                     target_mode: TargetMode::Uniform,
                     warm_start: warm,
-                    memoize: memo,
                     ..EnvConfig::default()
                 },
             )
         };
-        let mut cold = mk(false, false);
-        let mut warm = mk(true, true);
+        let mut cold = mk(false);
+        let mut warm = mk(true);
         let target = {
             let mut rng = StdRng::seed_from_u64(14);
             crate::target::sample_uniform(cold.problem().as_ref(), &mut rng)
@@ -489,6 +467,63 @@ mod tests {
         assert_eq!(b.solve_count(), 0);
         assert_eq!(b.cross_memo_hits(), 1);
         assert!(memo.cross_hits() >= 1);
+    }
+
+    /// One parameter, one `HardMin` spec: index 0 cannot be solved, and
+    /// every other index solves but fails its measurement.
+    struct FailingProblem {
+        params: Vec<autockt_circuits::ParamSpec>,
+        specs: Vec<autockt_circuits::SpecDef>,
+    }
+
+    impl SizingProblem for FailingProblem {
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+
+        fn params(&self) -> &[autockt_circuits::ParamSpec] {
+            &self.params
+        }
+
+        fn specs(&self) -> &[autockt_circuits::SpecDef] {
+            &self.specs
+        }
+
+        fn simulate(&self, idx: &[usize], _mode: SimMode) -> Result<Vec<f64>, SimError> {
+            if idx[0] == 0 {
+                Err(SimError::InvalidOptions { what: "unsolvable" })
+            } else {
+                Ok(self.specs.iter().map(|d| d.fail_value).collect())
+            }
+        }
+    }
+
+    #[test]
+    fn only_an_unsolvable_design_gets_the_failure_reward() {
+        use autockt_circuits::{ParamSpec, SpecDef, SpecKind};
+        let problem = FailingProblem {
+            params: vec![ParamSpec::swept("p", 0.0, 2.0, 1.0, 1.0)],
+            specs: vec![SpecDef {
+                name: "gain",
+                unit: "",
+                kind: SpecKind::HardMin,
+                lo: 0.5,
+                hi: 2.0,
+                fail_value: 0.0,
+            }],
+        };
+        let mut e = SizingEnv::new(Arc::new(problem), EnvConfig::default());
+        let target = vec![1.0];
+        e.reset_with_target(target.clone());
+        // Center index 1 solves, with every spec at its fail value: Eq. 1.
+        let sr = e.step(&[1]);
+        assert!(!e.last_sim_failed());
+        assert_eq!(sr.reward, reward(e.problem().specs(), &[0.0], &target));
+        assert_ne!(sr.reward, SIM_FAIL_REWARD);
+        // Index 0 has no operating point.
+        let sr = e.step(&[0]);
+        assert!(e.last_sim_failed());
+        assert_eq!(sr.reward, SIM_FAIL_REWARD);
     }
 
     #[test]

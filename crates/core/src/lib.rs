@@ -38,7 +38,9 @@ pub mod train;
 
 pub use deploy::{deploy, run_episode, run_trajectory, DeployConfig, DeployOutcome, DeployStats};
 pub use env::{EnvConfig, SizingEnv, TargetMode};
-pub use reward::{is_success, normalize, reward, SUCCESS_BONUS, SUCCESS_THRESHOLD};
+pub use reward::{
+    is_success, normalize, reward, SIM_FAIL_REWARD, SUCCESS_BONUS, SUCCESS_THRESHOLD,
+};
 pub use target::{sample_feasible, sample_uniform, training_targets};
 pub use train::{train, TrainConfig, TrainResult};
 

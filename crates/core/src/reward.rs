@@ -17,6 +17,10 @@ pub const SUCCESS_THRESHOLD: f64 = -0.01;
 /// Terminal bonus granted on success (paper: `R = 10 + r`).
 pub const SUCCESS_BONUS: f64 = 10.0;
 
+/// Reward issued when the simulator cannot even produce an operating
+/// point (far below any reachable Eq. 1 value).
+pub const SIM_FAIL_REWARD: f64 = -5.0;
+
 /// The paper's relative normalization `(o - t)/(o + t)`, guarded against a
 /// vanishing denominator with absolute values (specs here are positive
 /// quantities; the guard only matters for degenerate fail values).

@@ -57,20 +57,19 @@ proptest! {
         target_u in prop::collection::vec(0.0..1.0f64, 3),
         moves in prop::collection::vec(0usize..3, 30),
     ) {
-        let mk = |warm: bool, memo: bool| {
+        let mk = |warm: bool| {
             SizingEnv::new(
                 Arc::new(Tia::default()),
                 EnvConfig {
                     horizon: 100,
                     target_mode: TargetMode::Uniform,
                     warm_start: warm,
-                    memoize: memo,
                     ..EnvConfig::default()
                 },
             )
         };
-        let mut cold = mk(false, false);
-        let mut warm = mk(true, true);
+        let mut cold = mk(false);
+        let mut warm = mk(true);
         let target: Vec<f64> = cold
             .problem()
             .specs()

@@ -66,7 +66,6 @@ fn env(warm: bool, shared: Option<&Arc<SharedMemo>>) -> SizingEnv {
             horizon: 100,
             target_mode: TargetMode::Uniform,
             warm_start: warm,
-            memoize: true,
             shared_memo: shared.map(Arc::clone),
             ..EnvConfig::default()
         },
