@@ -20,33 +20,14 @@ use rand::Rng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Configuration of the GA+ML optimizer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaMlConfig {
-    /// Underlying GA settings (population here means *candidates generated*
-    /// per generation, before screening).
-    pub ga: GaConfig,
-    /// Fraction of generated children actually simulated after screening.
-    pub screen_keep: f64,
-    /// Simulated-sample count before the model is trusted for screening.
-    pub warmup: usize,
-    /// Gradient epochs over the dataset per generation.
-    pub train_epochs: usize,
-    /// Model learning rate.
-    pub lr: f64,
-}
-
-impl Default for GaMlConfig {
-    fn default() -> Self {
-        GaMlConfig {
-            ga: GaConfig::default(),
-            screen_keep: 0.25,
-            warmup: 20,
-            train_epochs: 30,
-            lr: 3e-3,
-        }
-    }
-}
+/// Fraction of a generation's population simulated after screening.
+const SCREEN_KEEP: f64 = 0.25;
+/// Simulated-sample count before the model is trusted for screening.
+const WARMUP: usize = 20;
+/// Gradient epochs over the dataset per generation.
+const TRAIN_EPOCHS: usize = 30;
+/// Model learning rate.
+const LR: f64 = 3e-3;
 
 fn features(idx: &[usize], cards: &[usize]) -> Vec<f64> {
     idx.iter()
@@ -55,14 +36,17 @@ fn features(idx: &[usize], cards: &[usize]) -> Vec<f64> {
         .collect()
 }
 
-/// Runs the discriminator-boosted GA against one target.
+/// Runs the discriminator-boosted GA against one target. `cfg.population`
+/// sizes the initial, fully simulated population; each generation breeds
+/// four times that many candidates and simulates the quarter of
+/// `cfg.population` (at least two) the discriminator ranks highest.
 pub fn ga_ml_solve(
     problem: &dyn SizingProblem,
     target: &[f64],
     mode: SimMode,
-    cfg: &GaMlConfig,
+    cfg: &GaConfig,
 ) -> GaOutcome {
-    let mut rng = StdRng::seed_from_u64(cfg.ga.seed);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let cards = problem.cardinalities();
     let n = cards.len();
     let mut model = Mlp::new(&[n, 32, 32, 1], &mut rng);
@@ -72,9 +56,8 @@ pub fn ga_ml_solve(
     // Evaluate through the shared session pipeline: duplicate genomes are
     // served from the memo cache and count neither as sims nor as fresh
     // dataset rows. Warm-starting is off — genomes are arbitrary grid
-    // jumps, not one-notch moves — and the memo is unbounded like the
-    // pre-session cache so that accounting never drifts with a capacity
-    // limit.
+    // jumps, not one-notch moves — and the memo is unbounded, so that
+    // accounting never drifts with a capacity limit.
     let mut session = EvalSession::borrowed(problem, mode)
         .with_warm_start(false)
         .with_shared_memo(Arc::new(SharedMemo::new(usize::MAX)));
@@ -106,7 +89,7 @@ pub fn ga_ml_solve(
     };
 
     // Initial population, fully simulated.
-    let mut pop: Vec<(Vec<usize>, f64)> = (0..cfg.ga.population)
+    let mut pop: Vec<(Vec<usize>, f64)> = (0..cfg.population)
         .map(|_| {
             let g = random_genome(&mut rng);
             let f = simulate(&g, &mut sims, &mut dataset, &mut session);
@@ -120,7 +103,7 @@ pub fn ga_ml_solve(
         None => return empty_outcome(sims),
     };
 
-    for _gen in 0..cfg.ga.generations {
+    for _gen in 0..cfg.generations {
         if is_success(best.1) {
             return GaOutcome {
                 reached: true,
@@ -130,8 +113,8 @@ pub fn ga_ml_solve(
             };
         }
         // Retrain the discriminator on everything simulated so far.
-        if dataset.len() >= cfg.warmup {
-            for _ in 0..cfg.train_epochs {
+        if dataset.len() >= WARMUP {
+            for _ in 0..TRAIN_EPOCHS {
                 model.zero_grad();
                 // Full batch, walked in order a tile at a time.
                 for tile in dataset.chunks(TILE) {
@@ -142,16 +125,16 @@ pub fn ga_ml_solve(
                     model.backward_tile(&mut tape, &dout);
                 }
                 model.scale_grad(1.0 / dataset.len() as f64);
-                model.adam_step(cfg.lr);
+                model.adam_step(LR);
             }
         }
         // Generate a large pool of children, screen, simulate survivors.
         pop.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let pool: Vec<Vec<usize>> = (0..cfg.ga.population * 4)
-            .map(|_| offspring(&mut rng, &pop, &cards, &cfg.ga))
+        let pool: Vec<Vec<usize>> = (0..cfg.population * 4)
+            .map(|_| offspring(&mut rng, &pop, &cards, cfg))
             .collect();
-        let keep = ((cfg.ga.population as f64 * cfg.screen_keep).ceil() as usize).max(2);
-        let survivors: Vec<Vec<usize>> = if dataset.len() >= cfg.warmup {
+        let keep = ((cfg.population as f64 * SCREEN_KEEP).ceil() as usize).max(2);
+        let survivors: Vec<Vec<usize>> = if dataset.len() >= WARMUP {
             // Screen by predicted reward.
             let mut scored: Vec<(Vec<usize>, f64)> = pool
                 .into_iter()
@@ -165,7 +148,7 @@ pub fn ga_ml_solve(
         } else {
             pool.into_iter().take(keep).collect()
         };
-        let mut next: Vec<(Vec<usize>, f64)> = pop.iter().take(cfg.ga.elitism).cloned().collect();
+        let mut next: Vec<(Vec<usize>, f64)> = pop.iter().take(cfg.elitism).cloned().collect();
         for child in survivors {
             let f = simulate(&child, &mut sims, &mut dataset, &mut session);
             if f > best.1 {
@@ -183,7 +166,7 @@ pub fn ga_ml_solve(
         }
         // Keep the population at a constant size with the fittest seen.
         next.sort_by(|a, b| b.1.total_cmp(&a.1));
-        next.truncate(cfg.ga.population.max(keep));
+        next.truncate(cfg.population.max(keep));
         pop = next;
     }
     GaOutcome {
@@ -205,14 +188,11 @@ mod tests {
         let tia = Tia::default();
         let mut rng = StdRng::seed_from_u64(41);
         let target = sample_feasible(&tia, &mut rng, 50);
-        let cfg = GaMlConfig {
-            ga: GaConfig {
-                population: 20,
-                generations: 30,
-                seed: 9,
-                ..GaConfig::default()
-            },
-            ..GaMlConfig::default()
+        let cfg = GaConfig {
+            population: 20,
+            generations: 30,
+            seed: 9,
+            ..GaConfig::default()
         };
         let out = ga_ml_solve(&tia, &target, SimMode::Schematic, &cfg);
         assert!(out.reached, "GA+ML should solve a feasible target");
@@ -220,8 +200,10 @@ mod tests {
 
     #[test]
     fn screening_reduces_simulations_versus_vanilla() {
-        // Compare unique sims on the same target with the same generation
-        // budget: the screened GA must simulate fewer designs.
+        // Compare sims on the same target with the same generation budget:
+        // the screened GA must simulate fewer designs. The vanilla GA
+        // counts every evaluation, GA+ML only genomes it had not evaluated
+        // before (see the module doc).
         let tia = Tia::default();
         let mut rng = StdRng::seed_from_u64(42);
         let target = sample_feasible(&tia, &mut rng, 50);
@@ -232,15 +214,7 @@ mod tests {
             ..GaConfig::default()
         };
         let vanilla = crate::ga::ga_solve(&tia, &target, SimMode::Schematic, &base);
-        let boosted = ga_ml_solve(
-            &tia,
-            &target,
-            SimMode::Schematic,
-            &GaMlConfig {
-                ga: base,
-                ..GaMlConfig::default()
-            },
-        );
+        let boosted = ga_ml_solve(&tia, &target, SimMode::Schematic, &base);
         if vanilla.reached && boosted.reached {
             assert!(
                 boosted.sims <= vanilla.sims,

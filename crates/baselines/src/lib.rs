@@ -30,5 +30,5 @@ pub mod ga_ml;
 pub mod random_agent;
 
 pub use ga::{ga_solve, ga_solve_sweep, GaConfig, GaOutcome};
-pub use ga_ml::{ga_ml_solve, GaMlConfig};
+pub use ga_ml::ga_ml_solve;
 pub use random_agent::random_agent_deploy;

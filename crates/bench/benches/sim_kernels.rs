@@ -43,10 +43,7 @@ fn bench_dc(c: &mut Criterion) {
     let idx = center(&opamp);
     let tech = Technology::ptm45();
     let (ckt, _) = opamp.build(&idx, &tech);
-    let opts = DcOptions {
-        initial_v: 0.6,
-        ..DcOptions::default()
-    };
+    let opts = DcOptions { initial_v: 0.6 };
     c.bench_function("dc_newton_opamp2", |bench| {
         bench.iter(|| dc_operating_point(black_box(&ckt), &opts).expect("converges"))
     });
@@ -57,10 +54,7 @@ fn bench_ac(c: &mut Criterion) {
     let idx = center(&opamp);
     let tech = Technology::ptm45();
     let (ckt, out) = opamp.build(&idx, &tech);
-    let opts = DcOptions {
-        initial_v: 0.6,
-        ..DcOptions::default()
-    };
+    let opts = DcOptions { initial_v: 0.6 };
     let op = dc_operating_point(&ckt, &opts).expect("converges");
     let freqs = log_freqs(1e2, 1e10, 10);
     c.bench_function("ac_sweep_opamp2_82pts", |bench| {
@@ -79,10 +73,7 @@ fn bench_settle(c: &mut Criterion) {
     let idx = center(&tia);
     let (ckt, out) = tia.build(&idx, &Technology::ptm45());
     let ex = extract(&ckt, tia.pex_config());
-    let opts = DcOptions {
-        initial_v: 0.5,
-        ..DcOptions::default()
-    };
+    let opts = DcOptions { initial_v: 0.5 };
     let op = dc_operating_point(&ex, &opts).expect("converges");
     let cutoff = ac_sweep(&ex, &op, &log_freqs(1e3, 1e11, 10), out)
         .and_then(|r| r.f_3db())
@@ -219,10 +210,7 @@ fn bench_hessenberg_points(c: &mut Criterion) {
     let tech = Technology::ptm45();
     let opamp = OpAmp2::default();
     let (ckt, out) = opamp.build(&center(&opamp), &tech);
-    let opts = DcOptions {
-        initial_v: 0.6,
-        ..DcOptions::default()
-    };
+    let opts = DcOptions { initial_v: 0.6 };
     let op = dc_operating_point(&ckt, &opts).expect("converges");
     let freqs = &OpAmp2::ac_freqs()[..56];
     bench_hessenberg_lanes::<1>(c, "opamp2", &ckt, &op, out, freqs);
@@ -231,10 +219,7 @@ fn bench_hessenberg_points(c: &mut Criterion) {
     let tia = Tia::default();
     let (ckt, out) = tia.build(&center(&tia), &tech);
     let ex = extract(&ckt, tia.pex_config());
-    let opts = DcOptions {
-        initial_v: 0.5,
-        ..DcOptions::default()
-    };
+    let opts = DcOptions { initial_v: 0.5 };
     let op = dc_operating_point(&ex, &opts).expect("converges");
     let freqs = &Tia::ac_freqs()[..40];
     bench_hessenberg_lanes::<1>(c, "tia", &ex, &op, out, freqs);

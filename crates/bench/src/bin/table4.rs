@@ -6,26 +6,34 @@
 //! AutoCkt PEX 23 sims (40/40); vanilla GA is "too sample inefficient"
 //! (N/A).
 //!
-//! Run: `cargo run --release -p autockt_bench --bin table4 [-- --full]`
+//! GA+ML counts only the genomes it had not evaluated before; the vanilla
+//! GA of Tables I–III counts every evaluation.
+//!
+//! Run: `cargo run --release -p autockt_bench --bin table4 [-- --full]`;
+//! `--iters N` (PPO iterations, default 40), `--deploy N` (deployment
+//! targets, 20; 40 with `--full`) and `--ga N` (GA+ML targets, 5; 10 with
+//! `--full`) override the scale.
 
-use autockt_baselines::{ga_ml_solve, GaConfig, GaMlConfig};
+use autockt_baselines::{ga_ml_solve, GaConfig};
 use autockt_bench::exp::{
-    deploy_and_report, mean_sims_reached, outcome_rows, train_agent, uniform_targets,
+    deploy_and_report, mean_sims_reached, outcome_rows, ratio_cell, se_cell, train_agent,
+    uniform_targets,
 };
-use autockt_bench::{print_comparison, write_csv};
+use autockt_bench::{flag_or, print_comparison, write_csv};
 use autockt_circuits::neggm::spec_index;
 use autockt_circuits::{NegGmOta, SimMode, SizingProblem};
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), String> {
     let full = autockt_bench::full_scale();
-    let n_pex_targets = if full { 40 } else { 20 };
-    let n_ga_ml = if full { 10 } else { 5 };
+    let train_iters = flag_or("--iters", 40)?;
+    let n_pex_targets = flag_or("--deploy", if full { 40 } else { 20 })?;
+    let n_ga_ml = flag_or("--ga", if full { 10 } else { 5 })?;
     let problem: Arc<dyn SizingProblem> = Arc::new(NegGmOta::default());
     let horizon = 60;
 
     // Train on schematic only (the whole point of Fig. 13).
-    let trained = train_agent(Arc::clone(&problem), 40, 30, 59);
+    let trained = train_agent(Arc::clone(&problem), train_iters, 30, 59);
 
     // Deployment targets: phase margin pinned to its 60-degree floor as in
     // Sec. III-D.
@@ -67,20 +75,18 @@ fn main() {
                 problem.as_ref(),
                 t,
                 SimMode::PexWorstCase,
-                &GaMlConfig {
-                    ga: GaConfig {
-                        population: 30,
-                        generations: 60,
-                        seed: 4000 + i as u64,
-                        ..GaConfig::default()
-                    },
-                    ..GaMlConfig::default()
+                &GaConfig {
+                    population: 30,
+                    generations: 60,
+                    seed: 4000 + i as u64,
+                    ..GaConfig::default()
                 },
             )
         })
         .collect();
     let ga_ml_mean = mean_sims_reached(&ga_ml_outs);
     let ga_ml_reached = ga_ml_outs.iter().filter(|o| o.reached).count();
+    let ga_ml_total = ga_ml_outs.len();
 
     print_comparison(
         "Table IV — transfer to PEX with worst-case PVT (neg-gm OTA)",
@@ -93,14 +99,17 @@ fn main() {
             (
                 "Genetic Alg.+ML [7] SE (sims)",
                 "220".into(),
-                format!("{ga_ml_mean:.0} ({ga_ml_reached}/{n_ga_ml} reached)"),
+                format!(
+                    "{} ({ga_ml_reached}/{ga_ml_total} reached)",
+                    se_cell(ga_ml_mean)
+                ),
             ),
             (
                 "AutoCkt schematic-only SE",
                 "10 (500/500)".into(),
                 format!(
-                    "{:.0} ({}/{})",
-                    sch.mean_steps_reached(),
+                    "{} ({}/{})",
+                    se_cell(sch.mean_steps_reached()),
                     sch.reached(),
                     sch.total()
                 ),
@@ -109,8 +118,8 @@ fn main() {
                 "AutoCkt PEX SE",
                 "23 (40/40)".into(),
                 format!(
-                    "{:.0} ({}/{})",
-                    pex.mean_steps_reached(),
+                    "{} ({}/{})",
+                    se_cell(pex.mean_steps_reached()),
                     pex.reached(),
                     pex.total()
                 ),
@@ -118,7 +127,7 @@ fn main() {
             (
                 "AutoCkt PEX vs GA+ML",
                 "9.56x".into(),
-                format!("{:.1}x", ga_ml_mean / pex.mean_steps_reached()),
+                ratio_cell(ga_ml_mean, pex.mean_steps_reached()),
             ),
         ],
     );
@@ -129,4 +138,5 @@ fn main() {
         &outcome_rows(&pex),
     );
     println!("wrote {}", path.display());
+    Ok(())
 }

@@ -122,13 +122,36 @@ pub fn deploy_and_report(
     stats
 }
 
-/// Mean unique simulations of GA runs over the targets they reached.
+/// Mean [`GaOutcome::sims`](autockt_baselines::GaOutcome::sims) over the
+/// targets reached; NaN if none. The vanilla GA counts every evaluation,
+/// repeated genomes included; GA+ML counts only the genomes it had not
+/// evaluated before.
 pub fn mean_sims_reached(outs: &[autockt_baselines::GaOutcome]) -> f64 {
     let reached: Vec<_> = outs.iter().filter(|o| o.reached).collect();
     if reached.is_empty() {
         f64::NAN
     } else {
         reached.iter().map(|o| o.sims as f64).sum::<f64>() / reached.len() as f64
+    }
+}
+
+/// A sample-efficiency cell: the mean simulations over the targets
+/// reached, or `none reached` when that mean is NaN.
+pub fn se_cell(mean_sims: f64) -> String {
+    if mean_sims.is_nan() {
+        "none reached".into()
+    } else {
+        format!("{mean_sims:.0}")
+    }
+}
+
+/// A speedup or ratio cell `num / den` (`12.5x`), or `n/a` when either
+/// side reached nothing (a NaN mean).
+pub fn ratio_cell(num: f64, den: f64) -> String {
+    if num.is_nan() || den.is_nan() {
+        "n/a".into()
+    } else {
+        format!("{:.1}x", num / den)
     }
 }
 
@@ -277,20 +300,16 @@ pub fn run_table(problem: Arc<dyn SizingProblem>, scale: Scale, table: &Table) -
     };
     let [ga_paper, autockt_paper, speedup_paper, gen_paper] = table.paper;
     let mut rows = vec![
-        (
-            "Genetic Alg. SE (sims)",
-            ga_paper.into(),
-            format!("{ga_mean:.0}"),
-        ),
+        ("Genetic Alg. SE (sims)", ga_paper.into(), se_cell(ga_mean)),
         (
             "AutoCkt SE (sims)",
             autockt_paper.into(),
-            format!("{autockt_mean:.0}"),
+            se_cell(autockt_mean),
         ),
         (
             "AutoCkt speedup vs GA",
             speedup_paper.into(),
-            format!("{:.1}x", ga_mean / autockt_mean),
+            ratio_cell(ga_mean, autockt_mean),
         ),
     ];
     if let Some((r, paper)) = &random {
@@ -313,6 +332,18 @@ pub fn run_table(problem: Arc<dyn SizingProblem>, scale: Scale, table: &Table) -
 mod tests {
     use super::*;
     use autockt_circuits::Tia;
+
+    /// Nothing reached reads as words, never as `NaN`; a measured mean
+    /// keeps its paper-table format.
+    #[test]
+    fn cells_name_an_empty_mean_instead_of_printing_nan() {
+        assert_eq!(se_cell(f64::NAN), "none reached");
+        assert_eq!(se_cell(148.4), "148");
+        assert_eq!(ratio_cell(148.0, f64::NAN), "n/a");
+        assert_eq!(ratio_cell(f64::NAN, 16.0), "n/a");
+        assert_eq!(ratio_cell(f64::NAN, f64::NAN), "n/a");
+        assert_eq!(ratio_cell(148.0, 16.0), "9.2x");
+    }
 
     /// The Tables I–III runner end to end at a tiny budget: an untrained
     /// policy, three deployment targets, one GA target under a two-generation

@@ -41,16 +41,6 @@ pub struct NegGmOta {
     tech: Technology,
     params: Vec<ParamSpec>,
     specs: Vec<SpecDef>,
-    /// Supply voltage (V).
-    pub vdd: f64,
-    /// Input common mode (V).
-    pub vcm: f64,
-    /// Bias reference current (A).
-    pub iref: f64,
-    /// Output load capacitance (F).
-    pub c_load: f64,
-    /// Miller compensation capacitance (F), fixed.
-    pub c_comp: f64,
     pex: PexConfig,
 }
 
@@ -103,11 +93,6 @@ impl NegGmOta {
             tech,
             params,
             specs,
-            vdd: 0.8,
-            vcm: 0.55,
-            iref: 20e-6,
-            c_load: 4e-12,
-            c_comp: 2e-12,
             // This testbench's explicit capacitors are pF-scale, so the
             // extraction model is scaled to match a physically large
             // layout: long routes to the big MiM caps dominate (the paper's
@@ -122,6 +107,17 @@ impl NegGmOta {
             },
         }
     }
+
+    /// Supply voltage (V).
+    pub const VDD: f64 = 0.8;
+    /// Input common mode (V).
+    pub const VCM: f64 = 0.55;
+    /// Bias reference current (A).
+    pub const IREF: f64 = 20e-6;
+    /// Output load capacitance (F).
+    pub const C_LOAD: f64 = 4e-12;
+    /// Miller compensation capacitance (F), fixed.
+    pub const C_COMP: f64 = 2e-12;
 
     /// Replaces the parasitic-extraction configuration — e.g. to deepen
     /// the RC mesh (`PexConfig::mesh_depth`) for denser MNA systems.
@@ -166,10 +162,10 @@ impl NegGmOta {
         let x2 = ckt.node("x2");
         let out = ckt.node("out");
 
-        ckt.vsource(vdd, GND, self.vdd, 0.0);
-        ckt.vsource(vinp, GND, self.vcm, 1.0);
-        ckt.vsource(vinn, GND, self.vcm, 0.0);
-        ckt.isource(vdd, bias, self.iref, 0.0); // NMOS mirror reference
+        ckt.vsource(vdd, GND, NegGmOta::VDD, 0.0);
+        ckt.vsource(vinp, GND, NegGmOta::VCM, 1.0);
+        ckt.vsource(vinn, GND, NegGmOta::VCM, 0.0);
+        ckt.isource(vdd, bias, NegGmOta::IREF, 0.0); // NMOS mirror reference
         let mos = |polarity, d, g, s, w| Mosfet {
             polarity,
             d,
@@ -200,8 +196,8 @@ impl NegGmOta {
         // mirrored NMOS sink.
         ckt.mosfet(mos(MosPolarity::Pmos, out, x2, vdd, w_cs)); // M9
         ckt.mosfet(mos(MosPolarity::Nmos, out, bias, GND, w_sink)); // M10
-        ckt.capacitor(x2, out, self.c_comp);
-        ckt.capacitor(out, GND, self.c_load);
+        ckt.capacitor(x2, out, NegGmOta::C_COMP);
+        ckt.capacitor(out, GND, NegGmOta::C_LOAD);
         (ckt, out)
     }
 
@@ -217,8 +213,7 @@ impl NegGmOta {
     /// The DC options of every fidelity's operating point.
     pub fn dc_opts(&self) -> DcOptions {
         DcOptions {
-            initial_v: self.vdd / 2.0,
-            ..DcOptions::default()
+            initial_v: NegGmOta::VDD / 2.0,
         }
     }
 

@@ -39,14 +39,6 @@ pub struct OpAmp2 {
     tech: Technology,
     params: Vec<ParamSpec>,
     specs: Vec<SpecDef>,
-    /// Supply voltage used by this testbench (V).
-    pub vdd: f64,
-    /// Input common-mode voltage (V).
-    pub vcm: f64,
-    /// Bias reference current (A).
-    pub iref: f64,
-    /// Output load capacitance (F).
-    pub c_load: f64,
     pex: PexConfig,
 }
 
@@ -106,13 +98,18 @@ impl OpAmp2 {
             tech,
             params,
             specs,
-            vdd: 1.2,
-            vcm: 0.7,
-            iref: 20e-6,
-            c_load: 1e-12,
             pex: PexConfig::default(),
         }
     }
+
+    /// Supply voltage used by this testbench (V).
+    pub const VDD: f64 = 1.2;
+    /// Input common-mode voltage (V).
+    pub const VCM: f64 = 0.7;
+    /// Bias reference current (A).
+    pub const IREF: f64 = 20e-6;
+    /// Output load capacitance (F).
+    pub const C_LOAD: f64 = 1e-12;
 
     /// Replaces the parasitic-extraction configuration — e.g. to deepen
     /// the RC mesh (`PexConfig::mesh_depth`) for denser MNA systems.
@@ -154,12 +151,12 @@ impl OpAmp2 {
         let d1 = ckt.node("stage1");
         let out = ckt.node("out");
 
-        ckt.vsource(vdd, GND, self.vdd, 0.0); // OpAmp2::VDD_SOURCE
-        ckt.vsource(vinp, GND, self.vcm, 1.0); // single-ended AC drive
-        ckt.vsource(vinn, GND, self.vcm, 0.0);
+        ckt.vsource(vdd, GND, OpAmp2::VDD, 0.0); // OpAmp2::VDD_SOURCE
+        ckt.vsource(vinp, GND, OpAmp2::VCM, 1.0); // single-ended AC drive
+        ckt.vsource(vinn, GND, OpAmp2::VCM, 0.0);
         // Bias: reference current into an NMOS diode, mirrored to the tail
         // (M5) and the second-stage sink (M7).
-        ckt.isource(vdd, bias, self.iref, 0.0);
+        ckt.isource(vdd, bias, OpAmp2::IREF, 0.0);
         let mos = |polarity, d, g, s, w| Mosfet {
             polarity,
             d,
@@ -182,7 +179,7 @@ impl OpAmp2 {
         ckt.mosfet(mos(MosPolarity::Pmos, out, d1, vdd, w_cs)); // M6
         ckt.mosfet(mos(MosPolarity::Nmos, out, bias, GND, w_sink)); // M7
         ckt.capacitor(d1, out, cc);
-        ckt.capacitor(out, GND, self.c_load);
+        ckt.capacitor(out, GND, OpAmp2::C_LOAD);
         (ckt, out)
     }
 
@@ -198,8 +195,7 @@ impl OpAmp2 {
     /// The DC options of every fidelity's operating point.
     pub fn dc_opts(&self) -> DcOptions {
         DcOptions {
-            initial_v: self.vdd / 2.0,
-            ..DcOptions::default()
+            initial_v: OpAmp2::VDD / 2.0,
         }
     }
 

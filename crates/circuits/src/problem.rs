@@ -983,11 +983,6 @@ impl<'p> EvalSession<'p> {
         res
     }
 
-    /// Whether `idx` is already memoized (no solve would be spent on it).
-    pub fn is_memoized(&self, idx: &[usize]) -> bool {
-        self.memo.contains(idx)
-    }
-
     /// Clears warm-start state (episode reset), keeping the memo — the
     /// grid is the same circuit family across episodes.
     pub fn reset_warm(&mut self) {
@@ -1115,7 +1110,6 @@ mod tests {
         assert_eq!(s.solve_count(), 1);
         assert_eq!(s.memo_hits(), 1);
         assert_eq!(s.memo_len(), 1);
-        assert!(s.is_memoized(&idx));
     }
 
     #[test]
@@ -1125,7 +1119,7 @@ mod tests {
         let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
         s.evaluate(&idx).unwrap();
         s.reset_warm();
-        assert!(s.is_memoized(&idx));
+        assert_eq!(s.memo_len(), 1);
         s.evaluate(&idx).unwrap();
         assert_eq!(s.solve_count(), 1, "revisit after reset must be a hit");
     }
@@ -1221,7 +1215,7 @@ mod tests {
         assert_eq!(a.cross_memo_hits(), 0);
         assert_eq!(memo.hits(), 2);
         assert_eq!(memo.cross_hits(), 1);
-        assert!(a.is_memoized(&idx));
+        assert!(memo.contains(&idx));
         assert_eq!(a.memo_len(), 1);
     }
 

@@ -38,12 +38,6 @@ pub struct Tia {
     tech: Technology,
     params: Vec<ParamSpec>,
     specs: Vec<SpecDef>,
-    /// Unit feedback resistance (paper: 5.6 kOhm).
-    pub r_unit: f64,
-    /// Photodiode capacitance at the input (F).
-    pub c_in: f64,
-    /// Load capacitance at the output (F).
-    pub c_load: f64,
     pex: PexConfig,
 }
 
@@ -95,12 +89,16 @@ impl Tia {
             tech,
             params,
             specs,
-            r_unit: 5.6e3,
-            c_in: 40e-15,
-            c_load: 25e-15,
             pex: PexConfig::default(),
         }
     }
+
+    /// Unit feedback resistance (paper: 5.6 kOhm).
+    pub const R_UNIT: f64 = 5.6e3;
+    /// Photodiode capacitance at the input (F).
+    pub const C_IN: f64 = 40e-15;
+    /// Load capacitance at the output (F).
+    pub const C_LOAD: f64 = 25e-15;
 
     /// Replaces the parasitic-extraction configuration — e.g. to deepen
     /// the RC mesh (`PexConfig::mesh_depth`) for denser MNA systems.
@@ -147,7 +145,7 @@ impl Tia {
         let m_p = self.params[3].values[idx[3]];
         let n_ser = self.params[4].values[idx[4]];
         let n_par = self.params[5].values[idx[5]];
-        let rf = self.r_unit * n_ser / n_par;
+        let rf = Tia::R_UNIT * n_ser / n_par;
 
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");
@@ -160,8 +158,8 @@ impl Tia {
             None => ckt.isource(GND, vin, 0.0, 1.0),
             Some(s) => ckt.isource_step(GND, vin, s, 1.0),
         }
-        ckt.capacitor(vin, GND, self.c_in);
-        ckt.capacitor(out, GND, self.c_load);
+        ckt.capacitor(vin, GND, Tia::C_IN);
+        ckt.capacitor(out, GND, Tia::C_LOAD);
         ckt.resistor(out, vin, rf);
         let l = 2.0 * tech.lmin;
         ckt.mosfet(Mosfet {
@@ -215,7 +213,6 @@ impl Tia {
     pub fn dc_opts(&self) -> DcOptions {
         DcOptions {
             initial_v: self.tech.vdd / 2.0,
-            ..DcOptions::default()
         }
     }
 
@@ -317,7 +314,7 @@ impl SizingProblem for Tia {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autockt_sim::tran::{transient, transient_from_op, TranOptions, TranResult};
+    use autockt_sim::tran::{transient, TranOptions, TranResult};
 
     #[test]
     fn center_design_simulates() {
@@ -353,16 +350,13 @@ mod tests {
     /// The nonlinear transient engine cross-checks the linear step
     /// response behind the settling spec: a small photodiode step on
     /// [`Tia::build_step`] stays small-signal, so its settling time agrees
-    /// with `simulate`'s, and warm-starting the transient's initial
-    /// operating point from a session's slot converges to the cold one.
+    /// with `simulate`'s.
     #[test]
     fn small_step_transient_matches_linear_settling() {
         let tia = Tia::default();
         let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
         for mode in [SimMode::Schematic, SimMode::Pex] {
-            let mut state = WarmState::new();
-            // Arms warm slot 0 with the AC variant's operating point.
-            let lin = tia.simulate_warm(&idx, mode, &mut state).unwrap();
+            let lin = tia.simulate(&idx, mode).unwrap();
             let (lin_t, cutoff) = (lin[spec_index::SETTLING], lin[spec_index::CUTOFF]);
             let (ckt, out) = tia.build_step(&idx, &tia.tech, Tia::STEP_CURRENT);
             let ckt = match mode {
@@ -374,19 +368,12 @@ mod tests {
             let settle = |res: TranResult| {
                 settling_time(&res.t, &res.node_waveform(out), 0.02).expect("step settles")
             };
-            let cold_t = settle(transient(&ckt, &opts).unwrap());
-            let warm_op = state.solve(0, &ckt, &opts.dc).unwrap();
-            let warm_t = settle(transient_from_op(&ckt, &opts, &warm_op).unwrap());
-            assert!(cold_t > 0.0 && cold_t < 1e-6, "{mode:?}: settling {cold_t}");
+            let tran_t = settle(transient(&ckt, &opts).unwrap());
+            assert!(tran_t > 0.0 && tran_t < 1e-6, "{mode:?}: settling {tran_t}");
             // Up to integration and device-cap modelling differences.
             assert!(
-                (cold_t - lin_t).abs() <= 0.5 * lin_t.max(cold_t),
-                "{mode:?}: transient settling {cold_t} vs linear {lin_t}"
-            );
-            // Warm and cold transient converge to the same fixed point.
-            assert!(
-                (warm_t - cold_t).abs() <= 5e-3 * (1.0 + cold_t.abs()),
-                "{mode:?}: warm {warm_t} vs cold {cold_t}"
+                (tran_t - lin_t).abs() <= 0.5 * lin_t.max(tran_t),
+                "{mode:?}: transient settling {tran_t} vs linear {lin_t}"
             );
         }
     }

@@ -113,7 +113,6 @@ fn centre_idx(p: &dyn SizingProblem) -> Vec<usize> {
 fn dc_opts(vdd: f64) -> DcOptions {
     DcOptions {
         initial_v: vdd / 2.0,
-        ..DcOptions::default()
     }
 }
 
@@ -130,13 +129,13 @@ fn centres() -> Vec<Centre> {
             name: "opamp2",
             ckt,
             out,
-            dc: dc_opts(opamp.vdd),
+            dc: dc_opts(OpAmp2::VDD),
         },
         Centre {
             name: "neggm",
             ckt: nckt,
             out: nout,
-            dc: dc_opts(neggm.vdd),
+            dc: dc_opts(NegGmOta::VDD),
         },
         Centre {
             name: "tia",

@@ -36,18 +36,12 @@ pub struct EnvConfig {
     /// Terminal bonus granted on success (paper: +10; the reward-shaping
     /// ablation sets this to 0).
     pub success_bonus: f64,
-    /// Warm-start consecutive DC solves from the previous step's operating
-    /// point (reset clears the warm state). The cold path is bit-identical
-    /// to [`SizingProblem::simulate`]; warm results agree to solver
-    /// tolerance.
-    pub warm_start: bool,
     /// Pool the memo across environments: when set, this env's session
     /// caches into (and serves revisits from) the given memo instead of
     /// its own, so parallel rollout workers share every solved grid
-    /// point. Warm-start state stays private per env. With `warm_start`
-    /// also on, a pooled hit may serve specs solved from a sibling's warm
-    /// trajectory — identical to a private run within solver tolerance
-    /// (bitwise-identical when `warm_start` is off). Without it, the env
+    /// point. Warm-start state stays private per env, so a pooled hit may
+    /// serve specs solved from a sibling's warm trajectory — identical to
+    /// a private run within solver tolerance. Without it, the env
     /// memoizes into a memo of its own.
     pub shared_memo: Option<Arc<SharedMemo>>,
 }
@@ -59,7 +53,6 @@ impl Default for EnvConfig {
             mode: SimMode::Schematic,
             target_mode: TargetMode::Uniform,
             success_bonus: SUCCESS_BONUS,
-            warm_start: true,
             shared_memo: None,
         }
     }
@@ -96,8 +89,7 @@ impl SizingEnv {
     pub fn new(problem: Arc<dyn SizingProblem>, cfg: EnvConfig) -> Self {
         let cards = problem.cardinalities();
         let nspecs = problem.specs().len();
-        let mut session =
-            EvalSession::shared(Arc::clone(&problem), cfg.mode).with_warm_start(cfg.warm_start);
+        let mut session = EvalSession::shared(Arc::clone(&problem), cfg.mode);
         if let Some(memo) = &cfg.shared_memo {
             session = session.with_shared_memo(Arc::clone(memo));
         }
@@ -407,35 +399,44 @@ mod tests {
         assert!(e.memo_hits() >= 1);
     }
 
+    /// The warm-started env's rewards against the pure cold reference:
+    /// the same walk re-scored from `SizingProblem::simulate` at every
+    /// visited grid point.
     #[test]
     fn cold_env_matches_warm_env_rewards() {
-        let mk = |warm: bool| {
-            SizingEnv::new(
-                Arc::new(Tia::default()),
-                EnvConfig {
-                    horizon: 10,
-                    target_mode: TargetMode::Uniform,
-                    warm_start: warm,
-                    ..EnvConfig::default()
-                },
-            )
-        };
-        let mut cold = mk(false);
-        let mut warm = mk(true);
+        let mut warm = SizingEnv::new(
+            Arc::new(Tia::default()),
+            EnvConfig {
+                horizon: 10,
+                target_mode: TargetMode::Uniform,
+                ..EnvConfig::default()
+            },
+        );
         let target = {
             let mut rng = StdRng::seed_from_u64(14);
-            crate::target::sample_uniform(cold.problem().as_ref(), &mut rng)
+            crate::target::sample_uniform(warm.problem().as_ref(), &mut rng)
         };
-        cold.reset_with_target(target.clone());
         warm.reset_with_target(target);
+        let cold_reward = |e: &SizingEnv| {
+            let specs = e
+                .problem()
+                .simulate(e.param_indices(), SimMode::Schematic)
+                .unwrap();
+            let r = reward(e.problem().specs(), &specs, e.target());
+            if is_success(r) {
+                r + SUCCESS_BONUS
+            } else {
+                r
+            }
+        };
         let walk = [[0, 1, 2, 1, 0, 2], [2, 1, 0, 1, 2, 0], [1, 1, 1, 1, 1, 1]];
         for a in walk.iter().cycle().take(9) {
-            let rc = cold.step(a);
             let rw = warm.step(a);
+            let rc = cold_reward(&warm);
             assert!(
-                (rc.reward - rw.reward).abs() < 1e-6 * (1.0 + rc.reward.abs()),
+                (rc - rw.reward).abs() < 1e-6 * (1.0 + rc.abs()),
                 "cold {} vs warm {}",
-                rc.reward,
+                rc,
                 rw.reward
             );
         }

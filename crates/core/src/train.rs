@@ -52,9 +52,9 @@ pub struct TrainConfig {
     /// center, so cross-worker overlap is heavy. Warm-start state stays
     /// private per worker. Because a pooled hit may serve specs solved
     /// from a sibling's warm trajectory, reward trajectories are
-    /// reproducible within solver tolerance rather than bitwise when
-    /// `warm_start` is on; set to `false` to restore fully per-worker
-    /// (bitwise-deterministic) evaluation.
+    /// reproducible within solver tolerance rather than bitwise; set to
+    /// `false` to restore fully per-worker (bitwise-deterministic)
+    /// evaluation.
     pub pool_memo: bool,
     /// Master seed.
     pub seed: u64,

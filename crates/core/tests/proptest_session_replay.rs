@@ -5,8 +5,10 @@
 //! even though the warm solve trajectory that first produced each value
 //! can never be re-run bit-for-bit.
 
-use autockt_circuits::Tia;
-use autockt_core::{EnvConfig, SizingEnv, TargetMode};
+use autockt_circuits::{SimMode, Tia};
+use autockt_core::{
+    is_success, reward, EnvConfig, SizingEnv, TargetMode, SIM_FAIL_REWARD, SUCCESS_BONUS,
+};
 use autockt_rl::env::Env;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -52,37 +54,41 @@ proptest! {
         prop_assert!(env.memo_hits() - hits_before == actions.len() as u64 + 1);
     }
 
+    /// The warm-started env's rewards against the pure cold reference:
+    /// `SizingProblem::simulate` at every visited grid point, scored as
+    /// the env scores it.
     #[test]
     fn warm_env_rewards_match_cold_env(
         target_u in prop::collection::vec(0.0..1.0f64, 3),
         moves in prop::collection::vec(0usize..3, 30),
     ) {
-        let mk = |warm: bool| {
-            SizingEnv::new(
-                Arc::new(Tia::default()),
-                EnvConfig {
-                    horizon: 100,
-                    target_mode: TargetMode::Uniform,
-                    warm_start: warm,
-                    ..EnvConfig::default()
-                },
-            )
-        };
-        let mut cold = mk(false);
-        let mut warm = mk(true);
-        let target: Vec<f64> = cold
+        let mut warm = SizingEnv::new(
+            Arc::new(Tia::default()),
+            EnvConfig {
+                horizon: 100,
+                target_mode: TargetMode::Uniform,
+                ..EnvConfig::default()
+            },
+        );
+        let target: Vec<f64> = warm
             .problem()
             .specs()
             .iter()
             .zip(&target_u)
             .map(|(d, u)| d.lo + u * (d.hi - d.lo))
             .collect();
-        cold.reset_with_target(target.clone());
         warm.reset_with_target(target);
         for a in moves.chunks(6) {
             let act: Vec<usize> = a.to_vec();
-            let rc = cold.step(&act).reward;
             let rw = warm.step(&act).reward;
+            let problem = warm.problem();
+            let rc = match problem.simulate(warm.param_indices(), SimMode::Schematic) {
+                Ok(specs) => {
+                    let r = reward(problem.specs(), &specs, warm.target());
+                    if is_success(r) { r + SUCCESS_BONUS } else { r }
+                }
+                Err(_) => SIM_FAIL_REWARD,
+            };
             prop_assert!(
                 (rc - rw).abs() <= 5e-3 * (1.0 + rc.abs()),
                 "cold {rc} vs warm {rw}"

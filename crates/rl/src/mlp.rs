@@ -610,11 +610,6 @@ impl Mlp {
         }
         self.zero_grad();
     }
-
-    /// Total number of trainable parameters.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
-    }
 }
 
 /// Numerically stable softmax over a slice.
@@ -756,7 +751,6 @@ mod tests {
         assert_eq!(net.n_in(), 3);
         assert_eq!(net.n_out(), 2);
         assert_eq!(net.forward(&[0.0, 0.0, 0.0]).len(), 2);
-        assert!(net.num_params() > 0);
     }
 
     #[test]

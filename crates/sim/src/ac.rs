@@ -116,7 +116,7 @@ impl<'a> AcSolver<'a> {
         let mut rhs = vec![Complex::ZERO; dim];
         let idx = |n: Node| ckt.mna_index(n);
 
-        // The DC solve's default gmin keeps conditioning consistent
+        // The DC solve's gmin keeps conditioning consistent
         // between analyses.
         for i in 0..(nnodes - 1) {
             g[(i, i)] += GMIN;

@@ -149,38 +149,32 @@ impl WarmState {
     }
 }
 
-/// The default minimum conductance from every node to ground (S): the
-/// [`DcOptions::default`] `gmin`, and the regularization the small-signal
+/// The minimum conductance from every node to ground (S): the floor of
+/// the DC homotopy, the regularization of every Newton solve (operating
+/// point and transient time points alike), and the one the small-signal
 /// linearization ([`crate::ac::AcSolver::new`]) stamps, so the analyses
 /// agree on nodes with no DC path.
 pub const GMIN: f64 = 1e-12;
 
-/// Options for the DC solve. The transient's Newton iteration at every
-/// time point runs on them too (see [`crate::tran::TranOptions::dc`]).
+/// Maximum Newton iterations per gmin stage (or transient time point).
+const MAX_ITER: usize = 150;
+/// Convergence tolerance on the largest Newton update (V, A).
+const TOL: f64 = 1e-9;
+/// Maximum per-node voltage change per Newton step (damping, V).
+const DV_MAX: f64 = 0.3;
+
+/// Options for the DC solve. The transient's initial operating point runs
+/// on them too (see [`crate::tran::TranOptions::dc`]); the Newton
+/// iteration cap, tolerance and damping are fixed in this module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcOptions {
     /// Initial guess applied to every non-ground node (typically `vdd/2`).
     pub initial_v: f64,
-    /// Maximum Newton iterations per gmin stage (or transient time point).
-    pub max_iter: usize,
-    /// Convergence tolerance on the update norm (V, A).
-    pub tol: f64,
-    /// Maximum per-node voltage change per Newton step (damping).
-    pub dv_max: f64,
-    /// Minimum conductance from every node to ground (aids convergence and
-    /// regularizes capacitor-only nodes).
-    pub gmin: f64,
 }
 
 impl Default for DcOptions {
     fn default() -> Self {
-        DcOptions {
-            initial_v: 0.5,
-            max_iter: 150,
-            tol: 1e-9,
-            dv_max: 0.3,
-            gmin: GMIN,
-        }
+        DcOptions { initial_v: 0.5 }
     }
 }
 
@@ -344,14 +338,10 @@ impl<'a> Assembler<'a> {
         }
         f.iter_mut().for_each(|v| *v = 0.0);
         let volt = |n: Node| self.voltage(x, n);
-        // gmin from every node to ground. Skipped entirely when disabled,
-        // so a floating node keeps its empty Jacobian column.
-        // lint:allow(float-eq) — exact-zero means "disabled" by contract.
-        if gmin != 0.0 {
-            for i in 0..(self.nnodes - 1) {
-                j[(i, i)] += gmin;
-                f[i] += gmin * x[i];
-            }
+        // gmin from every node to ground.
+        for i in 0..(self.nnodes - 1) {
+            j[(i, i)] += gmin;
+            f[i] += gmin * x[i];
         }
         let mut vk = 0usize;
         for e in self.ckt.elements() {
@@ -505,25 +495,24 @@ impl<'a> Assembler<'a> {
 /// Damped Newton–Raphson on the system `assemble` builds: it writes the
 /// Jacobian and residual at the point `x` into its two buffers. Every
 /// update of the first `nv` unknowns (the node voltages) is clamped to
-/// `opts.dv_max`; the iteration stops once no update exceeds `opts.tol`.
+/// [`DV_MAX`]; the iteration stops once no update exceeds [`TOL`].
 /// The operating point and every transient time point run here. Returns
 /// the iterations spent.
 ///
 /// # Errors
 ///
-/// [`SimError::DcNoConvergence`] after `opts.max_iter` iterations or on a
+/// [`SimError::DcNoConvergence`] after [`MAX_ITER`] iterations or on a
 /// non-finite iterate; [`SimError::SingularMatrix`] from the LU.
 pub(crate) fn newton_solve(
     x: &mut [f64],
     nv: usize,
-    opts: &DcOptions,
     ws: &mut DcWorkspace,
     mut assemble: impl FnMut(&[f64], &mut Matrix<f64>, &mut [f64]),
 ) -> Result<usize, SimError> {
     let dim = x.len();
     ws.f.resize(dim, 0.0);
     ws.rhs.resize(dim, 0.0);
-    for it in 0..opts.max_iter {
+    for it in 0..MAX_ITER {
         assemble(x, &mut ws.j, &mut ws.f);
         for (r, v) in ws.rhs.iter_mut().zip(&ws.f) {
             *r = -v;
@@ -532,11 +521,7 @@ pub(crate) fn newton_solve(
         ws.lu.solve_into(&ws.rhs, &mut ws.dx);
         let mut maxd = 0.0f64;
         for (i, d) in ws.dx.iter().enumerate() {
-            let step = if i < nv {
-                d.clamp(-opts.dv_max, opts.dv_max)
-            } else {
-                *d
-            };
+            let step = if i < nv { d.clamp(-DV_MAX, DV_MAX) } else { *d };
             x[i] += step;
             maxd = maxd.max(d.abs());
         }
@@ -546,13 +531,13 @@ pub(crate) fn newton_solve(
                 residual: f64::INFINITY,
             });
         }
-        if maxd < opts.tol {
+        if maxd < TOL {
             return Ok(it + 1);
         }
     }
     let residual = ws.f.iter().fold(0.0f64, |a, b| a.max(b.abs()));
     Err(SimError::DcNoConvergence {
-        iterations: opts.max_iter,
+        iterations: MAX_ITER,
         residual,
     })
 }
@@ -560,14 +545,14 @@ pub(crate) fn newton_solve(
 /// Solves the DC operating point of `ckt`.
 ///
 /// Plain damped Newton is attempted first; on failure a gmin-stepping
-/// homotopy (1e-3 S down to `opts.gmin` in decades) retries, reusing each
+/// homotopy (1e-3 S down to [`GMIN`] in decades) retries, reusing each
 /// stage's solution as the next stage's initial guess.
 ///
 /// # Errors
 ///
 /// [`SimError::StructurallySingular`] when the cold Newton iteration
-/// meets a Jacobian whose sparsity pattern has no full matching (a
-/// floating node with `gmin` disabled, a dangling net), checked before
+/// meets a Jacobian whose sparsity pattern has no full matching (two
+/// voltage sources in parallel, a loop of sources), checked before
 /// the homotopy; otherwise [`SimError::DcNoConvergence`] or
 /// [`SimError::SingularMatrix`] if the homotopy also fails.
 ///
@@ -625,7 +610,7 @@ pub(crate) fn dc_operating_point_warm(
     let nv = asm.nnodes - 1;
     let mut x = vec![0.0; dim];
     let solve = |x: &mut [f64], gmin: f64, ws: &mut DcWorkspace| {
-        newton_solve(x, nv, opts, ws, |x, j, f| asm.assemble(x, None, gmin, j, f))
+        newton_solve(x, nv, ws, |x, j, f| asm.assemble(x, None, gmin, j, f))
     };
 
     let mut total_iters = 0usize;
@@ -633,7 +618,7 @@ pub(crate) fn dc_operating_point_warm(
     if let Some(w) = warm {
         if w.len() == dim && w.iter().all(|v| v.is_finite()) {
             x.copy_from_slice(w);
-            if let Ok(it) = solve(&mut x, opts.gmin, ws) {
+            if let Ok(it) = solve(&mut x, GMIN, ws) {
                 total_iters += it;
                 warm_started = true;
             }
@@ -642,7 +627,7 @@ pub(crate) fn dc_operating_point_warm(
     if !warm_started {
         x.iter_mut().for_each(|v| *v = 0.0);
         x[..nv].iter_mut().for_each(|v| *v = opts.initial_v);
-        let direct = solve(&mut x, opts.gmin, ws);
+        let direct = solve(&mut x, GMIN, ws);
         match direct {
             Ok(it) => total_iters += it,
             Err(e) => {
@@ -660,10 +645,10 @@ pub(crate) fn dc_operating_point_warm(
                 loop {
                     let it = solve(&mut x, g, ws)?;
                     total_iters += it;
-                    if g <= opts.gmin * 1.0001 {
+                    if g <= GMIN * 1.0001 {
                         break;
                     }
-                    g = (g * 0.1).max(opts.gmin);
+                    g = (g * 0.1).max(GMIN);
                 }
             }
         }

@@ -350,15 +350,6 @@ impl MosModel {
     pub fn thermal_noise_psd(&self, gm: f64, temp_k: f64) -> f64 {
         4.0 * BOLTZMANN * temp_k * self.gamma * gm
     }
-
-    /// Flicker-noise drain-current PSD at frequency `f` (A^2/Hz):
-    /// `kf * gm^2 / (Cox W L f)`.
-    pub fn flicker_noise_psd(&self, gm: f64, w: f64, l: f64, mult: f64, f: f64) -> f64 {
-        if f <= 0.0 {
-            return 0.0;
-        }
-        self.kf * gm * gm / (self.cox * w * l * mult * f)
-    }
 }
 
 #[cfg(test)]
@@ -471,9 +462,6 @@ mod tests {
         let th = m.thermal_noise_psd(1e-3, 300.0);
         assert!(th > 0.0);
         assert!((m.thermal_noise_psd(2e-3, 300.0) - 2.0 * th).abs() / th < 1e-12);
-        let f1 = m.flicker_noise_psd(1e-3, 1e-6, 45e-9, 1.0, 1e3);
-        let f2 = m.flicker_noise_psd(1e-3, 1e-6, 45e-9, 1.0, 1e6);
-        assert!(f1 > f2, "flicker noise must fall with frequency");
     }
 
     #[test]

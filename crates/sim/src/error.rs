@@ -29,8 +29,8 @@ pub enum SimError {
     /// structural nonzeros (maximum bipartite matching on the sparsity
     /// pattern falls short of the dimension). The DC solve checks the
     /// pattern of a Jacobian its cold Newton iteration could not factor,
-    /// before the gmin homotopy — typically a floating node (only
-    /// capacitive coupling with gmin disabled) or a dangling net. Unlike
+    /// before the gmin homotopy — typically voltage sources in parallel
+    /// or in a loop, whose branch columns gmin never touches. Unlike
     /// the numeric singular variant this is a property of the circuit
     /// topology alone, so retrying with different values (gmin stepping,
     /// source ramping) cannot help.

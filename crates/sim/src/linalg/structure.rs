@@ -11,9 +11,9 @@
 //! [`SimError::StructurallySingular`].
 //!
 //! The DC solve runs the check on the Jacobian a cold Newton iteration
-//! failed to factor ([`check_dense`]): a floating node (only capacitive
-//! coupling with gmin disabled) or a dangling net is then diagnosed by
-//! name, before the gmin homotopy, which cannot repair a topology. The
+//! failed to factor ([`check_dense`]): voltage sources in parallel or in
+//! a loop, whose branch columns gmin never touches, are then diagnosed by
+//! column, before the gmin homotopy, which cannot repair a topology. The
 //! successful solve path never runs it.
 
 use super::{Matrix, Scalar};

@@ -155,25 +155,6 @@ impl AcResponse {
         Err(n - 1)
     }
 
-    /// Magnitude at an arbitrary frequency inside the grid, interpolated in
-    /// (log f, dB) space using only the two bracketing points (no per-call
-    /// allocation). An empty response reads as zero gain; outside the grid
-    /// the nearest endpoint is returned.
-    pub fn gain_at(&self, f: f64) -> f64 {
-        let n = self.freqs.len().min(self.h.len());
-        if n == 0 {
-            return 0.0;
-        }
-        match self.bracket(n, f) {
-            Err(j) => self.h[j].norm(),
-            Ok((i, t)) => {
-                let d0 = db20(self.h[i].norm());
-                let d1 = db20(self.h[i + 1].norm());
-                10f64.powf((d0 + t * (d1 - d0)) / 20.0)
-            }
-        }
-    }
-
     /// Linear interpolation of a per-point quantity `y` at frequency `f`
     /// using log-frequency as the abscissa. Clamps outside the grid; a
     /// degenerate grid (empty or single-point) reads as the first sample
@@ -451,7 +432,6 @@ mod tests {
             r.phase_margin_deg(),
             Err(SimError::MeasureFailed { .. })
         ));
-        assert_eq!(r.gain_at(1e6), 0.0);
         assert_eq!(r.dc_gain(), 0.0);
     }
 
@@ -467,9 +447,7 @@ mod tests {
             r.phase_margin_deg(),
             Err(SimError::MeasureFailed { .. })
         ));
-        // Interpolation clamps to the single sample at any frequency.
-        assert!((r.gain_at(1.0) - 100.0).abs() < 1e-12);
-        assert!((r.gain_at(1e9) - 100.0).abs() < 1e-12);
+        assert!((r.dc_gain() - 100.0).abs() < 1e-12);
     }
 
     #[test]
@@ -507,23 +485,6 @@ mod tests {
         assert!(r.ugbw().is_err());
     }
 
-    #[test]
-    fn gain_at_matches_bracketing_interpolation() {
-        let freqs = crate::ac::log_freqs(1e2, 1e10, 40);
-        let r = single_pole(100.0, 1e5, &freqs);
-        // On-grid query returns the sample magnitude exactly.
-        let i = freqs.len() / 3;
-        assert!((r.gain_at(freqs[i]) - r.h[i].norm()).abs() / r.h[i].norm() < 1e-9);
-        // Off-grid query lies between the bracketing magnitudes.
-        let f = (freqs[i] * freqs[i + 1]).sqrt();
-        let g = r.gain_at(f);
-        let (lo, hi) = (
-            r.h[i + 1].norm().min(r.h[i].norm()),
-            r.h[i + 1].norm().max(r.h[i].norm()),
-        );
-        assert!(g >= lo && g <= hi, "{g} outside [{lo}, {hi}]");
-    }
-
     /// The response truncated after point `k` (inclusive).
     fn prefix(r: &AcResponse, k: usize) -> AcResponse {
         AcResponse {
@@ -533,12 +494,12 @@ mod tests {
     }
 
     /// The crossing measurements a truncated sweep must reproduce bit
-    /// for bit: `ugbw`, the phase margin and the gain at `ugbw`.
-    fn crossing_bits(r: &AcResponse) -> (u64, u64, u64) {
+    /// for bit: `ugbw` and the phase margin.
+    fn crossing_bits(r: &AcResponse) -> (u64, u64) {
         let fu = r.ugbw().unwrap();
         let pm = r.phase_margin_deg().unwrap();
         assert_eq!(pm.to_bits(), r.phase_margin_at(fu).unwrap().to_bits());
-        (fu.to_bits(), pm.to_bits(), r.gain_at(fu).to_bits())
+        (fu.to_bits(), pm.to_bits())
     }
 
     #[test]

@@ -195,11 +195,6 @@ impl Circuit {
         self.node_names.len()
     }
 
-    /// Name of a node (ground is `"0"`).
-    pub fn node_name(&self, n: Node) -> &str {
-        &self.node_names[n.0]
-    }
-
     /// The elements of the circuit, in insertion order.
     pub fn elements(&self) -> &[Element] {
         &self.elements
@@ -400,8 +395,7 @@ mod tests {
         let a = c.node("a");
         let b = c.node("b");
         assert_eq!(c.num_nodes(), 3);
-        assert_eq!(c.node_name(a), "a");
-        assert_eq!(c.node_name(b), "b");
+        assert_eq!((a.index(), b.index()), (1, 2));
         assert!(GND.is_ground());
         assert!(!a.is_ground());
     }

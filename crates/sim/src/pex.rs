@@ -22,10 +22,6 @@ pub struct PexConfig {
     pub cap_per_width: f64,
     /// Fixed via/pin capacitance per MOSFET terminal (F).
     pub cap_fixed: f64,
-    /// Shunt capacitance added across each resistor as a fraction of
-    /// `cap_fixed` per kiloohm (poly resistors have distributed parasitics
-    /// that grow with length, hence with resistance).
-    pub cap_per_kohm: f64,
     /// Relative spread of the deterministic per-net jitter (0.2 = +/-20%).
     pub spread: f64,
     /// Extra multiplier on every MOSFET's intrinsic junction caps — layout
@@ -37,28 +33,32 @@ pub struct PexConfig {
     /// default) keeps the historical lumped cap-to-ground annotation;
     /// `depth >= 1` models the route as a distributed RC mesh — `depth`
     /// internal nodes in series, each carrying `1/depth` of the
-    /// capacitance behind [`PexConfig::mesh_res`] ohms of metal — which
+    /// capacitance behind 40 ohms of metal per segment — which
     /// grows the MNA dimension by `depth` per annotated terminal. Benches
     /// and the mesh-8 deployment workload use it to reach the dense-mesh
     /// dims where the Woodbury corner kernels pay (the TIA is dim 32 at
     /// depth 4, 60 at depth 8 and 116 at depth 16).
     pub mesh_depth: usize,
-    /// Series routing resistance per mesh segment (ohms); unused at
-    /// `mesh_depth == 0`. Routes are real metal, so the segments are
-    /// thermally noisy resistors.
-    pub mesh_res: f64,
 }
+
+/// Shunt capacitance added across each resistor per kiloohm (F): poly
+/// resistors have distributed parasitics that grow with length, hence
+/// with resistance.
+const CAP_PER_KOHM: f64 = 0.08e-15;
+
+/// Series routing resistance per mesh segment (ohms); unused at
+/// `mesh_depth == 0`. Routes are real metal, so the segments are
+/// thermally noisy resistors.
+const MESH_RES: f64 = 40.0;
 
 impl Default for PexConfig {
     fn default() -> Self {
         PexConfig {
             cap_per_width: 0.12e-9, // 0.12 fF per um of width
             cap_fixed: 0.35e-15,
-            cap_per_kohm: 0.08e-15,
             spread: 0.25,
             junction_scale: 1.6,
             mesh_depth: 0,
-            mesh_res: 40.0,
         }
     }
 }
@@ -112,7 +112,7 @@ pub fn extract(ckt: &Circuit, cfg: &PexConfig) -> Circuit {
                 }
             }
             Element::Resistor { p, n, r, .. } => {
-                let c = cfg.cap_per_kohm * (r / 1.0e3);
+                let c = CAP_PER_KOHM * (r / 1.0e3);
                 for (ti, node) in [(0u64, *p), (1, *n)] {
                     if node.is_ground() {
                         continue;
@@ -139,7 +139,7 @@ pub fn extract(ckt: &Circuit, cfg: &PexConfig) -> Circuit {
             let mut prev = node;
             for s in 0..cfg.mesh_depth {
                 let n = out.node(&format!("pex{pi}_{s}"));
-                out.resistor(prev, n, cfg.mesh_res);
+                out.resistor(prev, n, MESH_RES);
                 out.capacitor(n, GND, seg_c);
                 prev = n;
             }

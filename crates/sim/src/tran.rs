@@ -2,8 +2,7 @@
 //! backward-Euler start step, Newton iteration at every time point.
 //!
 //! Every time point is one Newton solve of the DC assembler
-//! ([`crate::dc`]) with the sources at that time, under the options of
-//! [`TranOptions::dc`]: step sources follow their [`crate::netlist::Step`]
+//! ([`crate::dc`]) with the sources at that time: step sources follow their [`crate::netlist::Step`]
 //! waveforms, MOSFETs are re-linearized each Newton iteration, and the
 //! capacitors and MOSFET gate capacitances add their integration
 //! companions. A circuit at rest therefore stays at its operating point.
@@ -15,7 +14,7 @@
 //! per block and one length-`n` dot per output sample.
 
 use crate::dc::{
-    dc_operating_point, eval_mos_oriented, newton_solve, Assembler, DcOptions, DcWorkspace, OpPoint,
+    dc_operating_point, eval_mos_oriented, newton_solve, Assembler, DcOptions, DcWorkspace, GMIN,
 };
 use crate::device::MosPolarity;
 use crate::error::SimError;
@@ -29,9 +28,7 @@ pub struct TranOptions {
     pub t_stop: f64,
     /// Fixed time step (s).
     pub dt: f64,
-    /// DC options: the initial operating point's solve, and the Newton
-    /// iteration at every time point (iteration cap, update tolerance,
-    /// damping and gmin).
+    /// DC options of the initial operating point's solve.
     pub dc: DcOptions,
 }
 
@@ -121,8 +118,9 @@ impl CapState {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::TranNoConvergence`] if Newton fails at some time
-/// point, or propagates DC/LU errors.
+/// Returns [`SimError::InvalidOptions`] for a degenerate time grid,
+/// [`SimError::TranNoConvergence`] if Newton fails at some time point, or
+/// propagates DC/LU errors.
 ///
 /// # Examples
 ///
@@ -149,25 +147,6 @@ impl CapState {
 pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult, SimError> {
     opts.validate()?;
     let op = dc_operating_point(ckt, &opts.dc)?;
-    transient_from_op(ckt, opts, &op)
-}
-
-/// [`transient`] starting from an already-solved operating point `op`
-/// (which must belong to `ckt` at its DC source values), e.g. one a
-/// session's [`crate::dc::WarmState`] solved warm, or the one an AC
-/// linearization used.
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidOptions`] for a degenerate time grid,
-/// [`SimError::TranNoConvergence`] if Newton fails at some time point, or
-/// propagates LU errors.
-pub fn transient_from_op(
-    ckt: &Circuit,
-    opts: &TranOptions,
-    op: &OpPoint,
-) -> Result<TranResult, SimError> {
-    opts.validate()?;
     let asm = Assembler::new(ckt);
     let nv = ckt.num_nodes() - 1;
     // State vector starts at the operating point.
@@ -199,7 +178,7 @@ pub fn transient_from_op(
         let trap = step > 1;
         let prev: &[f64] = &v_points[v_points.len() - 1];
         let assemble = |x: &[f64], j: &mut Matrix<f64>, f: &mut [f64]| {
-            asm.assemble(x, Some(t), opts.dc.gmin, j, f);
+            asm.assemble(x, Some(t), GMIN, j, f);
             let volt = |n: Node| asm.voltage(x, n);
             for cs in &caps {
                 let (geq, ieq) = cs.companion(opts.dt, trap);
@@ -226,7 +205,7 @@ pub fn transient_from_op(
                 }
             }
         };
-        newton_solve(&mut x, nv, &opts.dc, &mut ws, assemble).map_err(|e| match e {
+        newton_solve(&mut x, nv, &mut ws, assemble).map_err(|e| match e {
             SimError::DcNoConvergence { .. } => SimError::TranNoConvergence { time: t },
             e => e,
         })?;
@@ -251,7 +230,6 @@ pub fn transient_from_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dc::WarmState;
     use crate::netlist::{Step, GND};
 
     #[test]
@@ -352,46 +330,6 @@ mod tests {
             transient(&ckt, &opts),
             Err(SimError::InvalidOptions { .. })
         ));
-    }
-
-    #[test]
-    fn warm_transient_matches_cold_and_skips_cold_dc() {
-        // RC step: the warm path must produce the same waveform as the
-        // cold path (same fixed point, same integration), while starting
-        // its DC from the session's stored operating point.
-        let build = || {
-            let mut ckt = Circuit::new();
-            let i = ckt.node("in");
-            let o = ckt.node("out");
-            ckt.vsource_step(
-                i,
-                GND,
-                Step {
-                    v0: 0.0,
-                    v1: 1.0,
-                    t_delay: 0.0,
-                },
-                0.0,
-            );
-            ckt.resistor(i, o, 1.0e3);
-            ckt.capacitor(o, GND, 1e-9);
-            ckt
-        };
-        let ckt = build();
-        let opts = TranOptions::new(5e-6, 500);
-        let cold = transient(&ckt, &opts).unwrap();
-        let mut state = WarmState::new();
-        // Prime the slot with the operating point, as a session would.
-        state.solve(0, &ckt, &opts.dc).unwrap();
-        let op = state.solve(0, &ckt, &opts.dc).unwrap();
-        assert!(op.warm_started());
-        let warm = transient_from_op(&ckt, &opts, &op).unwrap();
-        assert_eq!(cold.t, warm.t);
-        for (a, b) in cold.v.iter().flatten().zip(warm.v.iter().flatten()) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-        // The warm state now holds the transient's initial OP solution.
-        assert!(state.is_warm());
     }
 
     #[test]

@@ -355,7 +355,7 @@ fn diode_connected_nmos_biases_at_the_square_law_root() {
         let op = dc_operating_point(&ckt, &opts).expect("diode bias solves");
         let residual = |v: f64| {
             let vov = v - model.vth0;
-            0.5 * beta * vov * vov * (1.0 + model.lambda * v) + opts.gmin * v - i_bias
+            0.5 * beta * vov * vov * (1.0 + model.lambda * v) + GMIN * v - i_bias
         };
         let (mut lo, mut hi) = (model.vth0, model.vth0 + 10.0);
         for _ in 0..200 {

@@ -1,8 +1,8 @@
 //! Property-based tests for the structural-analysis layer
 //! (`linalg::structure`): maximum matching must compute the true
 //! structural rank (== numeric rank for generic values), an emptied
-//! column must be diagnosed by name, and the DC solve must report a
-//! floating-node circuit as structurally singular before its homotopy.
+//! column must be diagnosed by name, and the DC solve must report
+//! parallel voltage sources as structurally singular before its homotopy.
 
 use autockt_sim::dc::{dc_operating_point, DcOptions};
 use autockt_sim::linalg::structure::{maximum_matching, structural_check, UNMATCHED};
@@ -204,65 +204,38 @@ proptest! {
     }
 }
 
-/// Builds a resistive grid (the PEX-mesh shape) hanging off a driven
-/// node, with one interior node coupled to its neighbours through
-/// capacitors only — open circuits at DC, so that node's MNA column is
-/// structurally empty once gmin regularization is disabled.
-fn floating_mesh_circuit(k: usize) -> (Circuit, usize) {
-    let mut ckt = Circuit::new();
-    let drive = ckt.node("drive");
-    ckt.vsource(drive, GND, 1.0, 0.0);
-    let nodes: Vec<_> = (0..k * k).map(|i| ckt.node(&format!("m{i}"))).collect();
-    ckt.resistor(drive, nodes[0], 100.0);
-    for r in 0..k {
-        for c in 0..k {
-            let i = r * k + c;
-            if c + 1 < k {
-                ckt.resistor(nodes[i], nodes[i + 1], 50.0);
-            }
-            if r + 1 < k {
-                ckt.resistor(nodes[i], nodes[i + k], 50.0);
-            }
-        }
-    }
-    ckt.resistor(nodes[k * k - 1], GND, 200.0);
-    // The floating victim: capacitively coupled to two mesh corners,
-    // no DC path anywhere.
-    let float = ckt.node("float");
-    ckt.capacitor(float, nodes[0], 1e-15);
-    ckt.capacitor(float, nodes[k * k - 1], 2e-15);
-    // MNA column: node voltages occupy columns 0..nv-1 in node order,
-    // ground excluded.
-    (ckt, float.index() - 1)
-}
-
-/// With gmin disabled, the floating mesh node must be diagnosed as
-/// [`SimError::StructurallySingular`] naming its MNA column: the
-/// diagnosis comes out of the pattern of the first singular Jacobian,
-/// before any Newton update and before the gmin homotopy, not from a
-/// numeric pivot failure (`SingularMatrix`) after the homotopy.
+/// Two voltage sources in parallel from one node to ground: both branch
+/// columns hold entries only in that node's row, and gmin stamps node
+/// columns alone, so the Jacobian is structurally singular at every gmin
+/// value. The DC solve must diagnose it as
+/// [`SimError::StructurallySingular`] naming the second branch column:
+/// the diagnosis comes out of the pattern of the first singular Jacobian,
+/// before the gmin homotopy, not from a numeric pivot failure
+/// (`SingularMatrix`) after the homotopy.
 #[test]
-fn floating_mesh_node_fails_structural_preflight_before_newton() {
-    let (ckt, float_col) = floating_mesh_circuit(4);
-    let opts = DcOptions {
-        gmin: 0.0,
-        ..DcOptions::default()
-    };
-    match dc_operating_point(&ckt, &opts) {
+fn parallel_sources_fail_structural_preflight_before_newton() {
+    let mut ckt = Circuit::new();
+    let a = ckt.node("a");
+    ckt.vsource(a, GND, 1.0, 0.0);
+    ckt.vsource(a, GND, 1.0, 0.0);
+    match dc_operating_point(&ckt, &DcOptions::default()) {
         Err(SimError::StructurallySingular {
             column,
             structural_rank,
             dim,
         }) => {
-            assert_eq!(column, float_col, "diagnosis must name the floating node");
+            // Unknowns: v(a), then the two branch currents.
+            assert_eq!(dim, 3);
+            assert_eq!(column, 2, "diagnosis must name the second branch");
             assert_eq!(structural_rank, dim - 1);
         }
         other => panic!("expected StructurallySingular, got {other:?}"),
     }
-    // The same topology with default gmin regularization solves: the
-    // failure above is a property of the gmin-free pattern, and the
-    // check never rejects a pattern the factorization could handle.
-    let op = dc_operating_point(&ckt, &DcOptions::default())
-        .expect("gmin regularizes the floating node");
+    // One source alone solves: the check never rejects a pattern the
+    // factorization could handle.
+    let mut single = Circuit::new();
+    let a = single.node("a");
+    single.vsource(a, GND, 1.0, 0.0);
+    let op = dc_operating_point(&single, &DcOptions::default()).expect("one source solves");
     assert!(op.iterations() >= 1);
 }

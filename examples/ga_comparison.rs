@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         problem.as_ref(),
         &target,
         SimMode::Schematic,
-        &GaMlConfig::default(),
+        &GaConfig::default(),
     );
     println!(
         "GA+ML:      reached = {}, {} simulations",

@@ -41,7 +41,7 @@ pub use autockt_sim as sim;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use autockt_baselines::{ga_ml_solve, ga_solve, ga_solve_sweep, GaConfig, GaMlConfig};
+    pub use autockt_baselines::{ga_ml_solve, ga_solve, ga_solve_sweep, GaConfig};
     pub use autockt_circuits::{
         NegGmOta, OpAmp2, ParamSpec, SimMode, SizingProblem, SpecDef, SpecKind, Tia,
     };
