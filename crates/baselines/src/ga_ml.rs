@@ -5,20 +5,19 @@
 //! The mechanism that makes BagNet sample-efficient is reproduced: a neural
 //! network is trained online on all designs simulated so far and used to
 //! *screen* GA offspring, so only the children predicted to be promising
-//! are actually simulated. Sample efficiency counts simulations, not model
-//! queries. Unlike the vanilla GA's count, a repeated genome is not one:
-//! it is served from the memo and adds no dataset row. A genome whose
-//! operating point does not solve scores [`SIM_FAIL_REWARD`], as in the
-//! environment.
+//! are actually simulated. Genomes are scored, bred and counted through
+//! the vanilla GA's evaluator (see [`crate::ga`]). Sample efficiency
+//! counts simulations, not model queries, and unlike the vanilla GA's
+//! count a repeated genome is not one: [`GaOutcome::sims`] is the
+//! session's solve count, and a genome adds a dataset row exactly when it
+//! was solved.
 
-use crate::ga::{empty_outcome, offspring, GaConfig, GaOutcome};
-use autockt_circuits::{EvalSession, SharedMemo, SimMode, SizingProblem};
-use autockt_core::{is_success, reward, SIM_FAIL_REWARD};
+use crate::ga::{offspring, outcome, random_genome, Evaluator, GaConfig, GaOutcome, ELITISM};
+use autockt_circuits::{SimMode, SizingProblem};
+use autockt_core::is_success;
 use autockt_rl::mlp::{Mlp, Tape, TILE};
 use rand::rngs::StdRng;
-use rand::Rng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// Fraction of a generation's population simulated after screening.
 const SCREEN_KEEP: f64 = 0.25;
@@ -36,6 +35,17 @@ fn features(idx: &[usize], cards: &[usize]) -> Vec<f64> {
         .collect()
 }
 
+/// Scores genome `g`, adding it to the discriminator's `dataset` when the
+/// session solved it (a memo hit is a genome the dataset already holds).
+fn simulate(ev: &mut Evaluator<'_>, g: &[usize], dataset: &mut Vec<(Vec<f64>, f64)>) -> f64 {
+    let solves = ev.solves();
+    let f = ev.score(g);
+    if ev.solves() > solves {
+        dataset.push((features(g, &ev.cards), f));
+    }
+    f
+}
+
 /// Runs the discriminator-boosted GA against one target. `cfg.population`
 /// sizes the initial, fully simulated population; each generation breeds
 /// four times that many candidates and simulates the quarter of
@@ -47,70 +57,28 @@ pub fn ga_ml_solve(
     cfg: &GaConfig,
 ) -> GaOutcome {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let cards = problem.cardinalities();
-    let n = cards.len();
-    let mut model = Mlp::new(&[n, 32, 32, 1], &mut rng);
+    let mut ev = Evaluator::new(problem, target, mode);
+    let mut model = Mlp::new(&[ev.cards.len(), 32, 32, 1], &mut rng);
     let mut tape = Tape::new(&model);
     let mut dout = Vec::with_capacity(TILE);
-
-    // Evaluate through the shared session pipeline: duplicate genomes are
-    // served from the memo cache and count neither as sims nor as fresh
-    // dataset rows. Warm-starting is off — genomes are arbitrary grid
-    // jumps, not one-notch moves — and the memo is unbounded, so that
-    // accounting never drifts with a capacity limit.
-    let mut session = EvalSession::borrowed(problem, mode)
-        .with_warm_start(false)
-        .with_shared_memo(Arc::new(SharedMemo::new(usize::MAX)));
-    let mut sims = 0usize;
     let mut dataset: Vec<(Vec<f64>, f64)> = Vec::new();
-    let simulate = |idx: &[usize],
-                    sims: &mut usize,
-                    dataset: &mut Vec<(Vec<f64>, f64)>,
-                    session: &mut EvalSession<'_>|
-     -> f64 {
-        let hits_before = session.memo_hits();
-        let res = session.evaluate(idx);
-        let fresh = session.memo_hits() == hits_before;
-        if fresh {
-            *sims += 1;
-        }
-        let r = match res {
-            Ok(specs) => reward(problem.specs(), &specs, target),
-            Err(_) => SIM_FAIL_REWARD,
-        };
-        if fresh {
-            dataset.push((features(idx, &cards), r));
-        }
-        r
-    };
-
-    let random_genome = |rng: &mut StdRng| -> Vec<usize> {
-        cards.iter().map(|&k| rng.random_range(0..k)).collect()
-    };
 
     // Initial population, fully simulated.
     let mut pop: Vec<(Vec<usize>, f64)> = (0..cfg.population)
         .map(|_| {
-            let g = random_genome(&mut rng);
-            let f = simulate(&g, &mut sims, &mut dataset, &mut session);
+            let g = random_genome(&mut rng, &ev.cards);
+            let f = simulate(&mut ev, &g, &mut dataset);
             (g, f)
         })
         .collect();
     // As in `ga_solve`: `total_cmp` instead of a panicking comparator,
-    // and an empty population short-circuits to a degenerate outcome.
-    let mut best = match pop.iter().max_by(|a, b| a.1.total_cmp(&b.1)).cloned() {
-        Some(b) => b,
-        None => return empty_outcome(sims),
-    };
+    // and an empty population ends with no genome at reward −∞.
+    let best = pop.iter().max_by(|a, b| a.1.total_cmp(&b.1)).cloned();
+    let mut best = best.unwrap_or((Vec::new(), f64::NEG_INFINITY));
 
     for _gen in 0..cfg.generations {
         if is_success(best.1) {
-            return GaOutcome {
-                reached: true,
-                sims,
-                best_reward: best.1,
-                best_idx: best.0,
-            };
+            return outcome(best, ev.solves());
         }
         // Retrain the discriminator on everything simulated so far.
         if dataset.len() >= WARMUP {
@@ -131,7 +99,7 @@ pub fn ga_ml_solve(
         // Generate a large pool of children, screen, simulate survivors.
         pop.sort_by(|a, b| b.1.total_cmp(&a.1));
         let pool: Vec<Vec<usize>> = (0..cfg.population * 4)
-            .map(|_| offspring(&mut rng, &pop, &cards, cfg))
+            .map(|_| offspring(&mut rng, &pop, &ev.cards))
             .collect();
         let keep = ((cfg.population as f64 * SCREEN_KEEP).ceil() as usize).max(2);
         let survivors: Vec<Vec<usize>> = if dataset.len() >= WARMUP {
@@ -139,7 +107,7 @@ pub fn ga_ml_solve(
             let mut scored: Vec<(Vec<usize>, f64)> = pool
                 .into_iter()
                 .map(|g| {
-                    let p = model.forward(&features(&g, &cards))[0];
+                    let p = model.forward(&features(&g, &ev.cards))[0];
                     (g, p)
                 })
                 .collect();
@@ -148,19 +116,14 @@ pub fn ga_ml_solve(
         } else {
             pool.into_iter().take(keep).collect()
         };
-        let mut next: Vec<(Vec<usize>, f64)> = pop.iter().take(cfg.elitism).cloned().collect();
+        let mut next: Vec<(Vec<usize>, f64)> = pop.iter().take(ELITISM).cloned().collect();
         for child in survivors {
-            let f = simulate(&child, &mut sims, &mut dataset, &mut session);
+            let f = simulate(&mut ev, &child, &mut dataset);
             if f > best.1 {
                 best = (child.clone(), f);
             }
             if is_success(f) {
-                return GaOutcome {
-                    reached: true,
-                    sims,
-                    best_reward: f,
-                    best_idx: child,
-                };
+                return outcome((child, f), ev.solves());
             }
             next.push((child, f));
         }
@@ -169,12 +132,7 @@ pub fn ga_ml_solve(
         next.truncate(cfg.population.max(keep));
         pop = next;
     }
-    GaOutcome {
-        reached: is_success(best.1),
-        sims,
-        best_reward: best.1,
-        best_idx: best.0,
-    }
+    outcome(best, ev.solves())
 }
 
 #[cfg(test)]
@@ -192,7 +150,6 @@ mod tests {
             population: 20,
             generations: 30,
             seed: 9,
-            ..GaConfig::default()
         };
         let out = ga_ml_solve(&tia, &target, SimMode::Schematic, &cfg);
         assert!(out.reached, "GA+ML should solve a feasible target");
@@ -211,7 +168,6 @@ mod tests {
             population: 24,
             generations: 12,
             seed: 10,
-            ..GaConfig::default()
         };
         let vanilla = crate::ga::ga_solve(&tia, &target, SimMode::Schematic, &base);
         let boosted = ga_ml_solve(&tia, &target, SimMode::Schematic, &base);

@@ -16,7 +16,8 @@
 //!   population sizes", as `ga_solve_sweep`'s documentation quotes it;
 //!   the three sizes are this repository's choice.
 //! - Every run uses the `GaConfig` defaults but for `generations: 100`
-//!   (the default is 60): tournament selection of 3, uniform crossover
+//!   (the default is 60), and the operators are constants in
+//!   `autockt_baselines::ga`: tournament selection of 3, uniform crossover
 //!   with per-gene probability 0.5, per-gene mutation 0.15 (half ±1-notch
 //!   nudges, half uniform resets), elitism 2. A run stops at the first
 //!   genome that meets the target (Eq. 1 reward ≥ −0.01,

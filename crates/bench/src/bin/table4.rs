@@ -6,8 +6,12 @@
 //! AutoCkt PEX 23 sims (40/40); vanilla GA is "too sample inefficient"
 //! (N/A).
 //!
-//! GA+ML counts only the genomes it had not evaluated before; the vanilla
-//! GA of Tables I–III counts every evaluation.
+//! GA+ML counts only the genomes it had not evaluated before (its
+//! session's solves); the vanilla GA of Tables I–III counts every
+//! evaluation (solves plus memo hits). Both read the count off the one
+//! evaluator in `autockt_baselines::ga`, so the "AutoCkt PEX vs GA+ML"
+//! row divides a GA+ML count of unique genomes by AutoCkt's count of every
+//! step. A seeded run repeats byte for byte.
 //!
 //! Run: `cargo run --release -p autockt_bench --bin table4 [-- --full]`;
 //! `--iters N` (PPO iterations, default 40), `--deploy N` (deployment
@@ -79,7 +83,6 @@ fn main() -> Result<(), String> {
                     population: 30,
                     generations: 60,
                     seed: 4000 + i as u64,
-                    ..GaConfig::default()
                 },
             )
         })

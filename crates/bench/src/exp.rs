@@ -125,7 +125,7 @@ pub fn deploy_and_report(
 /// Mean [`GaOutcome::sims`](autockt_baselines::GaOutcome::sims) over the
 /// targets reached; NaN if none. The vanilla GA counts every evaluation,
 /// repeated genomes included; GA+ML counts only the genomes it had not
-/// evaluated before.
+/// evaluated before (see `autockt_baselines::ga`).
 pub fn mean_sims_reached(outs: &[autockt_baselines::GaOutcome]) -> f64 {
     let reached: Vec<_> = outs.iter().filter(|o| o.reached).collect();
     if reached.is_empty() {
@@ -347,8 +347,8 @@ mod tests {
 
     /// The Tables I–III runner end to end at a tiny budget: an untrained
     /// policy, three deployment targets, one GA target under a two-generation
-    /// cap. Its CSV holds one row per target, and a rerun repeats every
-    /// number (no training, so no pooled memo).
+    /// cap. Its CSV holds one row per target, and a seeded rerun repeats
+    /// every number.
     #[test]
     fn table_runner_is_consistent_and_repeats() {
         let table = Table {

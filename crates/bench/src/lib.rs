@@ -210,11 +210,28 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<f64>]) -> PathBuf {
 
 /// Pretty-prints a paper-vs-measured comparison table row by row.
 pub fn print_comparison(title: &str, rows: &[(&str, String, String)]) {
-    println!("\n=== {title} ===");
-    println!("{:<42} {:>16} {:>16}", "metric", "paper", "measured");
-    for (metric, paper, measured) in rows {
-        println!("{metric:<42} {paper:>16} {measured:>16}");
+    print!("{}", comparison_table(title, rows));
+}
+
+/// The text [`print_comparison`] prints: each column as wide as its
+/// widest cell, header included, and two spaces between columns, so no
+/// cell runs into its neighbour.
+fn comparison_table(title: &str, rows: &[(&str, String, String)]) -> String {
+    let header = ["metric", "paper", "measured"];
+    let cells = rows.iter().map(|(m, p, v)| [*m, p.as_str(), v.as_str()]);
+    let lines: Vec<[&str; 3]> = std::iter::once(header).chain(cells).collect();
+    let mut widths = [0; 3];
+    for line in &lines {
+        for (w, cell) in widths.iter_mut().zip(line) {
+            *w = cell.chars().count().max(*w);
+        }
     }
+    let [wm, wp, wv] = widths;
+    let mut out = format!("\n=== {title} ===\n");
+    for [metric, paper, measured] in lines {
+        out += &format!("{metric:<wm$}  {paper:>wp$}  {measured:>wv$}\n");
+    }
+    out
 }
 
 /// Parses `--flag value` style overrides from `std::env::args`, returning
@@ -266,6 +283,37 @@ mod tests {
         assert_eq!(parse_flag("--deploy", Some("20".into()), 150usize), Ok(20));
         let err = parse_flag("--deploy", Some("x".into()), 150usize).unwrap_err();
         assert!(err.contains("--deploy"), "{err}");
+    }
+
+    #[test]
+    fn comparison_columns_never_touch() {
+        let long = "37 (5/5 reached) abc".to_string();
+        assert_eq!(long.chars().count(), 20);
+        let rows = [
+            (
+                "Genetic Alg.+ML [7] SE (sims)",
+                "220".to_string(),
+                long.clone(),
+            ),
+            (
+                "AutoCkt PEX SE",
+                "23 (40/40)".to_string(),
+                "none reached".into(),
+            ),
+        ];
+        let text = comparison_table("T", &rows);
+        let lines: Vec<&str> = text.lines().skip(2).collect();
+        assert_eq!(lines.len(), 3);
+        // Columns line up, and every paper cell stands two spaces clear of
+        // both neighbours.
+        let len = lines[0].chars().count();
+        assert!(lines.iter().all(|l| l.chars().count() == len), "{text}");
+        assert!(lines[1].ends_with(&format!("220  {long}")), "{text}");
+        assert!(lines[1].contains("(sims)  "), "{text}");
+        assert!(
+            lines[2].contains("23 (40/40)          none reached"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -47,14 +47,14 @@ pub struct TrainConfig {
     /// only ever used at deployment, via transfer).
     pub mode: SimMode,
     /// Pool one concurrent evaluation memo across all rollout workers
-    /// (default on): every grid point solved by any worker serves every
-    /// other worker's revisits — episodes all restart from the grid
-    /// center, so cross-worker overlap is heavy. Warm-start state stays
-    /// private per worker. Because a pooled hit may serve specs solved
-    /// from a sibling's warm trajectory, reward trajectories are
-    /// reproducible within solver tolerance rather than bitwise; set to
-    /// `false` to restore fully per-worker (bitwise-deterministic)
-    /// evaluation.
+    /// (default off): every grid point solved by any worker then serves
+    /// every other worker's revisits. Warm-start state stays private per
+    /// worker. Off, each worker evaluates through its own memo, so nothing
+    /// a worker sees depends on the thread schedule and a seeded run
+    /// repeats bit for bit. On, which worker's entry lands first depends
+    /// on the schedule, and a pooled hit may serve specs solved from a
+    /// sibling's warm trajectory, so runs agree only within solver
+    /// tolerance.
     pub pool_memo: bool,
     /// Master seed.
     pub seed: u64,
@@ -71,7 +71,7 @@ impl Default for TrainConfig {
             target_mean_reward: 8.0,
             max_iters: 60,
             mode: SimMode::Schematic,
-            pool_memo: true,
+            pool_memo: false,
             seed: 0,
         }
     }
@@ -88,8 +88,8 @@ pub struct TrainResult {
     pub targets: Vec<Vec<f64>>,
     /// Whether the stopping rule fired before the iteration cap.
     pub converged: bool,
-    /// The evaluation memo pooled across rollout workers (when
-    /// [`TrainConfig::pool_memo`] was on), with its hit/eviction counters.
+    /// The evaluation memo pooled across rollout workers, with its hit
+    /// counters; `None` unless [`TrainConfig::pool_memo`] was on.
     pub shared_memo: Option<Arc<SharedMemo>>,
 }
 
@@ -114,8 +114,8 @@ pub fn train(problem: Arc<dyn SizingProblem>, cfg: &TrainConfig) -> TrainResult 
         &mut rng,
         cfg.feasible_targets,
     );
-    // One memo pooled across all rollout workers: any worker's solve
-    // serves every other worker's revisit of that grid point.
+    // With pooling on, one memo serves all rollout workers: any worker's
+    // solve serves every other worker's revisit of that grid point.
     let shared_memo = cfg
         .pool_memo
         .then(|| Arc::new(SharedMemo::with_default_capacity()));
@@ -177,6 +177,7 @@ mod tests {
             feasible_targets: true,
             max_iters: 2,
             target_mean_reward: f64::INFINITY, // never stop early
+            pool_memo: true,
             ..TrainConfig::default()
         };
         let res = train(Arc::new(Tia::default()), &cfg);
@@ -186,7 +187,7 @@ mod tests {
         assert!(res.env_steps() >= 128);
         // Both workers restart episodes from the grid center, so the
         // pooled memo must have served at least one cross-worker revisit.
-        let memo = res.shared_memo.expect("pooling on by default");
+        let memo = res.shared_memo.expect("pooling on");
         assert!(memo.cross_hits() > 0, "no cross-worker hits pooled");
     }
 

@@ -19,6 +19,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// PPO clip radius.
+const CLIP: f64 = 0.2;
+/// Value-loss coefficient.
+const VF_COEF: f64 = 0.5;
+/// Global gradient-norm clip.
+const MAX_GRAD_NORM: f64 = 0.5;
+
 /// Hyperparameters for PPO.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PpoConfig {
@@ -34,16 +41,10 @@ pub struct PpoConfig {
     pub gamma: f64,
     /// GAE lambda.
     pub lam: f64,
-    /// PPO clip radius.
-    pub clip: f64,
     /// Adam learning rate.
     pub lr: f64,
     /// Entropy bonus coefficient.
     pub ent_coef: f64,
-    /// Value-loss coefficient.
-    pub vf_coef: f64,
-    /// Global gradient-norm clip.
-    pub max_grad_norm: f64,
 }
 
 impl Default for PpoConfig {
@@ -55,11 +56,8 @@ impl Default for PpoConfig {
             epochs: 8,
             gamma: 0.99,
             lam: 0.95,
-            clip: 0.2,
             lr: 3e-4,
             ent_coef: 5e-3,
-            vf_coef: 0.5,
-            max_grad_norm: 0.5,
         }
     }
 }
@@ -212,7 +210,7 @@ impl Ppo {
                             pbufs,
                             transitions,
                             chunk,
-                            cfg.clip,
+                            CLIP,
                             cfg.ent_coef,
                             |t, logp_new, ent| {
                                 if last {
@@ -228,7 +226,7 @@ impl Ppo {
                 || {
                     for chunk in minibatches() {
                         value.net_mut().zero_grad();
-                        value.mse_grad(vbufs, transitions, chunk, cfg.vf_coef);
+                        value.mse_grad(vbufs, transitions, chunk, VF_COEF);
                         descend(value.net_mut(), chunk.len(), cfg);
                     }
                 },
@@ -247,8 +245,8 @@ impl Ppo {
 fn descend(net: &mut Mlp, len: usize, cfg: &PpoConfig) {
     net.scale_grad(1.0 / len as f64);
     let gn = net.grad_norm();
-    if gn > cfg.max_grad_norm {
-        net.scale_grad(cfg.max_grad_norm / gn);
+    if gn > MAX_GRAD_NORM {
+        net.scale_grad(MAX_GRAD_NORM / gn);
     }
     net.adam_step(cfg.lr);
 }

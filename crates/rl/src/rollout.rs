@@ -13,15 +13,17 @@
 //! turns the memo cache into a real hot-path win: revisited grid points
 //! anywhere in a worker's history cost no simulator time.
 //!
-//! The memo need not even be per-worker: environments constructed with a
-//! pooled `SharedMemo` (see `autockt_circuits::problem::SharedMemo` and
-//! `autockt_core::EnvConfig::shared_memo`) cache into one map behind
-//! one lock, so a grid point solved by *any* of the workers spawned
-//! here serves every sibling's revisit — episodes all restart from the
-//! grid center, making that overlap heavy. The envs arrive here already
-//! wired (this collector is generic over [`Env`] and needs no special
-//! handling): each scoped thread steps its own env, the sessions inside
-//! take the memo's lock only for the microseconds of a map probe, and
+//! By default each worker's memo is its own, so a worker's trajectory
+//! does not depend on the thread schedule and a seeded collection repeats
+//! bit for bit. Environments constructed with a pooled `SharedMemo` (see
+//! `autockt_circuits::problem::SharedMemo`,
+//! `autockt_core::EnvConfig::shared_memo` and
+//! `autockt_core::TrainConfig::pool_memo`, off by default) instead cache
+//! into one map behind one lock, so a grid point solved by *any* of the
+//! workers spawned here serves every sibling's revisit; which worker's
+//! entry lands first then depends on the schedule. The envs arrive here
+//! already wired (this collector is generic over [`Env`] and needs no
+//! special handling): each scoped thread steps its own env, and
 //! warm-start state stays thread-private.
 
 use crate::env::Env;

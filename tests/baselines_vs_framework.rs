@@ -19,7 +19,6 @@ fn ga_solution_satisfies_env_success_rule() {
             population: 30,
             generations: 40,
             seed: 64,
-            ..GaConfig::default()
         },
     );
     assert!(out.reached, "GA must solve a feasible target");
@@ -78,7 +77,6 @@ fn feasible_targets_are_solvable_by_random_search() {
                 population: 40,
                 generations: 50,
                 seed: 67,
-                ..GaConfig::default()
             },
         );
         assert!(out.reached, "feasible target not reached by GA");

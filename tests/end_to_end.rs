@@ -90,7 +90,10 @@ fn training_is_reproducible_for_fixed_seed() {
     assert_eq!(a.targets, b.targets, "target sets must match");
     for (x, y) in a.curve.iter().zip(&b.curve) {
         assert_eq!(x.episodes, y.episodes);
-        assert!((x.mean_episode_reward - y.mean_episode_reward).abs() < 1e-9);
+        assert_eq!(
+            x.mean_episode_reward.to_bits(),
+            y.mean_episode_reward.to_bits()
+        );
     }
 }
 
