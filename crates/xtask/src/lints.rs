@@ -1,4 +1,4 @@
-//! The lint suite: five token-level lints over the workspace.
+//! The lint suite: six token-level lints over the workspace.
 //!
 //! | name             | scope                         | what it catches |
 //! |------------------|-------------------------------|-----------------|
@@ -7,6 +7,7 @@
 //! | `crate-layering` | every crate's manifest + sources | `autockt_*` dependency edges outside the allowed DAG |
 //! | `float-eq`       | all library code              | `==`/`!=` against a float literal |
 //! | `thread-discipline` | all library code           | `thread::spawn`/`thread::scope` outside the rollout collector |
+//! | `unsafe-confinement` | all library code          | `unsafe` outside the MLP's GEMM kernels |
 //!
 //! Every lint skips test-gated code (see [`crate::source`]) and honors
 //! `lint:allow(<name>)` justification comments. Library code means
@@ -80,6 +81,11 @@ pub const LINTS: &[LintSpec] = &[
         description: "raw thread::spawn/thread::scope outside the rollout collector",
         roots: LIB_ROOTS,
     },
+    LintSpec {
+        name: "unsafe-confinement",
+        description: "unsafe code outside the MLP's run-time-dispatched GEMM kernels",
+        roots: LIB_ROOTS,
+    },
 ];
 
 /// The only library file allowed to touch raw thread entry points: the
@@ -88,6 +94,10 @@ pub const LINTS: &[LintSpec] = &[
 /// in `autockt_sim::par` is at least 2. The simulator runs every analysis
 /// on the calling thread, so the collector is the one place threads start.
 pub const THREAD_ALLOWED_FILES: &[&str] = &["crates/rl/src/rollout.rs"];
+
+/// The only library file allowed to hold `unsafe`: the MLP, whose GEMM
+/// walker calls its AVX2 build after checking the CPU supports it.
+pub const UNSAFE_ALLOWED_FILES: &[&str] = &["crates/rl/src/mlp.rs"];
 
 /// The allow marker for a lint name: `lint:allow(<name>)`.
 pub fn allow_marker(name: &str) -> String {
@@ -102,6 +112,7 @@ pub fn scan_file(lint: &str, file: &SourceFile) -> Vec<Finding> {
         "kernel-purity" => scan_purity(file),
         "float-eq" => scan_float_eq(file),
         "thread-discipline" => scan_thread_discipline(file),
+        "unsafe-confinement" => scan_unsafe_confinement(file),
         other => unreachable!("unknown per-file lint {other}"),
     }
 }
@@ -262,6 +273,32 @@ pub fn scan_thread_discipline(file: &SourceFile) -> Vec<Finding> {
                 "thread-discipline",
                 file.code_line(i),
                 &format!("thread::{}", file.code_text(i + 2)),
+            );
+        }
+    }
+    out
+}
+
+/// `unsafe-confinement` lint: the `unsafe` keyword (blocks, functions,
+/// impls alike) in non-test library code outside
+/// [`UNSAFE_ALLOWED_FILES`], so that every `unsafe` site sits in the one
+/// module whose safety argument has been made.
+pub fn scan_unsafe_confinement(file: &SourceFile) -> Vec<Finding> {
+    if UNSAFE_ALLOWED_FILES.contains(&file.rel.as_str()) {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for i in 0..file.code.len() {
+        if !file.in_test[i]
+            && file.code_kind(i) == TokenKind::Ident
+            && file.code_text(i) == "unsafe"
+        {
+            push(
+                file,
+                &mut out,
+                "unsafe-confinement",
+                file.code_line(i),
+                "unsafe",
             );
         }
     }
@@ -597,6 +634,33 @@ mod tests {
             );
             assert_eq!(scan_thread_discipline(&f).len(), 1, "{rel} must fire");
         }
+    }
+
+    // ---- unsafe-confinement ----
+
+    #[test]
+    fn unsafe_confinement_reports_unsafe_outside_the_mlp() {
+        let src = "/// No `unsafe` in prose.\n\
+                   pub fn f(p: *const u8) -> u8 {\n    \
+                   let _s = \"unsafe\";\n    \
+                   unsafe { *p }\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n    \
+                   fn g(p: *const u8) -> u8 { unsafe { *p } }\n\
+                   }\n";
+        for rel in UNSAFE_ALLOWED_FILES {
+            let f = SourceFile::new((*rel).to_string(), src.into());
+            assert_eq!(scan_unsafe_confinement(&f), vec![], "{rel} must be exempt");
+        }
+        let f = SourceFile::new("crates/rl/src/ppo.rs".into(), src.into());
+        let findings = scan_unsafe_confinement(&f);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![4], "findings: {findings:?}");
+        let allowed = "// lint:allow(unsafe-confinement) -- justified here.\n\
+                       unsafe fn h() {}\n";
+        let f = SourceFile::new("crates/sim/src/lu.rs".into(), allowed.into());
+        assert_eq!(scan_unsafe_confinement(&f), vec![]);
     }
 
     // ---- crate-layering ----

@@ -9,9 +9,9 @@
 //! Runs a token-level static-analysis pass over the workspace: sources
 //! are lexed (strings, raw strings, char literals, nested block
 //! comments, lifetimes — see `lexer.rs`) so lints match *code tokens*,
-//! never prose or literal contents. Five lints ship (see `lints.rs`):
+//! never prose or literal contents. Six lints ship (see `lints.rs`):
 //! `panic`, `kernel-purity`, `crate-layering`, `float-eq`,
-//! `thread-discipline`. A lint fails on any finding: a deliberate
+//! `thread-discipline`, `unsafe-confinement`. A lint fails on any finding: a deliberate
 //! exception carries a `lint:allow(<name>)` justification comment, which
 //! the lint honors. Every run writes a machine-readable report to
 //! `target/lint-report.json`.

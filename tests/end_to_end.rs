@@ -68,35 +68,6 @@ fn train_then_deploy_beats_random_policy() {
     );
 }
 
-#[test]
-fn training_is_reproducible_for_fixed_seed() {
-    let problem: Arc<dyn SizingProblem> = Arc::new(Tia::default());
-    let cfg = TrainConfig {
-        ppo: PpoConfig {
-            steps_per_iter: 128,
-            minibatch: 64,
-            epochs: 2,
-            ..PpoConfig::default()
-        },
-        num_workers: 2,
-        horizon: 10,
-        max_iters: 2,
-        target_mean_reward: f64::INFINITY,
-        seed: 777,
-        ..TrainConfig::default()
-    };
-    let a = train(Arc::clone(&problem), &cfg);
-    let b = train(Arc::clone(&problem), &cfg);
-    assert_eq!(a.targets, b.targets, "target sets must match");
-    for (x, y) in a.curve.iter().zip(&b.curve) {
-        assert_eq!(x.episodes, y.episodes);
-        assert_eq!(
-            x.mean_episode_reward.to_bits(),
-            y.mean_episode_reward.to_bits()
-        );
-    }
-}
-
 /// With `pool_memo` off, every worker evaluates through its own memo, so
 /// nothing a worker sees depends on the thread schedule: two runs from
 /// one seed agree bit for bit, every iteration statistic and both
