@@ -64,10 +64,12 @@ fn bench_ac(c: &mut Criterion) {
 
 /// The stock-dim settling record: the TIA center design at stock
 /// extraction (dim 4, the `deploy_tia_pexwc` system), 2048 trapezoidal
-/// steps over 8 cutoff periods — one corner's settle stage. The record is
-/// blocked: a per-step warm-up of `SETTLE_BLOCK` steps, the output rows
-/// and `M^B`, then one `n²` anchor advance and `SETTLE_BLOCK` length-`n`
-/// dots per block.
+/// steps over 8 cutoff periods. The record is blocked: a per-step
+/// warm-up of `SETTLE_BLOCK` steps, the output rows and `M^B`, then one
+/// `n²` anchor advance and `SETTLE_BLOCK` length-`n` dots per block.
+/// This row times the record-producing oracle `step_response`; the
+/// settle stage itself runs `step_settling_time`, which the
+/// `settle_corners_*` rows time.
 fn bench_settle(c: &mut Criterion) {
     let tia = Tia::default();
     let idx = center(&tia);
@@ -238,7 +240,9 @@ fn bench_hessenberg_points(c: &mut Criterion) {
 /// the TIA's AC grid, each corner stopped at its cutoff, `Tia::AC_STOP`,
 /// on the adjoint row the noise analysis shares at mesh depths 4 and 8),
 /// and the `settle_corners_*` rows the settle stage (each corner's
-/// `step_response` over the shared window, `Tia::SETTLE.steps` steps).
+/// `step_settling_time` over the shared window, `Tia::SETTLE.steps`
+/// steps at `Tia::SETTLE.band`: the settling time measured inside the
+/// blocked propagator, no record built).
 fn bench_tia_corners(c: &mut Criterion) {
     for depth in [0usize, 4, 8] {
         let case = tia_corner_case(depth).expect("TIA corner workload builds");
@@ -292,8 +296,13 @@ fn bench_tia_corners(c: &mut Criterion) {
         c.bench_function(&format!("settle_corners_serial_tia_mesh{depth}"), |b| {
             b.iter(|| {
                 for s in &solvers {
-                    let r = s.step_response(case.out, case.t_stop, Tia::SETTLE.steps);
-                    black_box(r.expect("corner settles").1.last().copied());
+                    let r = s.step_settling_time(
+                        case.out,
+                        case.t_stop,
+                        Tia::SETTLE.steps,
+                        Tia::SETTLE.band,
+                    );
+                    black_box(r.expect("corner settles"));
                 }
             });
         });

@@ -104,22 +104,28 @@ pub enum SimMode {
 
 /// Configuration of the engine-run settling stage
 /// ([`CornerEvaluator::with_settling`]): how many trapezoidal steps each
-/// record integrates and how the shared time window scales with the
-/// corner set's bandwidth.
+/// corner integrates, how the shared time window scales with the corner
+/// set's bandwidth, and the band the settling time is measured in.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SettleSpec {
-    /// Trapezoidal integration steps per record (the TIA uses 2048).
+    /// Trapezoidal integration steps per corner (the TIA uses 2048).
     pub steps: usize,
     /// Time window as a multiple of the slowest valid corner's cutoff
     /// period: `t_stop = window / min corner cutoff`, shared by the whole
     /// corner set.
     pub window: f64,
+    /// Settling band as a fraction of the step's transition (the TIA
+    /// uses 0.02), as [`autockt_sim::measure::settling_time`] reads it.
+    pub band: f64,
 }
 
-/// One corner's settling record from the engine's settle stage: the
-/// `(t, y)` step-response samples, or the solver error that corner's
-/// integration hit.
-pub type SettleRecord = Result<(Vec<f64>, Vec<f64>), SimError>;
+/// One corner's result from the engine's settle stage: the settling
+/// time of its linear step response, or the error that corner hit —
+/// a solver error ([`SimError::InvalidOptions`],
+/// [`SimError::SingularMatrix`]) from the integration, or the
+/// [`SimError::MeasureFailed`] of a response that is non-finite, has no
+/// transition or has not settled in the window.
+pub type SettleRecord = Result<f64, SimError>;
 
 /// One corner's concrete evaluation inputs, produced by a topology's
 /// builder closure: the netlist plus whatever the measurement needs to
@@ -156,7 +162,9 @@ pub struct CornerCase {
 /// by a small Woodbury correction), and the scalar kernel per corner
 /// where that cannot pay. A cold evaluation hands them one corner per
 /// call, which always takes the scalar kernel — the reference path.
-/// Settling runs [`AcSolver::step_response`] per corner either way. When
+/// Settling runs [`AcSolver::step_settling_time`] per corner either way,
+/// which measures inside the blocked propagator and keeps no `(t, y)`
+/// record. When
 /// several corners fail, the reported `SimError` is the lowest-slot
 /// failure of the first stage that surfaced one.
 #[derive(Debug, Clone)]
@@ -229,16 +237,18 @@ impl CornerEvaluator {
     }
 
     /// Enables a per-corner linear step-response settling stage and hands
-    /// each corner's `(t, y)` record to the measure closure. The engine
-    /// first sweeps every corner, then integrates all valid corners (those
-    /// with a positive -3 dB cutoff) over **one shared time window**
+    /// each corner's [`SettleRecord`] (its settling time within
+    /// `spec.band`) to the measure closure. The engine first sweeps every
+    /// corner, then integrates all valid corners (those with a positive
+    /// -3 dB cutoff) over **one shared time window**
     /// `spec.window / min cutoff`; corners without a valid cutoff receive
     /// `None` (topologies map that to the spec's fail value). With one
     /// corner the window is that corner's own `spec.window / cutoff`.
     ///
-    /// Every corner integrates through [`AcSolver::step_response`], whose
-    /// blocked propagator makes every output sample one length-`n` dot
-    /// product.
+    /// Every corner runs [`AcSolver::step_settling_time`]: the blocked
+    /// propagator of [`AcSolver::step_response`], measured block by block
+    /// without building the record, bitwise the settling time of that
+    /// record.
     pub fn with_settling(mut self, spec: SettleSpec) -> Self {
         self.settle = Some(spec);
         self
@@ -246,9 +256,9 @@ impl CornerEvaluator {
 
     /// Runs the settling stage over the solved corner set: picks the
     /// shared time window from the slowest valid corner cutoff, then
-    /// integrates every valid corner. Returns `None` when no
-    /// settle stage is configured; per-corner `None` marks an invalid
-    /// cutoff (no settling record).
+    /// measures every valid corner's settling time. Returns `None` when
+    /// no settle stage is configured; per-corner `None` marks an invalid
+    /// cutoff (no settling result).
     fn settle_stage(
         &self,
         solvers: &[AcSolver<'_>],
@@ -272,7 +282,7 @@ impl CornerEvaluator {
         }
         let t_stop = spec.window / min_cutoff;
         for i in live {
-            slots[i] = Some(solvers[i].step_response(outs[i], t_stop, spec.steps));
+            slots[i] = Some(solvers[i].step_settling_time(outs[i], t_stop, spec.steps, spec.band));
         }
         Some(slots)
     }
@@ -286,7 +296,7 @@ impl CornerEvaluator {
     /// config. `measure(slot, case, op, resp, noise, settle)` turns corner
     /// `slot`'s case, operating point, swept response and — when
     /// [`CornerEvaluator::with_noise`] / [`CornerEvaluator::with_settling`]
-    /// are set, `None` otherwise — noise analysis and settling record into
+    /// are set, `None` otherwise — noise analysis and settling result into
     /// a spec row. The swept response is the solved prefix of the grid,
     /// through the point that completes the first downward crossing of
     /// the engine's [`StopLevel`] (the whole grid if it never crosses):
@@ -294,8 +304,8 @@ impl CornerEvaluator {
     /// solved, and a point that would fail there cannot fail the corner.
     /// A noise failure is handed to the closure rather than
     /// aborting the corner, so topologies can map it to a spec's fail
-    /// value; likewise a settling record's `Err` lets the closure decide,
-    /// and a corner without a valid cutoff gets no record. `state` carries
+    /// value; likewise a settling result's `Err` lets the closure decide,
+    /// and a corner without a valid cutoff gets no result. `state` carries
     /// the per-corner warm slots; `None` evaluates cold.
     ///
     /// # Errors
@@ -1320,9 +1330,9 @@ mod tests {
     }
 
     /// Engine-level settle wiring: with `with_settling`, cold and warm
-    /// runs both hand the measure closure a per-corner `(t, y)` settling
-    /// record over one shared time window, and they agree within solver
-    /// tolerance.
+    /// runs both hand the measure closure a per-corner settling time
+    /// over one shared time window, and they agree bitwise (the rest of
+    /// the row within solver tolerance).
     #[test]
     fn corner_engine_settle_warm_matches_cold() {
         let run = |warm: Option<&mut WarmState>| {
@@ -1330,28 +1340,39 @@ mod tests {
             let engine = engine.with_settling(SettleSpec {
                 steps: 256,
                 window: 8.0,
+                band: 0.02,
             });
-            engine.evaluate(
+            let mut times = Vec::new();
+            let row = engine.evaluate(
                 &specs,
                 |slot, _pvt| rc_case(slot, None),
-                |_slot, _case, _op, resp, _noise, settle| {
-                    let (t, y) = settle
+                |_slot, case, op, resp, _noise, settle| {
+                    let ts = *settle
                         .expect("rc corners have a valid cutoff")
                         .as_ref()
-                        .expect("rc settling integrates");
-                    assert_eq!(t.len(), 257, "steps + 1 samples per record");
-                    assert!(t[t.len() - 1] > 0.0, "shared window must be positive");
-                    Ok(vec![resp.h[0].norm(), *y.last().unwrap()])
+                        .expect("rc corners settle");
+                    assert!(ts > 0.0, "shared window must be positive");
+                    // The RC corners settle toward the driven DC level, so
+                    // the record they settle on ends at a real voltage, not
+                    // a zero placeholder.
+                    let window = 8.0 / resp.f_3db().expect("rc cutoff");
+                    let (_, y) = AcSolver::new(&case.ckt, op)
+                        .step_response(case.out, window, 256)
+                        .expect("rc step integrates");
+                    let (end, dc) = (*y.last().unwrap(), resp.h[0].norm());
+                    assert!((end - dc).abs() <= 0.02 * dc, "end {end} vs dc {dc}");
+                    times.push(ts.to_bits());
+                    Ok(vec![dc, end])
                 },
                 warm,
-            )
+            );
+            (row.unwrap(), times)
         };
-        let cold = run(None).unwrap();
-        // The RC corners settle toward the driven DC level, so the record
-        // end is a real voltage, not a zero placeholder.
+        let (cold, cold_times) = run(None);
         assert!(cold[1].abs() > 0.0);
         let mut state = WarmState::new();
-        let warm = run(Some(&mut state)).unwrap();
+        let (warm, warm_times) = run(Some(&mut state));
+        assert_eq!(warm_times, cold_times, "settling times bitwise");
         for (x, y) in cold.iter().zip(&warm) {
             assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
         }

@@ -16,7 +16,6 @@ use crate::problem::{
 use autockt_sim::ac::{log_freqs, AcResponse, StopLevel};
 use autockt_sim::dc::{DcOptions, WarmState};
 use autockt_sim::device::{MosPolarity, Technology};
-use autockt_sim::measure::settling_time;
 use autockt_sim::netlist::{Circuit, Mosfet, Node, Step, GND};
 use autockt_sim::noise::NoiseResult;
 use autockt_sim::pex::PexConfig;
@@ -197,10 +196,12 @@ impl Tia {
 
     /// The settle stage of every fidelity: one shared window of 8 periods
     /// of the slowest corner's cutoff (a one-corner plan: its own), 2048
-    /// trapezoidal steps, so both 5 ps and 500 ps responses resolve.
+    /// trapezoidal steps, so both 5 ps and 500 ps responses resolve, and
+    /// a 2% settling band.
     pub const SETTLE: SettleSpec = SettleSpec {
         steps: 2048,
         window: 8.0,
+        band: 0.02,
     };
 
     /// The noise integration grid of every fidelity's measurement. Public
@@ -256,10 +257,11 @@ impl Tia {
     pub const STEP_CURRENT: f64 = 1e-6;
 
     /// One corner's spec row: cutoff from the swept response, settling
-    /// from the engine's linear step-response record (no record — no
-    /// valid cutoff — reports the fail value) and integrated output noise
-    /// from the engine's noise analysis (a noise failure reports the fail
-    /// value).
+    /// from the engine's linear step-response measurement (a measurement
+    /// failure, or no measurement for want of a valid cutoff, reports the
+    /// fail value; a solver error fails the corner) and integrated output
+    /// noise from the engine's noise analysis (a noise failure reports
+    /// the fail value).
     fn corner_specs(
         &self,
         resp: &AcResponse,
@@ -270,11 +272,11 @@ impl Tia {
             .f_3db()
             .unwrap_or(self.specs[spec_index::CUTOFF].fail_value);
         let settling = match settle {
-            Some(Ok((t, y))) => {
-                settling_time(t, y, 0.02).unwrap_or(self.specs[spec_index::SETTLING].fail_value)
+            Some(Ok(ts)) => *ts,
+            Some(Err(SimError::MeasureFailed { .. })) | None => {
+                self.specs[spec_index::SETTLING].fail_value
             }
             Some(Err(e)) => return Err(e.clone()),
-            None => self.specs[spec_index::SETTLING].fail_value,
         };
         let noise = match noise {
             Some(Ok(n)) => n.out_vrms,
@@ -314,7 +316,12 @@ impl SizingProblem for Tia {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autockt_sim::tran::{transient, TranOptions, TranResult};
+    use autockt_sim::ac::{ac_sweep, AcSolver};
+    use autockt_sim::dc::dc_operating_point;
+    use autockt_sim::device::{ProcessCorner, Pvt};
+    use autockt_sim::measure::settling_time;
+    use autockt_sim::pex::extract;
+    use autockt_sim::tran::{transient, TranOptions};
 
     #[test]
     fn center_design_simulates() {
@@ -347,35 +354,87 @@ mod tests {
         );
     }
 
+    /// The corner of [`Pvt::corner_set`] where the small-step transient
+    /// is no cross-check of the linear step response. At the center
+    /// design, SS at 0.9 Vdd and -40 C has its cutoff near 384 kHz, three
+    /// decades below the other corners'. Its linear settling time reads
+    /// 1.75 µs. The `STEP_CURRENT` step swings its output by 110 mV, which
+    /// is not small-signal, and the transient settles in about 80 ns.
+    fn transient_disagrees(pvt: &Pvt) -> bool {
+        pvt.process == ProcessCorner::Ss && pvt.temp_c == -40.0
+    }
+
     /// The nonlinear transient engine cross-checks the linear step
     /// response behind the settling spec: a small photodiode step on
     /// [`Tia::build_step`] stays small-signal, so its settling time agrees
-    /// with `simulate`'s.
+    /// with `simulate`'s in `Schematic` and `Pex`. At `PexWorstCase`,
+    /// every corner's [`AcSolver::step_settling_time`] over its own 8
+    /// cutoff periods is checked the same way (but for
+    /// [`transient_disagrees`]); the transient shares no code with the
+    /// blocked propagator. The engine's worst case is the largest of the
+    /// corners' fused measurements over the shared window, bitwise.
     #[test]
     fn small_step_transient_matches_linear_settling() {
         let tia = Tia::default();
         let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
+        // Transient settling of the small step at `tech`, extracted or
+        // not, over `t_stop`.
+        let tran_settling = |tech: &Technology, pex: bool, t_stop: f64| {
+            let (ckt, out) = tia.build_step(&idx, tech, Tia::STEP_CURRENT);
+            let ckt = if pex { extract(&ckt, &tia.pex) } else { ckt };
+            let mut opts = TranOptions::new(t_stop, 512);
+            opts.dc = tia.dc_opts();
+            let res = transient(&ckt, &opts).unwrap();
+            settling_time(&res.t, &res.node_waveform(out), 0.02).expect("step settles")
+        };
+        // Up to integration and device-cap modelling differences.
+        let check = |what: &str, tran_t: f64, lin_t: f64| {
+            assert!(tran_t > 0.0 && tran_t < 1e-6, "{what}: settling {tran_t}");
+            assert!(
+                (tran_t - lin_t).abs() <= 0.5 * lin_t.max(tran_t),
+                "{what}: transient settling {tran_t} vs linear {lin_t}"
+            );
+        };
         for mode in [SimMode::Schematic, SimMode::Pex] {
             let lin = tia.simulate(&idx, mode).unwrap();
             let (lin_t, cutoff) = (lin[spec_index::SETTLING], lin[spec_index::CUTOFF]);
-            let (ckt, out) = tia.build_step(&idx, &tia.tech, Tia::STEP_CURRENT);
-            let ckt = match mode {
-                SimMode::Schematic => ckt,
-                _ => autockt_sim::pex::extract(&ckt, &tia.pex),
-            };
-            let mut opts = TranOptions::new(8.0 / cutoff, 512);
-            opts.dc = tia.dc_opts();
-            let settle = |res: TranResult| {
-                settling_time(&res.t, &res.node_waveform(out), 0.02).expect("step settles")
-            };
-            let tran_t = settle(transient(&ckt, &opts).unwrap());
-            assert!(tran_t > 0.0 && tran_t < 1e-6, "{mode:?}: settling {tran_t}");
-            // Up to integration and device-cap modelling differences.
-            assert!(
-                (tran_t - lin_t).abs() <= 0.5 * lin_t.max(tran_t),
-                "{mode:?}: transient settling {tran_t} vs linear {lin_t}"
-            );
+            let tran_t = tran_settling(&tia.tech, mode == SimMode::Pex, 8.0 / cutoff);
+            check(&format!("{mode:?}"), tran_t, lin_t);
         }
+        let corners: Vec<_> = Pvt::corner_set()
+            .into_iter()
+            .map(|pvt| {
+                let tech = tia.tech.at_corner(pvt);
+                let (ckt, out) = tia.build(&idx, &tech);
+                let ex = extract(&ckt, &tia.pex);
+                let op = dc_operating_point(&ex, &tia.dc_opts()).unwrap();
+                let cutoff = ac_sweep(&ex, &op, &Tia::ac_freqs(), out)
+                    .and_then(|r| r.f_3db())
+                    .unwrap();
+                (pvt, tech, ex, op, out, cutoff)
+            })
+            .collect();
+        let shared = Tia::SETTLE.window / corners.iter().fold(f64::INFINITY, |m, c| m.min(c.5));
+        let mut worst = 0.0f64;
+        for (pvt, tech, ex, op, out, cutoff) in &corners {
+            let solver = AcSolver::new(ex, op);
+            let settle = |t_stop: f64| {
+                solver
+                    .step_settling_time(*out, t_stop, Tia::SETTLE.steps, Tia::SETTLE.band)
+                    .unwrap()
+            };
+            worst = worst.max(settle(shared));
+            if !transient_disagrees(pvt) {
+                let window = Tia::SETTLE.window / cutoff;
+                check(
+                    &format!("{pvt:?}"),
+                    tran_settling(tech, true, window),
+                    settle(window),
+                );
+            }
+        }
+        let wc = tia.simulate(&idx, SimMode::PexWorstCase).unwrap();
+        assert_eq!(wc[spec_index::SETTLING], worst, "engine worst case");
     }
 
     #[test]

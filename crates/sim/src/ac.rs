@@ -30,6 +30,7 @@ use crate::error::SimError;
 use crate::linalg::correction::{factor_correction, CornerDiff};
 use crate::linalg::pencil::{HessenbergLu, Pencil, LANES};
 use crate::linalg::{LuFactors, Matrix};
+use crate::measure::BandScan;
 use crate::netlist::{Circuit, Element, Node};
 
 /// What a sweep shares across its points, computed once per
@@ -355,7 +356,9 @@ impl<'a> AcSolver<'a> {
     /// per-step solves to roundoff, not bitwise; the first `B` samples
     /// are the per-step recurrence itself.
     ///
-    /// Returns `(t, y)` with `y` the small-signal deviation of `out`.
+    /// Returns `(t, y)` with `y` the small-signal deviation of `out`. A
+    /// caller that reads only the settling time measures it on the same
+    /// propagator without the record: [`AcSolver::step_settling_time`].
     ///
     /// # Errors
     ///
@@ -369,11 +372,111 @@ impl<'a> AcSolver<'a> {
         t_stop: f64,
         steps: usize,
     ) -> Result<(Vec<f64>, Vec<f64>), SimError> {
+        let prop = self.step_propagator(out, t_stop, steps)?;
+        let t_out: Vec<f64> = (0..=steps).map(|s| s as f64 * prop.h).collect();
+        let mut y_out = Vec::with_capacity(steps + 1);
+        y_out.push(0.0);
+        y_out.extend_from_slice(&prop.y0);
+        let Some(blocks) = &prop.blocks else {
+            // The record ends in the warm-up, or the output is ground,
+            // which is identically zero.
+            y_out.resize(steps + 1, 0.0);
+            return Ok((t_out, y_out));
+        };
+        let mut x = blocks.xb.clone();
+        let mut xn = vec![0.0; x.len()];
+        let mut ys = [0.0; SETTLE_BLOCK];
+        loop {
+            blocks.outputs(&x, &prop.y0, &mut ys);
+            let len = (steps + 1 - y_out.len()).min(SETTLE_BLOCK);
+            y_out.extend_from_slice(&ys[..len]);
+            if y_out.len() > steps {
+                return Ok((t_out, y_out));
+            }
+            blocks.advance(&x, &mut xn);
+            std::mem::swap(&mut x, &mut xn);
+        }
+    }
+
+    /// Settling time of the step response at `out` within band
+    /// `tol_frac`: bitwise [`crate::measure::settling_time`] of the
+    /// [`AcSolver::step_response`] record, measured without building the
+    /// record. It runs the same propagator set-up, then computes every
+    /// block anchor, reads `y_final` off the last block, and makes one
+    /// forward pass over the blocks: each block's outputs go into a stack
+    /// array of [`SETTLE_BLOCK`] samples, scanned without a branch per
+    /// sample (a finiteness fold, then the last sample outside the band).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`AcSolver::step_response`], then those of
+    /// [`crate::measure::settling_time`] on its record, in its
+    /// precedence: a non-finite sample, then no transition, then a
+    /// record that has not settled.
+    pub fn step_settling_time(
+        &self,
+        out: Node,
+        t_stop: f64,
+        steps: usize,
+        tol_frac: f64,
+    ) -> Result<f64, SimError> {
+        let prop = self.step_propagator(out, t_stop, steps)?;
+        let h = prop.h;
+        let at = |s: usize| s as f64 * h;
+        // `s·h` grows with `s`, so every time is finite if the last is.
+        let t_finite = at(steps).is_finite();
+        let Some(blocks) = &prop.blocks else {
+            // The record is the warm-up, and past it the zeros of a
+            // ground output.
+            let y_final = prop.y0.get(steps - 1).copied().unwrap_or(0.0);
+            let mut scan = BandScan::new(0.0, y_final, tol_frac);
+            scan.push(&[0.0]);
+            scan.push(&prop.y0);
+            for s in (prop.y0.len()..steps).step_by(SETTLE_BLOCK) {
+                scan.push(&[0.0; SETTLE_BLOCK][..(steps - s).min(SETTLE_BLOCK)]);
+            }
+            return scan.finish(t_finite, at);
+        };
+        // Blocks after the warm-up; the last holds the rest of the steps.
+        let n = blocks.xb.len();
+        let nblocks = (steps - SETTLE_BLOCK).div_ceil(SETTLE_BLOCK);
+        let last_len = steps - nblocks * SETTLE_BLOCK;
+        let mut anchors = vec![0.0; nblocks * n];
+        anchors[..n].copy_from_slice(&blocks.xb);
+        for j in 1..nblocks {
+            let (done, next) = anchors.split_at_mut(j * n);
+            blocks.advance(&done[(j - 1) * n..], &mut next[..n]);
+        }
+        let (body, last_anchor) = anchors.split_at((nblocks - 1) * n);
+        let mut last = [0.0; SETTLE_BLOCK];
+        blocks.outputs(last_anchor, &prop.y0, &mut last);
+        let mut scan = BandScan::new(0.0, last[last_len - 1], tol_frac);
+        scan.push(&[0.0]);
+        scan.push(&prop.y0);
+        let mut ys = [0.0; SETTLE_BLOCK];
+        for x in body.chunks_exact(n) {
+            blocks.outputs(x, &prop.y0, &mut ys);
+            scan.push(&ys);
+        }
+        scan.push(&last[..last_len]);
+        scan.finish(t_finite, at)
+    }
+
+    /// The set-up of the blocked propagator (see
+    /// [`AcSolver::step_response`]) that the record and the fused
+    /// settling measurement share: the companion factorization, `M` and
+    /// `k`, the warm-up, and, when the record runs past the warm-up at a
+    /// non-ground output, the output rows and `M^B`.
+    fn step_propagator(
+        &self,
+        out: Node,
+        t_stop: f64,
+        steps: usize,
+    ) -> Result<StepPropagator, SimError> {
         crate::tran::TranOptions::new(t_stop, steps).validate()?;
         let h = t_stop / steps as f64;
         let n = self.dim;
         let oi = self.ckt.mna_index(out);
-        let t_out: Vec<f64> = (0..=steps).map(|s| s as f64 * h).collect();
         let mut a = Matrix::<f64>::zeros(n, n);
         for r in 0..n {
             for c in 0..n {
@@ -398,26 +501,52 @@ impl<'a> AcSolver<'a> {
         lu.solve_into(&b2, &mut k);
 
         // Warm-up: the per-step recurrence for the first block.
-        let mut y_out = Vec::with_capacity(steps + 1);
-        y_out.push(0.0);
+        let mut y0 = Vec::with_capacity(steps.min(SETTLE_BLOCK));
         let mut x = vec![0.0; n];
         let mut xn = vec![0.0; n];
         for _ in 0..steps.min(SETTLE_BLOCK) {
             xn.copy_from_slice(&k);
             mat_vec_add(&mcols, &x, &mut xn);
             std::mem::swap(&mut x, &mut xn);
-            y_out.push(oi.map_or(0.0, |i| x[i]));
+            y0.push(oi.map_or(0.0, |i| x[i]));
         }
-        if steps <= SETTLE_BLOCK {
-            return Ok((t_out, y_out));
-        }
-        let Some(o) = oi else {
-            // A ground output is identically zero.
-            y_out.resize(steps + 1, 0.0);
-            return Ok((t_out, y_out));
+        let blocks = match oi {
+            Some(o) if steps > SETTLE_BLOCK => Some(StepBlocks::new(mcols, o, x)),
+            _ => None,
         };
+        Ok(StepPropagator { h, y0, blocks })
+    }
+}
 
-        // Set-up: `prows[j*B + i-1]` is entry `j` of `pᵢ = Mᵀ pᵢ₋₁`, with
+/// The set-up of the blocked step-response propagator
+/// ([`AcSolver::step_response`]).
+struct StepPropagator {
+    /// The step `h = t_stop / steps`.
+    h: f64,
+    /// The zero-state warm-up outputs `y⁰₁…y⁰_m`, `m = min(steps, B)`.
+    y0: Vec<f64>,
+    /// The per-block propagator; `None` when the record ends in the
+    /// warm-up or the output is ground.
+    blocks: Option<StepBlocks>,
+}
+
+/// The per-block half of the step-response propagator: from an anchor
+/// `x_{jB}`, the block's `B` outputs and the next anchor.
+struct StepBlocks {
+    /// `prows[j*B + i-1]` is entry `j` of the output row `pᵢ`.
+    prows: Vec<f64>,
+    /// `M^B`, column-major.
+    mb: Vec<f64>,
+    /// `x⁰_B`: the first anchor, and the offset of every anchor advance.
+    xb: Vec<f64>,
+}
+
+impl StepBlocks {
+    /// The output rows and `M^B` of the column-major `M` (`mcols`) for
+    /// output index `o`, with the warm-up's final state `xb`.
+    fn new(mcols: Vec<f64>, o: usize, xb: Vec<f64>) -> Self {
+        let n = xb.len();
+        // `prows[j*B + i-1]` is entry `j` of `pᵢ = Mᵀ pᵢ₋₁`, with
         // `p₀ = e_out`; `(Mᵀ p)_j` is column `j` of `M` dotted with `p`.
         let mut p = vec![0.0; n];
         p[o] = 1.0;
@@ -443,44 +572,46 @@ impl<'a> AcSolver<'a> {
             }
             std::mem::swap(&mut mb, &mut sq);
         }
+        StepBlocks { prows, mb, xb }
+    }
 
-        // Blocks: the anchor `x` starts at `x_B = x⁰_B`.
-        let y0 = y_out[1..].to_vec();
-        let xb = x.clone();
-        let mut acc = [0.0; SETTLE_BLOCK];
-        loop {
-            acc.fill(0.0);
-            for (&xj, pcol) in x.iter().zip(prows.chunks_exact(SETTLE_BLOCK)) {
-                for (ai, &pij) in acc.iter_mut().zip(pcol) {
-                    *ai += pij * xj;
-                }
+    /// The block's outputs `ys[i-1] = pᵢ·x + y⁰ᵢ` from anchor `x`.
+    fn outputs(&self, x: &[f64], y0: &[f64], ys: &mut [f64; SETTLE_BLOCK]) {
+        ys.fill(0.0);
+        for (&xj, pcol) in x.iter().zip(self.prows.chunks_exact(SETTLE_BLOCK)) {
+            for (yi, &pij) in ys.iter_mut().zip(pcol) {
+                *yi += pij * xj;
             }
-            let len = (steps + 1 - y_out.len()).min(SETTLE_BLOCK);
-            y_out.extend(acc[..len].iter().zip(&y0).map(|(a, y)| a + y));
-            if y_out.len() > steps {
-                return Ok((t_out, y_out));
-            }
-            xn.copy_from_slice(&xb);
-            mat_vec_add(&mb, &x, &mut xn);
-            std::mem::swap(&mut x, &mut xn);
         }
+        for (yi, &y) in ys.iter_mut().zip(y0) {
+            *yi += y;
+        }
+    }
+
+    /// The next anchor `next = M^B x + x⁰_B`.
+    fn advance(&self, x: &[f64], next: &mut [f64]) {
+        next.copy_from_slice(&self.xb);
+        mat_vec_add(&self.mb, x, next);
     }
 }
 
-/// Steps per block of [`AcSolver::step_response`]. A block pays one
-/// `n²` anchor advance plus `B` length-`n` output dots, and the set-up
-/// pays `B` row products and `log₂ B` squarings, so a larger `B` trades
-/// per-step work for `n³` set-up. Must be a power of two.
+/// Steps per block of [`AcSolver::step_response`] and
+/// [`AcSolver::step_settling_time`]. A block pays one `n²` anchor
+/// advance plus `B` length-`n` output dots, and the set-up pays `B` row
+/// products and `log₂ B` squarings, so a larger `B` trades per-step work
+/// for `n³` set-up. Must be a power of two.
 ///
 /// Chosen by measurement on the TIA's six-corner, 2048-step settle
 /// records at dims 4 and 60 (criterion `settle_corners_serial_tia_mesh0`
-/// and `_mesh8`, 2-vCPU x86-64 host, two runs each): 65–70 µs and
+/// and `_mesh8`, 2-vCPU x86-64 host, two runs each), when those rows
+/// still timed the record of `step_response`: 65–70 µs and
 /// 3.4 ms at `B = 8`; 49–58 µs and 2.9–3.1 ms at 16; 44–50 µs and
 /// 2.7–4.0 ms at 32; 46–60 µs and 3.7–5.1 ms at 64; against 59–75 µs
 /// and 4.2–4.7 ms for the per-step loop. The two deploy workloads of the
 /// ledger read flat from 16 to 64. 32 sits inside that flat range: a
 /// smaller block pays more anchor advances at dim 60, a larger one more
-/// squarings.
+/// squarings. The fused measurement also scans one block at a time, so
+/// `B` is the length of its stack array.
 pub const SETTLE_BLOCK: usize = 32;
 
 const _: () = assert!(SETTLE_BLOCK.is_power_of_two());

@@ -272,6 +272,82 @@ pub fn settling_time(t: &[f64], y: &[f64], tol_frac: f64) -> Result<f64, SimErro
     }
 }
 
+/// [`settling_time`] as one forward pass over a record handed in
+/// blocks, for a kernel that produces the samples block by block and
+/// knows `y_initial` and `y_final` before the pass (the fused settling
+/// of [`crate::ac::AcSolver::step_settling_time`]). A block is scanned
+/// without a branch per sample: a finiteness fold, then `rposition` for
+/// its last sample outside the band. [`BandScan::finish`] reads the
+/// result and every error of [`settling_time`] on the same record,
+/// bitwise and in the same precedence.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BandScan {
+    y_final: f64,
+    swing: f64,
+    band: f64,
+    /// Samples scanned so far.
+    len: usize,
+    finite: bool,
+    last_out: Option<usize>,
+}
+
+impl BandScan {
+    /// A scan of a record from `y_initial` to `y_final` at band
+    /// `tol_frac` of the transition, as [`settling_time`] sets it.
+    pub(crate) fn new(y_initial: f64, y_final: f64, tol_frac: f64) -> Self {
+        let swing = (y_final - y_initial).abs();
+        BandScan {
+            y_final,
+            swing,
+            band: tol_frac * swing,
+            len: 0,
+            finite: true,
+            last_out: None,
+        }
+    }
+
+    /// Scans the next samples of the record.
+    pub(crate) fn push(&mut self, ys: &[f64]) {
+        self.finite &= ys.iter().fold(true, |ok, y| ok & y.is_finite());
+        let (yf, band) = (self.y_final, self.band);
+        if let Some(i) = ys.iter().rposition(|y| (y - yf).abs() > band) {
+            self.last_out = Some(self.len + i);
+        }
+        self.len += ys.len();
+    }
+
+    /// The settling time of the scanned record, whose sample `i` lies at
+    /// time `t(i)`; `t_finite` says whether every time is finite.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`settling_time`] on the same record.
+    pub(crate) fn finish(&self, t_finite: bool, t: impl Fn(usize) -> f64) -> Result<f64, SimError> {
+        if self.len < 2 {
+            return Err(SimError::MeasureFailed {
+                what: "degenerate waveform",
+            });
+        }
+        if !(t_finite && self.finite) {
+            return Err(SimError::MeasureFailed {
+                what: "non-finite waveform sample",
+            });
+        }
+        if self.swing < 1e-15 {
+            return Err(SimError::MeasureFailed {
+                what: "no transition to settle",
+            });
+        }
+        match self.last_out {
+            None => Ok(t(0)),
+            Some(i) if i + 2 < self.len => Ok(t(i + 1)),
+            Some(_) => Err(SimError::MeasureFailed {
+                what: "waveform did not settle in record",
+            }),
+        }
+    }
+}
+
 /// Trapezoidal integral of samples `y` over abscissa `x`.
 ///
 /// # Panics
@@ -409,6 +485,67 @@ mod tests {
                     ),
                     "t[{i}] = {bad}"
                 );
+            }
+        }
+    }
+
+    /// [`BandScan`] over `y` handed in blocks of `block` samples.
+    fn band_scanned(t: &[f64], y: &[f64], tol: f64, block: usize) -> Result<f64, SimError> {
+        let mut scan = BandScan::new(y[0], y[y.len() - 1], tol);
+        for ys in y.chunks(block) {
+            scan.push(ys);
+        }
+        scan.finish(t.iter().all(|v| v.is_finite()), |i| t[i])
+    }
+
+    /// The block scan reads what [`settling_time`] reads, bitwise and
+    /// error for error, whatever the block size: on settled, unsettled,
+    /// flat and barely settled records, each also with a NaN or ±inf at
+    /// the first, a middle and the last sample of `y` or `t`.
+    #[test]
+    fn band_scan_matches_settling_time() {
+        let t100: Vec<f64> = (0..100).map(|i| i as f64 * 1e-9).collect();
+        let mut records = vec![
+            settling_record(),
+            (
+                t100.clone(),
+                t100.iter().map(|&t| 1.0 - (-t / 20e-9_f64).exp()).collect(),
+            ),
+            (
+                t100.clone(),
+                t100.iter().map(|&t| (t * 5e8).sin()).collect(),
+            ),
+            (t100.clone(), vec![0.5; 100]),
+        ];
+        // In band from the next-to-last sample (the latest record that
+        // settles), and only at the last sample (one that does not).
+        let t10: Vec<f64> = (0..10).map(f64::from).collect();
+        let mut late = vec![0.0; 10];
+        late[9] = 1.0;
+        records.push((t10.clone(), late.clone()));
+        late[8] = 1.0;
+        records.push((t10, late));
+        let bases = records.clone();
+        for (t, y) in &bases {
+            let last = y.len() - 1;
+            for i in [0, last / 2, last] {
+                for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut yb = y.clone();
+                    yb[i] = bad;
+                    records.push((t.clone(), yb));
+                    let mut tb = t.clone();
+                    tb[i] = bad;
+                    records.push((tb, y.clone()));
+                }
+            }
+        }
+        for (k, (t, y)) in records.iter().enumerate() {
+            for tol in [0.0, 0.02, 0.3, 2.0] {
+                let want = settling_time(t, y, tol).map(f64::to_bits);
+                for block in [1, 3, 4, 32, 1000] {
+                    let got = band_scanned(t, y, tol, block).map(f64::to_bits);
+                    assert_eq!(got, want, "record {k}, tol {tol}, block {block}");
+                }
             }
         }
     }

@@ -7,11 +7,15 @@
 //! capacitors and MOSFET gate capacitances add their integration
 //! companions. A circuit at rest therefore stays at its operating point.
 //!
-//! The settling measurements integrate the *linearized* circuit instead:
-//! [`crate::ac::AcSolver::step_response`] folds the constant trapezoidal companion
-//! into a propagator `x1 = M x0 + k` and evaluates it in blocks of
-//! [`crate::ac::SETTLE_BLOCK`] steps: one `n²` anchor advance by `M^B`
-//! per block and one length-`n` dot per output sample.
+//! The settling measurements integrate the *linearized* circuit instead.
+//! [`crate::ac::AcSolver::step_settling_time`] folds the constant
+//! trapezoidal companion into a propagator `x1 = M x0 + k` and evaluates
+//! it in blocks of [`crate::ac::SETTLE_BLOCK`] steps (one `n²` anchor
+//! advance by `M^B` per block, one length-`n` dot per output sample),
+//! scanning each block for the settling band as it goes, so no `(t, y)`
+//! record is built. [`crate::ac::AcSolver::step_response`] runs the same
+//! propagator and returns the record, the oracle the fused measurement
+//! is tested against.
 
 use crate::dc::{
     dc_operating_point, eval_mos_oriented, newton_solve, Assembler, DcOptions, DcWorkspace, GMIN,

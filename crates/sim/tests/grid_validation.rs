@@ -1,7 +1,7 @@
 //! Degenerate analysis grids are rejected with `SimError::InvalidOptions`
 //! instead of producing empty, backwards, singular or infinite results:
-//! the linear step response checks its time grid like
-//! `TranOptions::validate`, every AC sweep entry point checks its
+//! the linear step response and the fused settling measurement check
+//! their time grid like `TranOptions::validate`, every AC sweep entry point checks its
 //! frequency grid like the noise analysis does, and the noise analyses
 //! also reject a grid of one point, whose integrals would read 0.
 
@@ -53,6 +53,26 @@ fn step_response_rejects_infinite_stop_time() {
     let (ckt, o, op) = rc_lowpass();
     let r = AcSolver::new(&ckt, &op).step_response(o, f64::INFINITY, 100);
     assert!(is_invalid(&r), "{r:?}");
+}
+
+/// The fused settling measurement checks its time grid exactly as
+/// `step_response` does: zero steps, and a negative, NaN or infinite stop
+/// time, are each the same `InvalidOptions`.
+#[test]
+fn step_settling_time_rejects_degenerate_grids_like_step_response() {
+    let (ckt, o, op) = rc_lowpass();
+    let solver = AcSolver::new(&ckt, &op);
+    for (t_stop, steps) in [
+        (1e-5, 0),
+        (-1e-5, 100),
+        (f64::NAN, 100),
+        (f64::INFINITY, 100),
+    ] {
+        let r = solver.step_settling_time(o, t_stop, steps, 0.02);
+        assert!(is_invalid(&r), "t_stop {t_stop}, steps {steps}: {r:?}");
+        let record = solver.step_response(o, t_stop, steps);
+        assert_eq!(r.err(), record.err(), "t_stop {t_stop}, steps {steps}");
+    }
 }
 
 #[test]

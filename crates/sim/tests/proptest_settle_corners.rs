@@ -6,12 +6,19 @@
 //! per-step propagator it replaced, one `n²` matrix-vector product per
 //! step, is its oracle: the first block is bitwise, the rest within
 //! roundoff of the whole record's scale.
+//!
+//! [`AcSolver::step_settling_time`] measures the settling time on the
+//! same propagator without building the record. `step_response` plus
+//! [`settling_time`] is its oracle, bitwise: the same `Ok` bits, or the
+//! same error with the same `what`.
 
 use autockt_sim::ac::{AcSolver, SETTLE_BLOCK};
 use autockt_sim::dc::{dc_operating_point, DcOptions, OpPoint};
 use autockt_sim::device::{MosPolarity, Technology};
 use autockt_sim::linalg::{LuFactors, Matrix};
+use autockt_sim::measure::settling_time;
 use autockt_sim::netlist::{Circuit, Mosfet, Node, GND};
+use autockt_sim::SimError;
 use proptest::prelude::*;
 
 /// Settling window of every check: a few output time constants of the
@@ -219,4 +226,155 @@ proptest! {
         let r = check_blocked(&widths, depth, ORACLE_STEPS[si]);
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
+}
+
+/// Step counts of the fused measurement's property: one step, the block
+/// edges and the production record.
+const FUSED_STEPS: [usize; 5] = [1, SETTLE_BLOCK - 1, SETTLE_BLOCK, SETTLE_BLOCK + 1, 2048];
+
+/// The fused settling measurement and its oracle, `step_response` plus
+/// `settling_time`, at `out` of `solver`.
+fn fused_and_oracle(
+    solver: &AcSolver<'_>,
+    out: Node,
+    t_stop: f64,
+    steps: usize,
+    band: f64,
+) -> (Result<f64, SimError>, Result<f64, SimError>) {
+    let fused = solver.step_settling_time(out, t_stop, steps, band);
+    let oracle = solver
+        .step_response(out, t_stop, steps)
+        .and_then(|(t, y)| settling_time(&t, &y, band));
+    (fused, oracle)
+}
+
+/// Compares the fused measurement with its oracle bitwise at every
+/// corner's output and at ground.
+fn check_fused(
+    widths: &[f64],
+    depth: usize,
+    t_stop: f64,
+    steps: usize,
+    band: f64,
+) -> Result<(), String> {
+    let (variants, ops) = corner_set(widths, depth);
+    for (b, ((ckt, out), op)) in variants.iter().zip(&ops).enumerate() {
+        let solver = AcSolver::new(ckt, op);
+        for node in [*out, GND] {
+            let (fused, oracle) = fused_and_oracle(&solver, node, t_stop, steps, band);
+            if fused.clone().map(f64::to_bits) != oracle.clone().map(f64::to_bits) {
+                return Err(format!(
+                    "corner {b} node {node:?} steps {steps} band {band}: {fused:?} vs {oracle:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The fused settling measurement against the record it replaces,
+    /// on the amplifier-plus-mesh fixtures from dim 6 (no mesh) to dim 14
+    /// (depth 8), at every step count of [`FUSED_STEPS`], over windows
+    /// from far too short to settle to several output time constants,
+    /// and bands from 0.01% to 50%.
+    #[test]
+    fn fused_settling_matches_record_measurement(
+        base_w in 0.8e-6..4.0e-6f64,
+        deltas in prop::collection::vec(-0.3..0.3f64, 2),
+        depth in 0usize..9,
+        si in 0usize..FUSED_STEPS.len(),
+        window in 0.02..3.0f64,
+        band_exp in -4.0..-0.3f64,
+    ) {
+        let widths: Vec<f64> = std::iter::once(base_w)
+            .chain(deltas.iter().map(|d| base_w * (1.0 + d)))
+            .collect();
+        let band = 10f64.powf(band_exp);
+        let r = check_fused(&widths, depth, window * T_STOP, FUSED_STEPS[si], band);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
+}
+
+/// Asserts the fused measurement fails like its oracle, with `what`, at
+/// every step count of `steps`.
+fn assert_fused_fails(solver: &AcSolver<'_>, out: Node, t_stop: f64, steps: &[usize], what: &str) {
+    for &steps in steps {
+        let (fused, oracle) = fused_and_oracle(solver, out, t_stop, steps, 0.02);
+        assert_eq!(fused, oracle, "steps {steps}");
+        assert!(
+            matches!(fused, Err(SimError::MeasureFailed { what: w }) if w == what),
+            "steps {steps}: {fused:?}"
+        );
+    }
+}
+
+/// A window of a thousandth of the fixture's settling window: the step
+/// has barely begun, and each of up to `SETTLE_BLOCK + 1` steps moves it
+/// by more than the 2% band, so the next-to-last sample is still out of
+/// band. (A long record of a monotone rise always reads as settled in
+/// the last 2% of its window.)
+#[test]
+fn fused_settling_rejects_a_window_too_short_to_settle() {
+    let (variants, ops) = corner_set(&[2e-6], 4);
+    let solver = AcSolver::new(&variants[0].0, &ops[0]);
+    assert_fused_fails(
+        &solver,
+        variants[0].1,
+        T_STOP / 1000.0,
+        &FUSED_STEPS[..4],
+        "waveform did not settle in record",
+    );
+}
+
+/// An RC low-pass whose source has no AC drive: every sample is zero.
+#[test]
+fn fused_settling_rejects_a_zero_drive_circuit() {
+    let mut ckt = Circuit::new();
+    let i = ckt.node("in");
+    let o = ckt.node("out");
+    ckt.vsource(i, GND, 0.5, 0.0);
+    ckt.resistor(i, o, 1.0e3);
+    ckt.capacitor(o, GND, 1e-9);
+    let op = dc_operating_point(&ckt, &DcOptions::default()).expect("rc solves");
+    let solver = AcSolver::new(&ckt, &op);
+    assert_fused_fails(&solver, o, 1e-5, &FUSED_STEPS, "no transition to settle");
+}
+
+/// Ground as the output: identically zero, past the warm-up too.
+#[test]
+fn fused_settling_rejects_a_ground_output() {
+    let (variants, ops) = corner_set(&[2e-6], 8);
+    let solver = AcSolver::new(&variants[0].0, &ops[0]);
+    assert_fused_fails(
+        &solver,
+        GND,
+        T_STOP,
+        &FUSED_STEPS,
+        "no transition to settle",
+    );
+}
+
+/// A node with positive feedback (a transconductance injecting twice
+/// the RC's conductance): one time constant per step triples the
+/// response each step, so a 2048-step record overflows, and the fused
+/// measurement reports the non-finite sample its oracle does.
+#[test]
+fn fused_settling_rejects_a_diverging_response() {
+    let mut ckt = Circuit::new();
+    let i = ckt.node("in");
+    let o = ckt.node("out");
+    ckt.vsource(i, GND, 0.0, 1.0);
+    ckt.resistor(i, o, 1.0e3);
+    ckt.capacitor(o, GND, 1e-9);
+    ckt.vccs(GND, o, o, GND, 2.0e-3);
+    let op = dc_operating_point(&ckt, &DcOptions::default()).expect("dc solves");
+    let solver = AcSolver::new(&ckt, &op);
+    assert_fused_fails(
+        &solver,
+        o,
+        2048.0 * 1e-6,
+        &[2048],
+        "non-finite waveform sample",
+    );
 }
