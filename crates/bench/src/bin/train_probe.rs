@@ -24,7 +24,11 @@ fn main() -> Result<(), String> {
         "tia" => Arc::new(Tia::default()),
         "opamp2" => Arc::new(OpAmp2::default()),
         "neggm" => Arc::new(NegGmOta::default()),
-        other => panic!("unknown problem {other}"),
+        other => {
+            return Err(format!(
+                "invalid --problem value: {other} (expected tia, opamp2 or neggm)"
+            ))
+        }
     };
 
     let min_reward: f64 = flag_or("--min-reward", 0.0)?;

@@ -25,6 +25,8 @@ const CLIP: f64 = 0.2;
 const VF_COEF: f64 = 0.5;
 /// Global gradient-norm clip.
 const MAX_GRAD_NORM: f64 = 0.5;
+/// Adam learning rate.
+const LR: f64 = 3e-4;
 
 /// Hyperparameters for PPO.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,8 +43,6 @@ pub struct PpoConfig {
     pub gamma: f64,
     /// GAE lambda.
     pub lam: f64,
-    /// Adam learning rate.
-    pub lr: f64,
     /// Entropy bonus coefficient.
     pub ent_coef: f64,
 }
@@ -56,7 +56,6 @@ impl Default for PpoConfig {
             epochs: 8,
             gamma: 0.99,
             lam: 0.95,
-            lr: 3e-4,
             ent_coef: 5e-3,
         }
     }
@@ -220,14 +219,14 @@ impl Ppo {
                                 }
                             },
                         );
-                        descend(policy.net_mut(), chunk.len(), cfg);
+                        descend(policy.net_mut(), chunk.len());
                     }
                 },
                 || {
                     for chunk in minibatches() {
                         value.net_mut().zero_grad();
                         value.mse_grad(vbufs, transitions, chunk, VF_COEF);
-                        descend(value.net_mut(), chunk.len(), cfg);
+                        descend(value.net_mut(), chunk.len());
                     }
                 },
             );
@@ -242,13 +241,13 @@ impl Ppo {
 
 /// One optimizer step on a minibatch of `len` samples' accumulated
 /// gradient: average, clip to the global norm bound, Adam.
-fn descend(net: &mut Mlp, len: usize, cfg: &PpoConfig) {
+fn descend(net: &mut Mlp, len: usize) {
     net.scale_grad(1.0 / len as f64);
     let gn = net.grad_norm();
     if gn > MAX_GRAD_NORM {
         net.scale_grad(MAX_GRAD_NORM / gn);
     }
-    net.adam_step(cfg.lr);
+    net.adam_step(LR);
 }
 
 #[cfg(test)]
@@ -265,7 +264,6 @@ mod tests {
             steps_per_iter: 512,
             minibatch: 128,
             epochs: 6,
-            lr: 1e-3,
             ..PpoConfig::default()
         };
         let mut agent = Ppo::new(3, &[3], cfg, 12345);

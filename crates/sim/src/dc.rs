@@ -636,7 +636,7 @@ pub(crate) fn dc_operating_point_warm(
                     // is a property of the topology alone: no gmin value
                     // can repair an unmatched column, so report it before
                     // walking the homotopy.
-                    structure::check_dense(&ws.j)?;
+                    structure::structural_check(&ws.j)?;
                 }
                 // gmin stepping homotopy.
                 x.iter_mut().for_each(|v| *v = 0.0);

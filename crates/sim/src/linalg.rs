@@ -19,13 +19,16 @@
 //! factorization tracks which entries can be nonzero (one bitset
 //! per row, fill included) and spends its arithmetic only on those, while
 //! staying bit-identical to a plain dense elimination (see [`LuFactors`]
-//! for the argument).
+//! for the argument). The bitsets are its only structure record: the
+//! elimination and both triangular sweeps of every solve walk them, and a
+//! sweep that must visit every entry runs the same loop over every column.
 //!
 //! Dense AC and noise sweeps do not factor per point: [`pencil`] reduces
 //! `(G, C)` to Hessenberg–triangular form once per operating point, after
 //! which each frequency point is an O(n²) Hessenberg solve. [`structure`]
 //! holds the structural-rank diagnosis the DC solve runs on a singular
-//! Jacobian.
+//! Jacobian, read off the dense matrix by the same "not exactly `+0.0`"
+//! rule.
 
 pub(crate) mod correction;
 pub mod pencil;
@@ -335,12 +338,10 @@ impl<T> std::ops::IndexMut<(usize, usize)> for Matrix<T> {
 /// it is exactly `+0.0` (all bits zero; `-0.0` is structural). The
 /// bitsets are swapped along with the rows, and each elimination step ORs
 /// the pivot row's pattern into every row it updates, which records the
-/// fill. The pivot search and the rank-1 updates visit only set bits, and
-/// the elimination leaves each row's structural columns of L and U as
-/// index lists for the triangular solves, so an 11 x 11 MNA system with
-/// 40 stamped entries costs about an eighth of the dense elimination's
-/// multiply-adds. (Factors at least half structural are solved with the
-/// dense loops, which cost less than the lists there.)
+/// fill. The bitsets are the one structure record: the pivot search, the
+/// rank-1 updates and both triangular sweeps of every solve visit only
+/// set bits, so an 11 x 11 MNA system with 40 stamped entries costs about
+/// an eighth of the dense elimination's multiply-adds.
 ///
 /// The factors and solutions are **bit-identical** to the plain dense
 /// elimination (the same loops over every entry):
@@ -365,25 +366,19 @@ impl<T> std::ops::IndexMut<(usize, usize)> for Matrix<T> {
 /// structural, and so is the rest of an elimination once a pivot-row
 /// entry is non-finite (an overflow). A solve whose right-hand side holds
 /// a `-0.0` or non-finite component runs over every entry, and so does a
-/// rerun of a solve whose result came out non-finite. All of these do
-/// the dense loops' arithmetic over every entry. (NaN sign and payload
+/// rerun of a solve whose result came out non-finite: the same loop body,
+/// walking every column instead of the set bits. All of these do the
+/// dense loops' arithmetic over every entry. (NaN sign and payload
 /// bits are outside the claim: Rust leaves them unspecified for arithmetic
 /// results.)
 #[derive(Debug, Clone)]
 pub struct LuFactors<T> {
     lu: Matrix<T>,
     perm: Vec<usize>,
-    /// Elimination scratch: row nonzero patterns, `⌈n/64⌉` words per
-    /// row; bit `j % 64` of word `j / 64` is set when entry `(i, j)` is
-    /// structural.
+    /// Row nonzero patterns of the factors, fill included, `⌈n/64⌉` words
+    /// per row; bit `j % 64` of word `j / 64` is set when entry `(i, j)`
+    /// is structural (L left of the diagonal, U right of it).
     pattern: Vec<u64>,
-    /// Structural columns of each row of L (left of the diagonal):
-    /// `lower[lower_ptr[i]..lower_ptr[i + 1]]`, increasing.
-    lower: Vec<usize>,
-    lower_ptr: Vec<usize>,
-    /// Structural columns of each row of U right of the diagonal, likewise.
-    upper: Vec<usize>,
-    upper_ptr: Vec<usize>,
     /// `pivot_divisor` of each diagonal entry of U, for the back
     /// substitution's divisions.
     divisors: Vec<T>,
@@ -442,10 +437,6 @@ impl<T: Scalar> LuFactors<T> {
             lu: Matrix::zeros(0, 0),
             perm: Vec::new(),
             pattern: Vec::new(),
-            lower: Vec::new(),
-            lower_ptr: Vec::new(),
-            upper: Vec::new(),
-            upper_ptr: Vec::new(),
             divisors: Vec::new(),
         }
     }
@@ -498,10 +489,6 @@ impl<T: Scalar> LuFactors<T> {
             lu: a,
             perm,
             pattern,
-            lower,
-            lower_ptr,
-            upper,
-            upper_ptr,
             divisors,
         } = self;
         assert_eq!(a.rows, a.cols, "LU requires a square matrix");
@@ -509,12 +496,6 @@ impl<T: Scalar> LuFactors<T> {
         perm.clear();
         perm.extend(0..n);
         divisors.clear();
-        upper.clear();
-        upper_ptr.clear();
-        upper_ptr.push(0);
-        lower.clear();
-        lower_ptr.clear();
-        lower_ptr.push(0);
         let w = n.div_ceil(64);
         pattern.clear();
         pattern.resize(n * w, 0);
@@ -568,21 +549,21 @@ impl<T: Scalar> LuFactors<T> {
                 perm.swap(k, p);
             }
             // Row k is final from here on: its columns right of the
-            // diagonal are U's row k.
-            let start = upper.len();
-            for_each_col(&pattern[k * w..(k + 1) * w], k + 1, n, |j| upper.push(j));
-            // A non-finite pivot-row entry makes the skipped `0 * y` of a
-            // row with nothing to eliminate NaN. (Multipliers need no such
-            // check: partial pivoting bounds them by 1 unless the column
-            // holds a NaN, which only a non-finite pivot-row entry of an
-            // earlier step can create.)
-            if !dense && !upper[start..].iter().all(|&j| data[k * n + j].is_finite()) {
-                dense = true;
-                pattern.fill(u64::MAX);
-                upper.truncate(start);
-                upper.extend(k + 1..n);
+            // diagonal are U's row k. A non-finite entry there makes the
+            // skipped `0 * y` of a row with nothing to eliminate NaN.
+            // (Multipliers need no such check: partial pivoting bounds them
+            // by 1 unless the column holds a NaN, which only a non-finite
+            // pivot-row entry of an earlier step can create.)
+            if !dense {
+                let mut finite = true;
+                for_each_col(&pattern[k * w..(k + 1) * w], k + 1, n, |j| {
+                    finite &= data[k * n + j].is_finite();
+                });
+                if !finite {
+                    dense = true;
+                    pattern.fill(u64::MAX);
+                }
             }
-            let cols = &upper[start..];
             let divisor = data[k * n + k].pivot_divisor();
             divisors.push(divisor);
             let zero_multiplier = T::zero().div_pivot(divisor);
@@ -595,10 +576,10 @@ impl<T: Scalar> LuFactors<T> {
                 }
                 let m = row_i[k].div_pivot(divisor);
                 row_i[k] = m;
-                for &j in cols {
+                for_each_col(&pattern[k * w..(k + 1) * w], k + 1, n, |j| {
                     let v = m * row_k[j];
                     row_i[j] -= v;
-                }
+                });
                 if !dense {
                     // Fill: row i now has an entry wherever the pivot row
                     // has one right of column k.
@@ -611,11 +592,6 @@ impl<T: Scalar> LuFactors<T> {
                     }
                 }
             }
-            upper_ptr.push(upper.len());
-        }
-        for i in 0..n {
-            for_each_col(&pattern[i * w..(i + 1) * w], 0, i, |j| lower.push(j));
-            lower_ptr.push(lower.len());
         }
         Ok(())
     }
@@ -639,17 +615,21 @@ impl<T: Scalar> LuFactors<T> {
     /// Panics if `b.len()` does not match the matrix dimension.
     pub fn solve_into(&self, b: &[T], x: &mut Vec<T>) {
         assert_eq!(b.len(), self.lu.rows, "dimension mismatch");
-        if !self.substitute(b, x, self.solve_dense()) {
+        if !self.substitute(b, x, false) {
             self.substitute(b, x, true);
         }
     }
 
-    /// Whether solves visit every entry: when at least half of L and U is
-    /// structural, the products a solve could skip cost less than walking
-    /// the column lists. Visiting a non-structural entry is always exact.
-    fn solve_dense(&self) -> bool {
-        let n = self.lu.rows;
-        2 * (self.lower.len() + self.upper.len()) >= n * n.saturating_sub(1)
+    /// Calls `f(j)` for every structural column `lo <= j < hi` of row `i`
+    /// of the factors, or for every column in that range when `full`.
+    #[inline]
+    fn for_each_entry(&self, i: usize, lo: usize, hi: usize, full: bool, f: impl FnMut(usize)) {
+        if full {
+            (lo..hi).for_each(f);
+        } else {
+            let w = self.lu.rows.div_ceil(64);
+            for_each_col(&self.pattern[i * w..(i + 1) * w], lo, hi, f);
+        }
     }
 
     /// Forward and back substitution over the structural entries, or over
@@ -668,48 +648,26 @@ impl<T: Scalar> LuFactors<T> {
         // Apply permutation.
         x.clear();
         x.extend(self.perm.iter().map(|&p| b[p]));
+        let full = full || !x.iter().all(|v| v.is_plain());
         let data = &self.lu.data;
-        if full || !x.iter().all(|v| v.is_plain()) {
-            // Forward substitution (L has unit diagonal).
-            for i in 1..n {
-                let row = &data[i * n..i * n + i];
-                let mut acc = x[i];
-                for (l, &xj) in row.iter().zip(x.iter()) {
-                    acc -= *l * xj;
-                }
-                x[i] = acc;
-            }
-            // Back substitution.
-            for i in (0..n).rev() {
-                let row = &data[i * n..(i + 1) * n];
-                let mut acc = x[i];
-                for (j, l) in row.iter().enumerate().skip(i + 1) {
-                    acc -= *l * x[j];
-                }
-                x[i] = acc.div_pivot(self.divisors[i]);
-            }
-            return true;
-        }
+        // Forward substitution (L has unit diagonal).
         for i in 1..n {
             let row = &data[i * n..(i + 1) * n];
             let mut acc = x[i];
-            for &j in &self.lower[self.lower_ptr[i]..self.lower_ptr[i + 1]] {
-                acc -= row[j] * x[j];
-            }
+            self.for_each_entry(i, 0, i, full, |j| acc -= row[j] * x[j]);
             x[i] = acc;
         }
+        // Back substitution.
         let mut finite = true;
         for i in (0..n).rev() {
             let row = &data[i * n..(i + 1) * n];
             let mut acc = x[i];
-            for &j in &self.upper[self.upper_ptr[i]..self.upper_ptr[i + 1]] {
-                acc -= row[j] * x[j];
-            }
+            self.for_each_entry(i, i + 1, n, full, |j| acc -= row[j] * x[j]);
             let v = acc.div_pivot(self.divisors[i]);
             x[i] = v;
             finite &= v.is_finite();
         }
-        finite
+        full || finite
     }
 
     /// Solves `Aᵀ x = b` for the factored `A` into a caller-provided
@@ -719,7 +677,7 @@ impl<T: Scalar> LuFactors<T> {
     /// One adjoint solve `Aᵀ z = e_o` gives entry `o` of `A⁻¹ b` for every
     /// right-hand side `b` as the product `z · b`.
     ///
-    /// The structural-list loops are bitwise the loops over every entry,
+    /// The structural sweeps are bitwise the sweeps over every entry,
     /// under the same rules as [`LuFactors::solve_into`]: a right-hand side
     /// with a `-0.0` or non-finite component runs over every entry, and so
     /// does a rerun of a solve whose result came out non-finite.
@@ -729,7 +687,7 @@ impl<T: Scalar> LuFactors<T> {
     /// Panics if `b.len()` does not match the matrix dimension.
     pub fn solve_transposed_into(&self, b: &[T], x: &mut Vec<T>) {
         assert_eq!(b.len(), self.lu.rows, "dimension mismatch");
-        if !self.substitute_transposed(b, x, self.solve_dense()) {
+        if !self.substitute_transposed(b, x, false) {
             self.substitute_transposed(b, x, true);
         }
     }
@@ -761,17 +719,10 @@ impl<T: Scalar> LuFactors<T> {
             let wi = v[i].div_pivot(self.divisors[i]);
             v[i] = wi;
             let row = &data[i * n..(i + 1) * n];
-            if full {
-                for j in i + 1..n {
-                    let u = row[j] * wi;
-                    v[j] -= u;
-                }
-            } else {
-                for &j in &self.upper[self.upper_ptr[i]..self.upper_ptr[i + 1]] {
-                    let u = row[j] * wi;
-                    v[j] -= u;
-                }
-            }
+            self.for_each_entry(i, i + 1, n, full, |j| {
+                let u = row[j] * wi;
+                v[j] -= u;
+            });
         }
         for vi in v.iter_mut() {
             *vi += T::zero();
@@ -779,18 +730,11 @@ impl<T: Scalar> LuFactors<T> {
         // Lᵀ y = w, backward (L has unit diagonal).
         for i in (1..n).rev() {
             let yi = v[i];
-            let row = &data[i * n..i * n + i];
-            if full {
-                for (j, &l) in row.iter().enumerate() {
-                    let u = l * yi;
-                    v[j] -= u;
-                }
-            } else {
-                for &j in &self.lower[self.lower_ptr[i]..self.lower_ptr[i + 1]] {
-                    let u = row[j] * yi;
-                    v[j] -= u;
-                }
-            }
+            let row = &data[i * n..(i + 1) * n];
+            self.for_each_entry(i, 0, i, full, |j| {
+                let u = row[j] * yi;
+                v[j] -= u;
+            });
         }
         // x = Pᵀ y.
         for (&p, &yi) in self.perm.iter().zip(v.iter()) {
@@ -1035,15 +979,14 @@ mod tests {
             a[(r - 5, r)] = C::ONE;
         }
         let f = LuFactors::factor(a.clone(), 1e-300).unwrap();
-        assert!(!f.solve_dense(), "the test needs the structural lists");
-        let (mut lists, mut dense) = (Vec::new(), Vec::new());
+        let (mut structural, mut dense) = (Vec::new(), Vec::new());
         let mut unit = vec![C::ZERO; n];
         unit[37] = C::ONE;
         let ramp: Vec<C> = (0..n).map(|i| C::new(i as f64 - 30.0, 0.0)).collect();
         for b in [&unit, &ramp] {
-            assert!(f.substitute_transposed(b, &mut lists, false));
+            assert!(f.substitute_transposed(b, &mut structural, false));
             f.substitute_transposed(b, &mut dense, true);
-            assert_eq!(bits(&lists), bits(&dense));
+            assert_eq!(bits(&structural), bits(&dense));
         }
         // The solution solves Aᵀ x = b.
         let at = Matrix::from_rows(
@@ -1051,8 +994,8 @@ mod tests {
                 .map(|r| (0..n).map(|c| a[(c, r)]).collect())
                 .collect::<Vec<_>>(),
         );
-        f.solve_transposed_into(&ramp, &mut lists);
-        for (got, want) in at.mul_vec(&lists).iter().zip(&ramp) {
+        f.solve_transposed_into(&ramp, &mut structural);
+        for (got, want) in at.mul_vec(&structural).iter().zip(&ramp) {
             assert!((*got - *want).norm() < 1e-9, "{got:?} vs {want:?}");
         }
         // A -0.0 or ±inf right-hand side gets the dense loops' bits.
@@ -1063,9 +1006,9 @@ mod tests {
         ] {
             let mut b = ramp.clone();
             b[12] = bad;
-            f.solve_transposed_into(&b, &mut lists);
+            f.solve_transposed_into(&b, &mut structural);
             f.substitute_transposed(&b, &mut dense, true);
-            assert_eq!(bits(&lists), bits(&dense), "rhs entry {bad:?}");
+            assert_eq!(bits(&structural), bits(&dense), "rhs entry {bad:?}");
         }
     }
 

@@ -29,8 +29,8 @@
 //! [`LANES`] of them in one pass, lane-innermost, and their chains
 //! overlap. Each lane runs exactly the IEEE operations of the one-point
 //! solve, in the same order, so its result is bitwise the one-point
-//! result, errors included; [`Pencil::solve_transposed`] is the one-lane
-//! instance of the same body.
+//! result, errors included. A one-point solve is the one-lane instance,
+//! `solve_transposed_lanes::<1>`.
 
 use crate::complex::Complex;
 use crate::error::SimError;
@@ -87,10 +87,9 @@ pub const LANES: usize = 4;
 /// the next row is read from `H` and `T` as the pass reaches it, and `U`
 /// is never stored.
 ///
-/// `HessenbergLu` (one lane) is the scratch of
-/// [`Pencil::solve_transposed`].
+/// `HessenbergLu<1>` is the scratch of a one-point solve.
 #[derive(Debug, Clone)]
-pub struct HessenbergLu<const L: usize = 1> {
+pub struct HessenbergLu<const L: usize> {
     /// The live row: row `k` of the partly eliminated `H + jωT` at step
     /// `k`, entries `k..n`.
     row_re: Vec<[f64; L]>,
@@ -107,9 +106,6 @@ pub struct HessenbergLu<const L: usize = 1> {
     v_im: Vec<[f64; L]>,
     /// Each lane's first singular column.
     fail: [Option<usize>; L],
-    /// The one-lane solution as complex numbers, for
-    /// [`Pencil::solve_transposed`].
-    v: Vec<Complex>,
 }
 
 impl<const L: usize> Default for HessenbergLu<L> {
@@ -123,7 +119,6 @@ impl<const L: usize> Default for HessenbergLu<L> {
             v_re: Vec::new(),
             v_im: Vec::new(),
             fail: [None; L],
-            v: Vec::new(),
         }
     }
 }
@@ -386,38 +381,11 @@ impl Pencil {
         }
     }
 
-    /// Solves `(H + jwT)ᵀ v = c` for angular frequency `w` and returns
-    /// `v`. With `c` the output row of `Z` ([`Pencil::z_row`]), `v · Qᵀb`
-    /// is the output's response to any right-hand side `b`.
-    ///
-    /// The one-lane instance of [`Pencil::solve_transposed_lanes`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SingularMatrix`] when a pivot is at or below 1e-300 in
-    /// magnitude or not finite, or when `G` and `C` share an empty row or
-    /// column.
-    pub fn solve_transposed<'s>(
-        &self,
-        w: f64,
-        c: &[f64],
-        lu: &'s mut HessenbergLu,
-    ) -> Result<&'s [Complex], SimError> {
-        self.solve_transposed_lanes(&[w], c, lu);
-        lu.status(0)?;
-        let HessenbergLu { v_re, v_im, v, .. } = lu;
-        v.clear();
-        v.extend(
-            v_re.iter()
-                .zip(v_im.iter())
-                .map(|(r, i)| Complex::new(r[0], i[0])),
-        );
-        Ok(v)
-    }
-
     /// Solves `(H + jw_iT)ᵀ v_i = c` for every lane `i` in one elimination
     /// pass; [`HessenbergLu::status`] reports each lane's outcome, and
-    /// its dots and [`HessenbergLu::solution`] read each `v_i`.
+    /// its dots and [`HessenbergLu::solution`] read each `v_i`. With `c`
+    /// the output row of `Z` ([`Pencil::z_row`]), `v_i · Qᵀb` is the
+    /// output's response at `w_i` to any right-hand side `b`.
     ///
     /// The elimination runs down the subdiagonal, choosing each pivot
     /// between the two rows that can hold it (partial pivoting restricted
@@ -462,7 +430,6 @@ impl Pencil {
             v_re,
             v_im,
             fail,
-            ..
         } = lu;
         // The first live row is row 0 of H + jωT; the pending right-hand
         // side starts as c.

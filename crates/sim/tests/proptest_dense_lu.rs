@@ -3,17 +3,21 @@
 //! dense partial-pivoting elimination that visits every entry — the same
 //! solution bits (`to_bits`, sign of zero included, NaN payloads aside)
 //! and the same `SingularMatrix { column }` errors — for real and complex
-//! systems.
+//! systems, for `A x = b` and for the transposed `Aᵀ x = b`.
 //!
 //! The reference below is the dense kernel `LuFactors` ran before it
-//! tracked structure (`eliminate`, `solve_into`),
-//! copied unchanged apart from living on a test-local struct.
+//! tracked structure (`eliminate`, `solve_into`), and the transposed
+//! kernel's sweeps over every entry (`solve_transposed_into`), copied
+//! unchanged apart from living on a test-local struct; the transposed
+//! sweeps divide by the pivot where the kernel applies its prepared
+//! divisor, the same bits by the `Scalar::pivot_divisor` contract.
 //!
 //! Inputs cover dimensions 1–150 (one, two and three 64-bit pattern
-//! words), densities from 3% to full, MNA-like shapes (voltage-source rows
-//! with a zero diagonal, empty rows), real-valued complex stamps (whose
-//! products create signed zeros), `-0.0` entries and right-hand sides,
-//! entries near `f64::MAX` whose updates overflow, and non-finite entries.
+//! words), densities from 3% to full, banded systems (bandwidth 1–4,
+//! dominant diagonal), MNA-like shapes (voltage-source rows with a zero
+//! diagonal, empty rows), real-valued complex stamps (whose products
+//! create signed zeros), `-0.0` entries and right-hand sides, entries near
+//! `f64::MAX` whose updates overflow, and non-finite entries.
 
 use autockt_sim::complex::Complex;
 use autockt_sim::linalg::{LuFactors, Matrix, Scalar};
@@ -113,6 +117,46 @@ impl<T: Scalar> RefLu<T> {
             x[i] = acc / row[i];
         }
     }
+
+    /// `Aᵀ x = b`: `Uᵀ` forward, `Lᵀ` back, then the inverse row
+    /// permutation, each sweep over every entry.
+    fn solve_transposed_into(&self, b: &[T], x: &mut Vec<T>) {
+        let n = self.n;
+        assert_eq!(b.len(), n, "dimension mismatch");
+        let data = &self.data;
+        // The sweeps run in `x[n..]`; the permutation then writes `x[..n]`.
+        x.clear();
+        x.resize(n, T::zero());
+        x.extend_from_slice(b);
+        let (out, v) = x.split_at_mut(n);
+        // Uᵀ w = b, forward.
+        for i in 0..n {
+            let wi = v[i] / data[i * n + i];
+            v[i] = wi;
+            let row = &data[i * n..(i + 1) * n];
+            for j in i + 1..n {
+                let u = row[j] * wi;
+                v[j] -= u;
+            }
+        }
+        for vi in v.iter_mut() {
+            *vi += T::zero();
+        }
+        // Lᵀ y = w, backward (L has unit diagonal).
+        for i in (1..n).rev() {
+            let yi = v[i];
+            let row = &data[i * n..i * n + i];
+            for (j, &l) in row.iter().enumerate() {
+                let u = l * yi;
+                v[j] -= u;
+            }
+        }
+        // x = Pᵀ y.
+        for (&p, &yi) in self.perm.iter().zip(v.iter()) {
+            out[p] = yi;
+        }
+        x.truncate(n);
+    }
 }
 
 /// SplitMix64 stream: the properties draw one seed and derive every
@@ -168,13 +212,16 @@ struct Shape {
     /// Complex stamps with a `+0.0` imaginary part, like conductances.
     real_stamps: bool,
     extremes: bool,
+    /// A banded system of this bandwidth, every in-band entry present and
+    /// the diagonal dominant, in place of `density`, source and empty rows.
+    band: Option<usize>,
 }
 
 impl Shape {
     fn draw(g: &mut Gen, max_n: usize) -> Shape {
         let n = 1 + g.below(max_n);
         let density = 0.03 + 0.97 * g.unit() * g.unit();
-        Shape {
+        let mut s = Shape {
             n,
             density,
             source_rows: if g.unit() < 0.5 {
@@ -185,13 +232,21 @@ impl Shape {
             empty_rows: usize::from(g.unit() < 0.1),
             real_stamps: g.unit() < 0.5,
             extremes: g.unit() < 0.3,
+            band: None,
+        };
+        if g.unit() < 0.2 {
+            s.band = Some(1 + g.below(4));
+            (s.source_rows, s.empty_rows) = (0, 0);
         }
+        s
     }
 }
 
 /// Builds a system with the given shape; entries come from `entry(g,
-/// real_stamp)`. The diagonal is usually present and dominant enough to
-/// keep most systems solvable, as MNA conductance diagonals are.
+/// real_stamp, extremes)` and the diagonal from `diag(g, magnitude)`. The
+/// diagonal is usually present and dominant enough to keep most systems
+/// solvable, as MNA conductance diagonals are; a banded system's diagonal
+/// is always present and exceeds its row's off-diagonal magnitudes.
 fn build<T: Scalar>(
     g: &mut Gen,
     s: &Shape,
@@ -202,11 +257,18 @@ fn build<T: Scalar>(
     let mut m = Matrix::<T>::zeros(n, n);
     for r in 0..n {
         for c in 0..n {
-            if r != c && g.unit() < s.density {
+            let present = |g: &mut Gen| match s.band {
+                Some(band) => r.abs_diff(c) <= band,
+                None => g.unit() < s.density,
+            };
+            if r != c && present(g) {
                 m[(r, c)] = entry(g, s.real_stamps, s.extremes);
             }
         }
-        if g.unit() < 0.9 {
+        if s.band.is_some() {
+            let d = 1.0 + (0..n).map(|c| m[(r, c)].abs()).sum::<f64>();
+            m[(r, r)] = diag(g, d);
+        } else if g.unit() < 0.9 {
             let d = 5.0 + 20.0 * g.unit();
             m[(r, r)] = diag(g, d);
         }
@@ -293,8 +355,8 @@ impl Bits for [Complex] {
     }
 }
 
-/// Factors `m` both ways and compares errors and single solves of the
-/// three right-hand sides packed in `b`.
+/// Factors `m` both ways and compares errors and single solves, plain and
+/// transposed, of the three right-hand sides packed in `b`.
 fn check<T: Scalar>(m: &Matrix<T>, b: &[T]) -> Result<(), String>
 where
     [T]: Bits,
@@ -314,6 +376,13 @@ where
         lu.solve_into(rhs, &mut xk);
         if xr.bits() != xk.bits() {
             return Err(format!("dim {n}: solve differs: {xr:?} vs {xk:?}"));
+        }
+        reference.solve_transposed_into(rhs, &mut xr);
+        lu.solve_transposed_into(rhs, &mut xk);
+        if xr.bits() != xk.bits() {
+            return Err(format!(
+                "dim {n}: transposed solve differs: {xr:?} vs {xk:?}"
+            ));
         }
     }
     Ok(())

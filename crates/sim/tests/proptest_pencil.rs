@@ -210,8 +210,9 @@ proptest! {
 
         let has_empty = (0..n).any(|i| (0..n).all(|j| g[(i, j)] == 0.0 && c[(i, j)] == 0.0));
         let w = 2.0 * std::f64::consts::PI * 1e6;
-        let mut lu = HessenbergLu::new();
-        let reduced = p.solve_transposed(w, p.z_row(0), &mut lu).map(|_| ());
+        let mut lu = HessenbergLu::<1>::new();
+        p.solve_transposed_lanes(&[w], p.z_row(0), &mut lu);
+        let reduced = lu.status(0);
         if has_empty {
             let mut y = Matrix::<Complex>::zeros(n, n);
             for i in 0..n {
@@ -289,9 +290,10 @@ fn shared_empty_column_is_singular_on_both_paths() {
     ]);
     let mut p = Pencil::new();
     p.reduce(&g, &c);
-    let mut lu = HessenbergLu::new();
+    let mut lu = HessenbergLu::<1>::new();
     for w in [1.0, 1e3, 1e9] {
-        let r = p.solve_transposed(w, p.z_row(2), &mut lu).map(|_| ());
+        p.solve_transposed_lanes(&[w], p.z_row(2), &mut lu);
+        let r = lu.status(0);
         assert!(matches!(r, Err(SimError::SingularMatrix { .. })), "{r:?}");
         let mut y = Matrix::<Complex>::zeros(3, 3);
         for i in 0..3 {

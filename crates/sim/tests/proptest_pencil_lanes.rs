@@ -9,7 +9,8 @@
 //!   its dots are bitwise the one-point folds. Some lanes get hostile ω
 //!   (0, negative, 1e300, ∞, NaN) that overflow or poison only their own
 //!   lane. A row or column empty in both `G` and `C` fails every lane, and
-//!   the one-lane `solve_transposed` is the oracle too.
+//!   the one-lane instance `solve_transposed_lanes::<1>` is the oracle
+//!   too.
 //! - On pencils built so that one ω = 0 lane is exactly singular: that lane
 //!   reports the oracle's column, and its neighbours stay bitwise.
 //! - On random RC/VCCS networks over grids of 1–9 points (lengths that
@@ -268,11 +269,12 @@ proptest! {
                 }
             }
         }
-        let mut one = HessenbergLu::new();
+        let mut one = HessenbergLu::<1>::new();
         let w = rng.log_uniform(1e-2, 1e14);
-        match (oracle_solve(&p, empty, w, p.z_row(0)), p.solve_transposed(w, p.z_row(0), &mut one)) {
-            (Ok(v), Ok(got)) => {
-                let got: Vec<_> = got.iter().map(|&z| bits(z)).collect();
+        p.solve_transposed_lanes(&[w], p.z_row(0), &mut one);
+        match (oracle_solve(&p, empty, w, p.z_row(0)), one.status(0)) {
+            (Ok(v), Ok(())) => {
+                let got: Vec<_> = one.solution(0).map(bits).collect();
                 let want: Vec<_> = v.iter().map(|&z| bits(z)).collect();
                 prop_assert_eq!(got, want);
             }

@@ -5,82 +5,37 @@
 //! parallel voltage sources as structurally singular before its homotopy.
 
 use autockt_sim::dc::{dc_operating_point, DcOptions};
-use autockt_sim::linalg::structure::{maximum_matching, structural_check, UNMATCHED};
+use autockt_sim::linalg::structure::{maximum_matching, structural_check};
+use autockt_sim::linalg::Matrix;
 use autockt_sim::netlist::{Circuit, GND};
 use autockt_sim::SimError;
 use proptest::prelude::*;
-
-/// A compressed-column matrix: the pattern slices the structural layer
-/// reads, plus the values the numeric-rank oracle needs.
-struct Csc {
-    n: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl Csc {
-    /// Compresses `(row, col, value)` entries; duplicates add.
-    fn from_entries(n: usize, entries: &[(usize, usize, f64)]) -> Csc {
-        let mut dense = vec![vec![None::<f64>; n]; n];
-        for &(r, c, v) in entries {
-            *dense[r][c].get_or_insert(0.0) += v;
-        }
-        let mut m = Csc {
-            n,
-            col_ptr: vec![0],
-            row_idx: Vec::new(),
-            values: Vec::new(),
-        };
-        for c in 0..n {
-            for (r, row) in dense.iter().enumerate() {
-                if let Some(v) = row[c] {
-                    m.row_idx.push(r);
-                    m.values.push(v);
-                }
-            }
-            m.col_ptr.push(m.row_idx.len());
-        }
-        m
-    }
-
-    fn col(&self, j: usize) -> std::ops::Range<usize> {
-        self.col_ptr[j]..self.col_ptr[j + 1]
-    }
-}
 
 /// Builds an `n x n` pattern from `(slot -> (row, col))` picks, with
 /// values chosen to be "generic": spread magnitudes, no structured
 /// cancellation, so the numeric rank equals the structural rank with
 /// probability 1.
-fn random_pattern(n: usize, slots: &[usize], vals: &[f64]) -> Csc {
-    let entries: Vec<(usize, usize, f64)> = slots
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            // Strictly positive, spread over two decades, perturbed per
-            // slot: duplicate (r, c) picks merge additively and stay
-            // nonzero.
-            let v = (1.0 + vals[i % vals.len()].abs()) * (1.0 + 0.01 * i as f64);
-            (s / n % n, s % n, v)
-        })
-        .collect();
-    Csc::from_entries(n, &entries)
+fn random_pattern(n: usize, slots: &[usize], vals: &[f64]) -> Matrix<f64> {
+    let mut m = Matrix::zeros(n, n);
+    for (i, &s) in slots.iter().enumerate() {
+        // Strictly positive, spread over two decades, perturbed per slot:
+        // duplicate (r, c) picks merge additively and stay nonzero.
+        let v = (1.0 + vals[i % vals.len()].abs()) * (1.0 + 0.01 * i as f64);
+        m[(s / n % n, s % n)] += v;
+    }
+    m
 }
 
-/// Numeric rank of a dense copy via complete-pivoting Gaussian
-/// elimination. Complete pivoting keeps the growth factor tame, so at
-/// these sizes a relative threshold cleanly separates "zero by
-/// structure" from roundoff.
+/// Numeric rank of a copy via complete-pivoting Gaussian elimination.
+/// Complete pivoting keeps the growth factor tame, so at these sizes a
+/// relative threshold cleanly separates "zero by structure" from
+/// roundoff.
 #[allow(clippy::needless_range_loop)] // index pairs mirror the math
-fn numeric_rank(a: &Csc) -> usize {
-    let n = a.n;
-    let mut m = vec![vec![0.0f64; n]; n];
-    for j in 0..n {
-        for p in a.col(j) {
-            m[a.row_idx[p]][j] = a.values[p];
-        }
-    }
+fn numeric_rank(a: &Matrix<f64>) -> usize {
+    let n = a.rows();
+    let mut m: Vec<Vec<f64>> = (0..n)
+        .map(|r| (0..n).map(|c| a[(r, c)]).collect())
+        .collect();
     let scale: f64 = m
         .iter()
         .flatten()
@@ -118,27 +73,19 @@ fn numeric_rank(a: &Csc) -> usize {
 
 /// A diagonally dominant matrix over a random sparsity pattern with a
 /// full diagonal: structurally and numerically nonsingular.
-fn dominant_on_pattern(n: usize, slots: &[usize], vals: &[f64]) -> Csc {
-    let mut dense = vec![vec![0.0f64; n]; n];
+fn dominant_on_pattern(n: usize, slots: &[usize], vals: &[f64]) -> Matrix<f64> {
+    let mut m = Matrix::zeros(n, n);
     for (i, &s) in slots.iter().enumerate() {
         let (r, c) = (s / n % n, s % n);
         if r != c {
-            dense[r][c] = vals[i % vals.len()].clamp(-10.0, 10.0);
+            m[(r, c)] = vals[i % vals.len()].clamp(-10.0, 10.0);
         }
     }
-    for (r, row) in dense.iter_mut().enumerate() {
-        let rowsum: f64 = row.iter().map(|v| v.abs()).sum();
-        row[r] = rowsum + 1.0;
+    for r in 0..n {
+        let rowsum: f64 = (0..n).map(|c| m[(r, c)].abs()).sum();
+        m[(r, r)] = rowsum + 1.0;
     }
-    let mut entries = Vec::new();
-    for (r, row) in dense.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                entries.push((r, c, v));
-            }
-        }
-    }
-    Csc::from_entries(n, &entries)
+    m
 }
 
 proptest! {
@@ -153,21 +100,21 @@ proptest! {
         vals in prop::collection::vec(-10.0..10.0f64, 40),
     ) {
         let a = random_pattern(n, &slots, &vals);
-        let (rank, match_row) = maximum_matching(n, &a.col_ptr, &a.row_idx);
+        let match_row = maximum_matching(&a);
+        let rank = match_row.iter().flatten().count();
         prop_assert_eq!(rank, numeric_rank(&a));
         // The matching itself must be consistent: matched rows distinct,
         // each matched row actually present in its column's pattern.
         let mut used = vec![false; n];
         let mut counted = 0;
-        for (j, &r) in match_row.iter().enumerate() {
-            if r == UNMATCHED {
+        for (j, r) in match_row.iter().enumerate() {
+            let Some(r) = *r else {
                 continue;
-            }
+            };
             counted += 1;
             prop_assert!(r < n && !used[r], "row matched twice");
             used[r] = true;
-            let col = &a.row_idx[a.col(j)];
-            prop_assert!(col.contains(&r), "matched row not in column pattern");
+            prop_assert!(a[(r, j)].to_bits() != 0, "matched row not in column pattern");
         }
         prop_assert_eq!(counted, rank);
     }
@@ -182,18 +129,11 @@ proptest! {
         vals in prop::collection::vec(-10.0..10.0f64, 40),
     ) {
         let victim = victim % n;
-        let full = dominant_on_pattern(n, &slots, &vals);
-        let mut entries = Vec::new();
-        for j in 0..n {
-            if j == victim {
-                continue;
-            }
-            for p in full.col(j) {
-                entries.push((full.row_idx[p], j, full.values[p]));
-            }
+        let mut a = dominant_on_pattern(n, &slots, &vals);
+        for r in 0..n {
+            a[(r, victim)] = 0.0;
         }
-        let a = Csc::from_entries(n, &entries);
-        match structural_check(n, &a.col_ptr, &a.row_idx) {
+        match structural_check(&a) {
             Err(SimError::StructurallySingular { column, structural_rank, dim }) => {
                 prop_assert_eq!(column, victim);
                 prop_assert_eq!(structural_rank, n - 1);
