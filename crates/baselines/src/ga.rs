@@ -9,15 +9,15 @@
 //! `ELITISM`); optional initial-population sweep (the paper picked the
 //! best GA configuration per circuit the same way).
 //!
-//! Both GAs evaluate through one cold [`EvalSession`], whose memo serves
-//! a repeated genome without a solve (a run evaluates far fewer genomes
-//! than the memo holds). Warm-starting is off: GA genomes are arbitrary
-//! jumps across the grid, not the one-notch moves it assumes. The GA
-//! counts every evaluation as a simulation, repeats included (solves plus
-//! memo hits), as a GA driving a real simulator would; GA+ML counts only
-//! the genomes it had not evaluated before (solves).
+//! Both GAs score genomes through one evaluator that calls
+//! [`SizingProblem::simulate`] directly: GA genomes are arbitrary jumps
+//! across the grid, not the one-notch moves warm-starting assumes, and
+//! `simulate` is pure. The vanilla GA keeps no memo: it counts every
+//! evaluation as a simulation and solves every one, repeated genomes
+//! included, as a GA driving a real simulator would. GA+ML keeps a map of
+//! the genomes it scored and counts only those (see [`crate::ga_ml`]).
 
-use autockt_circuits::{EvalSession, SimMode, SizingProblem};
+use autockt_circuits::{SimMode, SizingProblem};
 use autockt_core::{is_success, reward, SIM_FAIL_REWARD};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -59,10 +59,10 @@ pub struct GaOutcome {
     /// Whether a design meeting the target was found.
     pub reached: bool,
     /// Simulations performed (the sample-efficiency metric), under the
-    /// counting rule of the GA that ran: [`ga_solve`] counts every
-    /// evaluation, repeated genomes included;
-    /// [`crate::ga_ml::ga_ml_solve`] counts only genomes it had not
-    /// evaluated before.
+    /// counting rule of the GA that ran: [`ga_solve`] simulates and counts
+    /// every evaluation, repeated genomes included;
+    /// [`crate::ga_ml::ga_ml_solve`] simulates and counts each distinct
+    /// genome once.
     pub sims: usize,
     /// Best Eq. 1 reward seen.
     pub best_reward: f64,
@@ -70,41 +70,38 @@ pub struct GaOutcome {
     pub best_idx: Vec<usize>,
 }
 
-/// The evaluator both GAs score genomes with: a cold session with its own
-/// memo, and the Eq. 1 reward against one target.
+/// The evaluator both GAs score genomes with: the Eq. 1 reward of a cold
+/// [`SizingProblem::simulate`] against one target, and a count of the
+/// evaluations.
 pub(crate) struct Evaluator<'a> {
-    session: EvalSession<'a>,
+    problem: &'a dyn SizingProblem,
+    mode: SimMode,
     target: &'a [f64],
     /// Grid cardinalities: gene `i` ranges over `0..cards[i]`.
     pub(crate) cards: Vec<usize>,
+    /// Genomes scored, each one simulation.
+    evaluations: usize,
 }
 
 impl<'a> Evaluator<'a> {
     pub(crate) fn new(problem: &'a dyn SizingProblem, target: &'a [f64], mode: SimMode) -> Self {
         Evaluator {
-            session: EvalSession::borrowed(problem, mode).with_warm_start(false),
+            problem,
+            mode,
             target,
             cards: problem.cardinalities(),
+            evaluations: 0,
         }
     }
 
-    /// The Eq. 1 reward of genome `idx`, or [`SIM_FAIL_REWARD`] when it
-    /// has no operating point.
+    /// Simulates genome `idx` and returns its Eq. 1 reward, or
+    /// [`SIM_FAIL_REWARD`] when it has no operating point.
     pub(crate) fn score(&mut self, idx: &[usize]) -> f64 {
-        match self.session.evaluate(idx) {
-            Ok(specs) => reward(self.session.problem().specs(), &specs, self.target),
+        self.evaluations += 1;
+        match self.problem.simulate(idx, self.mode) {
+            Ok(specs) => reward(self.problem.specs(), &specs, self.target),
             Err(_) => SIM_FAIL_REWARD,
         }
-    }
-
-    /// Genomes solved: those not evaluated before in this run.
-    pub(crate) fn solves(&self) -> usize {
-        self.session.solve_count() as usize
-    }
-
-    /// Every evaluation, repeated genomes included.
-    fn evaluations(&self) -> usize {
-        (self.session.solve_count() + self.session.memo_hits()) as usize
     }
 }
 
@@ -149,7 +146,7 @@ pub fn ga_solve(
 
     for _gen in 0..cfg.generations {
         if is_success(best.1) {
-            return outcome(best, ev.evaluations());
+            return outcome(best, ev.evaluations);
         }
         // Sort descending by fitness for elitism.
         pop.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -158,7 +155,7 @@ pub fn ga_solve(
             let child = offspring(&mut rng, &pop, &ev.cards);
             let f = ev.score(&child);
             if is_success(f) {
-                return outcome((child, f), ev.evaluations());
+                return outcome((child, f), ev.evaluations);
             }
             if f > best.1 {
                 best = (child.clone(), f);
@@ -167,7 +164,7 @@ pub fn ga_solve(
         }
         pop = next;
     }
-    outcome(best, ev.evaluations())
+    outcome(best, ev.evaluations)
 }
 
 /// Runs [`ga_solve`] over a sweep of population sizes and returns the best
@@ -284,13 +281,17 @@ mod tests {
         assert!(is_success(out.best_reward));
     }
 
-    /// A 3 x 3 grid whose one spec never meets its target, counting the
-    /// solves its `simulate` runs.
+    /// A 3 x 3 grid whose one spec never meets its target and whose
+    /// point `FAILING` has no operating point, counting the solves its
+    /// `simulate` runs and the failed ones among them.
     struct Grid {
         params: Vec<ParamSpec>,
         specs: Vec<SpecDef>,
         solves: AtomicUsize,
+        failures: AtomicUsize,
     }
+
+    const FAILING: [usize; 2] = [2, 2];
 
     impl SizingProblem for Grid {
         fn name(&self) -> &'static str {
@@ -304,6 +305,13 @@ mod tests {
         }
         fn simulate(&self, idx: &[usize], _: SimMode) -> Result<Vec<f64>, SimError> {
             self.solves.fetch_add(1, Ordering::Relaxed);
+            if idx == FAILING {
+                self.failures.fetch_add(1, Ordering::Relaxed);
+                return Err(SimError::DcNoConvergence {
+                    iterations: 0,
+                    residual: f64::INFINITY,
+                });
+            }
             Ok(vec![(idx[0] + idx[1]) as f64])
         }
     }
@@ -324,6 +332,7 @@ mod tests {
                 fail_value: 0.0,
             }],
             solves: AtomicUsize::new(0),
+            failures: AtomicUsize::new(0),
         };
         let target = [100.0];
         let cfg = GaConfig {
@@ -334,6 +343,7 @@ mod tests {
         // Twelve genomes on nine grid points: every run repeats genomes.
         let ga = ga_solve(&grid, &target, SimMode::Schematic, &cfg);
         let solves = grid.solves.swap(0, Ordering::Relaxed);
+        let failures = grid.failures.swap(0, Ordering::Relaxed);
         assert!(!ga.reached);
         // The GA counts every evaluation: the first population, then each
         // generation's children beside its elites.
@@ -341,11 +351,15 @@ mod tests {
             ga.sims,
             cfg.population + cfg.generations * (cfg.population - ELITISM)
         );
-        assert!(ga.sims > solves, "{} sims, {solves} solves", ga.sims);
-        // GA+ML counts only the genomes it solved.
+        // It solves every evaluation it counts, a repeated failing genome
+        // on every visit.
+        assert_eq!(ga.sims, solves);
+        assert!(failures > 1, "{failures} failed solves");
+        // GA+ML counts only the genomes it solved, a failing one once.
         let ml = crate::ga_ml::ga_ml_solve(&grid, &target, SimMode::Schematic, &cfg);
         assert!(!ml.reached);
         assert_eq!(ml.sims, grid.solves.load(Ordering::Relaxed));
+        assert_eq!(grid.failures.load(Ordering::Relaxed), 1);
         assert!(ml.sims < cfg.population, "{} sims", ml.sims);
     }
 

@@ -5,12 +5,12 @@
 //! The mechanism that makes BagNet sample-efficient is reproduced: a neural
 //! network is trained online on all designs simulated so far and used to
 //! *screen* GA offspring, so only the children predicted to be promising
-//! are actually simulated. Genomes are scored, bred and counted through
-//! the vanilla GA's evaluator (see [`crate::ga`]). Sample efficiency
-//! counts simulations, not model queries, and unlike the vanilla GA's
-//! count a repeated genome is not one: [`GaOutcome::sims`] is the
-//! session's solve count, and a genome adds a dataset row exactly when it
-//! was solved.
+//! are actually simulated. Genomes are scored and bred through the
+//! vanilla GA's evaluator (see [`crate::ga`]). Sample efficiency counts
+//! simulations, not model queries, and unlike the vanilla GA a repeated
+//! genome costs none: a map of the genomes scored so far returns a
+//! repeat's stored score without a solve, only a new genome adds a
+//! dataset row, and [`GaOutcome::sims`] is the map's length.
 
 use crate::ga::{offspring, outcome, random_genome, Evaluator, GaConfig, GaOutcome, ELITISM};
 use autockt_circuits::{SimMode, SizingProblem};
@@ -18,6 +18,7 @@ use autockt_core::is_success;
 use autockt_rl::mlp::{Mlp, Tape, TILE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// Fraction of a generation's population simulated after screening.
 const SCREEN_KEEP: f64 = 0.25;
@@ -35,15 +36,31 @@ fn features(idx: &[usize], cards: &[usize]) -> Vec<f64> {
         .collect()
 }
 
-/// Scores genome `g`, adding it to the discriminator's `dataset` when the
-/// session solved it (a memo hit is a genome the dataset already holds).
-fn simulate(ev: &mut Evaluator<'_>, g: &[usize], dataset: &mut Vec<(Vec<f64>, f64)>) -> f64 {
-    let solves = ev.solves();
-    let f = ev.score(g);
-    if ev.solves() > solves {
-        dataset.push((features(g, &ev.cards), f));
+/// The genomes scored so far, the discriminator's dataset, and the
+/// evaluator that simulates each new genome once.
+struct Scored<'a> {
+    ev: Evaluator<'a>,
+    seen: HashMap<Vec<usize>, f64>,
+    dataset: Vec<(Vec<f64>, f64)>,
+}
+
+impl Scored<'_> {
+    /// The score of genome `g`: stored for a repeat, else simulated and
+    /// added to the dataset.
+    fn score(&mut self, g: &[usize]) -> f64 {
+        if let Some(&f) = self.seen.get(g) {
+            return f;
+        }
+        let f = self.ev.score(g);
+        self.seen.insert(g.to_vec(), f);
+        self.dataset.push((features(g, &self.ev.cards), f));
+        f
     }
-    f
+
+    /// Simulations spent: one per distinct genome.
+    fn sims(&self) -> usize {
+        self.seen.len()
+    }
 }
 
 /// Runs the discriminator-boosted GA against one target. `cfg.population`
@@ -57,17 +74,21 @@ pub fn ga_ml_solve(
     cfg: &GaConfig,
 ) -> GaOutcome {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut ev = Evaluator::new(problem, target, mode);
-    let mut model = Mlp::new(&[ev.cards.len(), 32, 32, 1], &mut rng);
+    let mut sc = Scored {
+        ev: Evaluator::new(problem, target, mode),
+        seen: HashMap::new(),
+        dataset: Vec::new(),
+    };
+    let cards = sc.ev.cards.clone();
+    let mut model = Mlp::new(&[cards.len(), 32, 32, 1], &mut rng);
     let mut tape = Tape::new(&model);
     let mut dout = Vec::with_capacity(TILE);
-    let mut dataset: Vec<(Vec<f64>, f64)> = Vec::new();
 
     // Initial population, fully simulated.
     let mut pop: Vec<(Vec<usize>, f64)> = (0..cfg.population)
         .map(|_| {
-            let g = random_genome(&mut rng, &ev.cards);
-            let f = simulate(&mut ev, &g, &mut dataset);
+            let g = random_genome(&mut rng, &cards);
+            let f = sc.score(&g);
             (g, f)
         })
         .collect();
@@ -78,36 +99,36 @@ pub fn ga_ml_solve(
 
     for _gen in 0..cfg.generations {
         if is_success(best.1) {
-            return outcome(best, ev.solves());
+            return outcome(best, sc.sims());
         }
         // Retrain the discriminator on everything simulated so far.
-        if dataset.len() >= WARMUP {
+        if sc.dataset.len() >= WARMUP {
             for _ in 0..TRAIN_EPOCHS {
                 model.zero_grad();
                 // Full batch, walked in order a tile at a time.
-                for tile in dataset.chunks(TILE) {
+                for tile in sc.dataset.chunks(TILE) {
                     tape.load(tile.iter().map(|(x, _)| x.as_slice()));
                     let out = model.forward_tile(&mut tape);
                     dout.clear();
                     dout.extend(out.iter().zip(tile).map(|(o, (_, y))| o - y));
                     model.backward_tile(&mut tape, &dout);
                 }
-                model.scale_grad(1.0 / dataset.len() as f64);
+                model.scale_grad(1.0 / sc.dataset.len() as f64);
                 model.adam_step(LR);
             }
         }
         // Generate a large pool of children, screen, simulate survivors.
         pop.sort_by(|a, b| b.1.total_cmp(&a.1));
         let pool: Vec<Vec<usize>> = (0..cfg.population * 4)
-            .map(|_| offspring(&mut rng, &pop, &ev.cards))
+            .map(|_| offspring(&mut rng, &pop, &cards))
             .collect();
         let keep = ((cfg.population as f64 * SCREEN_KEEP).ceil() as usize).max(2);
-        let survivors: Vec<Vec<usize>> = if dataset.len() >= WARMUP {
+        let survivors: Vec<Vec<usize>> = if sc.dataset.len() >= WARMUP {
             // Screen by predicted reward.
             let mut scored: Vec<(Vec<usize>, f64)> = pool
                 .into_iter()
                 .map(|g| {
-                    let p = model.forward(&features(&g, &ev.cards))[0];
+                    let p = model.forward(&features(&g, &cards))[0];
                     (g, p)
                 })
                 .collect();
@@ -118,12 +139,12 @@ pub fn ga_ml_solve(
         };
         let mut next: Vec<(Vec<usize>, f64)> = pop.iter().take(ELITISM).cloned().collect();
         for child in survivors {
-            let f = simulate(&mut ev, &child, &mut dataset);
+            let f = sc.score(&child);
             if f > best.1 {
                 best = (child.clone(), f);
             }
             if is_success(f) {
-                return outcome((child, f), ev.solves());
+                return outcome((child, f), sc.sims());
             }
             next.push((child, f));
         }
@@ -132,7 +153,7 @@ pub fn ga_ml_solve(
         next.truncate(cfg.population.max(keep));
         pop = next;
     }
-    outcome(best, ev.solves())
+    outcome(best, sc.sims())
 }
 
 #[cfg(test)]
@@ -159,8 +180,8 @@ mod tests {
     fn screening_reduces_simulations_versus_vanilla() {
         // Compare sims on the same target with the same generation budget:
         // the screened GA must simulate fewer designs. The vanilla GA
-        // counts every evaluation, GA+ML only genomes it had not evaluated
-        // before (see the module doc).
+        // simulates every evaluation, GA+ML each distinct genome once (see
+        // the module doc).
         let tia = Tia::default();
         let mut rng = StdRng::seed_from_u64(42);
         let target = sample_feasible(&tia, &mut rng, 50);

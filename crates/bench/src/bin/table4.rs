@@ -6,10 +6,10 @@
 //! AutoCkt PEX 23 sims (40/40); vanilla GA is "too sample inefficient"
 //! (N/A).
 //!
-//! GA+ML counts only the genomes it had not evaluated before (its
-//! session's solves); the vanilla GA of Tables I–III counts every
-//! evaluation (solves plus memo hits). Both read the count off the one
-//! evaluator in `autockt_baselines::ga`, so the "AutoCkt PEX vs GA+ML"
+//! GA+ML simulates and counts each distinct genome once (a repeat is
+//! served from its map of scored genomes); the vanilla GA of Tables I–III
+//! simulates and counts every evaluation. Both score genomes through the
+//! one evaluator in `autockt_baselines::ga`, so the "AutoCkt PEX vs GA+ML"
 //! row divides a GA+ML count of unique genomes by AutoCkt's count of every
 //! step. A seeded run repeats byte for byte.
 //!

@@ -614,10 +614,9 @@ fn recover<'m, T>(
 /// Warm-start state stays private per worker: the memo stores warm
 /// *snapshots* (restored on hits so a later miss still warm-starts from an
 /// adjacent grid point), but each session keeps its own [`WarmState`].
-/// With warm-starting disabled, pooled results are bitwise-identical to
-/// per-env memo runs (solves are pure); with it enabled, a hit may serve
-/// specs solved from another worker's warm trajectory, which agree within
-/// solver tolerance (the same contract as `simulate_warm` itself).
+/// A pooled hit may therefore serve specs solved from another worker's
+/// warm trajectory, which agree with a private run's within solver
+/// tolerance (the same contract as `simulate_warm` itself).
 ///
 /// # Examples
 ///
@@ -627,11 +626,11 @@ fn recover<'m, T>(
 /// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), autockt_sim::SimError> {
-/// let tia = Tia::default();
+/// let tia: Arc<dyn SizingProblem> = Arc::new(Tia::default());
 /// let memo = Arc::new(SharedMemo::new(1 << 16));
-/// let mut a = EvalSession::borrowed(&tia, SimMode::Schematic)
+/// let mut a = EvalSession::new(Arc::clone(&tia), SimMode::Schematic)
 ///     .with_shared_memo(Arc::clone(&memo));
-/// let mut b = EvalSession::borrowed(&tia, SimMode::Schematic)
+/// let mut b = EvalSession::new(Arc::clone(&tia), SimMode::Schematic)
 ///     .with_shared_memo(Arc::clone(&memo));
 /// let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
 /// let first = a.evaluate(&idx)?; // solved by session a
@@ -721,15 +720,14 @@ impl SharedMemo {
     }
 
     /// Looks up `idx`, cloning the specs out (the lock is never held
-    /// across a solve) and, when `warm` is given, restoring into it the
-    /// warm snapshot taken at the original solve. Returns the specs and
-    /// whether the entry was inserted by a *different* worker than
-    /// `worker`.
+    /// across a solve) and restoring into `warm` the warm snapshot taken
+    /// at the original solve. Returns the specs and whether the entry was
+    /// inserted by a *different* worker than `worker`.
     fn get(
         &self,
         idx: &[usize],
         worker: u64,
-        warm: Option<&mut WarmState>,
+        warm: &mut WarmState,
     ) -> Option<(Result<Vec<f64>, SimError>, bool)> {
         let map = self.lock();
         let e = map.get(idx)?;
@@ -738,9 +736,7 @@ impl SharedMemo {
         if cross {
             self.cross_hits.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(w) = warm {
-            w.restore(&e.warm);
-        }
+        warm.restore(&e.warm);
         Some((e.specs.clone(), cross))
     }
 
@@ -823,32 +819,19 @@ impl SharedMemo {
     }
 }
 
-/// How an [`EvalSession`] holds its problem.
-#[derive(Clone)]
-enum ProblemRef<'p> {
-    Borrowed(&'p dyn SizingProblem),
-    Shared(Arc<dyn SizingProblem>),
-}
-
-impl<'p> ProblemRef<'p> {
-    fn get(&self) -> &dyn SizingProblem {
-        match self {
-            ProblemRef::Borrowed(p) => *p,
-            ProblemRef::Shared(p) => p.as_ref(),
-        }
-    }
-}
-
 /// A stateful evaluation pipeline bound to one problem and fidelity: a
 /// memo of exact parameter-grid revisits consulted before any solve
 /// (simulation is deterministic, so revisits are free), plus warm-start
 /// state threaded through consecutive DC solves.
 ///
-/// One session per environment/optimizer instance: the RL envs, the GA
-/// baselines, and the random agent all evaluate through this type, so
-/// they share the same warm+memo pipeline. Warm-started solves converge
-/// to the same specs as cold ones up to solver tolerance; memoization
-/// makes revisits *exactly* reproducible within a session.
+/// One session per sizing environment (`autockt_core::SizingEnv`, which
+/// the trained and the random agents step): every evaluation it cannot
+/// serve from the memo runs [`SizingProblem::simulate_warm`] and stores
+/// the warm snapshot beside the specs. Warm-started solves converge to
+/// the same specs as cold ones up to solver tolerance; memoization makes
+/// revisits *exactly* reproducible within a session. The GA baselines
+/// keep no session: their genomes jump across the grid, so they call
+/// [`SizingProblem::simulate`] directly.
 ///
 /// Each session owns a [`SharedMemo`] of
 /// [`SharedMemo::DEFAULT_CAPACITY`] entries unless
@@ -861,11 +844,12 @@ impl<'p> ProblemRef<'p> {
 /// ```
 /// use autockt_circuits::prelude::*;
 /// use autockt_circuits::problem::EvalSession;
+/// use std::sync::Arc;
 ///
 /// # fn main() -> Result<(), autockt_sim::SimError> {
-/// let tia = Tia::default();
-/// let mut session = EvalSession::borrowed(&tia, SimMode::Schematic);
+/// let tia = Arc::new(Tia::default());
 /// let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
+/// let mut session = EvalSession::new(tia, SimMode::Schematic);
 /// let first = session.evaluate(&idx)?;
 /// let replay = session.evaluate(&idx)?; // memo hit: identical, no solve
 /// assert_eq!(first, replay);
@@ -875,10 +859,9 @@ impl<'p> ProblemRef<'p> {
 /// # }
 /// ```
 #[derive(Clone)]
-pub struct EvalSession<'p> {
-    problem: ProblemRef<'p>,
+pub struct EvalSession {
+    problem: Arc<dyn SizingProblem>,
     mode: SimMode,
-    warm_start: bool,
     warm: WarmState,
     memo: Arc<SharedMemo>,
     worker_id: u64,
@@ -887,12 +870,11 @@ pub struct EvalSession<'p> {
     cross_hits: u64,
 }
 
-impl std::fmt::Debug for EvalSession<'_> {
+impl std::fmt::Debug for EvalSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalSession")
-            .field("problem", &self.problem.get().name())
+            .field("problem", &self.problem.name())
             .field("mode", &self.mode)
-            .field("warm_start", &self.warm_start)
             .field("memo_len", &self.memo.len())
             .field("solves", &self.solves)
             .field("memo_hits", &self.memo_hits)
@@ -901,13 +883,14 @@ impl std::fmt::Debug for EvalSession<'_> {
     }
 }
 
-impl<'p> EvalSession<'p> {
-    fn with(problem: ProblemRef<'p>, mode: SimMode) -> Self {
+impl EvalSession {
+    /// Creates a session over `problem` at fidelity `mode`, with a memo
+    /// of its own.
+    pub fn new(problem: Arc<dyn SizingProblem>, mode: SimMode) -> Self {
         let memo = Arc::new(SharedMemo::with_default_capacity());
         EvalSession {
             problem,
             mode,
-            warm_start: true,
             warm: WarmState::new(),
             worker_id: memo.register_worker(),
             memo,
@@ -915,24 +898,6 @@ impl<'p> EvalSession<'p> {
             memo_hits: 0,
             cross_hits: 0,
         }
-    }
-
-    /// Creates a session borrowing the problem (optimizer-style callers).
-    pub fn borrowed(problem: &'p dyn SizingProblem, mode: SimMode) -> Self {
-        EvalSession::with(ProblemRef::Borrowed(problem), mode)
-    }
-
-    /// Creates a session sharing ownership of the problem (environments
-    /// that must be `'static` and `Clone`).
-    pub fn shared(problem: Arc<dyn SizingProblem>, mode: SimMode) -> EvalSession<'static> {
-        EvalSession::with(ProblemRef::Shared(problem), mode)
-    }
-
-    /// Disables or enables warm-starting (on by default); the cold path is
-    /// exactly [`SizingProblem::simulate`].
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
     }
 
     /// Replaces this session's own memo with `memo`, pooled across
@@ -948,8 +913,8 @@ impl<'p> EvalSession<'p> {
     }
 
     /// The problem being evaluated.
-    pub fn problem(&self) -> &dyn SizingProblem {
-        self.problem.get()
+    pub fn problem(&self) -> &Arc<dyn SizingProblem> {
+        &self.problem
     }
 
     /// The simulation fidelity of every evaluation in this session.
@@ -968,8 +933,7 @@ impl<'p> EvalSession<'p> {
         // A hit re-arms the warm state as of this grid point's solve: the
         // next miss is one notch from *here*, not from wherever the last
         // fresh solve happened.
-        let warm = self.warm_start.then_some(&mut self.warm);
-        if let Some((specs, cross)) = self.memo.get(idx, self.worker_id, warm) {
+        if let Some((specs, cross)) = self.memo.get(idx, self.worker_id, &mut self.warm) {
             self.memo_hits += 1;
             if cross {
                 self.cross_hits += 1;
@@ -977,19 +941,9 @@ impl<'p> EvalSession<'p> {
             return specs;
         }
         self.solves += 1;
-        let res = if self.warm_start {
-            self.problem
-                .get()
-                .simulate_warm(idx, self.mode, &mut self.warm)
-        } else {
-            self.problem.get().simulate(idx, self.mode)
-        };
-        let warm = if self.warm_start {
-            self.warm.snapshot()
-        } else {
-            Vec::new()
-        };
-        self.memo.insert(idx, res.clone(), warm, self.worker_id);
+        let res = self.problem.simulate_warm(idx, self.mode, &mut self.warm);
+        self.memo
+            .insert(idx, res.clone(), self.warm.snapshot(), self.worker_id);
         res
     }
 
@@ -1111,9 +1065,9 @@ mod tests {
 
     #[test]
     fn session_memo_serves_exact_revisits() {
-        let tia = crate::Tia::default();
-        let mut s = EvalSession::borrowed(&tia, SimMode::Schematic);
+        let tia = Arc::new(crate::Tia::default());
         let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
+        let mut s = EvalSession::new(tia, SimMode::Schematic);
         let a = s.evaluate(&idx).unwrap();
         let b = s.evaluate(&idx).unwrap();
         assert_eq!(a, b);
@@ -1124,9 +1078,9 @@ mod tests {
 
     #[test]
     fn session_reset_warm_keeps_memo() {
-        let tia = crate::Tia::default();
-        let mut s = EvalSession::borrowed(&tia, SimMode::Schematic);
+        let tia = Arc::new(crate::Tia::default());
         let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
+        let mut s = EvalSession::new(tia, SimMode::Schematic);
         s.evaluate(&idx).unwrap();
         s.reset_warm();
         assert_eq!(s.memo_len(), 1);
@@ -1136,10 +1090,10 @@ mod tests {
 
     #[test]
     fn session_memo_capacity_bounds_insertions() {
-        let tia = crate::Tia::default();
-        let mut s = EvalSession::borrowed(&tia, SimMode::Schematic)
-            .with_shared_memo(Arc::new(SharedMemo::new(2)));
+        let tia = Arc::new(crate::Tia::default());
         let cards = tia.cardinalities();
+        let mut s = EvalSession::new(tia, SimMode::Schematic)
+            .with_shared_memo(Arc::new(SharedMemo::new(2)));
         let point = |i: usize| -> Vec<usize> { cards.iter().map(|k| i % k).collect() };
         for i in 0..4 {
             let _ = s.evaluate(&point(i));
@@ -1169,7 +1123,7 @@ mod tests {
         assert!(!memo.contains(&[2]), "insertions stop at capacity");
         // Duplicate insertion keeps the first value (first-solve-wins).
         memo.insert(&[1], Ok(vec![9.0]), Vec::new(), 1);
-        let (specs, cross) = memo.get(&[1], 1, None).unwrap();
+        let (specs, cross) = memo.get(&[1], 1, &mut WarmState::new()).unwrap();
         assert_eq!(specs.unwrap(), vec![1.0]);
         assert!(cross, "the entry still belongs to its first inserter");
     }
@@ -1186,9 +1140,10 @@ mod tests {
             for t in 0..4u64 {
                 let memo = Arc::clone(&memo);
                 scope.spawn(move || {
+                    let mut warm = WarmState::new();
                     for i in 0..2000usize {
                         memo.insert(&[t as usize, i], Ok(vec![i as f64]), Vec::new(), t);
-                        let _ = memo.get(&[t as usize, i], t, None);
+                        let _ = memo.get(&[t as usize, i], t, &mut warm);
                     }
                 });
             }
@@ -1199,18 +1154,18 @@ mod tests {
         // Uncontended single-threaded access never counts.
         let quiet = SharedMemo::new(64);
         quiet.insert(&[1], Ok(vec![1.0]), Vec::new(), 0);
-        let _ = quiet.get(&[1], 0, None);
+        let _ = quiet.get(&[1], 0, &mut WarmState::new());
         assert_eq!(quiet.contended_locks(), 0);
     }
 
     #[test]
     fn shared_memo_pools_across_sessions() {
-        let tia = crate::Tia::default();
+        let tia: Arc<dyn SizingProblem> = Arc::new(crate::Tia::default());
         let memo = Arc::new(SharedMemo::new(1024));
-        let mut a =
-            EvalSession::borrowed(&tia, SimMode::Schematic).with_shared_memo(Arc::clone(&memo));
-        let mut b =
-            EvalSession::borrowed(&tia, SimMode::Schematic).with_shared_memo(Arc::clone(&memo));
+        let mut a = EvalSession::new(Arc::clone(&tia), SimMode::Schematic)
+            .with_shared_memo(Arc::clone(&memo));
+        let mut b = EvalSession::new(Arc::clone(&tia), SimMode::Schematic)
+            .with_shared_memo(Arc::clone(&memo));
         let idx: Vec<usize> = tia.cardinalities().iter().map(|k| k / 2).collect();
         let x = a.evaluate(&idx).unwrap();
         let y = b.evaluate(&idx).unwrap();

@@ -16,6 +16,7 @@ use autockt_circuits::prelude::*;
 use autockt_sim::dc::WarmState;
 use autockt_sim::pex::PexConfig;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Relative spec tolerance: warm and cold Newton both stop at an update
 /// norm of 1e-9, and the measurement layer (crossing interpolation,
@@ -207,9 +208,9 @@ proptest! {
     ) {
         // Evaluating the same walk twice through one session must return
         // bit-identical spec vectors: the memo serves the second pass.
-        let tia = Tia::default();
-        let mut session = EvalSession::borrowed(&tia, SimMode::Schematic);
+        let tia = Arc::new(Tia::default());
         let cards = tia.cardinalities();
+        let mut session = EvalSession::new(tia, SimMode::Schematic);
         let mut idx: Vec<usize> = cards
             .iter()
             .zip(&fracs)

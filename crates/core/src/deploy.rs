@@ -292,7 +292,7 @@ mod tests {
         // Evaluate through the session pipeline like deployment itself
         // does — a SimFailed center is a test failure with context, not a
         // bare unwrap panic on the stateless cold path.
-        let specs = autockt_circuits::EvalSession::shared(Arc::clone(&problem), SimMode::Schematic)
+        let specs = autockt_circuits::EvalSession::new(Arc::clone(&problem), SimMode::Schematic)
             .evaluate(&center)
             .expect("center design must simulate at schematic fidelity");
         let mut rng = StdRng::seed_from_u64(5);

@@ -62,8 +62,7 @@ impl Default for EnvConfig {
 /// grid from the center to a design meeting the drawn target.
 #[derive(Clone)]
 pub struct SizingEnv {
-    problem: Arc<dyn SizingProblem>,
-    session: EvalSession<'static>,
+    session: EvalSession,
     cfg: EnvConfig,
     cards: Vec<usize>,
     idx: Vec<usize>,
@@ -76,7 +75,7 @@ pub struct SizingEnv {
 impl std::fmt::Debug for SizingEnv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SizingEnv")
-            .field("problem", &self.problem.name())
+            .field("problem", &self.problem().name())
             .field("idx", &self.idx)
             .field("target", &self.target)
             .field("t", &self.t)
@@ -89,12 +88,11 @@ impl SizingEnv {
     pub fn new(problem: Arc<dyn SizingProblem>, cfg: EnvConfig) -> Self {
         let cards = problem.cardinalities();
         let nspecs = problem.specs().len();
-        let mut session = EvalSession::shared(Arc::clone(&problem), cfg.mode);
+        let mut session = EvalSession::new(problem, cfg.mode);
         if let Some(memo) = &cfg.shared_memo {
             session = session.with_shared_memo(Arc::clone(memo));
         }
         SizingEnv {
-            problem,
             session,
             cfg,
             cards: cards.clone(),
@@ -108,7 +106,7 @@ impl SizingEnv {
 
     /// The problem being sized.
     pub fn problem(&self) -> &Arc<dyn SizingProblem> {
-        &self.problem
+        self.session.problem()
     }
 
     /// Total simulations requested (the paper's sample-efficiency unit —
@@ -153,7 +151,7 @@ impl SizingEnv {
     /// Starts an episode against an explicit target (deployment entry
     /// point; [`Env::reset`] samples one instead).
     pub fn reset_with_target(&mut self, target: Vec<f64>) -> Vec<f64> {
-        assert_eq!(target.len(), self.problem.specs().len());
+        assert_eq!(target.len(), self.problem().specs().len());
         self.target = target;
         self.idx = self.cards.iter().map(|k| k / 2).collect();
         self.t = 0;
@@ -172,7 +170,12 @@ impl SizingEnv {
                 self.last_sim_failed = false;
             }
             Err(_) => {
-                self.last_specs = self.problem.specs().iter().map(|s| s.fail_value).collect();
+                self.last_specs = self
+                    .problem()
+                    .specs()
+                    .iter()
+                    .map(|s| s.fail_value)
+                    .collect();
                 self.last_sim_failed = true;
             }
         }
@@ -190,7 +193,7 @@ impl SizingEnv {
     /// [scaled params]_n` — the paper's (observed performance, target,
     /// current parameters) triple, all in O(1) ranges.
     fn observation(&self) -> Vec<f64> {
-        let specs = self.problem.specs();
+        let specs = self.problem().specs();
         let mut obs = Vec::with_capacity(2 * specs.len() + self.idx.len());
         for (o, t) in self.last_specs.iter().zip(&self.target) {
             obs.push(crate::reward::normalize(*o, *t));
@@ -217,14 +220,14 @@ impl SizingEnv {
         if self.last_sim_failed {
             SIM_FAIL_REWARD
         } else {
-            reward(self.problem.specs(), &self.last_specs, &self.target)
+            reward(self.problem().specs(), &self.last_specs, &self.target)
         }
     }
 }
 
 impl Env for SizingEnv {
     fn obs_dim(&self) -> usize {
-        2 * self.problem.specs().len() + self.cards.len()
+        2 * self.problem().specs().len() + self.cards.len()
     }
 
     fn action_dims(&self) -> Vec<usize> {
@@ -233,7 +236,7 @@ impl Env for SizingEnv {
 
     fn reset(&mut self, rng: &mut StdRng) -> Vec<f64> {
         let target = match &self.cfg.target_mode {
-            TargetMode::Uniform => sample_uniform(self.problem.as_ref(), rng),
+            TargetMode::Uniform => sample_uniform(self.problem().as_ref(), rng),
             TargetMode::FixedSet(set) => {
                 assert!(!set.is_empty(), "empty target set");
                 set[rng.random_range(0..set.len())].clone()

@@ -677,10 +677,9 @@ impl<T: Scalar> LuFactors<T> {
     /// One adjoint solve `Aᵀ z = e_o` gives entry `o` of `A⁻¹ b` for every
     /// right-hand side `b` as the product `z · b`.
     ///
-    /// The structural sweeps are bitwise the sweeps over every entry,
-    /// under the same rules as [`LuFactors::solve_into`]: a right-hand side
-    /// with a `-0.0` or non-finite component runs over every entry, and so
-    /// does a rerun of a solve whose result came out non-finite.
+    /// The structural sweeps are bitwise the sweeps over every entry for
+    /// any right-hand side; a solve whose result came out non-finite is
+    /// rerun over every entry.
     ///
     /// # Panics
     ///
@@ -698,16 +697,22 @@ impl<T: Scalar> LuFactors<T> {
     /// accumulator through the structural entries of its row, or through
     /// every entry when `full`.
     ///
-    /// Skipping an entry is exact while no accumulator is `-0.0` and every
-    /// solved component is finite, as in [`LuFactors::substitute`]. The
-    /// `Uᵀ` accumulators start from a plain `b`. Its divisions can leave a
-    /// `-0.0`, so the `Lᵀ` accumulators start from `w + 0`, which turns a
-    /// `-0.0` into `+0.0` and leaves every other value as it is. A
-    /// non-finite component of `w` stays non-finite through the `Lᵀ` sweep,
-    /// so a non-finite result again flags a rerun with `full`.
+    /// Unlike [`LuFactors::substitute`], this needs no check of `b` up
+    /// front. A skipped entry is a `+0.0`, so while the solved component
+    /// `w_i` is finite the skipped product is a `±0`, and subtracting it
+    /// can change an accumulator only from `-0.0` to `+0.0`. In the `Uᵀ`
+    /// sweep the two runs therefore differ at most in the signs of zeros,
+    /// which every later division, product and difference with finite
+    /// factors keeps to signs of zeros. The `Lᵀ` accumulators start from
+    /// `w + 0`, which turns every `-0.0` into `+0.0` and leaves every other
+    /// value as it is, so the runs agree bitwise from there, and no `Lᵀ`
+    /// accumulator can become `-0.0` (a difference is `-0.0` only from
+    /// `-0.0`). A non-finite `w_i`, from a non-finite `b_i` or from the
+    /// sweep, is where a skipped product would have been NaN; it stays
+    /// non-finite through the `Lᵀ` sweep, so the result is non-finite and
+    /// flags a rerun with `full`.
     fn substitute_transposed(&self, b: &[T], x: &mut Vec<T>, full: bool) -> bool {
         let n = self.lu.rows;
-        let full = full || !b.iter().all(|v| v.is_plain());
         let data = &self.lu.data;
         // The sweeps run in `x[n..]`; the permutation then writes `x[..n]`.
         x.clear();
@@ -998,11 +1003,25 @@ mod tests {
         for (got, want) in at.mul_vec(&structural).iter().zip(&ramp) {
             assert!((*got - *want).norm() < 1e-9, "{got:?} vs {want:?}");
         }
-        // A -0.0 or ±inf right-hand side gets the dense loops' bits.
+        // A right-hand side of signed zeros needs no rerun: the structural
+        // loops alone give the dense loops' bits.
+        let signed: Vec<C> = (0..n)
+            .map(|i| match i % 4 {
+                0 => C::new(-0.0, -0.0),
+                1 => C::new(-0.0, 0.0),
+                2 => C::new(0.0, -0.0),
+                _ => C::new(1.0 - i as f64 * 0.03, -0.0),
+            })
+            .collect();
+        assert!(f.substitute_transposed(&signed, &mut structural, false));
+        f.substitute_transposed(&signed, &mut dense, true);
+        assert_eq!(bits(&structural), bits(&dense));
+        // A -0.0, ±inf or NaN right-hand side gets the dense loops' bits.
         for bad in [
             C::new(-0.0, 0.0),
             C::new(0.0, f64::INFINITY),
             C::new(f64::NEG_INFINITY, 1.0),
+            C::new(f64::NAN, 0.0),
         ] {
             let mut b = ramp.clone();
             b[12] = bad;
@@ -1010,6 +1029,16 @@ mod tests {
             f.substitute_transposed(&b, &mut dense, true);
             assert_eq!(bits(&structural), bits(&dense), "rhs entry {bad:?}");
         }
+        // On a diagonal system every off-diagonal product is skipped: the
+        // `-0.0`s the `Uᵀ` sweep leaves must leave the `Lᵀ` sweep as the
+        // dense loops' `+0.0`s.
+        let f = LuFactors::factor(Matrix::<f64>::identity(3), 1e-300).unwrap();
+        let (mut structural, mut dense) = (Vec::new(), Vec::new());
+        let b = [-0.0, -0.0, -1.0];
+        assert!(f.substitute_transposed(&b, &mut structural, false));
+        f.substitute_transposed(&b, &mut dense, true);
+        let real_bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(real_bits(&structural), real_bits(&dense));
     }
 
     #[test]
